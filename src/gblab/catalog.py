@@ -75,9 +75,6 @@ class GeometrySpec:
     end_count: int = 1                # boundary/end multiplicity for collar terms
     notes: str = ""
 
-    def primary_field(self) -> MetricField:
-        return self.charts[0][1]
-
     def key(self) -> str:
         items = ",".join(f"{k}={self.params[k]}" for k in sorted(self.params))
         return f"{self.name}({items})"
@@ -290,6 +287,8 @@ def _build_cone(params):
     theta = float(params.get("theta", 1.0))
     a = float(params.get("a", 0.0))
     if profile == "linear":
+        if not theta > 0:
+            raise RegistryError(f"cone angle theta must be > 0, got {theta!r}")
         f = lambda r: theta * r
     elif profile == "second_order":
         f = lambda r: r * math.sqrt(1.0 + r**2)
@@ -323,8 +322,6 @@ def _build_cone(params):
 def _build_geometric_cone(params):
     link = str(params.get("link", "s1"))
     theta = float(params.get("theta", 1.0))
-    if theta < 0:
-        raise RegistryError("inclination must be nonnegative")
     spec = _build_cone({"link": link, "profile": "linear", "theta": theta})
     return GeometrySpec(
         name="geometric_cone", params={"link": link, "theta": theta},
@@ -568,8 +565,8 @@ _BUILDERS = {
     "flat_torus": (_build_flat_torus, {"n": "int 1..4", "periods": "tuple of floats"}),
     "disk": (_build_disk, {"dim": "2 or 4", "rho": "float > 0"}),
     "cone": (_build_cone, {"link": "s1|s3|t3", "profile": "linear|first_order|second_order",
-                           "theta": "float", "a": "float"}),
-    "geometric_cone": (_build_geometric_cone, {"link": "s1|s3|t3", "theta": "float >= 0"}),
+                           "theta": "float > 0", "a": "float"}),
+    "geometric_cone": (_build_geometric_cone, {"link": "s1|s3|t3", "theta": "float > 0"}),
     "football": (_build_football, {"p": "int >= 1"}),
     "lens_cone": (_build_lens_cone, {"order": "int >= 1"}),
     "catenoid": (_build_catenoid, {"cutoff": "float > 0"}),

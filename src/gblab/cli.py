@@ -2,7 +2,7 @@
 
 Exit codes: 0 when every executed check passes, 1 on check failure, 2 on
 usage or configuration errors.  JSON output is byte-stable for a fixed run
-configuration, independent of the worker count.
+configuration, independent of the number of suite processes (--workers).
 """
 
 from __future__ import annotations
@@ -60,7 +60,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--tol", type=float, default=None)
     p_run.add_argument("--json", dest="json_path", default=None)
     p_run.add_argument("--csv", dest="csv_dir", default=None)
-    p_run.add_argument("--workers", type=int, default=1)
+    p_run.add_argument("--workers", type=int, default=1,
+                       help="processes for the suite run (not with --check)")
     p_run.add_argument("--config", default=None, help="geometry config file (JSON)")
     p_run.add_argument("--filter", default="", help="substring filter on check ids")
 
@@ -70,7 +71,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("--geometry", default=None)
     p_conv.add_argument("params", nargs="*")
     p_conv.add_argument("--csv", dest="csv_path", default=None)
-    p_conv.add_argument("--workers", type=int, default=1)
 
     p_cal = sub.add_parser("calibrate", help="re-derive the orientation flags")
     p_cal.add_argument("--level", type=int, default=2)
@@ -158,6 +158,9 @@ def cmd_run(args) -> int:
     if args.workers < 1:
         print("error: --workers must be >= 1", file=sys.stderr)
         return 2
+    if args.check and args.workers > 1:
+        print("error: --workers applies to suite runs, not to --check", file=sys.stderr)
+        return 2
     if args.config:
         catalog.register_from_config(args.config)
     params = _parse_params(args.params)
@@ -170,7 +173,7 @@ def cmd_run(args) -> int:
             try:
                 results.append(verify.run_check(
                     cid, geometry=args.geometry, params=params or None,
-                    level=args.level, tol=args.tol, workers=args.workers))
+                    level=args.level, tol=args.tol))
             except (verify.ConfigurationError, catalog.RegistryError) as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
@@ -211,8 +214,7 @@ def cmd_converge(args) -> int:
     last = None
     for level in range(1, args.levels + 1):
         last = verify.run_check(args.check, geometry=args.geometry,
-                                params=params or None, level=level,
-                                workers=args.workers)
+                                params=params or None, level=level)
         table.add(level, 0, _primary_value(last))
         row = table.rows[-1]
         diff = "" if row[3] is None else f" diff={row[3]:.3e}"

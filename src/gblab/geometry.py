@@ -34,7 +34,6 @@ __all__ = [
     "metric_path_gauge",
     "connection_difference",
     "phi_conjugated_connection",
-    "on_connection_form",
 ]
 
 
@@ -73,14 +72,6 @@ class Chart:
     @property
     def extents(self) -> np.ndarray:
         return np.array([hi - lo for lo, hi in self.bounds])
-
-    def contains(self, x, margin: float = 0.0) -> bool:
-        for xi, (lo, hi), per in zip(x, self.bounds, self.periodic):
-            if per:
-                continue
-            if xi < lo + margin or xi > hi - margin:
-                return False
-        return True
 
     def random_interior(self, rng, count: int, shrink: float = 0.05):
         pts = []
@@ -300,34 +291,6 @@ def riemann_double_form(m: MetricField, x, frame: Optional[np.ndarray] = None):
     return form, frame
 
 
-def on_connection_form(m: MetricField, x, frame: Optional[np.ndarray] = None):
-    """Connection 1-form in the orthonormal frame field at x.
-
-    Returns omega[mu, i, j] = <e_i, nabla_{d_mu} e_j> together with the
-    frame.  The frame field is the deterministic Cholesky frame, so its
-    spatial derivative enters the form.
-    """
-    d = m.chart.dim
-    m.check_stencil(x)
-    gamma = christoffel(m, x)
-    E = _frame_of(m.g(x)) if frame is None else frame
-    Einv = np.linalg.inv(E)
-    h = m.steps()
-    dE = np.zeros((d, d, d))
-    for a in range(d):
-        acc = 0.0
-        for off, wt in _diff_weights(m.fd_order):
-            p = np.array(x, dtype=float)
-            p[a] += off * h[a]
-            acc = acc + wt * _frame_of(_spd_check(m.evaluator(p)))
-        dE[a] = acc / h[a]
-    omega = np.empty((d, d, d))
-    for mu in range(d):
-        wcoord = gamma[:, mu, :]  # [i, j] = Gamma^i_{mu j}
-        omega[mu] = Einv @ (dE[mu] + wcoord @ E)
-    return omega, E
-
-
 @dataclass(frozen=True)
 class FibrationData:
     """Trivial-product fibration of the collar cross-section N = F x B.
@@ -447,13 +410,6 @@ class Slice:
 def slice_data(c: CollarMetric, r: float) -> Slice:
     """Slice accessor at radius r; data at a point via .at(y)."""
     return Slice(c, r)
-
-
-def _combined_metric(g0: MetricField, g1: MetricField, s: float) -> MetricField:
-    def ev(x):
-        return (1.0 - s) * g0.evaluator(x) + s * g1.evaluator(x)
-
-    return MetricField(g0.chart, ev, fd_rel_step=g0.fd_rel_step, fd_order=g0.fd_order)
 
 
 @dataclass

@@ -2,15 +2,14 @@
 
 Periodic axes use the composite trapezoid rule; non-periodic axes use
 composite Gauss-Legendre panels with interior nodes, so chart-edge
-coordinate degeneracies are never sampled.  Summation is a fixed pairwise
-binary tree over the flattened node ordering, independent of how many
-workers evaluate the integrand.
+coordinate degeneracies are never sampled.  Nodes are evaluated in order
+in a plain loop and summed by a fixed pairwise binary tree over the
+flattened node ordering, so a result depends only on its inputs.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -22,7 +21,6 @@ __all__ = [
     "ConvergenceTable",
     "mesh_for_chart",
     "integrate_chart",
-    "integrate_fibers",
     "refine_until",
     "r_limit_extrapolate",
     "pairwise_sum",
@@ -37,7 +35,7 @@ class ResolutionError(ValueError):
 
 
 def pairwise_sum(values: np.ndarray) -> float:
-    """Sum by a fixed binary tree; result independent of worker layout."""
+    """Sum by a fixed binary tree over the flattened ordering."""
     a = np.asarray(values, dtype=float).ravel().copy()
     n = a.size
     if n == 0:
@@ -157,53 +155,16 @@ def _call_node(fn, pt):
         raise type(exc)(f"{exc} (at node {tuple(float(v) for v in pt)})") from exc
 
 
-def _evaluate(fn, pts: np.ndarray, workers: int) -> np.ndarray:
-    vals = np.empty(pts.shape[0])
-    if workers <= 1:
-        for i in range(pts.shape[0]):
-            vals[i] = _call_node(fn, pts[i])
-        return vals
-    # Threads only schedule evaluation; values land at fixed indices, so the
-    # reduction order (and hence the bits of the result) never changes.
-    chunk = max(1, pts.shape[0] // (workers * 8))
-    idx = list(range(0, pts.shape[0], chunk))
-
-    def run(start):
-        stop = min(start + chunk, pts.shape[0])
-        return start, [_call_node(fn, pts[i]) for i in range(start, stop)]
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for start, out in pool.map(run, idx):
-            vals[start : start + len(out)] = out
-    return vals
-
-
-def integrate_chart(fn, chart, mesh: MeshSpec, workers: int = 1) -> float:
+def integrate_chart(fn, chart, mesh: MeshSpec) -> float:
     """Integrate a scalar density (volume factor included) over a chart box.
 
     Evaluator failures are re-raised with the offending node coordinates.
     """
     pts, w = _mesh_points(chart, mesh)
-    vals = _evaluate(fn, pts, workers)
+    vals = np.empty(pts.shape[0])
+    for i in range(pts.shape[0]):
+        vals[i] = _call_node(fn, pts[i])
     return pairwise_sum(vals * w)
-
-
-def integrate_fibers(base_chart, fiber_chart, fn, base_mesh: MeshSpec,
-                     fiber_mesh: MeshSpec, workers: int = 1) -> float:
-    """Iterated product quadrature for trivial fibrations.
-
-    fn(xb, xf) is a density on base x fiber; the result matches
-    integrate_chart over the product chart to quadrature precision.
-    """
-    bp, bw = _mesh_points(base_chart, base_mesh)
-    fp, fw = _mesh_points(fiber_chart, fiber_mesh)
-
-    def fiber_integral(xb):
-        vals = np.array([fn(xb, fp[i]) for i in range(fp.shape[0])])
-        return pairwise_sum(vals * fw)
-
-    vals = _evaluate(fiber_integral, bp, workers)
-    return pairwise_sum(vals * bw)
 
 
 @dataclass

@@ -14,6 +14,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -156,28 +157,26 @@ def _tuned(mf: MetricField, order: int, fd_rel=None) -> MetricField:
                        fd_order=order)
 
 
-def pf_integral(spec, level: int, workers: int = 1, order: int = 4, fd_rel=None) -> float:
+def pf_integral(spec, level: int, order: int = 4, fd_rel=None) -> float:
     """Weighted integral of the Pfaffian form over all charts of a geometry."""
     total = 0.0
     for chart, mf in spec.charts:
         mesh = quad.mesh_for_chart(chart, level)
-        total += quad.integrate_chart(_density_pf(_tuned(mf, order, fd_rel)), chart, mesh, workers)
+        total += quad.integrate_chart(_density_pf(_tuned(mf, order, fd_rel)), chart, mesh)
     return float(spec.symmetry_weight) * total
 
 
-def chart_integral(chart, density, level: int, workers: int = 1) -> float:
+def chart_integral(chart, density, level: int) -> float:
     mesh = quad.mesh_for_chart(chart, level)
-    return quad.integrate_chart(density, chart, mesh, workers)
+    return quad.integrate_chart(density, chart, mesh)
 
 
-def odd_pf_integral(chart, mf: MetricField, level: int, workers: int = 1,
-                    order: int = 4) -> float:
+def odd_pf_integral(chart, mf: MetricField, level: int, order: int = 4) -> float:
     """Integral of the odd Pfaffian form of an odd-dimensional metric."""
-    return chart_integral(chart, _density_pf_odd(_tuned(mf, order)), level, workers)
+    return chart_integral(chart, _density_pf_odd(_tuned(mf, order)), level)
 
 
-def slice_transgression_plus(collar: CollarMetric, k: int, r: float, level: int,
-                             workers: int = 1) -> float:
+def slice_transgression_plus(collar: CollarMetric, k: int, r: float, level: int) -> float:
     """Plus-convention transgression integral over the slice at radius r."""
     sl = slice_data(collar, r)
     ctx = _ctx(collar.boundary_chart.dim)
@@ -187,11 +186,10 @@ def slice_transgression_plus(collar: CollarMetric, k: int, r: float, level: int,
         c = inv.boundary_correction_form(sd, k, ctx).coeffs[0, 0]
         return c * sd.sqrt_det
 
-    return chart_integral(collar.boundary_chart, dens, level, workers)
+    return chart_integral(collar.boundary_chart, dens, level)
 
 
-def slice_limit(collar: CollarMetric, k: int, level: int, workers: int = 1,
-                count: int = 6, degree: int = 4):
+def slice_limit(collar: CollarMetric, k: int, level: int, count: int = 6, degree: int = 4):
     """Extrapolated r -> 0 (or r -> infinity) limit of the slice transgression.
 
     The singular_end flag picks the direction: collapsing collars sample a
@@ -202,16 +200,15 @@ def slice_limit(collar: CollarMetric, k: int, level: int, workers: int = 1,
     if collar.singular_end == "infinity":
         u0 = 0.4 / lo if lo > 0 else 0.1
         for u in quad.geometric_schedule(u0, count):
-            samples.append((u, slice_transgression_plus(collar, k, 1.0 / u, level, workers)))
+            samples.append((u, slice_transgression_plus(collar, k, 1.0 / u, level)))
     else:
         for dr in quad.geometric_schedule(0.4 * (hi - lo), count):
-            samples.append((dr, slice_transgression_plus(collar, k, lo + dr, level, workers)))
+            samples.append((dr, slice_transgression_plus(collar, k, lo + dr, level)))
     value, warn = quad.r_limit_extrapolate(samples, degree=degree)
     return value, samples, warn
 
 
-def lk_integrals(chart, mf: MetricField, level: int, workers: int = 1,
-                 order: int = 4) -> list:
+def lk_integrals(chart, mf: MetricField, level: int, order: int = 4) -> list:
     """Integrals of the Lipschitz-Killing forms of an odd-dimensional metric."""
     n = chart.dim
     ctx = _ctx(n)
@@ -224,7 +221,7 @@ def lk_integrals(chart, mf: MetricField, level: int, workers: int = 1,
             c = inv.lipschitz_killing_form(j, n, R, h, ctx).coeffs[0, 0]
             return c * math.sqrt(np.linalg.det(mf.g(x)))
 
-        out.append(chart_integral(chart, dens, level, workers))
+        out.append(chart_integral(chart, dens, level))
     return out
 
 
@@ -237,25 +234,23 @@ def _fibration_fields(fib):
     return base, fiber
 
 
-def edge_value_for(fib, level: int, workers: int = 1) -> float:
+def edge_value_for(fib, level: int) -> float:
     """Closed-form collapsing-fiber boundary term for a product fibration."""
     if fib.base_dim % 2:
         return 0.0
     base, fiber = _fibration_fields(fib)
     pf_base = 1.0 if base is None else chart_integral(
-        fib.base_chart, _density_pf(_tuned(base, 4)), level, workers)
-    odd_fiber = chart_integral(fib.fiber_chart, _density_pf_odd(_tuned(fiber, 4)),
-                               level, workers)
+        fib.base_chart, _density_pf(_tuned(base, 4)), level)
+    odd_fiber = chart_integral(fib.fiber_chart, _density_pf_odd(_tuned(fiber, 4)), level)
     return inv.edge_boundary_value(pf_base, odd_fiber, fib.base_dim)
 
 
-def fibered_value_for(fib, level: int, workers: int = 1) -> float:
+def fibered_value_for(fib, level: int) -> float:
     """Closed-form expanding-base boundary term for a product fibration."""
     if fib.base_dim % 2 == 0:
         return 0.0
     base, _ = _fibration_fields(fib)
-    odd_base = chart_integral(fib.base_chart, _density_pf_odd(_tuned(base, 4)),
-                              level, workers)
+    odd_base = chart_integral(fib.base_chart, _density_pf_odd(_tuned(base, 4)), level)
     return inv.fibered_boundary_value(odd_base, fib.chi_fiber, fib.base_dim, fib.fiber_dim)
 
 
@@ -269,8 +264,7 @@ def _base_metric_variation(collar: CollarMetric, y_base, h: float = 1e-4):
     return (gp - gm) / (2.0 * h)
 
 
-def horizontal_closed_value(collar: CollarMetric, k: int, level: int,
-                            workers: int = 1) -> float:
+def horizontal_closed_value(collar: CollarMetric, k: int, level: int) -> float:
     """Closed-form slice-transgression limit with horizontal variation.
 
     Combines base integrals of B(R^i gdot^(b-2i)) with fiber
@@ -292,8 +286,8 @@ def horizontal_closed_value(collar: CollarMetric, k: int, level: int,
             c = inv.variation_form(i, b, R, gdot_form, ctxb).coeffs[0, 0]
             return c * math.sqrt(np.linalg.det(basef.g(y)))
 
-        q_ints[i] = chart_integral(fib.base_chart, dens, level, workers)
-    p_list = lk_integrals(fib.fiber_chart, fiber, level, workers)
+        q_ints[i] = chart_integral(fib.base_chart, dens, level)
+    p_list = lk_integrals(fib.fiber_chart, fiber, level)
     p_ints = {v: p_list[v] for v in range(len(p_list))}
     return inv.horizontal_edge_value(q_ints, p_ints, k, b, f)
 
@@ -388,7 +382,7 @@ def _result(check_id, spec, computed, reference, residual_abs, scale, tol, kind,
     )
 
 
-def check_closed_gb(spec, level, tol, workers, order=None):
+def check_closed_gb(spec, level, tol):
     t0 = time.monotonic()
     if spec.chi_ref is None:
         raise ConfigurationError("ClosedGB needs a reference Euler characteristic")
@@ -396,8 +390,7 @@ def check_closed_gb(spec, level, tol, workers, order=None):
     if dim % 2:
         raise ConfigurationError("ClosedGB needs an even-dimensional geometry")
     k = dim // 2
-    order = order or (2 if dim >= 4 else 4)
-    total = pf_integral(spec, level, workers, order=order)
+    total = pf_integral(spec, level, order=2 if dim >= 4 else 4)
     chi = total / TWO_PI**k
     resid = abs(chi - spec.chi_ref)
     computed = {"pf_integral": total, "chi": chi}
@@ -408,19 +401,20 @@ def check_closed_gb(spec, level, tol, workers, order=None):
                    resid, max(1.0, abs(spec.chi_ref)), tol, "abs", t0=t0)
 
 
-def check_boundary_gb(spec, level, tol, workers):
+def check_boundary_gb(spec, level, tol):
     t0 = time.monotonic()
     if spec.collar is None or spec.name != "disk":
         raise ConfigurationError("BoundaryGB runs on disks")
     dim = spec.params["dim"]
     rho = spec.params["rho"]
     k = dim // 2
-    interior = pf_integral(spec, level, workers, order=2)
-    boundary = slice_transgression_plus(spec.collar, k, rho, level, workers)
+    interior = pf_integral(spec, level, order=2)
+    boundary = slice_transgression_plus(spec.collar, k, rho, level)
     eps = EPSILONS["boundary"]
     chi = (interior - eps * boundary) / TWO_PI**k
-    two_route = _boundary_two_route(spec, k, level, workers)
-    resid = max(abs(chi - spec.chi_ref), abs(boundary - (-(TWO_PI**k))) / TWO_PI**k)
+    two_route = _boundary_two_route(spec, k, level)
+    resid = max(abs(chi - spec.chi_ref), abs(boundary - (-(TWO_PI**k))) / TWO_PI**k,
+                two_route)
     computed = {
         "pf_integral": interior, "boundary_integral": boundary, "chi": chi,
         "two_route_rel_gap": two_route,
@@ -430,7 +424,7 @@ def check_boundary_gb(spec, level, tol, workers):
                    notes=[SIGN_NOTE], eps={"boundary": eps}, t0=t0)
 
 
-def _boundary_two_route(spec, k, level, workers):
+def _boundary_two_route(spec, k, level):
     """Path-transgression route against the slice integrand near the boundary.
 
     The affine path from the frozen product metric to the true collar metric
@@ -467,12 +461,12 @@ def _boundary_two_route(spec, k, level, workers):
         return c * math.sqrt(np.linalg.det(h))
 
     lvl = max(1, level - 1)
-    path_route = chart_integral(collar.boundary_chart, dens, lvl, workers)
-    direct = slice_transgression_plus(collar, k, r_b, lvl, workers)
+    path_route = chart_integral(collar.boundary_chart, dens, lvl)
+    direct = slice_transgression_plus(collar, k, r_b, lvl)
     return abs(path_route - direct) / max(abs(direct), 1e-12)
 
 
-def check_cone_gb(spec, level, tol, workers):
+def check_cone_gb(spec, level, tol):
     t0 = time.monotonic()
     if spec.collar is None or spec.family != "cone":
         raise ConfigurationError("ConeGB needs a conical geometry")
@@ -481,9 +475,9 @@ def check_cone_gb(spec, level, tol, workers):
     k = (n + 1) // 2
     theta = spec.params.get("theta", 1.0)
     link_field = MetricField(link_chart, _unit_link(spec))
-    lk = lk_integrals(link_chart, link_field, level, workers)
+    lk = lk_integrals(link_chart, link_field, level)
     closed = inv.cone_transgression_value(theta, lk, n)
-    limit, samples, warn = slice_limit(spec.collar, k, level, workers)
+    limit, samples, warn = slice_limit(spec.collar, k, level)
     eps = EPSILONS["cone"]
     gap = abs(eps * limit - closed)
     scale = max(abs(closed), 1e-12)
@@ -524,15 +518,15 @@ def _unit_link(spec):
     return ev
 
 
-def check_edge_limit(spec, level, tol, workers):
+def check_edge_limit(spec, level, tol):
     t0 = time.monotonic()
     fib = spec.fibration or (spec.collar.fibration if spec.collar else None)
     if spec.collar is None or fib is None or spec.family != "edge":
         raise ConfigurationError("EdgeLimit needs an edge geometry")
     n = spec.collar.boundary_chart.dim
     k = (n + 1) // 2
-    limit, samples, warn = slice_limit(spec.collar, k, level, workers)
-    closed = edge_value_for(fib, level, workers)
+    limit, samples, warn = slice_limit(spec.collar, k, level)
+    closed = edge_value_for(fib, level)
     if fib.base_dim % 2 == 0:
         scale = max(abs(closed), 1e-12)
         gap = abs(limit - closed)
@@ -558,7 +552,7 @@ def check_edge_limit(spec, level, tol, workers):
                    notes=notes, eps={"edge": EPSILONS["edge"]}, t0=t0)
 
 
-def check_edge_gb(spec, level, tol, workers):
+def check_edge_gb(spec, level, tol):
     t0 = time.monotonic()
     fib = spec.fibration
     if not spec.charts or fib is None or spec.family != "edge":
@@ -567,8 +561,8 @@ def check_edge_gb(spec, level, tol, workers):
     k = dim // 2
     # the interior form of the product model vanishes pointwise; a reduced
     # level only changes how finely the numerical zero is sampled
-    interior = pf_integral(spec, max(1, level - 1), workers, order=2)
-    edge_term = edge_value_for(fib, level, workers)
+    interior = pf_integral(spec, max(1, level - 1), order=2)
+    edge_term = edge_value_for(fib, level)
     eps = EPSILONS["edge"]
     lhs = TWO_PI**k * spec.chi_ref
     rhs = interior - eps * edge_term
@@ -579,21 +573,21 @@ def check_edge_gb(spec, level, tol, workers):
                    tol, "rel", notes=[SIGN_NOTE], eps={"edge": eps}, t0=t0)
 
 
-def check_edge_horizontal(spec, level, tol, workers):
+def check_edge_horizontal(spec, level, tol):
     t0 = time.monotonic()
     if spec.collar is None or spec.name != "edge_horizontal":
         raise ConfigurationError("EdgeHorizontal runs on edge_horizontal")
     n = spec.collar.boundary_chart.dim
     k = (n + 1) // 2
-    closed = horizontal_closed_value(spec.collar, k, level, workers)
-    limit, samples, warn = slice_limit(spec.collar, k, level, workers)
+    closed = horizontal_closed_value(spec.collar, k, level)
+    limit, samples, warn = slice_limit(spec.collar, k, level)
     gap = abs(limit - closed)
     scale = max(abs(closed), 1e-12)
     # reduction anchor: with the radial variation switched off the closed
     # form must reproduce the collapsing-fiber value
     plain = catalog.get("edge_product", base=spec.params["base"], fiber=spec.params["fiber"])
-    reduction = horizontal_closed_value(plain.collar, k, level, workers)
-    reduction_ref = edge_value_for(plain.collar.fibration, level, workers)
+    reduction = horizontal_closed_value(plain.collar, k, level)
+    reduction_ref = edge_value_for(plain.collar.fibration, level)
     red_gap = abs(reduction - reduction_ref) / max(abs(reduction_ref), 1e-12)
     computed = {"closed_value": closed, "slice_limit_plus": limit,
                 "reduction_value": reduction, "reduction_rel_gap": red_gap}
@@ -607,7 +601,7 @@ def check_edge_horizontal(spec, level, tol, workers):
                    notes=notes, eps={"edge": EPSILONS["edge"]}, t0=t0)
 
 
-def check_fibered_gb(spec, level, tol, workers):
+def check_fibered_gb(spec, level, tol):
     t0 = time.monotonic()
     fib = spec.collar.fibration if spec.collar else None
     if fib is None or spec.family != "fibered":
@@ -616,11 +610,11 @@ def check_fibered_gb(spec, level, tol, workers):
     k = (n + 1) // 2
     eps = EPSILONS["fibered"]
     if spec.charts:
-        interior = pf_integral(spec, level, workers, order=4)
+        interior = pf_integral(spec, level, order=4)
     else:
         interior = 0.0
-    end_value = fibered_value_for(fib, level, workers)
-    limit, samples, warn = slice_limit(spec.collar, k, level, workers)
+    end_value = fibered_value_for(fib, level)
+    limit, samples, warn = slice_limit(spec.collar, k, level)
     computed = {"pf_integral": interior, "end_value": end_value,
                 "slice_limit_plus": limit, "end_count": spec.end_count}
     notes = []
@@ -647,12 +641,12 @@ def check_fibered_gb(spec, level, tol, workers):
                    notes=notes, eps={"fibered": eps}, t0=t0)
 
 
-def check_orbifold_gb(spec, level, tol, workers):
+def check_orbifold_gb(spec, level, tol):
     t0 = time.monotonic()
     if spec.family != "orbifold":
         raise ConfigurationError("OrbifoldGB needs an orbifold geometry")
     p = spec.params["p"]
-    total = pf_integral(spec, level, workers, order=4, fd_rel=5e-5)
+    total = pf_integral(spec, level, order=4, fd_rel=5e-5)
     chi_int = total / TWO_PI
     defect = sum(s.chi * (s.group_order - 1) / s.group_order for s in spec.strata)
     t7 = chi_int + defect
@@ -663,14 +657,14 @@ def check_orbifold_gb(spec, level, tol, workers):
                    notes=[f"weighted cover: 1/{p} of the round cover integral"], t0=t0)
 
 
-def check_perturbation_stability(spec, level, tol, workers):
+def check_perturbation_stability(spec, level, tol):
     t0 = time.monotonic()
     if spec.name != "cone_perturbed_second_order":
         raise ConfigurationError("PerturbationStability runs on the second-order cone")
     k = 1
     model = catalog.get("geometric_cone", link="s1", theta=1.0)
-    lim_model, _, _ = slice_limit(model.collar, k, level, workers)
-    lim_pert, samples, warn = slice_limit(spec.collar, k, level, workers)
+    lim_model, _, _ = slice_limit(model.collar, k, level)
+    lim_pert, samples, warn = slice_limit(spec.collar, k, level)
     gap = abs(lim_model - lim_pert)
     computed = {"model_limit": lim_model, "perturbed_limit": lim_pert}
     notes = ["second-order radial perturbation leaves the slice-transgression limit fixed"]
@@ -682,7 +676,7 @@ def check_perturbation_stability(spec, level, tol, workers):
                    notes=notes, eps={"cone": EPSILONS["cone"]}, t0=t0)
 
 
-def check_phi_limit(spec, level, tol, workers):
+def check_phi_limit(spec, level, tol):
     t0 = time.monotonic()
     if spec.collar is None or spec.collar.fibration is None:
         raise ConfigurationError("PhiLimit needs a collar with fibration data")
@@ -703,13 +697,13 @@ def check_phi_limit(spec, level, tol, workers):
                    t0=t0)
 
 
-def check_first_order_conic(spec, level, tol, workers):
+def check_first_order_conic(spec, level, tol):
     t0 = time.monotonic()
     if spec.name != "cone_perturbed_first_order":
         raise ConfigurationError("FirstOrderConic runs on the first-order cone")
     k = 1
-    interior = pf_integral(spec, level, workers, order=2)
-    outer = slice_transgression_plus(spec.collar, k, 1.0, level, workers)
+    interior = pf_integral(spec, level, order=2)
+    outer = slice_transgression_plus(spec.collar, k, 1.0, level)
     # asymptotic second fundamental form from the extrapolated conjugated
     # connection; its boundary integral is the singular contribution
     g_full = spec.collar.full_metric()
@@ -736,7 +730,7 @@ def check_first_order_conic(spec, level, tol, workers):
         c = inv.boundary_correction_form(sd, k, ctxN).coeffs[0, 0]
         return c * math.sqrt(np.linalg.det(fib.fiber_metric(0.0, y)))
 
-    gterm = chart_integral(chartN, gterm_density, level, workers)
+    gterm = chart_integral(chartN, gterm_density, level)
     singular = 1.0 + gterm / TWO_PI**k
     lhs = TWO_PI**k * spec.chi_ref
     rhs = interior - outer + TWO_PI**k * singular
@@ -764,7 +758,7 @@ def _link_curvature(spec, y):
     return R
 
 
-def check_transgression_stokes(spec, level, tol, workers):
+def check_transgression_stokes(spec, level, tol):
     t0 = time.monotonic()
     if spec.name != "flat_torus" or spec.charts[0][0].dim != 2:
         raise ConfigurationError("TransgressionStokes runs on the 2-torus")
@@ -816,7 +810,7 @@ def check_transgression_stokes(spec, level, tol, workers):
                    {"max_pointwise_gap": 0.0}, worst, max_dpf, tol, "rel", t0=t0)
 
 
-def check_algebra_identities(spec, level, tol, workers):
+def check_algebra_identities(spec, level, tol):
     t0 = time.monotonic()
     failures = []
     for p in range(11):
@@ -874,13 +868,13 @@ def _pfaffian_cross_check(rng) -> float:
     return worst
 
 
-def check_lens_obstruction(spec, level, tol, workers):
+def check_lens_obstruction(spec, level, tol):
     t0 = time.monotonic()
     if spec.name != "lens_cone":
         raise ConfigurationError("LensObstruction runs on lens_cone")
     order = spec.params["order"]
     k = 2
-    limit, samples, warn = slice_limit(spec.collar, k, level, workers)
+    limit, samples, warn = slice_limit(spec.collar, k, level)
     eps = EPSILONS["cone"]
     value = float(spec.symmetry_weight) * eps * limit
     ref = TWO_PI**k / order
@@ -954,8 +948,7 @@ DEFAULT_SUITE = (
 )
 
 
-def run_check(check_id: str, geometry=None, params=None, level=None, tol=None,
-              workers: int = 1) -> CheckResult:
+def run_check(check_id: str, geometry=None, params=None, level=None, tol=None) -> CheckResult:
     """Run one registered check; failures surface as failed results.
 
     geometry may be a name (resolved through the catalog) or a prepared
@@ -984,7 +977,7 @@ def run_check(check_id: str, geometry=None, params=None, level=None, tol=None,
     if tol is None:
         tol = match[0][4] if match else 1e-3
     try:
-        return CHECKS[check_id](spec, level, tol, workers)
+        return CHECKS[check_id](spec, level, tol)
     except ConfigurationError:
         raise
     except Exception as exc:  # noqa: BLE001 - diagnostics, never a crash
@@ -996,24 +989,37 @@ def run_check(check_id: str, geometry=None, params=None, level=None, tol=None,
         )
 
 
+def _run_row(row, level, tol) -> CheckResult:
+    check_id, geom, params, default_level, default_tol = row
+    return run_check(check_id, geometry=geom, params=dict(params),
+                     level=level or default_level,
+                     tol=tol if tol is not None else default_tol)
+
+
 def run_suite(filter_text: str = "", level=None, tol=None, workers: int = 1) -> SuiteResult:
-    """Run every matching default instance, in stable order."""
+    """Run every matching default instance, in stable order.
+
+    With workers > 1 the instances are spread over that many processes.  A
+    check is a pure function of its row, so the report does not depend on
+    the process count.
+    """
     needle = filter_text.casefold()
-    results = []
-    for check_id, geom, params, default_level, default_tol in DEFAULT_SUITE:
-        if needle and needle not in check_id.casefold():
-            continue
-        results.append(run_check(
-            check_id, geometry=geom, params=dict(params),
-            level=level or default_level, tol=tol if tol is not None else default_tol,
-            workers=workers,
-        ))
+    rows = [row for row in DEFAULT_SUITE if needle in row[0].casefold()]
+    if workers > 1:
+        import multiprocessing  # noqa: PLC0415 - keeps the serial import lean
+        from concurrent.futures import ProcessPoolExecutor  # noqa: PLC0415
+
+        ctx = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(workers, mp_context=ctx) as pool:
+            results = list(pool.map(partial(_run_row, level=level, tol=tol), rows))
+    else:
+        results = [_run_row(row, level, tol) for row in rows]
     results.sort(key=lambda r: (r.check_id, r.geometry, sorted(r.params.items()).__repr__()))
     passed = sum(1 for r in results if r.passed)
     return SuiteResult(results=results, passed=passed, failed=len(results) - passed)
 
 
-def calibrate(level: int = 2, workers: int = 1) -> dict:
+def calibrate(level: int = 2) -> dict:
     """Re-derive the per-family orientation flags from the three anchors.
 
     boundary: chi(D^2) = 1; edge: the product identity on the collapsing
@@ -1024,33 +1030,32 @@ def calibrate(level: int = 2, workers: int = 1) -> dict:
     out = {"frozen": dict(EPSILONS), "derived": {}, "anchors": {}}
 
     disk = catalog.get("disk", dim=2)
-    interior = pf_integral(disk, level, workers, order=2)
-    boundary = slice_transgression_plus(disk.collar, 1, 1.0, level, workers)
+    interior = pf_integral(disk, level, order=2)
+    boundary = slice_transgression_plus(disk.collar, 1, 1.0, level)
     best_b = min((+1, -1), key=lambda e: abs((interior - e * boundary) / TWO_PI - 1.0))
     out["derived"]["boundary"] = best_b
     out["anchors"]["disk_chi"] = (interior - best_b * boundary) / TWO_PI
 
     cone = catalog.get("geometric_cone", link="s1", theta=0.5)
     lk = lk_integrals(cone.collar.boundary_chart,
-                      MetricField(cone.collar.boundary_chart, _unit_link(cone)),
-                      level, workers)
+                      MetricField(cone.collar.boundary_chart, _unit_link(cone)), level)
     closed = inv.cone_transgression_value(0.5, lk, 1)
-    limit, _, _ = slice_limit(cone.collar, 1, level, workers)
+    limit, _, _ = slice_limit(cone.collar, 1, level)
     best_c = min((+1, -1), key=lambda e: abs(e * limit - closed))
     out["derived"]["cone"] = best_c
     out["anchors"]["cone_gap"] = abs(best_c * limit - closed)
 
     edge = catalog.get("edge_product", base="s2", fiber="s1")
-    edge_term = edge_value_for(edge.fibration, level, workers)
+    edge_term = edge_value_for(edge.fibration, level)
     interior_e = 0.0  # product of a flat factor: the interior form vanishes
     best_e = min((+1, -1), key=lambda e: abs(TWO_PI**2 * edge.chi_ref - (interior_e - e * edge_term)))
     out["derived"]["edge"] = best_e
     out["anchors"]["edge_residual"] = abs(TWO_PI**2 * edge.chi_ref - (interior_e - best_e * edge_term))
 
     cat = catalog.get("catenoid")
-    interior_c = pf_integral(cat, level, workers, order=4)
+    interior_c = pf_integral(cat, level, order=4)
     fib = cat.collar.fibration
-    end_value = fibered_value_for(fib, level, workers)
+    end_value = fibered_value_for(fib, level)
     best_f = min((+1, -1), key=lambda e: abs(0.0 - (interior_c - e * cat.end_count * end_value)))
     out["derived"]["fibered"] = best_f
     out["anchors"]["catenoid_residual"] = abs(interior_c - best_f * cat.end_count * end_value)

@@ -121,6 +121,14 @@ def test_catenoid_metric_matches_revolution_form():
     assert g[1, 1] == pytest.approx(1.0 + r**2)
 
 
+@pytest.mark.parametrize("name,theta", [
+    ("cone", -0.5), ("cone", 0.0), ("geometric_cone", -0.5), ("geometric_cone", 0.0),
+])
+def test_cone_angle_must_be_positive(name, theta):
+    with pytest.raises(catalog.RegistryError, match="theta"):
+        catalog.get(name, theta=theta)
+
+
 def test_surface_of_revolution_dispatch():
     assert catalog.get("surface_of_revolution", profile="catenoid").name == "catenoid"
     spec = catalog.get("surface_of_revolution", profile="cone", theta=0.5)

@@ -59,13 +59,16 @@ def test_tol_override_recorded(tmp_path):
 
 
 def test_json_byte_identical_across_worker_counts(tmp_path):
-    args = ["run", "--check", "ConeGB", "--geometry", "geometric_cone",
-            "link=s1", "theta=0.5", "--level", "2"]
-    p1, p4 = tmp_path / "w1.json", tmp_path / "w4.json"
+    args = ["run", "--filter", "orbifold"]
+    p1, p2 = tmp_path / "w1.json", tmp_path / "w2.json"
     assert main(args + ["--workers", "1", "--json", str(p1)]) == 0
-    assert main(args + ["--workers", "4", "--json", str(p4)]) == 0
-    b1, b4 = p1.read_bytes(), p4.read_bytes()
-    assert b1 == b4
+    assert main(args + ["--workers", "2", "--json", str(p2)]) == 0
+    assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_workers_with_single_check_exit_two(capsys):
+    assert main(["run", "--check", "ClosedGB", "--workers", "2"]) == 2
+    assert "--workers" in capsys.readouterr().err
 
 
 def test_converge_writes_csv(tmp_path):

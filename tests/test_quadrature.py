@@ -14,7 +14,6 @@ from gblab.quadrature import (
     ResolutionError,
     geometric_schedule,
     integrate_chart,
-    integrate_fibers,
     mesh_for_chart,
     pairwise_sum,
     refine_until,
@@ -22,7 +21,6 @@ from gblab.quadrature import (
 )
 
 CIRCLE = Chart("circle", ((0.0, 2 * math.pi),), (True,))
-BOX = Chart("box", ((0.0, 1.0), (0.0, 2.0)), (False, False))
 
 
 def test_trapezoid_constant_exact():
@@ -69,19 +67,6 @@ def test_evaluator_failure_carries_node_coordinates():
         integrate_chart(bad, CIRCLE, mesh_for_chart(CIRCLE, 1))
 
 
-def test_worker_counts_bit_identical():
-    rng = np.random.default_rng(7)
-    coeffs = rng.normal(size=8)
-
-    def f(x):
-        return sum(c * math.sin((i + 1) * x[0] + i * x[1]) + c * x[0] ** i
-                   for i, c in enumerate(coeffs))
-
-    mesh = mesh_for_chart(BOX, 2)
-    vals = [integrate_chart(f, BOX, mesh, workers=w) for w in (1, 2, 8)]
-    assert vals[0] == vals[1] == vals[2]
-
-
 def test_pairwise_sum_fixed_tree():
     rng = np.random.default_rng(11)
     a = rng.normal(size=1037)
@@ -89,22 +74,10 @@ def test_pairwise_sum_fixed_tree():
     assert pairwise_sum(a) == pytest.approx(float(np.sum(a)), abs=1e-10)
 
 
-def test_integrate_fibers_separable_and_product():
-    base = Chart("b", ((0.0, 1.0),), (False,))
-    fiber = Chart("f", ((0.0, 2.0),), (False,))
-    got = integrate_fibers(base, fiber, lambda xb, xf: xb[0] * xf[0],
-                           mesh_for_chart(base, 2), mesh_for_chart(fiber, 2))
-    assert got == pytest.approx(0.5 * 2.0)
-    prod = Chart("p", ((0.0, 1.0), (0.0, 2.0)), (False, False))
-    direct = integrate_chart(lambda x: x[0] * x[1], prod, mesh_for_chart(prod, 2))
-    assert got == pytest.approx(direct, abs=1e-9)
-
-
 def test_product_volume_s2_x_s1():
-    s2 = Chart("s2c", ((0.0, math.pi), (0.0, 2 * math.pi)), (False, True))
-    s1 = Chart("s1c", ((0.0, 2 * math.pi),), (True,))
-    vol = integrate_fibers(s2, s1, lambda xb, xf: math.sin(xb[0]),
-                           mesh_for_chart(s2, 3), mesh_for_chart(s1, 1))
+    prod = Chart("s2xs1", ((0.0, math.pi), (0.0, 2 * math.pi), (0.0, 2 * math.pi)),
+                 (False, True, True))
+    vol = integrate_chart(lambda x: math.sin(x[0]), prod, mesh_for_chart(prod, 3))
     assert vol == pytest.approx(8 * math.pi**2, rel=1e-8)
 
 

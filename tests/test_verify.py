@@ -1,5 +1,6 @@
 """Verification harness: registry, dispatch, result contracts, calibration."""
 
+import json
 import math
 
 import numpy as np
@@ -65,6 +66,15 @@ def test_boundary_check_carries_sign_note():
     assert r.computed["boundary_integral"] == pytest.approx(-2 * math.pi, abs=1e-9)
 
 
+def test_boundary_check_fails_when_path_route_is_off(monkeypatch):
+    true_form = verify.inv.path_transgression_form
+    monkeypatch.setattr(verify.inv, "path_transgression_form",
+                        lambda *a, **kw: 1.01 * true_form(*a, **kw))
+    r = verify.run_check("BoundaryGB", "disk", {"dim": 2}, level=2)
+    assert r.computed["two_route_rel_gap"] == pytest.approx(0.01, rel=1e-3)
+    assert not r.passed
+
+
 def test_failures_are_captured_not_raised():
     # an impossible tolerance must yield a failed result, not an exception
     r = verify.run_check("ClosedGB", "sphere", {"n": 2}, level=1, tol=1e-18)
@@ -120,9 +130,7 @@ def test_calibration_recovers_frozen_flags():
 
 
 def test_workers_do_not_change_results():
-    r1 = verify.run_check("ConeGB", "geometric_cone", {"link": "s1", "theta": 0.5},
-                          level=2, workers=1)
-    r4 = verify.run_check("ConeGB", "geometric_cone", {"link": "s1", "theta": 0.5},
-                          level=2, workers=4)
-    assert r1.computed["slice_limit"] == r4.computed["slice_limit"]
-    assert r1.computed["closed_form"] == r4.computed["closed_form"]
+    docs = [json.dumps(verify.suite_to_json_dict(
+        verify.run_suite(filter_text="orbifold", workers=w)), sort_keys=True)
+        for w in (1, 2)]
+    assert docs[0] == docs[1]

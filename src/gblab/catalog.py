@@ -546,20 +546,6 @@ def _build_cone_perturbed_first_order(params):
     )
 
 
-def _build_surface_of_revolution(params):
-    profile = str(params.get("profile", "cone"))
-    if profile == "cone":
-        theta = float(params.get("theta", 1.0))
-        return _build_cone({"link": "s1", "profile": "linear", "theta": theta})
-    if profile == "catenoid":
-        return _build_catenoid(params)
-    if profile == "first_order":
-        return _build_cone_perturbed_first_order(params)
-    if profile == "second_order":
-        return _build_cone_perturbed_second_order(params)
-    raise RegistryError(f"unknown revolution profile {profile!r}")
-
-
 _BUILDERS = {
     "sphere": (_build_sphere, {"n": "int 1..4", "rho": "float > 0"}),
     "flat_torus": (_build_flat_torus, {"n": "int 1..4", "periods": "tuple of floats"}),
@@ -575,10 +561,6 @@ _BUILDERS = {
     "fibered_product": (_build_fibered_product, {"base": "s1|s2", "fiber": "s1|s2"}),
     "cone_perturbed_second_order": (_build_cone_perturbed_second_order, {}),
     "cone_perturbed_first_order": (_build_cone_perturbed_first_order, {"a": "float"}),
-    "surface_of_revolution": (_build_surface_of_revolution,
-                              {"profile": "cone|catenoid|first_order|second_order",
-                               "theta": "float (cone)", "a": "float (first_order)",
-                               "cutoff": "float (catenoid)"}),
 }
 
 _USER_ENTRIES: dict = {}

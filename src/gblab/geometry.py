@@ -1,15 +1,20 @@
 """Chart-based Riemannian engine.
 
-Metrics are plain point -> SPD-matrix functions on coordinate boxes.  All
-derivatives are central finite differences (order 2 or 4).  Curvature is
-assembled from metric first and second derivatives through first-kind
-Christoffel symbols, which is algebraically the same as differencing the
-second-kind symbols but much better conditioned where coordinates degenerate.
+Metrics are plain point -> SPD-matrix functions on coordinate boxes.  Every
+first derivative goes through one central stencil of order 2 or 4,
+_central_diff: the metric jet (dg and the mixed d2g), the slice metric in r,
+the transported gauge, and the h^phi frame.  The metric jet evaluates each
+stencil point once; its diagonal second derivatives use the matching
+three- or five-point formula.  Curvature is assembled from metric first and
+second derivatives through first-kind Christoffel symbols, which is
+algebraically the same as differencing the second-kind symbols but much
+better conditioned where coordinates degenerate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -32,7 +37,7 @@ __all__ = [
     "orthonormal_frame",
     "slice_data",
     "metric_path_gauge",
-    "connection_difference",
+    "phi_frame",
     "phi_conjugated_connection",
 ]
 
@@ -136,77 +141,67 @@ def _diff_weights(order: int):
     raise MetricError("fd_order must be 2 or 4")
 
 
-class _StencilCache:
-    """Caches metric samples at integer stencil offsets around a point."""
+def _central_diff(f, h, order: int):
+    """First derivative sum_k w_k f(k) / h by the central stencil of an order.
 
-    def __init__(self, m: MetricField, x: np.ndarray):
-        self.m = m
-        self.x = np.asarray(x, dtype=float)
-        self.h = m.steps()
-        self.cache = {}
-
-    def at(self, offset: tuple) -> np.ndarray:
-        got = self.cache.get(offset)
-        if got is None:
-            p = self.x + self.h * np.array(offset, dtype=float)
-            got = _spd_check(self.m.evaluator(p))
-            self.cache[offset] = got
-        return got
-
-    def d1(self, axis: int, base: tuple) -> np.ndarray:
-        """First derivative along axis at the point shifted by base."""
-        out = 0.0
-        for off, wt in _diff_weights(self.m.fd_order):
-            shifted = list(base)
-            shifted[axis] += off
-            out = out + wt * self.at(tuple(shifted))
-        return out / self.h[axis]
-
-    def d2(self, a: int, b: int) -> np.ndarray:
-        """Second derivative d_a d_b g at the center."""
-        d = self.m.chart.dim
-        zero = (0,) * d
-        if a == b:
-            if self.m.fd_order == 2:
-                out = self.at(self._shift(zero, a, 1)) - 2.0 * self.at(zero) \
-                    + self.at(self._shift(zero, a, -1))
-                return out / self.h[a] ** 2
-            out = (-self.at(self._shift(zero, a, 2)) + 16.0 * self.at(self._shift(zero, a, 1))
-                   - 30.0 * self.at(zero) + 16.0 * self.at(self._shift(zero, a, -1))
-                   - self.at(self._shift(zero, a, -2)))
-            return out / (12.0 * self.h[a] ** 2)
-        out = 0.0
-        for off, wt in _diff_weights(self.m.fd_order):
-            out = out + wt * self.d1(b, self._shift((0,) * d, a, off))
-        return out / self.h[a]
-
-    @staticmethod
-    def _shift(base: tuple, axis: int, off: int) -> tuple:
-        s = list(base)
-        s[axis] += off
-        return tuple(s)
+    f maps an integer offset k, in units of the step h, to a sample (a number
+    or an array).  Samples are summed in stencil order starting from 0.0, so
+    at order 2 the result rounds exactly as (f(1) - f(-1)) / (2 h).
+    """
+    out = 0.0
+    for off, wt in _diff_weights(order):
+        out = out + wt * f(off)
+    return out / h
 
 
-def _metric_derivatives(m: MetricField, x, want_second: bool):
+def _metric_jet(m: MetricField, x, want_second: bool):
+    """g, dg and (if wanted) d2g at x, evaluating each stencil point once.
+
+    Returns (g, dg, d2g, samples): samples maps every evaluated integer
+    offset tuple, in units of m.steps(), to its metric, the center first.
+    """
     d = m.chart.dim
     m.check_stencil(x)
-    st = _StencilCache(m, x)
-    g = st.at((0,) * d)
-    dg = np.stack([st.d1(a, (0,) * d) for a in range(d)])
+    x = np.asarray(x, dtype=float)
+    h = m.steps()
+    order = m.fd_order
+    samples = {}
+
+    def at(base, axis, k):
+        off = list(base)
+        off[axis] += k
+        off = tuple(off)
+        got = samples.get(off)
+        if got is None:
+            got = samples[off] = _spd_check(m.evaluator(x + h * np.array(off, dtype=float)))
+        return got
+
+    zero = (0,) * d
+    g = at(zero, 0, 0)
+    dg = np.stack([_central_diff(partial(at, zero, a), h[a], order) for a in range(d)])
     d2g = None
     if want_second:
         d2g = np.zeros((d, d, d, d))
         for a in range(d):
-            for b in range(a, d):
-                val = st.d2(a, b)
+            if order == 2:
+                d2g[a, a] = (at(zero, a, 1) - 2.0 * g + at(zero, a, -1)) / h[a] ** 2
+            else:
+                d2g[a, a] = (-at(zero, a, 2) + 16.0 * at(zero, a, 1) - 30.0 * g
+                             + 16.0 * at(zero, a, -1) - at(zero, a, -2)) / (12.0 * h[a] ** 2)
+            for b in range(a + 1, d):
+                # d_a of the d_b stencil, taken at the points shifted along a
+                val = _central_diff(
+                    lambda j, a=a, b=b: _central_diff(
+                        partial(at, zero[:a] + (j,) + zero[a + 1:], b), h[b], order),
+                    h[a], order)
                 d2g[a, b] = val
                 d2g[b, a] = val
-    return g, dg, d2g
+    return g, dg, d2g, samples
 
 
 def christoffel(m: MetricField, x) -> np.ndarray:
     """Second-kind Levi-Civita coefficients Gamma[k, i, j] at x."""
-    g, dg, _ = _metric_derivatives(m, x, want_second=False)
+    g, dg, _, _ = _metric_jet(m, x, want_second=False)
     return _christoffel_from(g, dg)
 
 
@@ -276,7 +271,7 @@ def riemann_double_form(m: MetricField, x, frame: Optional[np.ndarray] = None):
     J = (k<l) is <e_k, R(e_i, e_j) e_l>.
     """
     d = m.chart.dim
-    g, dg, d2g = _metric_derivatives(m, x, want_second=True)
+    g, dg, d2g, _ = _metric_jet(m, x, want_second=True)
     if frame is None:
         frame = _frame_of(g)
     form = DoubleForm.zero(d, 2, 2)
@@ -391,11 +386,7 @@ class Slice:
         c, r, hr = self.collar, self.r, self.hr
         y = np.asarray(y, dtype=float)
         h = _spd_check(c.radial_metric(r)(y))
-        if c.fd_order == 4:
-            dh = (-c.radial_metric(r + 2 * hr)(y) + 8.0 * c.radial_metric(r + hr)(y)
-                  - 8.0 * c.radial_metric(r - hr)(y) + c.radial_metric(r - 2 * hr)(y)) / (12.0 * hr)
-        else:
-            dh = (c.radial_metric(r + hr)(y) - c.radial_metric(r - hr)(y)) / (2.0 * hr)
+        dh = _central_diff(lambda k: c.radial_metric(r + k * hr)(y), hr, c.fd_order)
         E = _frame_of(h)
         ii_on = E.T @ (-0.5 * dh) @ E
         n = h.shape[0]
@@ -473,45 +464,43 @@ def metric_path_gauge(g0: MetricField, g1: MetricField, x, steps: int = 16,
     if steps % 2:
         steps += 1
     x = np.asarray(x, dtype=float)
-    if g0.chart is not g1.chart and g0.chart.bounds != g1.chart.bounds:
-        raise MetricError("path endpoints must live on the same chart")
+    if (g0.chart is not g1.chart and g0.chart.bounds != g1.chart.bounds) or \
+            (g0.fd_rel_step, g0.fd_order) != (g1.fd_rel_step, g1.fd_order):
+        raise MetricError("path endpoints must live on the same chart and stencil")
     d = g0.chart.dim
     h = g0.steps()
+    order = g0.fd_order
     s_nodes = np.linspace(0.0, 1.0, steps + 1)
-    weights = _diff_weights(g0.fd_order)
 
-    offsets = [(0,) * d]
-    for a in range(d):
-        for off, _ in weights:
-            offsets.append(_StencilCache._shift((0,) * d, a, off))
-    pts = {off: x + h * np.array(off, dtype=float) for off in offsets}
-    g0_mats = {off: _spd_check(g0.evaluator(p)) for off, p in pts.items()}
-    g1_mats = {off: _spd_check(g1.evaluator(p)) for off, p in pts.items()}
-    for off in offsets:
-        try:
-            np.linalg.cholesky(g0_mats[off])
-            np.linalg.cholesky(g1_mats[off])
-        except np.linalg.LinAlgError as exc:
-            raise MetricError("metric loses positive definiteness along the path") from exc
-
-    # parallel transport at the center and each stencil point, batched
-    g0_stack = np.stack([g0_mats[off] for off in offsets])
-    g1_stack = np.stack([g1_mats[off] for off in offsets])
+    # one stencil sweep per endpoint; the samples also seed the transport
+    g0c, dg0, d2g0, samples0 = _metric_jet(g0, x, want_second=need_curvature)
+    g1c, dg1, d2g1, samples1 = _metric_jet(g1, x, want_second=need_curvature)
+    # parallel transport at the center (row 0) and the first-derivative
+    # stencil points, batched
+    offsets = [off for off in samples0 if off.count(0) >= d - 1]
+    axis_rows = [{} for _ in range(d)]
+    for row, off in enumerate(offsets):
+        for a, k in enumerate(off):
+            if k:
+                axis_rows[a][k] = row
+    g0_stack = np.stack([samples0[off] for off in offsets])
+    g1_stack = np.stack([samples1[off] for off in offsets])
+    try:
+        np.linalg.cholesky(g0_stack)
+        np.linalg.cholesky(g1_stack)
+    except np.linalg.LinAlgError as exc:
+        raise MetricError("metric loses positive definiteness along the path") from exc
     tau_stack = [np.broadcast_to(np.eye(d), g0_stack.shape).copy()]
     for k in range(steps):
         tau_stack.append(_transport_ode(g0_stack, g1_stack, s_nodes[k],
                                         s_nodes[k + 1], tau_stack[-1], substeps))
-    pos = {off: idx for idx, off in enumerate(offsets)}
-    taus = {off: [tau_stack[k][pos[off]] for k in range(steps + 1)] for off in offsets}
 
-    def tau_rate(off, k):
-        gs = (1.0 - s_nodes[k]) * g0_mats[off] + s_nodes[k] * g1_mats[off]
-        return -0.5 * np.linalg.solve(gs, (g1_mats[off] - g0_mats[off]) @ taus[off][k])
+    def along_axes(stack):
+        """d_a of a quantity stacked over the rows, one entry per axis a."""
+        return [_central_diff(lambda k, rows=rows: stack[rows[k]], h[a], order)
+                for a, rows in enumerate(axis_rows)]
 
-    # first (and optionally second) metric derivatives at x, per endpoint
-    _, dg0, d2g0 = _metric_derivatives(g0, x, want_second=need_curvature)
-    _, dg1, d2g1 = _metric_derivatives(g1, x, want_second=need_curvature)
-    g0c, g1c = g0_mats[(0,) * d], g1_mats[(0,) * d]
+    gdot_stack = g1_stack - g0_stack
     gdot = g1c - g0c
     dgdot = dg1 - dg0
     gamma1_dot = _christoffel_first(dgdot)
@@ -521,16 +510,6 @@ def metric_path_gauge(g0: MetricField, g1: MetricField, x, steps: int = 16,
     # omega0[a][i][j]: connection form of g0 in coordinate direction a
     omega0 = np.einsum("km,ajm->akj", np.linalg.inv(g0c), _christoffel_first(dg0))
 
-    def spatial_diff(series_at, k):
-        out = np.zeros((d, d, d))
-        for a in range(d):
-            acc = 0.0
-            for off, wt in weights:
-                acc = acc + wt * series_at(_StencilCache._shift((0,) * d, a, off), k)
-            out[a] = acc / h[a]
-        return out
-
-    center = (0,) * d
     thetas, theta_dots, curvs = [], [], []
     pairs = multi_indices(d, 2)
     for k, s in enumerate(s_nodes):
@@ -541,11 +520,15 @@ def metric_path_gauge(g0: MetricField, g1: MetricField, x, steps: int = 16,
         omegas = np.einsum("km,ajm->akj", gs_inv, gamma1_s)
         omegas_dot = (np.einsum("km,ajm->akj", -gs_inv @ gdot @ gs_inv, gamma1_s)
                       + np.einsum("km,ajm->akj", gs_inv, gamma1_dot))
-        tau = taus[center][k]
+        taus = tau_stack[k]
+        # dtau/ds from the transport equation, at every stencil row at once
+        rates = -0.5 * np.linalg.solve((1.0 - s) * g0_stack + s * g1_stack,
+                                       gdot_stack @ taus)
+        tau = taus[0]
         tauinv = np.linalg.inv(tau)
-        taudot = tau_rate(center, k)
-        dtau = spatial_diff(lambda off, kk: taus[off][kk], k)
-        dtaudot = spatial_diff(tau_rate, k)
+        taudot = rates[0]
+        dtau = along_axes(taus)
+        dtaudot = along_axes(rates)
         theta_coord = np.stack([
             tauinv @ (dtau[mu] + omegas[mu] @ tau) - omega0[mu] for mu in range(d)
         ])
@@ -578,49 +561,8 @@ def metric_path_gauge(g0: MetricField, g1: MetricField, x, steps: int = 16,
         curvs.append(form)
 
     return GaugePath(x=x, s_nodes=s_nodes, frame=E0,
-                     tau=[taus[center][k] for k in range(len(s_nodes))],
+                     tau=[taus[0] for taus in tau_stack],
                      theta=thetas, theta_dot=theta_dots, curvature=curvs)
-
-
-def connection_difference(g0: MetricField, g1: MetricField, x):
-    """omega(X)Y = nabla^{g1}_X Y - nabla^{g0}_X Y, computed two ways.
-
-    Route (i) subtracts Christoffel tables.  Route (ii) solves the abstract
-    Christoffel relation through C = g0^{-1} g1.  Returns (omega, residual)
-    where omega[mu, i, j] = (omega(d_mu) d_j)^i and residual is the max
-    disagreement between the routes.
-    """
-    d = g0.chart.dim
-    gam0 = christoffel(g0, x)
-    gam1 = christoffel(g1, x)
-    direct = np.stack([gam1[:, mu, :] - gam0[:, mu, :] for mu in range(d)])
-
-    g0m = g0.g(x)
-    g1m = g1.g(x)
-    C = np.linalg.solve(g0m, g1m)
-    h = g0.steps()
-    dC = np.zeros((d, d, d))
-    for a in range(d):
-        acc = 0.0
-        for off, wt in _diff_weights(g0.fd_order):
-            p = np.array(x, dtype=float)
-            p[a] += off * h[a]
-            acc = acc + wt * np.linalg.solve(_spd_check(g0.evaluator(p)),
-                                             _spd_check(g1.evaluator(p)))
-        dC[a] = acc / h[a]
-    # covariant derivative of C in the g0 connection
-    nablaC = np.zeros((d, d, d))
-    for a in range(d):
-        nablaC[a] = dC[a] + gam0[:, a, :] @ C - C @ gam0[:, a, :]
-    # T[x, y, z] = g0((nabla_X C)Y, Z)
-    T = np.einsum("aij,jz->aiz", nablaC, g0m)
-    # rhs[a, b, z] = (T[a,b,z] + T[b,a,z] - T[z,a,b]) / 2
-    rhs = 0.5 * (np.einsum("abz->abz", T) + np.einsum("baz->abz", T) - np.einsum("zab->abz", T))
-    Cinv = np.linalg.inv(C)
-    g0inv = np.linalg.inv(g0m)
-    abstract = np.einsum("ik,kl,abl->aib", Cinv, g0inv, rhs)
-    residual = float(np.max(np.abs(direct - abstract)))
-    return direct, residual
 
 
 @dataclass
@@ -666,22 +608,30 @@ def phi_conjugated_connection(c: CollarMetric, g: MetricField, r: float, y) -> P
     for a in range(1, 1 + f):
         conj[0, a, a] -= 1.0 / r
 
-    hphi = _h_phi_matrix(c, fib, r, y)
-    E = _frame_of(hphi)
+    E, dE = phi_frame(c, r, y, 1e-3 * abs(r))
     Einv = np.linalg.inv(E)
-    # frame derivative by central differences of the blockwise Cholesky
-    h_r = 1e-3 * abs(r)
-    steps = np.concatenate(([h_r], c.fd_rel_step * c.boundary_chart.extents))
-    dE = np.zeros((d, d, d))
-    for mu in range(d):
-        acc = 0.0
-        for off, wt in _diff_weights(2):
-            p = x.copy()
-            p[mu] += off * steps[mu]
-            acc = acc + wt * _frame_of(_h_phi_matrix(c, fib, p[0], p[1:]))
-        dE[mu] = acc / steps[mu]
     omega_on = np.stack([Einv @ (dE[mu] + conj[mu] @ E) for mu in range(d)])
     return PhiConnection(r=r, y=y, omega=omega_on, frame=E)
+
+
+def phi_frame(c: CollarMetric, r: float, y, h_r: float):
+    """h^phi orthonormal frame E at (r, y) and its derivatives dE[mu].
+
+    dE differences the blockwise Cholesky frame at order 2, with step h_r
+    along r and the collar's relative step along the slice axes.
+    """
+    fib = c.fibration
+    y = np.asarray(y, dtype=float)
+    x = np.concatenate(([r], y))
+    steps = np.concatenate(([h_r], c.fd_rel_step * c.boundary_chart.extents))
+
+    def frame_at(mu, k):
+        p = x.copy()
+        p[mu] += k * steps[mu]
+        return _frame_of(_h_phi_matrix(c, fib, p[0], p[1:]))
+
+    dE = np.stack([_central_diff(partial(frame_at, mu), steps[mu], 2) for mu in range(x.size)])
+    return _frame_of(_h_phi_matrix(c, fib, r, y)), dE
 
 
 def _h_phi_matrix(c: CollarMetric, fib: FibrationData, r: float, y) -> np.ndarray:

@@ -21,7 +21,6 @@ __all__ = [
     "ConvergenceTable",
     "mesh_for_chart",
     "integrate_chart",
-    "refine_until",
     "r_limit_extrapolate",
     "pairwise_sum",
     "geometric_schedule",
@@ -201,30 +200,6 @@ class ConvergenceTable:
             {"level": lv, "nodes": nd, "value": v, "diff": d, "order": o}
             for lv, nd, v, d, o in self.rows
         ]
-
-
-def refine_until(evaluate, tol: float, max_levels: int = 5, start_level: int = 1,
-                 nodes_of=None):
-    """Refine until the successive difference drops below tol.
-
-    evaluate(level) -> value.  Returns (value, table, converged).  On budget
-    exhaustion the last value is returned with converged=False.
-    """
-    if max_levels > 7:
-        raise ResolutionError("max_levels capped at 7")
-    table = ConvergenceTable()
-    converged = False
-    value = None
-    for level in range(start_level, start_level + max_levels):
-        if level > 7:
-            break
-        value = evaluate(level)
-        table.add(level, nodes_of(level) if nodes_of else 0, value)
-        diff = table.rows[-1][3]
-        if diff is not None and diff < tol:
-            converged = True
-            break
-    return value, table, converged
 
 
 def geometric_schedule(r0: float, count: int = 6, ratio: float = 0.5):

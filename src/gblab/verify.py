@@ -21,14 +21,17 @@ import numpy as np
 from . import catalog
 from . import invariants as inv
 from . import quadrature as quad
-from .doubleform import (DoubleForm, OrientedFrameContext, berezin, multi_indices,
-                         pfaffian_skew, power)
+from .doubleform import (DoubleForm, OrientedFrameContext, berezin, index_rank,
+                         multi_indices, pfaffian_skew, power)
 from .geometry import (
     CollarMetric,
     MetricField,
     SliceData,
+    _central_diff,
+    christoffel,
     metric_path_gauge,
     phi_conjugated_connection,
+    phi_frame,
     riemann_double_form,
     slice_data,
 )
@@ -259,9 +262,7 @@ def _base_metric_variation(collar: CollarMetric, y_base, h: float = 1e-4):
     fib = collar.fibration
     f = fib.fiber_dim
     y = np.concatenate((np.zeros(f), y_base))
-    gp = collar.radial_metric(h)(y)[f:, f:]
-    gm = collar.radial_metric(-h)(y)[f:, f:]
-    return (gp - gm) / (2.0 * h)
+    return _central_diff(lambda k: collar.radial_metric(k * h)(y)[f:, f:], h, 2)
 
 
 def horizontal_closed_value(collar: CollarMetric, k: int, level: int) -> float:
@@ -323,13 +324,10 @@ def _phi_reference(collar: CollarMetric, y) -> np.ndarray:
     vertical block through the fiber metric.  Assembled in the same
     orthonormal frame field as the samples, including frame derivatives.
     """
-    from .geometry import _frame_of, _h_phi_matrix, christoffel, _diff_weights  # noqa: PLC0415
-
     fib = collar.fibration
     f, b = fib.fiber_dim, fib.base_dim
     d = 1 + f + b
     y = np.asarray(y, dtype=float)
-    x0 = np.concatenate(([0.0], y))
 
     omega_coord = np.zeros((d, d, d))
     if f:
@@ -349,19 +347,9 @@ def _phi_reference(collar: CollarMetric, y) -> np.ndarray:
             mu = 1 + f + a
             omega_coord[mu, 1 + f :, 1 + f :] = gam_b[:, a, :]
 
-    E0 = _frame_of(_h_phi_matrix(collar, fib, 0.0, y))
+    E0, dE = phi_frame(collar, 0.0, y, 1e-4)
     Einv = np.linalg.inv(E0)
-    steps = np.concatenate(([1e-4], collar.fd_rel_step * collar.boundary_chart.extents))
-    out = np.zeros((d, d, d))
-    for mu in range(d):
-        acc = 0.0
-        for off, wt in _diff_weights(2):
-            p = x0.copy()
-            p[mu] += off * steps[mu]
-            acc = acc + wt * _frame_of(_h_phi_matrix(collar, fib, p[0], p[1:]))
-        dE = acc / steps[mu]
-        out[mu] = Einv @ (dE + omega_coord[mu] @ E0)
-    return out
+    return np.stack([Einv @ (dE[mu] + omega_coord[mu] @ E0) for mu in range(d)])
 
 
 # -- individual checks --------------------------------------------------------
@@ -446,16 +434,12 @@ def _boundary_two_route(spec, k, level):
 
     g0 = MetricField(full.chart, product_ev, fd_rel_step=full.fd_rel_step)
     ctx = _ctx(nb + 1)
-    slice_rank = None
+    slice_rank = index_rank(nb + 1, tuple(range(1, nb + 1)))
 
     def dens(y):
-        nonlocal slice_rank
         x = np.concatenate(([r_b], y))
         gauge = metric_path_gauge(g0, full, x, steps=16)
         form = inv.path_transgression_form(gauge, k, ctx)
-        if slice_rank is None:
-            from .doubleform import index_rank
-            slice_rank = index_rank(nb + 1, tuple(range(1, nb + 1)))
         c = form.coeffs[slice_rank, 0]
         h = frozen(y)
         return c * math.sqrt(np.linalg.det(h))
@@ -499,18 +483,26 @@ def check_cone_gb(spec, level, tol):
                    notes=notes, eps={"cone": eps}, t0=t0)
 
 
+# cone profiles of the named specs whose params carry no "profile" key
+_NAMED_PROFILES = {"cone_perturbed_first_order": "first_order",
+                   "cone_perturbed_second_order": "second_order"}
+
+
 def _unit_link(spec):
     """Evaluator of the link metric h, with the cone profile divided out."""
     collar = spec.collar
     theta = spec.params.get("theta", 1.0)
-    profile = spec.params.get("profile", "linear")
+    profile = spec.params.get("profile", _NAMED_PROFILES.get(spec.name, "linear"))
     a = spec.params.get("a", 0.0)
     r_ref = 1e-3
-    f2 = {
+    f2_of = {
         "linear": (theta * r_ref) ** 2,
         "second_order": r_ref**2 * (1.0 + r_ref**2),
         "first_order": (r_ref * (1.0 + a * r_ref)) ** 2,
-    }.get(profile, (theta * r_ref) ** 2)
+    }
+    if profile not in f2_of:
+        raise ConfigurationError(f"unknown cone profile {profile!r}")
+    f2 = f2_of[profile]
 
     def ev(y):
         return collar.radial_metric(r_ref)(y) / f2
@@ -717,7 +709,7 @@ def check_first_order_conic(spec, level, tol):
         lim = _phi_limit_matrix(series)
         f = fib.fiber_dim
         II = np.zeros((f, f))
-        E0 = _phi_frame_at_zero(spec.collar, y)
+        E0, _ = phi_frame(spec.collar, 0.0, y, 1e-4)
         for a in range(f):
             for b in range(f):
                 II[a, b] = sum(E0[mu, 1 + a] * lim[mu, 0, 1 + b] for mu in range(lim.shape[0]))
@@ -741,12 +733,6 @@ def check_first_order_conic(spec, level, tol):
     return _result("FirstOrderConic", spec, computed, {"identity_lhs": lhs},
                    gap, TWO_PI**k, tol, "rel", notes=[SIGN_NOTE],
                    eps={"cone": EPSILONS["cone"]}, t0=t0)
-
-
-def _phi_frame_at_zero(collar, y):
-    from .geometry import _frame_of, _h_phi_matrix  # noqa: PLC0415
-
-    return _frame_of(_h_phi_matrix(collar, collar.fibration, 0.0, np.asarray(y, dtype=float)))
 
 
 def _link_curvature(spec, y):
@@ -792,12 +778,9 @@ def check_transgression_stokes(spec, level, tol):
 
     def residual_at(p):
         x, y = p
-        tpx_p = tpf_components((x + hs, y))
-        tpx_m = tpf_components((x - hs, y))
-        tpy_p = tpf_components((x, y + hs))
-        tpy_m = tpf_components((x, y - hs))
-        d01 = (tpx_p[1] - tpx_m[1]) / (2 * hs) - (tpy_p[0] - tpy_m[0]) / (2 * hs)
-        return d01, delta_pf((x, y))
+        dx = _central_diff(lambda k: tpf_components((x + k * hs, y)), hs, 2)
+        dy = _central_diff(lambda k: tpf_components((x, y + k * hs)), hs, 2)
+        return dx[1] - dy[0], delta_pf((x, y))
 
     vals = [residual_at(p) for p in pts]
     for d01, dpf in vals:

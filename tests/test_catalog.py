@@ -129,12 +129,6 @@ def test_cone_angle_must_be_positive(name, theta):
         catalog.get(name, theta=theta)
 
 
-def test_surface_of_revolution_dispatch():
-    assert catalog.get("surface_of_revolution", profile="catenoid").name == "catenoid"
-    spec = catalog.get("surface_of_revolution", profile="cone", theta=0.5)
-    assert spec.params["theta"] == 0.5
-
-
 def test_config_registration(tmp_path):
     cfg = {
         "schema_version": catalog.CONFIG_SCHEMA_VERSION,

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gblab import catalog
 from gblab.doubleform import DoubleForm, wedge
@@ -13,8 +14,8 @@ from gblab.geometry import (
     DomainError,
     MetricError,
     MetricField,
+    _central_diff,
     christoffel,
-    connection_difference,
     metric_path_gauge,
     orthonormal_frame,
     phi_conjugated_connection,
@@ -256,16 +257,60 @@ def test_gauge_rejects_bad_paths():
         metric_path_gauge(g0, g1, np.array([0.1, 0.1]))
     with pytest.raises(MetricError):
         metric_path_gauge(g0, g0, np.array([0.1, 0.1]), steps=4)
+    with pytest.raises(MetricError):
+        metric_path_gauge(g0, g0.with_order(4), np.array([0.1, 0.1]))
+
+
+@pytest.mark.parametrize("need_curvature,calls", [(False, 5), (True, 9)])
+def test_gauge_samples_each_stencil_point_once(need_curvature, calls):
+    counts = {"g0": 0, "g1": 0}
+
+    def counting(name, ev):
+        def wrapped(x):
+            counts[name] += 1
+            return ev(x)
+        return wrapped
+
+    g0 = MetricField(TORUS2, counting("g0", lambda x: np.eye(2)))
+    g1 = MetricField(TORUS2, counting("g1", lambda x: (1.5 + 0.2 * math.sin(x[0])) * np.eye(2)))
+    metric_path_gauge(g0, g1, np.array([0.9, 1.7]), steps=8, need_curvature=need_curvature)
+    assert counts == {"g0": calls, "g1": calls}
+
+
+# -- the central stencil ----------------------------------------------------------------
+
+# away from underflow, where halving a sample or a difference is exact
+_sample = st.floats(-1e6, 1e6).filter(lambda v: v == 0.0 or abs(v) > 1e-280)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(_sample, _sample), min_size=1, max_size=4),
+       st.floats(1e-8, 1.0))
+def test_central_diff_order_two_is_the_plain_quotient(pairs, h):
+    minus, plus = (np.array(v) for v in zip(*pairs))
+    got = _central_diff({-1: minus, 1: plus}.__getitem__, h, 2)
+    assert got.tobytes() == ((plus - minus) / (2 * h)).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(-10.0, 10.0), min_size=5, max_size=5),
+       st.floats(-2.0, 2.0), st.floats(1e-3, 0.5))
+def test_central_diff_order_four_is_exact_on_quartics(c, x, h):
+    def f(k):
+        t = x + k * h
+        return c[0] + c[1] * t + c[2] * t**2 + c[3] * t**3 + c[4] * t**4
+
+    want = c[1] + 2 * c[2] * x + 3 * c[3] * x**2 + 4 * c[4] * x**3
+    scale = sum(abs(ci) for ci in c) * (abs(x) + 2 * h + 1.0) ** 4
+    assert abs(_central_diff(f, h, 4) - want) <= 1e-13 * scale / h
+
+
+def test_central_diff_rejects_other_orders():
+    with pytest.raises(MetricError):
+        _central_diff(float, 0.1, 3)
 
 
 # -- connection difference ----------------------------------------------------------------
-
-def test_connection_difference_zero_and_symmetry():
-    m = MetricField(POLAR, polar_metric)
-    omega, resid = connection_difference(m, m, np.array([1.1, 0.2]))
-    assert np.max(np.abs(omega)) < 1e-12
-    assert resid < 1e-12
-
 
 def test_connection_difference_conformal_closed_form():
     def u(x):
@@ -278,8 +323,8 @@ def test_connection_difference_conformal_closed_form():
     g0 = MetricField(TORUS2, lambda x: np.eye(2))
     g1 = MetricField(TORUS2, lambda x: math.exp(2 * u(x)) * np.eye(2))
     x = np.array([0.8, 1.9])
-    omega, resid = connection_difference(g0, g1, x)
-    assert resid < 1e-8
+    # omega[mu, i, j] = (nabla^g1_mu d_j - nabla^g0_mu d_j)^i
+    omega = np.swapaxes(christoffel(g1, x) - christoffel(g0, x), 0, 1)
     d = du(x)
     want = np.zeros((2, 2, 2))
     for a in range(2):
@@ -288,22 +333,6 @@ def test_connection_difference_conformal_closed_form():
                 want[a, i, j] = ((i == a) * d[j] + (i == j) * d[a]
                                  - (a == j) * d[i])
     assert np.max(np.abs(omega - want)) < 1e-7
-
-
-def test_connection_difference_random_pair_two_routes():
-    rng = np.random.default_rng(12)
-    A = rng.normal(size=(2, 2))
-
-    def g1_ev(x):
-        w = 1.0 + 0.2 * math.sin(x[0] + 0.5 * x[1])
-        base = np.eye(2) + 0.1 * np.outer(A[:, 0], A[:, 0]) * math.cos(x[1])
-        return w * (base + base.T) / 2 + 0.5 * np.eye(2)
-
-    g0 = MetricField(TORUS2, lambda x: np.eye(2))
-    g1 = MetricField(TORUS2, g1_ev)
-    omega, resid = connection_difference(g0, g1, np.array([1.0, 2.0]))
-    assert resid < 1e-8
-    assert np.max(np.abs(omega - np.swapaxes(omega, 0, 2))) < 1e-8
 
 
 # -- phi conjugation --------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from gblab.quadrature import (
     integrate_chart,
     mesh_for_chart,
     pairwise_sum,
-    refine_until,
     r_limit_extrapolate,
 )
 
@@ -79,29 +78,6 @@ def test_product_volume_s2_x_s1():
                  (False, True, True))
     vol = integrate_chart(lambda x: math.sin(x[0]), prod, mesh_for_chart(prod, 3))
     assert vol == pytest.approx(8 * math.pi**2, rel=1e-8)
-
-
-def test_refine_until_contract():
-    calls = []
-
-    def ev(level):
-        calls.append(level)
-        return 5.0 + 4.0 ** (-level)
-
-    value, table, converged = refine_until(ev, tol=5e-3, max_levels=5)
-    assert converged
-    diffs = [row[3] for row in table.rows if row[3] is not None]
-    assert all(d2 < d1 for d1, d2 in zip(diffs, diffs[1:])) or len(diffs) <= 1
-    orders = [row[4] for row in table.rows if row[4] is not None]
-    assert orders and orders[-1] == pytest.approx(2.0, abs=0.2)
-
-
-def test_refine_until_immediate_and_budget():
-    value, table, converged = refine_until(lambda level: 1.0, tol=1e-12, max_levels=3)
-    assert converged and len(table.rows) == 2
-    value, table, converged = refine_until(lambda level: 2.0 ** (-level), tol=1e-12,
-                                           max_levels=2)
-    assert not converged
 
 
 def test_convergence_table_levels_strictly_increase():

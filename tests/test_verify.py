@@ -1,5 +1,6 @@
 """Verification harness: registry, dispatch, result contracts, calibration."""
 
+import dataclasses
 import json
 import math
 
@@ -57,6 +58,25 @@ def test_cone_check_reports_two_routes():
     assert r.epsilon_notes == {"cone": -1}
     assert any("sign ledger" in n for n in r.notes)
     assert r.convergence["slice_samples"]
+
+
+@pytest.mark.parametrize("name,params", [
+    ("cone_perturbed_first_order", {"a": 0.3}),
+    ("cone_perturbed_second_order", {}),
+    ("geometric_cone", {"link": "s1", "theta": 0.5}),
+    ("cone", {"profile": "first_order", "a": -0.4}),
+])
+def test_unit_link_divides_out_the_cone_profile(name, params):
+    spec = catalog.get(name, **params)
+    link_metric = catalog._link_data("s1")[1]
+    for y in (np.array([0.3]), np.array([4.0])):
+        assert np.max(np.abs(verify._unit_link(spec)(y) - link_metric(y))) < 1e-12
+
+
+def test_unit_link_rejects_an_unknown_profile():
+    spec = dataclasses.replace(catalog.get("geometric_cone"), params={"profile": "cusp"})
+    with pytest.raises(verify.ConfigurationError, match="cusp"):
+        verify._unit_link(spec)
 
 
 def test_boundary_check_carries_sign_note():

@@ -20,15 +20,12 @@ CASES = [
 def run() -> None:
     for name, params, level in CASES:
         spec = catalog.get(name, **params)
-        n = spec.collar.boundary_chart.dim
-        k = (n + 1) // 2
-        limit, samples, warn = verify.slice_limit(spec.collar, k, level)
+        limit, samples = verify.slice_limit(spec.collar, level)
         print(f"{spec.key()}  (family {spec.family})")
         for r, v in samples:
             label = "u" if spec.collar.singular_end == "infinity" else "r"
             print(f"  {label} = {r:10.6f}   integral = {v:+.10f}")
-        note = "  [condition warning]" if warn else ""
-        print(f"  extrapolated limit: {limit:+.10f}{note}\n")
+        print(f"  extrapolated limit: {limit:+.10f}\n")
 
 
 if __name__ == "__main__":

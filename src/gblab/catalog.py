@@ -19,6 +19,7 @@ is isometry invariant.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
@@ -232,31 +233,22 @@ def _build_disk(params):
         raise RegistryError("disk dimension must be 2 or 4")
     if rho <= 0:
         raise RegistryError("disk radius must be positive")
-    k = dim // 2
     link_chart, link_metric, _ = _link_data("s1" if dim == 2 else "s3")
-    chart = _polar_disk_chart(k, rho)
-
-    def ev(x):
-        r = x[0]
-        out = np.zeros((dim, dim))
-        out[0, 0] = 1.0
-        out[1:, 1:] = r**2 * link_metric(x[1:])
-        return out
-
-    mf = MetricField(chart, ev)
+    chart = _polar_disk_chart(dim // 2, rho)
     collar = CollarMetric(
         boundary_chart=link_chart,
         r_interval=(0.0, 1.25 * rho),
         radial_metric=lambda r: (lambda y: r**2 * link_metric(y)),
         epsilon=+1, singular_end="upper",
     )
+    mf = MetricField(chart, collar.full_metric().evaluator)
     return GeometrySpec(
         name="disk", params={"dim": dim, "rho": rho},
         charts=((chart, mf),), collar=collar, chi_ref=1, family="boundary",
     )
 
 
-def _cone_collar(link: str, f_of_r: Callable, r_max: float = 1.25) -> CollarMetric:
+def _cone_collar(link: str, f_of_r: Callable) -> CollarMetric:
     link_chart, link_metric, ldim = _link_data(link)
 
     def radial(r):
@@ -276,7 +268,7 @@ def _cone_collar(link: str, f_of_r: Callable, r_max: float = 1.25) -> CollarMetr
         chi_base=1, chi_fiber=0 if ldim % 2 else 2,
     )
     return CollarMetric(
-        boundary_chart=link_chart, r_interval=(0.0, r_max), radial_metric=radial,
+        boundary_chart=link_chart, r_interval=(0.0, 1.25), radial_metric=radial,
         epsilon=-1, singular_end="lower", fibration=fib,
     )
 
@@ -293,25 +285,21 @@ def _build_cone(params):
     elif profile == "second_order":
         f = lambda r: r * math.sqrt(1.0 + r**2)
     elif profile == "first_order":
+        # the profile r (1 + a r) must stay positive on the collar (0, 1.25]
+        if not 1.0 + 1.25 * a > 0:
+            raise RegistryError(f"first-order cone needs 1 + 1.25 a > 0, got a={a!r}")
         f = lambda r: r * (1.0 + a * r)
     else:
         raise RegistryError(f"unknown cone profile {profile!r}")
     collar = _cone_collar(link, f)
-    link_chart, link_metric, ldim = _link_data(link)
+    link_chart = collar.boundary_chart
     chart = Chart(
         f"cone-{link}", ((0.0, 1.0),) + link_chart.bounds,
         (False,) + link_chart.periodic,
         quad_hints=(AxisRule("gauss", 8),) + tuple(
             link_chart.quad_hints or (AxisRule("trapezoid", 8),) * link_chart.dim),
     )
-
-    def ev(x):
-        out = np.zeros((1 + ldim, 1 + ldim))
-        out[0, 0] = 1.0
-        out[1:, 1:] = f(x[0]) ** 2 * link_metric(x[1:])
-        return out
-
-    mf = MetricField(chart, ev)
+    mf = MetricField(chart, collar.full_metric().evaluator)
     return GeometrySpec(
         name="cone", params={"link": link, "profile": profile, "theta": theta, "a": a},
         charts=((chart, mf),), collar=collar, chi_ref=1,
@@ -322,12 +310,9 @@ def _build_cone(params):
 def _build_geometric_cone(params):
     link = str(params.get("link", "s1"))
     theta = float(params.get("theta", 1.0))
-    spec = _build_cone({"link": link, "profile": "linear", "theta": theta})
-    return GeometrySpec(
-        name="geometric_cone", params={"link": link, "theta": theta},
-        charts=spec.charts, collar=spec.collar, chi_ref=1,
-        chi_pieces=spec.chi_pieces, family="cone",
-    )
+    return dataclasses.replace(
+        _build_cone({"link": link, "profile": "linear", "theta": theta}),
+        name="geometric_cone", params={"link": link, "theta": theta})
 
 
 def _build_football(params):
@@ -348,13 +333,10 @@ def _build_lens_cone(params):
     order = int(params.get("order", 2))
     if order < 1:
         raise RegistryError("group order must be >= 1")
-    base = _build_geometric_cone({"link": "s3", "theta": 1.0})
-    return GeometrySpec(
-        name="lens_cone", params={"order": order},
-        charts=base.charts, collar=base.collar,
-        symmetry_weight=Fraction(1, order), chi_ref=1, family="cone",
-        notes="geometric cone over the round 3-sphere cover, weight 1/order",
-    )
+    return dataclasses.replace(
+        _build_cone({"link": "s3", "theta": 1.0}), name="lens_cone", params={"order": order},
+        symmetry_weight=Fraction(1, order), chi_pieces={},
+        notes="geometric cone over the round 3-sphere cover, weight 1/order")
 
 
 def _build_catenoid(params):
@@ -389,8 +371,13 @@ def _build_catenoid(params):
     )
 
 
-def _edge_cross_section(base: str, fiber: str):
-    """Charts and metric evaluators for N = F x B, fiber coordinates first."""
+_CHI = {"s1": 0, "s2": 2, "t3": 0}
+
+
+def _product_collar(base: str, fiber: str, fiber_scale: Callable, base_scale: Callable,
+                    r_interval: tuple, epsilon: int, singular_end: str) -> CollarMetric:
+    """Collar over N = F x B, fiber coordinates first, with metric
+    g(r) = fiber_scale(r) g_F + base_scale(r) g_B."""
     pieces = {
         "s1": (_circle_chart, _circle_metric, 1),
         "s2": (_sphere2_chart, _sphere2_metric, 2),
@@ -398,33 +385,22 @@ def _edge_cross_section(base: str, fiber: str):
     }
     if base not in pieces or fiber not in pieces:
         raise RegistryError("base/fiber must be one of s1, s2, t3")
-    bch, bmet, bdim = pieces[base]
-    fch, fmet, fdim = pieces[fiber]
-    base_chart = bch(f"base-{base}")
-    fiber_chart = fch(f"fiber-{fiber}")
+    (b_chart, b_metric, bdim), (f_chart, f_metric, fdim) = pieces[base], pieces[fiber]
+    bch, bmet = b_chart(f"base-{base}"), b_metric(1.0)
+    fch, fmet = f_chart(f"fiber-{fiber}"), f_metric(1.0)
     n_chart = Chart(
-        f"N-{fiber}x{base}",
-        fiber_chart.bounds + base_chart.bounds,
-        fiber_chart.periodic + base_chart.periodic,
-        quad_hints=(fiber_chart.quad_hints or ()) + (base_chart.quad_hints or ()),
+        f"N-{fiber}x{base}", fch.bounds + bch.bounds, fch.periodic + bch.periodic,
+        quad_hints=(fch.quad_hints or ()) + (bch.quad_hints or ()),
     )
-    return base_chart, bmet(1.0), bdim, fiber_chart, fmet(1.0), fdim, n_chart
-
-
-_CHI = {"s1": 0, "s2": 2, "t3": 0}
-
-
-def _build_edge_product(params):
-    base = str(params.get("base", "s2"))
-    fiber = str(params.get("fiber", "s1"))
-    bch, bmet, bdim, fch, fmet, fdim, n_chart = _edge_cross_section(base, fiber)
+    n = fdim + bdim
 
     def radial(r):
+        sf, sb = fiber_scale(r), base_scale(r)
+
         def ev(y):
-            n = fdim + bdim
             out = np.zeros((n, n))
-            out[:fdim, :fdim] = r**2 * fmet(y[:fdim])
-            out[fdim:, fdim:] = bmet(y[fdim:])
+            out[:fdim, :fdim] = sf * fmet(y[:fdim])
+            out[fdim:, fdim:] = sb * bmet(y[fdim:])
             return out
         return ev
 
@@ -433,30 +409,29 @@ def _build_edge_product(params):
         base_metric=bmet, fiber_metric=lambda r, y: fmet(y),
         chi_base=_CHI[base], chi_fiber=_CHI[fiber],
     )
-    collar = CollarMetric(
-        boundary_chart=n_chart, r_interval=(0.0, 1.0), radial_metric=radial,
-        epsilon=-1, singular_end="lower", fibration=fib,
+    return CollarMetric(
+        boundary_chart=n_chart, r_interval=r_interval, radial_metric=radial,
+        epsilon=epsilon, singular_end=singular_end, fibration=fib,
     )
+
+
+def _build_edge_product(params):
+    base = str(params.get("base", "s2"))
+    fiber = str(params.get("fiber", "s1"))
+    collar = _product_collar(base, fiber, lambda r: r**2, lambda r: 1.0,
+                             (0.0, 1.0), -1, "lower")
+    n_chart = collar.boundary_chart
     full_chart = Chart(
         f"edge-{fiber}x{base}", ((0.0, 1.0),) + n_chart.bounds,
         (False,) + n_chart.periodic,
         quad_hints=(AxisRule("gauss", 8),) + (n_chart.quad_hints or ()),
     )
-
-    def ev_full(x):
-        n = 1 + fdim + bdim
-        out = np.zeros((n, n))
-        out[0, 0] = 1.0
-        out[1:, 1:] = radial(x[0])(x[1:])
-        return out
-
-    mf = MetricField(full_chart, ev_full)
-    chi_ref = _CHI[base] * 1  # chi(B) x chi(cone over F)
+    mf = MetricField(full_chart, collar.full_metric().evaluator)
     return GeometrySpec(
         name="edge_product", params={"base": base, "fiber": fiber},
-        charts=((full_chart, mf),), collar=collar, fibration=fib,
-        chi_ref=chi_ref, chi_pieces={"base": _CHI[base], "fiber": _CHI[fiber]},
-        family="edge",
+        charts=((full_chart, mf),), collar=collar, fibration=collar.fibration,
+        chi_ref=_CHI[base],  # chi(B) x chi(cone over F)
+        chi_pieces={"base": _CHI[base], "fiber": _CHI[fiber]}, family="edge",
     )
 
 
@@ -464,31 +439,14 @@ def _build_edge_horizontal(params):
     base = str(params.get("base", "s2"))
     fiber = str(params.get("fiber", "s1"))
     beta = float(params.get("beta", 0.3))
-    bch, bmet, bdim, fch, fmet, fdim, n_chart = _edge_cross_section(base, fiber)
-
-    def radial(r):
-        w = (1.0 + beta * r) ** 2
-
-        def ev(y):
-            n = fdim + bdim
-            out = np.zeros((n, n))
-            out[:fdim, :fdim] = r**2 * fmet(y[:fdim])
-            out[fdim:, fdim:] = w * bmet(y[fdim:])
-            return out
-        return ev
-
-    fib = FibrationData(
-        base_dim=bdim, fiber_dim=fdim, base_chart=bch, fiber_chart=fch,
-        base_metric=bmet, fiber_metric=lambda r, y: fmet(y),
-        chi_base=_CHI[base], chi_fiber=_CHI[fiber],
-    )
-    collar = CollarMetric(
-        boundary_chart=n_chart, r_interval=(0.0, 1.0), radial_metric=radial,
-        epsilon=-1, singular_end="lower", fibration=fib,
-    )
+    # the base block (1 + beta r)^2 g_B must not vanish on the collar (0, 1)
+    if not 1.0 + beta > 0:
+        raise RegistryError(f"edge_horizontal needs 1 + beta > 0, got beta={beta!r}")
+    collar = _product_collar(base, fiber, lambda r: r**2, lambda r: (1.0 + beta * r) ** 2,
+                             (0.0, 1.0), -1, "lower")
     return GeometrySpec(
         name="edge_horizontal", params={"base": base, "fiber": fiber, "beta": beta},
-        charts=(), collar=collar, fibration=fib,
+        charts=(), collar=collar, fibration=collar.fibration,
         chi_pieces={"base": _CHI[base], "fiber": _CHI[fiber]}, family="edge",
     )
 
@@ -496,54 +454,28 @@ def _build_edge_horizontal(params):
 def _build_fibered_product(params):
     base = str(params.get("base", "s2"))
     fiber = str(params.get("fiber", "s1"))
-    r_lo = float(params.get("r_lo", 2.0))
-    r_hi = float(params.get("r_hi", 200.0))
-    bch, bmet, bdim, fch, fmet, fdim, n_chart = _edge_cross_section(base, fiber)
-
-    def radial(r):
-        def ev(y):
-            n = fdim + bdim
-            out = np.zeros((n, n))
-            out[:fdim, :fdim] = fmet(y[:fdim])
-            out[fdim:, fdim:] = r**2 * bmet(y[fdim:])
-            return out
-        return ev
-
-    fib = FibrationData(
-        base_dim=bdim, fiber_dim=fdim, base_chart=bch, fiber_chart=fch,
-        base_metric=bmet, fiber_metric=lambda r, y: fmet(y),
-        chi_base=_CHI[base], chi_fiber=_CHI[fiber],
-    )
-    collar = CollarMetric(
-        boundary_chart=n_chart, r_interval=(r_lo, 4.0 * r_hi), radial_metric=radial,
-        epsilon=+1, singular_end="infinity", fibration=fib,
-    )
+    collar = _product_collar(base, fiber, lambda r: 1.0, lambda r: r**2,
+                             (2.0, 800.0), +1, "infinity")
     return GeometrySpec(
         name="fibered_product", params={"base": base, "fiber": fiber},
-        charts=(), collar=collar, fibration=fib,
+        charts=(), collar=collar, fibration=collar.fibration,
         chi_pieces={"base": _CHI[base], "fiber": _CHI[fiber]}, family="fibered",
     )
 
 
 def _build_cone_perturbed_second_order(params):
-    spec = _build_cone({"link": "s1", "profile": "second_order"})
-    return GeometrySpec(
+    return dataclasses.replace(
+        _build_cone({"link": "s1", "profile": "second_order"}),
         name="cone_perturbed_second_order", params={"link": "s1"},
-        charts=spec.charts, collar=spec.collar, chi_ref=1,
-        chi_pieces=spec.chi_pieces, family="cone",
-        notes="fiber factor (1 + r^2) on the model flat cone",
-    )
+        notes="fiber factor (1 + r^2) on the model flat cone")
 
 
 def _build_cone_perturbed_first_order(params):
     a = float(params.get("a", 0.3))
-    spec = _build_cone({"link": "s1", "profile": "first_order", "a": a})
-    return GeometrySpec(
+    return dataclasses.replace(
+        _build_cone({"link": "s1", "profile": "first_order", "a": a}),
         name="cone_perturbed_first_order", params={"a": a},
-        charts=spec.charts, collar=spec.collar, chi_ref=1,
-        chi_pieces=spec.chi_pieces, family="cone",
-        notes="profile r (1 + a r); smooth vertex in the completed disk",
-    )
+        notes="profile r (1 + a r); smooth vertex in the completed disk")
 
 
 _BUILDERS = {
@@ -551,16 +483,18 @@ _BUILDERS = {
     "flat_torus": (_build_flat_torus, {"n": "int 1..4", "periods": "tuple of floats"}),
     "disk": (_build_disk, {"dim": "2 or 4", "rho": "float > 0"}),
     "cone": (_build_cone, {"link": "s1|s3|t3", "profile": "linear|first_order|second_order",
-                           "theta": "float > 0", "a": "float"}),
+                           "theta": "float > 0", "a": "float, 1 + 1.25 a > 0 (first_order)"}),
     "geometric_cone": (_build_geometric_cone, {"link": "s1|s3|t3", "theta": "float > 0"}),
     "football": (_build_football, {"p": "int >= 1"}),
     "lens_cone": (_build_lens_cone, {"order": "int >= 1"}),
     "catenoid": (_build_catenoid, {"cutoff": "float > 0"}),
     "edge_product": (_build_edge_product, {"base": "s1|s2|t3", "fiber": "s1|s2|t3"}),
-    "edge_horizontal": (_build_edge_horizontal, {"base": "s1|s2", "fiber": "s1", "beta": "float"}),
+    "edge_horizontal": (_build_edge_horizontal, {"base": "s1|s2", "fiber": "s1",
+                                                     "beta": "float > -1"}),
     "fibered_product": (_build_fibered_product, {"base": "s1|s2", "fiber": "s1|s2"}),
     "cone_perturbed_second_order": (_build_cone_perturbed_second_order, {}),
-    "cone_perturbed_first_order": (_build_cone_perturbed_first_order, {"a": "float"}),
+    "cone_perturbed_first_order": (_build_cone_perturbed_first_order,
+                                   {"a": "float, 1 + 1.25 a > 0"}),
 }
 
 _USER_ENTRIES: dict = {}

@@ -129,6 +129,47 @@ def test_cone_angle_must_be_positive(name, theta):
         catalog.get(name, theta=theta)
 
 
+@pytest.mark.parametrize("name,params", [
+    ("cone", {"profile": "first_order", "a": -1.0}),
+    ("cone", {"profile": "first_order", "a": float("nan")}),
+    ("cone_perturbed_first_order", {"a": -2.0}),
+    ("cone_perturbed_first_order", {"a": -1.0}),
+    ("cone_perturbed_first_order", {"a": -0.8}),
+    ("cone_perturbed_first_order", {"a": float("nan")}),
+])
+def test_first_order_profile_must_stay_positive(name, params):
+    # r (1 + a r) vanishes at r = -1/a, inside the collar (0, 1.25] for a <= -0.8
+    with pytest.raises(catalog.RegistryError, match="1 \\+ 1.25 a > 0"):
+        catalog.get(name, **params)
+
+
+@pytest.mark.parametrize("beta", [-3.0, -1.0, float("nan")])
+def test_horizontal_base_factor_must_stay_positive(beta):
+    # (1 + beta r)^2 vanishes at r = -1/beta, inside the collar (0, 1] for beta <= -1
+    with pytest.raises(catalog.RegistryError, match="1 \\+ beta > 0"):
+        catalog.get("edge_horizontal", beta=beta)
+
+
+def test_valid_profiles_are_accepted():
+    for a in (0.1, 0.3, 0.5, -0.79):
+        catalog.get("cone_perturbed_first_order", a=a)
+    catalog.get("cone", profile="first_order", a=-0.4)
+    catalog.get("cone", profile="linear", a=-5.0)  # a only shapes the first-order profile
+    for beta in (0.3, 0.0, -0.99):
+        catalog.get("edge_horizontal", beta=beta)
+
+
+@pytest.mark.parametrize("base,fiber", [("s2", "s1"), ("s1", "s1")])
+def test_horizontal_edge_without_variation_is_the_product_edge(base, fiber):
+    flat = catalog.get("edge_horizontal", base=base, fiber=fiber, beta=0.0).collar
+    plain = catalog.get("edge_product", base=base, fiber=fiber).collar
+    assert flat.r_interval == plain.r_interval
+    rng = np.random.default_rng(5)
+    for y in plain.boundary_chart.random_interior(rng, 4):
+        for r in (0.0, 1e-3, 0.37, 1.0):
+            assert flat.radial_metric(r)(y).tobytes() == plain.radial_metric(r)(y).tobytes()
+
+
 def test_config_registration(tmp_path):
     cfg = {
         "schema_version": catalog.CONFIG_SCHEMA_VERSION,

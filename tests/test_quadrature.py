@@ -119,6 +119,18 @@ def test_extrapolate_recovers_polynomial(degree, seed):
     assert value == pytest.approx(coeffs[0], abs=1e-9 * max(1.0, abs(coeffs[0])))
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.floats(-6.0, 6.0), st.integers(0, 10_000))
+def test_degree_four_on_the_six_point_schedule_is_well_conditioned(log_r0, seed):
+    # the scaled Vandermonde matrix does not depend on r0 (cond 2.06e3), so
+    # the slice limits' fixed fit never raises the condition warning
+    rs = geometric_schedule(10.0**log_r0, 6)
+    vals = np.random.default_rng(seed).normal(size=6)
+    value, warn = r_limit_extrapolate(list(zip(rs, vals)), degree=4)
+    assert warn is False
+    assert math.isfinite(value)
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(1, 7), st.integers(0, 1000))
 def test_gauss_exact_for_polynomials(deg, seed):

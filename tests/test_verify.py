@@ -70,7 +70,7 @@ def test_unit_link_divides_out_the_cone_profile(name, params):
     spec = catalog.get(name, **params)
     link_metric = catalog._link_data("s1")[1]
     for y in (np.array([0.3]), np.array([4.0])):
-        assert np.max(np.abs(verify._unit_link(spec)(y) - link_metric(y))) < 1e-12
+        assert np.max(np.abs(verify._unit_link(spec).evaluator(y) - link_metric(y))) < 1e-12
 
 
 def test_unit_link_rejects_an_unknown_profile():

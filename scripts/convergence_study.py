@@ -10,7 +10,7 @@ import sys
 import time
 
 from gblab import catalog, verify
-from gblab.quadrature import ConvergenceTable
+from gblab.quadrature import ConvergenceTable, mesh_for_chart
 
 
 def study(n: int, levels: int, out: str) -> None:
@@ -21,7 +21,8 @@ def study(n: int, levels: int, out: str) -> None:
         t0 = time.monotonic()
         total = verify.pf_integral(spec, level, order=4 if n == 2 else 2)
         chi = total / (2.0 * math.pi) ** k
-        table.add(level, 0, chi)
+        nodes = sum(mesh_for_chart(chart, level).total_nodes for chart, _ in spec.charts)
+        table.add(level, nodes, chi)
         print(f"S^{n} level {level}: chi = {chi:.12f}  "
               f"err = {abs(chi - 2.0):.3e}  ({time.monotonic() - t0:.1f}s)")
     with open(out, "w", encoding="utf-8") as fh:

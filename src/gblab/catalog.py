@@ -2,8 +2,11 @@
 
 Each entry packages charts, metric fields, optional collar and fibration
 data, a symmetry weight for quotients, and reference Euler characteristics.
-Chart parametrizations are chosen so metric evaluators stay smooth and
-nondegenerate on the closed quadrature box:
+Every metric evaluator maps points of shape (..., d) to matrices of shape
+(..., d, d) (a constant metric returns one (d, d) matrix, which broadcasts),
+and every collar's radial_metric(r) accepts r as a number or as an array of
+the points' batch shape.  Chart parametrizations are chosen so metric
+evaluators stay smooth and nondegenerate on the closed quadrature box:
 
 * 2-spheres use the conformal cylinder chart g = rho^2 sech^2(t) (dt^2+dphi^2);
   the missed polar caps carry area 4 pi rho^2 (1 - tanh T) ~ 1e-11 at T = 14.
@@ -50,6 +53,10 @@ CATENOID_CUTOFF = 7.0
 class RegistryError(KeyError):
     """Unknown geometry name or invalid parameters."""
 
+    def __str__(self) -> str:
+        # KeyError would quote the message; show it as plain text
+        return Exception.__str__(self)
+
 
 @dataclass(frozen=True)
 class SingularStratum:
@@ -84,6 +91,20 @@ class GeometrySpec:
 # -- metric building blocks ---------------------------------------------------
 
 
+def _diag(*entries) -> np.ndarray:
+    """Diagonal matrices (..., n, n) from n broadcastable diagonal entries."""
+    entries = np.broadcast_arrays(*entries)
+    out = np.zeros(entries[0].shape + (len(entries),) * 2)
+    for i, e in enumerate(entries):
+        out[..., i, i] = e
+    return out
+
+
+def _scalar_factor(s) -> np.ndarray:
+    """A number or a batch of numbers, shaped to scale (..., n, n) matrices."""
+    return np.asarray(s, dtype=float)[..., None, None]
+
+
 def _sphere2_chart(tag: str) -> Chart:
     return Chart(
         f"{tag}-cylinder",
@@ -95,8 +116,8 @@ def _sphere2_chart(tag: str) -> Chart:
 
 def _sphere2_metric(rho: float) -> Callable:
     def ev(x):
-        s = 1.0 / np.cosh(x[0])
-        return (rho * s) ** 2 * np.eye(2)
+        s = 1.0 / np.cosh(x[..., 0])
+        return _scalar_factor((rho * s) ** 2) * np.eye(2)
 
     return ev
 
@@ -113,8 +134,8 @@ def _sphere3_chart(tag: str) -> Chart:
 
 def _sphere3_metric(rho: float) -> Callable:
     def ev(x):
-        a = x[0]
-        return rho**2 * np.diag([1.0, np.cos(a) ** 2, np.sin(a) ** 2])
+        a = x[..., 0]
+        return rho**2 * _diag(1.0, np.cos(a) ** 2, np.sin(a) ** 2)
 
     return ev
 
@@ -131,9 +152,8 @@ def _sphere4_chart(tag: str) -> Chart:
 
 def _sphere4_metric(rho: float) -> Callable:
     def ev(x):
-        t1, t2, t3 = x[0], x[1], x[2]
-        s1, s2, s3 = np.sin(t1), np.sin(t2), np.sin(t3)
-        return rho**2 * np.diag([1.0, s1**2, (s1 * s2) ** 2, (s1 * s2 * s3) ** 2])
+        s1, s2, s3 = np.sin(x[..., 0]), np.sin(x[..., 1]), np.sin(x[..., 2])
+        return rho**2 * _diag(1.0, s1**2, (s1 * s2) ** 2, (s1 * s2 * s3) ** 2)
 
     return ev
 
@@ -238,7 +258,7 @@ def _build_disk(params):
     collar = CollarMetric(
         boundary_chart=link_chart,
         r_interval=(0.0, 1.25 * rho),
-        radial_metric=lambda r: (lambda y: r**2 * link_metric(y)),
+        radial_metric=lambda r: (lambda y: _scalar_factor(r) ** 2 * link_metric(y)),
         epsilon=+1, singular_end="upper",
     )
     mf = MetricField(chart, collar.full_metric().evaluator)
@@ -252,7 +272,7 @@ def _cone_collar(link: str, f_of_r: Callable) -> CollarMetric:
     link_chart, link_metric, ldim = _link_data(link)
 
     def radial(r):
-        s = f_of_r(r) ** 2
+        s = _scalar_factor(f_of_r(r) ** 2)
         return lambda y: s * link_metric(y)
 
     def cone_rate(r):
@@ -283,7 +303,7 @@ def _build_cone(params):
             raise RegistryError(f"cone angle theta must be > 0, got {theta!r}")
         f = lambda r: theta * r
     elif profile == "second_order":
-        f = lambda r: r * math.sqrt(1.0 + r**2)
+        f = lambda r: r * np.sqrt(1.0 + r**2)
     elif profile == "first_order":
         # the profile r (1 + a r) must stay positive on the collar (0, 1.25]
         if not 1.0 + 1.25 * a > 0:
@@ -347,15 +367,15 @@ def _build_catenoid(params):
     )
 
     def ev(x):
-        c = np.cosh(x[0])
-        return c**2 * np.eye(2)
+        c = np.cosh(x[..., 0])
+        return _scalar_factor(c**2) * np.eye(2)
 
     mf = MetricField(chart, ev)
     circle_chart, circle_metric, _ = _link_data("s1")
     r_hi = math.sinh(cutoff)
     collar = CollarMetric(
         boundary_chart=circle_chart, r_interval=(1.0, 4.0 * r_hi),
-        radial_metric=lambda r: (lambda y: np.array([[1.0 + r**2]])),
+        radial_metric=lambda r: (lambda y: _scalar_factor(1.0 + r**2)),
         epsilon=+1, singular_end="infinity",
         fibration=FibrationData(
             base_dim=1, fiber_dim=0, base_chart=circle_chart, fiber_chart=None,
@@ -395,12 +415,12 @@ def _product_collar(base: str, fiber: str, fiber_scale: Callable, base_scale: Ca
     n = fdim + bdim
 
     def radial(r):
-        sf, sb = fiber_scale(r), base_scale(r)
+        sf, sb = _scalar_factor(fiber_scale(r)), _scalar_factor(base_scale(r))
 
         def ev(y):
-            out = np.zeros((n, n))
-            out[:fdim, :fdim] = sf * fmet(y[:fdim])
-            out[fdim:, fdim:] = sb * bmet(y[fdim:])
+            out = np.zeros(np.broadcast_shapes(y.shape[:-1], np.shape(r)) + (n, n))
+            out[..., :fdim, :fdim] = sf * fmet(y[..., :fdim])
+            out[..., fdim:, fdim:] = sb * bmet(y[..., fdim:])
             return out
         return ev
 

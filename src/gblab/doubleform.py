@@ -5,6 +5,10 @@ space is an element of Lambda^p V* (x) Lambda^q V*.  Coefficients are stored
 densely, indexed by pairs of strictly increasing multi-indices ranked in
 colexicographic order.  The product wedges first slots with first slots and
 second slots with second slots, with no interchange sign.
+
+Floating-point coefficient tables may carry leading batch axes, one form per
+quadrature node; wedge, power and berezin broadcast over them.  Exact
+(object) forms are unbatched.
 """
 
 from __future__ import annotations
@@ -129,8 +133,9 @@ class OrientedFrameContext:
 class DoubleForm:
     """Element of Lambda^p (x) Lambda^q over an n-dimensional space.
 
-    coeffs has shape (C(n,p), C(n,q)); entry [rank(I), rank(J)] is the
-    coefficient of e^I (x) e^J.  Values are treated as immutable.
+    coeffs has shape (..., C(n,p), C(n,q)); entry [..., rank(I), rank(J)] is
+    the coefficient of e^I (x) e^J, and leading axes index a batch of forms.
+    Values are treated as immutable.
     """
 
     n: int
@@ -145,8 +150,8 @@ class DoubleForm:
         if not (0 <= self.p <= MAX_DIM and 0 <= self.q <= MAX_DIM):
             raise ShapeError(f"bidegree ({self.p},{self.q}) outside 0..{MAX_DIM}")
         want = _table_shape(self.n, self.p, self.q)
-        if self.coeffs.shape != want:
-            raise ShapeError(f"coefficient table {self.coeffs.shape} != {want}")
+        if self.coeffs.shape[-2:] != want or self.coeffs.ndim < 2:
+            raise ShapeError(f"coefficient table {self.coeffs.shape} != (..., {want})")
 
     # -- constructors ------------------------------------------------------
 
@@ -238,8 +243,8 @@ def linear_combine(a: DoubleForm, b: DoubleForm, s, t) -> DoubleForm:
 def wedge(a: DoubleForm, b: DoubleForm) -> DoubleForm:
     """Slotwise wedge (a1^b1) (x) (a2^b2), no interchange sign.
 
-    Overflow of either slot degree past n yields the zero form of the
-    clipped bidegree.
+    Batch axes of the two factors broadcast.  Overflow of either slot degree
+    past n yields the (unbatched) zero form of the clipped bidegree.
     """
     if a.n != b.n:
         raise ShapeError("wedge of forms over different dimensions")
@@ -249,18 +254,23 @@ def wedge(a: DoubleForm, b: DoubleForm) -> DoubleForm:
     if p > n or q > n:
         return DoubleForm.zero(n, min(p, n), min(q, n), exact=exact)
     table = _wedge_table(n, a.p, a.q, b.p, b.q)
-    out = DoubleForm.zero(n, p, q, exact=exact)
     if table is None:
-        return out
+        return DoubleForm.zero(n, p, q, exact=exact)
     ia, ib, io, sg = table
-    af, bf, of = a.coeffs.ravel(), b.coeffs.ravel(), out.coeffs.ravel()
     if exact:
+        out = DoubleForm.zero(n, p, q, exact=True)
+        af, bf, of = a.coeffs.ravel(), b.coeffs.ravel(), out.coeffs.ravel()
         for k in range(len(ia)):
             of[io[k]] += int(sg[k]) * af[ia[k]] * bf[ib[k]]
         # object ravel returns a copy only if non-contiguous; ours is a view
         return out
-    np.add.at(of, io, sg * af[ia] * bf[ib])
-    return out
+    shape = _table_shape(n, p, q)
+    batch_a, batch_b = a.coeffs.shape[:-2], b.coeffs.shape[:-2]
+    af = a.coeffs.reshape(batch_a + (-1,))
+    bf = b.coeffs.reshape(batch_b + (-1,))
+    of = np.zeros(np.broadcast_shapes(batch_a, batch_b) + (shape[0] * shape[1],))
+    np.add.at(of, (..., io), sg * af[..., ia] * bf[..., ib])
+    return DoubleForm(n, p, q, of.reshape(of.shape[:-1] + shape))
 
 
 def power(a: DoubleForm, m: int) -> DoubleForm:
@@ -284,11 +294,9 @@ def berezin(a: DoubleForm, ctx: OrientedFrameContext) -> DoubleForm:
     """
     if a.n != ctx.n:
         raise ShapeError("context dimension mismatch")
-    exact = a.coeffs.dtype == object
-    out = DoubleForm.zero(a.n, a.p, 0, exact=exact)
     if a.q == a.n:
-        out.coeffs[:, 0] = ctx.orientation * a.coeffs[:, 0]
-    return out
+        return DoubleForm(a.n, a.p, 0, ctx.orientation * a.coeffs[..., :, :1])
+    return DoubleForm.zero(a.n, a.p, 0, exact=a.coeffs.dtype == object)
 
 
 def _pfaffian_matchings(avail: tuple, A) -> object:

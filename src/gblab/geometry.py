@@ -1,6 +1,11 @@
 """Chart-based Riemannian engine.
 
-Metrics are plain point -> SPD-matrix functions on coordinate boxes.  Every
+Metrics are plain point -> SPD-matrix functions on coordinate boxes.  An
+evaluator maps points of shape (..., d) to matrices of shape (..., d, d); a
+constant metric may return one (d, d) matrix, which is broadcast.  The jet,
+curvature, frame and slice functions take the same leading batch axes, so
+one call serves a single point or a whole block of quadrature nodes, and
+every per-sample check applies to each node of the block.  Every
 first derivative goes through one central stencil of order 2 or 4,
 _central_diff: the metric jet (dg and the mixed d2g), the slice metric in r,
 the transported gauge, and the h^phi frame.  The metric jet evaluates each
@@ -89,13 +94,21 @@ class Chart:
 
 
 def _spd_check(g: np.ndarray) -> np.ndarray:
+    """Symmetrize a stack of metric samples, each checked on its own scale."""
     g = np.asarray(g, dtype=float)
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
+    if g.ndim < 2 or g.shape[-1] != g.shape[-2]:
         raise MetricError("metric sample is not a square matrix")
-    scale = max(1.0, float(np.max(np.abs(g))))
-    if np.max(np.abs(g - g.T)) > 1e-10 * scale:
+    gt = np.swapaxes(g, -1, -2)
+    scale = np.maximum(1.0, np.max(np.abs(g), axis=(-2, -1)))
+    if np.any(np.max(np.abs(g - gt), axis=(-2, -1)) > 1e-10 * scale):
         raise MetricError("metric sample is not symmetric")
-    return 0.5 * (g + g.T)
+    return 0.5 * (g + gt)
+
+
+def _sample(ev: Callable, x: np.ndarray) -> np.ndarray:
+    """ev at points x (..., d), checked and broadcast to (..., n, n)."""
+    g = _spd_check(ev(x))
+    return np.broadcast_to(g, x.shape[:-1] + g.shape[-2:])
 
 
 @dataclass(frozen=True)
@@ -115,16 +128,18 @@ class MetricField:
         return self.fd_rel_step * self.chart.extents
 
     def g(self, x) -> np.ndarray:
-        return _spd_check(self.evaluator(np.asarray(x, dtype=float)))
+        return _sample(self.evaluator, np.asarray(x, dtype=float))
 
     def check_stencil(self, x):
+        x = np.asarray(x, dtype=float)
         h = self.steps()
         order = self.fd_order
         reach = 2 if order == 4 else 1
-        for i, (xi, (lo, hi), per) in enumerate(zip(x, self.chart.bounds, self.chart.periodic)):
+        for i, ((lo, hi), per) in enumerate(zip(self.chart.bounds, self.chart.periodic)):
             if per:
                 continue
-            if xi - reach * h[i] < lo or xi + reach * h[i] > hi:
+            xi = x[..., i]
+            if np.any(xi - reach * h[i] < lo) or np.any(xi + reach * h[i] > hi):
                 raise DomainError(
                     f"finite-difference stencil leaves chart {self.chart.name!r} at axis {i}"
                 )
@@ -157,6 +172,8 @@ def _central_diff(f, h, order: int):
 def _metric_jet(m: MetricField, x, want_second: bool):
     """g, dg and (if wanted) d2g at x, evaluating each stencil point once.
 
+    x has shape (..., d); each stencil offset is one evaluator call over all
+    of its points.  dg[..., a, i, j] = d_a g_ij and d2g[..., a, b, i, j].
     Returns (g, dg, d2g, samples): samples maps every evaluated integer
     offset tuple, in units of m.steps(), to its metric, the center first.
     """
@@ -173,29 +190,29 @@ def _metric_jet(m: MetricField, x, want_second: bool):
         off = tuple(off)
         got = samples.get(off)
         if got is None:
-            got = samples[off] = _spd_check(m.evaluator(x + h * np.array(off, dtype=float)))
+            got = samples[off] = m.g(x + h * np.array(off, dtype=float))
         return got
 
     zero = (0,) * d
     g = at(zero, 0, 0)
-    dg = np.stack([_central_diff(partial(at, zero, a), h[a], order) for a in range(d)])
+    dg = np.stack([_central_diff(partial(at, zero, a), h[a], order) for a in range(d)], axis=-3)
     d2g = None
     if want_second:
-        d2g = np.zeros((d, d, d, d))
+        d2g = np.zeros(x.shape[:-1] + (d, d, d, d))
         for a in range(d):
             if order == 2:
-                d2g[a, a] = (at(zero, a, 1) - 2.0 * g + at(zero, a, -1)) / h[a] ** 2
+                d2g[..., a, a, :, :] = (at(zero, a, 1) - 2.0 * g + at(zero, a, -1)) / h[a] ** 2
             else:
-                d2g[a, a] = (-at(zero, a, 2) + 16.0 * at(zero, a, 1) - 30.0 * g
-                             + 16.0 * at(zero, a, -1) - at(zero, a, -2)) / (12.0 * h[a] ** 2)
+                d2g[..., a, a, :, :] = (-at(zero, a, 2) + 16.0 * at(zero, a, 1) - 30.0 * g
+                                        + 16.0 * at(zero, a, -1) - at(zero, a, -2)) / (12.0 * h[a] ** 2)
             for b in range(a + 1, d):
                 # d_a of the d_b stencil, taken at the points shifted along a
                 val = _central_diff(
                     lambda j, a=a, b=b: _central_diff(
                         partial(at, zero[:a] + (j,) + zero[a + 1:], b), h[b], order),
                     h[a], order)
-                d2g[a, b] = val
-                d2g[b, a] = val
+                d2g[..., a, b, :, :] = val
+                d2g[..., b, a, :, :] = val
     return g, dg, d2g, samples
 
 
@@ -206,11 +223,11 @@ def christoffel(m: MetricField, x) -> np.ndarray:
 
 
 def _christoffel_first(dg: np.ndarray) -> np.ndarray:
-    """First-kind symbols G1[i, j, k] = (d_i g_jk + d_j g_ik - d_k g_ij)/2."""
+    """First-kind symbols G1[..., i, j, k] = (d_i g_jk + d_j g_ik - d_k g_ij)/2."""
     return 0.5 * (
-        np.einsum("ijk->ijk", dg)
-        + np.einsum("jik->ijk", dg)
-        - np.einsum("kij->ijk", dg)
+        np.einsum("...ijk->...ijk", dg)
+        + np.einsum("...jik->...ijk", dg)
+        - np.einsum("...kij->...ijk", dg)
     )
 
 
@@ -220,7 +237,7 @@ def _christoffel_from(g: np.ndarray, dg: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise MetricError("metric sample is singular") from exc
     g1 = _christoffel_first(dg)
-    return np.einsum("km,ijm->kij", ginv, g1)
+    return np.einsum("...km,...ijm->...kij", ginv, g1)
 
 
 def orthonormal_frame(m: MetricField, x) -> np.ndarray:
@@ -234,56 +251,61 @@ def _frame_of(g: np.ndarray) -> np.ndarray:
         L = np.linalg.cholesky(g)
     except np.linalg.LinAlgError as exc:
         raise MetricError("metric sample is not positive definite") from exc
-    return np.linalg.inv(L).T
+    return np.swapaxes(np.linalg.inv(L), -1, -2)
 
 
 def _curvature_coord(g, dg, d2g) -> np.ndarray:
-    """Lowered curvature F[i,j,k,l] = < d_k, R(d_i, d_j) d_l >."""
+    """Lowered curvature F[..., i,j,k,l] = < d_k, R(d_i, d_j) d_l >."""
     ginv = np.linalg.inv(g)
-    g1 = _christoffel_first(dg)          # [i, j, k]
-    gamma = np.einsum("km,ijm->kij", ginv, g1)
+    g1 = _christoffel_first(dg)          # [..., i, j, k]
+    gamma = np.einsum("...km,...ijm->...kij", ginv, g1)
     # d_a Gamma^m_{ij} by the product rule; no stacked differencing.
-    dginv = -np.einsum("km,aml,ln->akn", ginv, dg, ginv)
-    # dg1[a, i, j, k] = d_a Gamma1[i, j, k]
+    ginv_a = ginv[..., None, :, :]
+    dginv = -(ginv_a @ dg @ ginv_a)       # [..., a, k, n]
+    # dg1[..., a, i, j, k] = d_a Gamma1[i, j, k]
     dg1 = 0.5 * (
-        np.einsum("aijk->aijk", d2g)   # d_a d_i g_{jk}
-        + np.einsum("ajik->aijk", d2g)  # d_a d_j g_{ik}
-        - np.einsum("akij->aijk", d2g)  # d_a d_k g_{ij}
+        np.einsum("...aijk->...aijk", d2g)   # d_a d_i g_{jk}
+        + np.einsum("...ajik->...aijk", d2g)  # d_a d_j g_{ik}
+        - np.einsum("...akij->...aijk", d2g)  # d_a d_k g_{ij}
     )
-    dgamma = np.einsum("akm,ijm->akij", dginv, g1) + np.einsum(
-        "km,aijm->akij", ginv, dg1
+    dgamma = np.einsum("...akm,...ijm->...akij", dginv, g1) + np.einsum(
+        "...km,...aijm->...akij", ginv, dg1
     )
     # R^m_{ijl} = d_i Gamma^m_{jl} - d_j Gamma^m_{il}
     #           + Gamma^m_{ie} Gamma^e_{jl} - Gamma^m_{je} Gamma^e_{il}
     rup = (
-        np.einsum("imjl->mijl", dgamma)
-        - np.einsum("jmil->mijl", dgamma)
-        + np.einsum("mie,ejl->mijl", gamma, gamma)
-        - np.einsum("mje,eil->mijl", gamma, gamma)
+        np.einsum("...imjl->...mijl", dgamma)
+        - np.einsum("...jmil->...mijl", dgamma)
+        + np.einsum("...mie,...ejl->...mijl", gamma, gamma)
+        - np.einsum("...mje,...eil->...mijl", gamma, gamma)
     )
-    return np.einsum("km,mijl->ijkl", g, rup)
+    return np.einsum("...km,...mijl->...ijkl", g, rup)
+
+
+def _pair_coeffs(F: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """(2,2) coefficients <e_c, R(e_a, e_b) e_d>, a<b and c<d, of F in the frame E.
+
+    The frame change is four one-index contractions (d^5 each, not one d^8
+    sum); each moves the contracted slot to the back.
+    """
+    for _ in range(4):
+        F = np.einsum("...ijkl,...ia->...jkla", F, E)
+    a, b = np.array(multi_indices(E.shape[-1], 2), dtype=np.intp).reshape(-1, 2).T
+    return F[..., a[:, None], b[:, None], a, b]
 
 
 def riemann_double_form(m: MetricField, x, frame: Optional[np.ndarray] = None):
     """Curvature as a (2,2) double form in the orthonormal frame at x.
 
-    Returns (form, frame).  The coefficient at (I; J) with I = (i<j),
-    J = (k<l) is <e_k, R(e_i, e_j) e_l>.
+    x may carry leading batch axes (a block of nodes); the form's
+    coefficients and the frame carry the same axes.  Returns (form, frame).
+    The coefficient at (I; J) with I = (i<j), J = (k<l) is <e_k, R(e_i, e_j) e_l>.
     """
-    d = m.chart.dim
     g, dg, d2g, _ = _metric_jet(m, x, want_second=True)
     if frame is None:
         frame = _frame_of(g)
-    form = DoubleForm.zero(d, 2, 2)
-    if d < 2:
-        return form, frame
-    F = _curvature_coord(g, dg, d2g)
-    Fon = np.einsum("ijkl,ia,jb,kc,ld->abcd", F, frame, frame, frame, frame)
-    pairs = multi_indices(d, 2)
-    for r, (i, j) in enumerate(pairs):
-        for c, (k, l) in enumerate(pairs):
-            form.coeffs[r, c] = Fon[i, j, k, l]
-    return form, frame
+    coeffs = _pair_coeffs(_curvature_coord(g, dg, d2g), frame)
+    return DoubleForm(m.chart.dim, 2, 2, coeffs), frame
 
 
 @dataclass(frozen=True)
@@ -313,7 +335,8 @@ class FibrationData:
 class CollarMetric:
     """Normal-form collar dr^2 + g(r) over a boundary chart.
 
-    radial_metric(r) returns the y -> matrix evaluator of g(r) on N.  The
+    radial_metric(r) returns the y -> matrix evaluator of g(r) on N; r is a
+    number or an array of y's batch shape (as full_metric passes it).  The
     orientation flag epsilon records how the slice-transgression sign relates
     to the plus convention (outward normal +d_r, slice oriented by the chart).
     singular_end marks where the degenerate locus sits: "lower" (r -> 0),
@@ -345,10 +368,10 @@ class CollarMetric:
         n = self.boundary_chart.dim
 
         def ev(x):
-            r, y = x[0], x[1:]
-            out = np.zeros((n + 1, n + 1))
-            out[0, 0] = 1.0
-            out[1:, 1:] = self.radial_metric(r)(y)
+            r, y = x[..., 0], x[..., 1:]
+            out = np.zeros(x.shape[:-1] + (n + 1, n + 1))
+            out[..., 0, 0] = 1.0
+            out[..., 1:, 1:] = self.radial_metric(r)(y)
             return out
 
         return MetricField(self.full_chart(), ev,
@@ -364,12 +387,12 @@ class SliceData:
     second_fundamental: DoubleForm   # (1,1), orthonormal frame, normal +d_r
     curvature: DoubleForm            # (2,2) of the induced metric
     frame: np.ndarray
-    sqrt_det: float
+    sqrt_det: np.ndarray             # batch shape of the points
     orientation: int
 
 
 class Slice:
-    """A fixed-radius slice of a collar; evaluates SliceData pointwise."""
+    """A fixed-radius slice of a collar; evaluates SliceData at a point or a block."""
 
     def __init__(self, collar: CollarMetric, r: float):
         lo, hi = collar.r_interval
@@ -385,16 +408,15 @@ class Slice:
     def at(self, y) -> SliceData:
         c, r, hr = self.collar, self.r, self.hr
         y = np.asarray(y, dtype=float)
-        h = _spd_check(c.radial_metric(r)(y))
+        h = _sample(c.radial_metric(r), y)
         dh = _central_diff(lambda k: c.radial_metric(r + k * hr)(y), hr, c.fd_order)
         E = _frame_of(h)
-        ii_on = E.T @ (-0.5 * dh) @ E
-        n = h.shape[0]
-        ii = DoubleForm(n, 1, 1, 0.5 * (ii_on + ii_on.T))
+        ii_on = np.swapaxes(E, -1, -2) @ (-0.5 * dh) @ E
+        ii = DoubleForm(h.shape[-1], 1, 1, 0.5 * (ii_on + np.swapaxes(ii_on, -1, -2)))
         curv, _ = riemann_double_form(self.field, y, frame=E)
         return SliceData(
             r=r, h=h, second_fundamental=ii, curvature=curv, frame=E,
-            sqrt_det=float(np.sqrt(np.linalg.det(h))), orientation=c.epsilon,
+            sqrt_det=np.sqrt(np.linalg.det(h)), orientation=c.epsilon,
         )
 
 
@@ -511,7 +533,6 @@ def metric_path_gauge(g0: MetricField, g1: MetricField, x, steps: int = 16,
     omega0 = np.einsum("km,ajm->akj", np.linalg.inv(g0c), _christoffel_first(dg0))
 
     thetas, theta_dots, curvs = [], [], []
-    pairs = multi_indices(d, 2)
     for k, s in enumerate(s_nodes):
         gs = (1.0 - s) * g0c + s * g1c
         gs_inv = np.linalg.inv(gs)
@@ -551,11 +572,7 @@ def metric_path_gauge(g0: MetricField, g1: MetricField, x, steps: int = 16,
             d2gs = (1.0 - s) * d2g0 + s * d2g1
             F = _curvature_coord(gs, dgs, d2gs)
             Fg = np.einsum("ijkl,kc,ld->ijcd", F, tau, tau)
-            Fon = np.einsum("ijkl,ia,jb,kc,ld->abcd", Fg, E0, E0, E0, E0)
-            form = DoubleForm.zero(d, 2, 2)
-            for rr, (i, j) in enumerate(pairs):
-                for cc, (kk2, ll) in enumerate(pairs):
-                    form.coeffs[rr, cc] = Fon[i, j, kk2, ll]
+            form = DoubleForm(d, 2, 2, _pair_coeffs(Fg, E0))
         else:
             form = DoubleForm.zero(d, 2, 2)
         curvs.append(form)
@@ -638,10 +655,10 @@ def _h_phi_matrix(c: CollarMetric, fib: FibrationData, r: float, y) -> np.ndarra
     """h^phi = dr^2 + g^V(r) + g^B at (r, y), block diagonal, fiber first."""
     f, b = fib.fiber_dim, fib.base_dim
     d = 1 + f + b
-    out = np.zeros((d, d))
-    out[0, 0] = 1.0
+    out = np.zeros(np.shape(y)[:-1] + (d, d))
+    out[..., 0, 0] = 1.0
     if f:
-        out[1 : 1 + f, 1 : 1 + f] = fib.fiber_metric(r, y[:f])
+        out[..., 1 : 1 + f, 1 : 1 + f] = fib.fiber_metric(r, y[..., :f])
     if b:
-        out[1 + f :, 1 + f :] = fib.base_metric(y[f:])
+        out[..., 1 + f :, 1 + f :] = fib.base_metric(y[..., f:])
     return _spd_check(out)

@@ -2,9 +2,12 @@
 
 Periodic axes use the composite trapezoid rule; non-periodic axes use
 composite Gauss-Legendre panels with interior nodes, so chart-edge
-coordinate degeneracies are never sampled.  Nodes are evaluated in order
-in a plain loop and summed by a fixed pairwise binary tree over the
-flattened node ordering, so a result depends only on its inputs.
+coordinate degeneracies are never sampled.  A density is called on
+consecutive blocks of BLOCK nodes in the flattened node ordering (points of
+shape (B, d), values of shape (B,)); the weighted values are summed by a
+fixed pairwise binary tree over that ordering, so a result depends only on
+its inputs.  The block size is fixed, not an option: it bounds the memory of
+the per-block curvature arrays.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ __all__ = [
 ]
 
 GL_PANEL = 8
+BLOCK = 64
 
 
 class ResolutionError(ValueError):
@@ -149,7 +153,7 @@ def _mesh_points(chart, mesh: MeshSpec):
 
 def _call_node(fn, pt):
     try:
-        return fn(pt)
+        return fn(pt[None])
     except Exception as exc:  # noqa: BLE001 - annotate and re-raise
         raise type(exc)(f"{exc} (at node {tuple(float(v) for v in pt)})") from exc
 
@@ -157,12 +161,19 @@ def _call_node(fn, pt):
 def integrate_chart(fn, chart, mesh: MeshSpec) -> float:
     """Integrate a scalar density (volume factor included) over a chart box.
 
-    Evaluator failures are re-raised with the offending node coordinates.
+    fn maps a block of nodes (B, d) to its values (B,).  When a block fails
+    it is re-run node by node, so the error names the offending node.
     """
     pts, w = _mesh_points(chart, mesh)
     vals = np.empty(pts.shape[0])
-    for i in range(pts.shape[0]):
-        vals[i] = _call_node(fn, pts[i])
+    for lo in range(0, pts.shape[0], BLOCK):
+        block = pts[lo : lo + BLOCK]
+        try:
+            vals[lo : lo + BLOCK] = fn(block)
+        except Exception:
+            for pt in block:
+                _call_node(fn, pt)
+            raise
     return pairwise_sum(vals * w)
 
 

@@ -27,6 +27,8 @@ from .geometry import (
     MetricField,
     SliceData,
     _central_diff,
+    _frame_of,
+    _h_phi_matrix,
     christoffel,
     metric_path_gauge,
     phi_conjugated_connection,
@@ -127,34 +129,41 @@ class SuiteResult:
 
 
 def chart_integral(chart, density, level: int) -> float:
+    """Integral of a block density (see quadrature.integrate_chart) over chart."""
     mesh = quad.mesh_for_chart(chart, level)
     return quad.integrate_chart(density, chart, mesh)
+
+
+def _per_node(fn):
+    """A block density from a per-point one, mapped over the block's nodes."""
+    return lambda xs: np.array([fn(x) for x in xs])
 
 
 def curvature_integral(mf: MetricField, level: int, top, order: int = 4, fd_rel=None) -> float:
     """Integral of top(R, E, x) * sqrt(det g) over mf.chart.
 
-    R is the curvature double form of mf in its orthonormal frame E at x,
-    taken with the order-`order` stencil and, if given, relative step fd_rel.
+    R is the curvature double form of mf in its orthonormal frame E at a
+    block of nodes x, taken with the order-`order` stencil and, if given,
+    relative step fd_rel; top returns one value per node.
     """
     mf = MetricField(mf.chart, mf.evaluator,
                      fd_rel_step=mf.fd_rel_step if fd_rel is None else fd_rel, fd_order=order)
 
     def dens(x):
         R, E = riemann_double_form(mf, x)
-        return top(R, E, x) * math.sqrt(np.linalg.det(mf.g(x)))
+        return top(R, E, x) * np.sqrt(np.linalg.det(mf.g(x)))
 
     return chart_integral(mf.chart, dens, level)
 
 
 def _pf_top(n: int):
     ctx = OrientedFrameContext(n)
-    return lambda R, E, x: inv.pfaffian_form(R, ctx).coeffs[0, 0]
+    return lambda R, E, x: inv.pfaffian_form(R, ctx).coeffs[..., 0, 0]
 
 
 def _odd_pf_top(n: int):
     ctx, h = OrientedFrameContext(n), DoubleForm.metric_form(n)
-    return lambda R, E, x: inv.odd_pfaffian_form(R, h, ctx).coeffs[0, 0]
+    return lambda R, E, x: inv.odd_pfaffian_form(R, h, ctx).coeffs[..., 0, 0]
 
 
 def pf_integral(spec, level: int, order: int = 4, fd_rel=None) -> float:
@@ -176,7 +185,7 @@ def lk_integrals(mf: MetricField, level: int) -> list:
     ctx, h = OrientedFrameContext(n), DoubleForm.metric_form(n)
     return [curvature_integral(
                 mf, level,
-                lambda R, E, x, j=j: inv.lipschitz_killing_form(j, n, R, h, ctx).coeffs[0, 0])
+                lambda R, E, x, j=j: inv.lipschitz_killing_form(j, n, R, h, ctx).coeffs[..., 0, 0])
             for j in range((n + 1) // 2)]
 
 
@@ -193,7 +202,7 @@ def slice_transgression_plus(collar: CollarMetric, r: float, level: int) -> floa
 
     def dens(y):
         sd = sl.at(y)
-        c = inv.boundary_correction_form(sd, k, ctx).coeffs[0, 0]
+        c = inv.boundary_correction_form(sd, k, ctx).coeffs[..., 0, 0]
         return c * sd.sqrt_det
 
     return chart_integral(collar.boundary_chart, dens, level)
@@ -247,11 +256,11 @@ def fibered_value_for(fib, level: int) -> float:
 
 
 def _base_metric_variation(collar: CollarMetric, y_base, h: float = 1e-4):
-    """d/dr of the base block of the slice metric at r = 0."""
+    """d/dr of the base block of the slice metric at r = 0, at base points (..., b)."""
     fib = collar.fibration
     f = fib.fiber_dim
-    y = np.concatenate((np.zeros(f), y_base))
-    return _central_diff(lambda k: collar.radial_metric(k * h)(y)[f:, f:], h, 2)
+    y = np.concatenate((np.zeros(y_base.shape[:-1] + (f,)), y_base), axis=-1)
+    return _central_diff(lambda k: collar.radial_metric(k * h)(y)[..., f:, f:], h, 2)
 
 
 def horizontal_closed_value(collar: CollarMetric, level: int) -> float:
@@ -267,9 +276,9 @@ def horizontal_closed_value(collar: CollarMetric, level: int) -> float:
     ctxb = OrientedFrameContext(b)
 
     def top(i, R, E, y):
-        gdot = E.T @ _base_metric_variation(collar, y) @ E
-        gdot_form = DoubleForm(b, 1, 1, 0.5 * (gdot + gdot.T))
-        return inv.variation_form(i, b, R, gdot_form, ctxb).coeffs[0, 0]
+        gdot = np.swapaxes(E, -1, -2) @ _base_metric_variation(collar, y) @ E
+        gdot_form = DoubleForm(b, 1, 1, 0.5 * (gdot + np.swapaxes(gdot, -1, -2)))
+        return inv.variation_form(i, b, R, gdot_form, ctxb).coeffs[..., 0, 0]
 
     q_ints = {i: curvature_integral(base, level, partial(top, i)) for i in range(b // 2 + 1)}
     p_ints = dict(enumerate(lk_integrals(fiber, level)))
@@ -391,15 +400,8 @@ def _boundary_two_route(spec, k, level):
     r_b = rho * (1.0 - 0.02)
     full = collar.full_metric()
     frozen = collar.radial_metric(r_b)
+    g0 = replace(collar, radial_metric=lambda r: frozen).full_metric()
     nb = collar.boundary_chart.dim
-
-    def product_ev(x):
-        out = np.zeros((nb + 1, nb + 1))
-        out[0, 0] = 1.0
-        out[1:, 1:] = frozen(x[1:])
-        return out
-
-    g0 = MetricField(full.chart, product_ev, fd_rel_step=full.fd_rel_step)
     ctx = OrientedFrameContext(nb + 1)
     slice_rank = index_rank(nb + 1, tuple(range(1, nb + 1)))
 
@@ -412,7 +414,7 @@ def _boundary_two_route(spec, k, level):
         return c * math.sqrt(np.linalg.det(h))
 
     lvl = max(1, level - 1)
-    path_route = chart_integral(collar.boundary_chart, dens, lvl)
+    path_route = chart_integral(collar.boundary_chart, _per_node(dens), lvl)
     direct = slice_transgression_plus(collar, r_b, lvl)
     return abs(path_route - direct) / max(abs(direct), 1e-12)
 
@@ -625,7 +627,7 @@ def check_first_order_conic(spec, level, tol):
         lim = _phi_limit(spec.collar, g_full, rs, y)
         f = fib.fiber_dim
         II = np.zeros((f, f))
-        E0, _ = phi_frame(spec.collar, 0.0, y, 1e-4)
+        E0 = _frame_of(_h_phi_matrix(spec.collar, fib, 0.0, y))
         for a in range(f):
             for b in range(f):
                 II[a, b] = sum(E0[mu, 1 + a] * lim[mu, 0, 1 + b] for mu in range(lim.shape[0]))
@@ -638,7 +640,7 @@ def check_first_order_conic(spec, level, tol):
         c = inv.boundary_correction_form(sd, k, ctxN).coeffs[0, 0]
         return c * math.sqrt(np.linalg.det(fib.fiber_metric(0.0, y)))
 
-    gterm = chart_integral(chartN, gterm_density, level)
+    gterm = chart_integral(chartN, _per_node(gterm_density), level)
     singular = 1.0 + gterm / TWO_PI**k
     lhs = TWO_PI**k * spec.chi_ref
     rhs = interior - outer + TWO_PI**k * singular

@@ -14,7 +14,7 @@ def _volume(spec, level=2):
     total = 0.0
     for chart, mf in spec.charts:
         mesh = mesh_for_chart(chart, level)
-        total += integrate_chart(lambda x: math.sqrt(np.linalg.det(mf.g(x))),
+        total += integrate_chart(lambda x: np.sqrt(np.linalg.det(mf.g(x))),
                                  chart, mesh)
     return float(spec.symmetry_weight) * total
 

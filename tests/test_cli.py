@@ -66,6 +66,14 @@ def test_json_byte_identical_across_worker_counts(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_registry_error_prints_unquoted(capsys):
+    code = main(["run", "--check", "EdgeHorizontal", "--geometry", "edge_horizontal",
+                 "beta=-3"])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: edge_horizontal needs 1 + beta > 0, got beta=-3.0"]
+
+
 def test_workers_with_single_check_exit_two(capsys):
     assert main(["run", "--check", "ClosedGB", "--workers", "2"]) == 2
     assert "--workers" in capsys.readouterr().err

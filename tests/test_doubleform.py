@@ -165,6 +165,32 @@ def test_wedge_matches_brute_force(n, seed):
 
 
 @settings(max_examples=30, deadline=None)
+@given(st.integers(2, 5), st.integers(1, 5), st.integers(0, 1000))
+def test_batched_wedge_power_berezin_match_each_form(n, batch, seed):
+    rng = np.random.default_rng(seed)
+    shape = (len(multi_indices(n, 2)),) * 2
+    R = DoubleForm(n, 2, 2, rng.normal(size=(batch,) + shape))
+    h = DoubleForm.metric_form(n)
+    ctx = OrientedFrameContext(n)
+    k = n // 2
+    top = berezin(wedge(power(R, k), power(h, n - 2 * k)), ctx)
+    assert top.coeffs.shape == (batch, 1, 1)
+    for i in range(batch):
+        Ri = DoubleForm(n, 2, 2, R.coeffs[i])
+        want = berezin(wedge(power(Ri, k), power(h, n - 2 * k)), ctx)
+        # the scatter adds in the same order per form: bit for bit
+        assert top.coeffs[i].tobytes() == want.coeffs.tobytes()
+
+
+def test_batched_coefficients_check_the_last_two_axes():
+    assert DoubleForm(3, 1, 1, np.zeros((4, 2, 3, 3))).coeffs.shape == (4, 2, 3, 3)
+    with pytest.raises(ShapeError):
+        DoubleForm(3, 1, 1, np.zeros((3, 3, 4)))
+    with pytest.raises(ShapeError):
+        DoubleForm(3, 1, 1, np.zeros(9))
+
+
+@settings(max_examples=30, deadline=None)
 @given(st.integers(2, 4), st.integers(0, 1000))
 def test_wedge_bilinear_and_associative(n, seed):
     rng = np.random.default_rng(seed)

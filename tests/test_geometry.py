@@ -144,6 +144,91 @@ def test_first_bianchi_on_slices():
                         assert abs(cyc) < 1e-6
 
 
+# -- node blocks ---------------------------------------------------------------------
+
+BOX3 = Chart("box3", ((-1.0, 1.0),) * 3, (False,) * 3)
+
+
+def _rational_metric(c):
+    """SPD metric with rational entries: exact elementwise arithmetic, so a
+    block and single points see the same samples bit for bit."""
+    def ev(x):
+        x = np.asarray(x)
+        g = np.einsum("...i,...j->...ij", x, x) * (c / (1.0 + np.sum(x * x, axis=-1)))[..., None, None]
+        return g + (1.0 + x * x)[..., None, :] * np.eye(x.shape[-1])
+    return ev
+
+
+_block = st.lists(st.tuples(*[st.floats(-0.9, 0.9)] * 3), min_size=1, max_size=6)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_block, st.floats(0.0, 2.0), st.sampled_from([2, 4]))
+def test_riemann_on_a_block_equals_per_point_calls(pts, c, order):
+    m = MetricField(BOX3, _rational_metric(c), fd_order=order)
+    X = np.array(pts)
+    R, E = riemann_double_form(m, X)
+    assert R.coeffs.shape == (len(X), 3, 3) and E.shape == (len(X), 3, 3)
+    for i, x in enumerate(X):
+        Ri, Ei = riemann_double_form(m, x)
+        scale = max(1.0, np.max(np.abs(Ri.coeffs)))
+        assert np.max(np.abs(R.coeffs[i] - Ri.coeffs)) <= 1e-12 * scale
+        assert np.max(np.abs(E[i] - Ei)) <= 1e-12 * np.max(np.abs(Ei))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_block, st.floats(0.0, 2.0), st.floats(0.2, 1.0))
+def test_slice_on_a_block_equals_per_point_calls(pts, c, r):
+    ev = _rational_metric(c)
+    collar = CollarMetric(BOX3, (0.0, 1.5),
+                          lambda r: (lambda y: (1.0 + np.asarray(r) ** 2)[..., None, None] * ev(y)))
+    Y = np.array(pts)
+    block = slice_data(collar, r).at(Y)
+    for i, y in enumerate(Y):
+        one = slice_data(collar, r).at(y)
+        for got, want in ((block.curvature.coeffs[i], one.curvature.coeffs),
+                          (block.second_fundamental.coeffs[i], one.second_fundamental.coeffs),
+                          (block.frame[i], one.frame), (block.h[i], one.h),
+                          (block.sqrt_det[i], one.sqrt_det)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+def _diag2(a, b):
+    out = np.zeros(np.shape(a) + (2, 2))
+    out[..., 0, 0], out[..., 1, 1] = a, b
+    return out
+
+
+def test_one_bad_node_fails_the_block():
+    pts = np.array([[1.0, 0.5], [1.5, 2.0], [0.6, 1.0]])
+    # non-SPD at the last node only
+    bent = MetricField(POLAR, lambda x: _diag2(np.ones(len(x)), x[:, 0] - 0.8))
+    with pytest.raises(MetricError):
+        riemann_double_form(bent, pts)
+    riemann_double_form(bent, pts[:2])
+    # the stencil of the last node leaves the chart
+    m = MetricField(POLAR, lambda x: _diag2(np.ones(len(x)), x[:, 0] ** 2))
+    edge = np.vstack([pts[:2], [[0.1 + 1e-6, 1.0]]])
+    with pytest.raises(DomainError):
+        riemann_double_form(m, edge)
+    riemann_double_form(m, edge[:2])
+
+
+def test_bad_node_is_named_through_the_quadrature():
+    from gblab.quadrature import integrate_chart, mesh_for_chart
+
+    chart = Chart("strip", ((0.0, 2.0), (0.0, 2 * math.pi)), (False, True))
+    # the metric loses positive definiteness past x0 = 1.9 (last Gauss panel)
+    m = MetricField(chart, lambda x: _diag2(np.ones(x.shape[:-1]), 1.9 - x[..., 0]))
+
+    def dens(x):
+        R, _ = riemann_double_form(m, x)
+        return R.coeffs[..., 0, 0]
+
+    with pytest.raises(MetricError, match=r"\(at node \(1\.9"):
+        integrate_chart(dens, chart, mesh_for_chart(chart, 1))
+
+
 # -- frames ------------------------------------------------------------------------
 
 def test_frame_identity_and_diagonal():

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from gblab.geometry import Chart
 from gblab.quadrature import (
+    BLOCK,
     AxisRule,
     ConvergenceTable,
     MeshSpec,
@@ -24,13 +25,13 @@ CIRCLE = Chart("circle", ((0.0, 2 * math.pi),), (True,))
 
 def test_trapezoid_constant_exact():
     mesh = mesh_for_chart(CIRCLE, 1)
-    assert integrate_chart(lambda x: 1.0, CIRCLE, mesh) == pytest.approx(2 * math.pi)
+    assert integrate_chart(lambda x: np.ones(len(x)), CIRCLE, mesh) == pytest.approx(2 * math.pi)
 
 
 def test_sphere_volume_colatitude():
     chart = Chart("s2-classic", ((0.0, math.pi), (0.0, 2 * math.pi)), (False, True))
     mesh = mesh_for_chart(chart, 4)
-    vol = integrate_chart(lambda x: math.sin(x[0]), chart, mesh)
+    vol = integrate_chart(lambda x: np.sin(x[:, 0]), chart, mesh)
     assert vol == pytest.approx(4 * math.pi, abs=1e-8)
 
 
@@ -38,7 +39,7 @@ def test_hyperspherical_three_sphere_volume():
     chart = Chart("s3-classic", ((0.0, math.pi), (0.0, math.pi), (0.0, 2 * math.pi)),
                   (False, False, True))
     mesh = mesh_for_chart(chart, 3)
-    vol = integrate_chart(lambda x: math.sin(x[0]) ** 2 * math.sin(x[1]), chart, mesh)
+    vol = integrate_chart(lambda x: np.sin(x[:, 0]) ** 2 * np.sin(x[:, 1]), chart, mesh)
     assert vol == pytest.approx(2 * math.pi**2, rel=1e-9)
 
 
@@ -58,12 +59,27 @@ def test_node_counts_double_per_level():
 
 def test_evaluator_failure_carries_node_coordinates():
     def bad(x):
-        if x[0] > 3.0:
+        if np.any(x[:, 0] > 3.0):
             raise ValueError("boom")
-        return 1.0
+        return np.ones(len(x))
 
     with pytest.raises(ValueError, match=r"boom \(at node \(3\."):
         integrate_chart(bad, CIRCLE, mesh_for_chart(CIRCLE, 1))
+
+
+def test_density_sees_consecutive_blocks():
+    seen = []
+
+    def dens(x):
+        seen.append(x.copy())
+        return x[:, 0]
+
+    chart = Chart("seg", ((0.0, 1.0),), (False,))
+    mesh = MeshSpec(nodes=(2 * BLOCK + 8,), rules=("gauss",))
+    got = integrate_chart(dens, chart, mesh)
+    assert [len(b) for b in seen] == [BLOCK, BLOCK, 8]
+    assert np.all(np.diff(np.concatenate(seen)[:, 0]) > 0)
+    assert got == pytest.approx(0.5, abs=1e-14)
 
 
 def test_pairwise_sum_fixed_tree():
@@ -76,7 +92,7 @@ def test_pairwise_sum_fixed_tree():
 def test_product_volume_s2_x_s1():
     prod = Chart("s2xs1", ((0.0, math.pi), (0.0, 2 * math.pi), (0.0, 2 * math.pi)),
                  (False, True, True))
-    vol = integrate_chart(lambda x: math.sin(x[0]), prod, mesh_for_chart(prod, 3))
+    vol = integrate_chart(lambda x: np.sin(x[:, 0]), prod, mesh_for_chart(prod, 3))
     assert vol == pytest.approx(8 * math.pi**2, rel=1e-8)
 
 
@@ -137,7 +153,7 @@ def test_gauss_exact_for_polynomials(deg, seed):
     rng = np.random.default_rng(seed)
     coeffs = rng.normal(size=deg + 1)
     seg = Chart("seg", ((0.0, 1.0),), (False,))
-    got = integrate_chart(lambda x: sum(c * x[0] ** m for m, c in enumerate(coeffs)),
+    got = integrate_chart(lambda x: sum(c * x[:, 0] ** m for m, c in enumerate(coeffs)),
                           seg, mesh_for_chart(seg, 1))
     want = sum(c / (m + 1) for m, c in enumerate(coeffs))
     assert got == pytest.approx(want, abs=1e-12)

@@ -47,7 +47,7 @@ def test_convergence_study_writes_csv(tmp_path, capsys):
     rows = out.read_text(encoding="utf-8").splitlines()
     assert len(rows) == 2
     assert rows[0] == "level,nodes,value,diff,order"
-    # the script records no node count, so the nodes column is not checked
-    level, _, value, diff, order = rows[1].split(",")
-    assert (level, diff, order) == ("1", "", "")
+    # the level-1 cylinder chart of the 2-sphere has 24 x 4 nodes
+    level, nodes, value, diff, order = rows[1].split(",")
+    assert (level, nodes, diff, order) == ("1", "96", "", "")
     assert float(value) == pytest.approx(chi, abs=1e-12)

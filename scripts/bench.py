@@ -1,0 +1,89 @@
+#!/usr/bin/env python3
+"""Record the benchmark of one or more checkouts in one JSON file.
+
+    python3 scripts/bench.py BENCH_6.json [CHECKOUT ...]
+
+For each workload, plain (--trace 0) and traced (--trace 1), runs
+
+    python3 perfbench/run.py --workload W --seed 0 --trace T
+
+in every checkout in turn (default: this repository), so that a slow spell
+of the machine hits all checkouts alike.  The file records the machine (CPU
+count, Python and numpy versions), and for each checkout its git SHA (and
+whether tracked files differ from it), the output of
+`wc -l src/gblab/*.py` and the final JSON line of every run.  Standard
+library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+COMMAND = [sys.executable, "perfbench/run.py"]
+WORKLOADS = ("interior", "slice_limits", "path_gauge")
+SEED = 0
+
+
+def _output(cmd, cwd) -> str:
+    return subprocess.run(cmd, cwd=cwd, capture_output=True, text=True, check=True).stdout
+
+
+def machine() -> dict:
+    numpy = _output([sys.executable, "-c", "import numpy; print(numpy.__version__)"], ROOT)
+    return {"cpu_count": os.cpu_count(), "python": platform.python_version(),
+            "numpy": numpy.strip(), "platform": platform.platform()}
+
+
+def _revision(path: Path) -> dict:
+    """HEAD's SHA and whether tracked files differ from it; None outside git."""
+    try:
+        sha = _output(["git", "rev-parse", "HEAD"], path).strip()
+        changed = _output(["git", "status", "--porcelain", "--untracked-files=no"], path)
+    except (OSError, subprocess.CalledProcessError):
+        return {"sha": None, "dirty": None}
+    return {"sha": sha, "dirty": bool(changed.strip())}
+
+
+def _line_counts(path: Path) -> list:
+    files = sorted(p.relative_to(path).as_posix() for p in (path / "src" / "gblab").glob("*.py"))
+    return _output(["wc", "-l", *files], path).splitlines()
+
+
+def bench(out, checkouts) -> dict:
+    """Run every workload in every checkout and write the record to out."""
+    paths = [Path(c).resolve() for c in checkouts]
+    records = [{**_revision(p), "wc_l": _line_counts(p), "runs": []} for p in paths]
+    for workload in WORKLOADS:
+        for trace in (0, 1):
+            args = ["--workload", workload, "--seed", str(SEED), "--trace", str(trace)]
+            for path, record in zip(paths, records):
+                lines = _output(COMMAND + args, path).strip().splitlines()
+                record["runs"].append({"workload": workload, "seed": SEED, "trace": trace,
+                                       "result": json.loads(lines[-1])})
+                label = f"{record['sha'] or path.name}{'+' if record['dirty'] else ''}"
+                print(f"{label} {workload} trace={trace}: {lines[-1][:100]}", flush=True)
+    doc = {"machine": machine(), "checkouts": records,
+           "command": "python3 perfbench/run.py --workload W --seed 0 --trace T"}
+    Path(out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return doc
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("out", help="JSON file to write, e.g. BENCH_6.json")
+    ap.add_argument("checkouts", nargs="*", default=[str(ROOT)],
+                    help="checkouts to run, in this order (default: this repository)")
+    args = ap.parse_args(argv)
+    bench(args.out, args.checkouts)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

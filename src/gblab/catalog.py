@@ -285,7 +285,7 @@ def _cone_collar(link: str, f_of_r: Callable) -> CollarMetric:
         base_dim=0, fiber_dim=ldim, base_chart=None, fiber_chart=link_chart,
         base_metric=None,
         fiber_metric=lambda r, y: cone_rate(r) ** 2 * link_metric(y),
-        chi_base=1, chi_fiber=0 if ldim % 2 else 2,
+        chi_fiber=0 if ldim % 2 else 2,
     )
     return CollarMetric(
         boundary_chart=link_chart, r_interval=(0.0, 1.25), radial_metric=radial,
@@ -380,7 +380,7 @@ def _build_catenoid(params):
         fibration=FibrationData(
             base_dim=1, fiber_dim=0, base_chart=circle_chart, fiber_chart=None,
             base_metric=lambda y: np.array([[1.0]]), fiber_metric=None,
-            chi_base=0, chi_fiber=1,
+            chi_fiber=1,
         ),
     )
     return GeometrySpec(
@@ -427,7 +427,7 @@ def _product_collar(base: str, fiber: str, fiber_scale: Callable, base_scale: Ca
     fib = FibrationData(
         base_dim=bdim, fiber_dim=fdim, base_chart=bch, fiber_chart=fch,
         base_metric=bmet, fiber_metric=lambda r, y: fmet(y),
-        chi_base=_CHI[base], chi_fiber=_CHI[fiber],
+        chi_fiber=_CHI[fiber],
     )
     return CollarMetric(
         boundary_chart=n_chart, r_interval=r_interval, radial_metric=radial,

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import catalog, verify
-from .quadrature import ConvergenceTable
+from .quadrature import ConvergenceTable, mesh_for_chart
 
 OUTPUT_DIR_ENV = "GBLAB_OUT"
 
@@ -212,10 +212,11 @@ def cmd_converge(args) -> int:
     params = _parse_params(args.params)
     table = ConvergenceTable()
     last = None
+    spec = verify.resolve_spec(args.check, args.geometry, params or None)
     for level in range(1, args.levels + 1):
-        last = verify.run_check(args.check, geometry=args.geometry,
-                                params=params or None, level=level)
-        table.add(level, 0, _primary_value(last))
+        last = verify.run_check(args.check, geometry=spec, level=level)
+        nodes = sum(mesh_for_chart(chart, level).total_nodes for chart, _ in spec.charts)
+        table.add(level, nodes, _primary_value(last))
         row = table.rows[-1]
         diff = "" if row[3] is None else f" diff={row[3]:.3e}"
         print(f"level {level}: value={row[2]:.12g}{diff}")

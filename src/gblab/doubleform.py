@@ -173,11 +173,6 @@ class DoubleForm:
         return z
 
     @staticmethod
-    def from_coeffs(n: int, p: int, q: int, coeffs) -> "DoubleForm":
-        arr = np.array(coeffs)
-        return DoubleForm(n, p, q, arr)
-
-    @staticmethod
     def metric_form(n: int, exact: bool = False) -> "DoubleForm":
         """The metric as a (1,1) form in an orthonormal frame: sum e^i (x) e^i."""
         if exact:
@@ -187,13 +182,6 @@ class DoubleForm:
         else:
             c = np.eye(n)
         return DoubleForm(n, 1, 1, c)
-
-    @staticmethod
-    def volume(n: int) -> "DoubleForm":
-        """The (n,0) form with unit coefficient."""
-        z = DoubleForm.zero(n, n, 0)
-        z.coeffs[0, 0] = 1.0
-        return z
 
     # -- algebra -----------------------------------------------------------
 

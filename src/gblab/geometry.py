@@ -3,22 +3,26 @@
 Metrics are plain point -> SPD-matrix functions on coordinate boxes.  An
 evaluator maps points of shape (..., d) to matrices of shape (..., d, d); a
 constant metric may return one (d, d) matrix, which is broadcast.  The jet,
-curvature, frame and slice functions take the same leading batch axes, so
-one call serves a single point or a whole block of quadrature nodes, and
-every per-sample check applies to each node of the block.  Every
-first derivative goes through one central stencil of order 2 or 4,
-_central_diff: the metric jet (dg and the mixed d2g), the slice metric in r,
-the transported gauge, and the h^phi frame.  The metric jet evaluates each
-stencil point once; its diagonal second derivatives use the matching
-three- or five-point formula.  Curvature is assembled from metric first and
-second derivatives through first-kind Christoffel symbols, which is
-algebraically the same as differencing the second-kind symbols but much
-better conditioned where coordinates degenerate.
+curvature, frame, slice, metric-path gauge and phi-connection functions take
+the same leading batch axes, so one call serves a single point or a whole
+block of points, and every per-sample check applies to each point of the
+block.  The gauge's parallel transport along g_s = (1-s) g0 + s g1 is in
+closed form: with g0 = L L^T and L^{-1} g1 L^{-T} = Q diag(lam) Q^T,
+tau(s) = L^{-T} Q diag((1 + s(lam-1))^(-1/2)) Q^T L^T, one Cholesky and one
+eigh per stencil point and no ODE steps.  Every first derivative goes
+through one central stencil of order 2 or 4, _central_diff: the metric jet
+(dg and the mixed d2g), the slice metric in r, the transported gauge, and
+the h^phi frame.  The metric jet evaluates each stencil point once; its
+diagonal second derivatives use the matching three- or five-point formula.
+Curvature is assembled from metric first and second derivatives through
+first-kind Christoffel symbols, which is algebraically the same as
+differencing the second-kind symbols but much better conditioned where
+coordinates degenerate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
 
@@ -34,7 +38,6 @@ __all__ = [
     "Slice",
     "SliceData",
     "GaugePath",
-    "PhiConnection",
     "DomainError",
     "MetricError",
     "christoffel",
@@ -312,8 +315,8 @@ def riemann_double_form(m: MetricField, x, frame: Optional[np.ndarray] = None):
 class FibrationData:
     """Trivial-product fibration of the collar cross-section N = F x B.
 
-    Coordinates on N are ordered fiber-first.  Euler characteristics of the
-    pieces are stored reference data.
+    Coordinates on N are ordered fiber-first.  The Euler characteristic of
+    the fiber is stored reference data.
     """
 
     base_dim: int
@@ -322,13 +325,7 @@ class FibrationData:
     fiber_chart: Optional[Chart]
     base_metric: Optional[Callable] = None     # y_b -> (b, b) matrix
     fiber_metric: Optional[Callable] = None    # r, y_f -> (f, f) matrix
-    product_split: bool = True
-    chi_base: Optional[int] = None
     chi_fiber: Optional[int] = None
-
-    def __post_init__(self):
-        if not self.product_split:
-            raise MetricError("only trivial-product fibrations are supported")
 
 
 @dataclass(frozen=True)
@@ -427,59 +424,75 @@ def slice_data(c: CollarMetric, r: float) -> Slice:
 
 @dataclass
 class GaugePath:
-    """Pointwise gauge of the affine metric path at a point.
+    """Gauge of the affine metric path at a point or a block of points.
 
     All fields are expressed in the g0 orthonormal frame E0.  theta[k] and
-    theta_dot[k] have shape (d, d, d): [frame direction, i, j].
+    theta_dot[k] have shape (..., d, d, d): [batch..., frame direction, i, j].
+    curvature[k] is the (2,2) double form with the same batch axes (the
+    unbatched zero form when curvature is skipped).
     """
 
-    x: np.ndarray
     s_nodes: np.ndarray
-    frame: np.ndarray
-    tau: list
     theta: list
     theta_dot: list
-    curvature: list   # DoubleForm (2,2) per s node
+    curvature: list
 
 
-def _transport_ode(g0_stack, g1_stack, s0: float, s1: float, tau0: np.ndarray,
-                   substeps: int) -> np.ndarray:
-    """Batched RK4 for dtau/ds = -1/2 g_s^{-1} gdot tau between s0 and s1.
+def _path_eigenbasis(g0: np.ndarray, g1: np.ndarray):
+    """A, A^{-1} and lam with g1 A = g0 A diag(lam), for stacks of SPD pairs.
 
-    g0_stack, g1_stack, tau0 have shape (m, d, d); all m systems march
-    together.
+    With g0 = L L^T and L^{-1} g1 L^{-T} = Q diag(lam) Q^T, A = L^{-T} Q:
+    one Cholesky and one eigh per pair.  Every g_s on the affine path is
+    SPD exactly when g0 is and every lam > 0.
     """
-    gdot = g1_stack - g0_stack
+    try:
+        L = np.linalg.cholesky(g0)
+        Linv = np.linalg.inv(L)
+        lam, Q = np.linalg.eigh(Linv @ g1 @ np.swapaxes(Linv, -1, -2))
+    except np.linalg.LinAlgError as exc:
+        raise MetricError("metric loses positive definiteness along the path") from exc
+    if not np.all(lam > 0.0):
+        raise MetricError("metric loses positive definiteness along the path")
+    return np.swapaxes(Linv, -1, -2) @ Q, np.swapaxes(Q, -1, -2) @ np.swapaxes(L, -1, -2), lam
 
-    def rhs(s, T):
-        gs = (1.0 - s) * g0_stack + s * g1_stack
-        return -0.5 * np.linalg.solve(gs, gdot @ T)
 
-    T = tau0
-    hs = (s1 - s0) / substeps
-    s = s0
-    for _ in range(substeps):
-        k1 = rhs(s, T)
-        k2 = rhs(s + 0.5 * hs, T + 0.5 * hs * k1)
-        k3 = rhs(s + 0.5 * hs, T + 0.5 * hs * k2)
-        k4 = rhs(s + hs, T + hs * k3)
-        T = T + (hs / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        s += hs
-    return T
+def _path_transport(A, Ainv, lam, s: float):
+    """Closed-form transport tau(s) and dtau/ds of the path g_s = (1-s) g0 + s g1.
+
+    The matrices g_s^{-1} gdot commute for all s, so dtau/ds =
+    -1/2 g_s^{-1} gdot tau with tau(0) = Id is solved exactly by
+    tau(s) = A diag((1 + s(lam-1))^(-1/2)) A^{-1} = (g0^{-1} g_s)^(-1/2).
+    """
+    D = 1.0 + s * (lam - 1.0)
+    tau = (A * (D ** -0.5)[..., None, :]) @ Ainv
+    rate = (A * (-0.5 * (lam - 1.0) * D ** -1.5)[..., None, :]) @ Ainv
+    return tau, rate
+
+
+def _connection(ginv: np.ndarray, gamma1: np.ndarray) -> np.ndarray:
+    """Connection matrices omega[..., a, k, j] = Gamma^k_{aj} from first-kind symbols."""
+    return np.einsum("...km,...ajm->...akj", ginv, gamma1)
 
 
 def metric_path_gauge(g0: MetricField, g1: MetricField, x, steps: int = 16,
-                      substeps: int = 2, need_curvature: bool = True) -> GaugePath:
+                      need_curvature: bool = True) -> GaugePath:
     """Gauge the path g_s = (1-s) g0 + s g1 to the fixed bundle (TM, g0).
 
-    Solves the parallel-transport equation of the generalized cylinder
-    pointwise and builds theta^s = nabla^s - nabla^0, its exact s-derivative,
-    and the gauged curvature, all in the g0 orthonormal frame.  Since the
-    path is affine, every g_s derivative is a combination of one stencil
-    sweep per endpoint, and theta_dot follows from the transport equation
-    with no differencing in s.  need_curvature=False skips the curvature
-    samples (enough for surfaces, where the transgression integrand carries
-    no curvature factor).
+    x is a point or a block of points of shape (..., d); every field of the
+    result carries the same leading axes, and one evaluator call per
+    endpoint and stencil offset serves the whole block.  The parallel
+    transport of the generalized cylinder is exact: with g0 = L L^T and
+    L^{-1} g1 L^{-T} = Q diag(lam) Q^T,
+    tau(s) = L^{-T} Q diag((1 + s(lam-1))^(-1/2)) Q^T L^T, taken at the
+    center and at each first-derivative stencil point.  From it come
+    theta^s = nabla^s - nabla^0, its exact s-derivative, and the gauged
+    curvature, all in the g0 orthonormal frame; d/dx of tau is the shared
+    central stencil over those points.  Since the path is affine, every g_s
+    derivative is a combination of one stencil sweep per endpoint, and
+    theta_dot uses dtau/ds = -1/2 g_s^{-1} gdot tau with no differencing in
+    s.  need_curvature=False skips the curvature samples (enough for
+    surfaces, where the transgression integrand carries no curvature
+    factor).
     """
     if steps < 8:
         raise MetricError("metric_path_gauge needs steps >= 8")
@@ -494,102 +507,72 @@ def metric_path_gauge(g0: MetricField, g1: MetricField, x, steps: int = 16,
     order = g0.fd_order
     s_nodes = np.linspace(0.0, 1.0, steps + 1)
 
-    # one stencil sweep per endpoint; the samples also seed the transport
+    # one stencil sweep per endpoint; its center and first-derivative rows
+    # also feed the transport
     g0c, dg0, d2g0, samples0 = _metric_jet(g0, x, want_second=need_curvature)
     g1c, dg1, d2g1, samples1 = _metric_jet(g1, x, want_second=need_curvature)
-    # parallel transport at the center (row 0) and the first-derivative
-    # stencil points, batched
+    # transport rows: the center (row 0) and the first-derivative stencil points
     offsets = [off for off in samples0 if off.count(0) >= d - 1]
     axis_rows = [{} for _ in range(d)]
     for row, off in enumerate(offsets):
         for a, k in enumerate(off):
             if k:
                 axis_rows[a][k] = row
-    g0_stack = np.stack([samples0[off] for off in offsets])
-    g1_stack = np.stack([samples1[off] for off in offsets])
-    try:
-        np.linalg.cholesky(g0_stack)
-        np.linalg.cholesky(g1_stack)
-    except np.linalg.LinAlgError as exc:
-        raise MetricError("metric loses positive definiteness along the path") from exc
-    tau_stack = [np.broadcast_to(np.eye(d), g0_stack.shape).copy()]
-    for k in range(steps):
-        tau_stack.append(_transport_ode(g0_stack, g1_stack, s_nodes[k],
-                                        s_nodes[k + 1], tau_stack[-1], substeps))
+    A, Ainv, lam = _path_eigenbasis(np.stack([samples0[off] for off in offsets]),
+                                    np.stack([samples1[off] for off in offsets]))
+    del samples0, samples1   # the s loop needs only the rows; keeps peak memory down
 
     def along_axes(stack):
-        """d_a of a quantity stacked over the rows, one entry per axis a."""
-        return [_central_diff(lambda k, rows=rows: stack[rows[k]], h[a], order)
-                for a, rows in enumerate(axis_rows)]
+        """d_a of a quantity stacked over the rows, on axis -3 of the result."""
+        return np.stack([_central_diff(lambda k, rows=rows: stack[rows[k]], h[a], order)
+                         for a, rows in enumerate(axis_rows)], axis=-3)
 
-    gdot_stack = g1_stack - g0_stack
     gdot = g1c - g0c
     dgdot = dg1 - dg0
     gamma1_dot = _christoffel_first(dgdot)
 
     E0 = _frame_of(g0c)
     E0inv = np.linalg.inv(E0)
-    # omega0[a][i][j]: connection form of g0 in coordinate direction a
-    omega0 = np.einsum("km,ajm->akj", np.linalg.inv(g0c), _christoffel_first(dg0))
+    omega0 = _connection(np.linalg.inv(g0c), _christoffel_first(dg0))
 
-    thetas, theta_dots, curvs = [], [], []
-    for k, s in enumerate(s_nodes):
+    def to_on(mat):
+        inner = E0inv[..., None, :, :] @ mat @ E0[..., None, :, :]
+        return np.einsum("...ma,...mij->...aij", E0, inner)
+
+    def gauged_curvature(s):
+        """Curvature of g_s pulled back by tau(s), in the g0 orthonormal frame."""
+        tau = _path_transport(A[0], Ainv[0], lam[0], s)[0]
+        F = _curvature_coord((1.0 - s) * g0c + s * g1c, (1.0 - s) * dg0 + s * dg1,
+                             (1.0 - s) * d2g0 + s * d2g1)
+        Fg = np.einsum("...ijkl,...kc,...ld->...ijcd", F, tau, tau)
+        return DoubleForm(d, 2, 2, _pair_coeffs(Fg, E0))
+
+    # the curvature goes first, while few other arrays are alive: at d = 4 its
+    # temporaries set the peak memory
+    curvs = [gauged_curvature(s) if need_curvature else DoubleForm.zero(d, 2, 2)
+             for s in s_nodes]
+    thetas, theta_dots = [], []
+    for s in s_nodes:
         gs = (1.0 - s) * g0c + s * g1c
         gs_inv = np.linalg.inv(gs)
         dgs = (1.0 - s) * dg0 + s * dg1
         gamma1_s = _christoffel_first(dgs)
-        omegas = np.einsum("km,ajm->akj", gs_inv, gamma1_s)
-        omegas_dot = (np.einsum("km,ajm->akj", -gs_inv @ gdot @ gs_inv, gamma1_s)
-                      + np.einsum("km,ajm->akj", gs_inv, gamma1_dot))
-        taus = tau_stack[k]
-        # dtau/ds from the transport equation, at every stencil row at once
-        rates = -0.5 * np.linalg.solve((1.0 - s) * g0_stack + s * g1_stack,
-                                       gdot_stack @ taus)
-        tau = taus[0]
+        omegas = _connection(gs_inv, gamma1_s)
+        omegas_dot = (_connection(-gs_inv @ gdot @ gs_inv, gamma1_s)
+                      + _connection(gs_inv, gamma1_dot))
+        taus, rates = _path_transport(A, Ainv, lam, s)
+        tau, taudot = taus[0], rates[0]
         tauinv = np.linalg.inv(tau)
-        taudot = rates[0]
-        dtau = along_axes(taus)
-        dtaudot = along_axes(rates)
-        theta_coord = np.stack([
-            tauinv @ (dtau[mu] + omegas[mu] @ tau) - omega0[mu] for mu in range(d)
-        ])
-        # exact s-derivative of tau^{-1}(d tau + omega_s tau)
-        tid = -tauinv @ taudot @ tauinv
-        theta_dot_coord = np.stack([
-            tid @ (dtau[mu] + omegas[mu] @ tau)
-            + tauinv @ (dtaudot[mu] + omegas_dot[mu] @ tau + omegas[mu] @ taudot)
-            for mu in range(d)
-        ])
+        T, Tinv = tau[..., None, :, :], tauinv[..., None, :, :]
+        # theta = tau^{-1}(d tau + omega_s tau) - omega_0, and its exact s-derivative
+        core = along_axes(taus) + omegas @ T
+        thetas.append(to_on(Tinv @ core - omega0))
+        tid = -(tauinv @ taudot @ tauinv)[..., None, :, :]
+        theta_dots.append(to_on(
+            tid @ core
+            + Tinv @ (along_axes(rates) + omegas_dot @ T + omegas @ taudot[..., None, :, :])))
 
-        def to_on(mat):
-            return np.einsum("ma,mij->aij", E0,
-                             np.einsum("ij,mjk,kl->mil", E0inv, mat, E0))
-
-        thetas.append(to_on(theta_coord))
-        theta_dots.append(to_on(theta_dot_coord))
-
-        if need_curvature:
-            d2gs = (1.0 - s) * d2g0 + s * d2g1
-            F = _curvature_coord(gs, dgs, d2gs)
-            Fg = np.einsum("ijkl,kc,ld->ijcd", F, tau, tau)
-            form = DoubleForm(d, 2, 2, _pair_coeffs(Fg, E0))
-        else:
-            form = DoubleForm.zero(d, 2, 2)
-        curvs.append(form)
-
-    return GaugePath(x=x, s_nodes=s_nodes, frame=E0,
-                     tau=[taus[0] for taus in tau_stack],
-                     theta=thetas, theta_dot=theta_dots, curvature=curvs)
-
-
-@dataclass
-class PhiConnection:
-    """phi-conjugated connection sample in the h^phi orthonormal frame."""
-
-    r: float
-    y: np.ndarray
-    omega: np.ndarray   # [mu, i, j], mu over (r,) + N coordinates
-    frame: np.ndarray
+    return GaugePath(s_nodes=s_nodes, theta=thetas, theta_dot=theta_dots, curvature=curvs)
 
 
 def _phi_matrix(r: float, dim: int, fiber_dim: int) -> np.ndarray:
@@ -599,12 +582,14 @@ def _phi_matrix(r: float, dim: int, fiber_dim: int) -> np.ndarray:
     return phi
 
 
-def phi_conjugated_connection(c: CollarMetric, g: MetricField, r: float, y) -> PhiConnection:
+def phi_conjugated_connection(c: CollarMetric, g: MetricField, r: float, y) -> np.ndarray:
     """phi nabla^g phi^{-1} in the h^phi orthonormal frame at (r, y).
 
-    phi multiplies the vertical block by r and fixes the radial and
-    horizontal directions; r must be nonzero.  The r -> 0 value is defined
-    only through extrapolation of these samples.
+    y is a point or a block of points (..., n) of the slice chart; returns
+    omega[..., mu, i, j], mu over the (r,) + N coordinates.  phi multiplies
+    the vertical block by r and fixes the radial and horizontal directions;
+    r must be nonzero.  The r -> 0 value is defined only through
+    extrapolation of these samples.
     """
     if r == 0:
         raise DomainError("phi conjugation at r = 0 is defined only by extrapolation")
@@ -612,42 +597,38 @@ def phi_conjugated_connection(c: CollarMetric, g: MetricField, r: float, y) -> P
     if fib is None:
         raise MetricError("phi conjugation needs fibration data on the collar")
     y = np.asarray(y, dtype=float)
-    x = np.concatenate(([r], y))
+    x = np.concatenate((np.full(y.shape[:-1] + (1,), r), y), axis=-1)
     d = g.chart.dim
     f = fib.fiber_dim
 
-    gamma = christoffel(g, x)
-    omega_coord = np.stack([gamma[:, mu, :] for mu in range(d)])  # [mu, i, j]
+    omega_coord = np.swapaxes(christoffel(g, x), -3, -2)  # [..., mu, i, j]
     phi = _phi_matrix(r, d, f)
-    phiinv = np.linalg.inv(phi)
-    conj = np.einsum("ik,mkl,lj->mij", phi, omega_coord, phiinv)
+    conj = phi @ omega_coord @ np.linalg.inv(phi)
     # subtract (d phi) phi^{-1}: only the radial direction contributes 1/r
     for a in range(1, 1 + f):
-        conj[0, a, a] -= 1.0 / r
+        conj[..., 0, a, a] -= 1.0 / r
 
     E, dE = phi_frame(c, r, y, 1e-3 * abs(r))
-    Einv = np.linalg.inv(E)
-    omega_on = np.stack([Einv @ (dE[mu] + conj[mu] @ E) for mu in range(d)])
-    return PhiConnection(r=r, y=y, omega=omega_on, frame=E)
+    return np.linalg.inv(E)[..., None, :, :] @ (dE + conj @ E[..., None, :, :])
 
 
 def phi_frame(c: CollarMetric, r: float, y, h_r: float):
-    """h^phi orthonormal frame E at (r, y) and its derivatives dE[mu].
+    """h^phi orthonormal frame E at (r, y) and its derivatives dE[..., mu, :, :].
 
-    dE differences the blockwise Cholesky frame at order 2, with step h_r
-    along r and the collar's relative step along the slice axes.
+    y is a point or a block (..., n).  dE differences the blockwise Cholesky
+    frame at order 2, with step h_r along r and the collar's relative step
+    along the slice axes.
     """
     fib = c.fibration
     y = np.asarray(y, dtype=float)
-    x = np.concatenate(([r], y))
     steps = np.concatenate(([h_r], c.fd_rel_step * c.boundary_chart.extents))
 
     def frame_at(mu, k):
-        p = x.copy()
-        p[mu] += k * steps[mu]
-        return _frame_of(_h_phi_matrix(c, fib, p[0], p[1:]))
+        shift = k * steps[mu] * np.eye(steps.size)[mu]   # along r or one slice axis
+        return _frame_of(_h_phi_matrix(c, fib, r + shift[0], y + shift[1:]))
 
-    dE = np.stack([_central_diff(partial(frame_at, mu), steps[mu], 2) for mu in range(x.size)])
+    dE = np.stack([_central_diff(partial(frame_at, mu), steps[mu], 2)
+                   for mu in range(steps.size)], axis=-3)
     return _frame_of(_h_phi_matrix(c, fib, r, y)), dE
 
 

@@ -170,46 +170,40 @@ def boundary_correction_form(s, k: int, ctx: OrientedFrameContext) -> DoubleForm
 
 
 def path_transgression_form(gauge, k: int, ctx: OrientedFrameContext) -> DoubleForm:
-    """Transgression primitive along a gauged metric path at one point.
+    """Transgression primitive along a gauged metric path.
 
     Composite-Simpson integral over s of B(theta_dot^s R_s^(k-1))/(k-1)!,
-    returning a (2k-1, 0) form in the path's base orthonormal frame.
+    returning a (2k-1, 0) form in the path's base orthonormal frame, with
+    the batch axes of the gauge (one form per point of its block).
     """
     s = gauge.s_nodes
     if len(s) < 9:
         raise quad.ResolutionError("path transgression needs >= 8 steps")
-    n = gauge.theta[0].shape[0]
-    vals = []
-    for idx in range(len(s)):
-        td = gauge.theta_dot[idx]
-        theta_form = _skew_matrix_to_double_form(td, n)
-        integrand = berezin(wedge(theta_form, power(gauge.curvature[idx], k - 1)), ctx)
-        vals.append(integrand)
     h = s[1] - s[0]
-    acc = DoubleForm.zero(n, integrand.p, 0)
-    for idx, form in enumerate(vals):
-        if idx == 0 or idx == len(vals) - 1:
+    acc = None
+    for idx, (td, R) in enumerate(zip(gauge.theta_dot, gauge.curvature)):
+        if idx == 0 or idx == len(s) - 1:
             w = 1.0
         elif idx % 2 == 1:
             w = 4.0
         else:
             w = 2.0
-        acc = acc + (w * h / 3.0) * form
+        integrand = berezin(wedge(_skew_matrix_to_double_form(td), power(R, k - 1)), ctx)
+        term = (w * h / 3.0) * integrand
+        acc = term if acc is None else acc + term
     return (1.0 / math.factorial(k - 1)) * acc
 
 
-def _skew_matrix_to_double_form(theta: np.ndarray, n: int) -> DoubleForm:
+def _skew_matrix_to_double_form(theta: np.ndarray) -> DoubleForm:
     """(1,2) double form of a skew-endomorphism-valued 1-form.
 
-    theta[a, i, j] = <e_i, theta(e_a) e_j>; the second slot pairs (i < j)
-    with coefficient theta[a, i, j].
+    theta[..., a, i, j] = <e_i, theta(e_a) e_j>; the second slot pairs
+    (i < j) with the skew part of theta[..., a, i, j].  Leading axes are
+    batch axes.
     """
-    form = DoubleForm.zero(n, 1, 2)
-    pairs = multi_indices(n, 2)
-    for a in range(n):
-        for c, (i, j) in enumerate(pairs):
-            form.coeffs[a, c] = 0.5 * (theta[a, i, j] - theta[a, j, i])
-    return form
+    n = theta.shape[-1]
+    i, j = np.array(multi_indices(n, 2), dtype=np.intp).reshape(-1, 2).T
+    return DoubleForm(n, 1, 2, 0.5 * (theta[..., i, j] - theta[..., j, i]))
 
 
 # -- integrated closed forms -------------------------------------------------

@@ -43,6 +43,7 @@ __all__ = [
     "CHECK_IDS",
     "DEFAULT_SUITE",
     "EPSILONS",
+    "resolve_spec",
     "run_check",
     "run_suite",
     "calibrate",
@@ -132,11 +133,6 @@ def chart_integral(chart, density, level: int) -> float:
     """Integral of a block density (see quadrature.integrate_chart) over chart."""
     mesh = quad.mesh_for_chart(chart, level)
     return quad.integrate_chart(density, chart, mesh)
-
-
-def _per_node(fn):
-    """A block density from a per-point one, mapped over the block's nodes."""
-    return lambda xs: np.array([fn(x) for x in xs])
 
 
 def curvature_integral(mf: MetricField, level: int, top, order: int = 4, fd_rel=None) -> float:
@@ -286,13 +282,13 @@ def horizontal_closed_value(collar: CollarMetric, level: int) -> float:
 
 
 def _phi_limit(collar: CollarMetric, g_full: MetricField, rs, y) -> np.ndarray:
-    """Entrywise r -> 0 extrapolation of the phi-conjugated connection at y."""
-    omegas = [phi_conjugated_connection(collar, g_full, r, y).omega for r in rs]
-    out = np.zeros(omegas[0].shape)
-    for idx in np.ndindex(out.shape):
-        out[idx], _ = quad.r_limit_extrapolate([(r, w[idx]) for r, w in zip(rs, omegas)],
-                                               degree=4)
-    return out
+    """Entrywise r -> 0 extrapolation of the phi-conjugated connection at y.
+
+    y is a point or a block of points of the slice chart.
+    """
+    samples = [(r, phi_conjugated_connection(collar, g_full, r, y)) for r in rs]
+    limit, _ = quad.r_limit_extrapolate(samples, degree=4)
+    return limit
 
 
 def _phi_reference(collar: CollarMetric, y) -> np.ndarray:
@@ -392,8 +388,8 @@ def _boundary_two_route(spec, k, level):
     """Path-transgression route against the slice integrand near the boundary.
 
     The affine path from the frozen product metric to the true collar metric
-    is gauged pointwise; its transgression integral over a nearby slice must
-    match the closed-form boundary integrand there.
+    is gauged on each block of slice nodes; its transgression integral over
+    a nearby slice must match the closed-form boundary integrand there.
     """
     collar = spec.collar
     rho = spec.params["rho"]
@@ -406,15 +402,13 @@ def _boundary_two_route(spec, k, level):
     slice_rank = index_rank(nb + 1, tuple(range(1, nb + 1)))
 
     def dens(y):
-        x = np.concatenate(([r_b], y))
+        x = np.concatenate((np.full(y.shape[:-1] + (1,), r_b), y), axis=-1)
         gauge = metric_path_gauge(g0, full, x, steps=16)
-        form = inv.path_transgression_form(gauge, k, ctx)
-        c = form.coeffs[slice_rank, 0]
-        h = frozen(y)
-        return c * math.sqrt(np.linalg.det(h))
+        c = inv.path_transgression_form(gauge, k, ctx).coeffs[..., slice_rank, 0]
+        return c * np.sqrt(np.linalg.det(frozen(y)))
 
     lvl = max(1, level - 1)
-    path_route = chart_integral(collar.boundary_chart, _per_node(dens), lvl)
+    path_route = chart_integral(collar.boundary_chart, dens, lvl)
     direct = slice_transgression_plus(collar, r_b, lvl)
     return abs(path_route - direct) / max(abs(direct), 1e-12)
 
@@ -626,21 +620,18 @@ def check_first_order_conic(spec, level, tol):
     def gterm_density(y):
         lim = _phi_limit(spec.collar, g_full, rs, y)
         f = fib.fiber_dim
-        II = np.zeros((f, f))
         E0 = _frame_of(_h_phi_matrix(spec.collar, fib, 0.0, y))
-        for a in range(f):
-            for b in range(f):
-                II[a, b] = sum(E0[mu, 1 + a] * lim[mu, 0, 1 + b] for mu in range(lim.shape[0]))
-        II = 0.5 * (II + II.T)
+        II = np.einsum("...ma,...mb->...ab", E0[..., :, 1:1 + f], lim[..., :, 0, 1:1 + f])
+        II = 0.5 * (II + np.swapaxes(II, -1, -2))
         sd = SliceData(
             r=0.0, h=np.eye(f), second_fundamental=DoubleForm(f, 1, 1, II),
             curvature=_link_curvature(spec, y), frame=np.eye(f), sqrt_det=1.0,
             orientation=-1,
         )
-        c = inv.boundary_correction_form(sd, k, ctxN).coeffs[0, 0]
-        return c * math.sqrt(np.linalg.det(fib.fiber_metric(0.0, y)))
+        c = inv.boundary_correction_form(sd, k, ctxN).coeffs[..., 0, 0]
+        return c * np.sqrt(np.linalg.det(fib.fiber_metric(0.0, y)))
 
-    gterm = chart_integral(chartN, _per_node(gterm_density), level)
+    gterm = chart_integral(chartN, gterm_density, level)
     singular = 1.0 + gterm / TWO_PI**k
     lhs = TWO_PI**k * spec.chi_ref
     rhs = interior - outer + TWO_PI**k * singular
@@ -666,43 +657,35 @@ def check_transgression_stokes(spec, level, tol):
         raise ConfigurationError("TransgressionStokes runs on the 2-torus")
     chart, g0 = spec.charts[0]
     amp = 0.25
-    u = lambda x: amp * math.sin(x[0]) * math.cos(x[1])
 
     def g1_ev(x):
-        return math.exp(2.0 * u(x)) * np.eye(2)
+        u = amp * np.sin(x[..., 0]) * np.cos(x[..., 1])
+        return np.exp(2.0 * u)[..., None, None] * np.eye(2)
 
     g1 = MetricField(chart, g1_ev, fd_rel_step=g0.fd_rel_step)
     ctx = OrientedFrameContext(2)
-
-    def tpf_components(x):
-        gauge = metric_path_gauge(g0, g1, np.asarray(x, dtype=float), steps=16,
-                                  need_curvature=False)
-        form = inv.path_transgression_form(gauge, 1, ctx)
-        return form.coeffs[:, 0].copy()   # flat frame = coordinate frame
-
-    def delta_pf(x):
-        R1, _ = riemann_double_form(g1, x)
-        c1 = inv.pfaffian_form(R1, ctx).coeffs[0, 0] * math.sqrt(np.linalg.det(g1.g(x)))
-        return c1  # flat reference term vanishes identically
-
     n_grid = 32
     hs = 1e-3
     xs = np.linspace(0.0, 2.0 * math.pi, n_grid, endpoint=False)
-    worst = 0.0
-    max_dpf = 0.0
-    pts = [(x, y) for x in xs for y in xs]
-
-    def residual_at(p):
-        x, y = p
-        dx = _central_diff(lambda k: tpf_components((x + k * hs, y)), hs, 2)
-        dy = _central_diff(lambda k: tpf_components((x, y + k * hs)), hs, 2)
-        return dx[1] - dy[0], delta_pf((x, y))
-
-    vals = [residual_at(p) for p in pts]
-    for d01, dpf in vals:
-        max_dpf = max(max_dpf, abs(dpf))
-    for d01, dpf in vals:
-        worst = max(worst, abs(d01 - dpf))
+    pts = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1).reshape(-1, 2)
+    # the Stokes stencil: offsets k = -1, 1 along each axis a, in units of hs
+    shifts = [(a, k) for a in range(2) for k in (-1, 1)]
+    gaps, dpfs = [], []
+    for lo in range(0, len(pts), quad.BLOCK):
+        p = pts[lo : lo + quad.BLOCK]
+        x = np.stack([p + k * hs * np.eye(2)[a] for a, k in shifts])
+        gauge = metric_path_gauge(g0, g1, x, steps=16, need_curvature=False)
+        # flat frame = coordinate frame
+        tpf = dict(zip(shifts, inv.path_transgression_form(gauge, 1, ctx).coeffs[..., 0]))
+        dx = _central_diff(lambda k: tpf[0, k], hs, 2)
+        dy = _central_diff(lambda k: tpf[1, k], hs, 2)
+        R1, _ = riemann_double_form(g1, p)
+        # the flat reference term vanishes identically
+        dpf = inv.pfaffian_form(R1, ctx).coeffs[..., 0, 0] * np.sqrt(np.linalg.det(g1.g(p)))
+        gaps.append(dx[:, 1] - dy[:, 0] - dpf)
+        dpfs.append(dpf)
+    worst = float(np.max(np.abs(np.concatenate(gaps))))
+    max_dpf = float(np.max(np.abs(np.concatenate(dpfs))))
     computed = {"max_pointwise_gap": worst, "max_delta_pf": max_dpf,
                 "grid": n_grid, "conformal_amplitude": amp}
     return _result("TransgressionStokes", spec, computed,
@@ -842,26 +825,36 @@ DEFAULT_SUITE = (
 )
 
 
-def run_check(check_id: str, geometry=None, params=None, level=None, tol=None) -> CheckResult:
-    """Run one registered check; failures surface as failed results.
+def resolve_spec(check_id: str, geometry=None, params=None):
+    """The geometry a check runs on.
 
-    geometry may be a name (resolved through the catalog) or a prepared
-    GeometrySpec.  Non-convergence or numeric trouble inside a check is
-    captured into a failed CheckResult rather than raised.
+    geometry may be a name (resolved through the catalog with params) or a
+    prepared GeometrySpec; None takes the check's first default row, with
+    params overriding its parameters.
     """
     if check_id not in CHECKS:
         raise ConfigurationError(f"unknown check {check_id!r}")
-    defaults = [row for row in DEFAULT_SUITE if row[0] == check_id]
     if geometry is None:
+        defaults = [row for row in DEFAULT_SUITE if row[0] == check_id]
         if not defaults:
             raise ConfigurationError(f"no default geometry for {check_id}")
         geometry, dparams = defaults[0][1], dict(defaults[0][2])
         dparams.update(params or {})
         params = dparams
     if isinstance(geometry, str):
-        spec = catalog.get(geometry, **(params or {}))
-    else:
-        spec = geometry
+        return catalog.get(geometry, **(params or {}))
+    return geometry
+
+
+def run_check(check_id: str, geometry=None, params=None, level=None, tol=None) -> CheckResult:
+    """Run one registered check; failures surface as failed results.
+
+    geometry and params select the geometry as in resolve_spec.
+    Non-convergence or numeric trouble inside a check is captured into a
+    failed CheckResult rather than raised.
+    """
+    spec = resolve_spec(check_id, geometry, params)
+    defaults = [row for row in DEFAULT_SUITE if row[0] == check_id]
     match = [row for row in defaults if row[1] == spec.name
              and all(spec.params.get(k) == v for k, v in row[2].items())]
     if not match:

@@ -87,6 +87,9 @@ def test_converge_writes_csv(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "level,nodes,value,diff,order"
     assert len(lines) == 4  # header + one row per level
+    # the cylinder chart of the 2-sphere has 24 x 4 nodes at level 1, and
+    # each level doubles the count
+    assert [int(row.split(",")[1]) for row in lines[1:]] == [96, 192, 384]
 
 
 def test_converge_diffs_shrink(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gblab import catalog
-from gblab.doubleform import DoubleForm, wedge
+from gblab.doubleform import DoubleForm, OrientedFrameContext, wedge
 from gblab.geometry import (
     Chart,
     CollarMetric,
@@ -15,6 +15,8 @@ from gblab.geometry import (
     MetricError,
     MetricField,
     _central_diff,
+    _path_eigenbasis,
+    _path_transport,
     christoffel,
     metric_path_gauge,
     orthonormal_frame,
@@ -344,6 +346,12 @@ def test_gauge_rejects_bad_paths():
         metric_path_gauge(g0, g0, np.array([0.1, 0.1]), steps=4)
     with pytest.raises(MetricError):
         metric_path_gauge(g0, g0.with_order(4), np.array([0.1, 0.1]))
+    # one non-SPD endpoint sample inside a block fails the whole block
+    pts = np.array([[1.0, 0.5], [1.5, 2.0], [3.0, 1.0]])
+    bent = MetricField(TORUS2, lambda x: _diag2(np.ones(x.shape[:-1]), 2.5 - x[..., 0]))
+    with pytest.raises(MetricError):
+        metric_path_gauge(g0, bent, pts)
+    metric_path_gauge(g0, bent, pts[:2])
 
 
 @pytest.mark.parametrize("need_curvature,calls", [(False, 5), (True, 9)])
@@ -357,9 +365,89 @@ def test_gauge_samples_each_stencil_point_once(need_curvature, calls):
         return wrapped
 
     g0 = MetricField(TORUS2, counting("g0", lambda x: np.eye(2)))
-    g1 = MetricField(TORUS2, counting("g1", lambda x: (1.5 + 0.2 * math.sin(x[0])) * np.eye(2)))
-    metric_path_gauge(g0, g1, np.array([0.9, 1.7]), steps=8, need_curvature=need_curvature)
+    g1 = MetricField(TORUS2, counting(
+        "g1", lambda x: (1.5 + 0.2 * np.sin(x[..., 0]))[..., None, None] * np.eye(2)))
+    block = np.array([[0.9, 1.7], [2.0, 0.3], [4.1, 5.5]])
+    gauge = metric_path_gauge(g0, g1, block, steps=8, need_curvature=need_curvature)
     assert counts == {"g0": calls, "g1": calls}
+    assert gauge.theta_dot[0].shape == (3, 2, 2, 2)
+
+
+def _spd_pair(seed, d, log_cond):
+    """Two random SPD matrices, each with condition number up to 10**log_cond."""
+    rng = np.random.default_rng(seed)
+
+    def spd():
+        q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        return (q * 10.0 ** rng.uniform(0.0, log_cond, size=d)) @ q.T
+
+    g0, g1 = spd(), spd()
+    return 0.5 * (g0 + g0.T), 0.5 * (g1 + g1.T)
+
+
+def _amax(a):
+    return np.max(np.abs(a))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.floats(0.0, 3.0),
+       st.floats(0.0, 1.0))
+def test_closed_form_transport_solves_the_transport_equation(seed, d, log_cond, s):
+    # pairs up to condition 1e3 each, so the generalized eigenvalues spread
+    # over up to six decades; the rows stack two pairs as a batch
+    pairs = [_spd_pair(seed + i, d, log_cond) for i in range(2)]
+    g0 = np.stack([p[0] for p in pairs])
+    g1 = np.stack([p[1] for p in pairs])
+    tau, rate = _path_transport(*_path_eigenbasis(g0, g1), s)
+    gs = (1.0 - s) * g0 + s * g1
+    for i in range(2):
+        # tau^T g_s tau = g0: the transport is an isometry onto (TM, g0)
+        iso = tau[i].T @ gs[i] @ tau[i] - g0[i]
+        assert _amax(iso) <= 1e-12 * _amax(tau[i]) ** 2 * _amax(gs[i])
+        # dtau/ds + 1/2 g_s^{-1} gdot tau = 0, multiplied through by g_s
+        ode = gs[i] @ rate[i] + 0.5 * (g1[i] - g0[i]) @ tau[i]
+        scale = _amax(gs[i]) * _amax(rate[i]) + max(_amax(g0[i]), _amax(g1[i])) * _amax(tau[i])
+        assert _amax(ode) <= 1e-12 * scale
+    if s == 0.0:
+        assert _amax(tau - np.eye(d)) <= 1e-12 * _amax(tau)
+
+
+BOX2 = Chart("box2", ((-1.0, 1.0),) * 2, (False,) * 2)
+BOX4 = Chart("box4", ((-1.0, 1.0),) * 4, (False,) * 4)
+
+
+def _scaled(ev, a):
+    """ev times the rational factor 1 + a x_0^2."""
+    return lambda x: (1.0 + a * np.asarray(x)[..., 0] ** 2)[..., None, None] * ev(x)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.tuples(*[st.floats(-0.9, 0.9)] * 4), min_size=1, max_size=4),
+       st.floats(0.0, 2.0), st.floats(0.0, 1.0), st.sampled_from([2, 4]))
+def test_gauge_on_a_block_equals_per_point_calls(pts, c, a, d):
+    from gblab.invariants import path_transgression_form
+
+    chart = BOX2 if d == 2 else BOX4
+    ev = _rational_metric(c)
+    g0 = MetricField(chart, ev)
+    g1 = MetricField(chart, _scaled(_rational_metric(c + 0.5), a))
+    need_curvature = d == 4
+    k = d // 2
+    ctx = OrientedFrameContext(d)
+    X = np.array(pts)[:, :d]
+    block = metric_path_gauge(g0, g1, X, steps=8, need_curvature=need_curvature)
+    form = path_transgression_form(block, k, ctx)
+    assert form.coeffs.shape[0] == len(X)
+    for i, x in enumerate(X):
+        one = metric_path_gauge(g0, g1, x, steps=8, need_curvature=need_curvature)
+        want = path_transgression_form(one, k, ctx).coeffs
+        assert _amax(form.coeffs[i] - want) <= 1e-12 * max(1.0, _amax(want))
+        for got, ref in ((block.theta, one.theta), (block.theta_dot, one.theta_dot)):
+            for gk, rk in zip(got, ref):
+                assert _amax(gk[i] - rk) <= 1e-12 * max(1.0, _amax(rk))
+        if need_curvature:
+            for gk, rk in zip(block.curvature, one.curvature):
+                assert _amax(gk.coeffs[i] - rk.coeffs) <= 1e-12 * max(1.0, _amax(rk.coeffs))
 
 
 # -- the central stencil ----------------------------------------------------------------
@@ -432,11 +520,26 @@ def test_phi_connection_rejects_r_zero():
 def test_phi_connection_model_cone_angular_block():
     spec = catalog.get("geometric_cone", link="s1", theta=1.0)
     g = spec.collar.full_metric()
-    pc = phi_conjugated_connection(spec.collar, g, 0.05, np.array([1.0]))
+    omega = phi_conjugated_connection(spec.collar, g, 0.05, np.array([1.0]))
     # angular direction: rotation block; radial direction: vanishing
-    assert pc.omega[1, 0, 1] == pytest.approx(-1.0, abs=1e-6)
-    assert pc.omega[1, 1, 0] == pytest.approx(1.0, abs=1e-6)
-    assert np.max(np.abs(pc.omega[0])) < 1e-8
+    assert omega[1, 0, 1] == pytest.approx(-1.0, abs=1e-6)
+    assert omega[1, 1, 0] == pytest.approx(1.0, abs=1e-6)
+    assert np.max(np.abs(omega[0])) < 1e-8
+
+
+@pytest.mark.parametrize("name,params", [
+    ("geometric_cone", {"link": "s1", "theta": 1.0}),
+    ("edge_product", {"base": "s2", "fiber": "s1"}),
+])
+def test_phi_connection_on_a_block_equals_per_point_calls(name, params):
+    collar = catalog.get(name, **params).collar
+    g = collar.full_metric()
+    ys = np.array(collar.boundary_chart.random_interior(np.random.default_rng(2), 4, shrink=0.2))
+    block = phi_conjugated_connection(collar, g, 0.05, ys)
+    assert block.shape == (4,) + (g.chart.dim,) * 3
+    for omega, y in zip(block, ys):
+        want = phi_conjugated_connection(collar, g, 0.05, y)
+        assert _amax(omega - want) <= 1e-12 * max(1.0, _amax(want))
 
 
 def test_phi_connection_product_metric_identity():
@@ -447,9 +550,9 @@ def test_phi_connection_product_metric_identity():
 
     fib = FibrationData(base_dim=1, fiber_dim=0, base_chart=circle, fiber_chart=None,
                         base_metric=lambda y: np.eye(1), fiber_metric=None,
-                        chi_base=0, chi_fiber=1)
+                        chi_fiber=1)
     collar = CollarMetric(circle, (0.0, 2.0), lambda r: (lambda y: np.eye(1)),
                           fibration=fib)
     g = collar.full_metric()
-    pc = phi_conjugated_connection(collar, g, 0.5, np.array([1.0]))
-    assert np.max(np.abs(pc.omega)) < 1e-9
+    omega = phi_conjugated_connection(collar, g, 0.5, np.array([1.0]))
+    assert np.max(np.abs(omega)) < 1e-9

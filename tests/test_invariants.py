@@ -249,3 +249,18 @@ def test_horizontal_edge_reduction_to_product():
     # -(Pf integral of the base) x (cone closed form of the fiber at one)
     got = inv.horizontal_edge_value({1: 4 * math.pi}, {0: TWO_PI}, 2, 2, 1)
     assert got == pytest.approx(-8 * math.pi**2)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10_000), st.integers(2, 5), st.sampled_from([(), (3,), (2, 2)]))
+def test_skew_matrix_form_matches_the_pair_loop(seed, n, batch):
+    from gblab.doubleform import multi_indices
+
+    theta = np.random.default_rng(seed).normal(size=batch + (n, n, n))
+    form = inv._skew_matrix_to_double_form(theta)
+    assert form.coeffs.shape == batch + (n, n * (n - 1) // 2)
+    for idx in np.ndindex(batch):
+        for a in range(n):
+            for c, (i, j) in enumerate(multi_indices(n, 2)):
+                want = 0.5 * (theta[idx][a, i, j] - theta[idx][a, j, i])
+                assert form.coeffs[idx][a, c] == want

@@ -135,6 +135,20 @@ def test_extrapolate_recovers_polynomial(degree, seed):
     assert value == pytest.approx(coeffs[0], abs=1e-9 * max(1.0, abs(coeffs[0])))
 
 
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from([(), (3,), (2, 3, 2)]))
+def test_extrapolate_array_samples_entry_by_entry(seed, shape):
+    rs = geometric_schedule(0.3, 6)
+    vals = np.random.default_rng(seed).normal(size=(6,) + shape)
+    value, _ = r_limit_extrapolate(list(zip(rs, vals)), degree=4)
+    assert np.shape(value) == shape
+    for idx in np.ndindex(shape):
+        one, _ = r_limit_extrapolate([(r, v[idx]) for r, v in zip(rs, vals)], degree=4)
+        assert abs(np.asarray(value)[idx] - one) <= 1e-12 * max(1.0, np.max(np.abs(vals)))
+    if not shape:
+        assert isinstance(value, float)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.floats(-6.0, 6.0), st.integers(0, 10_000))
 def test_degree_four_on_the_six_point_schedule_is_well_conditioned(log_r0, seed):

@@ -1,7 +1,9 @@
 """The scripts under scripts/ run against the current API."""
 
 import importlib.util
+import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -51,3 +53,24 @@ def test_convergence_study_writes_csv(tmp_path, capsys):
     level, nodes, value, diff, order = rows[1].split(",")
     assert (level, nodes, diff, order) == ("1", "96", "", "")
     assert float(value) == pytest.approx(chi, abs=1e-12)
+
+
+def test_bench_records_every_run_of_a_stub_command(tmp_path, monkeypatch, capsys):
+    script = _load("bench")
+    # the stub prints some noise and then its arguments as the final JSON line
+    stub = "import json, sys; print('# noise'); print(json.dumps({'argv': sys.argv[1:]}))"
+    monkeypatch.setattr(script, "COMMAND", [sys.executable, "-c", stub])
+    out = tmp_path / "BENCH.json"
+    assert script.main([str(out), str(SCRIPTS.parent)]) == 0
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert set(doc["machine"]) == {"cpu_count", "python", "numpy", "platform"}
+    (record,) = doc["checkouts"]
+    assert record["sha"] is None or (len(record["sha"]) == 40 and record["dirty"] in (True, False))
+    assert record["wc_l"][-1].split()[-1] == "total"
+    assert any(line.endswith("src/gblab/geometry.py") for line in record["wc_l"])
+    runs = [(r["workload"], r["trace"]) for r in record["runs"]]
+    assert runs == [(w, t) for w in ("interior", "slice_limits", "path_gauge") for t in (0, 1)]
+    for r in record["runs"]:
+        assert r["result"] == {"argv": ["--workload", r["workload"], "--seed", "0",
+                                        "--trace", str(r["trace"])]}
+    assert len(capsys.readouterr().out.splitlines()) == 6

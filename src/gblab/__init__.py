@@ -4,7 +4,6 @@ from .doubleform import (
     DoubleForm,
     OrientedFrameContext,
     berezin,
-    linear_combine,
     pfaffian_skew,
     power,
     wedge,
@@ -16,7 +15,6 @@ __all__ = [
     "DoubleForm",
     "OrientedFrameContext",
     "berezin",
-    "linear_combine",
     "pfaffian_skew",
     "power",
     "wedge",

@@ -259,7 +259,7 @@ def _build_disk(params):
         boundary_chart=link_chart,
         r_interval=(0.0, 1.25 * rho),
         radial_metric=lambda r: (lambda y: _scalar_factor(r) ** 2 * link_metric(y)),
-        epsilon=+1, singular_end="upper",
+        singular_end="upper",
     )
     mf = MetricField(chart, collar.full_metric().evaluator)
     return GeometrySpec(
@@ -289,7 +289,7 @@ def _cone_collar(link: str, f_of_r: Callable) -> CollarMetric:
     )
     return CollarMetric(
         boundary_chart=link_chart, r_interval=(0.0, 1.25), radial_metric=radial,
-        epsilon=-1, singular_end="lower", fibration=fib,
+        singular_end="lower", fibration=fib,
     )
 
 
@@ -376,7 +376,7 @@ def _build_catenoid(params):
     collar = CollarMetric(
         boundary_chart=circle_chart, r_interval=(1.0, 4.0 * r_hi),
         radial_metric=lambda r: (lambda y: _scalar_factor(1.0 + r**2)),
-        epsilon=+1, singular_end="infinity",
+        singular_end="infinity",
         fibration=FibrationData(
             base_dim=1, fiber_dim=0, base_chart=circle_chart, fiber_chart=None,
             base_metric=lambda y: np.array([[1.0]]), fiber_metric=None,
@@ -395,7 +395,7 @@ _CHI = {"s1": 0, "s2": 2, "t3": 0}
 
 
 def _product_collar(base: str, fiber: str, fiber_scale: Callable, base_scale: Callable,
-                    r_interval: tuple, epsilon: int, singular_end: str) -> CollarMetric:
+                    r_interval: tuple, singular_end: str) -> CollarMetric:
     """Collar over N = F x B, fiber coordinates first, with metric
     g(r) = fiber_scale(r) g_F + base_scale(r) g_B."""
     pieces = {
@@ -431,7 +431,7 @@ def _product_collar(base: str, fiber: str, fiber_scale: Callable, base_scale: Ca
     )
     return CollarMetric(
         boundary_chart=n_chart, r_interval=r_interval, radial_metric=radial,
-        epsilon=epsilon, singular_end=singular_end, fibration=fib,
+        singular_end=singular_end, fibration=fib,
     )
 
 
@@ -439,7 +439,7 @@ def _build_edge_product(params):
     base = str(params.get("base", "s2"))
     fiber = str(params.get("fiber", "s1"))
     collar = _product_collar(base, fiber, lambda r: r**2, lambda r: 1.0,
-                             (0.0, 1.0), -1, "lower")
+                             (0.0, 1.0), "lower")
     n_chart = collar.boundary_chart
     full_chart = Chart(
         f"edge-{fiber}x{base}", ((0.0, 1.0),) + n_chart.bounds,
@@ -463,7 +463,7 @@ def _build_edge_horizontal(params):
     if not 1.0 + beta > 0:
         raise RegistryError(f"edge_horizontal needs 1 + beta > 0, got beta={beta!r}")
     collar = _product_collar(base, fiber, lambda r: r**2, lambda r: (1.0 + beta * r) ** 2,
-                             (0.0, 1.0), -1, "lower")
+                             (0.0, 1.0), "lower")
     return GeometrySpec(
         name="edge_horizontal", params={"base": base, "fiber": fiber, "beta": beta},
         charts=(), collar=collar, fibration=collar.fibration,
@@ -475,7 +475,7 @@ def _build_fibered_product(params):
     base = str(params.get("base", "s2"))
     fiber = str(params.get("fiber", "s1"))
     collar = _product_collar(base, fiber, lambda r: 1.0, lambda r: r**2,
-                             (2.0, 800.0), +1, "infinity")
+                             (2.0, 800.0), "infinity")
     return GeometrySpec(
         name="fibered_product", params={"base": base, "fiber": fiber},
         charts=(), collar=collar, fibration=collar.fibration,

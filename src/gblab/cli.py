@@ -145,7 +145,7 @@ def cmd_describe(args) -> int:
         print(f"  chart {chart.name}: bounds={chart.bounds} periodic={chart.periodic}")
     if spec.collar is not None:
         print(f"  collar over {spec.collar.boundary_chart.name}: "
-              f"r in {spec.collar.r_interval}, epsilon={spec.collar.epsilon}, "
+              f"r in {spec.collar.r_interval}, epsilon={verify.EPSILONS[spec.family]}, "
               f"singular_end={spec.collar.singular_end}")
     if spec.chi_pieces:
         print(f"  chi pieces: {spec.chi_pieces}")

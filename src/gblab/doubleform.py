@@ -25,7 +25,6 @@ __all__ = [
     "ShapeError",
     "multi_indices",
     "index_rank",
-    "linear_combine",
     "wedge",
     "power",
     "berezin",
@@ -219,13 +218,6 @@ class DoubleForm:
 
     def allclose(self, other: "DoubleForm", tol: float = 1e-12) -> bool:
         return self.same_shape(other) and (self - other).norm_inf() <= tol
-
-
-def linear_combine(a: DoubleForm, b: DoubleForm, s, t) -> DoubleForm:
-    """Coefficientwise s*a + t*b; shapes must agree."""
-    if not a.same_shape(b):
-        raise ShapeError("linear_combine needs matching (n, p, q)")
-    return DoubleForm(a.n, a.p, a.q, s * a.coeffs + t * b.coeffs)
 
 
 def wedge(a: DoubleForm, b: DoubleForm) -> DoubleForm:

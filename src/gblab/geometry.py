@@ -17,7 +17,8 @@ diagonal second derivatives use the matching three- or five-point formula.
 Curvature is assembled from metric first and second derivatives through
 first-kind Christoffel symbols, which is algebraically the same as
 differencing the second-kind symbols but much better conditioned where
-coordinates degenerate.
+coordinates degenerate.  Slices and the gauged path return only what the
+transgression integrands read; orientation signs are verify.EPSILONS.
 """
 
 from __future__ import annotations
@@ -42,8 +43,6 @@ __all__ = [
     "MetricError",
     "christoffel",
     "riemann_double_form",
-    "orthonormal_frame",
-    "slice_data",
     "metric_path_gauge",
     "phi_frame",
     "phi_conjugated_connection",
@@ -86,14 +85,10 @@ class Chart:
     def extents(self) -> np.ndarray:
         return np.array([hi - lo for lo, hi in self.bounds])
 
-    def random_interior(self, rng, count: int, shrink: float = 0.05):
-        pts = []
-        for _ in range(count):
-            pts.append(np.array([
-                lo + (shrink + (1 - 2 * shrink) * rng.random()) * (hi - lo)
-                for lo, hi in self.bounds
-            ]))
-        return pts
+    def random_interior(self, rng, count: int, shrink: float = 0.05) -> np.ndarray:
+        """count points (count, d) drawn uniformly from the box shrunk by shrink per side."""
+        lo, hi = np.array(self.bounds, dtype=float).T
+        return lo + (shrink + (1 - 2 * shrink) * rng.random((count, self.dim))) * (hi - lo)
 
 
 def _spd_check(g: np.ndarray) -> np.ndarray:
@@ -146,9 +141,6 @@ class MetricField:
                 raise DomainError(
                     f"finite-difference stencil leaves chart {self.chart.name!r} at axis {i}"
                 )
-
-    def with_order(self, order: int) -> "MetricField":
-        return MetricField(self.chart, self.evaluator, self.fd_rel_step, order)
 
 
 def _diff_weights(order: int):
@@ -243,13 +235,8 @@ def _christoffel_from(g: np.ndarray, dg: np.ndarray) -> np.ndarray:
     return np.einsum("...km,...ijm->...kij", ginv, g1)
 
 
-def orthonormal_frame(m: MetricField, x) -> np.ndarray:
-    """Cholesky-based frame E with E^T g E = Id and positive determinant."""
-    g = m.g(x)
-    return _frame_of(g)
-
-
 def _frame_of(g: np.ndarray) -> np.ndarray:
+    """Cholesky-based frame E with E^T g E = Id and det E = 1 / sqrt(det g) > 0."""
     try:
         L = np.linalg.cholesky(g)
     except np.linalg.LinAlgError as exc:
@@ -333,17 +320,15 @@ class CollarMetric:
     """Normal-form collar dr^2 + g(r) over a boundary chart.
 
     radial_metric(r) returns the y -> matrix evaluator of g(r) on N; r is a
-    number or an array of y's batch shape (as full_metric passes it).  The
-    orientation flag epsilon records how the slice-transgression sign relates
-    to the plus convention (outward normal +d_r, slice oriented by the chart).
+    number or an array of y's batch shape (as full_metric passes it).
     singular_end marks where the degenerate locus sits: "lower" (r -> 0),
-    "upper" (boundary at the top of the interval), or "infinity".
+    "upper" (boundary at the top of the interval), or "infinity".  The
+    orientation sign is the geometry family's flag in verify.EPSILONS.
     """
 
     boundary_chart: Chart
     r_interval: tuple
     radial_metric: Callable
-    epsilon: int = 1
     singular_end: str = "upper"
     fibration: Optional[FibrationData] = None
     fd_rel_step: float = 1e-4
@@ -377,15 +362,13 @@ class CollarMetric:
 
 @dataclass(frozen=True)
 class SliceData:
-    """Pointwise slice record: induced metric, II, curvature, frame."""
+    """Slice record at a point or a block: II and R in the orthonormal frame
+    of the induced metric h, with the points' batch axes, and sqrt(det h)."""
 
-    r: float
-    h: np.ndarray
-    second_fundamental: DoubleForm   # (1,1), orthonormal frame, normal +d_r
+    second_fundamental: DoubleForm   # (1,1), normal +d_r
     curvature: DoubleForm            # (2,2) of the induced metric
     frame: np.ndarray
     sqrt_det: np.ndarray             # batch shape of the points
-    orientation: int
 
 
 class Slice:
@@ -411,29 +394,25 @@ class Slice:
         ii_on = np.swapaxes(E, -1, -2) @ (-0.5 * dh) @ E
         ii = DoubleForm(h.shape[-1], 1, 1, 0.5 * (ii_on + np.swapaxes(ii_on, -1, -2)))
         curv, _ = riemann_double_form(self.field, y, frame=E)
-        return SliceData(
-            r=r, h=h, second_fundamental=ii, curvature=curv, frame=E,
-            sqrt_det=np.sqrt(np.linalg.det(h)), orientation=c.epsilon,
-        )
+        return SliceData(second_fundamental=ii, curvature=curv, frame=E,
+                         sqrt_det=np.sqrt(np.linalg.det(h)))
 
 
-def slice_data(c: CollarMetric, r: float) -> Slice:
-    """Slice accessor at radius r; data at a point via .at(y)."""
-    return Slice(c, r)
+# Even number of Simpson steps in s on the affine metric path
+PATH_STEPS = 16
 
 
 @dataclass
 class GaugePath:
     """Gauge of the affine metric path at a point or a block of points.
 
-    All fields are expressed in the g0 orthonormal frame E0.  theta[k] and
-    theta_dot[k] have shape (..., d, d, d): [batch..., frame direction, i, j].
-    curvature[k] is the (2,2) double form with the same batch axes (the
-    unbatched zero form when curvature is skipped).
+    All fields are at the Simpson nodes s_nodes, in the g0 orthonormal frame
+    E0.  theta_dot[k] = d/ds theta^s has shape (..., d, d, d): [batch...,
+    frame direction, i, j].  curvature[k] is the (2,2) double form with the
+    same batch axes (the unbatched zero form when curvature is skipped).
     """
 
     s_nodes: np.ndarray
-    theta: list
     theta_dot: list
     curvature: list
 
@@ -474,7 +453,7 @@ def _connection(ginv: np.ndarray, gamma1: np.ndarray) -> np.ndarray:
     return np.einsum("...km,...ajm->...akj", ginv, gamma1)
 
 
-def metric_path_gauge(g0: MetricField, g1: MetricField, x, steps: int = 16,
+def metric_path_gauge(g0: MetricField, g1: MetricField, x,
                       need_curvature: bool = True) -> GaugePath:
     """Gauge the path g_s = (1-s) g0 + s g1 to the fixed bundle (TM, g0).
 
@@ -484,20 +463,16 @@ def metric_path_gauge(g0: MetricField, g1: MetricField, x, steps: int = 16,
     transport of the generalized cylinder is exact: with g0 = L L^T and
     L^{-1} g1 L^{-T} = Q diag(lam) Q^T,
     tau(s) = L^{-T} Q diag((1 + s(lam-1))^(-1/2)) Q^T L^T, taken at the
-    center and at each first-derivative stencil point.  From it come
-    theta^s = nabla^s - nabla^0, its exact s-derivative, and the gauged
-    curvature, all in the g0 orthonormal frame; d/dx of tau is the shared
-    central stencil over those points.  Since the path is affine, every g_s
-    derivative is a combination of one stencil sweep per endpoint, and
-    theta_dot uses dtau/ds = -1/2 g_s^{-1} gdot tau with no differencing in
-    s.  need_curvature=False skips the curvature samples (enough for
-    surfaces, where the transgression integrand carries no curvature
-    factor).
+    center and at each first-derivative stencil point.  From it come the
+    exact s-derivative of theta^s = nabla^s - nabla^0 and the gauged
+    curvature at the PATH_STEPS + 1 nodes s_k = k / PATH_STEPS, all in the
+    g0 orthonormal frame; d/dx of tau is the shared central stencil over
+    those points.  Since the path is affine, every g_s derivative is a
+    combination of one stencil sweep per endpoint, and theta_dot uses
+    dtau/ds = -1/2 g_s^{-1} gdot tau with no differencing in s.
+    need_curvature=False skips the curvature samples (enough for surfaces,
+    where the transgression integrand carries no curvature factor).
     """
-    if steps < 8:
-        raise MetricError("metric_path_gauge needs steps >= 8")
-    if steps % 2:
-        steps += 1
     x = np.asarray(x, dtype=float)
     if (g0.chart is not g1.chart and g0.chart.bounds != g1.chart.bounds) or \
             (g0.fd_rel_step, g0.fd_order) != (g1.fd_rel_step, g1.fd_order):
@@ -505,7 +480,7 @@ def metric_path_gauge(g0: MetricField, g1: MetricField, x, steps: int = 16,
     d = g0.chart.dim
     h = g0.steps()
     order = g0.fd_order
-    s_nodes = np.linspace(0.0, 1.0, steps + 1)
+    s_nodes = np.linspace(0.0, 1.0, PATH_STEPS + 1)
 
     # one stencil sweep per endpoint; its center and first-derivative rows
     # also feed the transport
@@ -533,7 +508,6 @@ def metric_path_gauge(g0: MetricField, g1: MetricField, x, steps: int = 16,
 
     E0 = _frame_of(g0c)
     E0inv = np.linalg.inv(E0)
-    omega0 = _connection(np.linalg.inv(g0c), _christoffel_first(dg0))
 
     def to_on(mat):
         inner = E0inv[..., None, :, :] @ mat @ E0[..., None, :, :]
@@ -551,7 +525,7 @@ def metric_path_gauge(g0: MetricField, g1: MetricField, x, steps: int = 16,
     # temporaries set the peak memory
     curvs = [gauged_curvature(s) if need_curvature else DoubleForm.zero(d, 2, 2)
              for s in s_nodes]
-    thetas, theta_dots = [], []
+    theta_dots = []
     for s in s_nodes:
         gs = (1.0 - s) * g0c + s * g1c
         gs_inv = np.linalg.inv(gs)
@@ -564,15 +538,14 @@ def metric_path_gauge(g0: MetricField, g1: MetricField, x, steps: int = 16,
         tau, taudot = taus[0], rates[0]
         tauinv = np.linalg.inv(tau)
         T, Tinv = tau[..., None, :, :], tauinv[..., None, :, :]
-        # theta = tau^{-1}(d tau + omega_s tau) - omega_0, and its exact s-derivative
+        # the exact s-derivative of theta = tau^{-1}(d tau + omega_s tau) - omega_0
         core = along_axes(taus) + omegas @ T
-        thetas.append(to_on(Tinv @ core - omega0))
         tid = -(tauinv @ taudot @ tauinv)[..., None, :, :]
         theta_dots.append(to_on(
             tid @ core
             + Tinv @ (along_axes(rates) + omegas_dot @ T + omegas @ taudot[..., None, :, :])))
 
-    return GaugePath(s_nodes=s_nodes, theta=thetas, theta_dot=theta_dots, curvature=curvs)
+    return GaugePath(s_nodes=s_nodes, theta_dot=theta_dots, curvature=curvs)
 
 
 def _phi_matrix(r: float, dim: int, fiber_dim: int) -> np.ndarray:

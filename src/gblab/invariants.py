@@ -33,7 +33,6 @@ from .doubleform import (
     power,
     wedge,
 )
-from . import quadrature as quad
 
 __all__ = [
     "double_factorial",
@@ -150,14 +149,13 @@ def variation_form(i: int, b: int, R: DoubleForm, g_dot: DoubleForm,
     return c * berezin(wedge(power(R, i), power(g_dot, b - 2 * i)), ctx)
 
 
-def boundary_correction_form(s, k: int, ctx: OrientedFrameContext) -> DoubleForm:
+def boundary_correction_form(II: DoubleForm, R: DoubleForm, k: int,
+                             ctx: OrientedFrameContext) -> DoubleForm:
     """Gauss-Bonnet boundary integrand on a (2k-1)-dimensional slice.
 
-    s carries the slice second fundamental form (normal +d_r convention)
-    and induced curvature in a common orthonormal frame.
+    II is the slice second fundamental form (normal +d_r convention) and R
+    the induced curvature, in a common orthonormal frame.
     """
-    II = s.second_fundamental
-    R = s.curvature
     n = II.n
     if n != 2 * k - 1:
         raise ShapeError("slice dimension must be 2k-1")
@@ -177,8 +175,6 @@ def path_transgression_form(gauge, k: int, ctx: OrientedFrameContext) -> DoubleF
     the batch axes of the gauge (one form per point of its block).
     """
     s = gauge.s_nodes
-    if len(s) < 9:
-        raise quad.ResolutionError("path transgression needs >= 8 steps")
     h = s[1] - s[0]
     acc = None
     for idx, (td, R) in enumerate(zip(gauge.theta_dot, gauge.curvature)):

@@ -216,10 +216,10 @@ def r_limit_extrapolate(samples, degree: int = 3):
     """Polynomial extrapolation of (r_i, v_i) samples to r = 0.
 
     Fits sum a_m r^m by least squares on the scaled variable r/r_max and
-    returns (value_at_zero, condition_warning).  The v_i may also be arrays
-    of one shape: each entry is fitted on its own and the value is an array
-    of that shape.  Serves r -> infinity limits via the substitution u = 1/r
-    on the caller's side.
+    returns the value at zero.  The v_i may also be arrays of one shape:
+    each entry is fitted on its own and the value is an array of that
+    shape.  Serves r -> infinity limits via the substitution u = 1/r on the
+    caller's side.
     """
     rs = np.asarray([s[0] for s in samples], dtype=float)
     vs = np.asarray([s[1] for s in samples], dtype=float)
@@ -232,5 +232,4 @@ def r_limit_extrapolate(samples, degree: int = 3):
     V = np.vander(x, degree + 1, increasing=True)
     coef, *_ = np.linalg.lstsq(V, vs.reshape(rs.size, -1), rcond=None)
     value = coef[0].reshape(vs.shape[1:])
-    cond = np.linalg.cond(V)
-    return (float(value) if value.ndim == 0 else value), bool(cond > 1e8)
+    return float(value) if value.ndim == 0 else value

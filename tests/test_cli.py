@@ -2,6 +2,7 @@
 
 import json
 
+from gblab import catalog, verify
 from gblab.cli import main
 
 
@@ -18,6 +19,17 @@ def test_describe(capsys):
     out = capsys.readouterr().out
     assert "fibered" in out
     assert main(["describe", "nonexistent"]) == 2
+
+
+def test_describe_prints_the_frozen_orientation_flag(capsys):
+    # the edge identities use EPSILONS["edge"] = +1
+    assert main(["describe", "edge_product"]) == 0
+    assert "epsilon=1," in capsys.readouterr().out
+    for entry in catalog.list_geometries():
+        spec = catalog.get(entry["name"])
+        if spec.collar is not None:
+            assert main(["describe", entry["name"]]) == 0
+            assert f"epsilon={verify.EPSILONS[spec.family]}," in capsys.readouterr().out
 
 
 def test_unknown_flags_exit_two(capsys):

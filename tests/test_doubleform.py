@@ -13,7 +13,6 @@ from gblab.doubleform import (
     ShapeError,
     berezin,
     index_rank,
-    linear_combine,
     multi_indices,
     pfaffian_skew,
     power,
@@ -111,10 +110,10 @@ def test_linear_combine_identity_and_cancellation():
     rng = np.random.default_rng(0)
     a = _rand_form(rng, 3, 1, 2)
     b = _rand_form(rng, 3, 1, 2)
-    assert linear_combine(a, b, 1.0, 0.0).allclose(a)
-    assert linear_combine(a, a, 1.0, -1.0).is_zero()
+    assert (1.0 * a + 0.0 * b).allclose(a)
+    assert (1.0 * a + -1.0 * a).is_zero()
     ones = DoubleForm(2, 1, 1, np.ones((2, 2)))
-    combo = linear_combine(ones, ones, 2.0, 3.0)
+    combo = 2.0 * ones + 3.0 * ones
     assert np.allclose(combo.coeffs, 5.0)
 
 
@@ -122,7 +121,7 @@ def test_linear_combine_shape_mismatch():
     a = DoubleForm.zero(3, 1, 1)
     b = DoubleForm.zero(3, 2, 1)
     with pytest.raises(ShapeError):
-        linear_combine(a, b, 1.0, 1.0)
+        1.0 * a + 1.0 * b
 
 
 # -- wedge ---------------------------------------------------------------------
@@ -198,8 +197,8 @@ def test_wedge_bilinear_and_associative(n, seed):
     b = _rand_form(rng, n, 1, 1)
     c = _rand_form(rng, n, 0, 1)
     s, t = rng.normal(), rng.normal()
-    left = wedge(linear_combine(a, b, s, t), c)
-    right = linear_combine(wedge(a, c), wedge(b, c), s, t)
+    left = wedge(s * a + t * b, c)
+    right = s * wedge(a, c) + t * wedge(b, c)
     assert left.allclose(right, tol=1e-12)
     assoc_l = wedge(wedge(a, b), c)
     assoc_r = wedge(a, wedge(b, c))

@@ -156,35 +156,29 @@ def test_variation_scaling_property(seed):
 # -- boundary correction --------------------------------------------------------------
 
 
-class _Slice:
-    def __init__(self, II, R):
-        self.second_fundamental = II
-        self.curvature = R
-
-
 def test_boundary_correction_vanishes_without_ii():
-    s = _Slice(DoubleForm.zero(3, 1, 1), round_curvature(3))
-    assert inv.boundary_correction_form(s, 2, ctx(3)).is_zero()
+    assert inv.boundary_correction_form(DoubleForm.zero(3, 1, 1), round_curvature(3),
+                                        2, ctx(3)).is_zero()
 
 
 def test_boundary_correction_unit_circle():
-    s = _Slice(-1.0 * DoubleForm.metric_form(1), DoubleForm.zero(1, 2, 2))
-    form = inv.boundary_correction_form(s, 1, ctx(1))
+    form = inv.boundary_correction_form(-1.0 * DoubleForm.metric_form(1),
+                                        DoubleForm.zero(1, 2, 2), 1, ctx(1))
     assert form.coeffs[0, 0] == pytest.approx(-1.0)
 
 
 def test_boundary_correction_unit_three_sphere():
-    s = _Slice(-1.0 * DoubleForm.metric_form(3), round_curvature(3))
-    form = inv.boundary_correction_form(s, 2, ctx(3))
+    form = inv.boundary_correction_form(-1.0 * DoubleForm.metric_form(3), round_curvature(3),
+                                        2, ctx(3))
     assert form.coeffs[0, 0] == pytest.approx(-2.0)
     # integral over the unit 3-sphere is -(2 pi)^2
     assert form.coeffs[0, 0] * 2 * math.pi**2 == pytest.approx(-TWO_PI**2)
 
 
 def test_boundary_correction_wrong_parity():
-    s = _Slice(DoubleForm.metric_form(2), DoubleForm.zero(2, 2, 2))
     with pytest.raises(ShapeError):
-        inv.boundary_correction_form(s, 1, ctx(2))
+        inv.boundary_correction_form(DoubleForm.metric_form(2), DoubleForm.zero(2, 2, 2),
+                                     1, ctx(2))
 
 
 def test_boundary_correction_equals_double_factorial_combination():
@@ -194,7 +188,7 @@ def test_boundary_correction_equals_double_factorial_combination():
     iic = rng.normal(size=(n, n))
     II = DoubleForm(n, 1, 1, 0.5 * (iic + iic.T))
     R = round_curvature(n, c=0.7)
-    form = inv.boundary_correction_form(_Slice(II, R), k, ctx(n))
+    form = inv.boundary_correction_form(II, R, k, ctx(n))
     alt = DoubleForm.zero(n, n, 0)
     for j in range(k):
         coeff = (-1) ** j * inv.double_factorial(2 * j - 1) / (

@@ -213,12 +213,6 @@ class DoubleForm:
             return 0.0
         return float(np.max(np.abs(self.coeffs.astype(float))))
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return self.norm_inf() <= tol
-
-    def allclose(self, other: "DoubleForm", tol: float = 1e-12) -> bool:
-        return self.same_shape(other) and (self - other).norm_inf() <= tol
-
 
 def wedge(a: DoubleForm, b: DoubleForm) -> DoubleForm:
     """Slotwise wedge (a1^b1) (x) (a2^b2), no interchange sign.

@@ -12,7 +12,8 @@ tau(s) = L^{-T} Q diag((1 + s(lam-1))^(-1/2)) Q^T L^T, one Cholesky and one
 eigh per stencil point and no ODE steps.  Every first derivative goes
 through one central stencil of order 2 or 4, _central_diff: the metric jet
 (dg and the mixed d2g), the slice metric in r, the transported gauge, and
-the h^phi frame.  The metric jet evaluates each stencil point once; its
+the h^phi frame.  The metric jet makes one evaluator call per jet: every
+stencil offset of a block is stacked into one (S, ..., d) sample.  Its
 diagonal second derivatives use the matching three- or five-point formula.
 Curvature is assembled from metric first and second derivatives through
 first-kind Christoffel symbols, which is algebraically the same as
@@ -92,21 +93,29 @@ class Chart:
 
 
 def _spd_check(g: np.ndarray) -> np.ndarray:
-    """Symmetrize a stack of metric samples, each checked on its own scale."""
+    """Symmetrize a stack of metric samples, each checked on its own scale (one buffer)."""
     g = np.asarray(g, dtype=float)
     if g.ndim < 2 or g.shape[-1] != g.shape[-2]:
         raise MetricError("metric sample is not a square matrix")
     gt = np.swapaxes(g, -1, -2)
-    scale = np.maximum(1.0, np.max(np.abs(g), axis=(-2, -1)))
-    if np.any(np.max(np.abs(g - gt), axis=(-2, -1)) > 1e-10 * scale):
+    buf = np.abs(g)
+    scale = np.maximum(1.0, np.max(buf, axis=(-2, -1)))
+    np.abs(np.subtract(g, gt, out=buf), out=buf)
+    if np.any(np.max(buf, axis=(-2, -1)) > 1e-10 * scale):
         raise MetricError("metric sample is not symmetric")
-    return 0.5 * (g + gt)
+    np.add(g, gt, out=buf)
+    buf *= 0.5
+    return buf
 
 
 def _sample(ev: Callable, x: np.ndarray) -> np.ndarray:
-    """ev at points x (..., d), checked and broadcast to (..., n, n)."""
+    """ev at points x (..., d), checked and broadcast to (..., d, d)."""
     g = _spd_check(ev(x))
-    return np.broadcast_to(g, x.shape[:-1] + g.shape[-2:])
+    try:
+        return np.broadcast_to(g, x.shape[:-1] + (x.shape[-1],) * 2)
+    except ValueError:
+        raise MetricError(f"metric evaluator breaks the (..., d) -> (..., d, d) contract: "
+                          f"points of shape {x.shape} gave a sample of shape {g.shape}") from None
 
 
 @dataclass(frozen=True)
@@ -165,31 +174,32 @@ def _central_diff(f, h, order: int):
 
 
 def _metric_jet(m: MetricField, x, want_second: bool):
-    """g, dg and (if wanted) d2g at x, evaluating each stencil point once.
+    """g, dg and (if wanted) d2g at x from one evaluator call per jet.
 
-    x has shape (..., d); each stencil offset is one evaluator call over all
-    of its points.  dg[..., a, i, j] = d_a g_ij and d2g[..., a, b, i, j].
-    Returns (g, dg, d2g, samples): samples maps every evaluated integer
-    offset tuple, in units of m.steps(), to its metric, the center first.
+    x has shape (..., d).  The center, the axis points and (if want_second)
+    the mixed pairs are stacked into one (S, ..., d) sample: one evaluator
+    call and one SPD check serve a block's whole stencil.  dg[..., a, i, j] =
+    d_a g_ij, d2g[..., a, b, i, j].  Returns (g, dg, d2g, samples): samples
+    maps each integer offset tuple, in units of m.steps(), to its metric.
     """
     d = m.chart.dim
     m.check_stencil(x)
     x = np.asarray(x, dtype=float)
     h = m.steps()
     order = m.fd_order
-    samples = {}
+    ks = [k for k, _ in _diff_weights(order)]
+    zero = (0,) * d
+    offsets = [zero] + [zero[:a] + (k,) + zero[a + 1:] for a in range(d) for k in ks]
+    if want_second:
+        offsets += [zero[:a] + (j,) + zero[a + 1:b] + (k,) + zero[b + 1:]
+                    for a in range(d) for b in range(a + 1, d) for j in ks for k in ks]
+    stencil = np.array(offsets, dtype=float).reshape((len(offsets),) + (1,) * (x.ndim - 1) + (d,))
+    samples = dict(zip(offsets, m.g(x + h * stencil)))
 
     def at(base, axis, k):
-        off = list(base)
-        off[axis] += k
-        off = tuple(off)
-        got = samples.get(off)
-        if got is None:
-            got = samples[off] = m.g(x + h * np.array(off, dtype=float))
-        return got
+        return samples[base[:axis] + (base[axis] + k,) + base[axis + 1:]]
 
-    zero = (0,) * d
-    g = at(zero, 0, 0)
+    g = samples[zero]
     dg = np.stack([_central_diff(partial(at, zero, a), h[a], order) for a in range(d)], axis=-3)
     d2g = None
     if want_second:
@@ -459,7 +469,7 @@ def metric_path_gauge(g0: MetricField, g1: MetricField, x,
 
     x is a point or a block of points of shape (..., d); every field of the
     result carries the same leading axes, and one evaluator call per
-    endpoint and stencil offset serves the whole block.  The parallel
+    endpoint serves the whole stencil of the block.  The parallel
     transport of the generalized cylinder is exact: with g0 = L L^T and
     L^{-1} g1 L^{-T} = Q diag(lam) Q^T,
     tau(s) = L^{-T} Q diag((1 + s(lam-1))^(-1/2)) Q^T L^T, taken at the

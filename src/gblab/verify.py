@@ -170,11 +170,6 @@ def pf_integral(spec, level: int, order: int = 4, fd_rel=None) -> float:
     return float(spec.symmetry_weight) * total
 
 
-def odd_pf_integral(chart, mf: MetricField, level: int) -> float:
-    """Integral of the odd Pfaffian form of an odd-dimensional metric over chart."""
-    return curvature_integral(replace(mf, chart=chart), level, _odd_pf_top(chart.dim))
-
-
 def lk_integrals(mf: MetricField, level: int) -> list:
     """Integrals of the Lipschitz-Killing forms of an odd-dimensional metric."""
     n = mf.chart.dim

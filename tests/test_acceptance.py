@@ -64,13 +64,13 @@ def test_criterion_03_boundary_gauss_bonnet(dim, tol, level):
 # 4 ---------------------------------------------------------------------------
 
 def test_criterion_04_odd_pfaffian_magnitudes():
-    s1 = catalog.get("sphere", n=1)
-    val1 = verify.odd_pf_integral(*s1.charts[0], level=2)
+    _, mf1 = catalog.get("sphere", n=1).charts[0]
+    val1 = verify.curvature_integral(mf1, 2, verify._odd_pf_top(1))
     ok1 = abs(abs(val1) - TWO_PI) <= 1e-8
     _report("#4a odd Pf circle", ok1, f"|integral| = {abs(val1):.12f} vs 2pi (abs 1e-8)")
 
-    s3 = catalog.get("sphere", n=3)
-    val3 = verify.odd_pf_integral(*s3.charts[0], level=2)
+    _, mf3 = catalog.get("sphere", n=3).charts[0]
+    val3 = verify.curvature_integral(mf3, 2, verify._odd_pf_top(3))
     ok3 = abs(abs(val3) - TWO_PI**2) / TWO_PI**2 <= 1e-4
     _report("#4b odd Pf 3-sphere", ok3, f"|integral| = {abs(val3):.8f} vs (2pi)^2 (rel 1e-4)")
 

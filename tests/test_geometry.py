@@ -17,7 +17,9 @@ from gblab.geometry import (
     MetricField,
     Slice,
     _central_diff,
+    _diff_weights,
     _frame_of,
+    _metric_jet,
     _path_eigenbasis,
     _path_transport,
     christoffel,
@@ -30,12 +32,18 @@ POLAR = Chart("polar", ((0.1, 2.0), (0.0, 2 * math.pi)), (False, True))
 TORUS2 = Chart("t2", ((0.0, 2 * math.pi), (0.0, 2 * math.pi)), (True, True))
 
 
+def _diag2(a, b):
+    out = np.zeros(np.shape(a) + (2, 2))
+    out[..., 0, 0], out[..., 1, 1] = a, b
+    return out
+
+
 def polar_metric(x):
-    return np.diag([1.0, x[0] ** 2])
+    return _diag2(np.ones(x.shape[:-1]), x[..., 0] ** 2)
 
 
 def s2_classic(x):
-    return np.diag([1.0, math.sin(x[0]) ** 2])
+    return _diag2(np.ones(x.shape[:-1]), np.sin(x[..., 0]) ** 2)
 
 
 # -- Christoffel symbols -------------------------------------------------------
@@ -72,6 +80,111 @@ def test_non_spd_metric_error():
     m = MetricField(TORUS2, lambda x: np.diag([1.0, -1.0]))
     with pytest.raises(MetricError):
         _frame_of(m.g(np.array([0.5, 0.5])))
+
+
+# -- metric jet --------------------------------------------------------------------
+
+def _per_offset_jet(m, x, want_second):
+    """The metric jet with one evaluator call per stencil offset, as a reference."""
+    d, h, order = m.chart.dim, m.steps(), m.fd_order
+    x = np.asarray(x, dtype=float)
+    samples = {}
+
+    def at(base, axis, k):
+        off = list(base)
+        off[axis] += k
+        off = tuple(off)
+        if off not in samples:
+            samples[off] = m.g(x + h * np.array(off, dtype=float))
+        return samples[off]
+
+    zero = (0,) * d
+    g = at(zero, 0, 0)
+    dg = np.stack([_central_diff(lambda k, a=a: at(zero, a, k), h[a], order)
+                   for a in range(d)], axis=-3)
+    if not want_second:
+        return g, dg, None, samples
+    d2g = np.zeros(x.shape[:-1] + (d, d, d, d))
+    for a in range(d):
+        if order == 2:
+            d2g[..., a, a, :, :] = (at(zero, a, 1) - 2.0 * g + at(zero, a, -1)) / h[a] ** 2
+        else:
+            d2g[..., a, a, :, :] = (-at(zero, a, 2) + 16.0 * at(zero, a, 1) - 30.0 * g
+                                    + 16.0 * at(zero, a, -1) - at(zero, a, -2)) / (12.0 * h[a] ** 2)
+        for b in range(a + 1, d):
+            val = _central_diff(
+                lambda j, a=a, b=b: _central_diff(
+                    lambda k: at(zero[:a] + (j,) + zero[a + 1:], b, k), h[b], order),
+                h[a], order)
+            d2g[..., a, b, :, :] = d2g[..., b, a, :, :] = val
+    return g, dg, d2g, samples
+
+
+def _counting(ev):
+    def wrapped(x):
+        wrapped.calls += 1
+        return ev(x)
+    wrapped.calls = 0
+    return wrapped
+
+
+BOX3 = Chart("box3", ((0.2, 1.4), (0.1, 2.9), (-1.0, 1.0)), (False, False, True))
+SPD3 = np.array([[2.0, 0.3, 0.1], [0.3, 1.5, 0.2], [0.1, 0.2, 1.0]])
+
+
+def _wavy3(x):
+    u, v, w = x[..., 0], x[..., 1], x[..., 2]
+    out = np.zeros(x.shape[:-1] + (3, 3))
+    out[..., 0, 0] = 1.0 + u * u
+    out[..., 1, 1] = np.exp(0.3 * np.sin(u * v))
+    out[..., 2, 2] = 2.0 + np.cos(w) * v
+    out[..., 0, 1] = out[..., 1, 0] = 0.1 * np.sin(v + w)
+    out[..., 1, 2] = out[..., 2, 1] = 0.2 * u * np.cos(w)
+    return out
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("want_second", [False, True])
+@pytest.mark.parametrize("batch", [(), (5,), (2, 3)])
+@pytest.mark.parametrize("ev", [_wavy3, lambda x: SPD3], ids=["wavy", "constant"])
+def test_jet_is_one_call_and_equals_the_per_offset_reference(order, want_second, batch, ev):
+    pts = BOX3.random_interior(np.random.default_rng(3), 6, shrink=0.1)[:int(np.prod(batch))]
+    x = pts.reshape(batch + (3,))
+    counted = _counting(ev)
+    got = _metric_jet(MetricField(BOX3, counted, fd_order=order), x, want_second)
+    want = _per_offset_jet(MetricField(BOX3, ev, fd_order=order), x, want_second)
+    assert counted.calls == 1
+    for a, b in zip(got[:3], want[:3]):
+        assert (a is None and b is None) or (a.shape == b.shape and np.array_equal(a, b))
+    assert list(got[3]) == list(want[3])
+    ks = len(_diff_weights(order))
+    assert len(got[3]) == 1 + 3 * ks + (3 * ks * ks if want_second else 0)
+    for off, sample in got[3].items():
+        assert np.array_equal(sample, want[3][off])
+
+
+def test_stencil_leaving_the_chart_calls_no_evaluator():
+    counted = _counting(_wavy3)
+    m = MetricField(BOX3, counted)
+    block = np.array([[0.8, 1.0, 0.0], [0.2 + 1e-6, 1.0, 0.0]])
+    with pytest.raises(DomainError):
+        _metric_jet(m, block, want_second=True)
+    with pytest.raises(DomainError):
+        riemann_double_form(m, block)
+    assert counted.calls == 0
+
+
+def test_broken_evaluator_contract_is_named():
+    block = np.array([[1.0, 0.5], [1.5, 2.0], [3.0, 1.0]])
+    # a per-point evaluator that builds its batch from len(x)
+    m = MetricField(TORUS2, lambda x: _diag2(np.ones(len(x)), 2.0))
+    with pytest.raises(MetricError, match=r"\(\.\.\., d\) -> \(\.\.\., d, d\)") as err:
+        riemann_double_form(m, block)
+    assert "(9, 3, 2)" in str(err.value) and "(9, 2, 2)" in str(err.value)
+    # a matrix of the wrong size
+    m = MetricField(TORUS2, lambda x: np.eye(3))
+    with pytest.raises(MetricError, match=r"points of shape \(2,\) gave a sample of shape \(3, 3\)"):
+        m.g(np.zeros(2))
 
 
 # -- curvature -------------------------------------------------------------------
@@ -195,21 +308,15 @@ def test_slice_on_a_block_equals_per_point_calls(pts, c, r):
             assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
-def _diag2(a, b):
-    out = np.zeros(np.shape(a) + (2, 2))
-    out[..., 0, 0], out[..., 1, 1] = a, b
-    return out
-
-
 def test_one_bad_node_fails_the_block():
     pts = np.array([[1.0, 0.5], [1.5, 2.0], [0.6, 1.0]])
     # non-SPD at the last node only
-    bent = MetricField(POLAR, lambda x: _diag2(np.ones(len(x)), x[:, 0] - 0.8))
+    bent = MetricField(POLAR, lambda x: _diag2(np.ones(x.shape[:-1]), x[..., 0] - 0.8))
     with pytest.raises(MetricError):
         riemann_double_form(bent, pts)
     riemann_double_form(bent, pts[:2])
     # the stencil of the last node leaves the chart
-    m = MetricField(POLAR, lambda x: _diag2(np.ones(len(x)), x[:, 0] ** 2))
+    m = MetricField(POLAR, polar_metric)
     edge = np.vstack([pts[:2], [[0.1 + 1e-6, 1.0]]])
     with pytest.raises(DomainError):
         riemann_double_form(m, edge)
@@ -327,7 +434,7 @@ def test_gauge_theta_skew_in_frame():
     g0 = MetricField(TORUS2, lambda x: np.eye(2))
 
     def g1_ev(x):
-        return math.exp(0.4 * math.sin(x[0]) * math.cos(x[1])) * np.eye(2)
+        return np.exp(0.4 * np.sin(x[..., 0]) * np.cos(x[..., 1]))[..., None, None] * np.eye(2)
 
     g1 = MetricField(TORUS2, g1_ev)
     gauge = metric_path_gauge(g0, g1, np.array([0.9, 1.7]))
@@ -351,22 +458,14 @@ def test_gauge_rejects_bad_paths():
     metric_path_gauge(g0, bent, pts[:2])
 
 
-@pytest.mark.parametrize("need_curvature,calls", [(False, 5), (True, 9)])
-def test_gauge_samples_each_stencil_point_once(need_curvature, calls):
-    counts = {"g0": 0, "g1": 0}
-
-    def counting(name, ev):
-        def wrapped(x):
-            counts[name] += 1
-            return ev(x)
-        return wrapped
-
-    g0 = MetricField(TORUS2, counting("g0", lambda x: np.eye(2)))
-    g1 = MetricField(TORUS2, counting(
-        "g1", lambda x: (1.5 + 0.2 * np.sin(x[..., 0]))[..., None, None] * np.eye(2)))
+@pytest.mark.parametrize("need_curvature", [False, True])
+def test_gauge_samples_each_stencil_point_once(need_curvature):
+    ev0 = _counting(lambda x: np.eye(2))
+    ev1 = _counting(lambda x: (1.5 + 0.2 * np.sin(x[..., 0]))[..., None, None] * np.eye(2))
     block = np.array([[0.9, 1.7], [2.0, 0.3], [4.1, 5.5]])
-    gauge = metric_path_gauge(g0, g1, block, need_curvature=need_curvature)
-    assert counts == {"g0": calls, "g1": calls}
+    gauge = metric_path_gauge(MetricField(TORUS2, ev0), MetricField(TORUS2, ev1), block,
+                              need_curvature=need_curvature)
+    assert (ev0.calls, ev1.calls) == (1, 1)
     assert gauge.theta_dot[0].shape == (3, 2, 2, 2)
 
 
@@ -483,14 +582,14 @@ def test_central_diff_rejects_other_orders():
 
 def test_connection_difference_conformal_closed_form():
     def u(x):
-        return 0.3 * math.sin(x[0]) * math.cos(x[1])
+        return 0.3 * np.sin(x[..., 0]) * np.cos(x[..., 1])
 
     def du(x):
         return np.array([0.3 * math.cos(x[0]) * math.cos(x[1]),
                          -0.3 * math.sin(x[0]) * math.sin(x[1])])
 
     g0 = MetricField(TORUS2, lambda x: np.eye(2))
-    g1 = MetricField(TORUS2, lambda x: math.exp(2 * u(x)) * np.eye(2))
+    g1 = MetricField(TORUS2, lambda x: np.exp(2 * u(x))[..., None, None] * np.eye(2))
     x = np.array([0.8, 1.9])
     # omega[mu, i, j] = (nabla^g1_mu d_j - nabla^g0_mu d_j)^i
     omega = np.swapaxes(christoffel(g1, x) - christoffel(g0, x), 0, 1)

@@ -15,10 +15,11 @@ through one central stencil of order 2 or 4, _central_diff: the metric jet
 the h^phi frame.  The metric jet makes one evaluator call per jet: every
 stencil offset of a block is stacked into one (S, ..., d) sample.  Its
 diagonal second derivatives use the matching three- or five-point formula.
-Curvature is assembled from metric first and second derivatives through
-first-kind Christoffel symbols, which is algebraically the same as
-differencing the second-kind symbols but much better conditioned where
-coordinates degenerate.  Slices and the gauged path return only what the
+The lowered curvature comes straight from the first-kind symbols G_ij,k:
+F_ijkl = d_i G_jl,k - d_j G_il,k - G_ik,m g^mn G_jl,n + G_jk,m g^mn G_il,n,
+with no derivative of g^{-1} and no lowering by g.  The frame change is
+P^T F P2 in the pair basis P[(i,j), (a<b)] = E_ia E_jb; every contraction
+is a batched matmul.  Slices and the gauged path return only what the
 transgression integrands read; orientation signs are verify.EPSILONS.
 """
 
@@ -229,11 +230,14 @@ def christoffel(m: MetricField, x) -> np.ndarray:
 
 def _christoffel_first(dg: np.ndarray) -> np.ndarray:
     """First-kind symbols G1[..., i, j, k] = (d_i g_jk + d_j g_ik - d_k g_ij)/2."""
-    return 0.5 * (
-        np.einsum("...ijk->...ijk", dg)
-        + np.einsum("...jik->...ijk", dg)
-        - np.einsum("...kij->...ijk", dg)
-    )
+    return 0.5 * (dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1))
+
+
+def _second_kind(ginv: np.ndarray, g1: np.ndarray) -> np.ndarray:
+    """Gamma^k_ij at [..., i, j, k] as G1 @ g^{-T}: one matmul over the flattened (i, j)."""
+    d = g1.shape[-1]
+    out = g1.reshape(g1.shape[:-3] + (d * d, d)) @ np.swapaxes(ginv, -1, -2)
+    return out.reshape(out.shape[:-2] + (d, d, d))
 
 
 def _christoffel_from(g: np.ndarray, dg: np.ndarray) -> np.ndarray:
@@ -241,8 +245,7 @@ def _christoffel_from(g: np.ndarray, dg: np.ndarray) -> np.ndarray:
         ginv = np.linalg.inv(g)
     except np.linalg.LinAlgError as exc:
         raise MetricError("metric sample is singular") from exc
-    g1 = _christoffel_first(dg)
-    return np.einsum("...km,...ijm->...kij", ginv, g1)
+    return np.moveaxis(_second_kind(ginv, _christoffel_first(dg)), -1, -3)
 
 
 def _frame_of(g: np.ndarray) -> np.ndarray:
@@ -255,46 +258,44 @@ def _frame_of(g: np.ndarray) -> np.ndarray:
 
 
 def _curvature_coord(g, dg, d2g) -> np.ndarray:
-    """Lowered curvature F[..., i,j,k,l] = < d_k, R(d_i, d_j) d_l >."""
-    ginv = np.linalg.inv(g)
-    g1 = _christoffel_first(dg)          # [..., i, j, k]
-    gamma = np.einsum("...km,...ijm->...kij", ginv, g1)
-    # d_a Gamma^m_{ij} by the product rule; no stacked differencing.
-    ginv_a = ginv[..., None, :, :]
-    dginv = -(ginv_a @ dg @ ginv_a)       # [..., a, k, n]
-    # dg1[..., a, i, j, k] = d_a Gamma1[i, j, k]
-    dg1 = 0.5 * (
-        np.einsum("...aijk->...aijk", d2g)   # d_a d_i g_{jk}
-        + np.einsum("...ajik->...aijk", d2g)  # d_a d_j g_{ik}
-        - np.einsum("...akij->...aijk", d2g)  # d_a d_k g_{ij}
-    )
-    dgamma = np.einsum("...akm,...ijm->...akij", dginv, g1) + np.einsum(
-        "...km,...aijm->...akij", ginv, dg1
-    )
-    # R^m_{ijl} = d_i Gamma^m_{jl} - d_j Gamma^m_{il}
-    #           + Gamma^m_{ie} Gamma^e_{jl} - Gamma^m_{je} Gamma^e_{il}
-    rup = (
-        np.einsum("...imjl->...mijl", dgamma)
-        - np.einsum("...jmil->...mijl", dgamma)
-        + np.einsum("...mie,...ejl->...mijl", gamma, gamma)
-        - np.einsum("...mje,...eil->...mijl", gamma, gamma)
-    )
-    return np.einsum("...km,...mijl->...ijkl", g, rup)
+    """Lowered curvature F[..., i,j,k,l] = < d_k, R(d_i, d_j) d_l > from first-kind symbols.
 
-
-def _pair_coeffs(F: np.ndarray, E: np.ndarray) -> np.ndarray:
-    """(2,2) coefficients <e_c, R(e_a, e_b) e_d>, a<b and c<d, of F in the frame E.
-
-    The frame change is four one-index contractions (d^5 each, not one d^8
-    sum); each moves the contracted slot to the back.
+    With G_ij,k the first-kind symbols, F_ijkl = d_i G_jl,k - d_j G_il,k
+    - G_ik,m g^mn G_jl,n + G_jk,m g^mn G_il,n: no derivative of g^{-1} or of
+    the second-kind symbols, and no lowering by g.  X = d_i G_jl,k -
+    G_ik,m Gamma^m_jl takes one matmul over the flattened pairs (i,k) and
+    (j,l), and F = X - X^(i<->j) is exactly antisymmetric in (i, j).
     """
-    for _ in range(4):
-        F = np.einsum("...ijkl,...ia->...jkla", F, E)
-    a, b = np.array(multi_indices(E.shape[-1], 2), dtype=np.intp).reshape(-1, 2).T
-    return F[..., a[:, None], b[:, None], a, b]
+    d = g.shape[-1]
+    g1 = _christoffel_first(dg)                             # [..., i, k, m] = G_ik,m
+    gamma = _second_kind(np.linalg.inv(g), g1)              # [..., j, l, m] = Gamma^m_jl
+    pairs = g1.shape[:-3] + (d * d, d)
+    quad = g1.reshape(pairs) @ np.swapaxes(gamma.reshape(pairs), -1, -2)   # [(i,k), (j,l)]
+    X = (np.swapaxes(_christoffel_first(d2g), -1, -2)       # d_i G_jl,k
+         - np.swapaxes(quad.reshape(quad.shape[:-2] + (d,) * 4), -3, -2))
+    return X - np.swapaxes(X, -4, -3)
 
 
-def riemann_double_form(m: MetricField, x, frame: Optional[np.ndarray] = None):
+def _pair_coeffs(F: np.ndarray, E: np.ndarray, E2: Optional[np.ndarray] = None) -> np.ndarray:
+    """(2,2) coefficients <e2_c, R(e_a, e_b) e2_d>, a<b and c<d, of F in the frames E, E2.
+
+    E2 (default E) frames the second pair.  The frame change is two matmuls
+    in the pair basis P[(i,j), (a<b)] = E_ia E_jb: P^T F P2, with F flattened
+    to a (d^2, d^2) matrix.
+    """
+    d = E.shape[-1]
+    a, b = np.array(multi_indices(d, 2), dtype=np.intp).reshape(-1, 2).T
+
+    def pair_basis(frame):
+        P = frame[..., :, None, a] * frame[..., None, :, b]
+        return P.reshape(P.shape[:-3] + (d * d, a.size))
+
+    P = pair_basis(E)
+    P2 = P if E2 is None else pair_basis(E2)
+    return np.swapaxes(P, -1, -2) @ F.reshape(F.shape[:-4] + (d * d, d * d)) @ P2
+
+
+def riemann_double_form(m: MetricField, x):
     """Curvature as a (2,2) double form in the orthonormal frame at x.
 
     x may carry leading batch axes (a block of nodes); the form's
@@ -302,8 +303,7 @@ def riemann_double_form(m: MetricField, x, frame: Optional[np.ndarray] = None):
     The coefficient at (I; J) with I = (i<j), J = (k<l) is <e_k, R(e_i, e_j) e_l>.
     """
     g, dg, d2g, _ = _metric_jet(m, x, want_second=True)
-    if frame is None:
-        frame = _frame_of(g)
+    frame = _frame_of(g)
     coeffs = _pair_coeffs(_curvature_coord(g, dg, d2g), frame)
     return DoubleForm(m.chart.dim, 2, 2, coeffs), frame
 
@@ -398,14 +398,12 @@ class Slice:
     def at(self, y) -> SliceData:
         c, r, hr = self.collar, self.r, self.hr
         y = np.asarray(y, dtype=float)
-        h = _sample(c.radial_metric(r), y)
+        curv, E = riemann_double_form(self.field, y)
         dh = _central_diff(lambda k: c.radial_metric(r + k * hr)(y), hr, c.fd_order)
-        E = _frame_of(h)
         ii_on = np.swapaxes(E, -1, -2) @ (-0.5 * dh) @ E
-        ii = DoubleForm(h.shape[-1], 1, 1, 0.5 * (ii_on + np.swapaxes(ii_on, -1, -2)))
-        curv, _ = riemann_double_form(self.field, y, frame=E)
+        ii = DoubleForm(E.shape[-1], 1, 1, 0.5 * (ii_on + np.swapaxes(ii_on, -1, -2)))
         return SliceData(second_fundamental=ii, curvature=curv, frame=E,
-                         sqrt_det=np.sqrt(np.linalg.det(h)))
+                         sqrt_det=1.0 / np.linalg.det(E))
 
 
 # Even number of Simpson steps in s on the affine metric path
@@ -459,8 +457,8 @@ def _path_transport(A, Ainv, lam, s: float):
 
 
 def _connection(ginv: np.ndarray, gamma1: np.ndarray) -> np.ndarray:
-    """Connection matrices omega[..., a, k, j] = Gamma^k_{aj} from first-kind symbols."""
-    return np.einsum("...km,...ajm->...akj", ginv, gamma1)
+    """Connection matrices omega[..., a, k, j] = Gamma^k_{aj}: the transposed _second_kind."""
+    return np.swapaxes(_second_kind(ginv, gamma1), -1, -2)
 
 
 def metric_path_gauge(g0: MetricField, g1: MetricField, x,
@@ -521,15 +519,15 @@ def metric_path_gauge(g0: MetricField, g1: MetricField, x,
 
     def to_on(mat):
         inner = E0inv[..., None, :, :] @ mat @ E0[..., None, :, :]
-        return np.einsum("...ma,...mij->...aij", E0, inner)
+        out = np.swapaxes(E0, -1, -2) @ inner.reshape(inner.shape[:-3] + (d, d * d))
+        return out.reshape(inner.shape)
 
     def gauged_curvature(s):
         """Curvature of g_s pulled back by tau(s), in the g0 orthonormal frame."""
         tau = _path_transport(A[0], Ainv[0], lam[0], s)[0]
         F = _curvature_coord((1.0 - s) * g0c + s * g1c, (1.0 - s) * dg0 + s * dg1,
                              (1.0 - s) * d2g0 + s * d2g1)
-        Fg = np.einsum("...ijkl,...kc,...ld->...ijcd", F, tau, tau)
-        return DoubleForm(d, 2, 2, _pair_coeffs(Fg, E0))
+        return DoubleForm(d, 2, 2, _pair_coeffs(F, E0, tau @ E0))
 
     # the curvature goes first, while few other arrays are alive: at d = 4 its
     # temporaries set the peak memory

@@ -610,7 +610,7 @@ def check_first_order_conic(spec, level, tol):
         lim = _phi_limit(spec.collar, g_full, rs, y)
         f = fib.fiber_dim
         E0 = _frame_of(_h_phi_matrix(spec.collar, fib, 0.0, y))
-        II = np.einsum("...ma,...mb->...ab", E0[..., :, 1:1 + f], lim[..., :, 0, 1:1 + f])
+        II = np.swapaxes(E0[..., :, 1:1 + f], -1, -2) @ lim[..., :, 0, 1:1 + f]
         II = DoubleForm(f, 1, 1, 0.5 * (II + np.swapaxes(II, -1, -2)))
         # k = 1 on the S^1 link (f = 1): the integrand reads only R^0
         c = inv.boundary_correction_form(II, DoubleForm.zero(f, 2, 2), k, ctxN).coeffs[..., 0, 0]

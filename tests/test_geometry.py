@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gblab import catalog
-from gblab.doubleform import DoubleForm, OrientedFrameContext, wedge
+from gblab.doubleform import DoubleForm, OrientedFrameContext, multi_indices, wedge
 from gblab.geometry import (
     Chart,
     CollarMetric,
@@ -17,9 +17,11 @@ from gblab.geometry import (
     MetricField,
     Slice,
     _central_diff,
+    _curvature_coord,
     _diff_weights,
     _frame_of,
     _metric_jet,
+    _pair_coeffs,
     _path_eigenbasis,
     _path_transport,
     christoffel,
@@ -203,6 +205,93 @@ def test_riemann_unit_sphere_is_half_h_squared():
     assert (R - 0.5 * wedge(h, h)).norm_inf() < 1e-8
 
 
+def _einsum_curvature_coord(g, dg, d2g):
+    """The product-rule einsum kernel (second-kind symbols, then lowered by g), as a reference."""
+    def christoffel_first(dg):
+        return 0.5 * (
+            np.einsum("...ijk->...ijk", dg)
+            + np.einsum("...jik->...ijk", dg)
+            - np.einsum("...kij->...ijk", dg)
+        )
+
+    ginv = np.linalg.inv(g)
+    g1 = christoffel_first(dg)          # [..., i, j, k]
+    gamma = np.einsum("...km,...ijm->...kij", ginv, g1)
+    # d_a Gamma^m_{ij} by the product rule; no stacked differencing.
+    ginv_a = ginv[..., None, :, :]
+    dginv = -(ginv_a @ dg @ ginv_a)       # [..., a, k, n]
+    # dg1[..., a, i, j, k] = d_a Gamma1[i, j, k]
+    dg1 = 0.5 * (
+        np.einsum("...aijk->...aijk", d2g)   # d_a d_i g_{jk}
+        + np.einsum("...ajik->...aijk", d2g)  # d_a d_j g_{ik}
+        - np.einsum("...akij->...aijk", d2g)  # d_a d_k g_{ij}
+    )
+    dgamma = np.einsum("...akm,...ijm->...akij", dginv, g1) + np.einsum(
+        "...km,...aijm->...akij", ginv, dg1
+    )
+    # R^m_{ijl} = d_i Gamma^m_{jl} - d_j Gamma^m_{il}
+    #           + Gamma^m_{ie} Gamma^e_{jl} - Gamma^m_{je} Gamma^e_{il}
+    rup = (
+        np.einsum("...imjl->...mijl", dgamma)
+        - np.einsum("...jmil->...mijl", dgamma)
+        + np.einsum("...mie,...ejl->...mijl", gamma, gamma)
+        - np.einsum("...mje,...eil->...mijl", gamma, gamma)
+    )
+    return np.einsum("...km,...mijl->...ijkl", g, rup)
+
+
+def _einsum_pair_coeffs(F, E):
+    """The frame change as four one-index einsum contractions and a gather, as a reference."""
+    for _ in range(4):
+        F = np.einsum("...ijkl,...ia->...jkla", F, E)
+    a, b = np.array(multi_indices(E.shape[-1], 2), dtype=np.intp).reshape(-1, 2).T
+    return F[..., a[:, None], b[:, None], a, b]
+
+
+def _random_jet(seed, d, batch, log_cond):
+    """SPD g with condition up to 10**log_cond, and dg, d2g with the symmetries of a jet."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=batch + (d, d)))
+    g = (q * 10.0 ** rng.uniform(0.0, log_cond, size=batch + (1, d))) @ np.swapaxes(q, -1, -2)
+    dg = rng.normal(size=batch + (d, d, d))
+    d2g = rng.normal(size=batch + (d, d, d, d))
+    d2g = d2g + np.swapaxes(d2g, -4, -3)
+    return (0.5 * (g + np.swapaxes(g, -1, -2)), dg + np.swapaxes(dg, -1, -2),
+            d2g + np.swapaxes(d2g, -2, -1))
+
+
+_kernel_case = (st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 4]),
+                st.sampled_from([(), (5,), (2, 3)]), st.floats(0.0, 3.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(*_kernel_case)
+def test_curvature_kernel_matches_the_einsum_reference(seed, d, batch, log_cond):
+    g, dg, d2g = _random_jet(seed, d, batch, log_cond)
+    F = _curvature_coord(g, dg, d2g)
+    want = _einsum_curvature_coord(g, dg, d2g)
+    assert F.shape == want.shape == batch + (d,) * 4
+    # F sums terms of size |d2g| and |dg|^2 |g^-1|; at d = 2 its one component
+    # can cancel far below them, so round-off is measured on their scale
+    terms = max(np.max(np.abs(d2g)), np.max(np.abs(dg)) ** 2 * np.max(np.abs(np.linalg.inv(g))))
+    assert np.max(np.abs(F - want)) <= 1e-12 * max(np.max(np.abs(want)), terms)
+    E = _frame_of(g)
+    got, ref = _pair_coeffs(want, E), _einsum_pair_coeffs(want, E)
+    assert got.shape == ref.shape == batch + (len(multi_indices(d, 2)),) * 2
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@settings(max_examples=30, deadline=None)
+@given(*_kernel_case)
+def test_second_frame_equals_the_transported_einsum(seed, d, batch, log_cond):
+    g, dg, d2g = _random_jet(seed, d, batch, log_cond)
+    tau = np.eye(d) + 0.3 * np.random.default_rng(seed + 1).normal(size=batch + (d, d))
+    F, E = _curvature_coord(g, dg, d2g), _frame_of(g)
+    want = _einsum_pair_coeffs(np.einsum("...ijkl,...kc,...ld->...ijcd", F, tau, tau), E)
+    got = _pair_coeffs(F, E, tau @ E)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("n,rho", [(2, 1.0), (2, 2.0), (3, 1.0), (3, 0.5), (4, 1.0)])
 def test_constant_curvature_oracle(n, rho):
     spec = catalog.get("sphere", n=n, rho=rho)
@@ -292,6 +381,25 @@ def test_riemann_on_a_block_equals_per_point_calls(pts, c, order):
         assert np.max(np.abs(E[i] - Ei)) <= 1e-12 * np.max(np.abs(Ei))
 
 
+@pytest.mark.parametrize("geometry", ["s4", "rational"])
+def test_curvature_symmetries_on_a_block(geometry):
+    rng = np.random.default_rng(11)
+    if geometry == "s4":
+        chart, mf = catalog.get("sphere", n=4).charts[0]
+    else:
+        chart, mf = BOX3, MetricField(BOX3, _rational_metric(1.5))
+    g, dg, d2g, _ = _metric_jet(mf, chart.random_interior(rng, 64, shrink=0.1), want_second=True)
+    F = _curvature_coord(g, dg, d2g)
+    assert F.shape == (64,) + (chart.dim,) * 4
+    scale = np.max(np.abs(F), axis=(-4, -3, -2, -1), keepdims=True)   # per node
+    assert np.array_equal(F, -np.swapaxes(F, -4, -3))
+    assert np.all(np.abs(F + np.swapaxes(F, -2, -1)) <= 1e-12 * scale)
+    assert np.all(np.abs(F - np.einsum("...klij->...ijkl", F)) <= 1e-10 * scale)
+    # R(d_i, d_j) d_l + R(d_j, d_l) d_i + R(d_l, d_i) d_j = 0
+    bianchi = F + np.einsum("...jlki->...ijkl", F) + np.einsum("...likj->...ijkl", F)
+    assert np.all(np.abs(bianchi) <= 1e-10 * scale)
+
+
 @settings(max_examples=30, deadline=None)
 @given(_block, st.floats(0.0, 2.0), st.floats(0.2, 1.0))
 def test_slice_on_a_block_equals_per_point_calls(pts, c, r):
@@ -306,6 +414,22 @@ def test_slice_on_a_block_equals_per_point_calls(pts, c, r):
                           (block.second_fundamental.coeffs[i], one.second_fundamental.coeffs),
                           (block.frame[i], one.frame), (block.sqrt_det[i], one.sqrt_det)):
             assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("order,calls", [(2, 3), (4, 5)])
+def test_slice_takes_its_frame_from_the_curvature_jet(order, calls):
+    ev = _counting(_rational_metric(0.7))
+    collar = CollarMetric(BOX3, (0.0, 1.5),
+                          lambda r: (lambda y: (1.0 + np.asarray(r) ** 2)[..., None, None] * ev(y)),
+                          fd_order=order)
+    Y = BOX3.random_interior(np.random.default_rng(2), 6, shrink=0.1)
+    sd = Slice(collar, 0.6).at(Y)
+    # one evaluator call for the curvature jet (its center gives E), one per
+    # radial stencil point for dh
+    assert ev.calls == calls
+    h = collar.radial_metric(0.6)(Y)
+    assert np.max(np.abs(np.swapaxes(sd.frame, -1, -2) @ h @ sd.frame - np.eye(3))) < 1e-12
+    assert np.max(np.abs(sd.sqrt_det / np.sqrt(np.linalg.det(h)) - 1.0)) < 1e-13
 
 
 def test_one_bad_node_fails_the_block():

@@ -1,19 +1,11 @@
 """Numerical Gauss-Bonnet laboratory built on a double-form curvature calculus."""
 
-from .doubleform import (
-    DoubleForm,
-    OrientedFrameContext,
-    berezin,
-    pfaffian_skew,
-    power,
-    wedge,
-)
+from .doubleform import DoubleForm, berezin, pfaffian_skew, power, wedge
 
 __version__ = "0.1.0"
 
 __all__ = [
     "DoubleForm",
-    "OrientedFrameContext",
     "berezin",
     "pfaffian_skew",
     "power",

@@ -169,14 +169,6 @@ def _circle_metric(rho: float) -> Callable:
     return lambda x: np.array([[rho**2]])
 
 
-_SPHERES = {
-    1: (_circle_chart, _circle_metric),
-    2: (_sphere2_chart, _sphere2_metric),
-    3: (_sphere3_chart, _sphere3_metric),
-    4: (_sphere4_chart, _sphere4_metric),
-}
-
-
 def _torus_chart(n: int, periods) -> Chart:
     return Chart(
         f"torus{n}",
@@ -186,16 +178,23 @@ def _torus_chart(n: int, periods) -> Chart:
     )
 
 
-def _link_data(link: str):
-    """Chart, unit metric evaluator, and Lipschitz-Killing reference info."""
-    if link == "s1":
-        return _circle_chart("s1"), _circle_metric(1.0), 1
-    if link == "s3":
-        return _sphere3_chart("s3"), _sphere3_metric(1.0), 3
-    if link == "t3":
-        ch = _torus_chart(3, (2.0 * math.pi,) * 3)
-        return ch, (lambda x: np.eye(3)), 3
-    raise RegistryError(f"unsupported cone link {link!r}")
+# Factor manifolds of spheres, cone links and product collars:
+# name -> (chart builder taking a name tag, metric builder taking a radius,
+# dimension, Euler characteristic).
+_FACTORS = {
+    "s1": (_circle_chart, _circle_metric, 1, 0),
+    "s2": (_sphere2_chart, _sphere2_metric, 2, 2),
+    "s3": (_sphere3_chart, _sphere3_metric, 3, 0),
+    "s4": (_sphere4_chart, _sphere4_metric, 4, 2),
+    "t3": (lambda tag: _torus_chart(3, (2.0 * math.pi,) * 3),
+           lambda rho: (lambda x: np.eye(3)), 3, 0),
+}
+
+
+def _factor(name: str, tag: str, rho: float = 1.0):
+    """Chart, metric evaluator, dimension and Euler characteristic of a factor."""
+    chart_fn, metric_fn, dim, chi = _FACTORS[name]
+    return chart_fn(tag), metric_fn(rho), dim, chi
 
 
 # -- builders ------------------------------------------------------------------
@@ -204,16 +203,14 @@ def _link_data(link: str):
 def _build_sphere(params):
     n = int(params.get("n", 2))
     rho = float(params.get("rho", 1.0))
-    if n not in _SPHERES:
-        raise RegistryError(f"sphere dimension {n} not in {sorted(_SPHERES)}")
+    if not 1 <= n <= 4:
+        raise RegistryError(f"sphere dimension {n} not in [1, 2, 3, 4]")
     if rho <= 0:
         raise RegistryError("sphere radius must be positive")
-    chart_fn, metric_fn = _SPHERES[n]
-    chart = chart_fn(f"sphere{n}")
-    mf = MetricField(chart, metric_fn(rho))
+    chart, metric, _, chi = _factor(f"s{n}", f"sphere{n}", rho)
     return GeometrySpec(
         name="sphere", params={"n": n, "rho": rho},
-        charts=((chart, mf),), chi_ref=2 if n % 2 == 0 else 0,
+        charts=((chart, MetricField(chart, metric)),), chi_ref=chi,
         family="closed",
     )
 
@@ -253,7 +250,8 @@ def _build_disk(params):
         raise RegistryError("disk dimension must be 2 or 4")
     if rho <= 0:
         raise RegistryError("disk radius must be positive")
-    link_chart, link_metric, _ = _link_data("s1" if dim == 2 else "s3")
+    link = "s1" if dim == 2 else "s3"
+    link_chart, link_metric, _, _ = _factor(link, link)
     chart = _polar_disk_chart(dim // 2, rho)
     collar = CollarMetric(
         boundary_chart=link_chart,
@@ -269,7 +267,9 @@ def _build_disk(params):
 
 
 def _cone_collar(link: str, f_of_r: Callable) -> CollarMetric:
-    link_chart, link_metric, ldim = _link_data(link)
+    if link not in ("s1", "s3", "t3"):
+        raise RegistryError(f"unsupported cone link {link!r}")
+    link_chart, link_metric, ldim, chi = _factor(link, link)
 
     def radial(r):
         s = _scalar_factor(f_of_r(r) ** 2)
@@ -285,7 +285,7 @@ def _cone_collar(link: str, f_of_r: Callable) -> CollarMetric:
         base_dim=0, fiber_dim=ldim, base_chart=None, fiber_chart=link_chart,
         base_metric=None,
         fiber_metric=lambda r, y: cone_rate(r) ** 2 * link_metric(y),
-        chi_fiber=0 if ldim % 2 else 2,
+        chi_fiber=chi,
     )
     return CollarMetric(
         boundary_chart=link_chart, r_interval=(0.0, 1.25), radial_metric=radial,
@@ -371,7 +371,7 @@ def _build_catenoid(params):
         return _scalar_factor(c**2) * np.eye(2)
 
     mf = MetricField(chart, ev)
-    circle_chart, circle_metric, _ = _link_data("s1")
+    circle_chart = _circle_chart("s1")
     r_hi = math.sinh(cutoff)
     collar = CollarMetric(
         boundary_chart=circle_chart, r_interval=(1.0, 4.0 * r_hi),
@@ -391,23 +391,14 @@ def _build_catenoid(params):
     )
 
 
-_CHI = {"s1": 0, "s2": 2, "t3": 0}
-
-
 def _product_collar(base: str, fiber: str, fiber_scale: Callable, base_scale: Callable,
                     r_interval: tuple, singular_end: str) -> CollarMetric:
     """Collar over N = F x B, fiber coordinates first, with metric
     g(r) = fiber_scale(r) g_F + base_scale(r) g_B."""
-    pieces = {
-        "s1": (_circle_chart, _circle_metric, 1),
-        "s2": (_sphere2_chart, _sphere2_metric, 2),
-        "t3": (lambda tag: _torus_chart(3, (2.0 * math.pi,) * 3), lambda rho: (lambda x: np.eye(3)), 3),
-    }
-    if base not in pieces or fiber not in pieces:
+    if not {base, fiber} <= {"s1", "s2", "t3"}:
         raise RegistryError("base/fiber must be one of s1, s2, t3")
-    (b_chart, b_metric, bdim), (f_chart, f_metric, fdim) = pieces[base], pieces[fiber]
-    bch, bmet = b_chart(f"base-{base}"), b_metric(1.0)
-    fch, fmet = f_chart(f"fiber-{fiber}"), f_metric(1.0)
+    bch, bmet, bdim, _ = _factor(base, f"base-{base}")
+    fch, fmet, fdim, chi_fiber = _factor(fiber, f"fiber-{fiber}")
     n_chart = Chart(
         f"N-{fiber}x{base}", fch.bounds + bch.bounds, fch.periodic + bch.periodic,
         quad_hints=(fch.quad_hints or ()) + (bch.quad_hints or ()),
@@ -427,7 +418,7 @@ def _product_collar(base: str, fiber: str, fiber_scale: Callable, base_scale: Ca
     fib = FibrationData(
         base_dim=bdim, fiber_dim=fdim, base_chart=bch, fiber_chart=fch,
         base_metric=bmet, fiber_metric=lambda r, y: fmet(y),
-        chi_fiber=_CHI[fiber],
+        chi_fiber=chi_fiber,
     )
     return CollarMetric(
         boundary_chart=n_chart, r_interval=r_interval, radial_metric=radial,
@@ -450,8 +441,8 @@ def _build_edge_product(params):
     return GeometrySpec(
         name="edge_product", params={"base": base, "fiber": fiber},
         charts=((full_chart, mf),), collar=collar, fibration=collar.fibration,
-        chi_ref=_CHI[base],  # chi(B) x chi(cone over F)
-        chi_pieces={"base": _CHI[base], "fiber": _CHI[fiber]}, family="edge",
+        chi_ref=_FACTORS[base][3],  # chi(B) x chi(cone over F)
+        chi_pieces={"base": _FACTORS[base][3], "fiber": _FACTORS[fiber][3]}, family="edge",
     )
 
 
@@ -467,7 +458,7 @@ def _build_edge_horizontal(params):
     return GeometrySpec(
         name="edge_horizontal", params={"base": base, "fiber": fiber, "beta": beta},
         charts=(), collar=collar, fibration=collar.fibration,
-        chi_pieces={"base": _CHI[base], "fiber": _CHI[fiber]}, family="edge",
+        chi_pieces={"base": _FACTORS[base][3], "fiber": _FACTORS[fiber][3]}, family="edge",
     )
 
 
@@ -479,7 +470,7 @@ def _build_fibered_product(params):
     return GeometrySpec(
         name="fibered_product", params={"base": base, "fiber": fiber},
         charts=(), collar=collar, fibration=collar.fibration,
-        chi_pieces={"base": _CHI[base], "fiber": _CHI[fiber]}, family="fibered",
+        chi_pieces={"base": _FACTORS[base][3], "fiber": _FACTORS[fiber][3]}, family="fibered",
     )
 
 

@@ -177,10 +177,7 @@ def cmd_run(args) -> int:
             except (verify.ConfigurationError, catalog.RegistryError) as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
-        suite = verify.SuiteResult(
-            results=results,
-            passed=sum(1 for r in results if r.passed),
-            failed=sum(1 for r in results if not r.passed))
+        suite = verify.SuiteResult(results)
     else:
         suite = verify.run_suite(filter_text=args.filter, level=args.level,
                                  tol=args.tol, workers=args.workers)

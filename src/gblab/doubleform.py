@@ -6,9 +6,8 @@ densely, indexed by pairs of strictly increasing multi-indices ranked in
 colexicographic order.  The product wedges first slots with first slots and
 second slots with second slots, with no interchange sign.
 
-Floating-point coefficient tables may carry leading batch axes, one form per
-quadrature node; wedge, power and berezin broadcast over them.  Exact
-(object) forms are unbatched.
+Coefficient tables may carry leading batch axes, one form per quadrature
+node; wedge, power and berezin broadcast over them.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import numpy as np
 
 __all__ = [
     "DoubleForm",
-    "OrientedFrameContext",
     "ShapeError",
     "multi_indices",
     "index_rank",
@@ -117,18 +115,6 @@ def _table_shape(n: int, p: int, q: int) -> tuple[int, int]:
 
 
 @dataclass(frozen=True)
-class OrientedFrameContext:
-    """Fixes the distinguished unit n-covector used by the Berezin integral."""
-
-    n: int
-    orientation: int = 1
-
-    def __post_init__(self):
-        if self.orientation not in (1, -1):
-            raise ShapeError("orientation must be +1 or -1")
-
-
-@dataclass(frozen=True)
 class DoubleForm:
     """Element of Lambda^p (x) Lambda^q over an n-dimensional space.
 
@@ -155,32 +141,18 @@ class DoubleForm:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def zero(n: int, p: int, q: int, exact: bool = False) -> "DoubleForm":
-        shape = _table_shape(n, p, q)
-        if exact:
-            c = np.zeros(shape, dtype=object)
-            c[...] = 0
-        else:
-            c = np.zeros(shape)
-        return DoubleForm(n, p, q, c)
+    def zero(n: int, p: int, q: int) -> "DoubleForm":
+        return DoubleForm(n, p, q, np.zeros(_table_shape(n, p, q)))
 
     @staticmethod
-    def unit(n: int, exact: bool = False) -> "DoubleForm":
+    def unit(n: int) -> "DoubleForm":
         """The (0,0) multiplicative unit."""
-        z = DoubleForm.zero(n, 0, 0, exact=exact)
-        z.coeffs[0, 0] = 1
-        return z
+        return DoubleForm(n, 0, 0, np.ones((1, 1)))
 
     @staticmethod
-    def metric_form(n: int, exact: bool = False) -> "DoubleForm":
+    def metric_form(n: int) -> "DoubleForm":
         """The metric as a (1,1) form in an orthonormal frame: sum e^i (x) e^i."""
-        if exact:
-            c = np.zeros((n, n), dtype=object)
-            for i in range(n):
-                c[i, i] = 1
-        else:
-            c = np.eye(n)
-        return DoubleForm(n, 1, 1, c)
+        return DoubleForm(n, 1, 1, np.eye(n))
 
     # -- algebra -----------------------------------------------------------
 
@@ -211,7 +183,7 @@ class DoubleForm:
     def norm_inf(self) -> float:
         if self.coeffs.size == 0:
             return 0.0
-        return float(np.max(np.abs(self.coeffs.astype(float))))
+        return float(np.max(np.abs(self.coeffs)))
 
 
 def wedge(a: DoubleForm, b: DoubleForm) -> DoubleForm:
@@ -224,20 +196,12 @@ def wedge(a: DoubleForm, b: DoubleForm) -> DoubleForm:
         raise ShapeError("wedge of forms over different dimensions")
     n = a.n
     p, q = a.p + b.p, a.q + b.q
-    exact = a.coeffs.dtype == object or b.coeffs.dtype == object
     if p > n or q > n:
-        return DoubleForm.zero(n, min(p, n), min(q, n), exact=exact)
+        return DoubleForm.zero(n, min(p, n), min(q, n))
     table = _wedge_table(n, a.p, a.q, b.p, b.q)
     if table is None:
-        return DoubleForm.zero(n, p, q, exact=exact)
+        return DoubleForm.zero(n, p, q)
     ia, ib, io, sg = table
-    if exact:
-        out = DoubleForm.zero(n, p, q, exact=True)
-        af, bf, of = a.coeffs.ravel(), b.coeffs.ravel(), out.coeffs.ravel()
-        for k in range(len(ia)):
-            of[io[k]] += int(sg[k]) * af[ia[k]] * bf[ib[k]]
-        # object ravel returns a copy only if non-contiguous; ours is a view
-        return out
     shape = _table_shape(n, p, q)
     batch_a, batch_b = a.coeffs.shape[:-2], b.coeffs.shape[:-2]
     af = a.coeffs.reshape(batch_a + (-1,))
@@ -251,26 +215,25 @@ def power(a: DoubleForm, m: int) -> DoubleForm:
     """m-fold wedge power; power(a, 0) is the (0,0) unit."""
     if m < 0:
         raise ShapeError("negative wedge power")
-    exact = a.coeffs.dtype == object
     if m == 0:
-        return DoubleForm.unit(a.n, exact=exact)
+        return DoubleForm.unit(a.n)
     out = a
     for _ in range(m - 1):
         out = wedge(out, a)
     return out
 
 
-def berezin(a: DoubleForm, ctx: OrientedFrameContext) -> DoubleForm:
-    """Contract the second slot with the oriented unit volume element.
+def berezin(a: DoubleForm) -> DoubleForm:
+    """Contract the second slot with the unit volume element e^0 ^ ... ^ e^(n-1).
 
-    For q == n this extracts the coefficients at J = (0,...,n-1); for q < n
-    the contraction vanishes and the zero (p, 0) form is returned.
+    The frame's own orientation fixes the sign; every orientation choice of
+    an identity lives in the verification layer.  For q == n this extracts
+    the coefficients at J = (0,...,n-1); for q < n the contraction vanishes
+    and the zero (p, 0) form is returned.
     """
-    if a.n != ctx.n:
-        raise ShapeError("context dimension mismatch")
     if a.q == a.n:
-        return DoubleForm(a.n, a.p, 0, ctx.orientation * a.coeffs[..., :, :1])
-    return DoubleForm.zero(a.n, a.p, 0, exact=a.coeffs.dtype == object)
+        return DoubleForm(a.n, a.p, 0, a.coeffs[..., :, :1])
+    return DoubleForm.zero(a.n, a.p, 0)
 
 
 def _pfaffian_matchings(avail: tuple, A) -> object:

@@ -417,7 +417,7 @@ class GaugePath:
     All fields are at the Simpson nodes s_nodes, in the g0 orthonormal frame
     E0.  theta_dot[k] = d/ds theta^s has shape (..., d, d, d): [batch...,
     frame direction, i, j].  curvature[k] is the (2,2) double form with the
-    same batch axes (the unbatched zero form when curvature is skipped).
+    same batch axes (the unbatched zero form when d = 2).
     """
 
     s_nodes: np.ndarray
@@ -461,8 +461,7 @@ def _connection(ginv: np.ndarray, gamma1: np.ndarray) -> np.ndarray:
     return np.swapaxes(_second_kind(ginv, gamma1), -1, -2)
 
 
-def metric_path_gauge(g0: MetricField, g1: MetricField, x,
-                      need_curvature: bool = True) -> GaugePath:
+def metric_path_gauge(g0: MetricField, g1: MetricField, x) -> GaugePath:
     """Gauge the path g_s = (1-s) g0 + s g1 to the fixed bundle (TM, g0).
 
     x is a point or a block of points of shape (..., d); every field of the
@@ -478,8 +477,9 @@ def metric_path_gauge(g0: MetricField, g1: MetricField, x,
     those points.  Since the path is affine, every g_s derivative is a
     combination of one stencil sweep per endpoint, and theta_dot uses
     dtau/ds = -1/2 g_s^{-1} gdot tau with no differencing in s.
-    need_curvature=False skips the curvature samples (enough for surfaces,
-    where the transgression integrand carries no curvature factor).
+    The curvature is computed exactly when d > 2: on a surface the
+    transgression integrand B(theta_dot R^0) reads none, so the second
+    derivatives are skipped and curvature holds zero forms.
     """
     x = np.asarray(x, dtype=float)
     if (g0.chart is not g1.chart and g0.chart.bounds != g1.chart.bounds) or \
@@ -489,11 +489,12 @@ def metric_path_gauge(g0: MetricField, g1: MetricField, x,
     h = g0.steps()
     order = g0.fd_order
     s_nodes = np.linspace(0.0, 1.0, PATH_STEPS + 1)
+    curved = d > 2
 
     # one stencil sweep per endpoint; its center and first-derivative rows
     # also feed the transport
-    g0c, dg0, d2g0, samples0 = _metric_jet(g0, x, want_second=need_curvature)
-    g1c, dg1, d2g1, samples1 = _metric_jet(g1, x, want_second=need_curvature)
+    g0c, dg0, d2g0, samples0 = _metric_jet(g0, x, want_second=curved)
+    g1c, dg1, d2g1, samples1 = _metric_jet(g1, x, want_second=curved)
     # transport rows: the center (row 0) and the first-derivative stencil points
     offsets = [off for off in samples0 if off.count(0) >= d - 1]
     axis_rows = [{} for _ in range(d)]
@@ -531,7 +532,7 @@ def metric_path_gauge(g0: MetricField, g1: MetricField, x,
 
     # the curvature goes first, while few other arrays are alive: at d = 4 its
     # temporaries set the peak memory
-    curvs = [gauged_curvature(s) if need_curvature else DoubleForm.zero(d, 2, 2)
+    curvs = [gauged_curvature(s) if curved else DoubleForm.zero(d, 2, 2)
              for s in s_nodes]
     theta_dots = []
     for s in s_nodes:

@@ -26,7 +26,6 @@ import numpy as np
 
 from .doubleform import (
     DoubleForm,
-    OrientedFrameContext,
     ShapeError,
     berezin,
     multi_indices,
@@ -43,7 +42,6 @@ __all__ = [
     "pfaffian_form",
     "odd_pfaffian_form",
     "lipschitz_killing_form",
-    "variation_form",
     "boundary_correction_form",
     "path_transgression_form",
     "cone_transgression_value",
@@ -104,76 +102,76 @@ def beta_moment_identity(k: int):
 
 
 # -- pointwise curvature polynomials ----------------------------------------
+#
+# Each polynomial reads its dimension from its forms: n = R.n, and the
+# Berezin integral contracts with the frame's own orientation.
 
-def pfaffian_form(R: DoubleForm, ctx: OrientedFrameContext) -> DoubleForm:
+def pfaffian_form(R: DoubleForm) -> DoubleForm:
     """Pf = B(R^k)/k! as a (2k, 0) form; n must be even."""
-    n = R.n
-    if n % 2:
+    if R.n % 2:
         raise ShapeError("Pfaffian form needs even dimension")
-    k = n // 2
-    return (1.0 / math.factorial(k)) * berezin(power(R, k), ctx)
+    k = R.n // 2
+    return (1.0 / math.factorial(k)) * berezin(power(R, k))
 
 
-def odd_pfaffian_form(R: DoubleForm, h: DoubleForm, ctx: OrientedFrameContext) -> DoubleForm:
+def odd_pfaffian_form(R: DoubleForm) -> DoubleForm:
     """Odd-dimensional Pfaffian volume form on a (2k-1)-manifold."""
     n = R.n
     if n % 2 == 0:
         raise ShapeError("odd Pfaffian needs odd dimension")
     k = (n + 1) // 2
+    h = DoubleForm.metric_form(n)
     out = DoubleForm.zero(n, n, 0)
     for j in range(k):
         coeff = ((-1) ** (k + j) * double_factorial(2 * k - 2 * j - 3)
                  / (math.factorial(j) * math.factorial(2 * k - 2 * j - 1)))
-        term = berezin(wedge(power(R, j), power(h, 2 * k - 1 - 2 * j)), ctx)
-        out = out + coeff * term
+        out = out + coeff * berezin(wedge(power(R, j), power(h, 2 * k - 1 - 2 * j)))
     return out
 
 
-def lipschitz_killing_form(j: int, n: int, R: DoubleForm, h: DoubleForm,
-                           ctx: OrientedFrameContext) -> DoubleForm:
-    """Level-j Lipschitz-Killing form B(R^j h^(n-2j)) / (j!(n-2j)!)."""
+def lipschitz_killing_form(j: int, R: DoubleForm, X: DoubleForm) -> DoubleForm:
+    """B(R^j X^(n-2j)) / (j!(n-2j)!) for a symmetric (1,1) form X.
+
+    With X = h this is the level-j Lipschitz-Killing form; with X a metric
+    variation gdot it is the base integrand of the horizontal edge value.
+    """
+    n = R.n
     if not (0 <= 2 * j <= n):
         raise ShapeError("need 0 <= 2j <= n")
+    if (X.p, X.q) != (1, 1):
+        raise ShapeError("X must be a (1,1) form")
     c = 1.0 / (math.factorial(j) * math.factorial(n - 2 * j))
-    return c * berezin(wedge(power(R, j), power(h, n - 2 * j)), ctx)
+    return c * berezin(wedge(power(R, j), power(X, n - 2 * j)))
 
 
-def variation_form(i: int, b: int, R: DoubleForm, g_dot: DoubleForm,
-                   ctx: OrientedFrameContext) -> DoubleForm:
-    """B(R^i g_dot^(b-2i)) / (i!(b-2i)!) for a symmetric (1,1) variation."""
-    if not (0 <= 2 * i <= b):
-        raise ShapeError("need 0 <= 2i <= b")
-    if g_dot.p != 1 or g_dot.q != 1:
-        raise ShapeError("metric variation must be a (1,1) form")
-    c = 1.0 / (math.factorial(i) * math.factorial(b - 2 * i))
-    return c * berezin(wedge(power(R, i), power(g_dot, b - 2 * i)), ctx)
-
-
-def boundary_correction_form(II: DoubleForm, R: DoubleForm, k: int,
-                             ctx: OrientedFrameContext) -> DoubleForm:
+def boundary_correction_form(II: DoubleForm, R: DoubleForm) -> DoubleForm:
     """Gauss-Bonnet boundary integrand on a (2k-1)-dimensional slice.
 
     II is the slice second fundamental form (normal +d_r convention) and R
-    the induced curvature, in a common orthonormal frame.
+    the induced curvature, in a common orthonormal frame; k = (II.n + 1)/2.
     """
     n = II.n
-    if n != 2 * k - 1:
-        raise ShapeError("slice dimension must be 2k-1")
+    if n % 2 == 0:
+        raise ShapeError("slice dimension must be odd")
+    k = (n + 1) // 2
     out = DoubleForm.zero(n, n, 0)
     for j in range(k):
         coeff = float(chern_coefficient(j, k))
-        term = berezin(wedge(power(II, 2 * j + 1), power(R, k - 1 - j)), ctx)
-        out = out + coeff * term
+        out = out + coeff * berezin(wedge(power(II, 2 * j + 1), power(R, k - 1 - j)))
     return out
 
 
-def path_transgression_form(gauge, k: int, ctx: OrientedFrameContext) -> DoubleForm:
-    """Transgression primitive along a gauged metric path.
+def path_transgression_form(gauge) -> DoubleForm:
+    """Transgression primitive along a gauged metric path in dimension d = 2k.
 
     Composite-Simpson integral over s of B(theta_dot^s R_s^(k-1))/(k-1)!,
     returning a (2k-1, 0) form in the path's base orthonormal frame, with
     the batch axes of the gauge (one form per point of its block).
     """
+    d = gauge.theta_dot[0].shape[-1]
+    if d % 2:
+        raise ShapeError("path transgression needs even dimension")
+    k = d // 2
     s = gauge.s_nodes
     h = s[1] - s[0]
     acc = None
@@ -184,7 +182,7 @@ def path_transgression_form(gauge, k: int, ctx: OrientedFrameContext) -> DoubleF
             w = 4.0
         else:
             w = 2.0
-        integrand = berezin(wedge(_skew_matrix_to_double_form(td), power(R, k - 1)), ctx)
+        integrand = berezin(wedge(_skew_matrix_to_double_form(td), power(R, k - 1)))
         term = (w * h / 3.0) * integrand
         acc = term if acc is None else acc + term
     return (1.0 / math.factorial(k - 1)) * acc
@@ -204,21 +202,17 @@ def _skew_matrix_to_double_form(theta: np.ndarray) -> DoubleForm:
 
 # -- integrated closed forms -------------------------------------------------
 
-def cone_transgression_value(theta: float, lk_integrals, n: int) -> float:
+def cone_transgression_value(theta: float, lk_integrals) -> float:
     """Closed-form cone transgression sum_j theta^(n-2j) c~((n-1)/2 - j) I_j.
 
     lk_integrals[j] is the integral of the level-j Lipschitz-Killing form
-    over the link; n must be odd and the list of length (n+1)/2.
+    over the link, j = 0..(n-1)/2, so the link dimension is n = 2 len - 1.
     """
-    if n % 2 == 0:
-        raise ShapeError("cone links are odd dimensional")
-    count = (n + 1) // 2
-    if len(lk_integrals) != count:
-        raise ShapeError(f"need {count} Lipschitz-Killing integrals")
+    n = 2 * len(lk_integrals) - 1
     if theta == 0.0:
         return 0.0
     total = 0.0
-    for j in range(count):
+    for j in range(len(lk_integrals)):
         total += theta ** (n - 2 * j) * signed_double_factorial((n - 1) // 2 - j) * lk_integrals[j]
     return total
 
@@ -244,10 +238,10 @@ def fibered_boundary_value(odd_pf_base_integral: float, chi_fiber: int,
 
 
 def horizontal_edge_value(q_integrals: dict, p_integrals: dict, k: int,
-                          base_dim: int, fiber_dim: int) -> float:
+                          base_dim: int) -> float:
     """Closed-form slice-transgression limit with horizontal metric variation.
 
-    q_integrals[i] integrates the base form B(R^i gdot^(b-2i))/(i!(b-2i)!),
+    q_integrals[i] integrates the base form lipschitz_killing_form(i, R, gdot),
     p_integrals[v] the fiber Lipschitz-Killing forms.  Returns the limit of
     the plus-convention slice transgression:
 
@@ -256,7 +250,7 @@ def horizontal_edge_value(q_integrals: dict, p_integrals: dict, k: int,
     which reduces to -(Pf base) x (cone closed form at inclination 1 of the
     fiber) when gdot = 0.
     """
-    b, f = base_dim, fiber_dim
+    b = base_dim
     total = 0.0
     for i in q_integrals:
         for v in p_integrals:

@@ -102,11 +102,10 @@ class AxisRule:
 
 @dataclass(frozen=True)
 class MeshSpec:
-    """Fully resolved mesh: nodes and rule per axis plus refinement level."""
+    """Fully resolved mesh: nodes and rule per axis."""
 
     nodes: tuple
     rules: tuple
-    level: int = 1
 
     def __post_init__(self):
         if any(n < 4 for n in self.nodes):
@@ -134,7 +133,6 @@ def mesh_for_chart(chart, level: int) -> MeshSpec:
     return MeshSpec(
         nodes=tuple(r.nodes_at(level) for r in rules),
         rules=tuple(r.rule for r in rules),
-        level=level,
     )
 
 
@@ -193,10 +191,6 @@ class ConvergenceTable:
             if prev_diff not in (None, 0.0) and diff > 0.0:
                 order = math.log2(prev_diff / diff)
         self.rows.append((level, nodes, value, diff, order))
-
-    @property
-    def value(self) -> float:
-        return self.rows[-1][2]
 
     def to_csv(self) -> str:
         lines = ["level,nodes,value,diff,order"]

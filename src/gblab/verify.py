@@ -20,8 +20,7 @@ import numpy as np
 from . import catalog
 from . import invariants as inv
 from . import quadrature as quad
-from .doubleform import (DoubleForm, OrientedFrameContext, berezin, index_rank,
-                         multi_indices, pfaffian_skew, power)
+from .doubleform import DoubleForm, berezin, index_rank, multi_indices, pfaffian_skew, power
 from .geometry import (
     CollarMetric,
     MetricField,
@@ -117,12 +116,14 @@ def _jsonable(v):
 @dataclass
 class SuiteResult:
     results: list
-    passed: int
-    failed: int
 
     @property
-    def ok(self) -> bool:
-        return self.failed == 0
+    def passed(self) -> int:
+        return sum(1 for r in self.results if r.passed)
+
+    @property
+    def failed(self) -> int:
+        return len(self.results) - self.passed
 
 
 # -- shared numerics ----------------------------------------------------------
@@ -152,32 +153,30 @@ def curvature_integral(mf: MetricField, level: int, top, order: int = 4, fd_rel=
     return chart_integral(mf.chart, dens, level)
 
 
-def _pf_top(n: int):
-    ctx = OrientedFrameContext(n)
-    return lambda R, E, x: inv.pfaffian_form(R, ctx).coeffs[..., 0, 0]
+def _pf_top(R, E, x):
+    return inv.pfaffian_form(R).coeffs[..., 0, 0]
 
 
-def _odd_pf_top(n: int):
-    ctx, h = OrientedFrameContext(n), DoubleForm.metric_form(n)
-    return lambda R, E, x: inv.odd_pfaffian_form(R, h, ctx).coeffs[..., 0, 0]
+def _odd_pf_top(R, E, x):
+    return inv.odd_pfaffian_form(R).coeffs[..., 0, 0]
 
 
 def pf_integral(spec, level: int, order: int = 4, fd_rel=None) -> float:
     """Weighted integral of the Pfaffian form over all charts of a geometry."""
     total = 0.0
-    for chart, mf in spec.charts:
-        total += curvature_integral(mf, level, _pf_top(chart.dim), order, fd_rel)
+    for _, mf in spec.charts:
+        total += curvature_integral(mf, level, _pf_top, order, fd_rel)
     return float(spec.symmetry_weight) * total
+
+
+def _lk_top(j, R, E, x):
+    return inv.lipschitz_killing_form(j, R, DoubleForm.metric_form(R.n)).coeffs[..., 0, 0]
 
 
 def lk_integrals(mf: MetricField, level: int) -> list:
     """Integrals of the Lipschitz-Killing forms of an odd-dimensional metric."""
-    n = mf.chart.dim
-    ctx, h = OrientedFrameContext(n), DoubleForm.metric_form(n)
-    return [curvature_integral(
-                mf, level,
-                lambda R, E, x, j=j: inv.lipschitz_killing_form(j, n, R, h, ctx).coeffs[..., 0, 0])
-            for j in range((n + 1) // 2)]
+    return [curvature_integral(mf, level, partial(_lk_top, j))
+            for j in range((mf.chart.dim + 1) // 2)]
 
 
 def _slice_k(collar: CollarMetric) -> int:
@@ -188,12 +187,10 @@ def _slice_k(collar: CollarMetric) -> int:
 def slice_transgression_plus(collar: CollarMetric, r: float, level: int) -> float:
     """Plus-convention transgression integral over the slice at radius r."""
     sl = Slice(collar, r)
-    k = _slice_k(collar)
-    ctx = OrientedFrameContext(collar.boundary_chart.dim)
 
     def dens(y):
         sd = sl.at(y)
-        form = inv.boundary_correction_form(sd.second_fundamental, sd.curvature, k, ctx)
+        form = inv.boundary_correction_form(sd.second_fundamental, sd.curvature)
         return form.coeffs[..., 0, 0] * sd.sqrt_det
 
     return chart_integral(collar.boundary_chart, dens, level)
@@ -231,8 +228,8 @@ def edge_value_for(fib, level: int) -> float:
     if fib.base_dim % 2:
         return 0.0
     base, fiber = _fibration_fields(fib)
-    pf_base = 1.0 if base is None else curvature_integral(base, level, _pf_top(base.chart.dim))
-    odd_fiber = curvature_integral(fiber, level, _odd_pf_top(fiber.chart.dim))
+    pf_base = 1.0 if base is None else curvature_integral(base, level, _pf_top)
+    odd_fiber = curvature_integral(fiber, level, _odd_pf_top)
     return inv.edge_boundary_value(pf_base, odd_fiber, fib.base_dim)
 
 
@@ -241,7 +238,7 @@ def fibered_value_for(fib, level: int) -> float:
     if fib.base_dim % 2 == 0:
         return 0.0
     base, _ = _fibration_fields(fib)
-    odd_base = curvature_integral(base, level, _odd_pf_top(base.chart.dim))
+    odd_base = curvature_integral(base, level, _odd_pf_top)
     return inv.fibered_boundary_value(odd_base, fib.chi_fiber, fib.base_dim, fib.fiber_dim)
 
 
@@ -261,18 +258,17 @@ def horizontal_closed_value(collar: CollarMetric, level: int) -> float:
     the base metric is radially constant.
     """
     fib = collar.fibration
-    b, f = fib.base_dim, fib.fiber_dim
+    b = fib.base_dim
     base, fiber = _fibration_fields(fib)
-    ctxb = OrientedFrameContext(b)
 
     def top(i, R, E, y):
         gdot = np.swapaxes(E, -1, -2) @ _base_metric_variation(collar, y) @ E
         gdot_form = DoubleForm(b, 1, 1, 0.5 * (gdot + np.swapaxes(gdot, -1, -2)))
-        return inv.variation_form(i, b, R, gdot_form, ctxb).coeffs[..., 0, 0]
+        return inv.lipschitz_killing_form(i, R, gdot_form).coeffs[..., 0, 0]
 
     q_ints = {i: curvature_integral(base, level, partial(top, i)) for i in range(b // 2 + 1)}
     p_ints = dict(enumerate(lk_integrals(fiber, level)))
-    return inv.horizontal_edge_value(q_ints, p_ints, _slice_k(collar), b, f)
+    return inv.horizontal_edge_value(q_ints, p_ints, _slice_k(collar), b)
 
 
 def _phi_limit(collar: CollarMetric, g_full: MetricField, rs, y) -> np.ndarray:
@@ -363,7 +359,7 @@ def check_boundary_gb(spec, level, tol):
     boundary = slice_transgression_plus(spec.collar, rho, level)
     eps = EPSILONS["boundary"]
     chi = (interior - eps * boundary) / TWO_PI**k
-    two_route = _boundary_two_route(spec, k, level)
+    two_route = _boundary_two_route(spec, level)
     resid = max(abs(chi - spec.chi_ref), abs(boundary - (-(TWO_PI**k))) / TWO_PI**k,
                 two_route)
     computed = {
@@ -375,7 +371,7 @@ def check_boundary_gb(spec, level, tol):
                    notes=[SIGN_NOTE], eps={"boundary": eps})
 
 
-def _boundary_two_route(spec, k, level):
+def _boundary_two_route(spec, level):
     """Path-transgression route against the slice integrand near the boundary.
 
     The affine path from the frozen product metric to the true collar metric
@@ -389,13 +385,12 @@ def _boundary_two_route(spec, k, level):
     frozen = collar.radial_metric(r_b)
     g0 = replace(collar, radial_metric=lambda r: frozen).full_metric()
     nb = collar.boundary_chart.dim
-    ctx = OrientedFrameContext(nb + 1)
     slice_rank = index_rank(nb + 1, tuple(range(1, nb + 1)))
 
     def dens(y):
         x = np.concatenate((np.full(y.shape[:-1] + (1,), r_b), y), axis=-1)
-        gauge = metric_path_gauge(g0, full, x, need_curvature=k > 1)
-        c = inv.path_transgression_form(gauge, k, ctx).coeffs[..., slice_rank, 0]
+        gauge = metric_path_gauge(g0, full, x)
+        c = inv.path_transgression_form(gauge).coeffs[..., slice_rank, 0]
         return c * np.sqrt(np.linalg.det(frozen(y)))
 
     lvl = max(1, level - 1)
@@ -410,7 +405,7 @@ def check_cone_gb(spec, level, tol):
     n = spec.collar.boundary_chart.dim
     theta = spec.params.get("theta", 1.0)
     lk = lk_integrals(_unit_link(spec), level)
-    closed = inv.cone_transgression_value(theta, lk, n)
+    closed = inv.cone_transgression_value(theta, lk)
     limit, samples = slice_limit(spec.collar, level)
     eps = EPSILONS["cone"]
     gap = abs(eps * limit - closed)
@@ -603,7 +598,6 @@ def check_first_order_conic(spec, level, tol):
     g_full = spec.collar.full_metric()
     fib = spec.collar.fibration
     chartN = spec.collar.boundary_chart
-    ctxN = OrientedFrameContext(chartN.dim)
     rs = quad.geometric_schedule(0.32, 6)
 
     def gterm_density(y):
@@ -613,7 +607,7 @@ def check_first_order_conic(spec, level, tol):
         II = np.swapaxes(E0[..., :, 1:1 + f], -1, -2) @ lim[..., :, 0, 1:1 + f]
         II = DoubleForm(f, 1, 1, 0.5 * (II + np.swapaxes(II, -1, -2)))
         # k = 1 on the S^1 link (f = 1): the integrand reads only R^0
-        c = inv.boundary_correction_form(II, DoubleForm.zero(f, 2, 2), k, ctxN).coeffs[..., 0, 0]
+        c = inv.boundary_correction_form(II, DoubleForm.zero(f, 2, 2)).coeffs[..., 0, 0]
         return c * np.sqrt(np.linalg.det(fib.fiber_metric(0.0, y)))
 
     gterm = chart_integral(chartN, gterm_density, level)
@@ -640,7 +634,6 @@ def check_transgression_stokes(spec, level, tol):
         return np.exp(2.0 * u)[..., None, None] * np.eye(2)
 
     g1 = MetricField(chart, g1_ev, fd_rel_step=g0.fd_rel_step)
-    ctx = OrientedFrameContext(2)
     n_grid = 32
     hs = 1e-3
     xs = np.linspace(0.0, 2.0 * math.pi, n_grid, endpoint=False)
@@ -651,14 +644,14 @@ def check_transgression_stokes(spec, level, tol):
     for lo in range(0, len(pts), quad.BLOCK):
         p = pts[lo : lo + quad.BLOCK]
         x = np.stack([p + k * hs * np.eye(2)[a] for a, k in shifts])
-        gauge = metric_path_gauge(g0, g1, x, need_curvature=False)
+        gauge = metric_path_gauge(g0, g1, x)
         # flat frame = coordinate frame
-        tpf = dict(zip(shifts, inv.path_transgression_form(gauge, 1, ctx).coeffs[..., 0]))
+        tpf = dict(zip(shifts, inv.path_transgression_form(gauge).coeffs[..., 0]))
         dx = _central_diff(lambda k: tpf[0, k], hs, 2)
         dy = _central_diff(lambda k: tpf[1, k], hs, 2)
         R1, E1 = riemann_double_form(g1, p)
         # the flat reference term vanishes identically; sqrt(det g1) = 1 / det E1
-        dpf = inv.pfaffian_form(R1, ctx).coeffs[..., 0, 0] / np.linalg.det(E1)
+        dpf = inv.pfaffian_form(R1).coeffs[..., 0, 0] / np.linalg.det(E1)
         gaps.append(dx[:, 1] - dy[:, 0] - dpf)
         dpfs.append(dpf)
     worst = float(np.max(np.abs(np.concatenate(gaps))))
@@ -679,8 +672,8 @@ def check_algebra_identities(spec, level, tol):
         if lhs != rhs:
             failures.append(f"moment identity fails at k={k}")
     for n in range(1, 7):
-        he = DoubleForm.metric_form(n, exact=True)
-        val = berezin(power(he, n), OrientedFrameContext(n)).coeffs[0, 0]
+        # a sum of n! products of +-1, so exact in float64
+        val = berezin(power(DoubleForm.metric_form(n), n)).coeffs[0, 0]
         if val != math.factorial(n):
             failures.append(f"B(h^{n}) = {val} != {n}!")
     rng = np.random.default_rng(42)
@@ -705,11 +698,10 @@ def _pfaffian_cross_check(rng) -> float:
     worst = 0.0
     for n in (2, 4, 6):
         pairs = multi_indices(n, 2)
-        ctx = OrientedFrameContext(n)
         R = DoubleForm(n, 2, 2, rng.normal(size=(len(pairs), len(pairs))))
         # symmetrize in the pair sense so the matrix of 2-forms is skew-consistent
         R = 0.5 * (R + DoubleForm(n, 2, 2, R.coeffs.T.copy()))
-        via_berezin = inv.pfaffian_form(R, ctx).coeffs[0, 0]
+        via_berezin = inv.pfaffian_form(R).coeffs[0, 0]
         mat = [[DoubleForm.zero(n, 2, 0) for _ in range(n)] for _ in range(n)]
         for c, (i, j) in enumerate(pairs):
             col = DoubleForm.zero(n, 2, 0)
@@ -875,8 +867,7 @@ def run_suite(filter_text: str = "", level=None, tol=None, workers: int = 1) -> 
     else:
         results = [_run_row(row, level, tol) for row in rows]
     results.sort(key=lambda r: (r.check_id, r.geometry, sorted(r.params.items()).__repr__()))
-    passed = sum(1 for r in results if r.passed)
-    return SuiteResult(results=results, passed=passed, failed=len(results) - passed)
+    return SuiteResult(results)
 
 
 def calibrate(level: int = 2) -> dict:
@@ -898,7 +889,7 @@ def calibrate(level: int = 2) -> dict:
 
     cone = catalog.get("geometric_cone", link="s1", theta=0.5)
     lk = lk_integrals(_unit_link(cone), level)
-    closed = inv.cone_transgression_value(0.5, lk, 1)
+    closed = inv.cone_transgression_value(0.5, lk)
     limit, _ = slice_limit(cone.collar, level)
     best_c = min((+1, -1), key=lambda e: abs(e * limit - closed))
     out["derived"]["cone"] = best_c

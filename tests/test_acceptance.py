@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from gblab import catalog, verify
-from gblab.doubleform import DoubleForm, OrientedFrameContext, berezin, pfaffian_skew, power
+from gblab.doubleform import DoubleForm, berezin, pfaffian_skew, power
 from gblab import invariants as inv
 
 TWO_PI = 2.0 * math.pi
@@ -65,12 +65,12 @@ def test_criterion_03_boundary_gauss_bonnet(dim, tol, level):
 
 def test_criterion_04_odd_pfaffian_magnitudes():
     _, mf1 = catalog.get("sphere", n=1).charts[0]
-    val1 = verify.curvature_integral(mf1, 2, verify._odd_pf_top(1))
+    val1 = verify.curvature_integral(mf1, 2, verify._odd_pf_top)
     ok1 = abs(abs(val1) - TWO_PI) <= 1e-8
     _report("#4a odd Pf circle", ok1, f"|integral| = {abs(val1):.12f} vs 2pi (abs 1e-8)")
 
     _, mf3 = catalog.get("sphere", n=3).charts[0]
-    val3 = verify.curvature_integral(mf3, 2, verify._odd_pf_top(3))
+    val3 = verify.curvature_integral(mf3, 2, verify._odd_pf_top)
     ok3 = abs(abs(val3) - TWO_PI**2) / TWO_PI**2 <= 1e-4
     _report("#4b odd Pf 3-sphere", ok3, f"|integral| = {abs(val3):.8f} vs (2pi)^2 (rel 1e-4)")
 
@@ -202,8 +202,7 @@ def test_criterion_12_algebra_identities():
     ok_mom = all(inv.beta_moment_identity(k)[0] == inv.beta_moment_identity(k)[1]
                  for k in range(1, 11))
     ok_fact = all(
-        berezin(power(DoubleForm.metric_form(n, exact=True), n),
-                OrientedFrameContext(n)).coeffs[0, 0] == math.factorial(n)
+        berezin(power(DoubleForm.metric_form(n), n)).coeffs[0, 0] == math.factorial(n)
         for n in range(1, 7))
     rng = np.random.default_rng(2024)
     worst = 0.0

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gblab import catalog
-from gblab.doubleform import DoubleForm, OrientedFrameContext, multi_indices, wedge
+from gblab.doubleform import DoubleForm, multi_indices, wedge
 from gblab.geometry import (
     Chart,
     CollarMetric,
@@ -539,9 +539,18 @@ def test_gauge_constant_path_is_trivial():
     gauge = metric_path_gauge(m, m, np.array([1.0, 2.0]))
     for td in gauge.theta_dot:
         assert np.max(np.abs(td)) < 1e-12
-    first = gauge.curvature[0]
-    for R in gauge.curvature[1:]:
-        assert (R - first).norm_inf() < 1e-12
+    # the curvature is computed only for d > 2: a curved metric on a 4-box,
+    # where every s node must give the metric's own curvature
+    box4 = Chart("box4", ((-1.0, 1.0),) * 4, (False,) * 4)
+    m4 = MetricField(box4, lambda x: (1.0 + 0.3 * np.sin(x[..., :1] + x))[..., None, :]
+                     * np.eye(4))
+    x = np.array([0.1, -0.3, 0.4, 0.2])
+    gauge = metric_path_gauge(m4, m4, x)
+    want = riemann_double_form(m4, x)[0]
+    assert want.norm_inf() > 1e-2
+    for td, R in zip(gauge.theta_dot, gauge.curvature):
+        assert np.max(np.abs(td)) < 1e-12
+        assert (R - want).norm_inf() < 1e-12 * want.norm_inf()
 
 
 def test_gauge_linear_map_pair_flat():
@@ -582,15 +591,17 @@ def test_gauge_rejects_bad_paths():
     metric_path_gauge(g0, bent, pts[:2])
 
 
-@pytest.mark.parametrize("need_curvature", [False, True])
-def test_gauge_samples_each_stencil_point_once(need_curvature):
-    ev0 = _counting(lambda x: np.eye(2))
-    ev1 = _counting(lambda x: (1.5 + 0.2 * np.sin(x[..., 0]))[..., None, None] * np.eye(2))
-    block = np.array([[0.9, 1.7], [2.0, 0.3], [4.1, 5.5]])
-    gauge = metric_path_gauge(MetricField(TORUS2, ev0), MetricField(TORUS2, ev1), block,
-                              need_curvature=need_curvature)
+@pytest.mark.parametrize("d", [2, 4])
+def test_gauge_samples_each_stencil_point_once(d):
+    # d = 2 skips the curvature jet, d = 4 takes second derivatives too
+    torus = Chart(f"t{d}", ((0.0, 2 * math.pi),) * d, (True,) * d)
+    ev0 = _counting(lambda x: np.eye(d))
+    ev1 = _counting(lambda x: (1.5 + 0.2 * np.sin(x[..., 0]))[..., None, None] * np.eye(d))
+    block = np.array([[0.9, 1.7, 0.2, 3.0], [2.0, 0.3, 1.1, 4.4], [4.1, 5.5, 2.6, 0.8]])[:, :d]
+    gauge = metric_path_gauge(MetricField(torus, ev0), MetricField(torus, ev1), block)
     assert (ev0.calls, ev1.calls) == (1, 1)
-    assert gauge.theta_dot[0].shape == (3, 2, 2, 2)
+    assert gauge.theta_dot[0].shape == (3, d, d, d)
+    assert gauge.curvature[0].coeffs.shape[:-2] == ((3,) if d == 4 else ())
 
 
 def _spd_pair(seed, d, log_cond):
@@ -651,20 +662,17 @@ def test_gauge_on_a_block_equals_per_point_calls(pts, c, a, d):
     ev = _rational_metric(c)
     g0 = MetricField(chart, ev)
     g1 = MetricField(chart, _scaled(_rational_metric(c + 0.5), a))
-    need_curvature = d == 4
-    k = d // 2
-    ctx = OrientedFrameContext(d)
     X = np.array(pts)[:, :d]
-    block = metric_path_gauge(g0, g1, X, need_curvature=need_curvature)
-    form = path_transgression_form(block, k, ctx)
+    block = metric_path_gauge(g0, g1, X)
+    form = path_transgression_form(block)
     assert form.coeffs.shape[0] == len(X)
     for i, x in enumerate(X):
-        one = metric_path_gauge(g0, g1, x, need_curvature=need_curvature)
-        want = path_transgression_form(one, k, ctx).coeffs
+        one = metric_path_gauge(g0, g1, x)
+        want = path_transgression_form(one).coeffs
         assert _amax(form.coeffs[i] - want) <= 1e-12 * max(1.0, _amax(want))
         for gk, rk in zip(block.theta_dot, one.theta_dot):
             assert _amax(gk[i] - rk) <= 1e-12 * max(1.0, _amax(rk))
-        if need_curvature:
+        if d == 4:
             for gk, rk in zip(block.curvature, one.curvature):
                 assert _amax(gk.coeffs[i] - rk.coeffs) <= 1e-12 * max(1.0, _amax(rk.coeffs))
 

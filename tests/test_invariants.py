@@ -8,20 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gblab import invariants as inv
-from gblab.doubleform import (
-    DoubleForm,
-    OrientedFrameContext,
-    ShapeError,
-    berezin,
-    power,
-    wedge,
-)
+from gblab.doubleform import DoubleForm, ShapeError, berezin, power, wedge
+from gblab.geometry import GaugePath
 
 TWO_PI = 2 * math.pi
-
-
-def ctx(n):
-    return OrientedFrameContext(n)
 
 
 def round_curvature(n, c=1.0):
@@ -70,25 +60,25 @@ def test_chern_coefficient_exact():
 # -- Pfaffian forms ---------------------------------------------------------------
 
 def test_pfaffian_flat_and_spheres():
-    assert inv.pfaffian_form(DoubleForm.zero(2, 2, 2), ctx(2)).norm_inf() == 0.0
-    assert inv.pfaffian_form(round_curvature(2), ctx(2)).coeffs[0, 0] == pytest.approx(1.0)
-    assert inv.pfaffian_form(round_curvature(4), ctx(4)).coeffs[0, 0] == pytest.approx(3.0)
+    assert inv.pfaffian_form(DoubleForm.zero(2, 2, 2)).norm_inf() == 0.0
+    assert inv.pfaffian_form(round_curvature(2)).coeffs[0, 0] == pytest.approx(1.0)
+    assert inv.pfaffian_form(round_curvature(4)).coeffs[0, 0] == pytest.approx(3.0)
 
 
 def test_pfaffian_odd_dimension_rejected():
     with pytest.raises(ShapeError):
-        inv.pfaffian_form(DoubleForm.zero(3, 2, 2), ctx(3))
+        inv.pfaffian_form(DoubleForm.zero(3, 2, 2))
     with pytest.raises(ShapeError):
-        inv.odd_pfaffian_form(DoubleForm.zero(2, 2, 2), DoubleForm.metric_form(2), ctx(2))
+        inv.odd_pfaffian_form(DoubleForm.zero(2, 2, 2))
 
 
 def test_odd_pfaffian_frozen_values():
     # circle: -vol; flat 3-space: +vol; round 3-sphere: -2 vol
-    v1 = inv.odd_pfaffian_form(DoubleForm.zero(1, 2, 2), DoubleForm.metric_form(1), ctx(1))
+    v1 = inv.odd_pfaffian_form(DoubleForm.zero(1, 2, 2))
     assert v1.coeffs[0, 0] == pytest.approx(-1.0)
-    v3flat = inv.odd_pfaffian_form(DoubleForm.zero(3, 2, 2), DoubleForm.metric_form(3), ctx(3))
+    v3flat = inv.odd_pfaffian_form(DoubleForm.zero(3, 2, 2))
     assert v3flat.coeffs[0, 0] == pytest.approx(1.0)
-    v3 = inv.odd_pfaffian_form(round_curvature(3), DoubleForm.metric_form(3), ctx(3))
+    v3 = inv.odd_pfaffian_form(round_curvature(3))
     assert v3.coeffs[0, 0] == pytest.approx(-2.0)
 
 
@@ -96,47 +86,43 @@ def test_odd_pfaffian_frozen_values():
 
 def test_lk_level_zero_is_volume():
     for n in (1, 2, 3):
-        form = inv.lipschitz_killing_form(0, n, DoubleForm.zero(n, 2, 2),
-                                          DoubleForm.metric_form(n), ctx(n))
+        form = inv.lipschitz_killing_form(0, DoubleForm.zero(n, 2, 2), DoubleForm.metric_form(n))
         assert form.coeffs[0, 0] == pytest.approx(1.0)
 
 
 def test_lk_scalar_curvature_normalization():
     # level one equals scal/2 times the volume form
     for n, scal in ((2, 2.0), (3, 6.0), (4, 12.0)):
-        form = inv.lipschitz_killing_form(1, n, round_curvature(n),
-                                          DoubleForm.metric_form(n), ctx(n))
+        form = inv.lipschitz_killing_form(1, round_curvature(n), DoubleForm.metric_form(n))
         assert form.coeffs[0, 0] == pytest.approx(scal / 2.0)
 
 
 def test_lk_top_level_is_pfaffian():
     for n in (2, 4):
-        lk = inv.lipschitz_killing_form(n // 2, n, round_curvature(n),
-                                        DoubleForm.metric_form(n), ctx(n))
-        pf = inv.pfaffian_form(round_curvature(n), ctx(n))
+        lk = inv.lipschitz_killing_form(n // 2, round_curvature(n), DoubleForm.metric_form(n))
+        pf = inv.pfaffian_form(round_curvature(n))
         assert (lk - pf).norm_inf() <= 1e-12
 
 
 def test_lk_out_of_range():
     with pytest.raises(ShapeError):
-        inv.lipschitz_killing_form(2, 3, DoubleForm.zero(3, 2, 2),
-                                   DoubleForm.metric_form(3), ctx(3))
+        inv.lipschitz_killing_form(2, DoubleForm.zero(3, 2, 2), DoubleForm.metric_form(3))
 
 
 def test_variation_form_cases():
+    # the lipschitz_killing_form polynomial with a metric variation in place of h
     n = 3
     R = round_curvature(n)
     h = DoubleForm.metric_form(n)
     zero = DoubleForm.zero(n, 1, 1)
-    assert inv.variation_form(0, n, R, zero, ctx(n)).norm_inf() == 0.0
-    got = inv.variation_form(0, n, R, 2.0 * h, ctx(n))
-    want = (2.0 ** n) * inv.lipschitz_killing_form(0, n, R, h, ctx(n))
+    assert inv.lipschitz_killing_form(0, R, zero).norm_inf() == 0.0
+    got = inv.lipschitz_killing_form(0, R, 2.0 * h)
+    want = (2.0 ** n) * inv.lipschitz_killing_form(0, R, h)
     assert (got - want).norm_inf() <= 1e-12
     # top curvature power forgets the variation entirely
-    n = 2
     R2 = round_curvature(2)
-    top = inv.variation_form(1, 2, R2, 5.0 * DoubleForm.metric_form(2), ctx(2))
-    lk = inv.lipschitz_killing_form(1, 2, R2, DoubleForm.metric_form(2), ctx(2))
+    top = inv.lipschitz_killing_form(1, R2, 5.0 * DoubleForm.metric_form(2))
+    lk = inv.lipschitz_killing_form(1, R2, DoubleForm.metric_form(2))
     assert (top - lk).norm_inf() <= 1e-12
 
 
@@ -148,8 +134,8 @@ def test_variation_scaling_property(seed):
     R = round_curvature(n)
     c = float(rng.uniform(0.5, 2.0))
     h = DoubleForm.metric_form(n)
-    got = inv.variation_form(i, n, R, c * h, ctx(n))
-    want = c ** (n - 2 * i) * inv.lipschitz_killing_form(i, n, R, h, ctx(n))
+    got = inv.lipschitz_killing_form(i, R, c * h)
+    want = c ** (n - 2 * i) * inv.lipschitz_killing_form(i, R, h)
     assert (got - want).norm_inf() <= 1e-10
 
 
@@ -157,28 +143,51 @@ def test_variation_scaling_property(seed):
 
 
 def test_boundary_correction_vanishes_without_ii():
-    assert inv.boundary_correction_form(DoubleForm.zero(3, 1, 1), round_curvature(3),
-                                        2, ctx(3)).norm_inf() == 0.0
+    assert inv.boundary_correction_form(DoubleForm.zero(3, 1, 1),
+                                        round_curvature(3)).norm_inf() == 0.0
 
 
 def test_boundary_correction_unit_circle():
-    form = inv.boundary_correction_form(-1.0 * DoubleForm.metric_form(1),
-                                        DoubleForm.zero(1, 2, 2), 1, ctx(1))
+    form = inv.boundary_correction_form(-1.0 * DoubleForm.metric_form(1), DoubleForm.zero(1, 2, 2))
     assert form.coeffs[0, 0] == pytest.approx(-1.0)
 
 
 def test_boundary_correction_unit_three_sphere():
-    form = inv.boundary_correction_form(-1.0 * DoubleForm.metric_form(3), round_curvature(3),
-                                        2, ctx(3))
+    form = inv.boundary_correction_form(-1.0 * DoubleForm.metric_form(3), round_curvature(3))
     assert form.coeffs[0, 0] == pytest.approx(-2.0)
     # integral over the unit 3-sphere is -(2 pi)^2
     assert form.coeffs[0, 0] * 2 * math.pi**2 == pytest.approx(-TWO_PI**2)
 
 
 def test_boundary_correction_wrong_parity():
+    # k = (II.n + 1)/2 comes from II, so an even-dimensional II is a shape error
     with pytest.raises(ShapeError):
-        inv.boundary_correction_form(DoubleForm.metric_form(2), DoubleForm.zero(2, 2, 2),
-                                     1, ctx(2))
+        inv.boundary_correction_form(DoubleForm.metric_form(2), DoubleForm.zero(2, 2, 2))
+    with pytest.raises(ShapeError):
+        inv.boundary_correction_form(DoubleForm.metric_form(4), DoubleForm.zero(4, 2, 2))
+
+
+def test_lk_needs_a_symmetric_1_1_form():
+    R = round_curvature(3)
+    with pytest.raises(ShapeError):
+        inv.lipschitz_killing_form(0, R, DoubleForm.zero(3, 2, 2))
+    with pytest.raises(ShapeError):
+        inv.lipschitz_killing_form(1, R, DoubleForm.zero(3, 1, 0))
+    # X and R must share the dimension
+    with pytest.raises(ShapeError):
+        inv.lipschitz_killing_form(0, R, DoubleForm.metric_form(2))
+
+
+def test_path_transgression_needs_an_even_dimensional_gauge():
+    # k = d/2 comes from the gauge's theta_dot; an odd d has no k
+    s = np.linspace(0.0, 1.0, 3)
+    odd = GaugePath(s_nodes=s, theta_dot=[np.zeros((3, 3, 3))] * 3,
+                    curvature=[DoubleForm.zero(3, 2, 2)] * 3)
+    with pytest.raises(ShapeError):
+        inv.path_transgression_form(odd)
+    even = GaugePath(s_nodes=s, theta_dot=[np.zeros((5, 4, 4, 4))] * 3,
+                     curvature=[DoubleForm.zero(4, 2, 2)] * 3)
+    assert inv.path_transgression_form(even).coeffs.shape == (5, 4, 1)
 
 
 def test_boundary_correction_equals_double_factorial_combination():
@@ -188,39 +197,32 @@ def test_boundary_correction_equals_double_factorial_combination():
     iic = rng.normal(size=(n, n))
     II = DoubleForm(n, 1, 1, 0.5 * (iic + iic.T))
     R = round_curvature(n, c=0.7)
-    form = inv.boundary_correction_form(II, R, k, ctx(n))
+    form = inv.boundary_correction_form(II, R)
     alt = DoubleForm.zero(n, n, 0)
     for j in range(k):
         coeff = (-1) ** j * inv.double_factorial(2 * j - 1) / (
             math.factorial(k - 1 - j) * math.factorial(2 * j + 1))
-        alt = alt + coeff * berezin(wedge(power(R, k - 1 - j), power(II, 2 * j + 1)), ctx(n))
+        alt = alt + coeff * berezin(wedge(power(R, k - 1 - j), power(II, 2 * j + 1)))
     assert (form - alt).norm_inf() <= 1e-12
 
 
 # -- cone and fibration values -----------------------------------------------------------
 
 def test_cone_value_zero_inclination():
-    assert inv.cone_transgression_value(0.0, [TWO_PI], 1) == 0.0
+    assert inv.cone_transgression_value(0.0, [TWO_PI]) == 0.0
 
 
 def test_cone_value_circle():
     for theta in (0.3, 0.5, 1.0):
-        assert inv.cone_transgression_value(theta, [TWO_PI], 1) == pytest.approx(TWO_PI * theta)
+        assert inv.cone_transgression_value(theta, [TWO_PI]) == pytest.approx(TWO_PI * theta)
 
 
 def test_cone_value_three_sphere():
     lk = [2 * math.pi**2, 6 * math.pi**2]
-    got = inv.cone_transgression_value(1.0, lk, 3)
+    got = inv.cone_transgression_value(1.0, lk)
     assert got == pytest.approx(TWO_PI**2)
-    got = inv.cone_transgression_value(0.5, lk, 3)
+    got = inv.cone_transgression_value(0.5, lk)
     assert got == pytest.approx(-2 * math.pi**2 * 0.125 + 6 * math.pi**2 * 0.5)
-
-
-def test_cone_value_validation():
-    with pytest.raises(ShapeError):
-        inv.cone_transgression_value(1.0, [1.0], 2)
-    with pytest.raises(ShapeError):
-        inv.cone_transgression_value(1.0, [1.0], 3)
 
 
 def test_edge_boundary_value_cases():
@@ -241,7 +243,7 @@ def test_fibered_boundary_value_cases():
 def test_horizontal_edge_reduction_to_product():
     # no radial variation: only the top base power survives and the value is
     # -(Pf integral of the base) x (cone closed form of the fiber at one)
-    got = inv.horizontal_edge_value({1: 4 * math.pi}, {0: TWO_PI}, 2, 2, 1)
+    got = inv.horizontal_edge_value({1: 4 * math.pi}, {0: TWO_PI}, 2, 2)
     assert got == pytest.approx(-8 * math.pi**2)
 
 

@@ -74,3 +74,47 @@ def test_bench_records_every_run_of_a_stub_command(tmp_path, monkeypatch, capsys
         assert r["result"] == {"argv": ["--workload", r["workload"], "--seed", "0",
                                         "--trace", str(r["trace"])]}
     assert len(capsys.readouterr().out.splitlines()) == 6
+
+
+def _report(rows, passed=None):
+    results = [{"check_id": c, "geometry": g, "params": p, "computed": comp,
+                "reference": {"chi": 2}, "residual_abs": res, "residual_rel": res / 2,
+                "tolerance": 1e-3, "tolerance_kind": "abs", "pass": ok,
+                "convergence": {}, "epsilon_notes": {}, "notes": ["n"]}
+               for c, g, p, comp, res, ok in rows]
+    n_pass = sum(r["pass"] for r in results) if passed is None else passed
+    return {"meta": {"command": "run"}, "epsilons": {"cone": -1},
+            "summary": {"passed": n_pass, "failed": len(results) - n_pass,
+                        "total": len(results)},
+            "results": results}
+
+
+def _write(path, doc):
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def test_suite_diff_reports_identity_round_off_and_changed_fields(tmp_path, capsys):
+    script = _load("suite_diff")
+    rows = [("ClosedGB", "sphere", {"n": 2}, {"chi": 2.0000001, "label": "ok"}, 1e-7, True),
+            ("ConeGB", "cone", {"theta": 0.5}, {"lk": [6.25, 3.0]}, 2e-5, True)]
+    a = _write(tmp_path / "a.json", _report(rows))
+    assert script.main([a, _write(tmp_path / "b.json", _report(rows))]) == 0
+    assert capsys.readouterr().out == "identical\n"
+
+    # round-off: only numbers move, so the exit code stays 0
+    moved = [rows[0], rows[1][:3] + ({"lk": [6.25, 3.0 + 3e-12]}, 2e-5 * (1 + 1e-9), True)]
+    assert script.main([a, _write(tmp_path / "c.json", _report(moved))]) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.startswith("paired 2 rows; max rel diff 1e-12 at ConeGB cone")
+    assert line.endswith("computed.lk.1: 3.0 -> 3.000000000003")
+
+    # a flipped pass flag, a changed string and a missing row all exit 1
+    flipped = [rows[0][:3] + ({"chi": 2.0000001, "label": "bad"}, 1e-7, False)]
+    assert script.main([a, _write(tmp_path / "d.json", _report(flipped))]) == 1
+    out = capsys.readouterr().out
+    assert "every numeric leaf is equal" in out
+    assert "row only in A: ConeGB cone" in out
+    assert "ClosedGB sphere {\"n\": 2}: pass: True != False" in out
+    assert "computed.label: 'ok' != 'bad'" in out
+    assert "report field summary.passed: 2 != 0" in out

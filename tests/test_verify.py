@@ -68,7 +68,7 @@ def test_cone_check_reports_two_routes():
 ])
 def test_unit_link_divides_out_the_cone_profile(name, params):
     spec = catalog.get(name, **params)
-    link_metric = catalog._link_data("s1")[1]
+    link_metric = catalog._factor("s1", "s1")[1]
     for y in (np.array([0.3]), np.array([4.0])):
         assert np.max(np.abs(verify._unit_link(spec).evaluator(y) - link_metric(y))) < 1e-12
 

@@ -68,13 +68,13 @@ class SingularStratum:
 
 @dataclass(frozen=True)
 class GeometrySpec:
-    """A catalog geometry: charts, metric, collar, fibration, references."""
+    """A catalog geometry: charts, metric, collar, cone profile, references."""
 
     name: str
     params: dict
     charts: tuple                     # ((Chart, MetricField), ...)
     collar: Optional[CollarMetric] = None
-    fibration: Optional[FibrationData] = None
+    cone_profile: Optional[Callable] = None   # f of a cone collar dr^2 + f(r)^2 h
     symmetry_weight: Fraction = Fraction(1)
     chi_ref: Optional[int] = None
     chi_pieces: dict = field(default_factory=dict)
@@ -267,8 +267,6 @@ def _build_disk(params):
 
 
 def _cone_collar(link: str, f_of_r: Callable) -> CollarMetric:
-    if link not in ("s1", "s3", "t3"):
-        raise RegistryError(f"unsupported cone link {link!r}")
     link_chart, link_metric, ldim, chi = _factor(link, link)
 
     def radial(r):
@@ -309,8 +307,6 @@ def _build_cone(params):
         if not 1.0 + 1.25 * a > 0:
             raise RegistryError(f"first-order cone needs 1 + 1.25 a > 0, got a={a!r}")
         f = lambda r: r * (1.0 + a * r)
-    else:
-        raise RegistryError(f"unknown cone profile {profile!r}")
     collar = _cone_collar(link, f)
     link_chart = collar.boundary_chart
     chart = Chart(
@@ -322,7 +318,7 @@ def _build_cone(params):
     mf = MetricField(chart, collar.full_metric().evaluator)
     return GeometrySpec(
         name="cone", params={"link": link, "profile": profile, "theta": theta, "a": a},
-        charts=((chart, mf),), collar=collar, chi_ref=1,
+        charts=((chart, mf),), collar=collar, cone_profile=f, chi_ref=1,
         chi_pieces={"completion": 1, "open": 0}, family="cone",
     )
 
@@ -395,8 +391,6 @@ def _product_collar(base: str, fiber: str, fiber_scale: Callable, base_scale: Ca
                     r_interval: tuple, singular_end: str) -> CollarMetric:
     """Collar over N = F x B, fiber coordinates first, with metric
     g(r) = fiber_scale(r) g_F + base_scale(r) g_B."""
-    if not {base, fiber} <= {"s1", "s2", "t3"}:
-        raise RegistryError("base/fiber must be one of s1, s2, t3")
     bch, bmet, bdim, _ = _factor(base, f"base-{base}")
     fch, fmet, fdim, chi_fiber = _factor(fiber, f"fiber-{fiber}")
     n_chart = Chart(
@@ -440,7 +434,7 @@ def _build_edge_product(params):
     mf = MetricField(full_chart, collar.full_metric().evaluator)
     return GeometrySpec(
         name="edge_product", params={"base": base, "fiber": fiber},
-        charts=((full_chart, mf),), collar=collar, fibration=collar.fibration,
+        charts=((full_chart, mf),), collar=collar,
         chi_ref=_FACTORS[base][3],  # chi(B) x chi(cone over F)
         chi_pieces={"base": _FACTORS[base][3], "fiber": _FACTORS[fiber][3]}, family="edge",
     )
@@ -457,7 +451,7 @@ def _build_edge_horizontal(params):
                              (0.0, 1.0), "lower")
     return GeometrySpec(
         name="edge_horizontal", params={"base": base, "fiber": fiber, "beta": beta},
-        charts=(), collar=collar, fibration=collar.fibration,
+        charts=(), collar=collar,
         chi_pieces={"base": _FACTORS[base][3], "fiber": _FACTORS[fiber][3]}, family="edge",
     )
 
@@ -469,7 +463,7 @@ def _build_fibered_product(params):
                              (2.0, 800.0), "infinity")
     return GeometrySpec(
         name="fibered_product", params={"base": base, "fiber": fiber},
-        charts=(), collar=collar, fibration=collar.fibration,
+        charts=(), collar=collar,
         chi_pieces={"base": _FACTORS[base][3], "fiber": _FACTORS[fiber][3]}, family="fibered",
     )
 
@@ -518,6 +512,10 @@ def _validated(builder_name: str, params: dict) -> dict:
         raise RegistryError(
             f"unknown parameter(s) {sorted(unknown)} for {builder_name!r}; "
             f"valid keys: {sorted(schema)}")
+    for key, value in params.items():
+        # a schema entry without spaces, "a" or "a|b|c", lists the only values accepted
+        if " " not in schema[key] and str(value) not in schema[key].split("|"):
+            raise RegistryError(f"{builder_name} {key} must be one of {schema[key]}, got {value!r}")
     return params
 
 

@@ -344,6 +344,11 @@ class CollarMetric:
     fd_rel_step: float = 1e-4
     fd_order: int = 2
 
+    def __post_init__(self):
+        lo, hi = self.r_interval
+        if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+            raise DomainError(f"bad radial interval {self.r_interval!r} for a collar")
+
     def slice_field(self, r: float) -> MetricField:
         ev = self.radial_metric(r)
         return MetricField(self.boundary_chart, ev,
@@ -414,8 +419,9 @@ PATH_STEPS = 16
 class GaugePath:
     """Gauge of the affine metric path at a point or a block of points.
 
-    All fields are at the Simpson nodes s_nodes, in the g0 orthonormal frame
-    E0.  theta_dot[k] = d/ds theta^s has shape (..., d, d, d): [batch...,
+    theta_dot and curvature are at the Simpson nodes s_nodes, in the g0
+    orthonormal frame E0 = frame (..., d, d), so 1 / det(frame) = sqrt(det g0).
+    theta_dot[k] = d/ds theta^s has shape (..., d, d, d): [batch...,
     frame direction, i, j].  curvature[k] is the (2,2) double form with the
     same batch axes (the unbatched zero form when d = 2).
     """
@@ -423,6 +429,7 @@ class GaugePath:
     s_nodes: np.ndarray
     theta_dot: list
     curvature: list
+    frame: np.ndarray
 
 
 def _path_eigenbasis(g0: np.ndarray, g1: np.ndarray):
@@ -554,7 +561,7 @@ def metric_path_gauge(g0: MetricField, g1: MetricField, x) -> GaugePath:
             tid @ core
             + Tinv @ (along_axes(rates) + omegas_dot @ T + omegas @ taudot[..., None, :, :])))
 
-    return GaugePath(s_nodes=s_nodes, theta_dot=theta_dots, curvature=curvs)
+    return GaugePath(s_nodes=s_nodes, theta_dot=theta_dots, curvature=curvs, frame=E0)
 
 
 def _phi_matrix(r: float, dim: int, fiber_dim: int) -> np.ndarray:
@@ -601,21 +608,21 @@ def phi_frame(c: CollarMetric, r: float, y, h_r: float):
     frame at order 2, with step h_r along r and the collar's relative step
     along the slice axes.
     """
-    fib = c.fibration
     y = np.asarray(y, dtype=float)
     steps = np.concatenate(([h_r], c.fd_rel_step * c.boundary_chart.extents))
 
     def frame_at(mu, k):
         shift = k * steps[mu] * np.eye(steps.size)[mu]   # along r or one slice axis
-        return _frame_of(_h_phi_matrix(c, fib, r + shift[0], y + shift[1:]))
+        return _frame_of(_h_phi_matrix(c, r + shift[0], y + shift[1:]))
 
     dE = np.stack([_central_diff(partial(frame_at, mu), steps[mu], 2)
                    for mu in range(steps.size)], axis=-3)
-    return _frame_of(_h_phi_matrix(c, fib, r, y)), dE
+    return _frame_of(_h_phi_matrix(c, r, y)), dE
 
 
-def _h_phi_matrix(c: CollarMetric, fib: FibrationData, r: float, y) -> np.ndarray:
+def _h_phi_matrix(c: CollarMetric, r: float, y) -> np.ndarray:
     """h^phi = dr^2 + g^V(r) + g^B at (r, y), block diagonal, fiber first."""
+    fib = c.fibration
     f, b = fib.fiber_dim, fib.base_dim
     d = 1 + f + b
     out = np.zeros(np.shape(y)[:-1] + (d, d))

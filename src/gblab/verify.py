@@ -4,8 +4,8 @@ Each registered check composes the geometry engine, the curvature
 polynomials, and the quadrature layer into one named verification and
 returns a CheckResult.  Orientation bookkeeping is concentrated in the
 per-family epsilon flags below; they are derived once by the calibrate()
-pass from three anchors (disk boundary, collapsing-fiber product, catenoid)
-and frozen here.
+pass from four anchor checks (the BoundaryGB, ConeGB, EdgeGB and FiberedGB
+rows named in _ANCHORS) and frozen here.
 """
 
 from __future__ import annotations
@@ -293,18 +293,17 @@ def _phi_reference(collar: CollarMetric, y) -> np.ndarray:
     f, b = fib.fiber_dim, fib.base_dim
     d = 1 + f + b
     y = np.asarray(y, dtype=float)
+    base_field, fiber_field = _fibration_fields(fib)
 
     # omega_coord[..., mu, i, j] = Gamma^i_{mu j} of the block connection
     omega_coord = np.zeros(y.shape[:-1] + (d, d, d))
     if f:
-        fiber_field = MetricField(fib.fiber_chart, lambda z: fib.fiber_metric(0.0, z))
         vert = slice(1, 1 + f)
         gam_f = christoffel(fiber_field, y[..., :f])   # [..., k, a, j]
         omega_coord[..., vert, vert, vert] = np.swapaxes(gam_f, -3, -2)
         omega_coord[..., vert, 0, vert] = -fib.fiber_metric(0.0, y[..., :f])
         omega_coord[..., vert, vert, 0] = np.eye(f)
     if b:
-        base_field = MetricField(fib.base_chart, fib.base_metric)
         hor = slice(1 + f, d)
         gam_b = christoffel(base_field, y[..., f:])
         omega_coord[..., hor, hor, hor] = np.swapaxes(gam_b, -3, -2)
@@ -391,7 +390,7 @@ def _boundary_two_route(spec, level):
         x = np.concatenate((np.full(y.shape[:-1] + (1,), r_b), y), axis=-1)
         gauge = metric_path_gauge(g0, full, x)
         c = inv.path_transgression_form(gauge).coeffs[..., slice_rank, 0]
-        return c * np.sqrt(np.linalg.det(frozen(y)))
+        return c / np.linalg.det(gauge.frame)
 
     lvl = max(1, level - 1)
     path_route = chart_integral(collar.boundary_chart, dens, lvl)
@@ -425,32 +424,17 @@ def check_cone_gb(spec, level, tol):
                    samples=samples, notes=notes, eps={"cone": eps})
 
 
-# cone profiles of the named specs whose params carry no "profile" key
-_NAMED_PROFILES = {"cone_perturbed_first_order": "first_order",
-                   "cone_perturbed_second_order": "second_order"}
-
-
 def _unit_link(spec) -> MetricField:
     """The link metric h on the collar's chart, with the cone profile divided out."""
     collar = spec.collar
-    theta = spec.params.get("theta", 1.0)
-    profile = spec.params.get("profile", _NAMED_PROFILES.get(spec.name, "linear"))
-    a = spec.params.get("a", 0.0)
     r_ref = 1e-3
-    f2_of = {
-        "linear": (theta * r_ref) ** 2,
-        "second_order": r_ref**2 * (1.0 + r_ref**2),
-        "first_order": (r_ref * (1.0 + a * r_ref)) ** 2,
-    }
-    if profile not in f2_of:
-        raise ConfigurationError(f"unknown cone profile {profile!r}")
-    f2 = f2_of[profile]
+    f2 = spec.cone_profile(r_ref) ** 2
     return MetricField(collar.boundary_chart, lambda y: collar.radial_metric(r_ref)(y) / f2)
 
 
 def check_edge_limit(spec, level, tol):
-    fib = spec.fibration or (spec.collar.fibration if spec.collar else None)
-    if spec.collar is None or fib is None or spec.family != "edge":
+    fib = spec.collar.fibration if spec.collar else None
+    if fib is None or spec.family != "edge":
         raise ConfigurationError("EdgeLimit needs an edge geometry")
     limit, samples = slice_limit(spec.collar, level)
     closed = edge_value_for(fib, level)
@@ -473,7 +457,7 @@ def check_edge_limit(spec, level, tol):
 
 
 def check_edge_gb(spec, level, tol):
-    fib = spec.fibration
+    fib = spec.collar.fibration if spec.collar else None
     if not spec.charts or fib is None or spec.family != "edge":
         raise ConfigurationError("EdgeGB needs a charted edge geometry")
     dim = spec.charts[0][0].dim
@@ -528,15 +512,18 @@ def check_fibered_gb(spec, level, tol):
         return _result("FiberedGB", spec, computed, {"end_value": 0.0}, abs(limit), scale,
                        tol, "rel", notes=["even-dimensional base: boundary term vanishes"],
                        eps={"fibered": eps})
-    # odd base (catenoid family): full identity plus route agreement
-    lhs = TWO_PI**k * spec.chi_ref
-    rhs = interior - eps * spec.end_count * end_value
-    gap_identity = abs(lhs - rhs)
-    gap_routes = abs(limit - end_value)
-    scale = max(abs(interior), TWO_PI**k)
-    gap = max(gap_identity, gap_routes)
-    computed["identity_rhs"] = rhs
-    reference = {"identity_lhs": lhs, "end_value": end_value}
+    # odd base: the slice limit and the closed form must agree; with charts
+    # (catenoid family) the full identity must hold as well
+    gap = abs(limit - end_value)
+    scale = max(abs(end_value), 1e-12)
+    reference = {"end_value": end_value}
+    if spec.charts:
+        lhs = TWO_PI**k * spec.chi_ref
+        rhs = interior - eps * spec.end_count * end_value
+        gap = max(abs(lhs - rhs), gap)
+        scale = max(abs(interior), TWO_PI**k)
+        computed["identity_rhs"] = rhs
+        reference["identity_lhs"] = lhs
     return _result("FiberedGB", spec, computed, reference, gap, scale, tol, "rel",
                    samples=samples, eps={"fibered": eps})
 
@@ -596,19 +583,18 @@ def check_first_order_conic(spec, level, tol):
     # asymptotic second fundamental form from the extrapolated conjugated
     # connection; its boundary integral is the singular contribution
     g_full = spec.collar.full_metric()
-    fib = spec.collar.fibration
+    f = spec.collar.fibration.fiber_dim
     chartN = spec.collar.boundary_chart
     rs = quad.geometric_schedule(0.32, 6)
 
     def gterm_density(y):
         lim = _phi_limit(spec.collar, g_full, rs, y)
-        f = fib.fiber_dim
-        E0 = _frame_of(_h_phi_matrix(spec.collar, fib, 0.0, y))
+        E0 = _frame_of(_h_phi_matrix(spec.collar, 0.0, y))
         II = np.swapaxes(E0[..., :, 1:1 + f], -1, -2) @ lim[..., :, 0, 1:1 + f]
         II = DoubleForm(f, 1, 1, 0.5 * (II + np.swapaxes(II, -1, -2)))
         # k = 1 on the S^1 link (f = 1): the integrand reads only R^0
         c = inv.boundary_correction_form(II, DoubleForm.zero(f, 2, 2)).coeffs[..., 0, 0]
-        return c * np.sqrt(np.linalg.det(fib.fiber_metric(0.0, y)))
+        return c / np.linalg.det(E0)
 
     gterm = chart_integral(chartN, gterm_density, level)
     singular = 1.0 + gterm / TWO_PI**k
@@ -870,48 +856,38 @@ def run_suite(filter_text: str = "", level=None, tol=None, workers: int = 1) -> 
     return SuiteResult(results)
 
 
+# (family, anchor, check row, target, value(computed, reference, e)): the flag e
+# is the sign whose value lies closest to target; the anchor is |value| there
+_ANCHORS = (
+    ("boundary", "disk_chi", ("BoundaryGB", "disk", {"dim": 2}), 1.0,
+     lambda c, ref, e: (c["pf_integral"] - e * c["boundary_integral"]) / TWO_PI),
+    ("cone", "cone_gap", ("ConeGB", "geometric_cone", {"link": "s1", "theta": 0.5}), 0.0,
+     lambda c, ref, e: e * c["slice_limit_plus"] - c["closed_form"]),
+    ("edge", "edge_residual", ("EdgeGB", "edge_product", {"base": "s2", "fiber": "s1"}), 0.0,
+     lambda c, ref, e: ref["identity_lhs"] - (c["pf_integral"] - e * c["edge_term"])),
+    ("fibered", "catenoid_residual", ("FiberedGB", "catenoid", {}), 0.0,
+     lambda c, ref, e: ref["identity_lhs"]
+     - (c["pf_integral"] - e * c["end_count"] * c["end_value"])),
+)
+
+
 def calibrate(level: int = 2) -> dict:
-    """Re-derive the per-family orientation flags from the three anchors.
+    """Re-derive the per-family orientation flags from the four anchor checks.
 
-    boundary: chi(D^2) = 1; edge: the product identity on the collapsing
-    collar over the 2-sphere base; fibered: the catenoid identity.  The cone
-    flag follows from the boundary anchor applied to the inner slice of an
-    annulus.  Returns the derived flags plus anchor residuals.
+    Each anchor is a check row run at this level, and its flag is fitted to
+    the row's own computed values: BoundaryGB on the 2-disk (chi(D^2) = 1),
+    ConeGB on the cone of angle 1/2 over the circle (slice limit against the
+    closed form), EdgeGB on the collapsing circle over the 2-sphere and
+    FiberedGB on the catenoid (their Gauss-Bonnet identities).  Returns the
+    derived flags plus anchor residuals.
     """
-    out = {"frozen": dict(EPSILONS), "derived": {}, "anchors": {}}
-
-    disk = catalog.get("disk", dim=2)
-    interior = pf_integral(disk, level, order=2)
-    boundary = slice_transgression_plus(disk.collar, 1.0, level)
-    best_b = min((+1, -1), key=lambda e: abs((interior - e * boundary) / TWO_PI - 1.0))
-    out["derived"]["boundary"] = best_b
-    out["anchors"]["disk_chi"] = (interior - best_b * boundary) / TWO_PI
-
-    cone = catalog.get("geometric_cone", link="s1", theta=0.5)
-    lk = lk_integrals(_unit_link(cone), level)
-    closed = inv.cone_transgression_value(0.5, lk)
-    limit, _ = slice_limit(cone.collar, level)
-    best_c = min((+1, -1), key=lambda e: abs(e * limit - closed))
-    out["derived"]["cone"] = best_c
-    out["anchors"]["cone_gap"] = abs(best_c * limit - closed)
-
-    edge = catalog.get("edge_product", base="s2", fiber="s1")
-    edge_term = edge_value_for(edge.fibration, level)
-    interior_e = 0.0  # product of a flat factor: the interior form vanishes
-    best_e = min((+1, -1), key=lambda e: abs(TWO_PI**2 * edge.chi_ref - (interior_e - e * edge_term)))
-    out["derived"]["edge"] = best_e
-    out["anchors"]["edge_residual"] = abs(TWO_PI**2 * edge.chi_ref - (interior_e - best_e * edge_term))
-
-    cat = catalog.get("catenoid")
-    interior_c = pf_integral(cat, level, order=4)
-    fib = cat.collar.fibration
-    end_value = fibered_value_for(fib, level)
-    best_f = min((+1, -1), key=lambda e: abs(0.0 - (interior_c - e * cat.end_count * end_value)))
-    out["derived"]["fibered"] = best_f
-    out["anchors"]["catenoid_residual"] = abs(interior_c - best_f * cat.end_count * end_value)
-
-    out["consistent"] = out["derived"] == dict(EPSILONS)
-    return out
+    derived, anchors = {}, {}
+    for family, anchor, row, target, value in _ANCHORS:
+        r = run_check(*row, level=level)
+        derived[family] = min((+1, -1), key=lambda e: abs(value(r.computed, r.reference, e) - target))
+        anchors[anchor] = abs(value(r.computed, r.reference, derived[family]))
+    return {"frozen": dict(EPSILONS), "derived": derived, "anchors": anchors,
+            "consistent": derived == EPSILONS}
 
 
 def suite_to_json_dict(suite: SuiteResult, meta=None) -> dict:

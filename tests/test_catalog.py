@@ -52,6 +52,21 @@ def test_unknown_names_and_params():
         catalog.get("sphere", n=2, radius=1.0)  # key is rho
 
 
+_FACTOR_KEYS = [(name, key) for name, (_, schema) in sorted(catalog._BUILDERS.items())
+                for key in ("link", "base", "fiber") if key in schema]
+
+
+@pytest.mark.parametrize("factor", ["s1", "s2", "s3", "t3"])
+@pytest.mark.parametrize("name,key", _FACTOR_KEYS)
+def test_schema_owns_the_factor_names(name, key, factor):
+    # get accepts a factor name exactly when the builder's schema lists it
+    if factor in catalog._BUILDERS[name][1][key].split("|"):
+        assert catalog.get(name, **{key: factor}).params[key] == factor
+    else:
+        with pytest.raises(catalog.RegistryError, match=f"{name} {key} must be one of"):
+            catalog.get(name, **{key: factor})
+
+
 @pytest.mark.parametrize("name,params,vol", [
     ("sphere", {"n": 1}, 2 * math.pi),
     ("sphere", {"n": 2}, 4 * math.pi),

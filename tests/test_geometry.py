@@ -553,6 +553,35 @@ def test_gauge_constant_path_is_trivial():
         assert (R - want).norm_inf() < 1e-12 * want.norm_inf()
 
 
+def test_gauge_frame_gives_sqrt_det_g0():
+    # a non-diagonal g0 on a block: 1 / det E0 stands in for sqrt(det g0)
+    box3 = Chart("box3", ((-1.0, 1.0),) * 3, (False,) * 3)
+
+    def ev0(x):
+        g = np.zeros(x.shape[:-1] + (3, 3)) + np.diag([1.5, 0.8, 2.0])
+        g[..., 0, 1] = g[..., 1, 0] = 0.4 * np.sin(x[..., 0]) * x[..., 1]
+        g[..., 2, 2] += x[..., 2] ** 2
+        return g
+
+    g0 = MetricField(box3, ev0)
+    g1 = MetricField(box3, lambda x: 1.3 * ev0(x))
+    block = np.array([[0.1, -0.3, 0.4], [0.5, 0.7, -0.6], [-0.8, 0.2, 0.9]])
+    gauge = metric_path_gauge(g0, g1, block)
+    assert gauge.frame.shape == (3, 3, 3)
+    want = np.sqrt(np.linalg.det(ev0(block)))
+    assert np.max(np.abs(1.0 / np.linalg.det(gauge.frame) - want)) <= 1e-14
+
+
+def test_collar_rejects_a_bad_radial_interval():
+    circle = Chart("s1", ((0.0, 2 * math.pi),), (True,))
+    for interval in ((1.0, 0.4), (0.5, 0.5), (0.0, math.inf), (math.nan, 1.0)):
+        with pytest.raises(DomainError, match="radial interval"):
+            CollarMetric(circle, interval, lambda r: (lambda y: np.eye(1)))
+    # a catenoid cutoff below asinh(1/4) would put the collar's top under its bottom
+    with pytest.raises(DomainError, match=r"\(1.0, 0.40"):
+        catalog.get("catenoid", cutoff=0.1)
+
+
 def test_gauge_linear_map_pair_flat():
     lam = np.array([[1.0, 0.3], [0.0, 0.8]])
     g1m = lam.T @ lam

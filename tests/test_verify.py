@@ -1,6 +1,5 @@
 """Verification harness: registry, dispatch, result contracts, calibration."""
 
-import dataclasses
 import json
 import math
 
@@ -73,12 +72,6 @@ def test_unit_link_divides_out_the_cone_profile(name, params):
         assert np.max(np.abs(verify._unit_link(spec).evaluator(y) - link_metric(y))) < 1e-12
 
 
-def test_unit_link_rejects_an_unknown_profile():
-    spec = dataclasses.replace(catalog.get("geometric_cone"), params={"profile": "cusp"})
-    with pytest.raises(verify.ConfigurationError, match="cusp"):
-        verify._unit_link(spec)
-
-
 def test_boundary_check_carries_sign_note():
     r = verify.run_check("BoundaryGB", "disk", {"dim": 2}, level=2)
     assert r.passed
@@ -138,7 +131,7 @@ def test_default_suite_covers_fifteen_checks():
 def test_edge_value_for_torus_fiber():
     # flat 3-torus fiber over the round 2-sphere
     spec = catalog.get("edge_product", base="s2", fiber="t3")
-    val = verify.edge_value_for(spec.fibration, level=2)
+    val = verify.edge_value_for(spec.collar.fibration, level=2)
     assert val == pytest.approx(4 * math.pi * (2 * math.pi) ** 3, rel=1e-5)
 
 
@@ -147,6 +140,43 @@ def test_calibration_recovers_frozen_flags():
     assert report["consistent"]
     assert report["derived"] == verify.EPSILONS
     assert abs(report["anchors"]["disk_chi"] - 1.0) < 1e-6
+
+
+def test_calibration_anchors_are_the_anchor_rows_own_values():
+    report = verify.calibrate(level=1)
+
+    def row(check_id, geometry, params):
+        return verify.run_check(check_id, geometry, params, level=1)
+
+    disk = row("BoundaryGB", "disk", {"dim": 2})
+    cone = row("ConeGB", "geometric_cone", {"link": "s1", "theta": 0.5})
+    edge = row("EdgeGB", "edge_product", {"base": "s2", "fiber": "s1"})
+    cat = row("FiberedGB", "catenoid", {})
+    assert report["anchors"] == {
+        "disk_chi": disk.computed["chi"],
+        "cone_gap": abs(cone.computed["slice_limit"] - cone.computed["closed_form"]),
+        "edge_residual": abs(edge.reference["identity_lhs"] - edge.computed["identity_rhs"]),
+        "catenoid_residual": abs(cat.reference["identity_lhs"] - cat.computed["identity_rhs"]),
+    }
+    # the edge anchor reads EdgeGB's computed interior, which is not exactly 0
+    assert edge.computed["pf_integral"] != 0.0
+
+
+def test_fibered_gb_on_a_chartless_odd_base_compares_the_two_routes():
+    # S^1 base, S^2 fiber, no charts: no chi_ref, so only slice limit against end value
+    r = verify.run_check("FiberedGB", "fibered_product", {"base": "s1", "fiber": "s2"},
+                         level=2)
+    assert r.passed
+    assert r.computed["end_value"] == pytest.approx(-8 * math.pi**2, rel=1e-12)
+    assert r.reference == {"end_value": r.computed["end_value"]}
+    assert r.residual_abs == abs(r.computed["slice_limit_plus"] - r.computed["end_value"])
+    assert r.residual_rel == pytest.approx(1.95e-4, rel=0.01)
+    # level 1 is too coarse for the slice limit: a plain failed result, not a crash
+    coarse = verify.run_check("FiberedGB", "fibered_product", {"base": "s1", "fiber": "s2"},
+                              level=1)
+    assert not coarse.passed
+    assert set(coarse.computed) == {"pf_integral", "end_value", "slice_limit_plus", "end_count"}
+    assert not any("check failed" in n for n in coarse.notes)
 
 
 def test_workers_do_not_change_results():

@@ -1,7 +1,9 @@
 """Built-in geometry registry.
 
-Each entry packages charts, metric fields, optional collar and fibration
-data, a symmetry weight for quotients, and reference Euler characteristics.
+Each entry packages metric fields, optional collar and fibration data, a
+symmetry weight for quotients, and reference Euler characteristics.  Each
+field carries its own chart and finite-difference stencil, set here per
+geometry; the checks read them and never override them.
 Every metric evaluator maps points of shape (..., d) to matrices of shape
 (..., d, d) (a constant metric returns one (d, d) matrix, which broadcasts),
 and every collar's radial_metric(r) accepts r as a number or as an array of
@@ -68,11 +70,11 @@ class SingularStratum:
 
 @dataclass(frozen=True)
 class GeometrySpec:
-    """A catalog geometry: charts, metric, collar, cone profile, references."""
+    """A catalog geometry: metric fields, collar, cone profile, references."""
 
     name: str
     params: dict
-    charts: tuple                     # ((Chart, MetricField), ...)
+    fields: tuple                     # (MetricField, ...), each on its own chart
     collar: Optional[CollarMetric] = None
     cone_profile: Optional[Callable] = None   # f of a cone collar dr^2 + f(r)^2 h
     symmetry_weight: Fraction = Fraction(1)
@@ -82,10 +84,6 @@ class GeometrySpec:
     family: str = "closed"
     end_count: int = 1                # boundary/end multiplicity for collar terms
     notes: str = ""
-
-    def key(self) -> str:
-        items = ",".join(f"{k}={self.params[k]}" for k in sorted(self.params))
-        return f"{self.name}({items})"
 
 
 # -- metric building blocks ---------------------------------------------------
@@ -210,7 +208,7 @@ def _build_sphere(params):
     chart, metric, _, chi = _factor(f"s{n}", f"sphere{n}", rho)
     return GeometrySpec(
         name="sphere", params={"n": n, "rho": rho},
-        charts=((chart, MetricField(chart, metric)),), chi_ref=chi,
+        fields=(MetricField(chart, metric, fd_order=4 if n < 4 else 2),), chi_ref=chi,
         family="closed",
     )
 
@@ -222,11 +220,10 @@ def _build_flat_torus(params):
     periods = params.get("periods", (2.0 * math.pi,) * n)
     if len(periods) != n or any(p <= 0 for p in periods):
         raise RegistryError("need one positive period per axis")
-    chart = _torus_chart(n, periods)
-    mf = MetricField(chart, lambda x: np.eye(n))
+    mf = MetricField(_torus_chart(n, periods), lambda x: np.eye(n))
     return GeometrySpec(
         name="flat_torus", params={"n": n, "periods": tuple(float(p) for p in periods)},
-        charts=((chart, mf),), chi_ref=0, family="closed",
+        fields=(mf,), chi_ref=0, family="closed",
     )
 
 
@@ -262,12 +259,12 @@ def _build_disk(params):
     mf = MetricField(chart, collar.full_metric().evaluator)
     return GeometrySpec(
         name="disk", params={"dim": dim, "rho": rho},
-        charts=((chart, mf),), collar=collar, chi_ref=1, family="boundary",
+        fields=(mf,), collar=collar, chi_ref=1, family="boundary",
     )
 
 
 def _cone_collar(link: str, f_of_r: Callable) -> CollarMetric:
-    link_chart, link_metric, ldim, chi = _factor(link, link)
+    link_chart, link_metric, _, chi = _factor(link, link)
 
     def radial(r):
         s = _scalar_factor(f_of_r(r) ** 2)
@@ -280,8 +277,7 @@ def _cone_collar(link: str, f_of_r: Callable) -> CollarMetric:
         return f_of_r(r) / r
 
     fib = FibrationData(
-        base_dim=0, fiber_dim=ldim, base_chart=None, fiber_chart=link_chart,
-        base_metric=None,
+        base_chart=None, fiber_chart=link_chart,
         fiber_metric=lambda r, y: cone_rate(r) ** 2 * link_metric(y),
         chi_fiber=chi,
     )
@@ -318,7 +314,7 @@ def _build_cone(params):
     mf = MetricField(chart, collar.full_metric().evaluator)
     return GeometrySpec(
         name="cone", params={"link": link, "profile": profile, "theta": theta, "a": a},
-        charts=((chart, mf),), collar=collar, cone_profile=f, chi_ref=1,
+        fields=(mf,), collar=collar, cone_profile=f, chi_ref=1,
         chi_pieces={"completion": 1, "open": 0}, family="cone",
     )
 
@@ -335,10 +331,11 @@ def _build_football(params):
     p = int(params.get("p", 2))
     if p < 1:
         raise RegistryError("football order must be >= 1")
-    base = _build_sphere({"n": 2, "rho": 1.0})
+    (round_field,) = _build_sphere({"n": 2, "rho": 1.0}).fields
     return GeometrySpec(
         name="football", params={"p": p},
-        charts=base.charts, symmetry_weight=Fraction(1, p), chi_ref=2,
+        fields=(dataclasses.replace(round_field, fd_rel_step=5e-5),),
+        symmetry_weight=Fraction(1, p), chi_ref=2,
         strata=(SingularStratum(chi=1, group_order=p), SingularStratum(chi=1, group_order=p)),
         family="orbifold",
         notes="round cover with rotation weight 1/p; two fixed points",
@@ -366,7 +363,7 @@ def _build_catenoid(params):
         c = np.cosh(x[..., 0])
         return _scalar_factor(c**2) * np.eye(2)
 
-    mf = MetricField(chart, ev)
+    mf = MetricField(chart, ev, fd_order=4)
     circle_chart = _circle_chart("s1")
     r_hi = math.sinh(cutoff)
     collar = CollarMetric(
@@ -374,14 +371,13 @@ def _build_catenoid(params):
         radial_metric=lambda r: (lambda y: _scalar_factor(1.0 + r**2)),
         singular_end="infinity",
         fibration=FibrationData(
-            base_dim=1, fiber_dim=0, base_chart=circle_chart, fiber_chart=None,
-            base_metric=lambda y: np.array([[1.0]]), fiber_metric=None,
-            chi_fiber=1,
+            base_chart=circle_chart, fiber_chart=None,
+            base_metric=lambda y: np.array([[1.0]]), chi_fiber=1,
         ),
     )
     return GeometrySpec(
         name="catenoid", params={"cutoff": cutoff},
-        charts=((chart, mf),), collar=collar, chi_ref=0,
+        fields=(mf,), collar=collar, chi_ref=0,
         chi_pieces={"fiber": 1, "base": 0}, family="fibered", end_count=2,
         notes="two isometric ends; conformal coordinate r = sinh v",
     )
@@ -410,8 +406,7 @@ def _product_collar(base: str, fiber: str, fiber_scale: Callable, base_scale: Ca
         return ev
 
     fib = FibrationData(
-        base_dim=bdim, fiber_dim=fdim, base_chart=bch, fiber_chart=fch,
-        base_metric=bmet, fiber_metric=lambda r, y: fmet(y),
+        base_chart=bch, fiber_chart=fch, base_metric=bmet, fiber_metric=lambda r, y: fmet(y),
         chi_fiber=chi_fiber,
     )
     return CollarMetric(
@@ -434,7 +429,7 @@ def _build_edge_product(params):
     mf = MetricField(full_chart, collar.full_metric().evaluator)
     return GeometrySpec(
         name="edge_product", params={"base": base, "fiber": fiber},
-        charts=((full_chart, mf),), collar=collar,
+        fields=(mf,), collar=collar,
         chi_ref=_FACTORS[base][3],  # chi(B) x chi(cone over F)
         chi_pieces={"base": _FACTORS[base][3], "fiber": _FACTORS[fiber][3]}, family="edge",
     )
@@ -451,7 +446,7 @@ def _build_edge_horizontal(params):
                              (0.0, 1.0), "lower")
     return GeometrySpec(
         name="edge_horizontal", params={"base": base, "fiber": fiber, "beta": beta},
-        charts=(), collar=collar,
+        fields=(), collar=collar,
         chi_pieces={"base": _FACTORS[base][3], "fiber": _FACTORS[fiber][3]}, family="edge",
     )
 
@@ -463,7 +458,7 @@ def _build_fibered_product(params):
                              (2.0, 800.0), "infinity")
     return GeometrySpec(
         name="fibered_product", params={"base": base, "fiber": fiber},
-        charts=(), collar=collar,
+        fields=(), collar=collar,
         chi_pieces={"base": _FACTORS[base][3], "fiber": _FACTORS[fiber][3]}, family="fibered",
     )
 

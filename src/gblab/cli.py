@@ -141,8 +141,9 @@ def cmd_describe(args) -> int:
         return 2
     print(f"{spec.name}: family={spec.family} weight={spec.symmetry_weight} "
           f"chi_ref={spec.chi_ref}")
-    for chart, _ in spec.charts:
-        print(f"  chart {chart.name}: bounds={chart.bounds} periodic={chart.periodic}")
+    for mf in spec.fields:
+        print(f"  field {mf.chart.name}: bounds={mf.chart.bounds} periodic={mf.chart.periodic} "
+              f"stencil=order {mf.fd_order}, step {mf.fd_rel_step:g}")
     if spec.collar is not None:
         print(f"  collar over {spec.collar.boundary_chart.name}: "
               f"r in {spec.collar.r_interval}, epsilon={verify.EPSILONS[spec.family]}, "
@@ -212,7 +213,7 @@ def cmd_converge(args) -> int:
     spec = verify.resolve_spec(args.check, args.geometry, params or None)
     for level in range(1, args.levels + 1):
         last = verify.run_check(args.check, geometry=spec, level=level)
-        nodes = sum(mesh_for_chart(chart, level).total_nodes for chart, _ in spec.charts)
+        nodes = sum(mesh_for_chart(mf.chart, level).total_nodes for mf in spec.fields)
         table.add(level, nodes, _primary_value(last))
         row = table.rows[-1]
         diff = "" if row[3] is None else f" diff={row[3]:.3e}"

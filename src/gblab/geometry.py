@@ -312,17 +312,24 @@ def riemann_double_form(m: MetricField, x):
 class FibrationData:
     """Trivial-product fibration of the collar cross-section N = F x B.
 
-    Coordinates on N are ordered fiber-first.  The Euler characteristic of
-    the fiber is stored reference data.
+    Coordinates on N are ordered fiber-first; a factor without a chart has
+    dimension 0.  The Euler characteristic of the fiber is stored reference
+    data.
     """
 
-    base_dim: int
-    fiber_dim: int
     base_chart: Optional[Chart]
     fiber_chart: Optional[Chart]
     base_metric: Optional[Callable] = None     # y_b -> (b, b) matrix
     fiber_metric: Optional[Callable] = None    # r, y_f -> (f, f) matrix
     chi_fiber: Optional[int] = None
+
+    @property
+    def base_dim(self) -> int:
+        return self.base_chart.dim if self.base_chart else 0
+
+    @property
+    def fiber_dim(self) -> int:
+        return self.fiber_chart.dim if self.fiber_chart else 0
 
 
 @dataclass(frozen=True)
@@ -571,9 +578,10 @@ def _phi_matrix(r: float, dim: int, fiber_dim: int) -> np.ndarray:
     return phi
 
 
-def phi_conjugated_connection(c: CollarMetric, g: MetricField, r: float, y) -> np.ndarray:
+def phi_conjugated_connection(c: CollarMetric, r: float, y) -> np.ndarray:
     """phi nabla^g phi^{-1} in the h^phi orthonormal frame at (r, y).
 
+    g is the collar's full metric c.full_metric(), at the collar's stencil.
     y is a point or a block of points (..., n) of the slice chart; returns
     omega[..., mu, i, j], mu over the (r,) + N coordinates.  phi multiplies
     the vertical block by r and fixes the radial and horizontal directions;
@@ -587,10 +595,10 @@ def phi_conjugated_connection(c: CollarMetric, g: MetricField, r: float, y) -> n
         raise MetricError("phi conjugation needs fibration data on the collar")
     y = np.asarray(y, dtype=float)
     x = np.concatenate((np.full(y.shape[:-1] + (1,), r), y), axis=-1)
-    d = g.chart.dim
+    d = x.shape[-1]
     f = fib.fiber_dim
 
-    omega_coord = np.swapaxes(christoffel(g, x), -3, -2)  # [..., mu, i, j]
+    omega_coord = np.swapaxes(christoffel(c.full_metric(), x), -3, -2)  # [..., mu, i, j]
     phi = _phi_matrix(r, d, f)
     conj = phi @ omega_coord @ np.linalg.inv(phi)
     # subtract (d phi) phi^{-1}: only the radial direction contributes 1/r

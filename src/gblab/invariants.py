@@ -209,8 +209,6 @@ def cone_transgression_value(theta: float, lk_integrals) -> float:
     over the link, j = 0..(n-1)/2, so the link dimension is n = 2 len - 1.
     """
     n = 2 * len(lk_integrals) - 1
-    if theta == 0.0:
-        return 0.0
     total = 0.0
     for j in range(len(lk_integrals)):
         total += theta ** (n - 2 * j) * signed_double_factorial((n - 1) // 2 - j) * lk_integrals[j]

@@ -61,9 +61,7 @@ def _gauss_nodes(npts: int):
 
 
 def _axis_nodes(lo: float, hi: float, rule: str, nodes: int):
-    """Nodes and weights for a single axis."""
-    if nodes < 4:
-        raise ResolutionError("node count per axis must be >= 4")
+    """Nodes and weights for a single axis (MeshSpec guarantees >= 4 nodes)."""
     if rule == "trapezoid":
         h = (hi - lo) / nodes
         x = lo + h * np.arange(nodes)

@@ -135,16 +135,14 @@ def chart_integral(chart, density, level: int) -> float:
     return quad.integrate_chart(density, chart, mesh)
 
 
-def curvature_integral(mf: MetricField, level: int, top, order: int = 4, fd_rel=None) -> float:
+def curvature_integral(mf: MetricField, level: int, top) -> float:
     """Integral of top(R, E, x) * sqrt(det g) over mf.chart.
 
-    R is the curvature double form of mf in its orthonormal frame E at a
-    block of nodes x, taken with the order-`order` stencil and, if given,
-    relative step fd_rel; top returns one value per node.  sqrt(det g) is
-    1 / det E, so the metric is evaluated once per stencil point.
+    R is the curvature double form of mf, at mf's own stencil, in its
+    orthonormal frame E at a block of nodes x; top returns one value per
+    node.  sqrt(det g) is 1 / det E, so the metric is evaluated once per
+    stencil point.
     """
-    mf = MetricField(mf.chart, mf.evaluator,
-                     fd_rel_step=mf.fd_rel_step if fd_rel is None else fd_rel, fd_order=order)
 
     def dens(x):
         R, E = riemann_double_form(mf, x)
@@ -161,11 +159,11 @@ def _odd_pf_top(R, E, x):
     return inv.odd_pfaffian_form(R).coeffs[..., 0, 0]
 
 
-def pf_integral(spec, level: int, order: int = 4, fd_rel=None) -> float:
-    """Weighted integral of the Pfaffian form over all charts of a geometry."""
+def pf_integral(spec, level: int) -> float:
+    """Weighted integral of the Pfaffian form over all fields of a geometry."""
     total = 0.0
-    for _, mf in spec.charts:
-        total += curvature_integral(mf, level, _pf_top, order, fd_rel)
+    for mf in spec.fields:
+        total += curvature_integral(mf, level, _pf_top)
     return float(spec.symmetry_weight) * total
 
 
@@ -214,12 +212,15 @@ def slice_limit(collar: CollarMetric, level: int):
     return quad.r_limit_extrapolate(samples, degree=4), samples
 
 
-def _fibration_fields(fib):
+def _fibration_fields(fib, fd_order: int = 4, fd_rel_step: float = 1e-4):
+    """Base and fiber fields of a fibration at r = 0 on one stencil, None
+    for a factor without a chart; the curvature integrals take order 4."""
     base = fiber = None
     if fib.base_dim:
-        base = MetricField(fib.base_chart, fib.base_metric)
+        base = MetricField(fib.base_chart, fib.base_metric, fd_rel_step, fd_order)
     if fib.fiber_dim:
-        fiber = MetricField(fib.fiber_chart, lambda y: fib.fiber_metric(0.0, y))
+        fiber = MetricField(fib.fiber_chart, lambda y: fib.fiber_metric(0.0, y),
+                            fd_rel_step, fd_order)
     return base, fiber
 
 
@@ -271,12 +272,12 @@ def horizontal_closed_value(collar: CollarMetric, level: int) -> float:
     return inv.horizontal_edge_value(q_ints, p_ints, _slice_k(collar), b)
 
 
-def _phi_limit(collar: CollarMetric, g_full: MetricField, rs, y) -> np.ndarray:
+def _phi_limit(collar: CollarMetric, rs, y) -> np.ndarray:
     """Entrywise r -> 0 extrapolation of the phi-conjugated connection at y.
 
     y is a point or a block of points of the slice chart.
     """
-    samples = [(r, phi_conjugated_connection(collar, g_full, r, y)) for r in rs]
+    samples = [(r, phi_conjugated_connection(collar, r, y)) for r in rs]
     return quad.r_limit_extrapolate(samples, degree=4)
 
 
@@ -287,13 +288,14 @@ def _phi_reference(collar: CollarMetric, y) -> np.ndarray:
     Diagonal blocks are the component Levi-Civita connections of fiber and
     base; the only off-diagonal part pairs the radial direction with the
     vertical block through the fiber metric.  Assembled in the same
-    orthonormal frame field as the samples, including frame derivatives.
+    orthonormal frame field as the samples, including frame derivatives,
+    and differentiated at the collar's stencil, as the samples are.
     """
     fib = collar.fibration
     f, b = fib.fiber_dim, fib.base_dim
     d = 1 + f + b
     y = np.asarray(y, dtype=float)
-    base_field, fiber_field = _fibration_fields(fib)
+    base_field, fiber_field = _fibration_fields(fib, collar.fd_order, collar.fd_rel_step)
 
     # omega_coord[..., mu, i, j] = Gamma^i_{mu j} of the block connection
     omega_coord = np.zeros(y.shape[:-1] + (d, d, d))
@@ -333,11 +335,11 @@ def _result(check_id, spec, computed, reference, residual_abs, scale, tol, kind,
 def check_closed_gb(spec, level, tol):
     if spec.chi_ref is None:
         raise ConfigurationError("ClosedGB needs a reference Euler characteristic")
-    dim = spec.charts[0][0].dim
+    dim = spec.fields[0].chart.dim
     if dim % 2:
         raise ConfigurationError("ClosedGB needs an even-dimensional geometry")
     k = dim // 2
-    total = pf_integral(spec, level, order=2 if dim >= 4 else 4)
+    total = pf_integral(spec, level)
     chi = total / TWO_PI**k
     resid = abs(chi - spec.chi_ref)
     computed = {"pf_integral": total, "chi": chi}
@@ -354,7 +356,7 @@ def check_boundary_gb(spec, level, tol):
     dim = spec.params["dim"]
     rho = spec.params["rho"]
     k = dim // 2
-    interior = pf_integral(spec, level, order=2)
+    interior = pf_integral(spec, level)
     boundary = slice_transgression_plus(spec.collar, rho, level)
     eps = EPSILONS["boundary"]
     chi = (interior - eps * boundary) / TWO_PI**k
@@ -429,7 +431,8 @@ def _unit_link(spec) -> MetricField:
     collar = spec.collar
     r_ref = 1e-3
     f2 = spec.cone_profile(r_ref) ** 2
-    return MetricField(collar.boundary_chart, lambda y: collar.radial_metric(r_ref)(y) / f2)
+    return MetricField(collar.boundary_chart, lambda y: collar.radial_metric(r_ref)(y) / f2,
+                       fd_order=4)
 
 
 def check_edge_limit(spec, level, tol):
@@ -458,13 +461,12 @@ def check_edge_limit(spec, level, tol):
 
 def check_edge_gb(spec, level, tol):
     fib = spec.collar.fibration if spec.collar else None
-    if not spec.charts or fib is None or spec.family != "edge":
+    if not spec.fields or fib is None or spec.family != "edge":
         raise ConfigurationError("EdgeGB needs a charted edge geometry")
-    dim = spec.charts[0][0].dim
-    k = dim // 2
+    k = spec.fields[0].chart.dim // 2
     # the interior form of the product model vanishes pointwise; a reduced
     # level only changes how finely the numerical zero is sampled
-    interior = pf_integral(spec, max(1, level - 1), order=2)
+    interior = pf_integral(spec, max(1, level - 1))
     edge_term = edge_value_for(fib, level)
     eps = EPSILONS["edge"]
     lhs = TWO_PI**k * spec.chi_ref
@@ -502,7 +504,7 @@ def check_fibered_gb(spec, level, tol):
         raise ConfigurationError("FiberedGB needs a fibered-boundary geometry")
     k = _slice_k(spec.collar)
     eps = EPSILONS["fibered"]
-    interior = pf_integral(spec, level, order=4) if spec.charts else 0.0
+    interior = pf_integral(spec, level)
     end_value = fibered_value_for(fib, level)
     limit, samples = slice_limit(spec.collar, level)
     computed = {"pf_integral": interior, "end_value": end_value,
@@ -512,12 +514,12 @@ def check_fibered_gb(spec, level, tol):
         return _result("FiberedGB", spec, computed, {"end_value": 0.0}, abs(limit), scale,
                        tol, "rel", notes=["even-dimensional base: boundary term vanishes"],
                        eps={"fibered": eps})
-    # odd base: the slice limit and the closed form must agree; with charts
+    # odd base: the slice limit and the closed form must agree; with fields
     # (catenoid family) the full identity must hold as well
     gap = abs(limit - end_value)
     scale = max(abs(end_value), 1e-12)
     reference = {"end_value": end_value}
-    if spec.charts:
+    if spec.fields:
         lhs = TWO_PI**k * spec.chi_ref
         rhs = interior - eps * spec.end_count * end_value
         gap = max(abs(lhs - rhs), gap)
@@ -532,7 +534,7 @@ def check_orbifold_gb(spec, level, tol):
     if spec.family != "orbifold":
         raise ConfigurationError("OrbifoldGB needs an orbifold geometry")
     p = spec.params["p"]
-    total = pf_integral(spec, level, order=4, fd_rel=5e-5)
+    total = pf_integral(spec, level)
     chi_int = total / TWO_PI
     defect = sum(s.chi * (s.group_order - 1) / s.group_order for s in spec.strata)
     t7 = chi_int + defect
@@ -561,11 +563,10 @@ def check_phi_limit(spec, level, tol):
     if spec.collar is None or spec.collar.fibration is None:
         raise ConfigurationError("PhiLimit needs a collar with fibration data")
     collar = spec.collar
-    g_full = collar.full_metric()
     lo, hi = collar.r_interval
     rs = quad.geometric_schedule(0.4 * (hi - lo), 6)
     points = collar.boundary_chart.random_interior(np.random.default_rng(20240801), 3, shrink=0.2)
-    gap = _phi_limit(collar, g_full, rs, points) - _phi_reference(collar, points)
+    gap = _phi_limit(collar, rs, points) - _phi_reference(collar, points)
     worst = float(np.max(np.abs(gap)))
     computed = {"max_entry_gap": worst, "points": len(points)}
     return _result("PhiLimit", spec, computed, {"max_entry_gap": 0.0}, worst,
@@ -578,17 +579,16 @@ def check_first_order_conic(spec, level, tol):
     if spec.name != "cone_perturbed_first_order":
         raise ConfigurationError("FirstOrderConic runs on the first-order cone")
     k = 1
-    interior = pf_integral(spec, level, order=2)
+    interior = pf_integral(spec, level)
     outer = slice_transgression_plus(spec.collar, 1.0, level)
     # asymptotic second fundamental form from the extrapolated conjugated
     # connection; its boundary integral is the singular contribution
-    g_full = spec.collar.full_metric()
     f = spec.collar.fibration.fiber_dim
     chartN = spec.collar.boundary_chart
     rs = quad.geometric_schedule(0.32, 6)
 
     def gterm_density(y):
-        lim = _phi_limit(spec.collar, g_full, rs, y)
+        lim = _phi_limit(spec.collar, rs, y)
         E0 = _frame_of(_h_phi_matrix(spec.collar, 0.0, y))
         II = np.swapaxes(E0[..., :, 1:1 + f], -1, -2) @ lim[..., :, 0, 1:1 + f]
         II = DoubleForm(f, 1, 1, 0.5 * (II + np.swapaxes(II, -1, -2)))
@@ -610,16 +610,16 @@ def check_first_order_conic(spec, level, tol):
 
 
 def check_transgression_stokes(spec, level, tol):
-    if spec.name != "flat_torus" or spec.charts[0][0].dim != 2:
+    if spec.name != "flat_torus" or spec.fields[0].chart.dim != 2:
         raise ConfigurationError("TransgressionStokes runs on the 2-torus")
-    chart, g0 = spec.charts[0]
+    (g0,) = spec.fields
     amp = 0.25
 
     def g1_ev(x):
         u = amp * np.sin(x[..., 0]) * np.cos(x[..., 1])
         return np.exp(2.0 * u)[..., None, None] * np.eye(2)
 
-    g1 = MetricField(chart, g1_ev, fd_rel_step=g0.fd_rel_step)
+    g1 = replace(g0, evaluator=g1_ev)
     n_grid = 32
     hs = 1e-3
     xs = np.linspace(0.0, 2.0 * math.pi, n_grid, endpoint=False)

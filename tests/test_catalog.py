@@ -12,10 +12,10 @@ from gblab.quadrature import integrate_chart, mesh_for_chart
 
 def _volume(spec, level=2):
     total = 0.0
-    for chart, mf in spec.charts:
-        mesh = mesh_for_chart(chart, level)
+    for mf in spec.fields:
+        mesh = mesh_for_chart(mf.chart, level)
         total += integrate_chart(lambda x: np.sqrt(np.linalg.det(mf.g(x))),
-                                 chart, mesh)
+                                 mf.chart, mesh)
     return float(spec.symmetry_weight) * total
 
 
@@ -88,8 +88,8 @@ def test_metrics_spd_on_random_interior_points():
     rng = np.random.default_rng(77)
     for entry in catalog.list_geometries():
         spec = catalog.get(entry["name"])
-        for chart, mf in spec.charts:
-            for x in chart.random_interior(rng, 1000, shrink=0.02):
+        for mf in spec.fields:
+            for x in mf.chart.random_interior(rng, 1000, shrink=0.02):
                 g = mf.g(x)
                 assert np.all(np.linalg.eigvalsh(g) > 0), entry["name"]
 
@@ -125,8 +125,7 @@ def test_quotient_weighting_volume_and_pfaffian():
 
 
 def test_catenoid_metric_matches_revolution_form():
-    spec = catalog.get("catenoid")
-    chart, mf = spec.charts[0]
+    (mf,) = catalog.get("catenoid").fields
     v = 0.8
     g = mf.g(np.array([v, 1.0]))
     r = math.sinh(v)
@@ -218,3 +217,15 @@ def test_config_rejects_shadowing(tmp_path):
     path.write_text(json.dumps(cfg), encoding="utf-8")
     with pytest.raises(catalog.RegistryError):
         catalog.register_from_config(path)
+
+
+@pytest.mark.parametrize("name,params,stencil", [
+    ("sphere", {"n": 1}, (4, 1e-4)), ("sphere", {"n": 2}, (4, 1e-4)),
+    ("sphere", {"n": 3}, (4, 1e-4)), ("sphere", {"n": 4}, (2, 1e-4)),
+    ("football", {"p": 3}, (4, 5e-5)), ("catenoid", {}, (4, 1e-4)),
+    ("flat_torus", {"n": 2}, (2, 1e-4)), ("disk", {"dim": 4}, (2, 1e-4)),
+    ("geometric_cone", {"link": "s3"}, (2, 1e-4)), ("edge_product", {}, (2, 1e-4)),
+])
+def test_each_field_carries_its_stencil(name, params, stencil):
+    (mf,) = catalog.get(name, **params).fields
+    assert (mf.fd_order, mf.fd_rel_step) == stencil

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from gblab import catalog, verify
 from gblab.cli import main
 
@@ -146,3 +148,35 @@ def test_run_csv_dir(tmp_path):
     assert files
     header = files[0].read_text().splitlines()[0]
     assert "r" in header and "value" in header
+
+
+def test_describe_prints_each_fields_stencil(capsys):
+    assert main(["describe", "football"]) == 0
+    (line,) = [row for row in capsys.readouterr().out.splitlines() if row.startswith("  field ")]
+    assert line.startswith("  field sphere2-cylinder: bounds=((-14.0, 14.0), ")
+    assert line.endswith(" periodic=(False, True) stencil=order 4, step 5e-05")
+    for entry in catalog.list_geometries():
+        assert main(["describe", entry["name"]]) == 0
+        rows = [row for row in capsys.readouterr().out.splitlines() if row.startswith("  field ")]
+        fields = catalog.get(entry["name"]).fields
+        assert [row.split(" stencil=")[1] for row in rows] == [
+            f"order {mf.fd_order}, step {mf.fd_rel_step:g}" for mf in fields]
+
+
+@pytest.mark.parametrize("consistent,code", [(True, 0), (False, 1)])
+def test_calibrate_writes_json_and_exits_on_consistency(tmp_path, monkeypatch, capsys,
+                                                         consistent, code):
+    derived = dict(verify.EPSILONS)
+    if not consistent:
+        derived["cone"] = -derived["cone"]
+    report = {"frozen": dict(verify.EPSILONS), "derived": derived,
+              "anchors": {"disk_chi": 1.0}, "consistent": consistent}
+    levels = []
+    monkeypatch.setattr(verify, "calibrate", lambda level: levels.append(level) or report)
+    out = tmp_path / "cal.json"
+    assert main(["calibrate", "--level", "1", "--json", str(out)]) == code
+    assert levels == [1]
+    assert json.loads(out.read_text(encoding="utf-8")) == report
+    text = capsys.readouterr().out
+    assert "  anchor disk_chi: 1\n" in text
+    assert text.endswith(f"consistent: {consistent}\n")

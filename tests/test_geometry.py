@@ -294,15 +294,14 @@ def test_second_frame_equals_the_transported_einsum(seed, d, batch, log_cond):
 
 @pytest.mark.parametrize("n,rho", [(2, 1.0), (2, 2.0), (3, 1.0), (3, 0.5), (4, 1.0)])
 def test_constant_curvature_oracle(n, rho):
-    spec = catalog.get("sphere", n=n, rho=rho)
-    chart, mf = spec.charts[0]
+    (mf,) = catalog.get("sphere", n=n, rho=rho).fields
     mf = replace(mf, fd_order=4)
     rng = np.random.default_rng(5)
     h = DoubleForm.metric_form(n)
     target = (1.0 / (2.0 * rho**2)) * wedge(h, h)
     # sample away from the conformal tails, where the metric is
     # exponentially small and the relative finite-difference floor rises
-    for x in chart.random_interior(rng, 3, shrink=0.33):
+    for x in mf.chart.random_interior(rng, 3, shrink=0.33):
         R, _ = riemann_double_form(mf, x)
         assert (R - target).norm_inf() < 1e-5
 
@@ -313,9 +312,8 @@ def test_curvature_symmetries_across_catalog():
                          ("sphere", {"n": 4}), ("disk", {"dim": 2}),
                          ("disk", {"dim": 4}), ("catenoid", {}),
                          ("flat_torus", {"n": 3}), ("cone", {"link": "s1", "theta": 0.7})]:
-        spec = catalog.get(name, **params)
-        chart, mf = spec.charts[0]
-        for x in chart.random_interior(rng, 100, shrink=0.1):
+        (mf,) = catalog.get(name, **params).fields
+        for x in mf.chart.random_interior(rng, 100, shrink=0.1):
             R, _ = riemann_double_form(mf, x)
             gap = (R - DoubleForm(R.n, 2, 2, R.coeffs.T.copy())).norm_inf()
             assert gap < 1e-6, (name, params)
@@ -385,7 +383,8 @@ def test_riemann_on_a_block_equals_per_point_calls(pts, c, order):
 def test_curvature_symmetries_on_a_block(geometry):
     rng = np.random.default_rng(11)
     if geometry == "s4":
-        chart, mf = catalog.get("sphere", n=4).charts[0]
+        (mf,) = catalog.get("sphere", n=4).fields
+        chart = mf.chart
     else:
         chart, mf = BOX3, MetricField(BOX3, _rational_metric(1.5))
     g, dg, d2g, _ = _metric_jet(mf, chart.random_interior(rng, 64, shrink=0.1), want_second=True)
@@ -768,15 +767,13 @@ def test_connection_difference_conformal_closed_form():
 
 def test_phi_connection_rejects_r_zero():
     spec = catalog.get("geometric_cone", link="s1", theta=1.0)
-    g = spec.collar.full_metric()
     with pytest.raises(DomainError):
-        phi_conjugated_connection(spec.collar, g, 0.0, np.array([1.0]))
+        phi_conjugated_connection(spec.collar, 0.0, np.array([1.0]))
 
 
 def test_phi_connection_model_cone_angular_block():
     spec = catalog.get("geometric_cone", link="s1", theta=1.0)
-    g = spec.collar.full_metric()
-    omega = phi_conjugated_connection(spec.collar, g, 0.05, np.array([1.0]))
+    omega = phi_conjugated_connection(spec.collar, 0.05, np.array([1.0]))
     # angular direction: rotation block; radial direction: vanishing
     assert omega[1, 0, 1] == pytest.approx(-1.0, abs=1e-6)
     assert omega[1, 1, 0] == pytest.approx(1.0, abs=1e-6)
@@ -789,12 +786,11 @@ def test_phi_connection_model_cone_angular_block():
 ])
 def test_phi_connection_on_a_block_equals_per_point_calls(name, params):
     collar = catalog.get(name, **params).collar
-    g = collar.full_metric()
     ys = np.array(collar.boundary_chart.random_interior(np.random.default_rng(2), 4, shrink=0.2))
-    block = phi_conjugated_connection(collar, g, 0.05, ys)
-    assert block.shape == (4,) + (g.chart.dim,) * 3
+    block = phi_conjugated_connection(collar, 0.05, ys)
+    assert block.shape == (4,) + (collar.boundary_chart.dim + 1,) * 3
     for omega, y in zip(block, ys):
-        want = phi_conjugated_connection(collar, g, 0.05, y)
+        want = phi_conjugated_connection(collar, 0.05, y)
         assert _amax(omega - want) <= 1e-12 * max(1.0, _amax(want))
 
 
@@ -804,11 +800,10 @@ def test_phi_connection_product_metric_identity():
     circle = Chart("s1", ((0.0, 2 * math.pi),), (True,))
     from gblab.geometry import FibrationData
 
-    fib = FibrationData(base_dim=1, fiber_dim=0, base_chart=circle, fiber_chart=None,
-                        base_metric=lambda y: np.eye(1), fiber_metric=None,
-                        chi_fiber=1)
+    fib = FibrationData(base_chart=circle, fiber_chart=None,
+                        base_metric=lambda y: np.eye(1), chi_fiber=1)
+    assert (fib.base_dim, fib.fiber_dim) == (1, 0)
     collar = CollarMetric(circle, (0.0, 2.0), lambda r: (lambda y: np.eye(1)),
                           fibration=fib)
-    g = collar.full_metric()
-    omega = phi_conjugated_connection(collar, g, 0.5, np.array([1.0]))
+    omega = phi_conjugated_connection(collar, 0.5, np.array([1.0]))
     assert np.max(np.abs(omega)) < 1e-9

@@ -1,8 +1,10 @@
 """The scripts under scripts/ run against the current API."""
 
 import importlib.util
+import inspect
 import json
-import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -22,21 +24,6 @@ def _load(name):
 def test_every_script_imports(name):
     # a script whose imports drift from the package API fails here
     assert _load(name).__doc__
-
-
-def test_slice_limit_profiles_prints_samples_and_limit(monkeypatch, capsys):
-    script = _load("slice_limit_profiles")
-    monkeypatch.setattr(script, "CASES", [("geometric_cone", {"link": "s1", "theta": 0.5}, 1)])
-    script.run()
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "geometric_cone(link=s1,theta=0.5)  (family cone)"
-    assert [line.split("=")[0] for line in lines[1:7]] == ["  r "] * 6
-    assert float(lines[1].split()[2]) == 0.5
-    head, value = lines[7].split(":")
-    assert head == "  extrapolated limit"
-    # plus-convention limit of the flat cone of angle 1/2: -pi
-    assert float(value) == pytest.approx(-math.pi, rel=1e-6)
-    assert lines[8:] == [""]
 
 
 def test_bench_records_every_run_of_a_stub_command(tmp_path, monkeypatch, capsys):
@@ -102,3 +89,31 @@ def test_suite_diff_reports_identity_round_off_and_changed_fields(tmp_path, caps
     assert "ClosedGB sphere {\"n\": 2}: pass: True != False" in out
     assert "computed.label: 'ok' != 'bad'" in out
     assert "report field summary.passed: 2 != 0" in out
+
+
+def test_line_coverage_lists_the_lines_a_run_never_reaches():
+    from gblab import verify
+
+    script = _load("line_coverage")
+    paths = (str(SCRIPTS.parent / "src"), os.environ.get("PYTHONPATH"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "line_coverage.py"), "-m", "gblab.cli",
+                           "run", "--filter", "AlgebraIdentities"],
+                          capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 0, proc.stderr
+    (line,) = [row for row in proc.stdout.splitlines() if row.startswith("gblab.verify:")]
+    not_run = set()
+    for span in line.split(": ")[-1].split(", "):
+        lo, _, hi = span.partition("-")
+        not_run.update(range(int(lo), int(hi or lo) + 1))
+    executable = script.executable_lines(verify.__file__)
+
+    def body(fn):
+        source, first = inspect.getsourcelines(fn)
+        return {n for n in range(first + 1, first + len(source)) if n in executable}
+
+    assert body(verify.check_closed_gb) <= not_run
+    # only the branches that record a failed identity stay unreached
+    source = Path(verify.__file__).read_text(encoding="utf-8").splitlines()
+    missed = body(verify.check_algebra_identities) & not_run
+    assert missed and all("failures.append" in source[n - 1] for n in missed)

@@ -98,9 +98,8 @@ def test_failures_are_captured_not_raised():
     from gblab.geometry import MetricField
 
     spec = catalog.get("sphere", n=2)
-    chart, mf = spec.charts[0]
-    bad = MetricField(chart, lambda x: np.diag([1.0, -1.0]))
-    broken = dataclasses.replace(spec, charts=((chart, bad),))
+    bad = MetricField(spec.fields[0].chart, lambda x: np.diag([1.0, -1.0]))
+    broken = dataclasses.replace(spec, fields=(bad,))
     r = verify.run_check("ClosedGB", broken, level=1)
     assert not r.passed
     assert any("check failed" in n for n in r.notes)
@@ -163,7 +162,7 @@ def test_calibration_anchors_are_the_anchor_rows_own_values():
 
 
 def test_fibered_gb_on_a_chartless_odd_base_compares_the_two_routes():
-    # S^1 base, S^2 fiber, no charts: no chi_ref, so only slice limit against end value
+    # S^1 base, S^2 fiber, no fields: no chi_ref, so only slice limit against end value
     r = verify.run_check("FiberedGB", "fibered_product", {"base": "s1", "fiber": "s2"},
                          level=2)
     assert r.passed
@@ -184,3 +183,41 @@ def test_workers_do_not_change_results():
         verify.run_suite(filter_text="orbifold", workers=w)), sort_keys=True)
         for w in (1, 2)]
     assert docs[0] == docs[1]
+
+
+@pytest.mark.parametrize("check_id,geometry,params,message", [
+    ("ClosedGB", "edge_horizontal", {}, "ClosedGB needs a reference Euler characteristic"),
+    ("ClosedGB", "sphere", {"n": 3}, "ClosedGB needs an even-dimensional geometry"),
+    ("ConeGB", "sphere", {"n": 2}, "ConeGB needs a conical geometry"),
+    ("EdgeLimit", "disk", {"dim": 2}, "EdgeLimit needs an edge geometry"),
+    ("EdgeGB", "edge_horizontal", {}, "EdgeGB needs a charted edge geometry"),
+    ("EdgeHorizontal", "edge_product", {}, "EdgeHorizontal runs on edge_horizontal"),
+    ("FiberedGB", "edge_product", {}, "FiberedGB needs a fibered-boundary geometry"),
+    ("PerturbationStability", "geometric_cone", {}, "PerturbationStability runs on"),
+    ("PhiLimit", "disk", {"dim": 2}, "PhiLimit needs a collar with fibration data"),
+    ("FirstOrderConic", "geometric_cone", {}, "FirstOrderConic runs on"),
+    ("TransgressionStokes", "flat_torus", {"n": 3}, "TransgressionStokes runs on the 2-torus"),
+    ("LensObstruction", "geometric_cone", {"link": "s3"}, "LensObstruction runs on lens_cone"),
+])
+def test_each_check_rejects_a_geometry_it_cannot_run(check_id, geometry, params, message):
+    with pytest.raises(verify.ConfigurationError, match=f"^{message}"):
+        verify.run_check(check_id, geometry, params)
+
+
+def test_resolve_spec_defaults_to_the_checks_first_row():
+    spec = verify.resolve_spec("ConeGB")
+    assert (spec.name, spec.params) == ("geometric_cone", {"link": "s1", "theta": 0.5})
+    spec = verify.resolve_spec("ConeGB", params={"theta": 0.25})
+    assert (spec.name, spec.params) == ("geometric_cone", {"link": "s1", "theta": 0.25})
+
+
+@pytest.mark.parametrize("stencil", [{"fd_order": 2}, {"fd_rel_step": 5e-5}])
+def test_pf_integral_reads_each_fields_own_stencil(stencil):
+    import dataclasses
+
+    spec = catalog.get("sphere", n=2)
+    moved = dataclasses.replace(
+        spec, fields=tuple(dataclasses.replace(mf, **stencil) for mf in spec.fields))
+    value, moved_value = verify.pf_integral(spec, 2), verify.pf_integral(moved, 2)
+    assert moved_value != value
+    assert moved_value == pytest.approx(value, rel=1e-3)

@@ -7,20 +7,22 @@ curvature, frame, slice, metric-path gauge and phi-connection functions take
 the same leading batch axes, so one call serves a single point or a whole
 block of points, and every per-sample check applies to each point of the
 block.  The gauge's parallel transport along g_s = (1-s) g0 + s g1 is in
-closed form: with g0 = L L^T and L^{-1} g1 L^{-T} = Q diag(lam) Q^T,
-tau(s) = L^{-T} Q diag((1 + s(lam-1))^(-1/2)) Q^T L^T, one Cholesky and one
-eigh per stencil point and no ODE steps.  Every first derivative goes
-through one central stencil of order 2 or 4, _central_diff: the metric jet
-(dg and the mixed d2g), the slice metric in r, the transported gauge, and
-the h^phi frame.  The metric jet makes one evaluator call per jet: every
-stencil offset of a block is stacked into one (S, ..., d) sample.  Its
-diagonal second derivatives use the matching three- or five-point formula.
-The lowered curvature comes straight from the first-kind symbols G_ij,k:
+closed form from one Cholesky and one eigh per stencil point, with no ODE
+steps.  Every first derivative goes through one central stencil of order 2
+or 4, _central_diff: the metric jet (dg and the mixed d2g), the slice metric
+in r, the transported gauge, and the h^phi frame.  The metric jet makes one
+evaluator call per jet: every stencil offset of a block is stacked into one
+(S, ..., d) sample.  Its diagonal second derivatives use the matching three-
+or five-point formula.  The lowered curvature comes straight from the
+first-kind symbols G_ij,k:
 F_ijkl = d_i G_jl,k - d_j G_il,k - G_ik,m g^mn G_jl,n + G_jk,m g^mn G_il,n,
-with no derivative of g^{-1} and no lowering by g.  The frame change is
-P^T F P2 in the pair basis P[(i,j), (a<b)] = E_ia E_jb; every contraction
-is a batched matmul.  Slices and the gauged path return only what the
-transgression integrands read; orientation signs are verify.EPSILONS.
+with no derivative of g^{-1} and no lowering by g.  Its g^{-1} comes from a
+factorisation in hand: E E^T from the Cholesky frame E, or the gauge's
+eigenbasis of tau, which gives d/ds g_s^{-1} and tau(s)^{-1} as well.
+The frame change is P^T F P2 in the pair basis P[(i,j), (a<b)] = E_ia E_jb;
+every contraction is a batched matmul.  Slices and the gauged path return
+only what the transgression integrands read; orientation signs are
+verify.EPSILONS.
 """
 
 from __future__ import annotations
@@ -94,11 +96,18 @@ class Chart:
 
 
 def _spd_check(g: np.ndarray) -> np.ndarray:
-    """Symmetrize a stack of metric samples, each checked on its own scale (one buffer)."""
+    """Symmetrize a stack of metric samples, each checked on its own scale (one buffer).
+
+    An exactly symmetric stack comes back as it is: (a + a)/2 = a, so only
+    the sign of an exact zero can differ, and a NaN fails the comparison.
+    _sample hands the evaluator's own array out only as a read-only view.
+    """
     g = np.asarray(g, dtype=float)
     if g.ndim < 2 or g.shape[-1] != g.shape[-2]:
         raise MetricError("metric sample is not a square matrix")
     gt = np.swapaxes(g, -1, -2)
+    if np.array_equal(g, gt):
+        return g
     buf = np.abs(g)
     scale = np.maximum(1.0, np.max(buf, axis=(-2, -1)))
     np.abs(np.subtract(g, gt, out=buf), out=buf)
@@ -223,9 +232,13 @@ def _metric_jet(m: MetricField, x, want_second: bool):
 
 
 def christoffel(m: MetricField, x) -> np.ndarray:
-    """Second-kind Levi-Civita coefficients Gamma[k, i, j] at x."""
+    """Second-kind Levi-Civita coefficients Gamma[k, i, j] at x, from g^{-1} by inv."""
     g, dg, _, _ = _metric_jet(m, x, want_second=False)
-    return _christoffel_from(g, dg)
+    try:
+        ginv = np.linalg.inv(g)
+    except np.linalg.LinAlgError as exc:
+        raise MetricError("metric sample is singular") from exc
+    return np.moveaxis(_second_kind(ginv, _christoffel_first(dg)), -1, -3)
 
 
 def _christoffel_first(dg: np.ndarray) -> np.ndarray:
@@ -240,14 +253,6 @@ def _second_kind(ginv: np.ndarray, g1: np.ndarray) -> np.ndarray:
     return out.reshape(out.shape[:-2] + (d, d, d))
 
 
-def _christoffel_from(g: np.ndarray, dg: np.ndarray) -> np.ndarray:
-    try:
-        ginv = np.linalg.inv(g)
-    except np.linalg.LinAlgError as exc:
-        raise MetricError("metric sample is singular") from exc
-    return np.moveaxis(_second_kind(ginv, _christoffel_first(dg)), -1, -3)
-
-
 def _frame_of(g: np.ndarray) -> np.ndarray:
     """Cholesky-based frame E with E^T g E = Id and det E = 1 / sqrt(det g) > 0."""
     try:
@@ -257,18 +262,19 @@ def _frame_of(g: np.ndarray) -> np.ndarray:
     return np.swapaxes(np.linalg.inv(L), -1, -2)
 
 
-def _curvature_coord(g, dg, d2g) -> np.ndarray:
+def _curvature_coord(ginv, dg, d2g) -> np.ndarray:
     """Lowered curvature F[..., i,j,k,l] = < d_k, R(d_i, d_j) d_l > from first-kind symbols.
 
     With G_ij,k the first-kind symbols, F_ijkl = d_i G_jl,k - d_j G_il,k
     - G_ik,m g^mn G_jl,n + G_jk,m g^mn G_il,n: no derivative of g^{-1} or of
     the second-kind symbols, and no lowering by g.  X = d_i G_jl,k -
     G_ik,m Gamma^m_jl takes one matmul over the flattened pairs (i,k) and
-    (j,l), and F = X - X^(i<->j) is exactly antisymmetric in (i, j).
+    (j,l), and F = X - X^(i<->j) is exactly antisymmetric in (i, j).  ginv
+    comes from a factorisation the caller holds (E E^T, or _path_inverses).
     """
-    d = g.shape[-1]
+    d = ginv.shape[-1]
     g1 = _christoffel_first(dg)                             # [..., i, k, m] = G_ik,m
-    gamma = _second_kind(np.linalg.inv(g), g1)              # [..., j, l, m] = Gamma^m_jl
+    gamma = _second_kind(ginv, g1)                          # [..., j, l, m] = Gamma^m_jl
     pairs = g1.shape[:-3] + (d * d, d)
     quad = g1.reshape(pairs) @ np.swapaxes(gamma.reshape(pairs), -1, -2)   # [(i,k), (j,l)]
     X = (np.swapaxes(_christoffel_first(d2g), -1, -2)       # d_i G_jl,k
@@ -303,8 +309,8 @@ def riemann_double_form(m: MetricField, x):
     The coefficient at (I; J) with I = (i<j), J = (k<l) is <e_k, R(e_i, e_j) e_l>.
     """
     g, dg, d2g, _ = _metric_jet(m, x, want_second=True)
-    frame = _frame_of(g)
-    coeffs = _pair_coeffs(_curvature_coord(g, dg, d2g), frame)
+    frame = _frame_of(g)                 # E = L^{-T}, so E E^T = g^{-1}
+    coeffs = _pair_coeffs(_curvature_coord(frame @ np.swapaxes(frame, -1, -2), dg, d2g), frame)
     return DoubleForm(m.chart.dim, 2, 2, coeffs), frame
 
 
@@ -460,14 +466,23 @@ def _path_eigenbasis(g0: np.ndarray, g1: np.ndarray):
 def _path_transport(A, Ainv, lam, s: float):
     """Closed-form transport tau(s) and dtau/ds of the path g_s = (1-s) g0 + s g1.
 
-    The matrices g_s^{-1} gdot commute for all s, so dtau/ds =
-    -1/2 g_s^{-1} gdot tau with tau(0) = Id is solved exactly by
-    tau(s) = A diag((1 + s(lam-1))^(-1/2)) A^{-1} = (g0^{-1} g_s)^(-1/2).
+    The matrices g_s^{-1} gdot commute for all s, so tau(0) = Id and dtau/ds
+    = -1/2 g_s^{-1} gdot tau give tau(s) = A diag(D^(-1/2)) A^{-1} =
+    (g0^{-1} g_s)^(-1/2), D = 1 + s(lam-1); tau^{-1} is in _path_inverses.
     """
     D = 1.0 + s * (lam - 1.0)
     tau = (A * (D ** -0.5)[..., None, :]) @ Ainv
     rate = (A * (-0.5 * (lam - 1.0) * D ** -1.5)[..., None, :]) @ Ainv
     return tau, rate
+
+
+def _path_inverses(A, Ainv, lam, s: float):
+    """tau(s)^{-1} = A diag(D^(1/2)) A^{-1}, g_s^{-1} = A diag(1/D) A^T and
+    d/ds g_s^{-1} = -A diag((lam-1)/D^2) A^T: A^T g_s A = diag(D), D = 1 + s(lam-1)."""
+    D = 1.0 + s * (lam - 1.0)
+    At = np.swapaxes(A, -1, -2)
+    return ((A * np.sqrt(D)[..., None, :]) @ Ainv, (A / D[..., None, :]) @ At,
+            (A * ((1.0 - lam) / D ** 2)[..., None, :]) @ At)
 
 
 def _connection(ginv: np.ndarray, gamma1: np.ndarray) -> np.ndarray:
@@ -480,17 +495,16 @@ def metric_path_gauge(g0: MetricField, g1: MetricField, x) -> GaugePath:
 
     x is a point or a block of points of shape (..., d); every field of the
     result carries the same leading axes, and one evaluator call per
-    endpoint serves the whole stencil of the block.  The parallel
-    transport of the generalized cylinder is exact: with g0 = L L^T and
-    L^{-1} g1 L^{-T} = Q diag(lam) Q^T,
-    tau(s) = L^{-T} Q diag((1 + s(lam-1))^(-1/2)) Q^T L^T, taken at the
+    endpoint serves the whole stencil of the block.  The parallel transport
+    of the generalized cylinder is exact (_path_transport), taken at the
     center and at each first-derivative stencil point.  From it come the
     exact s-derivative of theta^s = nabla^s - nabla^0 and the gauged
     curvature at the PATH_STEPS + 1 nodes s_k = k / PATH_STEPS, all in the
     g0 orthonormal frame; d/dx of tau is the shared central stencil over
     those points.  Since the path is affine, every g_s derivative is a
-    combination of one stencil sweep per endpoint, and theta_dot uses
-    dtau/ds = -1/2 g_s^{-1} gdot tau with no differencing in s.
+    combination of one stencil sweep per endpoint; theta_dot takes dtau/ds
+    and the inverses (_path_inverses) in closed form, with no differencing
+    in s.
     The curvature is computed exactly when d > 2: on a surface the
     transgression integrand B(theta_dot R^0) reads none, so the second
     derivatives are skipped and curvature holds zero forms.
@@ -508,7 +522,7 @@ def metric_path_gauge(g0: MetricField, g1: MetricField, x) -> GaugePath:
     # one stencil sweep per endpoint; its center and first-derivative rows
     # also feed the transport
     g0c, dg0, d2g0, samples0 = _metric_jet(g0, x, want_second=curved)
-    g1c, dg1, d2g1, samples1 = _metric_jet(g1, x, want_second=curved)
+    _, dg1, d2g1, samples1 = _metric_jet(g1, x, want_second=curved)
     # transport rows: the center (row 0) and the first-derivative stencil points
     offsets = [off for off in samples0 if off.count(0) >= d - 1]
     axis_rows = [{} for _ in range(d)]
@@ -525,9 +539,7 @@ def metric_path_gauge(g0: MetricField, g1: MetricField, x) -> GaugePath:
         return np.stack([_central_diff(lambda k, rows=rows: stack[rows[k]], h[a], order)
                          for a, rows in enumerate(axis_rows)], axis=-3)
 
-    gdot = g1c - g0c
-    dgdot = dg1 - dg0
-    gamma1_dot = _christoffel_first(dgdot)
+    gamma1_dot = _christoffel_first(dg1 - dg0)
 
     E0 = _frame_of(g0c)
     E0inv = np.linalg.inv(E0)
@@ -540,8 +552,8 @@ def metric_path_gauge(g0: MetricField, g1: MetricField, x) -> GaugePath:
     def gauged_curvature(s):
         """Curvature of g_s pulled back by tau(s), in the g0 orthonormal frame."""
         tau = _path_transport(A[0], Ainv[0], lam[0], s)[0]
-        F = _curvature_coord((1.0 - s) * g0c + s * g1c, (1.0 - s) * dg0 + s * dg1,
-                             (1.0 - s) * d2g0 + s * d2g1)
+        gs_inv = _path_inverses(A[0], Ainv[0], lam[0], s)[1]
+        F = _curvature_coord(gs_inv, (1.0 - s) * dg0 + s * dg1, (1.0 - s) * d2g0 + s * d2g1)
         return DoubleForm(d, 2, 2, _pair_coeffs(F, E0, tau @ E0))
 
     # the curvature goes first, while few other arrays are alive: at d = 4 its
@@ -550,16 +562,12 @@ def metric_path_gauge(g0: MetricField, g1: MetricField, x) -> GaugePath:
              for s in s_nodes]
     theta_dots = []
     for s in s_nodes:
-        gs = (1.0 - s) * g0c + s * g1c
-        gs_inv = np.linalg.inv(gs)
-        dgs = (1.0 - s) * dg0 + s * dg1
-        gamma1_s = _christoffel_first(dgs)
+        tauinv, gs_inv, gs_inv_dot = _path_inverses(A[0], Ainv[0], lam[0], s)
+        gamma1_s = _christoffel_first((1.0 - s) * dg0 + s * dg1)
         omegas = _connection(gs_inv, gamma1_s)
-        omegas_dot = (_connection(-gs_inv @ gdot @ gs_inv, gamma1_s)
-                      + _connection(gs_inv, gamma1_dot))
+        omegas_dot = _connection(gs_inv_dot, gamma1_s) + _connection(gs_inv, gamma1_dot)
         taus, rates = _path_transport(A, Ainv, lam, s)
         tau, taudot = taus[0], rates[0]
-        tauinv = np.linalg.inv(tau)
         T, Tinv = tau[..., None, :, :], tauinv[..., None, :, :]
         # the exact s-derivative of theta = tau^{-1}(d tau + omega_s tau) - omega_0
         core = along_axes(taus) + omegas @ T

@@ -787,8 +787,6 @@ def resolve_spec(check_id: str, geometry=None, params=None):
         raise ConfigurationError(f"unknown check {check_id!r}")
     if geometry is None:
         defaults = [row for row in DEFAULT_SUITE if row[0] == check_id]
-        if not defaults:
-            raise ConfigurationError(f"no default geometry for {check_id}")
         geometry, dparams = defaults[0][1], dict(defaults[0][2])
         dparams.update(params or {})
         params = dparams

@@ -88,6 +88,21 @@ def test_registry_error_prints_unquoted(capsys):
         "error: edge_horizontal needs 1 + beta > 0, got beta=-3.0"]
 
 
+def test_workers_below_one_exit_two(capsys):
+    assert main(["run", "--workers", "0"]) == 2
+    assert "--workers must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--check", "NoSuchCheck", "--levels", "2"], "unknown check 'NoSuchCheck'"),
+    (["--check", "ClosedGB", "--levels", "0"], "--levels must be in 1..7"),
+    (["--check", "ClosedGB", "--levels", "8"], "--levels must be in 1..7"),
+])
+def test_converge_usage_errors_exit_two(argv, message, capsys):
+    assert main(["converge", *argv]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_workers_with_single_check_exit_two(capsys):
     assert main(["run", "--check", "ClosedGB", "--workers", "2"]) == 2
     assert "--workers" in capsys.readouterr().err

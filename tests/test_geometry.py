@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gblab import catalog
+from gblab import catalog, geometry
 from gblab.doubleform import DoubleForm, multi_indices, wedge
 from gblab.geometry import (
     Chart,
@@ -23,7 +23,9 @@ from gblab.geometry import (
     _metric_jet,
     _pair_coeffs,
     _path_eigenbasis,
+    _path_inverses,
     _path_transport,
+    _spd_check,
     christoffel,
     metric_path_gauge,
     phi_conjugated_connection,
@@ -82,6 +84,51 @@ def test_non_spd_metric_error():
     m = MetricField(TORUS2, lambda x: np.diag([1.0, -1.0]))
     with pytest.raises(MetricError):
         _frame_of(m.g(np.array([0.5, 0.5])))
+
+
+def test_singular_metric_error():
+    m = MetricField(TORUS2, lambda x: np.ones((2, 2)))
+    with pytest.raises(MetricError, match="metric sample is singular"):
+        christoffel(m, np.array([0.5, 0.5]))
+
+
+# -- the metric sample check -------------------------------------------------------
+
+def _spd_stack(seed, scales):
+    """Exactly symmetric SPD 3x3 samples, sample k of magnitude about scales[k]."""
+    a = np.random.default_rng(seed).normal(size=(len(scales), 3, 3))
+    g = a + np.swapaxes(a, -1, -2) + 8.0 * np.eye(3)
+    return g * np.array(scales, dtype=float)[:, None, None]
+
+
+def test_spd_check_returns_an_exactly_symmetric_stack_unchanged():
+    g = _spd_stack(0, [1.0, 1e3, 1e-3])
+    assert np.array_equal(_spd_check(g), g)
+    # the field hands the checked sample out read-only
+    sample = MetricField(TORUS2, lambda x: g[0, :2, :2]).g(np.array([0.5, 0.5]))
+    assert np.array_equal(sample, g[0, :2, :2]) and not sample.flags.writeable
+
+
+def test_spd_check_symmetrizes_round_off():
+    g = _spd_stack(1, [1.0, 1.0, 1.0])
+    g[1, 0, 2] += 1e-12 * np.max(np.abs(g[1]))
+    assert np.array_equal(_spd_check(g), 0.5 * (g + np.swapaxes(g, -1, -2)))
+
+
+def test_spd_check_rejects_one_asymmetric_sample():
+    g = _spd_stack(2, [1.0, 1.0, 1.0])
+    g[2, 1, 0] += 1e-8 * np.max(np.abs(g[2]))
+    with pytest.raises(MetricError, match="not symmetric"):
+        _spd_check(g)
+
+
+def test_spd_check_scale_is_per_sample():
+    big, unit = _spd_stack(3, [1e6, 1.0])
+    off = np.zeros((3, 3))
+    off[0, 1] = 1e-5
+    _spd_check(np.stack([big + off, unit]))
+    with pytest.raises(MetricError, match="not symmetric"):
+        _spd_check(np.stack([big, unit + off]))
 
 
 # -- metric jet --------------------------------------------------------------------
@@ -268,7 +315,7 @@ _kernel_case = (st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 4]),
 @given(*_kernel_case)
 def test_curvature_kernel_matches_the_einsum_reference(seed, d, batch, log_cond):
     g, dg, d2g = _random_jet(seed, d, batch, log_cond)
-    F = _curvature_coord(g, dg, d2g)
+    F = _curvature_coord(np.linalg.inv(g), dg, d2g)
     want = _einsum_curvature_coord(g, dg, d2g)
     assert F.shape == want.shape == batch + (d,) * 4
     # F sums terms of size |d2g| and |dg|^2 |g^-1|; at d = 2 its one component
@@ -286,7 +333,7 @@ def test_curvature_kernel_matches_the_einsum_reference(seed, d, batch, log_cond)
 def test_second_frame_equals_the_transported_einsum(seed, d, batch, log_cond):
     g, dg, d2g = _random_jet(seed, d, batch, log_cond)
     tau = np.eye(d) + 0.3 * np.random.default_rng(seed + 1).normal(size=batch + (d, d))
-    F, E = _curvature_coord(g, dg, d2g), _frame_of(g)
+    F, E = _curvature_coord(np.linalg.inv(g), dg, d2g), _frame_of(g)
     want = _einsum_pair_coeffs(np.einsum("...ijkl,...kc,...ld->...ijcd", F, tau, tau), E)
     got = _pair_coeffs(F, E, tau @ E)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -388,7 +435,7 @@ def test_curvature_symmetries_on_a_block(geometry):
     else:
         chart, mf = BOX3, MetricField(BOX3, _rational_metric(1.5))
     g, dg, d2g, _ = _metric_jet(mf, chart.random_interior(rng, 64, shrink=0.1), want_second=True)
-    F = _curvature_coord(g, dg, d2g)
+    F = _curvature_coord(np.linalg.inv(g), dg, d2g)
     assert F.shape == (64,) + (chart.dim,) * 4
     scale = np.max(np.abs(F), axis=(-4, -3, -2, -1), keepdims=True)   # per node
     assert np.array_equal(F, -np.swapaxes(F, -4, -3))
@@ -609,6 +656,9 @@ def test_gauge_rejects_bad_paths():
     g1 = MetricField(TORUS2, lambda x: -3.0 * np.eye(2))
     with pytest.raises(MetricError):
         metric_path_gauge(g0, g1, np.array([0.1, 0.1]))
+    # a g0 that is not positive definite fails the Cholesky of _path_eigenbasis
+    with pytest.raises(MetricError, match="positive definiteness"):
+        metric_path_gauge(g1, g0, np.array([0.1, 0.1]))
     with pytest.raises(MetricError):
         metric_path_gauge(g0, replace(g0, fd_order=4), np.array([0.1, 0.1]))
     # one non-SPD endpoint sample inside a block fails the whole block
@@ -671,6 +721,29 @@ def test_closed_form_transport_solves_the_transport_equation(seed, d, log_cond, 
         assert _amax(tau - np.eye(d)) <= 1e-12 * _amax(tau)
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("seed", range(4))
+def test_path_inverses_match_the_inverses_they_replace(d, seed):
+    g0, g1 = _spd_pair(seed, d, 1.0)
+    A, Ainv, lam = _path_eigenbasis(g0, g1)
+    eye = np.eye(d)
+
+    def gs_inverse(s):
+        return np.linalg.inv((1.0 - s) * g0 + s * g1)
+
+    for s in np.linspace(0.0, 1.0, geometry.PATH_STEPS + 1):
+        tauinv, gs_inv, gs_inv_dot = _path_inverses(A, Ainv, lam, s)
+        tau = _path_transport(A, Ainv, lam, s)[0]
+        assert _amax(gs_inv @ ((1.0 - s) * g0 + s * g1) - eye) <= 1e-12
+        assert _amax(tauinv @ tau - eye) <= 1e-12
+        # the product formula it replaces, and (to its truncation) a
+        # fourth-order central difference of inv(g_s) in s
+        want = -gs_inverse(s) @ (g1 - g0) @ gs_inverse(s)
+        assert _amax(gs_inv_dot - want) <= 1e-12 * _amax(want)
+        fd = _central_diff(lambda k: gs_inverse(s + k * 5e-4), 5e-4, 4)
+        assert _amax(gs_inv_dot - fd) <= 1e-8 * _amax(want)
+
+
 BOX2 = Chart("box2", ((-1.0, 1.0),) * 2, (False,) * 2)
 BOX4 = Chart("box4", ((-1.0, 1.0),) * 4, (False,) * 4)
 
@@ -703,6 +776,28 @@ def test_gauge_on_a_block_equals_per_point_calls(pts, c, a, d):
         if d == 4:
             for gk, rk in zip(block.curvature, one.curvature):
                 assert _amax(gk.coeffs[i] - rk.coeffs) <= 1e-12 * max(1.0, _amax(rk.coeffs))
+
+
+def test_gauge_matches_the_inverting_route(monkeypatch):
+    # the parent route: g_s^{-1}, its s-derivative and tau^{-1} by np.linalg.inv
+    X = np.array([[0.3, -0.2, 0.5, 0.1], [-0.6, 0.4, 0.0, 0.7], [0.1, 0.8, -0.5, -0.3]])
+    g0 = MetricField(BOX4, _rational_metric(0.7))
+    g1 = MetricField(BOX4, _scaled(_rational_metric(1.3), 0.6))
+    got = metric_path_gauge(g0, g1, X)
+    G0, G1 = g0.g(X), g1.g(X)
+
+    def inverting(A, Ainv, lam, s):
+        gs_inv = np.linalg.inv((1.0 - s) * G0 + s * G1)
+        tau = _path_transport(A, Ainv, lam, s)[0]
+        return np.linalg.inv(tau), gs_inv, -gs_inv @ (G1 - G0) @ gs_inv
+
+    monkeypatch.setattr(geometry, "_path_inverses", inverting)
+    want = metric_path_gauge(g0, g1, X)
+    for gk, rk in zip(got.theta_dot, want.theta_dot):
+        assert _amax(gk - rk) <= 1e-12 * max(1.0, _amax(rk))
+    for gk, rk in zip(got.curvature, want.curvature):
+        assert _amax(gk.coeffs - rk.coeffs) <= 1e-12 * max(1.0, _amax(rk.coeffs))
+    assert _amax(got.curvature[-1].coeffs) > 1e-2
 
 
 # -- the central stencil ----------------------------------------------------------------
@@ -769,6 +864,12 @@ def test_phi_connection_rejects_r_zero():
     spec = catalog.get("geometric_cone", link="s1", theta=1.0)
     with pytest.raises(DomainError):
         phi_conjugated_connection(spec.collar, 0.0, np.array([1.0]))
+
+
+def test_phi_connection_needs_fibration_data():
+    spec = catalog.get("geometric_cone", link="s1", theta=1.0)
+    with pytest.raises(MetricError, match="fibration"):
+        phi_conjugated_connection(replace(spec.collar, fibration=None), 0.05, np.array([1.0]))
 
 
 def test_phi_connection_model_cone_angular_block():

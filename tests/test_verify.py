@@ -204,6 +204,11 @@ def test_each_check_rejects_a_geometry_it_cannot_run(check_id, geometry, params,
         verify.run_check(check_id, geometry, params)
 
 
+def test_every_check_has_a_default_row():
+    # resolve_spec(check_id) with no geometry takes the check's first row
+    assert set(verify.CHECKS) <= {row[0] for row in verify.DEFAULT_SUITE}
+
+
 def test_resolve_spec_defaults_to_the_checks_first_row():
     spec = verify.resolve_spec("ConeGB")
     assert (spec.name, spec.params) == ("geometric_cone", {"link": "s1", "theta": 0.5})

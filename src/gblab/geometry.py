@@ -8,12 +8,13 @@ the same leading batch axes, so one call serves a single point or a whole
 block of points, and every per-sample check applies to each point of the
 block.  The gauge's parallel transport along g_s = (1-s) g0 + s g1 is in
 closed form from one Cholesky and one eigh per stencil point, with no ODE
-steps.  Every first derivative goes through one central stencil of order 2
-or 4, _central_diff: the metric jet (dg and the mixed d2g), the slice metric
-in r, the transported gauge, and the h^phi frame.  The metric jet makes one
-evaluator call per jet: every stencil offset of a block is stacked into one
-(S, ..., d) sample.  Its diagonal second derivatives use the matching three-
-or five-point formula.  The lowered curvature comes straight from the
+steps.  Every first derivative is one central stencil of order 2 or 4,
+_central_diff, summed over samples stacked on axis 0: the metric jet (dg
+and the mixed d2g), the slice metric in r, the transported gauge and the
+h^phi frame.  A metric jet makes one evaluator call on the offsets of a
+cached plan (_jet_plan), and each derivative is a few array sums over the
+stencil axis, for all axes and pairs at once; the diagonal of d2g takes the
+three- or five-point formula.  The lowered curvature comes straight from the
 first-kind symbols G_ij,k:
 F_ijkl = d_i G_jl,k - d_j G_il,k - G_ik,m g^mn G_jl,n + G_jk,m g^mn G_il,n,
 with no derivative of g^{-1} and no lowering by g.  Its g^{-1} comes from a
@@ -27,8 +28,9 @@ verify.EPSILONS.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -148,18 +150,16 @@ class MetricField:
         return _sample(self.evaluator, np.asarray(x, dtype=float))
 
     def check_stencil(self, x):
-        x = np.asarray(x, dtype=float)
-        h = self.steps()
-        order = self.fd_order
-        reach = 2 if order == 4 else 1
-        for i, ((lo, hi), per) in enumerate(zip(self.chart.bounds, self.chart.periodic)):
-            if per:
-                continue
-            xi = x[..., i]
-            if np.any(xi - reach * h[i] < lo) or np.any(xi + reach * h[i] > hi):
-                raise DomainError(
-                    f"finite-difference stencil leaves chart {self.chart.name!r} at axis {i}"
-                )
+        """Raise DomainError if the stencil at points x (..., d) leaves a non-periodic axis."""
+        x = np.asarray(x, dtype=float).reshape(-1, self.chart.dim)
+        reach = (2 if self.fd_order == 4 else 1) * self.steps()
+        lo, hi = np.array(self.chart.bounds, dtype=float).T
+        out = ((x.min(axis=0, initial=np.inf) - reach < lo)
+               | (x.max(axis=0, initial=-np.inf) + reach > hi))
+        out &= ~np.array(self.chart.periodic, dtype=bool)
+        if out.any():
+            raise DomainError(f"finite-difference stencil leaves chart {self.chart.name!r} "
+                              f"at axis {int(np.argmax(out))}")
 
 
 def _diff_weights(order: int):
@@ -170,65 +170,90 @@ def _diff_weights(order: int):
     raise MetricError("fd_order must be 2 or 4")
 
 
-def _central_diff(f, h, order: int):
-    """First derivative sum_k w_k f(k) / h by the central stencil of an order.
+def _central_diff(stack, h, order: int):
+    """First derivative sum_k w_k stack[k] / h by the central stencil of an order.
 
-    f maps an integer offset k, in units of the step h, to a sample (a number
-    or an array).  Samples are summed in stencil order starting from 0.0, so
-    at order 2 the result rounds exactly as (f(1) - f(-1)) / (2 h).
+    Axis 0 of stack (an array, or a list of samples) runs over the stencil in
+    _diff_weights order; h is a number or an array that broadcasts over the
+    other axes.  Samples are summed in stencil order starting from 0.0, so at
+    order 2 the result rounds exactly as (stack[1] - stack[0]) / (2 h).
     """
     out = 0.0
-    for off, wt in _diff_weights(order):
-        out = out + wt * f(off)
+    for (_, wt), f in zip(_diff_weights(order), stack, strict=True):
+        out = out + wt * f
     return out / h
+
+
+@lru_cache(maxsize=None)
+def _jet_plan(d: int, order: int, want_second: bool):
+    """A jet's stencil, built once per key: _diff_weights, (S, d) offsets, pairs a < b.
+
+    The read-only offsets, in steps, run: the centre; each axis a with k in
+    weight order; if want_second, each pair (a, b) of np.triu_indices(d, 1)
+    with j along a and k along b.
+    """
+    weights = tuple(_diff_weights(order))
+    ks = [k for k, _ in weights]
+    ia, ib = np.triu_indices(d, 1)
+    zero = (0,) * d
+    offsets = [zero] + [zero[:a] + (k,) + zero[a + 1:] for a in range(d) for k in ks]
+    if want_second:
+        offsets += [zero[:a] + (j,) + zero[a + 1:b] + (k,) + zero[b + 1:]
+                    for a, b in zip(ia, ib) for j in ks for k in ks]
+    offsets = np.array(offsets, dtype=float).reshape(-1, d)
+    offsets.flags.writeable = ia.flags.writeable = ib.flags.writeable = False
+    return weights, offsets, (ia, ib)
+
+
+def _along_axes(rows, h, order: int):
+    """d_a, on axis -3, of a quantity stacked over a jet's rows (1 + d K, ..., d, d)."""
+    d, batch, mat = h.size, rows.shape[1:-2], rows.shape[-2:]
+    per_axis = rows[1:].reshape((d, (len(rows) - 1) // d, math.prod(batch)) + mat)
+    out = _central_diff(per_axis.swapaxes(0, 1), h[:, None, None, None], order)   # [a, point, ...]
+    return out.swapaxes(0, 1).reshape(batch + (d,) + mat)
 
 
 def _metric_jet(m: MetricField, x, want_second: bool):
     """g, dg and (if wanted) d2g at x from one evaluator call per jet.
 
-    x has shape (..., d).  The center, the axis points and (if want_second)
-    the mixed pairs are stacked into one (S, ..., d) sample: one evaluator
-    call and one SPD check serve a block's whole stencil.  dg[..., a, i, j] =
-    d_a g_ij, d2g[..., a, b, i, j].  Returns (g, dg, d2g, samples): samples
-    maps each integer offset tuple, in units of m.steps(), to its metric.
+    x has shape (..., d).  The _jet_plan offsets are stacked into one (S, ...,
+    d) sample: one evaluator call and one SPD check serve a block's stencil,
+    and each derivative is a few array sums over the stencil axis.  dg[..., a,
+    i, j] = d_a g_ij, d2g[..., a, b, i, j].  Returns (g, dg, d2g, rows): rows
+    are the sample's centre and first-derivative rows, (1 + d K, ..., d, d).
     """
     d = m.chart.dim
     m.check_stencil(x)
     x = np.asarray(x, dtype=float)
-    h = m.steps()
-    order = m.fd_order
-    ks = [k for k, _ in _diff_weights(order)]
-    zero = (0,) * d
-    offsets = [zero] + [zero[:a] + (k,) + zero[a + 1:] for a in range(d) for k in ks]
-    if want_second:
-        offsets += [zero[:a] + (j,) + zero[a + 1:b] + (k,) + zero[b + 1:]
-                    for a in range(d) for b in range(a + 1, d) for j in ks for k in ks]
-    stencil = np.array(offsets, dtype=float).reshape((len(offsets),) + (1,) * (x.ndim - 1) + (d,))
-    samples = dict(zip(offsets, m.g(x + h * stencil)))
-
-    def at(base, axis, k):
-        return samples[base[:axis] + (base[axis] + k,) + base[axis + 1:]]
-
-    g = samples[zero]
-    dg = np.stack([_central_diff(partial(at, zero, a), h[a], order) for a in range(d)], axis=-3)
+    h, order = m.steps(), m.fd_order
+    weights, offsets, (ia, ib) = _jet_plan(d, order, want_second)
+    K, batch = len(weights), x.shape[:-1]
+    samples = m.g(x + h * offsets.reshape((len(offsets),) + (1,) * len(batch) + (d,)))
+    rows = samples[:1 + d * K]
+    dg = _along_axes(rows, h, order)
     d2g = None
     if want_second:
-        d2g = np.zeros(x.shape[:-1] + (d, d, d, d))
-        for a in range(d):
-            if order == 2:
-                d2g[..., a, a, :, :] = (at(zero, a, 1) - 2.0 * g + at(zero, a, -1)) / h[a] ** 2
-            else:
-                d2g[..., a, a, :, :] = (-at(zero, a, 2) + 16.0 * at(zero, a, 1) - 30.0 * g
-                                        + 16.0 * at(zero, a, -1) - at(zero, a, -2)) / (12.0 * h[a] ** 2)
-            for b in range(a + 1, d):
-                # d_a of the d_b stencil, taken at the points shifted along a
-                val = _central_diff(
-                    lambda j, a=a, b=b: _central_diff(
-                        partial(at, zero[:a] + (j,) + zero[a + 1:], b), h[b], order),
-                    h[a], order)
-                d2g[..., a, b, :, :] = val
-                d2g[..., b, a, :, :] = val
-    return g, dg, d2g, samples
+        # over one flat point axis n: ax[a, k, n], mixed[pair, j, k, n], d2g[n, a, b]
+        flat = samples.reshape((len(offsets), math.prod(batch), d, d))
+        g, ax = flat[0], flat[1:1 + d * K].reshape((d, K) + flat.shape[1:])
+        # float_power rounds each h[a] ** 2 as the scalar power does
+        h2 = np.float_power(h, 2)[:, None, None, None]
+        if order == 2:
+            diag = (ax[:, 1] - 2.0 * g + ax[:, 0]) / h2
+        else:
+            diag = (-ax[:, 3] + 16.0 * ax[:, 2] - 30.0 * g
+                    + 16.0 * ax[:, 1] - ax[:, 0]) / (12.0 * h2)
+        d2g = np.empty(flat.shape[1:2] + (d,) * 4)
+        d2g[:, range(d), range(d)] = diag.swapaxes(0, 1)
+        # d_a of the d_b stencil, taken at the points shifted along a
+        mixed = flat[1 + d * K:].reshape((len(ia), K, K) + flat.shape[1:])
+        inner = _central_diff(mixed.transpose(2, 0, 1, 3, 4, 5), h[ib, None, None, None, None],
+                              order)                                         # [pair, j, n]
+        val = _central_diff(inner.swapaxes(0, 1), h[ia, None, None, None], order).swapaxes(0, 1)
+        d2g[:, ia, ib] = val
+        d2g[:, ib, ia] = val
+        d2g = d2g.reshape(batch + (d,) * 4)
+    return samples[0], dg, d2g, rows
 
 
 def christoffel(m: MetricField, x) -> np.ndarray:
@@ -243,7 +268,7 @@ def christoffel(m: MetricField, x) -> np.ndarray:
 
 def _christoffel_first(dg: np.ndarray) -> np.ndarray:
     """First-kind symbols G1[..., i, j, k] = (d_i g_jk + d_j g_ik - d_k g_ij)/2."""
-    return 0.5 * (dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1))
+    return 0.5 * (dg + dg.swapaxes(-3, -2) - dg.swapaxes(-3, -2).swapaxes(-2, -1))
 
 
 def _second_kind(ginv: np.ndarray, g1: np.ndarray) -> np.ndarray:
@@ -417,7 +442,8 @@ class Slice:
         c, r, hr = self.collar, self.r, self.hr
         y = np.asarray(y, dtype=float)
         curv, E = riemann_double_form(self.field, y)
-        dh = _central_diff(lambda k: c.radial_metric(r + k * hr)(y), hr, c.fd_order)
+        dh = _central_diff([c.radial_metric(r + k * hr)(y) for k, _ in _diff_weights(c.fd_order)],
+                           hr, c.fd_order)
         ii_on = np.swapaxes(E, -1, -2) @ (-0.5 * dh) @ E
         ii = DoubleForm(E.shape[-1], 1, 1, 0.5 * (ii_on + np.swapaxes(ii_on, -1, -2)))
         return SliceData(second_fundamental=ii, curvature=curv, frame=E,
@@ -446,11 +472,12 @@ class GaugePath:
 
 
 def _path_eigenbasis(g0: np.ndarray, g1: np.ndarray):
-    """A, A^{-1} and lam with g1 A = g0 A diag(lam), for stacks of SPD pairs.
+    """A, A^{-1} and lam with g1 A = g0 A diag(lam), for stacks of SPD pairs; and L, L^{-1}.
 
     With g0 = L L^T and L^{-1} g1 L^{-T} = Q diag(lam) Q^T, A = L^{-T} Q:
     one Cholesky and one eigh per pair.  Every g_s on the affine path is
-    SPD exactly when g0 is and every lam > 0.
+    SPD exactly when g0 is and every lam > 0.  L^{-T} is the Cholesky frame
+    of g0 (_frame_of) and L^T its inverse.
     """
     try:
         L = np.linalg.cholesky(g0)
@@ -460,7 +487,7 @@ def _path_eigenbasis(g0: np.ndarray, g1: np.ndarray):
         raise MetricError("metric loses positive definiteness along the path") from exc
     if not np.all(lam > 0.0):
         raise MetricError("metric loses positive definiteness along the path")
-    return np.swapaxes(Linv, -1, -2) @ Q, np.swapaxes(Q, -1, -2) @ np.swapaxes(L, -1, -2), lam
+    return Linv.swapaxes(-1, -2) @ Q, Q.swapaxes(-1, -2) @ L.swapaxes(-1, -2), lam, L, Linv
 
 
 def _path_transport(A, Ainv, lam, s: float):
@@ -496,15 +523,16 @@ def metric_path_gauge(g0: MetricField, g1: MetricField, x) -> GaugePath:
     x is a point or a block of points of shape (..., d); every field of the
     result carries the same leading axes, and one evaluator call per
     endpoint serves the whole stencil of the block.  The parallel transport
-    of the generalized cylinder is exact (_path_transport), taken at the
-    center and at each first-derivative stencil point.  From it come the
-    exact s-derivative of theta^s = nabla^s - nabla^0 and the gauged
+    of the generalized cylinder is exact (_path_transport), taken on the
+    jets' rows: the center and each first-derivative stencil point.  From
+    it come the exact s-derivative of theta^s = nabla^s - nabla^0 and the gauged
     curvature at the PATH_STEPS + 1 nodes s_k = k / PATH_STEPS, all in the
     g0 orthonormal frame; d/dx of tau is the shared central stencil over
     those points.  Since the path is affine, every g_s derivative is a
     combination of one stencil sweep per endpoint; theta_dot takes dtau/ds
     and the inverses (_path_inverses) in closed form, with no differencing
-    in s.
+    in s.  The g0 frame E0 = L^{-T} and E0^{-1} = L^T come from the center
+    row's Cholesky factor in _path_eigenbasis.
     The curvature is computed exactly when d > 2: on a surface the
     transgression integrand B(theta_dot R^0) reads none, so the second
     derivatives are skipped and curvature holds zero forms.
@@ -514,35 +542,19 @@ def metric_path_gauge(g0: MetricField, g1: MetricField, x) -> GaugePath:
             (g0.fd_rel_step, g0.fd_order) != (g1.fd_rel_step, g1.fd_order):
         raise MetricError("path endpoints must live on the same chart and stencil")
     d = g0.chart.dim
-    h = g0.steps()
-    order = g0.fd_order
+    h, order = g0.steps(), g0.fd_order
     s_nodes = np.linspace(0.0, 1.0, PATH_STEPS + 1)
     curved = d > 2
 
-    # one stencil sweep per endpoint; its center and first-derivative rows
-    # also feed the transport
-    g0c, dg0, d2g0, samples0 = _metric_jet(g0, x, want_second=curved)
-    _, dg1, d2g1, samples1 = _metric_jet(g1, x, want_second=curved)
-    # transport rows: the center (row 0) and the first-derivative stencil points
-    offsets = [off for off in samples0 if off.count(0) >= d - 1]
-    axis_rows = [{} for _ in range(d)]
-    for row, off in enumerate(offsets):
-        for a, k in enumerate(off):
-            if k:
-                axis_rows[a][k] = row
-    A, Ainv, lam = _path_eigenbasis(np.stack([samples0[off] for off in offsets]),
-                                    np.stack([samples1[off] for off in offsets]))
-    del samples0, samples1   # the s loop needs only the rows; keeps peak memory down
-
-    def along_axes(stack):
-        """d_a of a quantity stacked over the rows, on axis -3 of the result."""
-        return np.stack([_central_diff(lambda k, rows=rows: stack[rows[k]], h[a], order)
-                         for a, rows in enumerate(axis_rows)], axis=-3)
+    # one stencil sweep per endpoint; its center (row 0) and first-derivative
+    # rows also feed the transport
+    _, dg0, d2g0, rows0 = _metric_jet(g0, x, want_second=curved)
+    _, dg1, d2g1, rows1 = _metric_jet(g1, x, want_second=curved)
+    A, Ainv, lam, L, Linv = _path_eigenbasis(rows0, rows1)
+    del rows0, rows1   # the s loop needs no sample; keeps peak memory down
+    E0, E0inv = np.swapaxes(Linv[0], -1, -2), np.swapaxes(L[0], -1, -2)
 
     gamma1_dot = _christoffel_first(dg1 - dg0)
-
-    E0 = _frame_of(g0c)
-    E0inv = np.linalg.inv(E0)
 
     def to_on(mat):
         inner = E0inv[..., None, :, :] @ mat @ E0[..., None, :, :]
@@ -570,11 +582,10 @@ def metric_path_gauge(g0: MetricField, g1: MetricField, x) -> GaugePath:
         tau, taudot = taus[0], rates[0]
         T, Tinv = tau[..., None, :, :], tauinv[..., None, :, :]
         # the exact s-derivative of theta = tau^{-1}(d tau + omega_s tau) - omega_0
-        core = along_axes(taus) + omegas @ T
+        core = _along_axes(taus, h, order) + omegas @ T
         tid = -(tauinv @ taudot @ tauinv)[..., None, :, :]
-        theta_dots.append(to_on(
-            tid @ core
-            + Tinv @ (along_axes(rates) + omegas_dot @ T + omegas @ taudot[..., None, :, :])))
+        rate_core = _along_axes(rates, h, order) + omegas_dot @ T + omegas @ taudot[..., None, :, :]
+        theta_dots.append(to_on(tid @ core + Tinv @ rate_core))
 
     return GaugePath(s_nodes=s_nodes, theta_dot=theta_dots, curvature=curvs, frame=E0)
 
@@ -627,13 +638,11 @@ def phi_frame(c: CollarMetric, r: float, y, h_r: float):
     y = np.asarray(y, dtype=float)
     steps = np.concatenate(([h_r], c.fd_rel_step * c.boundary_chart.extents))
 
-    def frame_at(mu, k):
-        shift = k * steps[mu] * np.eye(steps.size)[mu]   # along r or one slice axis
-        return _frame_of(_h_phi_matrix(c, r + shift[0], y + shift[1:]))
-
-    dE = np.stack([_central_diff(partial(frame_at, mu), steps[mu], 2)
-                   for mu in range(steps.size)], axis=-3)
-    return _frame_of(_h_phi_matrix(c, r, y)), dE
+    eye = np.eye(steps.size)   # the shift k h e_mu, along r or one slice axis
+    dE = [_central_diff([_frame_of(_h_phi_matrix(c, r + sh[0], y + sh[1:]))
+                         for sh in (k * h * eye[mu] for k, _ in _diff_weights(2))], h, 2)
+          for mu, h in enumerate(steps)]
+    return _frame_of(_h_phi_matrix(c, r, y)), np.stack(dE, axis=-3)
 
 
 def _h_phi_matrix(c: CollarMetric, r: float, y) -> np.ndarray:

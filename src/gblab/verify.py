@@ -26,6 +26,7 @@ from .geometry import (
     MetricField,
     Slice,
     _central_diff,
+    _diff_weights,
     _frame_of,
     _h_phi_matrix,
     christoffel,
@@ -248,7 +249,8 @@ def _base_metric_variation(collar: CollarMetric, y_base, h: float = 1e-4):
     fib = collar.fibration
     f = fib.fiber_dim
     y = np.concatenate((np.zeros(y_base.shape[:-1] + (f,)), y_base), axis=-1)
-    return _central_diff(lambda k: collar.radial_metric(k * h)(y)[..., f:, f:], h, 2)
+    return _central_diff([collar.radial_metric(k * h)(y)[..., f:, f:] for k, _ in _diff_weights(2)],
+                         h, 2)
 
 
 def horizontal_closed_value(collar: CollarMetric, level: int) -> float:
@@ -631,10 +633,9 @@ def check_transgression_stokes(spec, level, tol):
         p = pts[lo : lo + quad.BLOCK]
         x = np.stack([p + k * hs * np.eye(2)[a] for a, k in shifts])
         gauge = metric_path_gauge(g0, g1, x)
-        # flat frame = coordinate frame
-        tpf = dict(zip(shifts, inv.path_transgression_form(gauge).coeffs[..., 0]))
-        dx = _central_diff(lambda k: tpf[0, k], hs, 2)
-        dy = _central_diff(lambda k: tpf[1, k], hs, 2)
+        # flat frame = coordinate frame; [a, k, point, ...] in the order of shifts
+        tpf = inv.path_transgression_form(gauge).coeffs[..., 0].reshape((2, 2) + p.shape)
+        dx, dy = (_central_diff(t, hs, 2) for t in tpf)
         R1, E1 = riemann_double_form(g1, p)
         # the flat reference term vanishes identically; sqrt(det g1) = 1 / det E1
         dpf = inv.pfaffian_form(R1).coeffs[..., 0, 0] / np.linalg.det(E1)

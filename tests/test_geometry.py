@@ -20,6 +20,7 @@ from gblab.geometry import (
     _curvature_coord,
     _diff_weights,
     _frame_of,
+    _jet_plan,
     _metric_jet,
     _pair_coeffs,
     _path_eigenbasis,
@@ -136,6 +137,7 @@ def test_spd_check_scale_is_per_sample():
 def _per_offset_jet(m, x, want_second):
     """The metric jet with one evaluator call per stencil offset, as a reference."""
     d, h, order = m.chart.dim, m.steps(), m.fd_order
+    ks = [k for k, _ in _diff_weights(order)]
     x = np.asarray(x, dtype=float)
     samples = {}
 
@@ -149,7 +151,7 @@ def _per_offset_jet(m, x, want_second):
 
     zero = (0,) * d
     g = at(zero, 0, 0)
-    dg = np.stack([_central_diff(lambda k, a=a: at(zero, a, k), h[a], order)
+    dg = np.stack([_central_diff([at(zero, a, k) for k in ks], h[a], order)
                    for a in range(d)], axis=-3)
     if not want_second:
         return g, dg, None, samples
@@ -162,8 +164,8 @@ def _per_offset_jet(m, x, want_second):
                                     + 16.0 * at(zero, a, -1) - at(zero, a, -2)) / (12.0 * h[a] ** 2)
         for b in range(a + 1, d):
             val = _central_diff(
-                lambda j, a=a, b=b: _central_diff(
-                    lambda k: at(zero[:a] + (j,) + zero[a + 1:], b, k), h[b], order),
+                [_central_diff([at(zero[:a] + (j,) + zero[a + 1:], b, k) for k in ks], h[b], order)
+                 for j in ks],
                 h[a], order)
             d2g[..., a, b, :, :] = d2g[..., b, a, :, :] = val
     return g, dg, d2g, samples
@@ -205,11 +207,95 @@ def test_jet_is_one_call_and_equals_the_per_offset_reference(order, want_second,
     assert counted.calls == 1
     for a, b in zip(got[:3], want[:3]):
         assert (a is None and b is None) or (a.shape == b.shape and np.array_equal(a, b))
-    assert list(got[3]) == list(want[3])
-    ks = len(_diff_weights(order))
-    assert len(got[3]) == 1 + 3 * ks + (3 * ks * ks if want_second else 0)
-    for off, sample in got[3].items():
-        assert np.array_equal(sample, want[3][off])
+    # rows: the centre, then each axis a with k in weight order
+    ks = [k for k, _ in _diff_weights(order)]
+    axis_offsets = [(0, 0, 0)] + [tuple(k if i == a else 0 for i in range(3))
+                                  for a in range(3) for k in ks]
+    rows = got[3]
+    assert rows.shape == (1 + 3 * len(ks),) + batch + (3, 3)
+    assert np.array_equal(rows, np.stack([want[3][off] for off in axis_offsets]))
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_jet_diagonal_rounds_as_the_scalar_square(order):
+    # a step at which pow(h, 2), as the scalar h[a] ** 2 rounds, and the
+    # array square h * h can round apart (axis 1 here)
+    m = MetricField(BOX3, _wavy3, fd_rel_step=1.00058e-4, fd_order=order)
+    x = BOX3.random_interior(np.random.default_rng(4), 5, shrink=0.1)
+    assert np.array_equal(_metric_jet(m, x, True)[2], _per_offset_jet(m, x, True)[2])
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_jet_plan_lists_offsets_in_the_documented_order(d, order):
+    ks = [k for k, _ in _diff_weights(order)]
+
+    def unit(a, k):
+        return [k if i == a else 0 for i in range(d)]
+
+    centre_and_axes = [[0] * d] + [unit(a, k) for a in range(d) for k in ks]
+    mixed = [list(np.add(unit(a, j), unit(b, k)))
+             for a in range(d) for b in range(a + 1, d) for j in ks for k in ks]
+    for want_second, want in ((False, centre_and_axes), (True, centre_and_axes + mixed)):
+        weights, offsets, (ia, ib) = _jet_plan(d, order, want_second)
+        assert list(weights) == _diff_weights(order)
+        assert offsets.shape == (len(want), d) and offsets.tolist() == want
+        assert list(zip(ia, ib)) == [(a, b) for a in range(d) for b in range(a + 1, d)]
+        assert not offsets.flags.writeable
+
+
+def test_jet_plan_is_built_once_per_key():
+    _jet_plan.cache_clear()
+    m = MetricField(BOX3, _wavy3, fd_order=4)
+    x = BOX3.random_interior(np.random.default_rng(5), 4, shrink=0.1)
+    for block in (x, x[:2], x[0]):
+        _metric_jet(m, block, want_second=True)
+        _metric_jet(m, block, want_second=False)
+    riemann_double_form(m, x)
+    info = _jet_plan.cache_info()
+    assert (info.misses, info.currsize) == (2, 2)
+    assert _jet_plan(3, 4, True) is _jet_plan(3, 4, True)
+
+
+# -- the stencil check: reach, periodic axes and the first failing axis --------------
+
+# a non-periodic box (steps 1e-4 * (2, 4, 1)) with a periodic last axis
+BOX_STENCIL = Chart("stencil", ((0.0, 2.0), (-1.0, 3.0), (0.0, 1.0), (0.0, 1.0)),
+                    (False, False, False, True))
+
+
+@pytest.mark.parametrize("order, reach", [(2, 1), (4, 2)])
+def test_check_stencil_reach_is_one_or_two_steps(order, reach):
+    counted = _counting(lambda x: np.eye(4))
+    m = MetricField(BOX_STENCIL, counted, fd_order=order)
+    h = m.steps()
+    inside = np.array([1.0, 1.0, 0.5, 0.5])
+    m.check_stencil(inside)                      # a single point of shape (d,)
+    for a, (lo, hi) in enumerate(BOX_STENCIL.bounds[:3]):
+        for edge, inward in ((lo, 1.0), (hi, -1.0)):
+            pt = inside.copy()
+            pt[a] = edge + inward * 1.5 * reach * h[a]
+            m.check_stencil(pt)
+            pt[a] = edge + inward * 0.5 * reach * h[a]
+            with pytest.raises(DomainError, match=f"at axis {a}$"):
+                m.check_stencil(pt)
+    assert counted.calls == 0
+
+
+def test_check_stencil_periodic_axis_never_raises():
+    m = MetricField(BOX_STENCIL, lambda x: np.eye(4), fd_order=4)
+    block = np.array([[1.0, 1.0, 0.5, t] for t in (0.0, 1.0, -5.0, 7.5)])
+    m.check_stencil(block)
+    m.check_stencil(block.reshape(2, 2, 4))
+
+
+def test_check_stencil_names_the_first_axis_that_leaves():
+    m = MetricField(BOX_STENCIL, lambda x: np.eye(4))
+    block = np.array([[1.0, 1.0, 0.5, 0.5], [1.0, 3.0, 0.5, 0.5], [1.0, 1.0, 0.0, 0.5]])
+    with pytest.raises(DomainError, match="leaves chart 'stencil' at axis 1$"):
+        m.check_stencil(block)
+    with pytest.raises(DomainError, match="at axis 2$"):
+        m.check_stencil(block[[0, 2]])
 
 
 def test_stencil_leaving_the_chart_calls_no_evaluator():
@@ -396,7 +482,7 @@ def test_first_bianchi_on_slices():
 
 # -- node blocks ---------------------------------------------------------------------
 
-BOX3 = Chart("box3", ((-1.0, 1.0),) * 3, (False,) * 3)
+CUBE3 = Chart("cube3", ((-1.0, 1.0),) * 3, (False,) * 3)
 
 
 def _rational_metric(c):
@@ -415,7 +501,7 @@ _block = st.lists(st.tuples(*[st.floats(-0.9, 0.9)] * 3), min_size=1, max_size=6
 @settings(max_examples=30, deadline=None)
 @given(_block, st.floats(0.0, 2.0), st.sampled_from([2, 4]))
 def test_riemann_on_a_block_equals_per_point_calls(pts, c, order):
-    m = MetricField(BOX3, _rational_metric(c), fd_order=order)
+    m = MetricField(CUBE3, _rational_metric(c), fd_order=order)
     X = np.array(pts)
     R, E = riemann_double_form(m, X)
     assert R.coeffs.shape == (len(X), 3, 3) and E.shape == (len(X), 3, 3)
@@ -433,7 +519,7 @@ def test_curvature_symmetries_on_a_block(geometry):
         (mf,) = catalog.get("sphere", n=4).fields
         chart = mf.chart
     else:
-        chart, mf = BOX3, MetricField(BOX3, _rational_metric(1.5))
+        chart, mf = CUBE3, MetricField(CUBE3, _rational_metric(1.5))
     g, dg, d2g, _ = _metric_jet(mf, chart.random_interior(rng, 64, shrink=0.1), want_second=True)
     F = _curvature_coord(np.linalg.inv(g), dg, d2g)
     assert F.shape == (64,) + (chart.dim,) * 4
@@ -450,7 +536,7 @@ def test_curvature_symmetries_on_a_block(geometry):
 @given(_block, st.floats(0.0, 2.0), st.floats(0.2, 1.0))
 def test_slice_on_a_block_equals_per_point_calls(pts, c, r):
     ev = _rational_metric(c)
-    collar = CollarMetric(BOX3, (0.0, 1.5),
+    collar = CollarMetric(CUBE3, (0.0, 1.5),
                           lambda r: (lambda y: (1.0 + np.asarray(r) ** 2)[..., None, None] * ev(y)))
     Y = np.array(pts)
     block = Slice(collar, r).at(Y)
@@ -465,10 +551,10 @@ def test_slice_on_a_block_equals_per_point_calls(pts, c, r):
 @pytest.mark.parametrize("order,calls", [(2, 3), (4, 5)])
 def test_slice_takes_its_frame_from_the_curvature_jet(order, calls):
     ev = _counting(_rational_metric(0.7))
-    collar = CollarMetric(BOX3, (0.0, 1.5),
+    collar = CollarMetric(CUBE3, (0.0, 1.5),
                           lambda r: (lambda y: (1.0 + np.asarray(r) ** 2)[..., None, None] * ev(y)),
                           fd_order=order)
-    Y = BOX3.random_interior(np.random.default_rng(2), 6, shrink=0.1)
+    Y = CUBE3.random_interior(np.random.default_rng(2), 6, shrink=0.1)
     sd = Slice(collar, 0.6).at(Y)
     # one evaluator call for the curvature jet (its center gives E), one per
     # radial stencil point for dh
@@ -616,6 +702,8 @@ def test_gauge_frame_gives_sqrt_det_g0():
     assert gauge.frame.shape == (3, 3, 3)
     want = np.sqrt(np.linalg.det(ev0(block)))
     assert np.max(np.abs(1.0 / np.linalg.det(gauge.frame) - want)) <= 1e-14
+    # the frame of the eigenbasis's centre row is the Cholesky frame, bit for bit
+    assert np.array_equal(gauge.frame, _frame_of(g0.g(block)))
 
 
 def test_collar_rejects_a_bad_radial_interval():
@@ -707,7 +795,7 @@ def test_closed_form_transport_solves_the_transport_equation(seed, d, log_cond, 
     pairs = [_spd_pair(seed + i, d, log_cond) for i in range(2)]
     g0 = np.stack([p[0] for p in pairs])
     g1 = np.stack([p[1] for p in pairs])
-    tau, rate = _path_transport(*_path_eigenbasis(g0, g1), s)
+    tau, rate = _path_transport(*_path_eigenbasis(g0, g1)[:3], s)
     gs = (1.0 - s) * g0 + s * g1
     for i in range(2):
         # tau^T g_s tau = g0: the transport is an isometry onto (TM, g0)
@@ -725,8 +813,11 @@ def test_closed_form_transport_solves_the_transport_equation(seed, d, log_cond, 
 @pytest.mark.parametrize("seed", range(4))
 def test_path_inverses_match_the_inverses_they_replace(d, seed):
     g0, g1 = _spd_pair(seed, d, 1.0)
-    A, Ainv, lam = _path_eigenbasis(g0, g1)
+    A, Ainv, lam, L, Linv = _path_eigenbasis(g0, g1)
     eye = np.eye(d)
+    # g0 = L L^T: the gauge's frame is L^{-T} and its inverse L^T
+    assert _amax(L @ L.T - g0) <= 1e-12 * _amax(g0)
+    assert _amax(Linv @ L - eye) <= 1e-12
 
     def gs_inverse(s):
         return np.linalg.inv((1.0 - s) * g0 + s * g1)
@@ -740,7 +831,7 @@ def test_path_inverses_match_the_inverses_they_replace(d, seed):
         # fourth-order central difference of inv(g_s) in s
         want = -gs_inverse(s) @ (g1 - g0) @ gs_inverse(s)
         assert _amax(gs_inv_dot - want) <= 1e-12 * _amax(want)
-        fd = _central_diff(lambda k: gs_inverse(s + k * 5e-4), 5e-4, 4)
+        fd = _central_diff([gs_inverse(s + k * 5e-4) for k, _ in _diff_weights(4)], 5e-4, 4)
         assert _amax(gs_inv_dot - fd) <= 1e-8 * _amax(want)
 
 
@@ -811,7 +902,7 @@ _sample = st.floats(-1e6, 1e6).filter(lambda v: v == 0.0 or abs(v) > 1e-280)
        st.floats(1e-8, 1.0))
 def test_central_diff_order_two_is_the_plain_quotient(pairs, h):
     minus, plus = (np.array(v) for v in zip(*pairs))
-    got = _central_diff({-1: minus, 1: plus}.__getitem__, h, 2)
+    got = _central_diff(np.stack([minus, plus]), h, 2)
     assert got.tobytes() == ((plus - minus) / (2 * h)).tobytes()
 
 
@@ -825,12 +916,13 @@ def test_central_diff_order_four_is_exact_on_quartics(c, x, h):
 
     want = c[1] + 2 * c[2] * x + 3 * c[3] * x**2 + 4 * c[4] * x**3
     scale = sum(abs(ci) for ci in c) * (abs(x) + 2 * h + 1.0) ** 4
-    assert abs(_central_diff(f, h, 4) - want) <= 1e-13 * scale / h
+    samples = [f(k) for k, _ in _diff_weights(4)]
+    assert abs(_central_diff(samples, h, 4) - want) <= 1e-13 * scale / h
 
 
 def test_central_diff_rejects_other_orders():
     with pytest.raises(MetricError):
-        _central_diff(float, 0.1, 3)
+        _central_diff(np.zeros(3), 0.1, 3)
 
 
 # -- connection difference ----------------------------------------------------------------

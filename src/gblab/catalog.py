@@ -6,9 +6,10 @@ field carries its own chart and finite-difference stencil, set here per
 geometry; the checks read them and never override them.
 Every metric evaluator maps points of shape (..., d) to matrices of shape
 (..., d, d) (a constant metric returns one (d, d) matrix, which broadcasts),
-and every collar's radial_metric(r) accepts r as a number or as an array of
-the points' batch shape.  Chart parametrizations are chosen so metric
-evaluators stay smooth and nondegenerate on the closed quadrature box:
+and every collar's radial_metric(r) and fibration's fiber_metric(r, y) take
+r as a number or as an array of the points' batch shape.  Chart
+parametrizations are chosen so metric evaluators stay smooth and
+nondegenerate on the closed quadrature box:
 
 * 2-spheres use the conformal cylinder chart g = rho^2 sech^2(t) (dt^2+dphi^2);
   the missed polar caps carry area 4 pi rho^2 (1 - tanh T) ~ 1e-11 at T = 14.
@@ -272,13 +273,12 @@ def _cone_collar(link: str, f_of_r: Callable) -> CollarMetric:
 
     def cone_rate(r):
         # f(r)/r, continued through r = 0 by its limit f'(0)
-        if r == 0.0:
-            r = 1e-8
+        r = np.where(r == 0.0, 1e-8, r)
         return f_of_r(r) / r
 
     fib = FibrationData(
         base_chart=None, fiber_chart=link_chart,
-        fiber_metric=lambda r, y: cone_rate(r) ** 2 * link_metric(y),
+        fiber_metric=lambda r, y: _scalar_factor(cone_rate(r) ** 2) * link_metric(y),
         chi_fiber=chi,
     )
     return CollarMetric(
@@ -546,17 +546,25 @@ def register_from_config(path) -> list:
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise RegistryError(f"config {str(path)!r} is not a JSON object")
     version = doc.get("schema_version")
     if version != CONFIG_SCHEMA_VERSION:
         raise RegistryError(f"unsupported config schema_version {version!r}")
-    added = []
-    for entry in doc.get("geometries", []):
-        name = entry["name"]
-        builder = entry["builtin"]
+    entries = doc.get("geometries", [])
+    if not isinstance(entries, list):
+        raise RegistryError("config 'geometries' must be a list of entries")
+    added = {}
+    for i, entry in enumerate(entries):
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and isinstance(entry.get("params", {}), dict)):
+            raise RegistryError(f"config entry {i} ({entry!r}) needs a string name "
+                                f"and an object of params")
+        name, builder = entry["name"], entry.get("builtin")
         if builder not in _BUILDERS:
             raise RegistryError(f"config entry {name!r} references unknown builtin {builder!r}")
         if name in _BUILDERS:
             raise RegistryError(f"config entry {name!r} shadows a builtin")
-        _USER_ENTRIES[name] = (builder, dict(entry.get("params", {})))
-        added.append(name)
-    return added
+        added[name] = (builder, dict(entry.get("params", {})))
+    _USER_ENTRIES.update(added)
+    return list(added)

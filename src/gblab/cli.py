@@ -159,8 +159,13 @@ def cmd_run(args) -> int:
     if args.workers < 1:
         print("error: --workers must be >= 1", file=sys.stderr)
         return 2
-    if args.check and args.workers > 1:
-        print("error: --workers applies to suite runs, not to --check", file=sys.stderr)
+    if args.check and (args.workers > 1 or args.filter):
+        print("error: --workers and --filter apply to suite runs, not to --check",
+              file=sys.stderr)
+        return 2
+    if not args.check and (args.geometry or args.params):
+        print("error: --geometry and key=value parameters apply to --check runs",
+              file=sys.stderr)
         return 2
     if args.config:
         catalog.register_from_config(args.config)
@@ -253,7 +258,7 @@ def main(argv=None) -> int:
             return cmd_converge(args)
         if args.command == "calibrate":
             return cmd_calibrate(args)
-    except (catalog.RegistryError, verify.ConfigurationError, ValueError) as exc:
+    except (catalog.RegistryError, verify.ConfigurationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2

@@ -8,14 +8,14 @@ the same leading batch axes, so one call serves a single point or a whole
 block of points, and every per-sample check applies to each point of the
 block.  The gauge's parallel transport along g_s = (1-s) g0 + s g1 is in
 closed form from one Cholesky and one eigh per stencil point, with no ODE
-steps.  Every first derivative is one central stencil of order 2 or 4,
-_central_diff, summed over samples stacked on axis 0: the metric jet (dg
-and the mixed d2g), the slice metric in r, the transported gauge and the
-h^phi frame.  A metric jet makes one evaluator call on the offsets of a
-cached plan (_jet_plan), and each derivative is a few array sums over the
-stencil axis, for all axes and pairs at once; the diagonal of d2g takes the
-three- or five-point formula.  The lowered curvature comes straight from the
-first-kind symbols G_ij,k:
+steps.  Stencil offsets, weights and reach have one owner, the cached plan
+_jet_plan; every derivative is one evaluation on a sample stacked over the
+plan's points, differenced along that axis by _central_diff or, all axes
+at once, _along_axes: the metric jet (one evaluator call; the diagonal of
+d2g by the three- or five-point formula), the slice metric in r
+(CollarMetric.radial_rate), the transported gauge, the h^phi frame (one
+Cholesky of one stacked sample) and the Stokes curl in verify.  The
+lowered curvature comes straight from the first-kind symbols G_ij,k:
 F_ijkl = d_i G_jl,k - d_j G_il,k - G_ik,m g^mn G_jl,n + G_jk,m g^mn G_il,n,
 with no derivative of g^{-1} and no lowering by g.  Its g^{-1} comes from a
 factorisation in hand: E E^T from the Cholesky frame E, or the gauge's
@@ -152,7 +152,7 @@ class MetricField:
     def check_stencil(self, x):
         """Raise DomainError if the stencil at points x (..., d) leaves a non-periodic axis."""
         x = np.asarray(x, dtype=float).reshape(-1, self.chart.dim)
-        reach = (2 if self.fd_order == 4 else 1) * self.steps()
+        reach = _jet_plan(self.chart.dim, self.fd_order, False)[1].max() * self.steps()
         lo, hi = np.array(self.chart.bounds, dtype=float).T
         out = ((x.min(axis=0, initial=np.inf) - reach < lo)
                | (x.max(axis=0, initial=-np.inf) + reach > hi))
@@ -206,9 +206,9 @@ def _jet_plan(d: int, order: int, want_second: bool):
 
 
 def _along_axes(rows, h, order: int):
-    """d_a, on axis -3, of a quantity stacked over a jet's rows (1 + d K, ..., d, d)."""
+    """d_a, on axis -3, of a quantity stacked over a plan's axis rows (d K, ..., m, n)."""
     d, batch, mat = h.size, rows.shape[1:-2], rows.shape[-2:]
-    per_axis = rows[1:].reshape((d, (len(rows) - 1) // d, math.prod(batch)) + mat)
+    per_axis = rows.reshape((d, len(rows) // d, math.prod(batch)) + mat)
     out = _central_diff(per_axis.swapaxes(0, 1), h[:, None, None, None], order)   # [a, point, ...]
     return out.swapaxes(0, 1).reshape(batch + (d,) + mat)
 
@@ -230,7 +230,7 @@ def _metric_jet(m: MetricField, x, want_second: bool):
     K, batch = len(weights), x.shape[:-1]
     samples = m.g(x + h * offsets.reshape((len(offsets),) + (1,) * len(batch) + (d,)))
     rows = samples[:1 + d * K]
-    dg = _along_axes(rows, h, order)
+    dg = _along_axes(rows[1:], h, order)
     d2g = None
     if want_second:
         # over one flat point axis n: ax[a, k, n], mixed[pair, j, k, n], d2g[n, a, b]
@@ -344,14 +344,15 @@ class FibrationData:
     """Trivial-product fibration of the collar cross-section N = F x B.
 
     Coordinates on N are ordered fiber-first; a factor without a chart has
-    dimension 0.  The Euler characteristic of the fiber is stored reference
-    data.
+    dimension 0.  fiber_metric(r, y_f) takes r = 0, and r as a number or an
+    array of y_f's batch shape.  The Euler characteristic of the fiber is
+    stored reference data.
     """
 
     base_chart: Optional[Chart]
     fiber_chart: Optional[Chart]
-    base_metric: Optional[Callable] = None     # y_b -> (b, b) matrix
-    fiber_metric: Optional[Callable] = None    # r, y_f -> (f, f) matrix
+    base_metric: Optional[Callable] = None     # y_b -> (..., b, b) matrix
+    fiber_metric: Optional[Callable] = None    # r, y_f -> (..., f, f) matrix
     chi_fiber: Optional[int] = None
 
     @property
@@ -368,7 +369,8 @@ class CollarMetric:
     """Normal-form collar dr^2 + g(r) over a boundary chart.
 
     radial_metric(r) returns the y -> matrix evaluator of g(r) on N; r is a
-    number or an array of y's batch shape (as full_metric passes it).
+    number or an array of y's batch shape (as full_metric and radial_rate
+    pass it).
     singular_end marks where the degenerate locus sits: "lower" (r -> 0),
     "upper" (boundary at the top of the interval), or "infinity".  The
     orientation sign is the geometry family's flag in verify.EPSILONS.
@@ -412,6 +414,18 @@ class CollarMetric:
         return MetricField(self.full_chart(), ev,
                            fd_rel_step=self.fd_rel_step, fd_order=self.fd_order)
 
+    def radial_rate(self, r: float, y, h: float) -> np.ndarray:
+        """d/dr g(r) at points y (..., n) by the collar's stencil, step h in r.
+
+        One radial_metric call on r and y stacked over the plan's points, r
+        with the stacked points' batch shape, checked and broadcast by _sample.
+        """
+        y = np.asarray(y, dtype=float)
+        ks = _jet_plan(1, self.fd_order, False)[1][1:]
+        ys = np.broadcast_to(y, (len(ks),) + y.shape)
+        rs = np.broadcast_to(r + h * ks.reshape((-1,) + (1,) * (y.ndim - 1)), ys.shape[:-1])
+        return _central_diff(_sample(self.radial_metric(rs), ys), h, self.fd_order)
+
 
 @dataclass(frozen=True)
 class SliceData:
@@ -430,7 +444,7 @@ class Slice:
     def __init__(self, collar: CollarMetric, r: float):
         lo, hi = collar.r_interval
         hr = 1e-3 * abs(r) if r != 0 else 1e-6
-        reach = 2 if collar.fd_order == 4 else 1
+        reach = _jet_plan(1, collar.fd_order, False)[1].max()
         if not (lo < r - reach * hr and r + reach * hr < hi):
             raise DomainError("slice radius too close to the collar interval ends")
         self.collar = collar
@@ -439,11 +453,9 @@ class Slice:
         self.field = collar.slice_field(r)
 
     def at(self, y) -> SliceData:
-        c, r, hr = self.collar, self.r, self.hr
         y = np.asarray(y, dtype=float)
         curv, E = riemann_double_form(self.field, y)
-        dh = _central_diff([c.radial_metric(r + k * hr)(y) for k, _ in _diff_weights(c.fd_order)],
-                           hr, c.fd_order)
+        dh = self.collar.radial_rate(self.r, y, self.hr)
         ii_on = np.swapaxes(E, -1, -2) @ (-0.5 * dh) @ E
         ii = DoubleForm(E.shape[-1], 1, 1, 0.5 * (ii_on + np.swapaxes(ii_on, -1, -2)))
         return SliceData(second_fundamental=ii, curvature=curv, frame=E,
@@ -582,19 +594,13 @@ def metric_path_gauge(g0: MetricField, g1: MetricField, x) -> GaugePath:
         tau, taudot = taus[0], rates[0]
         T, Tinv = tau[..., None, :, :], tauinv[..., None, :, :]
         # the exact s-derivative of theta = tau^{-1}(d tau + omega_s tau) - omega_0
-        core = _along_axes(taus, h, order) + omegas @ T
+        core = _along_axes(taus[1:], h, order) + omegas @ T
         tid = -(tauinv @ taudot @ tauinv)[..., None, :, :]
-        rate_core = _along_axes(rates, h, order) + omegas_dot @ T + omegas @ taudot[..., None, :, :]
+        rate_core = (_along_axes(rates[1:], h, order) + omegas_dot @ T
+                     + omegas @ taudot[..., None, :, :])
         theta_dots.append(to_on(tid @ core + Tinv @ rate_core))
 
     return GaugePath(s_nodes=s_nodes, theta_dot=theta_dots, curvature=curvs, frame=E0)
-
-
-def _phi_matrix(r: float, dim: int, fiber_dim: int) -> np.ndarray:
-    phi = np.eye(dim)
-    for a in range(1, 1 + fiber_dim):
-        phi[a, a] = r
-    return phi
 
 
 def phi_conjugated_connection(c: CollarMetric, r: float, y) -> np.ndarray:
@@ -618,11 +624,12 @@ def phi_conjugated_connection(c: CollarMetric, r: float, y) -> np.ndarray:
     f = fib.fiber_dim
 
     omega_coord = np.swapaxes(christoffel(c.full_metric(), x), -3, -2)  # [..., mu, i, j]
-    phi = _phi_matrix(r, d, f)
-    conj = phi @ omega_coord @ np.linalg.inv(phi)
+    phi = np.ones(d)
+    phi[1:1 + f] = r
+    conj = phi[:, None] * omega_coord * (1.0 / phi)
     # subtract (d phi) phi^{-1}: only the radial direction contributes 1/r
-    for a in range(1, 1 + f):
-        conj[..., 0, a, a] -= 1.0 / r
+    vert = np.arange(1, 1 + f)
+    conj[..., 0, vert, vert] -= 1.0 / r
 
     E, dE = phi_frame(c, r, y, 1e-3 * abs(r))
     return np.linalg.inv(E)[..., None, :, :] @ (dE + conj @ E[..., None, :, :])
@@ -631,22 +638,21 @@ def phi_conjugated_connection(c: CollarMetric, r: float, y) -> np.ndarray:
 def phi_frame(c: CollarMetric, r: float, y, h_r: float):
     """h^phi orthonormal frame E at (r, y) and its derivatives dE[..., mu, :, :].
 
-    y is a point or a block (..., n).  dE differences the blockwise Cholesky
-    frame at order 2, with step h_r along r and the collar's relative step
-    along the slice axes.
+    y is a point or a block (..., n).  dE differences the Cholesky frame of
+    one h^phi sample on the order-2 plan's points, with step h_r along r and
+    the collar's relative step along the slice axes.
     """
     y = np.asarray(y, dtype=float)
     steps = np.concatenate(([h_r], c.fd_rel_step * c.boundary_chart.extents))
+    offsets = _jet_plan(steps.size, 2, False)[1]
+    x = np.concatenate((np.full(y.shape[:-1] + (1,), r), y), axis=-1)
+    pts = x + steps * offsets.reshape((len(offsets),) + (1,) * (y.ndim - 1) + (steps.size,))
+    E = _frame_of(_h_phi_matrix(c, pts[..., 0], pts[..., 1:]))
+    return E[0], _along_axes(E[1:], steps, 2)
 
-    eye = np.eye(steps.size)   # the shift k h e_mu, along r or one slice axis
-    dE = [_central_diff([_frame_of(_h_phi_matrix(c, r + sh[0], y + sh[1:]))
-                         for sh in (k * h * eye[mu] for k, _ in _diff_weights(2))], h, 2)
-          for mu, h in enumerate(steps)]
-    return _frame_of(_h_phi_matrix(c, r, y)), np.stack(dE, axis=-3)
 
-
-def _h_phi_matrix(c: CollarMetric, r: float, y) -> np.ndarray:
-    """h^phi = dr^2 + g^V(r) + g^B at (r, y), block diagonal, fiber first."""
+def _h_phi_matrix(c: CollarMetric, r, y) -> np.ndarray:
+    """Block-diagonal h^phi = dr^2 + g^V(r) + g^B at (r, y), fiber first; r as in fiber_metric."""
     fib = c.fibration
     f, b = fib.fiber_dim, fib.base_dim
     d = 1 + f + b

@@ -25,10 +25,10 @@ from .geometry import (
     CollarMetric,
     MetricField,
     Slice,
-    _central_diff,
-    _diff_weights,
+    _along_axes,
     _frame_of,
     _h_phi_matrix,
+    _jet_plan,
     christoffel,
     metric_path_gauge,
     phi_conjugated_connection,
@@ -244,15 +244,6 @@ def fibered_value_for(fib, level: int) -> float:
     return inv.fibered_boundary_value(odd_base, fib.chi_fiber, fib.base_dim, fib.fiber_dim)
 
 
-def _base_metric_variation(collar: CollarMetric, y_base, h: float = 1e-4):
-    """d/dr of the base block of the slice metric at r = 0, at base points (..., b)."""
-    fib = collar.fibration
-    f = fib.fiber_dim
-    y = np.concatenate((np.zeros(y_base.shape[:-1] + (f,)), y_base), axis=-1)
-    return _central_diff([collar.radial_metric(k * h)(y)[..., f:, f:] for k, _ in _diff_weights(2)],
-                         h, 2)
-
-
 def horizontal_closed_value(collar: CollarMetric, level: int) -> float:
     """Closed-form slice-transgression limit with horizontal variation.
 
@@ -261,11 +252,13 @@ def horizontal_closed_value(collar: CollarMetric, level: int) -> float:
     the base metric is radially constant.
     """
     fib = collar.fibration
-    b = fib.base_dim
+    f, b = fib.fiber_dim, fib.base_dim
     base, fiber = _fibration_fields(fib)
 
     def top(i, R, E, y):
-        gdot = np.swapaxes(E, -1, -2) @ _base_metric_variation(collar, y) @ E
+        # d/dr of the base block of the slice metric at r = 0, fiber coordinates 0
+        y = np.concatenate((np.zeros(y.shape[:-1] + (f,)), y), axis=-1)
+        gdot = np.swapaxes(E, -1, -2) @ collar.radial_rate(0.0, y, 1e-4)[..., f:, f:] @ E
         gdot_form = DoubleForm(b, 1, 1, 0.5 * (gdot + np.swapaxes(gdot, -1, -2)))
         return inv.lipschitz_killing_form(i, R, gdot_form).coeffs[..., 0, 0]
 
@@ -623,23 +616,21 @@ def check_transgression_stokes(spec, level, tol):
 
     g1 = replace(g0, evaluator=g1_ev)
     n_grid = 32
-    hs = 1e-3
+    hs = np.full(2, 1e-3)
     xs = np.linspace(0.0, 2.0 * math.pi, n_grid, endpoint=False)
     pts = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1).reshape(-1, 2)
-    # the Stokes stencil: offsets k = -1, 1 along each axis a, in units of hs
-    shifts = [(a, k) for a in range(2) for k in (-1, 1)]
+    # the Stokes stencil: the order-2 plan's axis rows, in units of hs
+    shifts = _jet_plan(2, 2, False)[1][1:, None, :]
     gaps, dpfs = [], []
     for lo in range(0, len(pts), quad.BLOCK):
         p = pts[lo : lo + quad.BLOCK]
-        x = np.stack([p + k * hs * np.eye(2)[a] for a, k in shifts])
-        gauge = metric_path_gauge(g0, g1, x)
-        # flat frame = coordinate frame; [a, k, point, ...] in the order of shifts
-        tpf = inv.path_transgression_form(gauge).coeffs[..., 0].reshape((2, 2) + p.shape)
-        dx, dy = (_central_diff(t, hs, 2) for t in tpf)
+        gauge = metric_path_gauge(g0, g1, p + hs * shifts)
+        # flat frame = coordinate frame; d[point, a, i, 0] = d_a of the (1,0) form's e_i part
+        d = _along_axes(inv.path_transgression_form(gauge).coeffs, hs, 2)
         R1, E1 = riemann_double_form(g1, p)
         # the flat reference term vanishes identically; sqrt(det g1) = 1 / det E1
         dpf = inv.pfaffian_form(R1).coeffs[..., 0, 0] / np.linalg.det(E1)
-        gaps.append(dx[:, 1] - dy[:, 0] - dpf)
+        gaps.append(d[:, 0, 1, 0] - d[:, 1, 0, 0] - dpf)
         dpfs.append(dpf)
     worst = float(np.max(np.abs(np.concatenate(gaps))))
     max_dpf = float(np.max(np.abs(np.concatenate(dpfs))))

@@ -154,6 +154,41 @@ def test_config_file_geometry(tmp_path):
     catalog._USER_ENTRIES.clear()
 
 
+@pytest.mark.parametrize("doc,message", [
+    ({"schema_version": 1, "geometries": [{"builtin": "sphere"}]}, "config entry 0 ("),
+    ([{"name": "x", "builtin": "sphere"}], "is not a JSON object"),
+    ({"schema_version": 1, "geometries": [{"name": "x", "builtin": "sphere", "params": [1]}]},
+     "config entry 0 ("),
+    ({"schema_version": 1, "geometries": {"name": "x"}}, "must be a list"),
+    # a bad second entry registers nothing, not even the good first one
+    ({"schema_version": 1, "geometries": [{"name": "x", "builtin": "sphere"}, "y"]},
+     "config entry 1 ('y')"),
+])
+def test_malformed_config_exits_two(tmp_path, capsys, doc, message):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["run", "--check", "ClosedGB", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert catalog._USER_ENTRIES == {}
+
+
+def test_missing_config_file_exits_two(tmp_path, capsys):
+    assert main(["run", "--check", "ClosedGB", "--config", str(tmp_path / "none.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "none.json" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--geometry", "sphere", "n=4", "--filter", "Orbifold"], "--geometry and key=value"),
+    (["n=4"], "--geometry and key=value"),
+    (["--check", "ClosedGB", "--filter", "Orbifold"], "--filter apply to suite runs"),
+])
+def test_options_of_the_other_run_kind_exit_two(argv, message, capsys):
+    assert main(["run", *argv]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_run_csv_dir(tmp_path):
     csvdir = tmp_path / "tables"
     code = main(["run", "--check", "ConeGB", "--geometry", "geometric_cone",

@@ -20,6 +20,7 @@ from gblab.geometry import (
     _curvature_coord,
     _diff_weights,
     _frame_of,
+    _h_phi_matrix,
     _jet_plan,
     _metric_jet,
     _pair_coeffs,
@@ -30,6 +31,7 @@ from gblab.geometry import (
     christoffel,
     metric_path_gauge,
     phi_conjugated_connection,
+    phi_frame,
     riemann_double_form,
 )
 
@@ -548,17 +550,17 @@ def test_slice_on_a_block_equals_per_point_calls(pts, c, r):
             assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
-@pytest.mark.parametrize("order,calls", [(2, 3), (4, 5)])
-def test_slice_takes_its_frame_from_the_curvature_jet(order, calls):
+@pytest.mark.parametrize("order", [2, 4])
+def test_slice_takes_its_frame_from_the_curvature_jet(order):
     ev = _counting(_rational_metric(0.7))
     collar = CollarMetric(CUBE3, (0.0, 1.5),
                           lambda r: (lambda y: (1.0 + np.asarray(r) ** 2)[..., None, None] * ev(y)),
                           fd_order=order)
     Y = CUBE3.random_interior(np.random.default_rng(2), 6, shrink=0.1)
     sd = Slice(collar, 0.6).at(Y)
-    # one evaluator call for the curvature jet (its center gives E), one per
-    # radial stencil point for dh
-    assert ev.calls == calls
+    # one evaluator call for the curvature jet (its center gives E), and one
+    # for dh on the radial stencil's points stacked
+    assert ev.calls == 2
     h = collar.radial_metric(0.6)(Y)
     assert np.max(np.abs(np.swapaxes(sd.frame, -1, -2) @ h @ sd.frame - np.eye(3))) < 1e-12
     assert np.max(np.abs(sd.sqrt_det / np.sqrt(np.linalg.det(h)) - 1.0)) < 1e-13
@@ -627,10 +629,30 @@ def test_slice_product_collar_vanishing_ii():
 def test_slice_flat_cone_ii():
     circle = Chart("s1", ((0.0, 2 * math.pi),), (True,))
     collar = CollarMetric(circle, (0.0, 1.0),
-                          lambda r: (lambda y: r**2 * np.eye(1)))
+                          lambda r: (lambda y: np.asarray(r)[..., None, None] ** 2 * np.eye(1)))
     r = 0.37
     sd = Slice(collar, r).at(np.array([2.0]))
     assert sd.second_fundamental.coeffs[0, 0] == pytest.approx(-1.0 / r, rel=1e-10)
+
+
+def test_radial_rate_names_a_broken_r_contract():
+    # r ** 2 * eye(1) turns an array r of shape (K,) into a (1, K) sample
+    circle = Chart("s1", ((0.0, 2 * math.pi),), (True,))
+    collar = CollarMetric(circle, (0.0, 1.0), lambda r: (lambda y: r**2 * np.eye(1)))
+    with pytest.raises(MetricError, match="not a square matrix"):
+        Slice(collar, 0.37).at(np.array([2.0]))
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("batch", [(), (4,), (2, 2)])
+def test_radial_rate_equals_the_per_offset_reference(order, batch):
+    collar = replace(catalog.get("edge_horizontal").collar, fd_order=order)
+    y = collar.boundary_chart.random_interior(np.random.default_rng(6), 4, shrink=0.1)
+    y = y[:int(np.prod(batch))].reshape(batch + (collar.boundary_chart.dim,))
+    for r, h in ((0.0, 1e-4), (0.3, 3e-4)):
+        want = _central_diff([collar.radial_metric(r + k * h)(y) for k, _ in _diff_weights(order)],
+                             h, order)
+        assert np.array_equal(collar.radial_rate(r, y, h), want)
 
 
 def test_slice_unit_sphere_boundary_of_disk():
@@ -985,6 +1007,55 @@ def test_phi_connection_on_a_block_equals_per_point_calls(name, params):
     for omega, y in zip(block, ys):
         want = phi_conjugated_connection(collar, 0.05, y)
         assert _amax(omega - want) <= 1e-12 * max(1.0, _amax(want))
+
+
+def _per_axis_phi_frame(c, r, y, h_r):
+    """phi_frame with one h^phi sample and one Cholesky per shifted point, as a reference."""
+    y = np.asarray(y, dtype=float)
+    steps = np.concatenate(([h_r], c.fd_rel_step * c.boundary_chart.extents))
+    eye = np.eye(steps.size)
+    dE = [_central_diff([_frame_of(_h_phi_matrix(c, r + sh[0], y + sh[1:]))
+                         for sh in (k * h * eye[mu] for k, _ in _diff_weights(2))], h, 2)
+          for mu, h in enumerate(steps)]
+    return _frame_of(_h_phi_matrix(c, r, y)), np.stack(dE, axis=-3)
+
+
+@pytest.mark.parametrize("name,params", [
+    ("geometric_cone", {"link": "s1", "theta": 1.0}),
+    ("cone", {"link": "s3", "profile": "second_order"}),
+    ("edge_product", {"base": "s2", "fiber": "s1"}),
+    ("fibered_product", {"base": "s1", "fiber": "s2"}),
+])
+def test_phi_frame_is_one_sample_and_equals_the_per_axis_route(name, params, monkeypatch):
+    collar = catalog.get(name, **params).collar
+    ys = collar.boundary_chart.random_interior(np.random.default_rng(7), 4, shrink=0.2)
+    for r, h_r in ((0.0, 1e-4), (0.05, 5e-5)):
+        for y in (ys, ys[0], ys.reshape(2, 2, -1)):
+            got, want = phi_frame(collar, r, y, h_r), _per_axis_phi_frame(collar, r, y, h_r)
+            assert all(a.shape == b.shape and np.array_equal(a, b) for a, b in zip(got, want))
+    calls = {"_h_phi_matrix": 0, "_frame_of": 0}
+    for fn in calls:
+        def counted(*args, _fn=getattr(geometry, fn), _name=fn):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(geometry, fn, counted)
+    phi_frame(collar, 0.05, ys, 5e-5)
+    assert calls == {"_h_phi_matrix": 1, "_frame_of": 1}
+
+
+@pytest.mark.parametrize("params", [
+    {"link": "s1", "theta": 0.7},
+    {"link": "s3", "profile": "second_order"},
+    {"link": "s1", "profile": "first_order", "a": 0.3},
+])
+def test_cone_fiber_metric_takes_an_array_r(params):
+    fib = catalog.get("cone", **params).collar.fibration
+    rs = np.array([[0.0, 0.05], [-1e-4, 1.2]])
+    ys = fib.fiber_chart.random_interior(np.random.default_rng(8), 4).reshape(2, 2, -1)
+    got = fib.fiber_metric(rs, ys)
+    assert got.shape == (2, 2) + (fib.fiber_dim,) * 2
+    for idx in np.ndindex(rs.shape):
+        assert np.array_equal(got[idx], fib.fiber_metric(float(rs[idx]), ys[idx]))
 
 
 def test_phi_connection_product_metric_identity():

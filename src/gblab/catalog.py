@@ -21,6 +21,17 @@ nondegenerate on the closed quadrature box:
 Quotient geometries are weighted covers: integrals run over the cover and
 are multiplied by 1/|G|, valid because every integrand in this laboratory
 is isometry invariant.
+
+Each builder's schema string, printed by ``gblab list``, is the one
+statement of a parameter's type and domain, and ``get`` enforces it:
+
+* ``a|b|c``: one of the listed values;
+* ``int lo..hi`` or ``int >= lo``: an integer (not a bool) in that range;
+* ``float > lo``: a finite real number above lo;
+* ``tuple of floats``: a tuple or list of finite real numbers;
+* ``float, <rule>`` or ``tuple of floats, <rule>``: only the type is
+  checked here; the builder checks the rule, which may involve other
+  parameters.
 """
 
 from __future__ import annotations
@@ -28,6 +39,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
@@ -43,7 +55,7 @@ __all__ = [
     "RegistryError",
     "get",
     "list_geometries",
-    "register_from_config",
+    "read_config",
     "CONFIG_SCHEMA_VERSION",
 ]
 
@@ -202,10 +214,6 @@ def _factor(name: str, tag: str, rho: float = 1.0):
 def _build_sphere(params):
     n = int(params.get("n", 2))
     rho = float(params.get("rho", 1.0))
-    if not 1 <= n <= 4:
-        raise RegistryError(f"sphere dimension {n} not in [1, 2, 3, 4]")
-    if rho <= 0:
-        raise RegistryError("sphere radius must be positive")
     chart, metric, _, chi = _factor(f"s{n}", f"sphere{n}", rho)
     return GeometrySpec(
         name="sphere", params={"n": n, "rho": rho},
@@ -216,8 +224,6 @@ def _build_sphere(params):
 
 def _build_flat_torus(params):
     n = int(params.get("n", 2))
-    if not (1 <= n <= 4):
-        raise RegistryError("flat torus dimension must be 1..4")
     periods = params.get("periods", (2.0 * math.pi,) * n)
     if len(periods) != n or any(p <= 0 for p in periods):
         raise RegistryError("need one positive period per axis")
@@ -244,10 +250,6 @@ def _polar_disk_chart(k: int, rho: float) -> Chart:
 def _build_disk(params):
     dim = int(params.get("dim", 2))
     rho = float(params.get("rho", 1.0))
-    if dim not in (2, 4):
-        raise RegistryError("disk dimension must be 2 or 4")
-    if rho <= 0:
-        raise RegistryError("disk radius must be positive")
     link = "s1" if dim == 2 else "s3"
     link_chart, link_metric, _, _ = _factor(link, link)
     chart = _polar_disk_chart(dim // 2, rho)
@@ -293,8 +295,6 @@ def _build_cone(params):
     theta = float(params.get("theta", 1.0))
     a = float(params.get("a", 0.0))
     if profile == "linear":
-        if not theta > 0:
-            raise RegistryError(f"cone angle theta must be > 0, got {theta!r}")
         f = lambda r: theta * r
     elif profile == "second_order":
         f = lambda r: r * np.sqrt(1.0 + r**2)
@@ -329,8 +329,6 @@ def _build_geometric_cone(params):
 
 def _build_football(params):
     p = int(params.get("p", 2))
-    if p < 1:
-        raise RegistryError("football order must be >= 1")
     (round_field,) = _build_sphere({"n": 2, "rho": 1.0}).fields
     return GeometrySpec(
         name="football", params={"p": p},
@@ -344,8 +342,6 @@ def _build_football(params):
 
 def _build_lens_cone(params):
     order = int(params.get("order", 2))
-    if order < 1:
-        raise RegistryError("group order must be >= 1")
     return dataclasses.replace(
         _build_cone({"link": "s3", "theta": 1.0}), name="lens_cone", params={"order": order},
         symmetry_weight=Fraction(1, order), chi_pieces={},
@@ -480,8 +476,9 @@ def _build_cone_perturbed_first_order(params):
 
 _BUILDERS = {
     "sphere": (_build_sphere, {"n": "int 1..4", "rho": "float > 0"}),
-    "flat_torus": (_build_flat_torus, {"n": "int 1..4", "periods": "tuple of floats"}),
-    "disk": (_build_disk, {"dim": "2 or 4", "rho": "float > 0"}),
+    "flat_torus": (_build_flat_torus, {"n": "int 1..4",
+                                       "periods": "tuple of floats, one > 0 per axis"}),
+    "disk": (_build_disk, {"dim": "2|4", "rho": "float > 0"}),
     "cone": (_build_cone, {"link": "s1|s3|t3", "profile": "linear|first_order|second_order",
                            "theta": "float > 0", "a": "float, 1 + 1.25 a > 0 (first_order)"}),
     "geometric_cone": (_build_geometric_cone, {"link": "s1|s3|t3", "theta": "float > 0"}),
@@ -490,59 +487,62 @@ _BUILDERS = {
     "catenoid": (_build_catenoid, {"cutoff": "float > 0"}),
     "edge_product": (_build_edge_product, {"base": "s1|s2|t3", "fiber": "s1|s2|t3"}),
     "edge_horizontal": (_build_edge_horizontal, {"base": "s1|s2", "fiber": "s1",
-                                                     "beta": "float > -1"}),
+                                                     "beta": "float, 1 + beta > 0"}),
     "fibered_product": (_build_fibered_product, {"base": "s1|s2", "fiber": "s1|s2"}),
     "cone_perturbed_second_order": (_build_cone_perturbed_second_order, {}),
     "cone_perturbed_first_order": (_build_cone_perturbed_first_order,
                                    {"a": "float, 1 + 1.25 a > 0"}),
 }
 
-_USER_ENTRIES: dict = {}
+
+def _is_float(value) -> bool:
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
-def _validated(builder_name: str, params: dict) -> dict:
-    schema = _BUILDERS[builder_name][1]
-    unknown = set(params) - set(schema)
-    if unknown:
-        raise RegistryError(
-            f"unknown parameter(s) {sorted(unknown)} for {builder_name!r}; "
-            f"valid keys: {sorted(schema)}")
-    for key, value in params.items():
-        # a schema entry without spaces, "a" or "a|b|c", lists the only values accepted
-        if " " not in schema[key] and str(value) not in schema[key].split("|"):
-            raise RegistryError(f"{builder_name} {key} must be one of {schema[key]}, got {value!r}")
-    return params
+def _in_domain(schema: str, value) -> bool:
+    """Whether value lies in the domain a schema string states (see the module docstring)."""
+    kind, _, bound = schema.split(",")[0].partition(" ")
+    if kind == "int":
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            return False
+        lo, _, hi = bound.removeprefix(">= ").partition("..")
+        return int(lo) <= value and (not hi or value <= int(hi))
+    if kind == "float":
+        return _is_float(value) and (not bound or value > float(bound.removeprefix("> ")))
+    if kind == "tuple":
+        return isinstance(value, (tuple, list)) and all(map(_is_float, value))
+    return str(value) in kind.split("|")
 
 
 def get(name: str, **params) -> GeometrySpec:
-    """Construct a registered geometry with validated parameters."""
-    if name in _USER_ENTRIES:
-        builder_name, stored = _USER_ENTRIES[name]
-        merged = dict(stored)
-        merged.update(params)
-        return _BUILDERS[builder_name][0](_validated(builder_name, merged))
+    """Construct a catalog geometry from parameters that its schema admits."""
     if name not in _BUILDERS:
         raise RegistryError(f"unknown geometry {name!r}")
-    return _BUILDERS[name][0](_validated(name, params))
+    builder, schema = _BUILDERS[name]
+    unknown = set(params) - set(schema)
+    if unknown:
+        raise RegistryError(f"unknown parameter(s) {sorted(unknown)} for {name!r}; "
+                            f"valid keys: {sorted(schema)}")
+    for key, value in params.items():
+        if not _in_domain(schema[key], value):
+            domain = schema[key] if " " in schema[key] else f"one of {schema[key]}"
+            raise RegistryError(f"{name} {key} must be {domain}, got {value!r}")
+    return builder(params)
 
 
 def list_geometries() -> list:
-    """Deterministic registry listing with parameter schemas."""
-    out = []
-    for name in sorted(_BUILDERS):
-        out.append({"name": name, "params": _BUILDERS[name][1]})
-    for name in sorted(_USER_ENTRIES):
-        builder_name, stored = _USER_ENTRIES[name]
-        out.append({"name": name, "params": dict(stored), "builtin": builder_name})
-    return out
+    """Deterministic catalog listing with parameter schemas."""
+    return [{"name": name, "params": dict(schema)}
+            for name, (_, schema) in sorted(_BUILDERS.items())]
 
 
-def register_from_config(path) -> list:
-    """Register user geometries from a JSON config file.
+def read_config(path) -> dict:
+    """Geometry aliases from a JSON config file, as {name: (builtin, params)}.
 
     Format: {"schema_version": 1, "geometries": [{"name": ..., "builtin":
-    <registered builder>, "params": {...}}, ...]}.  Entries reference builtin
-    metric expressions only; no user code is executed.
+    <catalog geometry>, "params": {...}}, ...]}.  Entries reference catalog
+    geometries only; no user code is executed, and the catalog is unchanged.
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -554,7 +554,7 @@ def register_from_config(path) -> list:
     entries = doc.get("geometries", [])
     if not isinstance(entries, list):
         raise RegistryError("config 'geometries' must be a list of entries")
-    added = {}
+    aliases = {}
     for i, entry in enumerate(entries):
         if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
                 and isinstance(entry.get("params", {}), dict)):
@@ -565,6 +565,5 @@ def register_from_config(path) -> list:
             raise RegistryError(f"config entry {name!r} references unknown builtin {builder!r}")
         if name in _BUILDERS:
             raise RegistryError(f"config entry {name!r} shadows a builtin")
-        added[name] = (builder, dict(entry.get("params", {})))
-    _USER_ENTRIES.update(added)
-    return list(added)
+        aliases[name] = (builder, dict(entry.get("params", {})))
+    return aliases

@@ -46,10 +46,11 @@ def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="gblab", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("list", help="list geometries and checks")
+    sub.add_parser("list", help="list geometries and checks").set_defaults(func=cmd_list)
 
     p_desc = sub.add_parser("describe", help="describe one geometry")
     p_desc.add_argument("geometry")
+    p_desc.set_defaults(func=cmd_describe)
 
     p_run = sub.add_parser("run", help="run checks")
     p_run.add_argument("--check", action="append", default=None,
@@ -62,8 +63,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--csv", dest="csv_dir", default=None)
     p_run.add_argument("--workers", type=int, default=1,
                        help="processes for the suite run (not with --check)")
-    p_run.add_argument("--config", default=None, help="geometry config file (JSON)")
+    p_run.add_argument("--config", default=None,
+                       help="geometry aliases (JSON) for the --check run")
     p_run.add_argument("--filter", default="", help="substring filter on check ids")
+    p_run.set_defaults(func=cmd_run)
 
     p_conv = sub.add_parser("converge", help="refinement study for one check")
     p_conv.add_argument("--check", required=True)
@@ -71,10 +74,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("--geometry", default=None)
     p_conv.add_argument("params", nargs="*")
     p_conv.add_argument("--csv", dest="csv_path", default=None)
+    p_conv.set_defaults(func=cmd_converge)
 
     p_cal = sub.add_parser("calibrate", help="re-derive the orientation flags")
     p_cal.add_argument("--level", type=int, default=2)
     p_cal.add_argument("--json", dest="json_path", default=None)
+    p_cal.set_defaults(func=cmd_calibrate)
     return ap
 
 
@@ -122,11 +127,12 @@ def _write_csvs(results, csv_dir: str) -> None:
             (base / fname).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def cmd_list() -> int:
+def cmd_list(args) -> int:
     print("geometries:")
     for entry in catalog.list_geometries():
-        keys = ", ".join(f"{k}: {v}" for k, v in sorted(entry["params"].items()))
-        print(f"  {entry['name']:<28s} {keys}")
+        print(f"  {entry['name']}")
+        for key, domain in sorted(entry["params"].items()):
+            print(f"    {key}: {domain}")
     print("checks:")
     for cid in verify.CHECK_IDS:
         print(f"  {cid}")
@@ -134,11 +140,7 @@ def cmd_list() -> int:
 
 
 def cmd_describe(args) -> int:
-    try:
-        spec = catalog.get(args.geometry)
-    except catalog.RegistryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    spec = catalog.get(args.geometry)
     print(f"{spec.name}: family={spec.family} weight={spec.symmetry_weight} "
           f"chi_ref={spec.chi_ref}")
     for mf in spec.fields:
@@ -167,28 +169,19 @@ def cmd_run(args) -> int:
         print("error: --geometry and key=value parameters apply to --check runs",
               file=sys.stderr)
         return 2
-    if args.config:
-        catalog.register_from_config(args.config)
-    params = _parse_params(args.params)
-    results = []
+    aliases = catalog.read_config(args.config) if args.config else {}
+    geometry, params = args.geometry, _parse_params(args.params)
+    if geometry in aliases:
+        geometry, stored = aliases[geometry]
+        params = {**stored, **params}
     if args.check:
-        for cid in args.check:
-            if cid not in verify.CHECKS:
-                print(f"error: unknown check {cid!r}", file=sys.stderr)
-                return 2
-            try:
-                results.append(verify.run_check(
-                    cid, geometry=args.geometry, params=params or None,
-                    level=args.level, tol=args.tol))
-            except (verify.ConfigurationError, catalog.RegistryError) as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-        suite = verify.SuiteResult(results)
+        suite = verify.SuiteResult([
+            verify.run_check(cid, geometry=geometry, params=params or None,
+                             level=args.level, tol=args.tol) for cid in args.check])
     else:
         suite = verify.run_suite(filter_text=args.filter, level=args.level,
                                  tol=args.tol, workers=args.workers)
-        results = suite.results
-    for r in results:
+    for r in suite.results:
         _print_result(r)
     print(f"orientation flags: {verify.EPSILONS}")
     print(f"summary: {suite.passed} passed, {suite.failed} failed")
@@ -201,14 +194,11 @@ def cmd_run(args) -> int:
         payload = json.dumps(doc, indent=2, sort_keys=True) + "\n"
         _out_path(args.json_path).write_text(payload, encoding="utf-8")
     if args.csv_dir:
-        _write_csvs(results, args.csv_dir)
+        _write_csvs(suite.results, args.csv_dir)
     return 0 if suite.failed == 0 else 1
 
 
 def cmd_converge(args) -> int:
-    if args.check not in verify.CHECKS:
-        print(f"error: unknown check {args.check!r}", file=sys.stderr)
-        return 2
     if not (1 <= args.levels <= 7):
         print("error: --levels must be in 1..7", file=sys.stderr)
         return 2
@@ -248,20 +238,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if args.command == "list":
-            return cmd_list()
-        if args.command == "describe":
-            return cmd_describe(args)
-        if args.command == "run":
-            return cmd_run(args)
-        if args.command == "converge":
-            return cmd_converge(args)
-        if args.command == "calibrate":
-            return cmd_calibrate(args)
+        return args.func(args)
     except (catalog.RegistryError, verify.ConfigurationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

@@ -61,15 +61,15 @@ def _gauss_nodes(npts: int):
 
 
 def _axis_nodes(lo: float, hi: float, rule: str, nodes: int):
-    """Nodes and weights for a single axis (MeshSpec guarantees >= 4 nodes)."""
+    """Nodes and weights for a single axis (MeshSpec guarantees the count suits the rule)."""
     if rule == "trapezoid":
         h = (hi - lo) / nodes
         x = lo + h * np.arange(nodes)
         w = np.full(nodes, h)
         return x, w
     if rule == "gauss":
-        panels = max(1, -(-nodes // GL_PANEL)) if nodes >= GL_PANEL else 1
-        per = GL_PANEL if nodes >= GL_PANEL else nodes
+        per = min(nodes, GL_PANEL)
+        panels = nodes // per
         xs, ws = [], []
         edges = np.linspace(lo, hi, panels + 1)
         gx, gw = _gauss_nodes(per)
@@ -108,6 +108,10 @@ class MeshSpec:
     def __post_init__(self):
         if any(n < 4 for n in self.nodes):
             raise ResolutionError("MeshSpec requires >= 4 nodes per axis")
+        if any(rule == "gauss" and n > GL_PANEL and n % GL_PANEL
+               for n, rule in zip(self.nodes, self.rules)):
+            raise ResolutionError(f"a Gauss axis of more than {GL_PANEL} nodes needs "
+                                  f"whole panels of {GL_PANEL}, got {self.nodes}")
 
     @property
     def total_nodes(self) -> int:

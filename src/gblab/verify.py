@@ -434,6 +434,8 @@ def check_edge_limit(spec, level, tol):
     fib = spec.collar.fibration if spec.collar else None
     if fib is None or spec.family != "edge":
         raise ConfigurationError("EdgeLimit needs an edge geometry")
+    if spec.collar.boundary_chart.dim % 2 == 0:
+        raise ConfigurationError("EdgeLimit needs an odd-dimensional slice N = F x B")
     limit, samples = slice_limit(spec.collar, level)
     closed = edge_value_for(fib, level)
     notes = []
@@ -458,6 +460,8 @@ def check_edge_gb(spec, level, tol):
     fib = spec.collar.fibration if spec.collar else None
     if not spec.fields or fib is None or spec.family != "edge":
         raise ConfigurationError("EdgeGB needs a charted edge geometry")
+    if spec.collar.boundary_chart.dim % 2 == 0:
+        raise ConfigurationError("EdgeGB needs an odd-dimensional slice N = F x B")
     k = spec.fields[0].chart.dim // 2
     # the interior form of the product model vanishes pointwise; a reduced
     # level only changes how finely the numerical zero is sampled
@@ -497,6 +501,8 @@ def check_fibered_gb(spec, level, tol):
     fib = spec.collar.fibration if spec.collar else None
     if fib is None or spec.family != "fibered":
         raise ConfigurationError("FiberedGB needs a fibered-boundary geometry")
+    if spec.collar.boundary_chart.dim % 2 == 0:
+        raise ConfigurationError("FiberedGB needs an odd-dimensional slice N = F x B")
     k = _slice_k(spec.collar)
     eps = EPSILONS["fibered"]
     interior = pf_integral(spec, level)

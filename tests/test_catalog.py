@@ -189,17 +189,17 @@ def test_config_registration(tmp_path):
         "schema_version": catalog.CONFIG_SCHEMA_VERSION,
         "geometries": [
             {"name": "small_football", "builtin": "football", "params": {"p": 7}},
+            {"name": "plain_disk", "builtin": "disk"},
         ],
     }
     path = tmp_path / "geoms.json"
     path.write_text(json.dumps(cfg), encoding="utf-8")
-    added = catalog.register_from_config(path)
-    assert added == ["small_football"]
-    spec = catalog.get("small_football")
-    assert spec.symmetry_weight == catalog.Fraction(1, 7)
-    listing = [e["name"] for e in catalog.list_geometries()]
-    assert "small_football" in listing
-    catalog._USER_ENTRIES.clear()
+    aliases = catalog.read_config(path)
+    assert aliases == {"small_football": ("football", {"p": 7}), "plain_disk": ("disk", {})}
+    # reading a config leaves the catalog as it was
+    with pytest.raises(catalog.RegistryError, match="unknown geometry 'small_football'"):
+        catalog.get("small_football")
+    assert "small_football" not in [e["name"] for e in catalog.list_geometries()]
 
 
 def test_config_rejects_bad_schema(tmp_path):
@@ -207,7 +207,7 @@ def test_config_rejects_bad_schema(tmp_path):
     path.write_text(json.dumps({"schema_version": 99, "geometries": []}),
                     encoding="utf-8")
     with pytest.raises(catalog.RegistryError):
-        catalog.register_from_config(path)
+        catalog.read_config(path)
 
 
 def test_config_rejects_shadowing(tmp_path):
@@ -216,7 +216,28 @@ def test_config_rejects_shadowing(tmp_path):
     path = tmp_path / "shadow.json"
     path.write_text(json.dumps(cfg), encoding="utf-8")
     with pytest.raises(catalog.RegistryError):
-        catalog.register_from_config(path)
+        catalog.read_config(path)
+
+
+@pytest.mark.parametrize("name,key,value", [
+    ("sphere", "n", 2.5), ("sphere", "n", True), ("sphere", "rho", float("nan")),
+    ("lens_cone", "order", 2.7), ("football", "p", 2.5), ("disk", "dim", 2.5),
+    ("catenoid", "cutoff", 0.0), ("catenoid", "cutoff", -1.0),
+    ("catenoid", "cutoff", float("nan")),
+])
+def test_schema_rejects_values_outside_its_domain(name, key, value):
+    with pytest.raises(catalog.RegistryError, match=f"^{name} {key} must be "):
+        catalog.get(name, **{key: value})
+
+
+@pytest.mark.parametrize("name", sorted(catalog._BUILDERS))
+def test_each_builders_own_values_lie_in_its_schema(name):
+    # every schema string is readable, and the values a builder records for
+    # its schema keys satisfy it (cone_perturbed_second_order also records a
+    # link that its schema does not list)
+    schema = catalog._BUILDERS[name][1]
+    for key, value in catalog.get(name).params.items():
+        assert key not in schema or catalog._in_domain(schema[key], value), key
 
 
 @pytest.mark.parametrize("name,params,stencil", [

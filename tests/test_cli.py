@@ -14,6 +14,8 @@ def test_list_mentions_key_entries(capsys):
     assert "catenoid" in out
     assert "football" in out
     assert "ClosedGB" in out
+    # one line per parameter, with the domain its schema states
+    assert "  sphere\n    n: int 1..4\n    rho: float > 0\n" in out
 
 
 def test_describe(capsys):
@@ -140,7 +142,7 @@ def test_output_dir_env(tmp_path, monkeypatch):
     assert (tmp_path / "sub" / "report.json").exists()
 
 
-def test_config_file_geometry(tmp_path):
+def test_config_file_geometry(tmp_path, capsys):
     cfg = tmp_path / "geoms.json"
     cfg.write_text(json.dumps({
         "schema_version": 1,
@@ -150,8 +152,17 @@ def test_config_file_geometry(tmp_path):
     code = main(["run", "--check", "ConeGB", "--geometry", "wide_cone",
                  "--level", "2", "--config", str(cfg)])
     assert code == 0
-    from gblab import catalog
-    catalog._USER_ENTRIES.clear()
+    # key=value parameters go on top of the alias's stored ones
+    out = tmp_path / "r.json"
+    assert main(["run", "--check", "ConeGB", "--geometry", "wide_cone", "theta=0.5",
+                 "--level", "1", "--config", str(cfg), "--json", str(out)]) == 0
+    (result,) = json.loads(out.read_text())["results"]
+    assert (result["geometry"], result["params"]) == (
+        "geometric_cone", {"link": "s1", "theta": 0.5})
+    # the aliases hold for that one call: the next call in the process has none
+    capsys.readouterr()
+    assert main(["run", "--check", "ConeGB", "--geometry", "wide_cone", "--level", "1"]) == 2
+    assert capsys.readouterr().err == "error: unknown geometry 'wide_cone'\n"
 
 
 @pytest.mark.parametrize("doc,message", [
@@ -160,7 +171,6 @@ def test_config_file_geometry(tmp_path):
     ({"schema_version": 1, "geometries": [{"name": "x", "builtin": "sphere", "params": [1]}]},
      "config entry 0 ("),
     ({"schema_version": 1, "geometries": {"name": "x"}}, "must be a list"),
-    # a bad second entry registers nothing, not even the good first one
     ({"schema_version": 1, "geometries": [{"name": "x", "builtin": "sphere"}, "y"]},
      "config entry 1 ('y')"),
 ])
@@ -170,7 +180,6 @@ def test_malformed_config_exits_two(tmp_path, capsys, doc, message):
     assert main(["run", "--check", "ClosedGB", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
-    assert catalog._USER_ENTRIES == {}
 
 
 def test_missing_config_file_exits_two(tmp_path, capsys):

@@ -32,3 +32,50 @@ def test_only_geometry_references_the_stencil_weights():
             if names & owned:
                 users.add(path.name)
     assert users == {"geometry.py"}
+
+
+_MUTATORS = {"update", "append", "extend", "clear", "pop", "setdefault", "add", "insert",
+             "remove"}
+
+
+def _module_containers(tree) -> set:
+    """Names that a module binds at top level to a dict, list or set."""
+    names = set()
+    for node in tree.body:
+        value = getattr(node, "value", None)
+        if not (isinstance(value, (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,
+                                   ast.SetComp))
+                or (isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+                    and value.func.id in ("dict", "list", "set"))):
+            continue
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return names
+
+
+def test_no_function_changes_module_state():
+    # a module-level table that a call can change is shared by every caller in
+    # the process, so one run (or test) would see what another left behind
+    offences = set()
+    for path in sorted(Path(gblab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        shared = _module_containers(tree)
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            local = {a.arg for a in ast.walk(fn.args) if isinstance(a, ast.arg)} | {
+                n.id for n in ast.walk(fn) if isinstance(n, ast.Name)
+                and isinstance(n.ctx, ast.Store)}
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Global):
+                    offences.add(f"{path.name}:{node.lineno} global {', '.join(node.names)}")
+                elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                      and node.func.attr in _MUTATORS
+                      and isinstance(node.func.value, ast.Name)
+                      and node.func.value.id in shared - local):
+                    offences.add(f"{path.name}:{node.lineno} {node.func.value.id}."
+                                 f"{node.func.attr}")
+                elif (isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load)
+                      and isinstance(node.value, ast.Name) and node.value.id in shared - local):
+                    offences.add(f"{path.name}:{node.lineno} {node.value.id}[...] store")
+    assert sorted(offences) == []

@@ -50,6 +50,19 @@ def test_mesh_invariants():
         mesh_for_chart(CIRCLE, 9)
 
 
+@pytest.mark.parametrize("count", [9, 12, 20])
+def test_gauss_counts_above_one_panel_need_whole_panels(count):
+    # _axis_nodes would round such a count up to whole panels, so total_nodes
+    # would not be the number of points integrated
+    with pytest.raises(ResolutionError, match="whole panels"):
+        MeshSpec(nodes=(count,), rules=("gauss",))
+    seg = Chart("seg", ((0.0, 1.0),), (False,), quad_hints=(AxisRule("gauss", count),))
+    with pytest.raises(ResolutionError, match="whole panels"):
+        mesh_for_chart(seg, 1)
+    assert MeshSpec(nodes=(count,), rules=("trapezoid",)).total_nodes == count
+    assert MeshSpec(nodes=(5,), rules=("gauss",)).total_nodes == 5
+
+
 def test_node_counts_double_per_level():
     rule = AxisRule("gauss", 8)
     assert [rule.nodes_at(l) for l in (1, 2, 3)] == [8, 16, 32]

@@ -198,6 +198,12 @@ def test_workers_do_not_change_results():
     ("FirstOrderConic", "geometric_cone", {}, "FirstOrderConic runs on"),
     ("TransgressionStokes", "flat_torus", {"n": 3}, "TransgressionStokes runs on the 2-torus"),
     ("LensObstruction", "geometric_cone", {"link": "s3"}, "LensObstruction runs on lens_cone"),
+    *[(cid, "edge_product", {"base": base, "fiber": fiber},
+       f"{cid} needs an odd-dimensional slice N = F x B")
+      for cid in ("EdgeLimit", "EdgeGB")
+      for base, fiber in (("t3", "s1"), ("s1", "s1"), ("s2", "s2"))],
+    *[("FiberedGB", "fibered_product", {"base": b, "fiber": b},
+       "FiberedGB needs an odd-dimensional slice N = F x B") for b in ("s1", "s2")],
 ])
 def test_each_check_rejects_a_geometry_it_cannot_run(check_id, geometry, params, message):
     with pytest.raises(verify.ConfigurationError, match=f"^{message}"):
@@ -226,3 +232,9 @@ def test_pf_integral_reads_each_fields_own_stencil(stencil):
     value, moved_value = verify.pf_integral(spec, 2), verify.pf_integral(moved, 2)
     assert moved_value != value
     assert moved_value == pytest.approx(value, rel=1e-3)
+
+
+def test_phi_limit_still_runs_where_the_slice_is_even_dimensional():
+    # the odd-slice guard belongs to the edge and fibered identities, not to PhiLimit
+    r = verify.run_check("PhiLimit", "edge_product", {"base": "t3", "fiber": "s1"}, level=1)
+    assert r.passed

@@ -3,7 +3,8 @@
 
     python3 scripts/bench.py BENCH_6.json [CHECKOUT ...]
 
-For each workload, plain (--trace 0) and traced (--trace 1), runs
+For each workload that BENCHMARK.json names, plain (--trace 0) and traced
+(--trace 1), runs
 
     python3 perfbench/run.py --workload W --seed 0 --trace T
 
@@ -27,7 +28,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 COMMAND = [sys.executable, "perfbench/run.py"]
-WORKLOADS = ("interior", "slice_limits", "path_gauge")
+WORKLOADS = tuple(w["name"] for w in json.loads(
+    (ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"])
 SEED = 0
 
 

@@ -489,7 +489,7 @@ _BUILDERS = {
     "edge_horizontal": (_build_edge_horizontal, {"base": "s1|s2", "fiber": "s1",
                                                      "beta": "float, 1 + beta > 0"}),
     "fibered_product": (_build_fibered_product, {"base": "s1|s2", "fiber": "s1|s2"}),
-    "cone_perturbed_second_order": (_build_cone_perturbed_second_order, {}),
+    "cone_perturbed_second_order": (_build_cone_perturbed_second_order, {"link": "s1"}),
     "cone_perturbed_first_order": (_build_cone_perturbed_first_order,
                                    {"a": "float, 1 + 1.25 a > 0"}),
 }

@@ -295,7 +295,7 @@ def _curvature_coord(ginv, dg, d2g) -> np.ndarray:
     the second-kind symbols, and no lowering by g.  X = d_i G_jl,k -
     G_ik,m Gamma^m_jl takes one matmul over the flattened pairs (i,k) and
     (j,l), and F = X - X^(i<->j) is exactly antisymmetric in (i, j).  ginv
-    comes from a factorisation the caller holds (E E^T, or _path_inverses).
+    comes from a factorisation the caller holds (E E^T, or _path_at).
     """
     d = ginv.shape[-1]
     g1 = _christoffel_first(dg)                             # [..., i, k, m] = G_ik,m
@@ -370,7 +370,7 @@ class CollarMetric:
 
     radial_metric(r) returns the y -> matrix evaluator of g(r) on N; r is a
     number or an array of y's batch shape (as full_metric and radial_rate
-    pass it).
+    pass it).  Every derivative on the collar takes its fd_order stencil.
     singular_end marks where the degenerate locus sits: "lower" (r -> 0),
     "upper" (boundary at the top of the interval), or "infinity".  The
     orientation sign is the geometry family's flag in verify.EPSILONS.
@@ -414,13 +414,17 @@ class CollarMetric:
         return MetricField(self.full_chart(), ev,
                            fd_rel_step=self.fd_rel_step, fd_order=self.fd_order)
 
-    def radial_rate(self, r: float, y, h: float) -> np.ndarray:
-        """d/dr g(r) at points y (..., n) by the collar's stencil, step h in r.
+    def radial_step(self, r: float) -> float:
+        """The finite-difference step in r at radius r: 10 fd_rel_step |r|, or fd_rel_step at 0."""
+        return (10.0 * self.fd_rel_step) * abs(r) if r != 0 else self.fd_rel_step
+
+    def radial_rate(self, r: float, y) -> np.ndarray:
+        """d/dr g(r) at points y (..., n) by the collar's stencil, step radial_step(r).
 
         One radial_metric call on r and y stacked over the plan's points, r
         with the stacked points' batch shape, checked and broadcast by _sample.
         """
-        y = np.asarray(y, dtype=float)
+        y, h = np.asarray(y, dtype=float), self.radial_step(r)
         ks = _jet_plan(1, self.fd_order, False)[1][1:]
         ys = np.broadcast_to(y, (len(ks),) + y.shape)
         rs = np.broadcast_to(r + h * ks.reshape((-1,) + (1,) * (y.ndim - 1)), ys.shape[:-1])
@@ -443,26 +447,25 @@ class Slice:
 
     def __init__(self, collar: CollarMetric, r: float):
         lo, hi = collar.r_interval
-        hr = 1e-3 * abs(r) if r != 0 else 1e-6
-        reach = _jet_plan(1, collar.fd_order, False)[1].max()
-        if not (lo < r - reach * hr and r + reach * hr < hi):
+        reach = _jet_plan(1, collar.fd_order, False)[1].max() * collar.radial_step(r)
+        if not (lo < r - reach and r + reach < hi):
             raise DomainError("slice radius too close to the collar interval ends")
         self.collar = collar
         self.r = float(r)
-        self.hr = hr
         self.field = collar.slice_field(r)
 
     def at(self, y) -> SliceData:
         y = np.asarray(y, dtype=float)
         curv, E = riemann_double_form(self.field, y)
-        dh = self.collar.radial_rate(self.r, y, self.hr)
+        dh = self.collar.radial_rate(self.r, y)
         ii_on = np.swapaxes(E, -1, -2) @ (-0.5 * dh) @ E
         ii = DoubleForm(E.shape[-1], 1, 1, 0.5 * (ii_on + np.swapaxes(ii_on, -1, -2)))
         return SliceData(second_fundamental=ii, curvature=curv, frame=E,
                          sqrt_det=1.0 / np.linalg.det(E))
 
 
-# Even number of Simpson steps in s on the affine metric path
+# Even number of steps of the composite Simpson rule in s on the affine
+# metric path: nodes k / PATH_STEPS, weights (1, 4, 2, ..., 2, 4, 1) h / 3
 PATH_STEPS = 16
 
 
@@ -470,14 +473,16 @@ PATH_STEPS = 16
 class GaugePath:
     """Gauge of the affine metric path at a point or a block of points.
 
-    theta_dot and curvature are at the Simpson nodes s_nodes, in the g0
-    orthonormal frame E0 = frame (..., d, d), so 1 / det(frame) = sqrt(det g0).
+    theta_dot and curvature are at the Simpson nodes s_nodes, whose weights
+    are s_weights, in the g0 orthonormal frame E0 = frame (..., d, d), so
+    1 / det(frame) = sqrt(det g0).
     theta_dot[k] = d/ds theta^s has shape (..., d, d, d): [batch...,
     frame direction, i, j].  curvature[k] is the (2,2) double form with the
     same batch axes (the unbatched zero form when d = 2).
     """
 
     s_nodes: np.ndarray
+    s_weights: np.ndarray
     theta_dot: list
     curvature: list
     frame: np.ndarray
@@ -502,26 +507,23 @@ def _path_eigenbasis(g0: np.ndarray, g1: np.ndarray):
     return Linv.swapaxes(-1, -2) @ Q, Q.swapaxes(-1, -2) @ L.swapaxes(-1, -2), lam, L, Linv
 
 
-def _path_transport(A, Ainv, lam, s: float):
-    """Closed-form transport tau(s) and dtau/ds of the path g_s = (1-s) g0 + s g1.
+def _path_at(A, Ainv, lam, s: float):
+    """The closed forms of the path g_s = (1-s) g0 + s g1 at one node s.
 
-    The matrices g_s^{-1} gdot commute for all s, so tau(0) = Id and dtau/ds
-    = -1/2 g_s^{-1} gdot tau give tau(s) = A diag(D^(-1/2)) A^{-1} =
-    (g0^{-1} g_s)^(-1/2), D = 1 + s(lam-1); tau^{-1} is in _path_inverses.
+    A^T g_s A = diag(D), D = 1 + s(lam-1).  The matrices g_s^{-1} gdot
+    commute for all s, so tau(0) = Id and dtau/ds = -1/2 g_s^{-1} gdot tau
+    give tau(s) = A diag(D^(-1/2)) A^{-1} = (g0^{-1} g_s)^(-1/2).  Returns
+    tau and dtau/ds on every row of the stack, and on its centre row 0 only
+    tau^{-1} = A diag(D^(1/2)) A^{-1}, g_s^{-1} = A diag(1/D) A^T and
+    d/ds g_s^{-1} = -A diag((lam-1)/D^2) A^T.
     """
     D = 1.0 + s * (lam - 1.0)
     tau = (A * (D ** -0.5)[..., None, :]) @ Ainv
     rate = (A * (-0.5 * (lam - 1.0) * D ** -1.5)[..., None, :]) @ Ainv
-    return tau, rate
-
-
-def _path_inverses(A, Ainv, lam, s: float):
-    """tau(s)^{-1} = A diag(D^(1/2)) A^{-1}, g_s^{-1} = A diag(1/D) A^T and
-    d/ds g_s^{-1} = -A diag((lam-1)/D^2) A^T: A^T g_s A = diag(D), D = 1 + s(lam-1)."""
-    D = 1.0 + s * (lam - 1.0)
-    At = np.swapaxes(A, -1, -2)
-    return ((A * np.sqrt(D)[..., None, :]) @ Ainv, (A / D[..., None, :]) @ At,
-            (A * ((1.0 - lam) / D ** 2)[..., None, :]) @ At)
+    A0, D0 = A[0], D[0]
+    At = np.swapaxes(A0, -1, -2)
+    return (tau, rate, (A0 * np.sqrt(D0)[..., None, :]) @ Ainv[0], (A0 / D0[..., None, :]) @ At,
+            (A0 * ((1.0 - lam[0]) / D0 ** 2)[..., None, :]) @ At)
 
 
 def _connection(ginv: np.ndarray, gamma1: np.ndarray) -> np.ndarray:
@@ -535,15 +537,15 @@ def metric_path_gauge(g0: MetricField, g1: MetricField, x) -> GaugePath:
     x is a point or a block of points of shape (..., d); every field of the
     result carries the same leading axes, and one evaluator call per
     endpoint serves the whole stencil of the block.  The parallel transport
-    of the generalized cylinder is exact (_path_transport), taken on the
-    jets' rows: the center and each first-derivative stencil point.  From
-    it come the exact s-derivative of theta^s = nabla^s - nabla^0 and the gauged
-    curvature at the PATH_STEPS + 1 nodes s_k = k / PATH_STEPS, all in the
-    g0 orthonormal frame; d/dx of tau is the shared central stencil over
-    those points.  Since the path is affine, every g_s derivative is a
+    of the generalized cylinder is exact (_path_at), taken on the jets'
+    rows: the center and each first-derivative stencil point.  From it come
+    the exact s-derivative of theta^s = nabla^s - nabla^0 and the gauged
+    curvature at the Simpson nodes s_k = k / PATH_STEPS, all in the g0
+    orthonormal frame; d/dx of tau is the shared central stencil over those
+    points.  Since the path is affine, every g_s derivative is a
     combination of one stencil sweep per endpoint; theta_dot takes dtau/ds
-    and the inverses (_path_inverses) in closed form, with no differencing
-    in s.  The g0 frame E0 = L^{-T} and E0^{-1} = L^T come from the center
+    and the center row's inverses in closed form, with no differencing in
+    s.  The g0 frame E0 = L^{-T} and E0^{-1} = L^T come from the center
     row's Cholesky factor in _path_eigenbasis.
     The curvature is computed exactly when d > 2: on a surface the
     transgression integrand B(theta_dot R^0) reads none, so the second
@@ -556,6 +558,9 @@ def metric_path_gauge(g0: MetricField, g1: MetricField, x) -> GaugePath:
     d = g0.chart.dim
     h, order = g0.steps(), g0.fd_order
     s_nodes = np.linspace(0.0, 1.0, PATH_STEPS + 1)
+    s_weights = np.where(np.arange(PATH_STEPS + 1) % 2, 4.0, 2.0)
+    s_weights[[0, -1]] = 1.0
+    s_weights = s_weights * (s_nodes[1] - s_nodes[0]) / 3.0
     curved = d > 2
 
     # one stencil sweep per endpoint; its center (row 0) and first-derivative
@@ -575,10 +580,9 @@ def metric_path_gauge(g0: MetricField, g1: MetricField, x) -> GaugePath:
 
     def gauged_curvature(s):
         """Curvature of g_s pulled back by tau(s), in the g0 orthonormal frame."""
-        tau = _path_transport(A[0], Ainv[0], lam[0], s)[0]
-        gs_inv = _path_inverses(A[0], Ainv[0], lam[0], s)[1]
+        taus, _, _, gs_inv, _ = _path_at(A[:1], Ainv[:1], lam[:1], s)
         F = _curvature_coord(gs_inv, (1.0 - s) * dg0 + s * dg1, (1.0 - s) * d2g0 + s * d2g1)
-        return DoubleForm(d, 2, 2, _pair_coeffs(F, E0, tau @ E0))
+        return DoubleForm(d, 2, 2, _pair_coeffs(F, E0, taus[0] @ E0))
 
     # the curvature goes first, while few other arrays are alive: at d = 4 its
     # temporaries set the peak memory
@@ -586,11 +590,10 @@ def metric_path_gauge(g0: MetricField, g1: MetricField, x) -> GaugePath:
              for s in s_nodes]
     theta_dots = []
     for s in s_nodes:
-        tauinv, gs_inv, gs_inv_dot = _path_inverses(A[0], Ainv[0], lam[0], s)
+        taus, rates, tauinv, gs_inv, gs_inv_dot = _path_at(A, Ainv, lam, s)
         gamma1_s = _christoffel_first((1.0 - s) * dg0 + s * dg1)
         omegas = _connection(gs_inv, gamma1_s)
         omegas_dot = _connection(gs_inv_dot, gamma1_s) + _connection(gs_inv, gamma1_dot)
-        taus, rates = _path_transport(A, Ainv, lam, s)
         tau, taudot = taus[0], rates[0]
         T, Tinv = tau[..., None, :, :], tauinv[..., None, :, :]
         # the exact s-derivative of theta = tau^{-1}(d tau + omega_s tau) - omega_0
@@ -600,7 +603,8 @@ def metric_path_gauge(g0: MetricField, g1: MetricField, x) -> GaugePath:
                      + omegas @ taudot[..., None, :, :])
         theta_dots.append(to_on(tid @ core + Tinv @ rate_core))
 
-    return GaugePath(s_nodes=s_nodes, theta_dot=theta_dots, curvature=curvs, frame=E0)
+    return GaugePath(s_nodes=s_nodes, s_weights=s_weights, theta_dot=theta_dots,
+                     curvature=curvs, frame=E0)
 
 
 def phi_conjugated_connection(c: CollarMetric, r: float, y) -> np.ndarray:
@@ -631,24 +635,24 @@ def phi_conjugated_connection(c: CollarMetric, r: float, y) -> np.ndarray:
     vert = np.arange(1, 1 + f)
     conj[..., 0, vert, vert] -= 1.0 / r
 
-    E, dE = phi_frame(c, r, y, 1e-3 * abs(r))
+    E, dE = phi_frame(c, r, y)
     return np.linalg.inv(E)[..., None, :, :] @ (dE + conj @ E[..., None, :, :])
 
 
-def phi_frame(c: CollarMetric, r: float, y, h_r: float):
+def phi_frame(c: CollarMetric, r: float, y):
     """h^phi orthonormal frame E at (r, y) and its derivatives dE[..., mu, :, :].
 
     y is a point or a block (..., n).  dE differences the Cholesky frame of
-    one h^phi sample on the order-2 plan's points, with step h_r along r and
-    the collar's relative step along the slice axes.
+    one h^phi sample on the collar's plan, with step c.radial_step(r) along
+    r and the collar's relative step along the slice axes.
     """
     y = np.asarray(y, dtype=float)
-    steps = np.concatenate(([h_r], c.fd_rel_step * c.boundary_chart.extents))
-    offsets = _jet_plan(steps.size, 2, False)[1]
+    steps = np.concatenate(([c.radial_step(r)], c.fd_rel_step * c.boundary_chart.extents))
+    offsets = _jet_plan(steps.size, c.fd_order, False)[1]
     x = np.concatenate((np.full(y.shape[:-1] + (1,), r), y), axis=-1)
     pts = x + steps * offsets.reshape((len(offsets),) + (1,) * (y.ndim - 1) + (steps.size,))
     E = _frame_of(_h_phi_matrix(c, pts[..., 0], pts[..., 1:]))
-    return E[0], _along_axes(E[1:], steps, 2)
+    return E[0], _along_axes(E[1:], steps, c.fd_order)
 
 
 def _h_phi_matrix(c: CollarMetric, r, y) -> np.ndarray:

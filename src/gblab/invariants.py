@@ -164,26 +164,18 @@ def boundary_correction_form(II: DoubleForm, R: DoubleForm) -> DoubleForm:
 def path_transgression_form(gauge) -> DoubleForm:
     """Transgression primitive along a gauged metric path in dimension d = 2k.
 
-    Composite-Simpson integral over s of B(theta_dot^s R_s^(k-1))/(k-1)!,
-    returning a (2k-1, 0) form in the path's base orthonormal frame, with
-    the batch axes of the gauge (one form per point of its block).
+    The gauge's Simpson rule in s (weights s_weights) integrates
+    B(theta_dot^s R_s^(k-1))/(k-1)!, returning a (2k-1, 0) form in the
+    path's base orthonormal frame, with the batch axes of the gauge (one
+    form per point of its block).
     """
     d = gauge.theta_dot[0].shape[-1]
     if d % 2:
         raise ShapeError("path transgression needs even dimension")
     k = d // 2
-    s = gauge.s_nodes
-    h = s[1] - s[0]
     acc = None
-    for idx, (td, R) in enumerate(zip(gauge.theta_dot, gauge.curvature)):
-        if idx == 0 or idx == len(s) - 1:
-            w = 1.0
-        elif idx % 2 == 1:
-            w = 4.0
-        else:
-            w = 2.0
-        integrand = berezin(wedge(_skew_matrix_to_double_form(td), power(R, k - 1)))
-        term = (w * h / 3.0) * integrand
+    for w, td, R in zip(gauge.s_weights, gauge.theta_dot, gauge.curvature, strict=True):
+        term = w * berezin(wedge(_skew_matrix_to_double_form(td), power(R, k - 1)))
         acc = term if acc is None else acc + term
     return (1.0 / math.factorial(k - 1)) * acc
 

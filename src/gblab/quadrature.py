@@ -208,7 +208,7 @@ def geometric_schedule(r0: float, count: int = 6, ratio: float = 0.5):
     return [r0 * ratio**i for i in range(count)]
 
 
-def r_limit_extrapolate(samples, degree: int = 3):
+def r_limit_extrapolate(samples, degree: int = 4):
     """Polynomial extrapolation of (r_i, v_i) samples to r = 0.
 
     Fits sum a_m r^m by least squares on the scaled variable r/r_max and

@@ -195,22 +195,28 @@ def slice_transgression_plus(collar: CollarMetric, r: float, level: int) -> floa
     return chart_integral(collar.boundary_chart, dens, level)
 
 
+def _collapse_schedule(collar: CollarMetric) -> list:
+    """The six offsets dr = 0.4 (hi - lo) 2^-i from the collar's lower end r = lo."""
+    lo, hi = collar.r_interval
+    return quad.geometric_schedule(0.4 * (hi - lo), 6)
+
+
 def slice_limit(collar: CollarMetric, level: int):
     """Extrapolated r -> 0 (or r -> infinity) limit of the slice transgression.
 
-    The singular_end flag picks the direction: collapsing collars sample six
-    radii r0 2^-i toward 0, complete ends substitute u = 1/r.  Returns
-    (limit, samples).  The degree-4 fit on this schedule is well conditioned
-    whatever r0 (cond 2.06e3).
+    The singular_end flag picks the direction: collapsing collars sample
+    _collapse_schedule toward the lower end, complete ends substitute u =
+    1/r.  Returns (limit, samples).  The degree-4 fit on this schedule is
+    well conditioned whatever r0 (cond 2.06e3).
     """
-    lo, hi = collar.r_interval
+    lo = collar.r_interval[0]
     if collar.singular_end == "infinity":
         samples = [(u, slice_transgression_plus(collar, 1.0 / u, level))
                    for u in quad.geometric_schedule(0.4 / lo, 6)]
     else:
         samples = [(dr, slice_transgression_plus(collar, lo + dr, level))
-                   for dr in quad.geometric_schedule(0.4 * (hi - lo), 6)]
-    return quad.r_limit_extrapolate(samples, degree=4), samples
+                   for dr in _collapse_schedule(collar)]
+    return quad.r_limit_extrapolate(samples), samples
 
 
 def _fibration_fields(fib, fd_order: int = 4, fd_rel_step: float = 1e-4):
@@ -258,7 +264,7 @@ def horizontal_closed_value(collar: CollarMetric, level: int) -> float:
     def top(i, R, E, y):
         # d/dr of the base block of the slice metric at r = 0, fiber coordinates 0
         y = np.concatenate((np.zeros(y.shape[:-1] + (f,)), y), axis=-1)
-        gdot = np.swapaxes(E, -1, -2) @ collar.radial_rate(0.0, y, 1e-4)[..., f:, f:] @ E
+        gdot = np.swapaxes(E, -1, -2) @ collar.radial_rate(0.0, y)[..., f:, f:] @ E
         gdot_form = DoubleForm(b, 1, 1, 0.5 * (gdot + np.swapaxes(gdot, -1, -2)))
         return inv.lipschitz_killing_form(i, R, gdot_form).coeffs[..., 0, 0]
 
@@ -273,7 +279,7 @@ def _phi_limit(collar: CollarMetric, rs, y) -> np.ndarray:
     y is a point or a block of points of the slice chart.
     """
     samples = [(r, phi_conjugated_connection(collar, r, y)) for r in rs]
-    return quad.r_limit_extrapolate(samples, degree=4)
+    return quad.r_limit_extrapolate(samples)
 
 
 def _phi_reference(collar: CollarMetric, y) -> np.ndarray:
@@ -305,7 +311,7 @@ def _phi_reference(collar: CollarMetric, y) -> np.ndarray:
         gam_b = christoffel(base_field, y[..., f:])
         omega_coord[..., hor, hor, hor] = np.swapaxes(gam_b, -3, -2)
 
-    E0, dE = phi_frame(collar, 0.0, y, 1e-4)
+    E0, dE = phi_frame(collar, 0.0, y)
     E0 = E0[..., None, :, :]
     return np.linalg.inv(E0) @ (dE + omega_coord @ E0)
 
@@ -564,8 +570,7 @@ def check_phi_limit(spec, level, tol):
     if spec.collar is None or spec.collar.fibration is None:
         raise ConfigurationError("PhiLimit needs a collar with fibration data")
     collar = spec.collar
-    lo, hi = collar.r_interval
-    rs = quad.geometric_schedule(0.4 * (hi - lo), 6)
+    rs = _collapse_schedule(collar)
     points = collar.boundary_chart.random_interior(np.random.default_rng(20240801), 3, shrink=0.2)
     gap = _phi_limit(collar, rs, points) - _phi_reference(collar, points)
     worst = float(np.max(np.abs(gap)))
@@ -688,8 +693,7 @@ def _pfaffian_cross_check(rng) -> float:
         via_berezin = inv.pfaffian_form(R).coeffs[0, 0]
         mat = [[DoubleForm.zero(n, 2, 0) for _ in range(n)] for _ in range(n)]
         for c, (i, j) in enumerate(pairs):
-            col = DoubleForm.zero(n, 2, 0)
-            col.coeffs[:, 0] = R.coeffs[:, c]
+            col = DoubleForm(n, 2, 0, R.coeffs[:, [c]])
             mat[i][j] = col
             mat[j][i] = -1.0 * col
         via_matrix = pfaffian_skew(mat)
@@ -739,7 +743,7 @@ CHECKS = {
 
 CHECK_IDS = tuple(sorted(CHECKS))
 
-# (check id, geometry, params, level, tolerance, kind)
+# (check id, geometry, params, level, tolerance)
 DEFAULT_SUITE = (
     ("AlgebraIdentities", "flat_torus", {"n": 2}, 1, 1e-9),
     ("BoundaryGB", "disk", {"dim": 2}, 3, 1e-6),
@@ -815,12 +819,8 @@ def run_check(check_id: str, geometry=None, params=None, level=None, tol=None) -
     except ConfigurationError:
         raise
     except Exception as exc:  # noqa: BLE001 - diagnostics, never a crash
-        return CheckResult(
-            check_id=check_id, geometry=spec.name, params=dict(spec.params),
-            computed={}, reference={}, residual_abs=float("inf"),
-            residual_rel=float("inf"), tolerance=tol, tolerance_kind="abs",
-            passed=False, notes=[f"check failed: {type(exc).__name__}: {exc}"],
-        )
+        return _result(check_id, spec, {}, {}, float("inf"), 1.0, tol, "abs",
+                       notes=[f"check failed: {type(exc).__name__}: {exc}"])
 
 
 def _run_row(row, level, tol) -> CheckResult:

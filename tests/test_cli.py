@@ -59,6 +59,13 @@ def test_run_single_check_json(tmp_path, capsys):
     assert "PASS" in text and "summary" in text
 
 
+def test_a_report_rows_params_replay_on_the_command_line(capsys):
+    # the PhiLimit row on cone_perturbed_second_order records link=s1
+    argv = ["run", "--check", "PhiLimit", "--geometry", "cone_perturbed_second_order", "link=s1"]
+    assert main(argv) == 0
+    assert "[PASS] PhiLimit" in capsys.readouterr().out
+
+
 def test_run_failure_exit_code(tmp_path):
     code = main(["run", "--check", "ClosedGB", "--geometry", "sphere", "n=2",
                  "--level", "1", "--tol", "1e-18"])

@@ -24,9 +24,8 @@ from gblab.geometry import (
     _jet_plan,
     _metric_jet,
     _pair_coeffs,
+    _path_at,
     _path_eigenbasis,
-    _path_inverses,
-    _path_transport,
     _spd_check,
     christoffel,
     metric_path_gauge,
@@ -649,10 +648,49 @@ def test_radial_rate_equals_the_per_offset_reference(order, batch):
     collar = replace(catalog.get("edge_horizontal").collar, fd_order=order)
     y = collar.boundary_chart.random_interior(np.random.default_rng(6), 4, shrink=0.1)
     y = y[:int(np.prod(batch))].reshape(batch + (collar.boundary_chart.dim,))
-    for r, h in ((0.0, 1e-4), (0.3, 3e-4)):
+    for r in (0.0, 0.3):
+        h = collar.radial_step(r)
         want = _central_diff([collar.radial_metric(r + k * h)(y) for k, _ in _diff_weights(order)],
                              h, order)
-        assert np.array_equal(collar.radial_rate(r, y, h), want)
+        assert np.array_equal(collar.radial_rate(r, y), want)
+
+
+@pytest.mark.parametrize("call", [
+    lambda c, y: c.radial_rate(0.0, y),
+    lambda c, y: c.radial_rate(0.05, y),
+    lambda c, y: Slice(c, 0.05).at(y),
+    lambda c, y: phi_frame(c, 0.0, y),
+    lambda c, y: phi_frame(c, 0.05, y),
+    lambda c, y: phi_conjugated_connection(c, 0.05, y),
+], ids=["radial_rate-0", "radial_rate", "Slice.at", "phi_frame-0", "phi_frame",
+        "phi_conjugated_connection"])
+def test_the_collars_relative_step_sets_every_radial_step(call, monkeypatch):
+    # the radii each route samples, through radial_metric and through h^phi
+    seen = {}
+    collar = catalog.get("geometric_cone", link="s1", theta=1.0).collar
+    radial_metric, h_phi = collar.radial_metric, geometry._h_phi_matrix
+
+    def recorded_radial_metric(r):
+        seen.setdefault("radial_metric", []).append(np.ravel(r))
+        return radial_metric(r)
+
+    def recorded_h_phi(c, r, y):
+        seen.setdefault("h_phi", []).append(np.ravel(r))
+        return h_phi(c, r, y)
+
+    monkeypatch.setattr(geometry, "_h_phi_matrix", recorded_h_phi)
+    collar = replace(collar, radial_metric=recorded_radial_metric)
+    y = np.array([[1.0], [2.5]])
+
+    def spreads(c):
+        seen.clear()
+        call(c, y)
+        return {key: np.ptp(np.concatenate(rs)) for key, rs in seen.items()}
+
+    coarse, fine = spreads(collar), spreads(replace(collar, fd_rel_step=5e-5))
+    assert coarse.keys() == fine.keys() and all(v > 0.0 for v in coarse.values())
+    for key, spread in coarse.items():
+        assert fine[key] == pytest.approx(0.5 * spread, rel=1e-9), key
 
 
 def test_slice_unit_sphere_boundary_of_disk():
@@ -817,7 +855,7 @@ def test_closed_form_transport_solves_the_transport_equation(seed, d, log_cond, 
     pairs = [_spd_pair(seed + i, d, log_cond) for i in range(2)]
     g0 = np.stack([p[0] for p in pairs])
     g1 = np.stack([p[1] for p in pairs])
-    tau, rate = _path_transport(*_path_eigenbasis(g0, g1)[:3], s)
+    tau, rate = _path_at(*_path_eigenbasis(g0, g1)[:3], s)[:2]
     gs = (1.0 - s) * g0 + s * g1
     for i in range(2):
         # tau^T g_s tau = g0: the transport is an isometry onto (TM, g0)
@@ -836,6 +874,7 @@ def test_closed_form_transport_solves_the_transport_equation(seed, d, log_cond, 
 def test_path_inverses_match_the_inverses_they_replace(d, seed):
     g0, g1 = _spd_pair(seed, d, 1.0)
     A, Ainv, lam, L, Linv = _path_eigenbasis(g0, g1)
+    centre = A[None], Ainv[None], lam[None]   # a stack of one row
     eye = np.eye(d)
     # g0 = L L^T: the gauge's frame is L^{-T} and its inverse L^T
     assert _amax(L @ L.T - g0) <= 1e-12 * _amax(g0)
@@ -845,8 +884,8 @@ def test_path_inverses_match_the_inverses_they_replace(d, seed):
         return np.linalg.inv((1.0 - s) * g0 + s * g1)
 
     for s in np.linspace(0.0, 1.0, geometry.PATH_STEPS + 1):
-        tauinv, gs_inv, gs_inv_dot = _path_inverses(A, Ainv, lam, s)
-        tau = _path_transport(A, Ainv, lam, s)[0]
+        taus, _, tauinv, gs_inv, gs_inv_dot = _path_at(*centre, s)
+        tau = taus[0]
         assert _amax(gs_inv @ ((1.0 - s) * g0 + s * g1) - eye) <= 1e-12
         assert _amax(tauinv @ tau - eye) <= 1e-12
         # the product formula it replaces, and (to its truncation) a
@@ -891,6 +930,19 @@ def test_gauge_on_a_block_equals_per_point_calls(pts, c, a, d):
                 assert _amax(gk.coeffs[i] - rk.coeffs) <= 1e-12 * max(1.0, _amax(rk.coeffs))
 
 
+def test_gauge_carries_its_composite_simpson_rule():
+    g = MetricField(BOX2, _rational_metric(0.7))
+    gauge = metric_path_gauge(g, g, np.array([0.3, -0.2]))
+    s, n = gauge.s_nodes, geometry.PATH_STEPS
+    assert s.tolist() == np.linspace(0.0, 1.0, n + 1).tolist()
+    # weights (1, 4, 2, ..., 2, 4, 1) h / 3, rounded as w * h / 3.0
+    want = [(1.0 if k in (0, n) else 4.0 if k % 2 else 2.0) * (s[1] - s[0]) / 3.0
+            for k in range(n + 1)]
+    assert gauge.s_weights.tolist() == want
+    # exact on cubics, up to the rounding of the sum
+    assert np.sum(gauge.s_weights * s**3) == pytest.approx(0.25, rel=1e-15)
+
+
 def test_gauge_matches_the_inverting_route(monkeypatch):
     # the parent route: g_s^{-1}, its s-derivative and tau^{-1} by np.linalg.inv
     X = np.array([[0.3, -0.2, 0.5, 0.1], [-0.6, 0.4, 0.0, 0.7], [0.1, 0.8, -0.5, -0.3]])
@@ -900,11 +952,11 @@ def test_gauge_matches_the_inverting_route(monkeypatch):
     G0, G1 = g0.g(X), g1.g(X)
 
     def inverting(A, Ainv, lam, s):
+        taus, rates = _path_at(A, Ainv, lam, s)[:2]
         gs_inv = np.linalg.inv((1.0 - s) * G0 + s * G1)
-        tau = _path_transport(A, Ainv, lam, s)[0]
-        return np.linalg.inv(tau), gs_inv, -gs_inv @ (G1 - G0) @ gs_inv
+        return taus, rates, np.linalg.inv(taus[0]), gs_inv, -gs_inv @ (G1 - G0) @ gs_inv
 
-    monkeypatch.setattr(geometry, "_path_inverses", inverting)
+    monkeypatch.setattr(geometry, "_path_at", inverting)
     want = metric_path_gauge(g0, g1, X)
     for gk, rk in zip(got.theta_dot, want.theta_dot):
         assert _amax(gk - rk) <= 1e-12 * max(1.0, _amax(rk))
@@ -1009,13 +1061,13 @@ def test_phi_connection_on_a_block_equals_per_point_calls(name, params):
         assert _amax(omega - want) <= 1e-12 * max(1.0, _amax(want))
 
 
-def _per_axis_phi_frame(c, r, y, h_r):
+def _per_axis_phi_frame(c, r, y):
     """phi_frame with one h^phi sample and one Cholesky per shifted point, as a reference."""
     y = np.asarray(y, dtype=float)
-    steps = np.concatenate(([h_r], c.fd_rel_step * c.boundary_chart.extents))
-    eye = np.eye(steps.size)
+    steps = np.concatenate(([c.radial_step(r)], c.fd_rel_step * c.boundary_chart.extents))
+    eye, order = np.eye(steps.size), c.fd_order
     dE = [_central_diff([_frame_of(_h_phi_matrix(c, r + sh[0], y + sh[1:]))
-                         for sh in (k * h * eye[mu] for k, _ in _diff_weights(2))], h, 2)
+                         for sh in (k * h * eye[mu] for k, _ in _diff_weights(order))], h, order)
           for mu, h in enumerate(steps)]
     return _frame_of(_h_phi_matrix(c, r, y)), np.stack(dE, axis=-3)
 
@@ -1029,17 +1081,20 @@ def _per_axis_phi_frame(c, r, y, h_r):
 def test_phi_frame_is_one_sample_and_equals_the_per_axis_route(name, params, monkeypatch):
     collar = catalog.get(name, **params).collar
     ys = collar.boundary_chart.random_interior(np.random.default_rng(7), 4, shrink=0.2)
-    for r, h_r in ((0.0, 1e-4), (0.05, 5e-5)):
-        for y in (ys, ys[0], ys.reshape(2, 2, -1)):
-            got, want = phi_frame(collar, r, y, h_r), _per_axis_phi_frame(collar, r, y, h_r)
-            assert all(a.shape == b.shape and np.array_equal(a, b) for a, b in zip(got, want))
+    # the frame differences at the collar's own order
+    for c in (collar, replace(collar, fd_order=4)):
+        for r in (0.0, 0.05):
+            for y in (ys, ys[0], ys.reshape(2, 2, -1)):
+                got, want = phi_frame(c, r, y), _per_axis_phi_frame(c, r, y)
+                assert all(a.shape == b.shape and np.array_equal(a, b)
+                           for a, b in zip(got, want))
     calls = {"_h_phi_matrix": 0, "_frame_of": 0}
     for fn in calls:
         def counted(*args, _fn=getattr(geometry, fn), _name=fn):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(geometry, fn, counted)
-    phi_frame(collar, 0.05, ys, 5e-5)
+    phi_frame(collar, 0.05, ys)
     assert calls == {"_h_phi_matrix": 1, "_frame_of": 1}
 
 

@@ -39,12 +39,16 @@ def test_bench_records_every_run_of_a_stub_command(tmp_path, monkeypatch, capsys
     assert record["sha"] is None or (len(record["sha"]) == 40 and record["dirty"] in (True, False))
     assert record["wc_l"][-1].split()[-1] == "total"
     assert any(line.endswith("src/gblab/geometry.py") for line in record["wc_l"])
+    # every workload the benchmark declares, in its order
+    declared = json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
+    names = [w["name"] for w in declared["workloads"]]
+    assert names[:3] == ["interior", "slice_limits", "path_gauge"]
     runs = [(r["workload"], r["trace"]) for r in record["runs"]]
-    assert runs == [(w, t) for w in ("interior", "slice_limits", "path_gauge") for t in (0, 1)]
+    assert runs == [(w, t) for w in names for t in (0, 1)]
     for r in record["runs"]:
         assert r["result"] == {"argv": ["--workload", r["workload"], "--seed", "0",
                                         "--trace", str(r["trace"])]}
-    assert len(capsys.readouterr().out.splitlines()) == 6
+    assert len(capsys.readouterr().out.splitlines()) == 2 * len(names)
 
 
 def _report(rows, passed=None):

@@ -215,6 +215,13 @@ def test_every_check_has_a_default_row():
     assert set(verify.CHECKS) <= {row[0] for row in verify.DEFAULT_SUITE}
 
 
+def test_every_default_row_replays_from_its_recorded_params():
+    # a report row's geometry and params rebuild the spec it ran on
+    for check_id, geometry, params, _, _ in verify.DEFAULT_SUITE:
+        spec = verify.resolve_spec(check_id, geometry, dict(params))
+        assert catalog.get(spec.name, **spec.params).params == spec.params, (check_id, geometry)
+
+
 def test_resolve_spec_defaults_to_the_checks_first_row():
     spec = verify.resolve_spec("ConeGB")
     assert (spec.name, spec.params) == ("geometric_cone", {"link": "s1", "theta": 0.5})

@@ -1,9 +1,10 @@
 """Built-in geometry registry.
 
-Each entry packages metric fields, optional collar and fibration data, a
-symmetry weight for quotients, and reference Euler characteristics.  Each
-field carries its own chart and finite-difference stencil, set here per
-geometry; the checks read them and never override them.
+Each entry packages metric fields, optional collar and fibration data (the
+fiber and base metrics at r = 0 as fields), a cone's link h, a symmetry
+weight for quotients, and reference Euler characteristics.  Each field
+carries its own chart and finite-difference stencil, set here per geometry;
+the checks read them, and only the PhiLimit reference re-stencils them.
 Every metric evaluator maps points of shape (..., d) to matrices of shape
 (..., d, d) (a constant metric returns one (d, d) matrix, which broadcasts),
 and every collar's radial_metric(r) and fibration's fiber_metric(r, y) take
@@ -42,6 +43,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -83,13 +85,13 @@ class SingularStratum:
 
 @dataclass(frozen=True)
 class GeometrySpec:
-    """A catalog geometry: metric fields, collar, cone profile, references."""
+    """A catalog geometry: metric fields, collar, cone link, references."""
 
     name: str
     params: dict
     fields: tuple                     # (MetricField, ...), each on its own chart
     collar: Optional[CollarMetric] = None
-    cone_profile: Optional[Callable] = None   # f of a cone collar dr^2 + f(r)^2 h
+    link: Optional[MetricField] = None   # h of a cone collar dr^2 + f(r)^2 h
     symmetry_weight: Fraction = Fraction(1)
     chi_ref: Optional[int] = None
     chi_pieces: dict = field(default_factory=dict)
@@ -266,25 +268,22 @@ def _build_disk(params):
     )
 
 
-def _cone_collar(link: str, f_of_r: Callable) -> CollarMetric:
-    link_chart, link_metric, _, chi = _factor(link, link)
+def _cone_collar(link: MetricField, chi: int, f_of_r: Callable) -> CollarMetric:
+    """The collar dr^2 + f(r)^2 h over the chart of the link h."""
 
     def radial(r):
         s = _scalar_factor(f_of_r(r) ** 2)
-        return lambda y: s * link_metric(y)
+        return lambda y: s * link.evaluator(y)
 
-    def cone_rate(r):
-        # f(r)/r, continued through r = 0 by its limit f'(0)
+    def fiber_metric(r, y):
+        # (f(r)/r)^2 h, with f(r)/r continued through r = 0 by its limit f'(0)
         r = np.where(r == 0.0, 1e-8, r)
-        return f_of_r(r) / r
+        return _scalar_factor((f_of_r(r) / r) ** 2) * link.evaluator(y)
 
-    fib = FibrationData(
-        base_chart=None, fiber_chart=link_chart,
-        fiber_metric=lambda r, y: _scalar_factor(cone_rate(r) ** 2) * link_metric(y),
-        chi_fiber=chi,
-    )
+    fib = FibrationData(fiber=dataclasses.replace(link, evaluator=partial(fiber_metric, 0.0)),
+                        fiber_metric=fiber_metric, chi_fiber=chi)
     return CollarMetric(
-        boundary_chart=link_chart, r_interval=(0.0, 1.25), radial_metric=radial,
+        boundary_chart=link.chart, r_interval=(0.0, 1.25), radial_metric=radial,
         singular_end="lower", fibration=fib,
     )
 
@@ -294,6 +293,13 @@ def _build_cone(params):
     profile = str(params.get("profile", "linear"))
     theta = float(params.get("theta", 1.0))
     a = float(params.get("a", 0.0))
+    # theta scales only the linear profile and a shapes only the first-order one
+    if not theta > 0:
+        raise RegistryError(f"cone theta must be > 0, got theta={theta!r}")
+    if theta != 1.0 and profile != "linear":
+        raise RegistryError(f"cone theta must be 1 unless profile=linear, got theta={theta!r}")
+    if a != 0.0 and profile != "first_order":
+        raise RegistryError(f"cone a must be 0 unless profile=first_order, got a={a!r}")
     if profile == "linear":
         f = lambda r: theta * r
     elif profile == "second_order":
@@ -303,8 +309,9 @@ def _build_cone(params):
         if not 1.0 + 1.25 * a > 0:
             raise RegistryError(f"first-order cone needs 1 + 1.25 a > 0, got a={a!r}")
         f = lambda r: r * (1.0 + a * r)
-    collar = _cone_collar(link, f)
-    link_chart = collar.boundary_chart
+    link_chart, link_metric, _, chi = _factor(link, link)
+    h = MetricField(link_chart, link_metric, fd_order=4)
+    collar = _cone_collar(h, chi, f)
     chart = Chart(
         f"cone-{link}", ((0.0, 1.0),) + link_chart.bounds,
         (False,) + link_chart.periodic,
@@ -314,7 +321,7 @@ def _build_cone(params):
     mf = MetricField(chart, collar.full_metric().evaluator)
     return GeometrySpec(
         name="cone", params={"link": link, "profile": profile, "theta": theta, "a": a},
-        fields=(mf,), collar=collar, cone_profile=f, chi_ref=1,
+        fields=(mf,), collar=collar, link=h, chi_ref=1,
         chi_pieces={"completion": 1, "open": 0}, family="cone",
     )
 
@@ -367,8 +374,8 @@ def _build_catenoid(params):
         radial_metric=lambda r: (lambda y: _scalar_factor(1.0 + r**2)),
         singular_end="infinity",
         fibration=FibrationData(
-            base_chart=circle_chart, fiber_chart=None,
-            base_metric=lambda y: np.array([[1.0]]), chi_fiber=1,
+            base=MetricField(circle_chart, lambda y: np.array([[1.0]]), fd_order=4),
+            chi_fiber=1,
         ),
     )
     return GeometrySpec(
@@ -402,8 +409,8 @@ def _product_collar(base: str, fiber: str, fiber_scale: Callable, base_scale: Ca
         return ev
 
     fib = FibrationData(
-        base_chart=bch, fiber_chart=fch, base_metric=bmet, fiber_metric=lambda r, y: fmet(y),
-        chi_fiber=chi_fiber,
+        base=MetricField(bch, bmet, fd_order=4), fiber=MetricField(fch, fmet, fd_order=4),
+        fiber_metric=lambda r, y: fmet(y), chi_fiber=chi_fiber,
     )
     return CollarMetric(
         boundary_chart=n_chart, r_interval=r_interval, radial_metric=radial,
@@ -480,7 +487,8 @@ _BUILDERS = {
                                        "periods": "tuple of floats, one > 0 per axis"}),
     "disk": (_build_disk, {"dim": "2|4", "rho": "float > 0"}),
     "cone": (_build_cone, {"link": "s1|s3|t3", "profile": "linear|first_order|second_order",
-                           "theta": "float > 0", "a": "float, 1 + 1.25 a > 0 (first_order)"}),
+                           "theta": "float, > 0, and 1 unless profile=linear",
+                           "a": "float, 0 unless profile=first_order, where 1 + 1.25 a > 0"}),
     "geometric_cone": (_build_geometric_cone, {"link": "s1|s3|t3", "theta": "float > 0"}),
     "football": (_build_football, {"p": "int >= 1"}),
     "lens_cone": (_build_lens_cone, {"order": "int >= 1"}),

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import catalog, verify
-from .quadrature import ConvergenceTable, mesh_for_chart
+from .quadrature import LEVELS, ConvergenceTable, mesh_for_chart
 
 OUTPUT_DIR_ENV = "GBLAB_OUT"
 
@@ -139,17 +139,27 @@ def cmd_list(args) -> int:
     return 0
 
 
+def _field_str(mf) -> str:
+    return (f"{mf.chart.name}: bounds={mf.chart.bounds} periodic={mf.chart.periodic} "
+            f"stencil=order {mf.fd_order}, step {mf.fd_rel_step:g}")
+
+
 def cmd_describe(args) -> int:
     spec = catalog.get(args.geometry)
     print(f"{spec.name}: family={spec.family} weight={spec.symmetry_weight} "
           f"chi_ref={spec.chi_ref}")
     for mf in spec.fields:
-        print(f"  field {mf.chart.name}: bounds={mf.chart.bounds} periodic={mf.chart.periodic} "
-              f"stencil=order {mf.fd_order}, step {mf.fd_rel_step:g}")
+        print(f"  field {_field_str(mf)}")
     if spec.collar is not None:
         print(f"  collar over {spec.collar.boundary_chart.name}: "
               f"r in {spec.collar.r_interval}, epsilon={verify.EPSILONS[spec.family]}, "
               f"singular_end={spec.collar.singular_end}")
+        fib = spec.collar.fibration
+        for role, mf in (("base", fib and fib.base), ("fiber", fib and fib.fiber)):
+            if mf is not None:
+                print(f"  fibration {role} {_field_str(mf)}")
+    if spec.link is not None:
+        print(f"  cone link {_field_str(spec.link)}")
     if spec.chi_pieces:
         print(f"  chi pieces: {spec.chi_pieces}")
     if spec.notes:
@@ -160,6 +170,9 @@ def cmd_describe(args) -> int:
 def cmd_run(args) -> int:
     if args.workers < 1:
         print("error: --workers must be >= 1", file=sys.stderr)
+        return 2
+    if args.level is not None and args.level not in LEVELS:
+        print("error: --level must be in 1..7", file=sys.stderr)
         return 2
     if args.check and (args.workers > 1 or args.filter):
         print("error: --workers and --filter apply to suite runs, not to --check",
@@ -199,7 +212,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_converge(args) -> int:
-    if not (1 <= args.levels <= 7):
+    if args.levels not in LEVELS:
         print("error: --levels must be in 1..7", file=sys.stderr)
         return 2
     params = _parse_params(args.params)

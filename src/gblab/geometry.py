@@ -343,25 +343,24 @@ def riemann_double_form(m: MetricField, x):
 class FibrationData:
     """Trivial-product fibration of the collar cross-section N = F x B.
 
-    Coordinates on N are ordered fiber-first; a factor without a chart has
-    dimension 0.  fiber_metric(r, y_f) takes r = 0, and r as a number or an
-    array of y_f's batch shape.  The Euler characteristic of the fiber is
-    stored reference data.
+    Coordinates on N are ordered fiber-first.  base and fiber are the factor
+    metrics at r = 0 as fields (None: dimension 0); fiber_metric(r, y_f) is
+    the vertical block at any r, r a number or an array of y_f's batch
+    shape.  The Euler characteristic of the fiber is stored reference data.
     """
 
-    base_chart: Optional[Chart]
-    fiber_chart: Optional[Chart]
-    base_metric: Optional[Callable] = None     # y_b -> (..., b, b) matrix
+    base: Optional[MetricField] = None
+    fiber: Optional[MetricField] = None
     fiber_metric: Optional[Callable] = None    # r, y_f -> (..., f, f) matrix
     chi_fiber: Optional[int] = None
 
     @property
     def base_dim(self) -> int:
-        return self.base_chart.dim if self.base_chart else 0
+        return self.base.chart.dim if self.base else 0
 
     @property
     def fiber_dim(self) -> int:
-        return self.fiber_chart.dim if self.fiber_chart else 0
+        return self.fiber.chart.dim if self.fiber else 0
 
 
 @dataclass(frozen=True)
@@ -665,5 +664,5 @@ def _h_phi_matrix(c: CollarMetric, r, y) -> np.ndarray:
     if f:
         out[..., 1 : 1 + f, 1 : 1 + f] = fib.fiber_metric(r, y[..., :f])
     if b:
-        out[..., 1 + f :, 1 + f :] = fib.base_metric(y[..., f:])
+        out[..., 1 + f :, 1 + f :] = fib.base.evaluator(y[..., f:])
     return _spd_check(out)

@@ -31,6 +31,7 @@ __all__ = [
 
 GL_PANEL = 8
 BLOCK = 64
+LEVELS = range(1, 8)   # the refinement levels a mesh is built at
 
 
 class ResolutionError(ValueError):
@@ -129,7 +130,7 @@ def default_axis_rules(chart) -> tuple:
 
 def mesh_for_chart(chart, level: int) -> MeshSpec:
     """Build the MeshSpec for a chart at a refinement level (1..7)."""
-    if not (1 <= level <= 7):
+    if level not in LEVELS:
         raise ResolutionError("refinement level must be in 1..7")
     rules = default_axis_rules(chart)
     return MeshSpec(

@@ -219,25 +219,12 @@ def slice_limit(collar: CollarMetric, level: int):
     return quad.r_limit_extrapolate(samples), samples
 
 
-def _fibration_fields(fib, fd_order: int = 4, fd_rel_step: float = 1e-4):
-    """Base and fiber fields of a fibration at r = 0 on one stencil, None
-    for a factor without a chart; the curvature integrals take order 4."""
-    base = fiber = None
-    if fib.base_dim:
-        base = MetricField(fib.base_chart, fib.base_metric, fd_rel_step, fd_order)
-    if fib.fiber_dim:
-        fiber = MetricField(fib.fiber_chart, lambda y: fib.fiber_metric(0.0, y),
-                            fd_rel_step, fd_order)
-    return base, fiber
-
-
 def edge_value_for(fib, level: int) -> float:
     """Closed-form collapsing-fiber boundary term for a product fibration."""
     if fib.base_dim % 2:
         return 0.0
-    base, fiber = _fibration_fields(fib)
-    pf_base = 1.0 if base is None else curvature_integral(base, level, _pf_top)
-    odd_fiber = curvature_integral(fiber, level, _odd_pf_top)
+    pf_base = 1.0 if fib.base is None else curvature_integral(fib.base, level, _pf_top)
+    odd_fiber = curvature_integral(fib.fiber, level, _odd_pf_top)
     return inv.edge_boundary_value(pf_base, odd_fiber, fib.base_dim)
 
 
@@ -245,8 +232,7 @@ def fibered_value_for(fib, level: int) -> float:
     """Closed-form expanding-base boundary term for a product fibration."""
     if fib.base_dim % 2 == 0:
         return 0.0
-    base, _ = _fibration_fields(fib)
-    odd_base = curvature_integral(base, level, _odd_pf_top)
+    odd_base = curvature_integral(fib.base, level, _odd_pf_top)
     return inv.fibered_boundary_value(odd_base, fib.chi_fiber, fib.base_dim, fib.fiber_dim)
 
 
@@ -259,7 +245,6 @@ def horizontal_closed_value(collar: CollarMetric, level: int) -> float:
     """
     fib = collar.fibration
     f, b = fib.fiber_dim, fib.base_dim
-    base, fiber = _fibration_fields(fib)
 
     def top(i, R, E, y):
         # d/dr of the base block of the slice metric at r = 0, fiber coordinates 0
@@ -268,8 +253,8 @@ def horizontal_closed_value(collar: CollarMetric, level: int) -> float:
         gdot_form = DoubleForm(b, 1, 1, 0.5 * (gdot + np.swapaxes(gdot, -1, -2)))
         return inv.lipschitz_killing_form(i, R, gdot_form).coeffs[..., 0, 0]
 
-    q_ints = {i: curvature_integral(base, level, partial(top, i)) for i in range(b // 2 + 1)}
-    p_ints = dict(enumerate(lk_integrals(fiber, level)))
+    q_ints = {i: curvature_integral(fib.base, level, partial(top, i)) for i in range(b // 2 + 1)}
+    p_ints = dict(enumerate(lk_integrals(fib.fiber, level)))
     return inv.horizontal_edge_value(q_ints, p_ints, _slice_k(collar), b)
 
 
@@ -296,19 +281,19 @@ def _phi_reference(collar: CollarMetric, y) -> np.ndarray:
     f, b = fib.fiber_dim, fib.base_dim
     d = 1 + f + b
     y = np.asarray(y, dtype=float)
-    base_field, fiber_field = _fibration_fields(fib, collar.fd_order, collar.fd_rel_step)
+    at_collar = partial(replace, fd_order=collar.fd_order, fd_rel_step=collar.fd_rel_step)
 
     # omega_coord[..., mu, i, j] = Gamma^i_{mu j} of the block connection
     omega_coord = np.zeros(y.shape[:-1] + (d, d, d))
     if f:
         vert = slice(1, 1 + f)
-        gam_f = christoffel(fiber_field, y[..., :f])   # [..., k, a, j]
+        gam_f = christoffel(at_collar(fib.fiber), y[..., :f])   # [..., k, a, j]
         omega_coord[..., vert, vert, vert] = np.swapaxes(gam_f, -3, -2)
         omega_coord[..., vert, 0, vert] = -fib.fiber_metric(0.0, y[..., :f])
         omega_coord[..., vert, vert, 0] = np.eye(f)
     if b:
         hor = slice(1 + f, d)
-        gam_b = christoffel(base_field, y[..., f:])
+        gam_b = christoffel(at_collar(fib.base), y[..., f:])
         omega_coord[..., hor, hor, hor] = np.swapaxes(gam_b, -3, -2)
 
     E0, dE = phi_frame(collar, 0.0, y)
@@ -406,7 +391,7 @@ def check_cone_gb(spec, level, tol):
         raise ConfigurationError("ConeGB needs a conical geometry")
     n = spec.collar.boundary_chart.dim
     theta = spec.params.get("theta", 1.0)
-    lk = lk_integrals(_unit_link(spec), level)
+    lk = lk_integrals(spec.link, level)
     closed = inv.cone_transgression_value(theta, lk)
     limit, samples = slice_limit(spec.collar, level)
     eps = EPSILONS["cone"]
@@ -425,15 +410,6 @@ def check_cone_gb(spec, level, tol):
         gap = max(gap, 10.0 * scale * abs(contribution - (1.0 - theta)))
     return _result("ConeGB", spec, computed, reference, gap, scale, tol, "rel",
                    samples=samples, notes=notes, eps={"cone": eps})
-
-
-def _unit_link(spec) -> MetricField:
-    """The link metric h on the collar's chart, with the cone profile divided out."""
-    collar = spec.collar
-    r_ref = 1e-3
-    f2 = spec.cone_profile(r_ref) ** 2
-    return MetricField(collar.boundary_chart, lambda y: collar.radial_metric(r_ref)(y) / f2,
-                       fd_order=4)
 
 
 def check_edge_limit(spec, level, tol):
@@ -826,7 +802,7 @@ def run_check(check_id: str, geometry=None, params=None, level=None, tol=None) -
 def _run_row(row, level, tol) -> CheckResult:
     check_id, geom, params, default_level, default_tol = row
     return run_check(check_id, geometry=geom, params=dict(params),
-                     level=level or default_level,
+                     level=level if level is not None else default_level,
                      tol=tol if tol is not None else default_tol)
 
 

@@ -157,6 +157,19 @@ def test_first_order_profile_must_stay_positive(name, params):
         catalog.get(name, **params)
 
 
+@pytest.mark.parametrize("params,key", [
+    ({"profile": "first_order", "a": 0.3, "theta": 0.5}, "theta"),
+    ({"profile": "second_order", "theta": 2.0}, "theta"),
+    ({"profile": "linear", "a": -5.0}, "a"),
+    ({"profile": "second_order", "a": 0.1}, "a"),
+])
+def test_cone_rejects_parameters_its_profile_ignores(params, key):
+    # theta scales only the linear profile and a shapes only the first-order
+    # one; accepting them elsewhere would record a closed form the collar lacks
+    with pytest.raises(catalog.RegistryError, match=f"^cone {key} must be "):
+        catalog.get("cone", **params)
+
+
 @pytest.mark.parametrize("beta", [-3.0, -1.0, float("nan")])
 def test_horizontal_base_factor_must_stay_positive(beta):
     # (1 + beta r)^2 vanishes at r = -1/beta, inside the collar (0, 1] for beta <= -1
@@ -168,7 +181,8 @@ def test_valid_profiles_are_accepted():
     for a in (0.1, 0.3, 0.5, -0.79):
         catalog.get("cone_perturbed_first_order", a=a)
     catalog.get("cone", profile="first_order", a=-0.4)
-    catalog.get("cone", profile="linear", a=-5.0)  # a only shapes the first-order profile
+    catalog.get("cone", profile="linear", theta=0.5, a=0.0)
+    catalog.get("cone", profile="second_order", theta=1.0)
     for beta in (0.3, 0.0, -0.99):
         catalog.get("edge_horizontal", beta=beta)
 
@@ -249,3 +263,18 @@ def test_each_builders_own_values_lie_in_its_schema(name):
 def test_each_field_carries_its_stencil(name, params, stencil):
     (mf,) = catalog.get(name, **params).fields
     assert (mf.fd_order, mf.fd_rel_step) == stencil
+
+
+@pytest.mark.parametrize("name,params,roles", [
+    ("edge_product", {}, {"base", "fiber"}), ("fibered_product", {}, {"base", "fiber"}),
+    ("catenoid", {}, {"base"}), ("geometric_cone", {"link": "s3"}, {"fiber", "link"}),
+    ("lens_cone", {}, {"fiber", "link"}),
+])
+def test_each_reference_field_carries_its_stencil(name, params, roles):
+    # the factor metrics the closed forms integrate take order 4, step 1e-4
+    spec = catalog.get(name, **params)
+    fib = spec.collar.fibration
+    fields = {"base": fib.base, "fiber": fib.fiber, "link": spec.link}
+    assert {role for role, mf in fields.items() if mf is not None} == roles
+    for role in roles:
+        assert (fields[role].fd_order, fields[role].fd_rel_step) == (4, 1e-4), role

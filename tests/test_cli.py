@@ -97,6 +97,14 @@ def test_registry_error_prints_unquoted(capsys):
         "error: edge_horizontal needs 1 + beta > 0, got beta=-3.0"]
 
 
+def test_cone_parameter_its_profile_ignores_exits_two(capsys):
+    argv = ["run", "--check", "ConeGB", "--geometry", "cone", "profile=first_order", "a=0.3",
+            "theta=0.5"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: cone theta must be 1 unless profile=linear, got theta=0.5\n")
+
+
 def test_workers_below_one_exit_two(capsys):
     assert main(["run", "--workers", "0"]) == 2
     assert "--workers must be >= 1" in capsys.readouterr().err
@@ -199,6 +207,9 @@ def test_missing_config_file_exits_two(tmp_path, capsys):
     (["--geometry", "sphere", "n=4", "--filter", "Orbifold"], "--geometry and key=value"),
     (["n=4"], "--geometry and key=value"),
     (["--check", "ClosedGB", "--filter", "Orbifold"], "--filter apply to suite runs"),
+    (["--filter", "Orbifold", "--level", "0"], "--level must be in 1..7"),
+    (["--check", "OrbifoldGB", "--level", "0"], "--level must be in 1..7"),
+    (["--filter", "Orbifold", "--level", "9"], "--level must be in 1..7"),
 ])
 def test_options_of_the_other_run_kind_exit_two(argv, message, capsys):
     assert main(["run", *argv]) == 2
@@ -221,12 +232,21 @@ def test_describe_prints_each_fields_stencil(capsys):
     (line,) = [row for row in capsys.readouterr().out.splitlines() if row.startswith("  field ")]
     assert line.startswith("  field sphere2-cylinder: bounds=((-14.0, 14.0), ")
     assert line.endswith(" periodic=(False, True) stencil=order 4, step 5e-05")
+    # the fibration's factor fields and a cone's link print on lines of their own
+    prefixes = ("  fibration base ", "  fibration fiber ", "  cone link ")
     for entry in catalog.list_geometries():
         assert main(["describe", entry["name"]]) == 0
-        rows = [row for row in capsys.readouterr().out.splitlines() if row.startswith("  field ")]
-        fields = catalog.get(entry["name"]).fields
+        out = capsys.readouterr().out.splitlines()
+        rows = [row for row in out if row.startswith("  field ")]
+        spec = catalog.get(entry["name"])
         assert [row.split(" stencil=")[1] for row in rows] == [
-            f"order {mf.fd_order}, step {mf.fd_rel_step:g}" for mf in fields]
+            f"order {mf.fd_order}, step {mf.fd_rel_step:g}" for mf in spec.fields]
+        fib = spec.collar.fibration if spec.collar else None
+        refs = (fib and fib.base, fib and fib.fiber, spec.link)
+        assert [row for row in out if row.startswith(prefixes)] == [
+            f"{prefix}{mf.chart.name}: bounds={mf.chart.bounds} periodic={mf.chart.periodic} "
+            f"stencil=order {mf.fd_order}, step {mf.fd_rel_step:g}"
+            for prefix, mf in zip(prefixes, refs) if mf is not None]
 
 
 @pytest.mark.parametrize("consistent,code", [(True, 0), (False, 1)])

@@ -1106,7 +1106,7 @@ def test_phi_frame_is_one_sample_and_equals_the_per_axis_route(name, params, mon
 def test_cone_fiber_metric_takes_an_array_r(params):
     fib = catalog.get("cone", **params).collar.fibration
     rs = np.array([[0.0, 0.05], [-1e-4, 1.2]])
-    ys = fib.fiber_chart.random_interior(np.random.default_rng(8), 4).reshape(2, 2, -1)
+    ys = fib.fiber.chart.random_interior(np.random.default_rng(8), 4).reshape(2, 2, -1)
     got = fib.fiber_metric(rs, ys)
     assert got.shape == (2, 2) + (fib.fiber_dim,) * 2
     for idx in np.ndindex(rs.shape):
@@ -1119,8 +1119,7 @@ def test_phi_connection_product_metric_identity():
     circle = Chart("s1", ((0.0, 2 * math.pi),), (True,))
     from gblab.geometry import FibrationData
 
-    fib = FibrationData(base_chart=circle, fiber_chart=None,
-                        base_metric=lambda y: np.eye(1), chi_fiber=1)
+    fib = FibrationData(base=MetricField(circle, lambda y: np.eye(1)), chi_fiber=1)
     assert (fib.base_dim, fib.fiber_dim) == (1, 0)
     collar = CollarMetric(circle, (0.0, 2.0), lambda r: (lambda y: np.eye(1)),
                           fibration=fib)

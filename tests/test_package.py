@@ -34,6 +34,14 @@ def test_only_geometry_references_the_stencil_weights():
     assert users == {"geometry.py"}
 
 
+def test_verify_builds_no_metric_field():
+    # every field a check integrates, with its stencil, is catalog data
+    tree = ast.parse((Path(gblab.__file__).parent / "verify.py").read_text(encoding="utf-8"))
+    calls = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "MetricField"]
+    assert calls == []
+
+
 _MUTATORS = {"update", "append", "extend", "clear", "pop", "setdefault", "add", "insert",
              "remove"}
 

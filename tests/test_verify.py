@@ -64,12 +64,17 @@ def test_cone_check_reports_two_routes():
     ("cone_perturbed_second_order", {}),
     ("geometric_cone", {"link": "s1", "theta": 0.5}),
     ("cone", {"profile": "first_order", "a": -0.4}),
+    ("lens_cone", {"order": 3}),
+    ("geometric_cone", {"link": "s3", "theta": 0.5}),
+    ("cone", {"link": "t3", "profile": "second_order"}),
 ])
 def test_unit_link_divides_out_the_cone_profile(name, params):
+    # ConeGB integrates spec.link: the link metric h itself, with no profile f in it
     spec = catalog.get(name, **params)
-    link_metric = catalog._factor("s1", "s1")[1]
-    for y in (np.array([0.3]), np.array([4.0])):
-        assert np.max(np.abs(verify._unit_link(spec).evaluator(y) - link_metric(y))) < 1e-12
+    link = spec.params.get("link", "s3" if name == "lens_cone" else "s1")
+    link_metric = catalog._factor(link, link)[1]
+    y = spec.link.chart.random_interior(np.random.default_rng(3), 4)
+    assert np.array_equal(spec.link.evaluator(y), link_metric(y))
 
 
 def test_boundary_check_carries_sign_note():

@@ -232,6 +232,9 @@ def cmd_converge(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    if args.level not in LEVELS:
+        print("error: --level must be in 1..7", file=sys.stderr)
+        return 2
     report = verify.calibrate(level=args.level)
     print("orientation flags (frozen):", report["frozen"])
     print("orientation flags (derived):", report["derived"])

@@ -22,7 +22,8 @@ factorisation in hand: E E^T from the Cholesky frame E, or the gauge's
 eigenbasis of tau, which gives d/ds g_s^{-1} and tau(s)^{-1} as well.
 The frame change is P^T F P2 in the pair basis P[(i,j), (a<b)] = E_ia E_jb;
 every contraction is a batched matmul.  Slices and the gauged path return
-only what the transgression integrands read; orientation signs are
+only what the transgression integrands read; a slice may stack a radius
+schedule on a leading axis ahead of the block.  Orientation signs are
 verify.EPSILONS.
 """
 
@@ -388,7 +389,7 @@ class CollarMetric:
         if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
             raise DomainError(f"bad radial interval {self.r_interval!r} for a collar")
 
-    def slice_field(self, r: float) -> MetricField:
+    def slice_field(self, r) -> MetricField:
         ev = self.radial_metric(r)
         return MetricField(self.boundary_chart, ev,
                            fd_rel_step=self.fd_rel_step, fd_order=self.fd_order)
@@ -413,21 +414,29 @@ class CollarMetric:
         return MetricField(self.full_chart(), ev,
                            fd_rel_step=self.fd_rel_step, fd_order=self.fd_order)
 
-    def radial_step(self, r: float) -> float:
-        """The finite-difference step in r at radius r: 10 fd_rel_step |r|, or fd_rel_step at 0."""
-        return (10.0 * self.fd_rel_step) * abs(r) if r != 0 else self.fd_rel_step
+    def radial_step(self, r):
+        """The finite-difference step in r at radius r: 10 fd_rel_step |r|, or fd_rel_step at 0.
 
-    def radial_rate(self, r: float, y) -> np.ndarray:
+        r is a number (the step is a float) or an array (one step per radius).
+        """
+        r = np.asarray(r, dtype=float)
+        h = np.where(r != 0, (10.0 * self.fd_rel_step) * np.abs(r), self.fd_rel_step)
+        return h if h.ndim else float(h)
+
+    def radial_rate(self, r, y) -> np.ndarray:
         """d/dr g(r) at points y (..., n) by the collar's stencil, step radial_step(r).
 
-        One radial_metric call on r and y stacked over the plan's points, r
-        with the stacked points' batch shape, checked and broadcast by _sample.
+        r is a number or an array that broadcasts against y's batch shape,
+        each radius at its own step.  One radial_metric call on r and y
+        stacked over the plan's points, r with the stacked points' batch
+        shape, checked and broadcast by _sample.
         """
-        y, h = np.asarray(y, dtype=float), self.radial_step(r)
+        y, h = np.asarray(y, dtype=float), np.asarray(self.radial_step(r))
         ks = _jet_plan(1, self.fd_order, False)[1][1:]
         ys = np.broadcast_to(y, (len(ks),) + y.shape)
         rs = np.broadcast_to(r + h * ks.reshape((-1,) + (1,) * (y.ndim - 1)), ys.shape[:-1])
-        return _central_diff(_sample(self.radial_metric(rs), ys), h, self.fd_order)
+        return _central_diff(_sample(self.radial_metric(rs), ys), h[..., None, None],
+                             self.fd_order)
 
 
 @dataclass(frozen=True)
@@ -442,21 +451,34 @@ class SliceData:
 
 
 class Slice:
-    """A fixed-radius slice of a collar; evaluates SliceData at a point or a block."""
+    """A fixed-radius slice of a collar, or a stack of them; evaluates SliceData at points.
 
-    def __init__(self, collar: CollarMetric, r: float):
+    at(y) takes a point or a block.  r is a number, or a 1-D array of radii:
+    then every SliceData entry carries a leading radius axis ahead of the
+    points' batch axes, so one call evaluates the block at every radius.
+    Each radius keeps its own step (CollarMetric.radial_step) and must keep
+    its stencil inside the collar interval.
+    """
+
+    def __init__(self, collar: CollarMetric, r):
         lo, hi = collar.r_interval
+        r = np.asarray(r, dtype=float)
+        if r.ndim > 1:
+            raise DomainError("slice radii must be a number or a 1-D array")
         reach = _jet_plan(1, collar.fd_order, False)[1].max() * collar.radial_step(r)
-        if not (lo < r - reach and r + reach < hi):
+        if not (np.all(lo < r - reach) and np.all(r + reach < hi)):
             raise DomainError("slice radius too close to the collar interval ends")
         self.collar = collar
-        self.r = float(r)
-        self.field = collar.slice_field(r)
+        self.r = r if r.ndim else float(r)
 
     def at(self, y) -> SliceData:
-        y = np.asarray(y, dtype=float)
-        curv, E = riemann_double_form(self.field, y)
-        dh = self.collar.radial_rate(self.r, y)
+        y, r = np.asarray(y, dtype=float), self.r
+        if np.ndim(r):
+            # the radius axis leads and broadcasts against the points' batch axes
+            r = r.reshape(r.shape + (1,) * (y.ndim - 1))
+            y = np.broadcast_to(y, r.shape[:1] + y.shape)
+        curv, E = riemann_double_form(self.collar.slice_field(r), y)
+        dh = self.collar.radial_rate(r, y)
         ii_on = np.swapaxes(E, -1, -2) @ (-0.5 * dh) @ E
         ii = DoubleForm(E.shape[-1], 1, 1, 0.5 * (ii_on + np.swapaxes(ii_on, -1, -2)))
         return SliceData(second_fundamental=ii, curvature=curv, frame=E,

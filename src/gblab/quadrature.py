@@ -4,10 +4,13 @@ Periodic axes use the composite trapezoid rule; non-periodic axes use
 composite Gauss-Legendre panels with interior nodes, so chart-edge
 coordinate degeneracies are never sampled.  A density is called on
 consecutive blocks of BLOCK nodes in the flattened node ordering (points of
-shape (B, d), values of shape (B,)); the weighted values are summed by a
-fixed pairwise binary tree over that ordering, so a result depends only on
-its inputs.  The block size is fixed, not an option: it bounds the memory of
-the per-block curvature arrays.
+shape (B, d), values of shape (B,), or (K, B) for K densities integrated in
+one pass); the weighted values of each density are summed by a fixed
+pairwise binary tree over that ordering, so a result depends only on its
+inputs.  The block size is fixed, not an option: it bounds the memory of the
+per-block curvature arrays.  A slice limit stacks its radius schedule onto
+the block, so there a block's arrays hold BLOCK times the number of radii
+(six) samples.
 """
 
 from __future__ import annotations
@@ -159,23 +162,31 @@ def _call_node(fn, pt):
         raise type(exc)(f"{exc} (at node {tuple(float(v) for v in pt)})") from exc
 
 
-def integrate_chart(fn, chart, mesh: MeshSpec) -> float:
+def integrate_chart(fn, chart, mesh: MeshSpec):
     """Integrate a scalar density (volume factor included) over a chart box.
 
-    fn maps a block of nodes (B, d) to its values (B,).  When a block fails
-    it is re-run node by node, so the error names the offending node.
+    fn maps a block of nodes (B, d) to its values (B,), and the integral is
+    a float; or to a stack (K, B) of K densities, and the K integrals come
+    back as an array (K,), each row summed by the same pairwise tree, so it
+    rounds exactly as its own (B,) density would.  When a block fails it is
+    re-run node by node, so the error names the offending node.
     """
     pts, w = _mesh_points(chart, mesh)
-    vals = np.empty(pts.shape[0])
+    vals = None
     for lo in range(0, pts.shape[0], BLOCK):
         block = pts[lo : lo + BLOCK]
         try:
-            vals[lo : lo + BLOCK] = fn(block)
+            out = fn(block)
+            if vals is None:
+                vals = np.empty(np.shape(out)[:-1] + pts.shape[:1])
+            vals[..., lo : lo + BLOCK] = out
         except Exception:
             for pt in block:
                 _call_node(fn, pt)
             raise
-    return pairwise_sum(vals * w)
+    if vals.ndim == 1:
+        return pairwise_sum(vals * w)
+    return np.array([pairwise_sum(row) for row in vals * w])
 
 
 @dataclass

@@ -46,6 +46,7 @@ __all__ = [
     "run_check",
     "run_suite",
     "calibrate",
+    "CalibrationError",
     "suite_to_json_dict",
 ]
 
@@ -66,6 +67,10 @@ SIGN_NOTE = (
 
 class ConfigurationError(ValueError):
     """Check and geometry are incompatible."""
+
+
+class CalibrationError(ValueError):
+    """An anchor check of calibrate() failed, so it has no values to fit a flag to."""
 
 
 @dataclass
@@ -136,13 +141,14 @@ def chart_integral(chart, density, level: int) -> float:
     return quad.integrate_chart(density, chart, mesh)
 
 
-def curvature_integral(mf: MetricField, level: int, top) -> float:
+def curvature_integral(mf: MetricField, level: int, top):
     """Integral of top(R, E, x) * sqrt(det g) over mf.chart.
 
     R is the curvature double form of mf, at mf's own stencil, in its
     orthonormal frame E at a block of nodes x; top returns one value per
-    node.  sqrt(det g) is 1 / det E, so the metric is evaluated once per
-    stencil point.
+    node, or a stack (K, B) of K tops, whose K integrals come back as an
+    array from one curvature pass.  sqrt(det g) is 1 / det E, so the metric
+    is evaluated once per stencil point.
     """
 
     def dens(x):
@@ -168,14 +174,20 @@ def pf_integral(spec, level: int) -> float:
     return float(spec.symmetry_weight) * total
 
 
-def _lk_top(j, R, E, x):
-    return inv.lipschitz_killing_form(j, R, DoubleForm.metric_form(R.n)).coeffs[..., 0, 0]
+def _stacked_tops(x, tops) -> np.ndarray:
+    """(K, B) stack of per-node tops; an unbatched top (a j = 0 form) is broadcast first."""
+    return np.stack([np.broadcast_to(t, x.shape[:-1]) for t in tops])
+
+
+def _lk_tops(R, E, x):
+    h = DoubleForm.metric_form(R.n)
+    return _stacked_tops(x, [inv.lipschitz_killing_form(j, R, h).coeffs[..., 0, 0]
+                             for j in range((R.n + 1) // 2)])
 
 
 def lk_integrals(mf: MetricField, level: int) -> list:
-    """Integrals of the Lipschitz-Killing forms of an odd-dimensional metric."""
-    return [curvature_integral(mf, level, partial(_lk_top, j))
-            for j in range((mf.chart.dim + 1) // 2)]
+    """Lipschitz-Killing integrals, j = 0..(n-1)/2, of an odd-dimensional metric in one pass."""
+    return curvature_integral(mf, level, _lk_tops).tolist()
 
 
 def _slice_k(collar: CollarMetric) -> int:
@@ -183,8 +195,13 @@ def _slice_k(collar: CollarMetric) -> int:
     return (collar.boundary_chart.dim + 1) // 2
 
 
-def slice_transgression_plus(collar: CollarMetric, r: float, level: int) -> float:
-    """Plus-convention transgression integral over the slice at radius r."""
+def slice_transgression_plus(collar: CollarMetric, r, level: int):
+    """Plus-convention transgression integral over the slice at radius r.
+
+    r is a number (the integral is a float) or a 1-D array of radii: then
+    one chart pass evaluates every node block at all of them (Slice) and
+    the integrals come back as an array, each equal to its own scalar call.
+    """
     sl = Slice(collar, r)
 
     def dens(y):
@@ -206,16 +223,18 @@ def slice_limit(collar: CollarMetric, level: int):
 
     The singular_end flag picks the direction: collapsing collars sample
     _collapse_schedule toward the lower end, complete ends substitute u =
-    1/r.  Returns (limit, samples).  The degree-4 fit on this schedule is
+    1/r.  The whole schedule is integrated in one slice_transgression_plus
+    call.  Returns (limit, samples).  The degree-4 fit on this schedule is
     well conditioned whatever r0 (cond 2.06e3).
     """
     lo = collar.r_interval[0]
     if collar.singular_end == "infinity":
-        samples = [(u, slice_transgression_plus(collar, 1.0 / u, level))
-                   for u in quad.geometric_schedule(0.4 / lo, 6)]
+        xs = quad.geometric_schedule(0.4 / lo, 6)
+        rs = 1.0 / np.array(xs)
     else:
-        samples = [(dr, slice_transgression_plus(collar, lo + dr, level))
-                   for dr in _collapse_schedule(collar)]
+        xs = _collapse_schedule(collar)
+        rs = lo + np.array(xs)
+    samples = list(zip(xs, slice_transgression_plus(collar, rs, level).tolist()))
     return quad.r_limit_extrapolate(samples), samples
 
 
@@ -246,14 +265,15 @@ def horizontal_closed_value(collar: CollarMetric, level: int) -> float:
     fib = collar.fibration
     f, b = fib.fiber_dim, fib.base_dim
 
-    def top(i, R, E, y):
+    def tops(R, E, y):
         # d/dr of the base block of the slice metric at r = 0, fiber coordinates 0
-        y = np.concatenate((np.zeros(y.shape[:-1] + (f,)), y), axis=-1)
-        gdot = np.swapaxes(E, -1, -2) @ collar.radial_rate(0.0, y)[..., f:, f:] @ E
+        yn = np.concatenate((np.zeros(y.shape[:-1] + (f,)), y), axis=-1)
+        gdot = np.swapaxes(E, -1, -2) @ collar.radial_rate(0.0, yn)[..., f:, f:] @ E
         gdot_form = DoubleForm(b, 1, 1, 0.5 * (gdot + np.swapaxes(gdot, -1, -2)))
-        return inv.lipschitz_killing_form(i, R, gdot_form).coeffs[..., 0, 0]
+        return _stacked_tops(y, [inv.lipschitz_killing_form(i, R, gdot_form).coeffs[..., 0, 0]
+                                 for i in range(b // 2 + 1)])
 
-    q_ints = {i: curvature_integral(fib.base, level, partial(top, i)) for i in range(b // 2 + 1)}
+    q_ints = dict(enumerate(curvature_integral(fib.base, level, tops).tolist()))
     p_ints = dict(enumerate(lk_integrals(fib.fiber, level)))
     return inv.horizontal_edge_value(q_ints, p_ints, _slice_k(collar), b)
 
@@ -851,11 +871,15 @@ def calibrate(level: int = 2) -> dict:
     ConeGB on the cone of angle 1/2 over the circle (slice limit against the
     closed form), EdgeGB on the collapsing circle over the 2-sphere and
     FiberedGB on the catenoid (their Gauss-Bonnet identities).  Returns the
-    derived flags plus anchor residuals.
+    derived flags plus anchor residuals; raises CalibrationError when an
+    anchor check fails before computing its values.
     """
     derived, anchors = {}, {}
     for family, anchor, row, target, value in _ANCHORS:
         r = run_check(*row, level=level)
+        if not r.computed:
+            raise CalibrationError(f"anchor {anchor} ({row[0]} on {row[1]}) failed: "
+                                   + "; ".join(r.notes))
         derived[family] = min((+1, -1), key=lambda e: abs(value(r.computed, r.reference, e) - target))
         anchors[anchor] = abs(value(r.computed, r.reference, derived[family]))
     return {"frozen": dict(EPSILONS), "derived": derived, "anchors": anchors,

@@ -266,3 +266,23 @@ def test_calibrate_writes_json_and_exits_on_consistency(tmp_path, monkeypatch, c
     text = capsys.readouterr().out
     assert "  anchor disk_chi: 1\n" in text
     assert text.endswith(f"consistent: {consistent}\n")
+
+
+def _no_quadrature(*args):
+    raise RuntimeError("no quadrature")
+
+
+@pytest.mark.parametrize("argv,patch,message", [
+    (["--level", "0"], None, "error: --level must be in 1..7\n"),
+    (["--level", "8"], None, "error: --level must be in 1..7\n"),
+    # an anchor check that fails records no values for a flag to be fitted to
+    (["--level", "1"], ("chart_integral", _no_quadrature),
+     "error: anchor disk_chi (BoundaryGB on disk) failed: "
+     "check failed: RuntimeError: no quadrature\n"),
+])
+def test_calibrate_usage_errors_exit_two(argv, patch, message, monkeypatch, capsys):
+    if patch:
+        monkeypatch.setattr(verify, *patch)
+    assert main(["calibrate", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == message and captured.out == ""

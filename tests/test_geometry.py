@@ -1125,3 +1125,43 @@ def test_phi_connection_product_metric_identity():
                           fibration=fib)
     omega = phi_conjugated_connection(collar, 0.5, np.array([1.0]))
     assert np.max(np.abs(omega)) < 1e-9
+
+
+@pytest.mark.parametrize("name,params,radii", [
+    ("disk", {"dim": 4}, (0.3, 1.0, 0.05)),
+    ("edge_horizontal", {}, (0.4, 0.2, 0.1, 0.05, 0.025, 0.0125)),
+    ("catenoid", {}, (1.5, 40.0, 3.0)),
+])
+def test_a_stack_of_radii_equals_one_slice_per_radius(name, params, radii):
+    collar = catalog.get(name, **params).collar
+    Y = collar.boundary_chart.random_interior(np.random.default_rng(9), 5, shrink=0.1)
+    stacked = Slice(collar, np.array(radii))
+    for y in (Y, Y[0]):
+        sd = stacked.at(y)
+        assert sd.sqrt_det.shape == (len(radii),) + y.shape[:-1]
+        for k, r in enumerate(radii):
+            one = Slice(collar, r).at(y)
+            for got, want in ((sd.curvature.coeffs[k], one.curvature.coeffs),
+                              (sd.second_fundamental.coeffs[k], one.second_fundamental.coeffs),
+                              (sd.frame[k], one.frame), (sd.sqrt_det[k], one.sqrt_det)):
+                assert np.array_equal(got, want), (name, r)
+
+
+def test_each_radius_of_a_stack_keeps_its_own_radial_step():
+    collar = catalog.get("edge_product").collar
+    rs = np.array([0.4, 0.0, 0.05])
+    assert collar.radial_step(rs).tolist() == [collar.radial_step(r) for r in rs.tolist()]
+    assert type(collar.radial_step(0.4)) is float
+
+
+@pytest.mark.parametrize("radii", [(0.5, 1.2499999), (0.0, 0.5), (0.5, -0.1), (0.5, 2.0)])
+def test_slice_stack_with_any_radius_near_an_end_is_rejected(radii):
+    collar = catalog.get("disk", dim=2).collar
+    Slice(collar, np.array([0.5, 1.0]))
+    with pytest.raises(DomainError, match="too close to the collar interval ends"):
+        Slice(collar, np.array(radii))
+
+
+def test_slice_radii_must_be_a_number_or_a_1d_array():
+    with pytest.raises(DomainError, match="1-D array"):
+        Slice(catalog.get("disk", dim=2).collar, np.full((2, 2), 0.5))

@@ -184,3 +184,30 @@ def test_gauss_exact_for_polynomials(deg, seed):
                           seg, mesh_for_chart(seg, 1))
     want = sum(c / (m + 1) for m, c in enumerate(coeffs))
     assert got == pytest.approx(want, abs=1e-12)
+
+
+def test_a_stack_of_densities_equals_each_density_integrated_alone():
+    # K densities in one pass, each row reduced by the same tree as its own call
+    chart = Chart("strip", ((0.0, 1.0), (0.0, 2 * math.pi)), (False, True))
+    mesh = MeshSpec(nodes=(24, 8), rules=("gauss", "trapezoid"))
+    dens = [lambda x, m=m: np.cos(m * x[:, 1]) * x[:, 0] ** m + 1.0 / (1.0 + m * x[:, 0])
+            for m in range(4)]
+    calls = []
+
+    def stacked(x):
+        calls.append(len(x))
+        return np.stack([f(x) for f in dens])
+
+    got = integrate_chart(stacked, chart, mesh)
+    assert got.shape == (4,) and len(calls) == math.ceil(24 * 8 / BLOCK)
+    assert got.tolist() == [integrate_chart(f, chart, mesh) for f in dens]
+
+
+def test_a_failing_stack_is_rerun_node_by_node_and_names_the_node():
+    def bad(x):
+        if np.any(x[:, 0] > 3.0):
+            raise ValueError("boom")
+        return np.stack([np.ones(len(x)), x[:, 0]])
+
+    with pytest.raises(ValueError, match=r"boom \(at node \(3\."):
+        integrate_chart(bad, CIRCLE, mesh_for_chart(CIRCLE, 1))

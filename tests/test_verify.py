@@ -250,3 +250,63 @@ def test_phi_limit_still_runs_where_the_slice_is_even_dimensional():
     # the odd-slice guard belongs to the edge and fibered identities, not to PhiLimit
     r = verify.run_check("PhiLimit", "edge_product", {"base": "t3", "fiber": "s1"}, level=1)
     assert r.passed
+
+
+@pytest.mark.parametrize("name,params", [
+    ("geometric_cone", {"link": "s3", "theta": 0.5}),
+    ("lens_cone", {"order": 3}),
+    ("edge_product", {"base": "s2", "fiber": "s1"}),
+    ("catenoid", {}),
+    ("cone_perturbed_second_order", {}),
+])
+def test_slice_limit_samples_equal_the_per_radius_integrals(name, params):
+    # one stacked pass over the schedule rounds exactly as one call per radius
+    collar = catalog.get(name, **params).collar
+    limit, samples = verify.slice_limit(collar, 1)
+    lo = collar.r_interval[0]
+    to_r = (lambda u: 1.0 / u) if collar.singular_end == "infinity" else (lambda dr: lo + dr)
+    assert len(samples) == 6
+    for x, value in samples:
+        assert type(value) is float
+        assert value == verify.slice_transgression_plus(collar, to_r(x), 1)
+    assert limit == verify.quad.r_limit_extrapolate(samples)
+
+
+@pytest.mark.parametrize("name,params", [
+    ("geometric_cone", {"link": "s3", "theta": 0.5}),
+    ("geometric_cone", {"link": "s1", "theta": 1.0}),
+    ("geometric_cone", {"link": "t3", "theta": 0.7}),
+])
+def test_one_pass_lk_integrals_equal_the_per_j_integrals(name, params):
+    link = catalog.get(name, **params).link
+    h = verify.DoubleForm.metric_form(link.chart.dim)
+
+    def per_j(j):
+        return verify.curvature_integral(
+            link, 1, lambda R, E, x: verify.inv.lipschitz_killing_form(j, R, h).coeffs[..., 0, 0])
+
+    got = verify.lk_integrals(link, 1)
+    assert all(type(v) is float for v in got)
+    assert got == [per_j(j) for j in range((link.chart.dim + 1) // 2)]
+
+
+def test_one_pass_horizontal_value_equals_the_per_i_integrals(monkeypatch):
+    # the base's q integrals, one curvature pass for every i, against one pass per i
+    collar = catalog.get("edge_horizontal").collar
+    got = verify.horizontal_closed_value(collar, 1)
+    integrate, b = verify.curvature_integral, collar.fibration.base_dim
+
+    def per_row(mf, level, top):
+        if mf is not collar.fibration.base:
+            return integrate(mf, level, top)
+        return np.array([integrate(mf, level, lambda R, E, x, i=i: top(R, E, x)[i])
+                         for i in range(b // 2 + 1)])
+
+    monkeypatch.setattr(verify, "curvature_integral", per_row)
+    assert verify.horizontal_closed_value(collar, 1) == got
+
+
+def test_calibrate_names_an_anchor_that_fails():
+    with pytest.raises(verify.CalibrationError, match=r"anchor disk_chi \(BoundaryGB on disk\) "
+                                                      r"failed: check failed: ResolutionError"):
+        verify.calibrate(level=0)

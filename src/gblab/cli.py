@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -173,6 +174,9 @@ def cmd_run(args) -> int:
         return 2
     if args.level is not None and args.level not in LEVELS:
         print("error: --level must be in 1..7", file=sys.stderr)
+        return 2
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0):
+        print("error: --tol must be finite and >= 0", file=sys.stderr)
         return 2
     if args.check and (args.workers > 1 or args.filter):
         print("error: --workers and --filter apply to suite runs, not to --check",

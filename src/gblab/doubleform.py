@@ -70,10 +70,8 @@ def _merge_sign(I: tuple, J: tuple):
 
 @lru_cache(maxsize=None)
 def _slot_table(n: int, pa: int, pb: int):
-    """All (rank_a, rank_b, rank_out, sign) with nonzero wedge in one slot."""
+    """All (rank_a, rank_b, rank_out, sign) with nonzero wedge in one slot; pa + pb <= n."""
     out = []
-    if pa + pb > n:
-        return out
     A = multi_indices(n, pa)
     B = multi_indices(n, pb)
     rk = _rank_table(n, pa + pb)
@@ -87,11 +85,8 @@ def _slot_table(n: int, pa: int, pb: int):
 
 @lru_cache(maxsize=None)
 def _wedge_table(n: int, pa: int, qa: int, pb: int, qb: int):
-    """Flattened index/sign arrays for the full double-form wedge."""
-    t1 = _slot_table(n, pa, pb)
-    t2 = _slot_table(n, qa, qb)
-    if not t1 or not t2:
-        return None
+    """Flattened index/sign arrays for the full double-form wedge; each slot's degree <= n."""
+    t1, t2 = _slot_table(n, pa, pb), _slot_table(n, qa, qb)
     na_q = len(multi_indices(n, qa))
     nb_q = len(multi_indices(n, qb))
     no_q = len(multi_indices(n, qa + qb))
@@ -198,10 +193,7 @@ def wedge(a: DoubleForm, b: DoubleForm) -> DoubleForm:
     p, q = a.p + b.p, a.q + b.q
     if p > n or q > n:
         return DoubleForm.zero(n, min(p, n), min(q, n))
-    table = _wedge_table(n, a.p, a.q, b.p, b.q)
-    if table is None:
-        return DoubleForm.zero(n, p, q)
-    ia, ib, io, sg = table
+    ia, ib, io, sg = _wedge_table(n, a.p, a.q, b.p, b.q)
     shape = _table_shape(n, p, q)
     batch_a, batch_b = a.coeffs.shape[:-2], b.coeffs.shape[:-2]
     af = a.coeffs.reshape(batch_a + (-1,))

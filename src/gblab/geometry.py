@@ -22,8 +22,9 @@ factorisation in hand: E E^T from the Cholesky frame E, or the gauge's
 eigenbasis of tau, which gives d/ds g_s^{-1} and tau(s)^{-1} as well.
 The frame change is P^T F P2 in the pair basis P[(i,j), (a<b)] = E_ia E_jb;
 every contraction is a batched matmul.  Slices and the gauged path return
-only what the transgression integrands read; a slice may stack a radius
-schedule on a leading axis ahead of the block.  Orientation signs are
+only what the transgression integrands read.  A slice, the h^phi frame and
+the phi connection take a radius or a 1-D radius schedule through one path,
+the schedule's axis ahead of the block.  Orientation signs are
 verify.EPSILONS.
 """
 
@@ -207,11 +208,11 @@ def _jet_plan(d: int, order: int, want_second: bool):
 
 
 def _along_axes(rows, h, order: int):
-    """d_a, on axis -3, of a quantity stacked over a plan's axis rows (d K, ..., m, n)."""
-    d, batch, mat = h.size, rows.shape[1:-2], rows.shape[-2:]
-    per_axis = rows.reshape((d, len(rows) // d, math.prod(batch)) + mat)
-    out = _central_diff(per_axis.swapaxes(0, 1), h[:, None, None, None], order)   # [a, point, ...]
-    return out.swapaxes(0, 1).reshape(batch + (d,) + mat)
+    """d_a, on axis -3, of rows (d K, ..., m, n) stacked over a plan's axes; steps h (d, ...)."""
+    per_axis = rows.reshape((len(h), -1) + rows.shape[1:])                  # [a, k, ...]
+    h = h.reshape(h.shape + (1,) * (rows.ndim - h.ndim))
+    out = _central_diff(per_axis.swapaxes(0, 1), h, order)                   # [a, ..., m, n]
+    return out.transpose(*range(1, out.ndim - 2), 0, -2, -1)
 
 
 def _metric_jet(m: MetricField, x, want_second: bool):
@@ -414,14 +415,13 @@ class CollarMetric:
         return MetricField(self.full_chart(), ev,
                            fd_rel_step=self.fd_rel_step, fd_order=self.fd_order)
 
-    def radial_step(self, r):
+    def radial_step(self, r) -> np.ndarray:
         """The finite-difference step in r at radius r: 10 fd_rel_step |r|, or fd_rel_step at 0.
 
-        r is a number (the step is a float) or an array (one step per radius).
+        r is a number or an array; the steps come back with r's shape.
         """
         r = np.asarray(r, dtype=float)
-        h = np.where(r != 0, (10.0 * self.fd_rel_step) * np.abs(r), self.fd_rel_step)
-        return h if h.ndim else float(h)
+        return np.where(r != 0, (10.0 * self.fd_rel_step) * np.abs(r), self.fd_rel_step)
 
     def radial_rate(self, r, y) -> np.ndarray:
         """d/dr g(r) at points y (..., n) by the collar's stencil, step radial_step(r).
@@ -431,7 +431,7 @@ class CollarMetric:
         stacked over the plan's points, r with the stacked points' batch
         shape, checked and broadcast by _sample.
         """
-        y, h = np.asarray(y, dtype=float), np.asarray(self.radial_step(r))
+        y, h = np.asarray(y, dtype=float), self.radial_step(r)
         ks = _jet_plan(1, self.fd_order, False)[1][1:]
         ys = np.broadcast_to(y, (len(ks),) + y.shape)
         rs = np.broadcast_to(r + h * ks.reshape((-1,) + (1,) * (y.ndim - 1)), ys.shape[:-1])
@@ -450,33 +450,42 @@ class SliceData:
     sqrt_det: np.ndarray             # batch shape of the points
 
 
+def _collar_points(r, y=()):
+    """Radii r (a number or a 1-D schedule, else DomainError) at points y of the slice chart.
+
+    A schedule's axis goes ahead of y's batch axes.  Returns r shaped to
+    broadcast against the batch, y broadcast to it, and the collar points x = (r, y).
+    """
+    r = np.asarray(r, dtype=float)
+    if r.ndim > 1:
+        raise DomainError("collar radii must be a number or a 1-D array")
+    y = np.asarray(y, dtype=float)
+    r = r.reshape(r.shape + (1,) * (y.ndim - 1))
+    y = np.broadcast_to(y, np.broadcast_shapes(r.shape, y.shape[:-1]) + y.shape[-1:])
+    return r, y, np.concatenate((np.broadcast_to(r[..., None], y.shape[:-1] + (1,)), y), axis=-1)
+
+
 class Slice:
     """A fixed-radius slice of a collar, or a stack of them; evaluates SliceData at points.
 
-    at(y) takes a point or a block.  r is a number, or a 1-D array of radii:
-    then every SliceData entry carries a leading radius axis ahead of the
-    points' batch axes, so one call evaluates the block at every radius.
-    Each radius keeps its own step (CollarMetric.radial_step) and must keep
-    its stencil inside the collar interval.
+    at(y) takes a point or a block.  r is a number or a 1-D schedule of
+    radii, through one path: a schedule's axis leads every SliceData entry,
+    ahead of the points' batch axes, so one call evaluates the block at
+    every radius.  Each radius keeps its own step (CollarMetric.radial_step)
+    and must keep its stencil inside the collar interval.
     """
 
     def __init__(self, collar: CollarMetric, r):
         lo, hi = collar.r_interval
-        r = np.asarray(r, dtype=float)
-        if r.ndim > 1:
-            raise DomainError("slice radii must be a number or a 1-D array")
+        r = _collar_points(r)[0]
         reach = _jet_plan(1, collar.fd_order, False)[1].max() * collar.radial_step(r)
         if not (np.all(lo < r - reach) and np.all(r + reach < hi)):
             raise DomainError("slice radius too close to the collar interval ends")
         self.collar = collar
-        self.r = r if r.ndim else float(r)
+        self.r = r
 
     def at(self, y) -> SliceData:
-        y, r = np.asarray(y, dtype=float), self.r
-        if np.ndim(r):
-            # the radius axis leads and broadcasts against the points' batch axes
-            r = r.reshape(r.shape + (1,) * (y.ndim - 1))
-            y = np.broadcast_to(y, r.shape[:1] + y.shape)
+        r, y, _ = _collar_points(self.r, y)
         curv, E = riemann_double_form(self.collar.slice_field(r), y)
         dh = self.collar.radial_rate(r, y)
         ii_on = np.swapaxes(E, -1, -2) @ (-0.5 * dh) @ E
@@ -628,50 +637,50 @@ def metric_path_gauge(g0: MetricField, g1: MetricField, x) -> GaugePath:
                      curvature=curvs, frame=E0)
 
 
-def phi_conjugated_connection(c: CollarMetric, r: float, y) -> np.ndarray:
+def phi_conjugated_connection(c: CollarMetric, r, y) -> np.ndarray:
     """phi nabla^g phi^{-1} in the h^phi orthonormal frame at (r, y).
 
-    g is the collar's full metric c.full_metric(), at the collar's stencil.
-    y is a point or a block of points (..., n) of the slice chart; returns
-    omega[..., mu, i, j], mu over the (r,) + N coordinates.  phi multiplies
-    the vertical block by r and fixes the radial and horizontal directions;
-    r must be nonzero.  The r -> 0 value is defined only through
-    extrapolation of these samples.
+    g is c.full_metric(), whose Christoffel symbols difference r at that
+    chart's step fd_rel_step (hi - lo), not radial_step(r).  y is a point or
+    a block (..., n) of the slice chart and r a number or a 1-D schedule,
+    whose axis leads; returns omega[..., mu, i, j], mu over (r,) + N.  phi
+    multiplies the vertical block by r and fixes the other directions;
+    every r must be nonzero, and r -> 0 is defined only by extrapolation.
     """
-    if r == 0:
+    rs, _, x = _collar_points(r, y)
+    if np.any(rs == 0):
         raise DomainError("phi conjugation at r = 0 is defined only by extrapolation")
     fib = c.fibration
     if fib is None:
         raise MetricError("phi conjugation needs fibration data on the collar")
-    y = np.asarray(y, dtype=float)
-    x = np.concatenate((np.full(y.shape[:-1] + (1,), r), y), axis=-1)
     d = x.shape[-1]
     f = fib.fiber_dim
 
     omega_coord = np.swapaxes(christoffel(c.full_metric(), x), -3, -2)  # [..., mu, i, j]
-    phi = np.ones(d)
-    phi[1:1 + f] = r
-    conj = phi[:, None] * omega_coord * (1.0 / phi)
+    phi = np.ones(rs.shape + (d,))
+    phi[..., 1:1 + f] = rs[..., None]
+    conj = phi[..., None, :, None] * omega_coord * (1.0 / phi)[..., None, None, :]
     # subtract (d phi) phi^{-1}: only the radial direction contributes 1/r
     vert = np.arange(1, 1 + f)
-    conj[..., 0, vert, vert] -= 1.0 / r
+    conj[..., 0, vert, vert] -= 1.0 / rs[..., None]
 
     E, dE = phi_frame(c, r, y)
     return np.linalg.inv(E)[..., None, :, :] @ (dE + conj @ E[..., None, :, :])
 
 
-def phi_frame(c: CollarMetric, r: float, y):
+def phi_frame(c: CollarMetric, r, y):
     """h^phi orthonormal frame E at (r, y) and its derivatives dE[..., mu, :, :].
 
-    y is a point or a block (..., n).  dE differences the Cholesky frame of
-    one h^phi sample on the collar's plan, with step c.radial_step(r) along
-    r and the collar's relative step along the slice axes.
+    y is a point or a block (..., n) and r a number or a 1-D schedule, whose
+    axis leads.  dE differences the Cholesky frame of one h^phi sample on
+    the collar's plan, at each radius's c.radial_step(r) along r and the
+    collar's relative step along the slice axes.
     """
-    y = np.asarray(y, dtype=float)
-    steps = np.concatenate(([c.radial_step(r)], c.fd_rel_step * c.boundary_chart.extents))
-    offsets = _jet_plan(steps.size, c.fd_order, False)[1]
-    x = np.concatenate((np.full(y.shape[:-1] + (1,), r), y), axis=-1)
-    pts = x + steps * offsets.reshape((len(offsets),) + (1,) * (y.ndim - 1) + (steps.size,))
+    r, _, x = _collar_points(r, y)
+    steps = np.stack(np.broadcast_arrays(c.radial_step(r),
+                                         *(c.fd_rel_step * c.boundary_chart.extents)))
+    offsets = _jet_plan(len(steps), c.fd_order, False)[1]
+    pts = x + np.moveaxis(steps, 0, -1) * np.expand_dims(offsets, tuple(range(1, x.ndim)))
     E = _frame_of(_h_phi_matrix(c, pts[..., 0], pts[..., 1:]))
     return E[0], _along_axes(E[1:], steps, c.fd_order)
 

@@ -26,6 +26,7 @@ from .geometry import (
     MetricField,
     Slice,
     _along_axes,
+    _collar_points,
     _frame_of,
     _h_phi_matrix,
     _jet_plan,
@@ -281,10 +282,10 @@ def horizontal_closed_value(collar: CollarMetric, level: int) -> float:
 def _phi_limit(collar: CollarMetric, rs, y) -> np.ndarray:
     """Entrywise r -> 0 extrapolation of the phi-conjugated connection at y.
 
-    y is a point or a block of points of the slice chart.
+    y is a point or a block of points of the slice chart; one stacked call
+    samples the connection at every radius of the schedule rs.
     """
-    samples = [(r, phi_conjugated_connection(collar, r, y)) for r in rs]
-    return quad.r_limit_extrapolate(samples)
+    return quad.r_limit_extrapolate(list(zip(rs, phi_conjugated_connection(collar, rs, y))))
 
 
 def _phi_reference(collar: CollarMetric, y) -> np.ndarray:
@@ -333,7 +334,8 @@ def _result(check_id, spec, computed, reference, residual_abs, scale, tol, kind,
         check_id=check_id, geometry=spec.name, params=dict(spec.params),
         computed=computed, reference=reference,
         residual_abs=residual_abs, residual_rel=rel,
-        tolerance=tol, tolerance_kind=kind, passed=bool(residual_abs <= bound),
+        tolerance=tol, tolerance_kind=kind,
+        passed=bool(math.isfinite(residual_abs) and residual_abs <= bound),
         convergence=convergence, epsilon_notes=dict(eps or {}), notes=list(notes),
     )
 
@@ -395,8 +397,7 @@ def _boundary_two_route(spec, level):
     slice_rank = index_rank(nb + 1, tuple(range(1, nb + 1)))
 
     def dens(y):
-        x = np.concatenate((np.full(y.shape[:-1] + (1,), r_b), y), axis=-1)
-        gauge = metric_path_gauge(g0, full, x)
+        gauge = metric_path_gauge(g0, full, _collar_points(r_b, y)[2])
         c = inv.path_transgression_form(gauge).coeffs[..., slice_rank, 0]
         return c / np.linalg.det(gauge.frame)
 
@@ -566,6 +567,8 @@ def check_phi_limit(spec, level, tol):
     if spec.collar is None or spec.collar.fibration is None:
         raise ConfigurationError("PhiLimit needs a collar with fibration data")
     collar = spec.collar
+    if collar.singular_end != "lower":
+        raise ConfigurationError("PhiLimit needs a collapsing collar")
     rs = _collapse_schedule(collar)
     points = collar.boundary_chart.random_interior(np.random.default_rng(20240801), 3, shrink=0.2)
     gap = _phi_limit(collar, rs, points) - _phi_reference(collar, points)

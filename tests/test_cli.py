@@ -210,6 +210,11 @@ def test_missing_config_file_exits_two(tmp_path, capsys):
     (["--filter", "Orbifold", "--level", "0"], "--level must be in 1..7"),
     (["--check", "OrbifoldGB", "--level", "0"], "--level must be in 1..7"),
     (["--filter", "Orbifold", "--level", "9"], "--level must be in 1..7"),
+    (["--check", "PhiLimit", "--geometry", "catenoid", "--tol", "inf"],
+     "--tol must be finite and >= 0"),
+    (["--check", "PhiLimit", "--geometry", "catenoid"], "PhiLimit needs a collapsing collar"),
+    (["--filter", "Orbifold", "--tol", "nan"], "--tol must be finite and >= 0"),
+    (["--check", "OrbifoldGB", "--tol=-1e-3"], "--tol must be finite and >= 0"),
 ])
 def test_options_of_the_other_run_kind_exit_two(argv, message, capsys):
     assert main(["run", *argv]) == 2

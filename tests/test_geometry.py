@@ -1151,7 +1151,6 @@ def test_each_radius_of_a_stack_keeps_its_own_radial_step():
     collar = catalog.get("edge_product").collar
     rs = np.array([0.4, 0.0, 0.05])
     assert collar.radial_step(rs).tolist() == [collar.radial_step(r) for r in rs.tolist()]
-    assert type(collar.radial_step(0.4)) is float
 
 
 @pytest.mark.parametrize("radii", [(0.5, 1.2499999), (0.0, 0.5), (0.5, -0.1), (0.5, 2.0)])
@@ -1165,3 +1164,33 @@ def test_slice_stack_with_any_radius_near_an_end_is_rejected(radii):
 def test_slice_radii_must_be_a_number_or_a_1d_array():
     with pytest.raises(DomainError, match="1-D array"):
         Slice(catalog.get("disk", dim=2).collar, np.full((2, 2), 0.5))
+
+
+@pytest.mark.parametrize("name,params", [
+    ("geometric_cone", {"link": "s1", "theta": 1.0}),
+    ("cone_perturbed_second_order", {}),
+    ("edge_product", {"base": "s2", "fiber": "s1"}),
+    ("edge_horizontal", {}),
+])
+def test_a_schedule_of_radii_equals_one_phi_call_per_radius(name, params):
+    collar = catalog.get(name, **params).collar
+    rs = np.array([0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625])
+    Y = collar.boundary_chart.random_interior(np.random.default_rng(5), 3, shrink=0.2)
+    for y in (Y, Y[0]):
+        omega, (E, dE) = phi_conjugated_connection(collar, rs, y), phi_frame(collar, rs, y)
+        assert omega.shape == (len(rs),) + y.shape[:-1] + (collar.boundary_chart.dim + 1,) * 3
+        for k, r in enumerate(rs.tolist()):
+            one_E, one_dE = phi_frame(collar, r, y)
+            assert np.array_equal(omega[k], phi_conjugated_connection(collar, r, y)), (name, r)
+            assert np.array_equal(E[k], one_E) and np.array_equal(dE[k], one_dE), (name, r)
+
+
+@pytest.mark.parametrize("call", [
+    lambda c, y: phi_conjugated_connection(c, np.array([0.1, 0.0, 0.05]), y),
+    lambda c, y: phi_conjugated_connection(c, np.full((2, 2), 0.1), y),
+    lambda c, y: phi_frame(c, np.full((2, 2), 0.1), y),
+], ids=["zero-in-schedule", "2d-connection", "2d-frame"])
+def test_phi_radii_must_be_nonzero_numbers_or_a_1d_schedule(call):
+    collar = catalog.get("geometric_cone", link="s1", theta=1.0).collar
+    with pytest.raises(DomainError):
+        call(collar, np.array([[1.0], [2.5]]))

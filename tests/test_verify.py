@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from gblab import catalog, verify
+from gblab import quadrature as quad
+from gblab.geometry import phi_conjugated_connection
 
 
 def test_check_registry_complete():
@@ -110,6 +112,19 @@ def test_failures_are_captured_not_raised():
     assert any("check failed" in n for n in r.notes)
 
 
+def test_an_infinite_tolerance_does_not_pass_a_check_that_failed():
+    import dataclasses
+
+    from gblab.geometry import MetricField
+
+    spec = catalog.get("sphere", n=2)
+    bad = MetricField(spec.fields[0].chart, lambda x: np.diag([1.0, -1.0]))
+    r = verify.run_check("ClosedGB", dataclasses.replace(spec, fields=(bad,)), level=1,
+                         tol=float("inf"))
+    assert r.residual_abs == float("inf") and not r.passed
+    assert any("check failed" in n for n in r.notes)
+
+
 def test_run_suite_filter_and_order():
     suite = verify.run_suite(filter_text="cone", level=2)
     assert suite.results
@@ -209,6 +224,9 @@ def test_workers_do_not_change_results():
       for base, fiber in (("t3", "s1"), ("s1", "s1"), ("s2", "s2"))],
     *[("FiberedGB", "fibered_product", {"base": b, "fiber": b},
        "FiberedGB needs an odd-dimensional slice N = F x B") for b in ("s1", "s2")],
+    ("PhiLimit", "catenoid", {}, "PhiLimit needs a collapsing collar"),
+    *[("PhiLimit", "fibered_product", {"base": base, "fiber": fiber},
+       "PhiLimit needs a collapsing collar") for base, fiber in (("s1", "s2"), ("s2", "s1"))],
 ])
 def test_each_check_rejects_a_geometry_it_cannot_run(check_id, geometry, params, message):
     with pytest.raises(verify.ConfigurationError, match=f"^{message}"):
@@ -244,6 +262,24 @@ def test_pf_integral_reads_each_fields_own_stencil(stencil):
     value, moved_value = verify.pf_integral(spec, 2), verify.pf_integral(moved, 2)
     assert moved_value != value
     assert moved_value == pytest.approx(value, rel=1e-3)
+
+
+@pytest.mark.parametrize("name,params,schedule", [
+    ("geometric_cone", {"link": "s1", "theta": 1.0}, "collapse"),
+    ("cone_perturbed_second_order", {}, "collapse"),
+    ("edge_product", {"base": "s2", "fiber": "s1"}, "collapse"),
+    ("cone_perturbed_first_order", {"a": 0.3}, "first_order"),
+])
+def test_phi_limit_equals_the_per_radius_extrapolation(name, params, schedule):
+    collar = catalog.get(name, **params).collar
+    rs = (verify._collapse_schedule(collar) if schedule == "collapse"
+          else quad.geometric_schedule(0.32, 6))
+    ys = collar.boundary_chart.random_interior(np.random.default_rng(20240801), 3, shrink=0.2)
+    for y in (ys, ys[0]):
+        # the reference samples the connection one radius at a time
+        want = quad.r_limit_extrapolate([(r, phi_conjugated_connection(collar, r, y))
+                                         for r in rs])
+        assert np.array_equal(verify._phi_limit(collar, rs, y), want), name
 
 
 def test_phi_limit_still_runs_where_the_slice_is_even_dimensional():

@@ -123,7 +123,7 @@ def _sphere2_chart(tag: str) -> Chart:
         f"{tag}-cylinder",
         ((-MERCATOR_CUTOFF, MERCATOR_CUTOFF), (0.0, 2.0 * math.pi)),
         (False, True),
-        quad_hints=(AxisRule("gauss", 24), AxisRule("trapezoid", 4, fixed=True)),
+        quad_hints=(AxisRule("gauss", 24), AxisRule("orbit")),
     )
 
 
@@ -140,8 +140,7 @@ def _sphere3_chart(tag: str) -> Chart:
         f"{tag}-torus-angles",
         ((0.0, 0.5 * math.pi), (0.0, 2.0 * math.pi), (0.0, 2.0 * math.pi)),
         (False, True, True),
-        quad_hints=(AxisRule("gauss", 16), AxisRule("trapezoid", 4, fixed=True),
-                    AxisRule("trapezoid", 4, fixed=True)),
+        quad_hints=(AxisRule("gauss", 16), AxisRule("orbit"), AxisRule("orbit")),
     )
 
 
@@ -158,8 +157,7 @@ def _sphere4_chart(tag: str) -> Chart:
         f"{tag}-polar-angles",
         ((0.0, math.pi), (0.0, math.pi), (0.0, math.pi), (0.0, 2.0 * math.pi)),
         (False, False, False, True),
-        quad_hints=(AxisRule("gauss", 8), AxisRule("gauss", 8), AxisRule("gauss", 8),
-                    AxisRule("trapezoid", 4, fixed=True)),
+        quad_hints=(AxisRule("gauss", 8),) * 3 + (AxisRule("orbit"),),
     )
 
 
@@ -172,10 +170,11 @@ def _sphere4_metric(rho: float) -> Callable:
 
 
 def _circle_chart(tag: str) -> Chart:
-    # every catalog integrand is rotation invariant along these circles,
-    # so the trapezoid rule is exact and the node count stays fixed
+    # periodic axes take the orbit rule, one node per axis: it is exact because
+    # every density integrated on a catalog chart is invariant under rotation
+    # along its angles, and integrate_chart raises on one that is not
     return Chart(f"{tag}-angle", ((0.0, 2.0 * math.pi),), (True,),
-                 quad_hints=(AxisRule("trapezoid", 8, fixed=True),))
+                 quad_hints=(AxisRule("orbit"),))
 
 
 def _circle_metric(rho: float) -> Callable:
@@ -187,7 +186,7 @@ def _torus_chart(n: int, periods) -> Chart:
         f"torus{n}",
         tuple((0.0, p) for p in periods),
         (True,) * n,
-        quad_hints=tuple(AxisRule("trapezoid", 4, fixed=True) for _ in range(n)),
+        quad_hints=(AxisRule("orbit"),) * n,
     )
 
 
@@ -239,13 +238,12 @@ def _build_flat_torus(params):
 def _polar_disk_chart(k: int, rho: float) -> Chart:
     if k == 1:
         return Chart("disk2-polar", ((0.0, rho), (0.0, 2.0 * math.pi)), (False, True),
-                     quad_hints=(AxisRule("gauss", 8), AxisRule("trapezoid", 4, fixed=True)))
+                     quad_hints=(AxisRule("gauss", 8), AxisRule("orbit")))
     return Chart(
         "disk4-polar",
         ((0.0, rho), (0.0, 0.5 * math.pi), (0.0, 2.0 * math.pi), (0.0, 2.0 * math.pi)),
         (False, False, True, True),
-        quad_hints=(AxisRule("gauss", 8), AxisRule("gauss", 8),
-                    AxisRule("trapezoid", 4, fixed=True), AxisRule("trapezoid", 4, fixed=True)),
+        quad_hints=(AxisRule("gauss", 8),) * 2 + (AxisRule("orbit"),) * 2,
     )
 
 
@@ -315,8 +313,7 @@ def _build_cone(params):
     chart = Chart(
         f"cone-{link}", ((0.0, 1.0),) + link_chart.bounds,
         (False,) + link_chart.periodic,
-        quad_hints=(AxisRule("gauss", 8),) + tuple(
-            link_chart.quad_hints or (AxisRule("trapezoid", 8),) * link_chart.dim),
+        quad_hints=(AxisRule("gauss", 8),) + link_chart.quad_hints,
     )
     mf = MetricField(chart, collar.full_metric().evaluator)
     return GeometrySpec(
@@ -359,7 +356,7 @@ def _build_catenoid(params):
     cutoff = float(params.get("cutoff", CATENOID_CUTOFF))
     chart = Chart(
         "catenoid-conformal", ((-cutoff, cutoff), (0.0, 2.0 * math.pi)), (False, True),
-        quad_hints=(AxisRule("gauss", 16), AxisRule("trapezoid", 4, fixed=True)),
+        quad_hints=(AxisRule("gauss", 16), AxisRule("orbit")),
     )
 
     def ev(x):
@@ -394,7 +391,7 @@ def _product_collar(base: str, fiber: str, fiber_scale: Callable, base_scale: Ca
     fch, fmet, fdim, chi_fiber = _factor(fiber, f"fiber-{fiber}")
     n_chart = Chart(
         f"N-{fiber}x{base}", fch.bounds + bch.bounds, fch.periodic + bch.periodic,
-        quad_hints=(fch.quad_hints or ()) + (bch.quad_hints or ()),
+        quad_hints=fch.quad_hints + bch.quad_hints,
     )
     n = fdim + bdim
 
@@ -427,13 +424,14 @@ def _build_edge_product(params):
     full_chart = Chart(
         f"edge-{fiber}x{base}", ((0.0, 1.0),) + n_chart.bounds,
         (False,) + n_chart.periodic,
-        quad_hints=(AxisRule("gauss", 8),) + (n_chart.quad_hints or ()),
+        quad_hints=(AxisRule("gauss", 8),) + n_chart.quad_hints,
     )
     mf = MetricField(full_chart, collar.full_metric().evaluator)
     return GeometrySpec(
         name="edge_product", params={"base": base, "fiber": fiber},
         fields=(mf,), collar=collar,
-        chi_ref=_FACTORS[base][3],  # chi(B) x chi(cone over F)
+        # chi(B) x chi(cone over F), and the cone closes to a ball only over a sphere
+        chi_ref=_FACTORS[base][3] if fiber.startswith("s") else None,
         chi_pieces={"base": _FACTORS[base][3], "fiber": _FACTORS[fiber][3]}, family="edge",
     )
 

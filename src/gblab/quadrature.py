@@ -1,16 +1,18 @@
 """Deterministic quadrature over coordinate boxes, refinement, extrapolation.
 
-Periodic axes use the composite trapezoid rule; non-periodic axes use
-composite Gauss-Legendre panels with interior nodes, so chart-edge
-coordinate degeneracies are never sampled.  A density is called on
-consecutive blocks of BLOCK nodes in the flattened node ordering (points of
-shape (B, d), values of shape (B,), or (K, B) for K densities integrated in
-one pass); the weighted values of each density are summed by a fixed
-pairwise binary tree over that ordering, so a result depends only on its
-inputs.  The block size is fixed, not an option: it bounds the memory of the
-per-block curvature arrays.  A slice limit stacks its radius schedule onto
-the block, so there a block's arrays hold BLOCK times the number of radii
-(six) samples.
+Non-periodic axes use composite Gauss-Legendre panels with interior nodes,
+so chart-edge coordinate degeneracies are never sampled.  Periodic axes use
+the composite trapezoid rule, or the orbit rule (one node weighted by the
+period) where every density on the chart is invariant along the axis; each
+pass checks that invariance and raises ResolutionError where it fails.  A
+density is called on consecutive blocks of BLOCK nodes in the flattened
+node ordering (points of shape (B, d), values of shape (B,), or (K, B) for
+K densities integrated in one pass); the weighted values of each density
+are summed by a fixed pairwise binary tree over that ordering, so a result
+depends only on its inputs.  The block size is fixed, not an option: it
+bounds the memory of the per-block curvature arrays.  A slice limit stacks
+its radius schedule onto the block, so there a block's arrays hold BLOCK
+times the number of radii (six) samples.
 """
 
 from __future__ import annotations
@@ -35,6 +37,10 @@ __all__ = [
 GL_PANEL = 8
 BLOCK = 64
 LEVELS = range(1, 8)   # the refinement levels a mesh is built at
+# an orbit check moves nodes by an irrational fraction of the period and
+# allows each density a change of ORBIT_RTOL of its largest sampled value
+ORBIT_SHIFT = (math.sqrt(5.0) - 1.0) / 2.0
+ORBIT_RTOL = 1e-10
 
 
 class ResolutionError(ValueError):
@@ -66,6 +72,8 @@ def _gauss_nodes(npts: int):
 
 def _axis_nodes(lo: float, hi: float, rule: str, nodes: int):
     """Nodes and weights for a single axis (MeshSpec guarantees the count suits the rule)."""
+    if rule == "orbit":
+        return np.array([lo]), np.array([hi - lo])
     if rule == "trapezoid":
         h = (hi - lo) / nodes
         x = lo + h * np.arange(nodes)
@@ -87,19 +95,17 @@ def _axis_nodes(lo: float, hi: float, rule: str, nodes: int):
 
 @dataclass(frozen=True)
 class AxisRule:
-    """Per-axis quadrature recipe.
+    """Per-axis quadrature recipe: "gauss", "trapezoid" or "orbit".
 
-    base_nodes is the level-1 node count; unless fixed, counts double with
-    each refinement level.
+    base_nodes is the level-1 node count of a gauss or trapezoid axis and
+    doubles with each level; an orbit axis takes one node at every level.
     """
 
     rule: str
     base_nodes: int = GL_PANEL
-    fixed: bool = False
 
     def nodes_at(self, level: int) -> int:
-        n = self.base_nodes if self.fixed else self.base_nodes * 2 ** (level - 1)
-        return max(4, n)
+        return 1 if self.rule == "orbit" else max(4, self.base_nodes * 2 ** (level - 1))
 
 
 @dataclass(frozen=True)
@@ -110,8 +116,8 @@ class MeshSpec:
     rules: tuple
 
     def __post_init__(self):
-        if any(n < 4 for n in self.nodes):
-            raise ResolutionError("MeshSpec requires >= 4 nodes per axis")
+        if any(n != 1 if rule == "orbit" else n < 4 for n, rule in zip(self.nodes, self.rules)):
+            raise ResolutionError("MeshSpec requires 1 node per orbit axis and >= 4 per other")
         if any(rule == "gauss" and n > GL_PANEL and n % GL_PANEL
                for n, rule in zip(self.nodes, self.rules)):
             raise ResolutionError(f"a Gauss axis of more than {GL_PANEL} nodes needs "
@@ -123,12 +129,9 @@ class MeshSpec:
 
 
 def default_axis_rules(chart) -> tuple:
-    hints = getattr(chart, "quad_hints", None)
-    if hints is not None:
-        return tuple(hints)
-    return tuple(
-        AxisRule("trapezoid" if per else "gauss") for per in chart.periodic
-    )
+    if chart.quad_hints is not None:
+        return tuple(chart.quad_hints)
+    return tuple(AxisRule("trapezoid" if per else "gauss") for per in chart.periodic)
 
 
 def mesh_for_chart(chart, level: int) -> MeshSpec:
@@ -169,7 +172,9 @@ def integrate_chart(fn, chart, mesh: MeshSpec):
     a float; or to a stack (K, B) of K densities, and the K integrals come
     back as an array (K,), each row summed by the same pairwise tree, so it
     rounds exactly as its own (B,) density would.  When a block fails it is
-    re-run node by node, so the error names the offending node.
+    re-run node by node, so the error names the offending node.  Each orbit
+    axis costs one more block: an evenly spaced sample of the nodes, moved
+    along the axis, must give the same values.
     """
     pts, w = _mesh_points(chart, mesh)
     vals = None
@@ -184,6 +189,15 @@ def integrate_chart(fn, chart, mesh: MeshSpec):
             for pt in block:
                 _call_node(fn, pt)
             raise
+    idx = np.linspace(0, pts.shape[0] - 1, min(pts.shape[0], BLOCK)).astype(int)
+    sample, ref = pts[idx], vals[..., idx]
+    for axis in (a for a, rule in enumerate(mesh.rules) if rule == "orbit"):
+        lo, hi = chart.bounds[axis]
+        moved = sample + ORBIT_SHIFT * (hi - lo) * (np.arange(pts.shape[1]) == axis)
+        gap = np.max(np.abs(fn(moved) - ref), axis=-1)
+        if np.any(gap > ORBIT_RTOL * np.max(np.abs(ref), axis=-1)):
+            raise ResolutionError(f"the density on chart {chart.name!r} varies along "
+                                  f"orbit axis {axis} (gap {np.max(gap):.3e})")
     if vals.ndim == 1:
         return pairwise_sum(vals * w)
     return np.array([pairwise_sum(row) for row in vals * w])

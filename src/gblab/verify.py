@@ -465,6 +465,8 @@ def check_edge_gb(spec, level, tol):
         raise ConfigurationError("EdgeGB needs a charted edge geometry")
     if spec.collar.boundary_chart.dim % 2 == 0:
         raise ConfigurationError("EdgeGB needs an odd-dimensional slice N = F x B")
+    if spec.chi_ref is None:
+        raise ConfigurationError("EdgeGB needs a fiber whose cone closes smoothly (a sphere)")
     k = spec.fields[0].chart.dim // 2
     # the interior form of the product model vanishes pointwise; a reduced
     # level only changes how finely the numerical zero is sampled

@@ -133,12 +133,12 @@ def test_converge_writes_csv(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "level,nodes,value,diff,order"
     assert len(lines) == 4  # header + one row per level
-    # the cylinder chart of the 2-sphere has 24 x 4 nodes at level 1, and
-    # each level doubles the count
-    assert [int(row.split(",")[1]) for row in lines[1:]] == [96, 192, 384]
+    # the cylinder chart of the 2-sphere has 24 x 1 nodes at level 1 (its
+    # angle is an orbit axis), and each level doubles the Gauss count
+    assert [int(row.split(",")[1]) for row in lines[1:]] == [24, 48, 96]
     # the value column is the check's chi at that level; level 1 has no diff or order
     chi = verify.run_check("ClosedGB", "sphere", {"n": 2}, level=1).computed["chi"]
-    assert lines[1] == f"1,96,{chi!r},,"
+    assert lines[1] == f"1,24,{chi!r},,"
 
 
 def test_converge_diffs_shrink(tmp_path):

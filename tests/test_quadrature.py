@@ -66,8 +66,46 @@ def test_gauss_counts_above_one_panel_need_whole_panels(count):
 def test_node_counts_double_per_level():
     rule = AxisRule("gauss", 8)
     assert [rule.nodes_at(l) for l in (1, 2, 3)] == [8, 16, 32]
-    fixed = AxisRule("trapezoid", 4, fixed=True)
-    assert [fixed.nodes_at(l) for l in (1, 3)] == [4, 4]
+    assert [AxisRule("orbit").nodes_at(l) for l in (1, 3, 7)] == [1, 1, 1]
+    assert MeshSpec(nodes=(1, 8), rules=("orbit", "gauss")).total_nodes == 8
+    for rule in ("gauss", "trapezoid"):
+        with pytest.raises(ResolutionError, match="1 node per orbit axis and >= 4 per other"):
+            MeshSpec(nodes=(1, 3), rules=("orbit", rule))
+    with pytest.raises(ResolutionError, match="1 node per orbit axis"):
+        MeshSpec(nodes=(4,), rules=("orbit",))
+
+
+ORBIT_STRIP = Chart("orbit-strip", ((0.0, 1.0), (0.0, 2 * math.pi)), (False, True),
+                    quad_hints=(AxisRule("gauss", 8), AxisRule("orbit")))
+
+
+def test_an_orbit_axis_is_one_node_weighted_by_the_period():
+    calls = []
+
+    def dens(x):
+        calls.append(x.copy())
+        return 3.0 * x[:, 0] ** 2
+
+    mesh = mesh_for_chart(ORBIT_STRIP, 2)
+    assert mesh.nodes == (16, 1)
+    assert integrate_chart(dens, ORBIT_STRIP, mesh) == pytest.approx(2 * math.pi, rel=1e-14)
+    # the pass, then the check: the same nodes moved along the orbit
+    assert len(calls) == 2 and np.all(calls[0][:, 1] == 0.0)
+    assert np.array_equal(calls[1][:, 0], calls[0][:, 0]) and np.all(calls[1][:, 1] > 0.0)
+
+
+def test_a_density_that_varies_along_an_orbit_axis_raises():
+    mesh = mesh_for_chart(ORBIT_STRIP, 1)
+    with pytest.raises(ResolutionError, match="chart 'orbit-strip' varies along orbit axis 1"):
+        integrate_chart(lambda x: 1.0 + 1e-6 * np.cos(x[:, 1]), ORBIT_STRIP, mesh)
+    # each density of a stack is held to its own scale, not to the stack's largest
+    with pytest.raises(ResolutionError, match="orbit axis 1"):
+        integrate_chart(lambda x: np.stack([np.ones(len(x)), 1e-9 * (2.0 + np.sin(x[:, 1]))]),
+                        ORBIT_STRIP, mesh)
+    # the full tensor mesh integrates it without a claim to check
+    full = MeshSpec(nodes=(8, 8), rules=("gauss", "trapezoid"))
+    got = integrate_chart(lambda x: np.cos(x[:, 1]), ORBIT_STRIP, full)
+    assert got == pytest.approx(0.0, abs=1e-14)
 
 
 def test_evaluator_failure_carries_node_coordinates():

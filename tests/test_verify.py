@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -227,6 +228,8 @@ def test_workers_do_not_change_results():
     ("PhiLimit", "catenoid", {}, "PhiLimit needs a collapsing collar"),
     *[("PhiLimit", "fibered_product", {"base": base, "fiber": fiber},
        "PhiLimit needs a collapsing collar") for base, fiber in (("s1", "s2"), ("s2", "s1"))],
+    ("EdgeGB", "edge_product", {"base": "s2", "fiber": "t3"},
+     "EdgeGB needs a fiber whose cone closes smoothly"),
 ])
 def test_each_check_rejects_a_geometry_it_cannot_run(check_id, geometry, params, message):
     with pytest.raises(verify.ConfigurationError, match=f"^{message}"):
@@ -340,6 +343,51 @@ def test_one_pass_horizontal_value_equals_the_per_i_integrals(monkeypatch):
 
     monkeypatch.setattr(verify, "curvature_integral", per_row)
     assert verify.horizontal_closed_value(collar, 1) == got
+
+
+# the node counts the catalog fixed on the orbit axes of each chart the
+# default suite integrates, before the orbit rule: 8 along a circle, else 4
+_TRAPEZOID_COUNTS = {
+    "s1-angle": (8,), "fiber-s1-angle": (8,), "cone-s1": (8,),
+    "N-s1xs2": (8, 4), "edge-s1xs2": (8, 4), "N-s2xs1": (4, 8),
+    "sphere2-cylinder": (4,), "base-s2-cylinder": (4,), "catenoid-conformal": (4,),
+    "disk2-polar": (4,), "disk4-polar": (4, 4), "s3-torus-angles": (4, 4),
+    "sphere4-polar-angles": (4,), "torus2": (4,) * 2, "torus3": (4,) * 3, "torus4": (4,) * 4,
+}
+
+
+def test_orbit_meshes_equal_the_full_trapezoid_meshes_of_the_default_suite(monkeypatch):
+    # every field, link, fibration factor and slice integral of the suite at
+    # level 1, against the tensor mesh with those counts on its orbit axes
+    integrate, calls = quad.integrate_chart, []
+
+    def record(fn, chart, mesh):
+        value = integrate(fn, chart, mesh)
+        if "orbit" in mesh.rules:
+            calls.append((fn, chart, mesh, value))
+        return value
+
+    monkeypatch.setattr(quad, "integrate_chart", record)
+    suite = verify.run_suite(level=1)
+    assert not any("check failed" in note for r in suite.results for note in r.notes)
+    assert {chart.name for _, chart, _, _ in calls} == set(_TRAPEZOID_COUNTS)
+    for fn, chart, mesh, value in calls:
+        counts = iter(_TRAPEZOID_COUNTS[chart.name])
+        full = quad.MeshSpec(
+            nodes=tuple(next(counts) if r == "orbit" else n
+                        for n, r in zip(mesh.nodes, mesh.rules)),
+            rules=tuple("trapezoid" if r == "orbit" else r for r in mesh.rules))
+        np.testing.assert_allclose(value, integrate(fn, chart, full), rtol=1e-13, atol=1e-13,
+                                   err_msg=chart.name)
+
+
+def test_an_orbit_claim_on_a_metric_that_varies_along_it_raises():
+    # TransgressionStokes's g1 on the flat 2-torus, whose chart has orbit axes
+    (g0,) = catalog.get("flat_torus", n=2).fields
+    u = lambda x: 0.25 * np.sin(x[..., 0]) * np.cos(x[..., 1])
+    g1 = replace(g0, evaluator=lambda x: np.exp(2.0 * u(x))[..., None, None] * np.eye(2))
+    with pytest.raises(quad.ResolutionError, match="chart 'torus2' varies along orbit axis 0"):
+        verify.curvature_integral(g1, 1, verify._pf_top)
 
 
 def test_calibrate_names_an_anchor_that_fails():

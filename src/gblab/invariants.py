@@ -167,17 +167,18 @@ def path_transgression_form(gauge) -> DoubleForm:
     The gauge's Simpson rule in s (weights s_weights) integrates
     B(theta_dot^s R_s^(k-1))/(k-1)!, returning a (2k-1, 0) form in the
     path's base orthonormal frame, with the batch axes of the gauge (one
-    form per point of its block).
+    form per point of its block).  One wedge serves every node on the
+    gauge's leading s axis, and the weighted nodes are summed in order.
     """
-    d = gauge.theta_dot[0].shape[-1]
+    d = gauge.theta_dot.shape[-1]
     if d % 2:
         raise ShapeError("path transgression needs even dimension")
     k = d // 2
-    acc = None
-    for w, td, R in zip(gauge.s_weights, gauge.theta_dot, gauge.curvature, strict=True):
-        term = w * berezin(wedge(_skew_matrix_to_double_form(td), power(R, k - 1)))
-        acc = term if acc is None else acc + term
-    return (1.0 / math.factorial(k - 1)) * acc
+    terms = berezin(wedge(_skew_matrix_to_double_form(gauge.theta_dot),
+                          power(gauge.curvature, k - 1))).coeffs
+    w = gauge.s_weights.reshape((-1,) + (1,) * (terms.ndim - 1))
+    total = np.add.reduce(w * terms, axis=0)   # row by row, in node order
+    return (1.0 / math.factorial(k - 1)) * DoubleForm(d, d - 1, 0, total)
 
 
 def _skew_matrix_to_double_form(theta: np.ndarray) -> DoubleForm:

@@ -18,7 +18,7 @@ times the number of radii (six) samples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -26,7 +26,6 @@ import numpy as np
 __all__ = [
     "AxisRule",
     "MeshSpec",
-    "ConvergenceTable",
     "mesh_for_chart",
     "integrate_chart",
     "r_limit_extrapolate",
@@ -201,32 +200,6 @@ def integrate_chart(fn, chart, mesh: MeshSpec):
     if vals.ndim == 1:
         return pairwise_sum(vals * w)
     return np.array([pairwise_sum(row) for row in vals * w])
-
-
-@dataclass
-class ConvergenceTable:
-    """Rows of (level, nodes, value, successive diff, estimated order)."""
-
-    rows: list = field(default_factory=list)
-
-    def add(self, level: int, nodes: int, value: float):
-        if self.rows and level <= self.rows[-1][0]:
-            raise ResolutionError("levels must be strictly increasing")
-        diff = order = None
-        if self.rows:
-            diff = abs(value - self.rows[-1][2])
-            prev_diff = self.rows[-1][3]
-            if prev_diff not in (None, 0.0) and diff > 0.0:
-                order = math.log2(prev_diff / diff)
-        self.rows.append((level, nodes, value, diff, order))
-
-    def to_csv(self) -> str:
-        lines = ["level,nodes,value,diff,order"]
-        for level, nodes, value, diff, order in self.rows:
-            d = "" if diff is None else repr(diff)
-            o = "" if order is None else repr(order)
-            lines.append(f"{level},{nodes},{value!r},{d},{o}")
-        return "\n".join(lines) + "\n"
 
 
 def geometric_schedule(r0: float, count: int = 6, ratio: float = 0.5):

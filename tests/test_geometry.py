@@ -1,6 +1,7 @@
 """Geometry engine against closed-form oracles."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gblab import catalog, geometry
-from gblab.doubleform import DoubleForm, multi_indices, wedge
+from gblab.doubleform import DoubleForm, berezin, multi_indices, power, wedge
 from gblab.geometry import (
     Chart,
     CollarMetric,
@@ -17,6 +18,7 @@ from gblab.geometry import (
     MetricField,
     Slice,
     _central_diff,
+    _collar_points,
     _curvature_coord,
     _diff_weights,
     _frame_of,
@@ -33,6 +35,7 @@ from gblab.geometry import (
     phi_frame,
     riemann_double_form,
 )
+from gblab.invariants import _skew_matrix_to_double_form, path_transgression_form
 
 POLAR = Chart("polar", ((0.1, 2.0), (0.0, 2 * math.pi)), (False, True))
 TORUS2 = Chart("t2", ((0.0, 2 * math.pi), (0.0, 2 * math.pi)), (True, True))
@@ -740,9 +743,9 @@ def test_gauge_constant_path_is_trivial():
     gauge = metric_path_gauge(m4, m4, x)
     want = riemann_double_form(m4, x)[0]
     assert want.norm_inf() > 1e-2
-    for td, R in zip(gauge.theta_dot, gauge.curvature):
-        assert np.max(np.abs(td)) < 1e-12
-        assert (R - want).norm_inf() < 1e-12 * want.norm_inf()
+    assert gauge.curvature.coeffs.shape == (geometry.PATH_STEPS + 1,) + want.coeffs.shape
+    assert np.max(np.abs(gauge.theta_dot)) < 1e-12
+    assert _amax(gauge.curvature.coeffs - want.coeffs) < 1e-12 * want.norm_inf()
 
 
 def test_gauge_frame_gives_sqrt_det_g0():
@@ -826,8 +829,9 @@ def test_gauge_samples_each_stencil_point_once(d):
     block = np.array([[0.9, 1.7, 0.2, 3.0], [2.0, 0.3, 1.1, 4.4], [4.1, 5.5, 2.6, 0.8]])[:, :d]
     gauge = metric_path_gauge(MetricField(torus, ev0), MetricField(torus, ev1), block)
     assert (ev0.calls, ev1.calls) == (1, 1)
-    assert gauge.theta_dot[0].shape == (3, d, d, d)
-    assert gauge.curvature[0].coeffs.shape[:-2] == ((3,) if d == 4 else ())
+    S = geometry.PATH_STEPS + 1
+    assert gauge.theta_dot.shape == (S, 3, d, d, d)
+    assert gauge.curvature.coeffs.shape[:-2] == ((S, 3) if d == 4 else ())
 
 
 def _spd_pair(seed, d, log_cond):
@@ -909,8 +913,6 @@ def _scaled(ev, a):
 @given(st.lists(st.tuples(*[st.floats(-0.9, 0.9)] * 4), min_size=1, max_size=4),
        st.floats(0.0, 2.0), st.floats(0.0, 1.0), st.sampled_from([2, 4]))
 def test_gauge_on_a_block_equals_per_point_calls(pts, c, a, d):
-    from gblab.invariants import path_transgression_form
-
     chart = BOX2 if d == 2 else BOX4
     ev = _rational_metric(c)
     g0 = MetricField(chart, ev)
@@ -923,11 +925,13 @@ def test_gauge_on_a_block_equals_per_point_calls(pts, c, a, d):
         one = metric_path_gauge(g0, g1, x)
         want = path_transgression_form(one).coeffs
         assert _amax(form.coeffs[i] - want) <= 1e-12 * max(1.0, _amax(want))
-        for gk, rk in zip(block.theta_dot, one.theta_dot):
-            assert _amax(gk[i] - rk) <= 1e-12 * max(1.0, _amax(rk))
+        pairs = [(block.theta_dot[:, i], one.theta_dot)]
         if d == 4:
-            for gk, rk in zip(block.curvature, one.curvature):
-                assert _amax(gk.coeffs[i] - rk.coeffs) <= 1e-12 * max(1.0, _amax(rk.coeffs))
+            pairs.append((block.curvature.coeffs[:, i], one.curvature.coeffs))
+        for gk, rk in pairs:
+            assert gk.shape == rk.shape
+            for n in range(geometry.PATH_STEPS + 1):
+                assert _amax(gk[n] - rk[n]) <= 1e-12 * max(1.0, _amax(rk[n]))
 
 
 def test_gauge_carries_its_composite_simpson_rule():
@@ -958,11 +962,74 @@ def test_gauge_matches_the_inverting_route(monkeypatch):
 
     monkeypatch.setattr(geometry, "_path_at", inverting)
     want = metric_path_gauge(g0, g1, X)
-    for gk, rk in zip(got.theta_dot, want.theta_dot):
-        assert _amax(gk - rk) <= 1e-12 * max(1.0, _amax(rk))
-    for gk, rk in zip(got.curvature, want.curvature):
-        assert _amax(gk.coeffs - rk.coeffs) <= 1e-12 * max(1.0, _amax(rk.coeffs))
-    assert _amax(got.curvature[-1].coeffs) > 1e-2
+    for gk, rk in ((got.theta_dot, want.theta_dot), (got.curvature.coeffs, want.curvature.coeffs)):
+        for n in range(geometry.PATH_STEPS + 1):
+            assert _amax(gk[n] - rk[n]) <= 1e-12 * max(1.0, _amax(rk[n]))
+    assert _amax(got.curvature.coeffs[-1]) > 1e-2
+
+
+def _stokes_block():
+    """TransgressionStokes's path on one 64-point block of the 2-torus, with its 4 shifts."""
+    (g0,) = catalog.get("flat_torus").fields
+    g1 = replace(g0, evaluator=lambda x: np.exp(0.5 * np.sin(x[..., 0]) * np.cos(x[..., 1]))
+                 [..., None, None] * np.eye(2))
+    xs = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
+    p = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1).reshape(-1, 2)
+    return g0, g1, p + 1e-3 * _jet_plan(2, 2, False)[1][1:, None, :]
+
+
+def _disk4_block(count):
+    """BoundaryGB's two-route path on `count` collar points of disk dim=4."""
+    spec = catalog.get("disk", dim=4)
+    collar = spec.collar
+    r_b = spec.params["rho"] * 0.98
+    frozen = collar.radial_metric(r_b)
+    g0 = replace(collar, radial_metric=lambda r: frozen).full_metric()
+    y = collar.boundary_chart.random_interior(np.random.default_rng(0), count)
+    return g0, collar.full_metric(), _collar_points(r_b, y)[2]
+
+
+def _transgression_per_node(gauge):
+    """The per-node accumulation the stacked sum replaced: one wedge per s node, summed in order."""
+    d = gauge.theta_dot.shape[-1]
+    k = d // 2
+    acc = None
+    for n, w in enumerate(gauge.s_weights):
+        R = gauge.curvature if d == 2 else DoubleForm(d, 2, 2, gauge.curvature.coeffs[n])
+        term = w * berezin(wedge(_skew_matrix_to_double_form(gauge.theta_dot[n]), power(R, k - 1)))
+        acc = term if acc is None else acc + term
+    return (1.0 / math.factorial(k - 1)) * acc
+
+
+@pytest.mark.parametrize("block", [_stokes_block, lambda: _disk4_block(16)],
+                         ids=["stokes_d2", "disk_d4"])
+def test_path_transgression_equals_the_per_node_sum(block):
+    gauge = metric_path_gauge(*block())
+    got, want = path_transgression_form(gauge), _transgression_per_node(gauge)
+    assert (got.n, got.p, got.q) == (want.n, want.p, want.q)
+    assert np.array_equal(got.coeffs, want.coeffs)
+    assert _amax(got.coeffs) > 1e-3
+
+
+def _traced_peak_mib(fn):
+    """tracemalloc peak of the second of two calls (the first fills the caches), in MiB."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("block, bound_mib", [(_stokes_block, 2.0),
+                                              (lambda: _disk4_block(64), 5.0)],
+                         ids=["stokes_d2", "disk_d4_64"])
+def test_gauge_peak_memory_stays_bounded(block, bound_mib):
+    # one pass over s measures 0.90 and 3.0 MiB here; a prototype that
+    # stacked all 17 s nodes at once measured about 4.5 and 14 MiB
+    args = block()
+    assert _traced_peak_mib(lambda: metric_path_gauge(*args)) <= bound_mib
 
 
 # -- the central stencil ----------------------------------------------------------------

@@ -181,12 +181,13 @@ def test_lk_needs_a_symmetric_1_1_form():
 def test_path_transgression_needs_an_even_dimensional_gauge():
     # k = d/2 comes from the gauge's theta_dot; an odd d has no k
     s, w = np.linspace(0.0, 1.0, 3), np.array([1.0, 4.0, 1.0]) / 6.0
-    odd = GaugePath(s_nodes=s, s_weights=w, theta_dot=[np.zeros((3, 3, 3))] * 3,
-                    curvature=[DoubleForm.zero(3, 2, 2)] * 3, frame=np.eye(3))
+    odd = GaugePath(s_nodes=s, s_weights=w, theta_dot=np.zeros((3, 3, 3, 3)),
+                    curvature=DoubleForm(3, 2, 2, np.zeros((3, 3, 3))), frame=np.eye(3))
     with pytest.raises(ShapeError):
         inv.path_transgression_form(odd)
-    even = GaugePath(s_nodes=s, s_weights=w, theta_dot=[np.zeros((5, 4, 4, 4))] * 3,
-                     curvature=[DoubleForm.zero(4, 2, 2)] * 3,
+    # the s axis leads every node field and is summed away
+    even = GaugePath(s_nodes=s, s_weights=w, theta_dot=np.zeros((3, 5, 4, 4, 4)),
+                     curvature=DoubleForm(4, 2, 2, np.zeros((3, 5, 6, 6))),
                      frame=np.broadcast_to(np.eye(4), (5, 4, 4)))
     assert inv.path_transgression_form(even).coeffs.shape == (5, 4, 1)
 

@@ -10,7 +10,6 @@ from gblab.geometry import Chart
 from gblab.quadrature import (
     BLOCK,
     AxisRule,
-    ConvergenceTable,
     MeshSpec,
     ResolutionError,
     geometric_schedule,
@@ -145,17 +144,6 @@ def test_product_volume_s2_x_s1():
                  (False, True, True))
     vol = integrate_chart(lambda x: np.sin(x[:, 0]), prod, mesh_for_chart(prod, 3))
     assert vol == pytest.approx(8 * math.pi**2, rel=1e-8)
-
-
-def test_convergence_table_levels_strictly_increase():
-    table = ConvergenceTable()
-    table.add(1, 8, 1.0)
-    with pytest.raises(ResolutionError):
-        table.add(1, 16, 2.0)
-    table.add(2, 16, 1.5)
-    csv = table.to_csv()
-    assert csv.splitlines()[0] == "level,nodes,value,diff,order"
-    assert len(csv.splitlines()) == 3
 
 
 def test_extrapolate_linear_and_polynomial():

@@ -8,20 +8,22 @@ the same leading batch axes, so one call serves a single point or a whole
 block of points, and every per-sample check applies to each point of the
 block.  The gauge's parallel transport along g_s = (1-s) g0 + s g1 is in
 closed form from one Cholesky and one eigh per stencil point, with no ODE
-steps; one pass over the Simpson nodes in s gives each node's theta_dot
-and curvature on a leading s axis.  Stencil offsets, weights and reach
+steps.  In the centre's eigenbasis every s-dependent factor is diagonal,
+so one pass over the Simpson nodes in s does one small contraction and a
+few elementwise scalings per node, and gives each node's theta_dot and
+curvature on a leading s axis.  Stencil offsets, weights and reach
 have one owner, the cached plan _jet_plan; every derivative is one
 evaluation on a sample stacked over the plan's points, differenced along
 that axis by _central_diff or, all axes at once, _along_axes: the metric
 jet (one evaluator call; the diagonal of d2g by the three- or five-point
-formula), the slice metric in r (CollarMetric.radial_rate), the
-transported gauge, the h^phi frame (one Cholesky of one stacked sample)
-and the Stokes curl in verify.  The
+formula), the slice metric in r (CollarMetric.radial_rate), the h^phi
+frame (one Cholesky of one stacked sample) and the Stokes curl in verify;
+the gauge folds the plan's weights into its transport projectors.  The
 lowered curvature comes straight from the first-kind symbols G_ij,k:
 F_ijkl = d_i G_jl,k - d_j G_il,k - G_ik,m g^mn G_jl,n + G_jk,m g^mn G_il,n,
 with no derivative of g^{-1} and no lowering by g.  Its g^{-1} comes from a
-factorisation in hand: E E^T from the Cholesky frame E, or the gauge's
-eigenbasis of tau, which gives d/ds g_s^{-1} and tau(s)^{-1} as well.
+factorisation in hand: E E^T from the Cholesky frame E, or A diag(1/D) A^T
+from the gauge's eigenbasis A of the pair (g0, g1).
 The frame change is P^T F P2 in the pair basis P[(i,j), (a<b)] = E_ia E_jb;
 every contraction is a batched matmul.  Slices and the gauged path return
 only what the transgression integrands read.  A slice, the h^phi frame and
@@ -299,7 +301,7 @@ def _curvature_coord(ginv, dg, d2g) -> np.ndarray:
     the second-kind symbols, and no lowering by g.  X = d_i G_jl,k -
     G_ik,m Gamma^m_jl takes one matmul over the flattened pairs (i,k) and
     (j,l), and F = X - X^(i<->j) is exactly antisymmetric in (i, j).  ginv
-    comes from a factorisation the caller holds (E E^T, or _path_at).
+    comes from a factorisation the caller holds (E E^T, or A diag(1/D) A^T).
     """
     d = ginv.shape[-1]
     g1 = _christoffel_first(dg)                             # [..., i, k, m] = G_ik,m
@@ -521,12 +523,12 @@ class GaugePath:
 
 
 def _path_eigenbasis(g0: np.ndarray, g1: np.ndarray):
-    """A, A^{-1} and lam with g1 A = g0 A diag(lam), for stacks of SPD pairs; and L, L^{-1}.
+    """A, A^{-1}, lam, E and Q with g1 A = g0 A diag(lam), for stacks of SPD pairs.
 
-    With g0 = L L^T and L^{-1} g1 L^{-T} = Q diag(lam) Q^T, A = L^{-T} Q:
-    one Cholesky and one eigh per pair.  Every g_s on the affine path is
-    SPD exactly when g0 is and every lam > 0.  L^{-T} is the Cholesky frame
-    of g0 (_frame_of) and L^T its inverse.
+    With g0 = L L^T and L^{-1} g1 L^{-T} = Q diag(lam) Q^T, A = E Q for the
+    Cholesky frame E = L^{-T} of g0 (_frame_of): one Cholesky and one eigh
+    per pair, and Q = E^{-1} A is orthogonal.  Every g_s on the affine path
+    is SPD exactly when g0 is and every lam > 0.
     """
     try:
         L = np.linalg.cholesky(g0)
@@ -536,31 +538,33 @@ def _path_eigenbasis(g0: np.ndarray, g1: np.ndarray):
         raise MetricError("metric loses positive definiteness along the path") from exc
     if not np.all(lam > 0.0):
         raise MetricError("metric loses positive definiteness along the path")
-    return Linv.swapaxes(-1, -2) @ Q, Q.swapaxes(-1, -2) @ L.swapaxes(-1, -2), lam, L, Linv
+    E = np.swapaxes(Linv, -1, -2)
+    return E @ Q, np.swapaxes(Q, -1, -2) @ np.swapaxes(L, -1, -2), lam, E, Q
 
 
-def _path_at(A, Ainv, lam, s: float):
-    """The closed forms of the path g_s = (1-s) g0 + s g1 at one node s.
+def _path_scalings(lam, s: float):
+    """The path's diagonal factors at one node s: D, q = D^(-1/2) and p = -(lam-1)/(2D).
 
-    A^T g_s A = diag(D), D = 1 + s(lam-1).  The matrices g_s^{-1} gdot
-    commute for all s, so tau(0) = Id and dtau/ds = -1/2 g_s^{-1} gdot tau
-    give tau(s) = A diag(D^(-1/2)) A^{-1} = (g0^{-1} g_s)^(-1/2).  Returns
-    tau and dtau/ds on every row of the stack, and on its centre row 0 only
-    tau^{-1} = A diag(D^(1/2)) A^{-1}, g_s^{-1} = A diag(1/D) A^T and
-    d/ds g_s^{-1} = -A diag((lam-1)/D^2) A^T.
+    A^T g_s A = diag(D), D = 1 + s(lam-1), for g_s = (1-s) g0 + s g1 in the
+    eigenbasis A of _path_eigenbasis.  The matrices g_s^{-1} gdot commute
+    for all s, so tau(0) = Id and dtau/ds = -1/2 g_s^{-1} gdot tau give
+    tau(s) = A diag(q) A^{-1} = (g0^{-1} g_s)^(-1/2) and dtau/ds =
+    A diag(p q) A^{-1}; tau^{-1} = A diag(1/q) A^{-1}, g_s^{-1} = A diag(1/D)
+    A^T and d/ds g_s^{-1} = A diag(2p/D) A^T.
     """
     D = 1.0 + s * (lam - 1.0)
-    tau = (A * (D ** -0.5)[..., None, :]) @ Ainv
-    rate = (A * (-0.5 * (lam - 1.0) * D ** -1.5)[..., None, :]) @ Ainv
-    A0, D0 = A[0], D[0]
-    At = np.swapaxes(A0, -1, -2)
-    return (tau, rate, (A0 * np.sqrt(D0)[..., None, :]) @ Ainv[0], (A0 / D0[..., None, :]) @ At,
-            (A0 * ((1.0 - lam[0]) / D0 ** 2)[..., None, :]) @ At)
+    return D, D ** -0.5, -0.5 * (lam - 1.0) / D
 
 
-def _connection(ginv: np.ndarray, gamma1: np.ndarray) -> np.ndarray:
-    """Connection matrices omega[..., a, k, j] = Gamma^k_{aj}: the transposed _second_kind."""
-    return np.swapaxes(_second_kind(ginv, gamma1), -1, -2)
+def _path_projectors(A, Ainv):
+    """P[k, ..., m, i, j] = (A_0^{-1} A_k e_m)_i (e_m^T A_k^{-1} A_0)_j for the rows k of a stack.
+
+    Row k's transport A_k diag(f(D_k)) A_k^{-1}, seen in the basis A_0 of
+    row 0, is sum_m f(D_km) P[k, ..., m, :, :]: the s-free part of every
+    node's transport.
+    """
+    M = np.swapaxes(Ainv[:1] @ A, -1, -2)                    # [k, ..., m, i]
+    return M[..., :, :, None] * (Ainv @ A[:1])[..., :, None, :]
 
 
 def metric_path_gauge(g0: MetricField, g1: MetricField, x) -> GaugePath:
@@ -569,17 +573,25 @@ def metric_path_gauge(g0: MetricField, g1: MetricField, x) -> GaugePath:
     x is a point or a block of points of shape (..., d); every field of the
     result carries the same leading axes, and one evaluator call per
     endpoint serves the whole stencil of the block.  The parallel transport
-    of the generalized cylinder is exact (_path_at), taken on the jets'
-    rows: the center and each first-derivative stencil point.  From it come
-    the exact s-derivative of theta^s = nabla^s - nabla^0 and the gauged
+    of the generalized cylinder is exact, taken on the jets' rows: the
+    center and each first-derivative stencil point, each row k with its own
+    eigenbasis A_k (_path_eigenbasis).  From it come the exact s-derivative
+    of theta^s = tau^{-1}(d tau + omega_s tau) - omega_0 and the gauged
     curvature at the Simpson nodes s_k = k / PATH_STEPS, all in the g0
-    orthonormal frame; d/dx of tau is the shared central stencil over those
-    points.  Since the path is affine, every g_s derivative is a
-    combination of one stencil sweep per endpoint; theta_dot takes dtau/ds
-    and the center row's inverses in closed form, with no differencing in
-    s.  The g0 frame E0 = L^{-T} and E0^{-1} = L^T come from the center
-    row's Cholesky factor in _path_eigenbasis.
-    The curvature is computed exactly when d > 2: on a surface the
+    orthonormal frame E0, with no differencing in s.
+
+    theta_dot is taken in the center row's eigenbasis A0, where every
+    s-dependent factor is diagonal (_path_scalings, q = D^(-1/2) and p =
+    -(lam-1)/(2D)): tau^{-1} omega_s tau = q_i q_j H_s with H = A0^T G^T A0
+    for the first-kind symbols G of the affine jet, so its s-derivative is
+    q_i q_j ((p_i + p_j) H_s + Hdot).  A stencil row's transport there is
+    sum_m f(D_km) P_km (_path_projectors), with the stencil's difference
+    weights folded into P once per call: d/dx of tau and of dtau/ds at a
+    node is one contraction of D-dependent coefficients with P, and the
+    rest of the node is row and column scalings.  The result moves to the
+    g0 frame through the orthogonal Q = E0^{-1} A0 after the last node.
+    The curvature is computed exactly when d > 2, from g_s^{-1} = A0
+    diag(1/D) A0^T and tau E0 = A0 diag(q) Q^T: on a surface the
     transgression integrand B(theta_dot R^0) reads none, so the second
     derivatives are skipped and curvature is the zero form.
     """
@@ -599,41 +611,59 @@ def metric_path_gauge(g0: MetricField, g1: MetricField, x) -> GaugePath:
     # rows also feed the transport
     _, dg0, d2g0, rows0 = _metric_jet(g0, x, want_second=curved)
     _, dg1, d2g1, rows1 = _metric_jet(g1, x, want_second=curved)
-    A, Ainv, lam, L, Linv = _path_eigenbasis(rows0, rows1)
+    A, Ainv, lam, E, Q = _path_eigenbasis(rows0, rows1)
     del rows0, rows1   # the s loop needs no sample; keeps peak memory down
-    E0, E0inv = np.swapaxes(Linv[0], -1, -2), np.swapaxes(L[0], -1, -2)
+    A0, E0, Q0 = A[0], E[0], Q[0]
+    A0t, Q0t, E0t = (np.swapaxes(m, -1, -2) for m in (A0, Q0, E0))
 
-    gamma1_dot = _christoffel_first(dg1 - dg0)
+    # the stencil rows' lam [..., a, 1, (k, m)] and projectors [..., a, (k, m),
+    # (i, j)], each projector times its difference weight w_k / h_a
+    pts = x.shape[:-1]
+    weights = np.array([w for _, w in _jet_plan(d, order, False)[0]])
+    K = weights.size
+    lam_rows = np.moveaxis(lam[1:], 0, -2).reshape(pts + (d, 1, K * d))
+    P = _path_projectors(A, Ainv)[1:]
+    P *= (weights / h[:, None]).reshape((d * K,) + (1,) * (P.ndim - 1))
+    P = np.moveaxis(P, 0, -4).reshape(pts + (d, K * d, d * d))
+    del A, Ainv, E, Q
 
-    def to_on(mat):
-        inner = E0inv[..., None, :, :] @ mat @ E0[..., None, :, :]
-        out = np.swapaxes(E0, -1, -2) @ inner.reshape(inner.shape[:-3] + (d, d * d))
-        return out.reshape(inner.shape)
+    # H[..., a, i, j] = (A0^T G[a]^T A0)_ij, for G of g0 and for its rate
+    def eigen_h(dg):
+        G = np.swapaxes(_christoffel_first(dg), -1, -2)
+        return A0t[..., None, :, :] @ G @ A0[..., None, :, :]
 
-    # s is a loop, each node written into a leading s axis: stacking all 17
-    # nodes at once ran path_gauge 19% faster but raised its peak RSS 12.5%
-    # (a 64-node d = 4 block's tracemalloc peak: 3.1 -> 13.9 MiB)
-    batch = (s_nodes.size,) + x.shape[:-1]
-    theta_dot = np.empty(batch + (d, d, d))
-    curv = np.empty(batch + (math.comb(d, 2),) * 2) if curved else None
+    H0, H_dot = eigen_h(dg0), eigen_h(dg1 - dg0)
+    if not curved:
+        del dg0, dg1
+
+    # s is a loop, each node written into an s axis: a prototype of the
+    # per-row route that stacked all 17 nodes at once ran path_gauge 19% faster
+    # but raised its peak RSS 12.5% (a 64-node d = 4 block: 3.1 -> 13.9 MiB)
+    S = s_nodes.size
+    eig = np.empty(pts + (d, S, d, d))       # theta_dot in the basis A0: [..., a, s, i, j]
+    curv = np.empty((S,) + pts + (math.comb(d, 2),) * 2) if curved else None
     for n, s in enumerate(s_nodes):
-        taus, rates, tauinv, gs_inv, gs_inv_dot = _path_at(A, Ainv, lam, s)
-        dg_s = (1.0 - s) * dg0 + s * dg1
-        tau, taudot = taus[0], rates[0]
+        _, q, p = _path_scalings(lam_rows, s)
+        # d_a of A0^{-1} tau A0 and of A0^{-1} dtau/ds A0: [..., a, 2, (i, j)]
+        dtaus = (np.concatenate((q, p * q), axis=-2) @ P).reshape(pts + (d, 2, d, d))
+        D, q, p = _path_scalings(lam[0], s)
+        # d/ds of tau^{-1} d tau and of tau^{-1} omega_s tau, in the basis A0
+        core = eig[..., n, :, :]
+        np.multiply((1.0 / q)[..., None, :, None],
+                    dtaus[..., 1, :, :] - p[..., None, :, None] * dtaus[..., 0, :, :], out=core)
+        qq = q[..., :, None] * q[..., None, :]
+        c_h = qq * (p[..., :, None] + p[..., None, :])
+        core += c_h[..., None, :, :] * H0 + (qq + s * c_h)[..., None, :, :] * H_dot
         if curved:
             # the curvature of g_s pulled back by tau(s), in the g0 orthonormal frame
-            F = _curvature_coord(gs_inv, dg_s, (1.0 - s) * d2g0 + s * d2g1)
-            curv[n] = _pair_coeffs(F, E0, tau @ E0)
-        gamma1_s = _christoffel_first(dg_s)
-        omegas = _connection(gs_inv, gamma1_s)
-        omegas_dot = _connection(gs_inv_dot, gamma1_s) + _connection(gs_inv, gamma1_dot)
-        T, Tinv = tau[..., None, :, :], tauinv[..., None, :, :]
-        # the exact s-derivative of theta = tau^{-1}(d tau + omega_s tau) - omega_0
-        core = _along_axes(taus[1:], h, order) + omegas @ T
-        tid = -(tauinv @ taudot @ tauinv)[..., None, :, :]
-        rate_core = (_along_axes(rates[1:], h, order) + omegas_dot @ T
-                     + omegas @ taudot[..., None, :, :])
-        theta_dot[n] = to_on(tid @ core + Tinv @ rate_core)
+            F = _curvature_coord((A0 / D[..., None, :]) @ A0t, (1.0 - s) * dg0 + s * dg1,
+                                 (1.0 - s) * d2g0 + s * d2g1)
+            curv[n] = _pair_coeffs(F, E0, (A0 * q[..., None, :]) @ Q0t)
+    # to the g0 frame: Q X Q^T on (i, j) as one (Q kron Q) product, then E0^T on a
+    QQ = (Q0[..., :, None, :, None] * Q0[..., None, :, None, :]).reshape(pts + (d * d,) * 2)
+    eig = eig.reshape(pts + (d * S, d * d)) @ np.swapaxes(QQ, -1, -2)
+    eig = E0t @ eig.reshape(pts + (d, S * d * d))
+    theta_dot = np.ascontiguousarray(np.moveaxis(eig.reshape(pts + (d, S, d, d)), -3, 0))
 
     return GaugePath(s_nodes=s_nodes, s_weights=s_weights, theta_dot=theta_dot, frame=E0,
                      curvature=DoubleForm(d, 2, 2, curv) if curved else DoubleForm.zero(d, 2, 2))

@@ -17,7 +17,9 @@ from gblab.geometry import (
     MetricError,
     MetricField,
     Slice,
+    _along_axes,
     _central_diff,
+    _christoffel_first,
     _collar_points,
     _curvature_coord,
     _diff_weights,
@@ -26,8 +28,10 @@ from gblab.geometry import (
     _jet_plan,
     _metric_jet,
     _pair_coeffs,
-    _path_at,
     _path_eigenbasis,
+    _path_projectors,
+    _path_scalings,
+    _second_kind,
     _spd_check,
     christoffel,
     metric_path_gauge,
@@ -850,16 +854,29 @@ def _amax(a):
     return np.max(np.abs(a))
 
 
+def _transport_rows(A, Ainv, lam, s):
+    """tau and dtau/ds on every row of a stack, rebuilt from the projectors onto row 0's basis."""
+    _, q, p = _path_scalings(lam, s)
+    P = _path_projectors(A, Ainv)                              # [k, ..., m, i, j]
+
+    def back(f):
+        return A[:1] @ np.sum(f[..., :, None, None] * P, axis=-3) @ Ainv[:1]
+
+    return back(q), back(p * q)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.floats(0.0, 3.0),
        st.floats(0.0, 1.0))
 def test_closed_form_transport_solves_the_transport_equation(seed, d, log_cond, s):
     # pairs up to condition 1e3 each, so the generalized eigenvalues spread
-    # over up to six decades; the rows stack two pairs as a batch
+    # over up to six decades; a stack of two rows, the second seen through
+    # the projectors onto the first row's eigenbasis, as the gauge's stencil
+    # rows are
     pairs = [_spd_pair(seed + i, d, log_cond) for i in range(2)]
     g0 = np.stack([p[0] for p in pairs])
     g1 = np.stack([p[1] for p in pairs])
-    tau, rate = _path_at(*_path_eigenbasis(g0, g1)[:3], s)[:2]
+    tau, rate = _transport_rows(*_path_eigenbasis(g0, g1)[:3], s)
     gs = (1.0 - s) * g0 + s * g1
     for i in range(2):
         # tau^T g_s tau = g0: the transport is an isometry onto (TM, g0)
@@ -877,23 +894,32 @@ def test_closed_form_transport_solves_the_transport_equation(seed, d, log_cond, 
 @pytest.mark.parametrize("seed", range(4))
 def test_path_inverses_match_the_inverses_they_replace(d, seed):
     g0, g1 = _spd_pair(seed, d, 1.0)
-    A, Ainv, lam, L, Linv = _path_eigenbasis(g0, g1)
-    centre = A[None], Ainv[None], lam[None]   # a stack of one row
+    A, Ainv, lam, E, Q = _path_eigenbasis(g0, g1)
+    At = A.T
     eye = np.eye(d)
-    # g0 = L L^T: the gauge's frame is L^{-T} and its inverse L^T
-    assert _amax(L @ L.T - g0) <= 1e-12 * _amax(g0)
-    assert _amax(Linv @ L - eye) <= 1e-12
+    # E = L^{-T} is the Cholesky frame of g0, Q = E^{-1} A is orthogonal
+    assert np.array_equal(E, _frame_of(g0))
+    assert _amax(E.T @ g0 @ E - eye) <= 1e-12
+    assert _amax(Q.T @ Q - eye) <= 1e-12
+    assert _amax(np.linalg.inv(E) @ A - Q) <= 1e-12
+    assert _amax(Ainv - np.linalg.inv(A)) <= 1e-12 * _amax(Ainv)
 
     def gs_inverse(s):
         return np.linalg.inv((1.0 - s) * g0 + s * g1)
 
     for s in np.linspace(0.0, 1.0, geometry.PATH_STEPS + 1):
-        taus, _, tauinv, gs_inv, gs_inv_dot = _path_at(*centre, s)
-        tau = taus[0]
+        D, q, p = _path_scalings(lam, s)
+        tau = (A * q) @ Ainv
+        # g_s^{-1} = A diag(1/D) A^T and tau^{-1} = A diag(1/q) A^{-1}
+        gs_inv, tauinv = (A / D) @ At, (A / q) @ Ainv
+        assert _amax(gs_inv - gs_inverse(s)) <= 1e-12 * _amax(gs_inv)
         assert _amax(gs_inv @ ((1.0 - s) * g0 + s * g1) - eye) <= 1e-12
+        assert _amax(tauinv - np.linalg.inv(tau)) <= 1e-12 * _amax(tauinv)
         assert _amax(tauinv @ tau - eye) <= 1e-12
-        # the product formula it replaces, and (to its truncation) a
-        # fourth-order central difference of inv(g_s) in s
+        # d/ds g_s^{-1} = A diag(2p/D) A^T against the product formula it
+        # replaces, and (to its truncation) a fourth-order central difference
+        # of inv(g_s) in s
+        gs_inv_dot = (A * (2.0 * p / D)) @ At
         want = -gs_inverse(s) @ (g1 - g0) @ gs_inverse(s)
         assert _amax(gs_inv_dot - want) <= 1e-12 * _amax(want)
         fd = _central_diff([gs_inverse(s + k * 5e-4) for k, _ in _diff_weights(4)], 5e-4, 4)
@@ -947,25 +973,119 @@ def test_gauge_carries_its_composite_simpson_rule():
     assert np.sum(gauge.s_weights * s**3) == pytest.approx(0.25, rel=1e-15)
 
 
-def test_gauge_matches_the_inverting_route(monkeypatch):
-    # the parent route: g_s^{-1}, its s-derivative and tau^{-1} by np.linalg.inv
-    X = np.array([[0.3, -0.2, 0.5, 0.1], [-0.6, 0.4, 0.0, 0.7], [0.1, 0.8, -0.5, -0.3]])
-    g0 = MetricField(BOX4, _rational_metric(0.7))
-    g1 = MetricField(BOX4, _scaled(_rational_metric(1.3), 0.6))
-    got = metric_path_gauge(g0, g1, X)
-    G0, G1 = g0.g(X), g1.g(X)
+def _inverting_gauge(g0, g1, x):
+    """theta_dot and curvature by the per-node route the eigenbasis gauge replaced.
 
-    def inverting(A, Ainv, lam, s):
-        taus, rates = _path_at(A, Ainv, lam, s)[:2]
+    At each s node: tau and dtau/ds on every stencil row as A diag(D^(-1/2))
+    A^{-1} and its s-derivative, differenced by _along_axes; g_s^{-1} and
+    tau^{-1} by np.linalg.inv; theta_dot = d/ds tau^{-1}(d tau + omega_s tau).
+    """
+    d = g0.chart.dim
+    h, order = g0.steps(), g0.fd_order
+    curved = d > 2
+    _, dg0, d2g0, rows0 = _metric_jet(g0, x, want_second=curved)
+    _, dg1, d2g1, rows1 = _metric_jet(g1, x, want_second=curved)
+    A, Ainv, lam, E, _ = _path_eigenbasis(rows0, rows1)
+    G0, G1, E0 = rows0[0], rows1[0], E[0]
+    E0inv = np.linalg.inv(E0)
+
+    def connection(ginv, gamma1):
+        return np.swapaxes(_second_kind(ginv, gamma1), -1, -2)
+
+    gamma1_dot = _christoffel_first(dg1 - dg0)
+    thetas, curvs = [], []
+    for s in np.linspace(0.0, 1.0, geometry.PATH_STEPS + 1):
+        D = 1.0 + s * (lam - 1.0)
+        taus = (A * (D ** -0.5)[..., None, :]) @ Ainv
+        rates = (A * (-0.5 * (lam - 1.0) * D ** -1.5)[..., None, :]) @ Ainv
+        tau, taudot = taus[0], rates[0]
+        tauinv = np.linalg.inv(tau)
         gs_inv = np.linalg.inv((1.0 - s) * G0 + s * G1)
-        return taus, rates, np.linalg.inv(taus[0]), gs_inv, -gs_inv @ (G1 - G0) @ gs_inv
+        gs_inv_dot = -gs_inv @ (G1 - G0) @ gs_inv
+        dg_s = (1.0 - s) * dg0 + s * dg1
+        if curved:
+            F = _curvature_coord(gs_inv, dg_s, (1.0 - s) * d2g0 + s * d2g1)
+            curvs.append(_pair_coeffs(F, E0, tau @ E0))
+        gamma1_s = _christoffel_first(dg_s)
+        omegas = connection(gs_inv, gamma1_s)
+        omegas_dot = connection(gs_inv_dot, gamma1_s) + connection(gs_inv, gamma1_dot)
+        T, Tinv = tau[..., None, :, :], tauinv[..., None, :, :]
+        core = _along_axes(taus[1:], h, order) + omegas @ T
+        tid = -(tauinv @ taudot @ tauinv)[..., None, :, :]
+        rate_core = (_along_axes(rates[1:], h, order) + omegas_dot @ T
+                     + omegas @ taudot[..., None, :, :])
+        inner = E0inv[..., None, :, :] @ (tid @ core + Tinv @ rate_core) @ E0[..., None, :, :]
+        on = np.swapaxes(E0, -1, -2) @ inner.reshape(inner.shape[:-3] + (d, d * d))
+        thetas.append(on.reshape(inner.shape))
+    return np.stack(thetas), (np.stack(curvs) if curved else None)
 
-    monkeypatch.setattr(geometry, "_path_at", inverting)
-    want = metric_path_gauge(g0, g1, X)
-    for gk, rk in ((got.theta_dot, want.theta_dot), (got.curvature.coeffs, want.curvature.coeffs)):
+
+def _assert_gauge_matches_the_inverting_route(g0, g1, x):
+    got = metric_path_gauge(g0, g1, x)
+    theta_dot, curvature = _inverting_gauge(g0, g1, x)
+    pairs = [(got.theta_dot, theta_dot)]
+    if curvature is not None:
+        pairs.append((got.curvature.coeffs, curvature))
+    for gk, rk in pairs:
+        assert gk.shape == rk.shape
         for n in range(geometry.PATH_STEPS + 1):
             assert _amax(gk[n] - rk[n]) <= 1e-12 * max(1.0, _amax(rk[n]))
-    assert _amax(got.curvature.coeffs[-1]) > 1e-2
+    return got
+
+
+def test_gauge_matches_the_inverting_route():
+    X = np.array([[0.3, -0.2, 0.5, 0.1], [-0.6, 0.4, 0.0, 0.7], [0.1, 0.8, -0.5, -0.3]])
+    for chart in (BOX2, BOX4):
+        d = chart.dim
+        g0 = MetricField(chart, _rational_metric(0.7))
+        g1 = MetricField(chart, _scaled(_rational_metric(1.3), 0.6))
+        got = _assert_gauge_matches_the_inverting_route(g0, g1, X[:, :d])
+        assert _amax(got.theta_dot) > 1e-2
+        if d == 4:
+            assert _amax(got.curvature.coeffs[-1]) > 1e-2
+
+
+def _conformal_d4():
+    """g1 = e^{2u} g0 on a 4-box: every generalized eigenvalue at a point is e^{2u}."""
+    ev = _rational_metric(0.7)
+    X = np.array([[0.3, -0.2, 0.5, 0.1], [-0.6, 0.4, 0.0, 0.7], [0.1, 0.8, -0.5, -0.3]])
+    return (MetricField(BOX4, ev),
+            MetricField(BOX4, lambda x: np.exp(0.6 * np.sin(x[..., 0] + 2.0 * x[..., 3]))
+                        [..., None, None] * ev(x)), X)
+
+
+def _near_degenerate_d4():
+    """g0 = S S^T and g1 = S diag(lam) S^T, whose first two lam are 1e-9 apart everywhere."""
+    def factor(x):
+        S = np.zeros(x.shape[:-1] + (4, 4))
+        S[..., range(4), range(4)] = 1.0 + 0.3 * x ** 2
+        S += 0.25 * np.sin(x[..., 0] + 2.0 * x[..., 1])[..., None, None] * np.tri(4, k=-1)
+        return S
+
+    def ev1(x):
+        lam = np.stack(np.broadcast_arrays(1.3 + 0.2 * np.sin(x[..., 0]),
+                                           1.3 + 1e-9 + 0.2 * np.sin(x[..., 0]),
+                                           0.7 + 0.1 * x[..., 2], 2.0 + 0.1 * np.cos(x[..., 1])),
+                       axis=-1)
+        S = factor(x)
+        return (S * lam[..., None, :]) @ np.swapaxes(S, -1, -2)
+
+    X = np.array([[0.3, -0.2, 0.5, 0.1], [-0.6, 0.4, 0.0, 0.7], [0.1, 0.8, -0.5, -0.3]])
+    return (MetricField(BOX4, lambda x: factor(x) @ np.swapaxes(factor(x), -1, -2)),
+            MetricField(BOX4, ev1), X)
+
+
+@pytest.mark.parametrize("block", [lambda: _stokes_block(), _conformal_d4, _near_degenerate_d4],
+                         ids=["conformal_stokes_d2", "conformal_d4", "near_degenerate_d4"])
+def test_gauge_with_degenerate_eigenvalues_matches_the_inverting_route(block):
+    # eigh returns an arbitrary basis of a repeated eigenvalue's eigenspace,
+    # and of a nearly repeated one an ill-conditioned pair of eigenvectors
+    g0, g1, x = block()
+    lam = np.sort(_path_eigenbasis(g0.g(x), g1.g(x))[2], axis=-1)
+    gaps = np.diff(lam, axis=-1)
+    assert np.min(gaps) <= 1e-9 * np.max(lam)
+    got = _assert_gauge_matches_the_inverting_route(g0, g1, x)
+    assert _amax(got.theta_dot) > 1e-2
 
 
 def _stokes_block():
@@ -1026,7 +1146,8 @@ def _traced_peak_mib(fn):
                                               (lambda: _disk4_block(64), 5.0)],
                          ids=["stokes_d2", "disk_d4_64"])
 def test_gauge_peak_memory_stays_bounded(block, bound_mib):
-    # one pass over s measures 0.90 and 3.0 MiB here; a prototype that
+    # the eigenbasis gauge measures 1.15 and 3.12 MiB here (the per-row
+    # route it replaced: 0.90 and 2.99); a prototype of that route that
     # stacked all 17 s nodes at once measured about 4.5 and 14 MiB
     args = block()
     assert _traced_peak_mib(lambda: metric_path_gauge(*args)) <= bound_mib

@@ -34,6 +34,20 @@ def test_only_geometry_references_the_stencil_weights():
     assert users == {"geometry.py"}
 
 
+def test_src_calls_no_einsum():
+    # every contraction in src/ is a batched matmul or a broadcast product
+    uses = []
+    for path in sorted(Path(gblab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ({node.id} if isinstance(node, ast.Name)
+                     else {node.attr} if isinstance(node, ast.Attribute)
+                     else {a.name for a in node.names} if isinstance(node, ast.ImportFrom)
+                     else set())
+            if "einsum" in names or "einsum_path" in names:
+                uses.append(f"{path.name}:{node.lineno}")
+    assert uses == []
+
+
 def test_verify_builds_no_metric_field():
     # every field a check integrates, with its stencil, is catalog data
     tree = ast.parse((Path(gblab.__file__).parent / "verify.py").read_text(encoding="utf-8"))

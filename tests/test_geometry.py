@@ -973,6 +973,10 @@ def test_gauge_carries_its_composite_simpson_rule():
     assert np.sum(gauge.s_weights * s**3) == pytest.approx(0.25, rel=1e-15)
 
 
+# three points of a 4-box; a 2-box takes their first two coordinates
+GAUGE_X = np.array([[0.3, -0.2, 0.5, 0.1], [-0.6, 0.4, 0.0, 0.7], [0.1, 0.8, -0.5, -0.3]])
+
+
 def _inverting_gauge(g0, g1, x):
     """theta_dot and curvature by the per-node route the eigenbasis gauge replaced.
 
@@ -1034,12 +1038,11 @@ def _assert_gauge_matches_the_inverting_route(g0, g1, x):
 
 
 def test_gauge_matches_the_inverting_route():
-    X = np.array([[0.3, -0.2, 0.5, 0.1], [-0.6, 0.4, 0.0, 0.7], [0.1, 0.8, -0.5, -0.3]])
     for chart in (BOX2, BOX4):
         d = chart.dim
         g0 = MetricField(chart, _rational_metric(0.7))
         g1 = MetricField(chart, _scaled(_rational_metric(1.3), 0.6))
-        got = _assert_gauge_matches_the_inverting_route(g0, g1, X[:, :d])
+        got = _assert_gauge_matches_the_inverting_route(g0, g1, GAUGE_X[:, :d])
         assert _amax(got.theta_dot) > 1e-2
         if d == 4:
             assert _amax(got.curvature.coeffs[-1]) > 1e-2
@@ -1048,10 +1051,9 @@ def test_gauge_matches_the_inverting_route():
 def _conformal_d4():
     """g1 = e^{2u} g0 on a 4-box: every generalized eigenvalue at a point is e^{2u}."""
     ev = _rational_metric(0.7)
-    X = np.array([[0.3, -0.2, 0.5, 0.1], [-0.6, 0.4, 0.0, 0.7], [0.1, 0.8, -0.5, -0.3]])
     return (MetricField(BOX4, ev),
             MetricField(BOX4, lambda x: np.exp(0.6 * np.sin(x[..., 0] + 2.0 * x[..., 3]))
-                        [..., None, None] * ev(x)), X)
+                        [..., None, None] * ev(x)), GAUGE_X)
 
 
 def _near_degenerate_d4():
@@ -1062,6 +1064,10 @@ def _near_degenerate_d4():
         S += 0.25 * np.sin(x[..., 0] + 2.0 * x[..., 1])[..., None, None] * np.tri(4, k=-1)
         return S
 
+    def ev0(x):
+        S = factor(x)
+        return S @ np.swapaxes(S, -1, -2)
+
     def ev1(x):
         lam = np.stack(np.broadcast_arrays(1.3 + 0.2 * np.sin(x[..., 0]),
                                            1.3 + 1e-9 + 0.2 * np.sin(x[..., 0]),
@@ -1070,9 +1076,7 @@ def _near_degenerate_d4():
         S = factor(x)
         return (S * lam[..., None, :]) @ np.swapaxes(S, -1, -2)
 
-    X = np.array([[0.3, -0.2, 0.5, 0.1], [-0.6, 0.4, 0.0, 0.7], [0.1, 0.8, -0.5, -0.3]])
-    return (MetricField(BOX4, lambda x: factor(x) @ np.swapaxes(factor(x), -1, -2)),
-            MetricField(BOX4, ev1), X)
+    return MetricField(BOX4, ev0), MetricField(BOX4, ev1), GAUGE_X
 
 
 @pytest.mark.parametrize("block", [lambda: _stokes_block(), _conformal_d4, _near_degenerate_d4],
@@ -1081,9 +1085,9 @@ def test_gauge_with_degenerate_eigenvalues_matches_the_inverting_route(block):
     # eigh returns an arbitrary basis of a repeated eigenvalue's eigenspace,
     # and of a nearly repeated one an ill-conditioned pair of eigenvectors
     g0, g1, x = block()
+    # at every point two generalized eigenvalues are at most 1e-9 apart
     lam = np.sort(_path_eigenbasis(g0.g(x), g1.g(x))[2], axis=-1)
-    gaps = np.diff(lam, axis=-1)
-    assert np.min(gaps) <= 1e-9 * np.max(lam)
+    assert np.all(np.min(np.diff(lam, axis=-1), axis=-1) <= 1e-9 * lam[..., -1])
     got = _assert_gauge_matches_the_inverting_route(g0, g1, x)
     assert _amax(got.theta_dot) > 1e-2
 

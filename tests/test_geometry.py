@@ -1,5 +1,6 @@
 """Geometry engine against closed-form oracles."""
 
+import itertools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -1038,10 +1039,11 @@ def _assert_gauge_matches_the_inverting_route(g0, g1, x):
 
 
 def test_gauge_matches_the_inverting_route():
-    for chart in (BOX2, BOX4):
+    # both stencil orders, so the folded weights cover two and four rows per axis
+    for chart, order in itertools.product((BOX2, BOX4), (2, 4)):
         d = chart.dim
-        g0 = MetricField(chart, _rational_metric(0.7))
-        g1 = MetricField(chart, _scaled(_rational_metric(1.3), 0.6))
+        g0 = MetricField(chart, _rational_metric(0.7), fd_order=order)
+        g1 = MetricField(chart, _scaled(_rational_metric(1.3), 0.6), fd_order=order)
         got = _assert_gauge_matches_the_inverting_route(g0, g1, GAUGE_X[:, :d])
         assert _amax(got.theta_dot) > 1e-2
         if d == 4:

@@ -7,19 +7,20 @@ curvature, frame, slice, metric-path gauge and phi-connection functions take
 the same leading batch axes, so one call serves a single point or a whole
 block of points, and every per-sample check applies to each point of the
 block.  The gauge's parallel transport along g_s = (1-s) g0 + s g1 is in
-closed form from one Cholesky and one eigh per stencil point, with no ODE
-steps.  In the centre's eigenbasis every s-dependent factor is diagonal,
-so one pass over the Simpson nodes in s does one small contraction and a
-few elementwise scalings per node, and gives each node's theta_dot and
-curvature on a leading s axis.  Stencil offsets, weights and reach
-have one owner, the cached plan _jet_plan; every derivative is one
-evaluation on a sample stacked over the plan's points, differenced along
-that axis by _central_diff or, all axes at once, _along_axes: the metric
-jet (one evaluator call; the diagonal of d2g by the three- or five-point
-formula), the slice metric in r (CollarMetric.radial_rate), the h^phi
-frame (one Cholesky of one stacked sample) and the Stokes curl in verify;
-the gauge folds the plan's weights into its transport projectors.  The
-lowered curvature comes straight from the first-kind symbols G_ij,k:
+closed form from one Cholesky and one eigh of the centre pair, with no ODE
+steps, and its theta_dot comes from the first variation of the connection
+on the two endpoint jets, with no difference of its own.  In the centre's
+eigenbasis every s-dependent factor is diagonal, so one pass over the
+Simpson nodes in s does a few elementwise products per node, and gives
+each node's theta_dot and curvature on a leading s axis.  Stencil
+offsets, weights and reach have one owner, the cached plan _jet_plan;
+every derivative is one evaluation on a sample stacked over the plan's
+points, differenced along that axis by _central_diff or, all axes at
+once, _along_axes: the metric jet (one evaluator call; the diagonal of
+d2g by the three- or five-point formula), the slice metric in r
+(CollarMetric.radial_rate), the h^phi frame (one Cholesky of one stacked
+sample) and the Stokes curl in verify.  The lowered curvature comes
+straight from the first-kind symbols G_ij,k:
 F_ijkl = d_i G_jl,k - d_j G_il,k - G_ik,m g^mn G_jl,n + G_jk,m g^mn G_il,n,
 with no derivative of g^{-1} and no lowering by g.  Its g^{-1} comes from a
 factorisation in hand: E E^T from the Cholesky frame E, or A diag(1/D) A^T
@@ -224,9 +225,8 @@ def _metric_jet(m: MetricField, x, want_second: bool):
 
     x has shape (..., d).  The _jet_plan offsets are stacked into one (S, ...,
     d) sample: one evaluator call and one SPD check serve a block's stencil,
-    and each derivative is a few array sums over the stencil axis.  dg[..., a,
-    i, j] = d_a g_ij, d2g[..., a, b, i, j].  Returns (g, dg, d2g, rows): rows
-    are the sample's centre and first-derivative rows, (1 + d K, ..., d, d).
+    and each derivative is a few array sums over the stencil axis.  Returns
+    (g, dg, d2g) with dg[..., a, i, j] = d_a g_ij and d2g[..., a, b, i, j].
     """
     d = m.chart.dim
     m.check_stencil(x)
@@ -235,8 +235,7 @@ def _metric_jet(m: MetricField, x, want_second: bool):
     weights, offsets, (ia, ib) = _jet_plan(d, order, want_second)
     K, batch = len(weights), x.shape[:-1]
     samples = m.g(x + h * offsets.reshape((len(offsets),) + (1,) * len(batch) + (d,)))
-    rows = samples[:1 + d * K]
-    dg = _along_axes(rows[1:], h, order)
+    dg = _along_axes(samples[1:1 + d * K], h, order)
     d2g = None
     if want_second:
         # over one flat point axis n: ax[a, k, n], mixed[pair, j, k, n], d2g[n, a, b]
@@ -259,12 +258,12 @@ def _metric_jet(m: MetricField, x, want_second: bool):
         d2g[:, ia, ib] = val
         d2g[:, ib, ia] = val
         d2g = d2g.reshape(batch + (d,) * 4)
-    return samples[0], dg, d2g, rows
+    return samples[0], dg, d2g
 
 
 def christoffel(m: MetricField, x) -> np.ndarray:
     """Second-kind Levi-Civita coefficients Gamma[k, i, j] at x, from g^{-1} by inv."""
-    g, dg, _, _ = _metric_jet(m, x, want_second=False)
+    g, dg, _ = _metric_jet(m, x, want_second=False)
     try:
         ginv = np.linalg.inv(g)
     except np.linalg.LinAlgError as exc:
@@ -339,7 +338,7 @@ def riemann_double_form(m: MetricField, x):
     coefficients and the frame carry the same axes.  Returns (form, frame).
     The coefficient at (I; J) with I = (i<j), J = (k<l) is <e_k, R(e_i, e_j) e_l>.
     """
-    g, dg, d2g, _ = _metric_jet(m, x, want_second=True)
+    g, dg, d2g = _metric_jet(m, x, want_second=True)
     frame = _frame_of(g)                 # E = L^{-T}, so E E^T = g^{-1}
     coeffs = _pair_coeffs(_curvature_coord(frame @ np.swapaxes(frame, -1, -2), dg, d2g), frame)
     return DoubleForm(m.chart.dim, 2, 2, coeffs), frame
@@ -523,12 +522,13 @@ class GaugePath:
 
 
 def _path_eigenbasis(g0: np.ndarray, g1: np.ndarray):
-    """A, A^{-1}, lam, E and Q with g1 A = g0 A diag(lam), for stacks of SPD pairs.
+    """A, lam, E and Q with g1 A = g0 A diag(lam), for stacks of SPD pairs.
 
     With g0 = L L^T and L^{-1} g1 L^{-T} = Q diag(lam) Q^T, A = E Q for the
     Cholesky frame E = L^{-T} of g0 (_frame_of): one Cholesky and one eigh
-    per pair, and Q = E^{-1} A is orthogonal.  Every g_s on the affine path
-    is SPD exactly when g0 is and every lam > 0.
+    per pair, Q = E^{-1} A is orthogonal and A^T g0 A = Id.  Every g_s on
+    the affine path is SPD exactly when g0 is and every lam > 0.  The gauge
+    takes it once per call, on the centre samples of its two jets.
     """
     try:
         L = np.linalg.cholesky(g0)
@@ -539,32 +539,21 @@ def _path_eigenbasis(g0: np.ndarray, g1: np.ndarray):
     if not np.all(lam > 0.0):
         raise MetricError("metric loses positive definiteness along the path")
     E = np.swapaxes(Linv, -1, -2)
-    return E @ Q, np.swapaxes(Q, -1, -2) @ np.swapaxes(L, -1, -2), lam, E, Q
+    return E @ Q, lam, E, Q
 
 
 def _path_scalings(lam, s: float):
     """The path's diagonal factors at one node s: D, q = D^(-1/2) and p = -(lam-1)/(2D).
 
     A^T g_s A = diag(D), D = 1 + s(lam-1), for g_s = (1-s) g0 + s g1 in the
-    eigenbasis A of _path_eigenbasis.  The matrices g_s^{-1} gdot commute
-    for all s, so tau(0) = Id and dtau/ds = -1/2 g_s^{-1} gdot tau give
-    tau(s) = A diag(q) A^{-1} = (g0^{-1} g_s)^(-1/2) and dtau/ds =
-    A diag(p q) A^{-1}; tau^{-1} = A diag(1/q) A^{-1}, g_s^{-1} = A diag(1/D)
-    A^T and d/ds g_s^{-1} = A diag(2p/D) A^T.
+    eigenbasis A of _path_eigenbasis, whose inverse is A^T g0.  The matrices
+    g_s^{-1} gdot commute for all s, so tau(0) = Id and dtau/ds = X tau with
+    X = -1/2 g_s^{-1} gdot = A diag(p) A^{-1} give tau(s) = A diag(q) A^{-1}
+    = (g0^{-1} g_s)^(-1/2); tau^{-1} = A diag(1/q) A^{-1}, g_s^{-1} = A
+    diag(1/D) A^T and d/ds g_s^{-1} = A diag(2p/D) A^T.
     """
     D = 1.0 + s * (lam - 1.0)
     return D, D ** -0.5, -0.5 * (lam - 1.0) / D
-
-
-def _path_projectors(A, Ainv):
-    """P[k, ..., m, i, j] = (A_0^{-1} A_k e_m)_i (e_m^T A_k^{-1} A_0)_j for the rows k of a stack.
-
-    Row k's transport A_k diag(f(D_k)) A_k^{-1}, seen in the basis A_0 of
-    row 0, is sum_m f(D_km) P[k, ..., m, :, :]: the s-free part of every
-    node's transport.
-    """
-    M = np.swapaxes(Ainv[:1] @ A, -1, -2)                    # [k, ..., m, i]
-    return M[..., :, :, None] * (Ainv @ A[:1])[..., :, None, :]
 
 
 def metric_path_gauge(g0: MetricField, g1: MetricField, x) -> GaugePath:
@@ -573,87 +562,63 @@ def metric_path_gauge(g0: MetricField, g1: MetricField, x) -> GaugePath:
     x is a point or a block of points of shape (..., d); every field of the
     result carries the same leading axes, and one evaluator call per
     endpoint serves the whole stencil of the block.  The parallel transport
-    of the generalized cylinder is exact, taken on the jets' rows: the
-    center and each first-derivative stencil point, each row k with its own
-    eigenbasis A_k (_path_eigenbasis).  From it come the exact s-derivative
-    of theta^s = tau^{-1}(d tau + omega_s tau) - omega_0 and the gauged
-    curvature at the Simpson nodes s_k = k / PATH_STEPS, all in the g0
-    orthonormal frame E0, with no differencing in s.
+    tau of the generalized cylinder is exact (_path_scalings), and with X =
+    dtau/ds tau^{-1} = -1/2 g_s^{-1} gdot the first variation of the
+    Levi-Civita connection (Besse, Einstein Manifolds, 1.174) gives the
+    s-derivative of theta^s = tau^{-1}(d tau + omega_s tau) - omega_0 as
 
-    theta_dot is taken in the center row's eigenbasis A0, where every
-    s-dependent factor is diagonal (_path_scalings, q = D^(-1/2) and p =
-    -(lam-1)/(2D)): tau^{-1} omega_s tau = q_i q_j H_s with H = A0^T G^T A0
-    for the first-kind symbols G of the affine jet, so its s-derivative is
-    q_i q_j ((p_i + p_j) H_s + Hdot).  A stencil row's transport there is
-    sum_m f(D_km) P_km (_path_projectors), with the stencil's difference
-    weights folded into P once per call: d/dx of tau and of dtau/ds at a
-    node is one contraction of D-dependent coefficients with P, and the
-    rest of the node is row and column scalings.  The result moves to the
-    g0 frame through the orthogonal Q = E0^{-1} A0 after the last node.
-    The curvature is computed exactly when d > 2, from g_s^{-1} = A0
-    diag(1/D) A0^T and tau E0 = A0 diag(q) Q^T: on a surface the
-    transgression integrand B(theta_dot R^0) reads none, so the second
-    derivatives are skipped and curvature is the zero form.
+        theta_dot = tau^{-1} (dX + [omega_s, X] + omega_dot_s) tau,
+
+    from the centre's g and dg of the two jets alone: no derivative of tau
+    and no differencing in s.  It is taken at the Simpson nodes s_k =
+    k / PATH_STEPS in the centre's eigenbasis A0 (_path_eigenbasis), where
+    every s-dependent factor is diagonal (q = D^(-1/2), p = -(lam-1)/(2D)).
+    With H = A0^T G^T A0 for the first-kind symbols G of the affine jet and
+    M = A0^T dg A0, both affine in s and taken once per call, each node is
+    one elementwise expression per frame direction:
+
+        theta_dot_ij = q_i q_j ((p_i + p_j) H_s - p_j M_s + Hdot - Mdot / 2)_ij.
+
+    The result moves to the g0 orthonormal frame E0 through the orthogonal
+    Q = E0^{-1} A0 after the last node.  The curvature is computed exactly
+    when d > 2, from g_s^{-1} = A0 diag(1/D) A0^T and tau E0 = A0 diag(q)
+    Q^T: on a surface the transgression integrand B(theta_dot R^0) reads
+    none, so the second derivatives are skipped and curvature is the zero
+    form.
     """
     x = np.asarray(x, dtype=float)
     if (g0.chart is not g1.chart and g0.chart.bounds != g1.chart.bounds) or \
             (g0.fd_rel_step, g0.fd_order) != (g1.fd_rel_step, g1.fd_order):
         raise MetricError("path endpoints must live on the same chart and stencil")
     d = g0.chart.dim
-    h, order = g0.steps(), g0.fd_order
     s_nodes = np.linspace(0.0, 1.0, PATH_STEPS + 1)
     s_weights = np.where(np.arange(PATH_STEPS + 1) % 2, 4.0, 2.0)
     s_weights[[0, -1]] = 1.0
     s_weights = s_weights * (s_nodes[1] - s_nodes[0]) / 3.0
     curved = d > 2
 
-    # one stencil sweep per endpoint; its center (row 0) and first-derivative
-    # rows also feed the transport
-    _, dg0, d2g0, rows0 = _metric_jet(g0, x, want_second=curved)
-    _, dg1, d2g1, rows1 = _metric_jet(g1, x, want_second=curved)
-    A, Ainv, lam, E, Q = _path_eigenbasis(rows0, rows1)
-    del rows0, rows1   # the s loop needs no sample; keeps peak memory down
-    A0, E0, Q0 = A[0], E[0], Q[0]
+    g0c, dg0, d2g0 = _metric_jet(g0, x, want_second=curved)
+    g1c, dg1, d2g1 = _metric_jet(g1, x, want_second=curved)
+    A0, lam, E0, Q0 = _path_eigenbasis(g0c, g1c)
     A0t, Q0t, E0t = (np.swapaxes(m, -1, -2) for m in (A0, Q0, E0))
 
-    # the stencil rows' lam [..., a, 1, (k, m)] and projectors [..., a, (k, m),
-    # (i, j)], each projector times its difference weight w_k / h_a
+    # [..., a, i, j]: H = A0^T G[a]^T A0 and M = A0^T d_a g A0, for g0 and for the rate
+    dg_dot = dg1 - dg0
+    G = np.swapaxes(_christoffel_first(np.stack((dg0, dg_dot))), -1, -2)
+    H0, H_dot, M0, M_dot = (A0t[..., None, :, :] @ np.concatenate((G, (dg0, dg_dot)))
+                            @ A0[..., None, :, :])
+    HM_dot = H_dot - 0.5 * M_dot
+
     pts = x.shape[:-1]
-    weights = np.array([w for _, w in _jet_plan(d, order, False)[0]])
-    K = weights.size
-    lam_rows = np.moveaxis(lam[1:], 0, -2).reshape(pts + (d, 1, K * d))
-    P = _path_projectors(A, Ainv)[1:]
-    P *= (weights / h[:, None]).reshape((d * K,) + (1,) * (P.ndim - 1))
-    P = np.moveaxis(P, 0, -4).reshape(pts + (d, K * d, d * d))
-    del A, Ainv, E, Q
-
-    # H[..., a, i, j] = (A0^T G[a]^T A0)_ij, for G of g0 and for its rate
-    def eigen_h(dg):
-        G = np.swapaxes(_christoffel_first(dg), -1, -2)
-        return A0t[..., None, :, :] @ G @ A0[..., None, :, :]
-
-    H0, H_dot = eigen_h(dg0), eigen_h(dg1 - dg0)
-    if not curved:
-        del dg0, dg1
-
-    # s is a loop, each node written into an s axis: a prototype of the
-    # per-row route that stacked all 17 nodes at once ran path_gauge 19% faster
-    # but raised its peak RSS 12.5% (a 64-node d = 4 block: 3.1 -> 13.9 MiB)
     S = s_nodes.size
     eig = np.empty(pts + (d, S, d, d))       # theta_dot in the basis A0: [..., a, s, i, j]
     curv = np.empty((S,) + pts + (math.comb(d, 2),) * 2) if curved else None
     for n, s in enumerate(s_nodes):
-        _, q, p = _path_scalings(lam_rows, s)
-        # d_a of A0^{-1} tau A0 and of A0^{-1} dtau/ds A0: [..., a, 2, (i, j)]
-        dtaus = (np.concatenate((q, p * q), axis=-2) @ P).reshape(pts + (d, 2, d, d))
-        D, q, p = _path_scalings(lam[0], s)
-        # d/ds of tau^{-1} d tau and of tau^{-1} omega_s tau, in the basis A0
-        core = eig[..., n, :, :]
-        np.multiply((1.0 / q)[..., None, :, None],
-                    dtaus[..., 1, :, :] - p[..., None, :, None] * dtaus[..., 0, :, :], out=core)
-        qq = q[..., :, None] * q[..., None, :]
-        c_h = qq * (p[..., :, None] + p[..., None, :])
-        core += c_h[..., None, :, :] * H0 + (qq + s * c_h)[..., None, :, :] * H_dot
+        D, q, p = _path_scalings(lam, s)
+        p_i, p_j = p[..., None, :, None], p[..., None, None, :]
+        np.multiply(q[..., None, :, None] * q[..., None, None, :],
+                    (p_i + p_j) * (H0 + s * H_dot) - p_j * (M0 + s * M_dot) + HM_dot,
+                    out=eig[..., n, :, :])
         if curved:
             # the curvature of g_s pulled back by tau(s), in the g0 orthonormal frame
             F = _curvature_coord((A0 / D[..., None, :]) @ A0t, (1.0 - s) * dg0 + s * dg1,

@@ -848,7 +848,7 @@ def _amax(a):
 
 
 def _transport(g0, g1, s):
-    """tau and dtau/ds of a stack of pairs: A diag(q) A^{-1} and A diag(p q) A^{-1}, A^{-1} = A^T g0."""
+    """tau = A diag(q) A^{-1} and dtau/ds = A diag(p q) A^{-1} of a stack, A^{-1} = A^T g0."""
     A, lam = _path_eigenbasis(g0, g1)[:2]
     _, q, p = _path_scalings(lam, s)
     Ainv = np.swapaxes(A, -1, -2) @ g0

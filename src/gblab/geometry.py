@@ -12,7 +12,8 @@ steps, and its theta_dot comes from the first variation of the connection
 on the two endpoint jets, with no difference of its own.  In the centre's
 eigenbasis every s-dependent factor is diagonal, so one pass over the
 Simpson nodes in s does a few elementwise products per node, and gives
-each node's theta_dot and curvature on a leading s axis.  Stencil
+each node's curvature and theta_dot, built on the pairs i < j as the (1,2)
+form the transgression reads, on a leading s axis.  Stencil
 offsets, weights and reach have one owner, the cached plan _jet_plan;
 every derivative is one evaluation on a sample stacked over the plan's
 points, differenced along that axis by _central_diff or, all axes at
@@ -25,9 +26,10 @@ F_ijkl = d_i G_jl,k - d_j G_il,k - G_ik,m g^mn G_jl,n + G_jk,m g^mn G_il,n,
 with no derivative of g^{-1} and no lowering by g.  Its g^{-1} comes from a
 factorisation in hand: E E^T from the Cholesky frame E, or A diag(1/D) A^T
 from the gauge's eigenbasis A of the pair (g0, g1).
-The frame change is P^T F P2 in the pair basis P[(i,j), (a<b)] = E_ia E_jb;
-every contraction is a batched matmul.  Slices and the gauged path return
-only what the transgression integrands read.  A slice, the h^phi frame and
+The frame change is P^T F P2 in the pair basis P[(i,j), (a<b)] = E_ia E_jb
+of _pair_basis, which also rotates the gauge's pairs; every contraction is
+a batched matmul.  Slices and the gauged path return only what the
+transgression integrands read.  A slice, the h^phi frame and
 the phi connection take a radius or a 1-D radius schedule through one path,
 the schedule's axis ahead of the block.  Orientation signs are
 verify.EPSILONS.
@@ -182,12 +184,14 @@ def _central_diff(stack, h, order: int):
 
     Axis 0 of stack (an array, or a list of samples) runs over the stencil in
     _diff_weights order; h is a number or an array that broadcasts over the
-    other axes.  Samples are summed in stencil order starting from 0.0, so at
-    order 2 the result rounds exactly as (stack[1] - stack[0]) / (2 h).
+    other axes.  Samples are summed in stencil order starting from the first
+    weighted sample, so at order 2 the result rounds exactly as (stack[1] -
+    stack[0]) / (2 h), signed zeros included.
     """
-    out = 0.0
-    for (_, wt), f in zip(_diff_weights(order), stack, strict=True):
-        out = out + wt * f
+    terms = (wt * f for (_, wt), f in zip(_diff_weights(order), stack, strict=True))
+    out = next(terms)
+    for term in terms:
+        out = out + term
     return out / h
 
 
@@ -312,22 +316,25 @@ def _curvature_coord(ginv, dg, d2g) -> np.ndarray:
     return X - np.swapaxes(X, -4, -3)
 
 
+def _pair_basis(frame: np.ndarray):
+    """P[..., (i,j), (a<b)] = frame_ia frame_jb, (i,j) flat, and the pairs a < b
+    as index arrays, in the double forms' colex order."""
+    d = frame.shape[-1]
+    a, b = np.array(multi_indices(d, 2), dtype=np.intp).reshape(-1, 2).T
+    P = frame[..., :, None, a] * frame[..., None, :, b]
+    return P.reshape(P.shape[:-3] + (d * d, a.size)), (a, b)
+
+
 def _pair_coeffs(F: np.ndarray, E: np.ndarray, E2: Optional[np.ndarray] = None) -> np.ndarray:
     """(2,2) coefficients <e2_c, R(e_a, e_b) e2_d>, a<b and c<d, of F in the frames E, E2.
 
     E2 (default E) frames the second pair.  The frame change is two matmuls
-    in the pair basis P[(i,j), (a<b)] = E_ia E_jb: P^T F P2, with F flattened
-    to a (d^2, d^2) matrix.
+    in the pair basis P of _pair_basis: P^T F P2, with F flattened to a
+    (d^2, d^2) matrix.
     """
     d = E.shape[-1]
-    a, b = np.array(multi_indices(d, 2), dtype=np.intp).reshape(-1, 2).T
-
-    def pair_basis(frame):
-        P = frame[..., :, None, a] * frame[..., None, :, b]
-        return P.reshape(P.shape[:-3] + (d * d, a.size))
-
-    P = pair_basis(E)
-    P2 = P if E2 is None else pair_basis(E2)
+    P = _pair_basis(E)[0]
+    P2 = P if E2 is None else _pair_basis(E2)[0]
     return np.swapaxes(P, -1, -2) @ F.reshape(F.shape[:-4] + (d * d, d * d)) @ P2
 
 
@@ -508,10 +515,10 @@ class GaugePath:
 
     theta_dot and curvature are at the Simpson nodes s_nodes, whose weights
     are s_weights, in the g0 orthonormal frame E0 = frame (..., d, d), so
-    1 / det(frame) = sqrt(det g0).  Both lead with the s axis, one entry
-    per node: theta_dot = d/ds theta^s has shape (S, ..., d, d, d): [s,
-    batch..., frame direction, i, j], and curvature is one (2,2) double
-    form of batch shape (S, ...) (the unbatched zero form when d = 2).
+    1 / det(frame) = sqrt(det g0).  Both are double forms of batch shape
+    (S, ...), one entry per node: theta_dot = d/ds theta^s is the (1,2) form
+    with <e_i, theta_dot(e_a) e_j> at (a; i<j), and curvature the (2,2) form
+    (the unbatched zero form when d = 2).
     """
 
     s_nodes: np.ndarray
@@ -573,18 +580,21 @@ def metric_path_gauge(g0: MetricField, g1: MetricField, x) -> GaugePath:
     and no differencing in s.  It is taken at the Simpson nodes s_k =
     k / PATH_STEPS in the centre's eigenbasis A0 (_path_eigenbasis), where
     every s-dependent factor is diagonal (q = D^(-1/2), p = -(lam-1)/(2D)).
-    With H = A0^T G^T A0 for the first-kind symbols G of the affine jet and
-    M = A0^T dg A0, both affine in s and taken once per call, each node is
-    one elementwise expression per frame direction:
+    With H = A0^T G^T A0 for the first-kind symbols G of the affine jet,
+    affine in s and taken once per call, each node is one elementwise
+    expression per frame direction on the pairs i < j:
 
-        theta_dot_ij = q_i q_j ((p_i + p_j) H_s - p_j M_s + Hdot - Mdot / 2)_ij.
+        theta_dot_ij = q_i q_j (p_i (H_s)_ij - p_j (H_s)_ji + (Hdot - Hdot^T)_ij / 2).
 
-    The result moves to the g0 orthonormal frame E0 through the orthogonal
-    Q = E0^{-1} A0 after the last node.  The curvature is computed exactly
-    when d > 2, from g_s^{-1} = A0 diag(1/D) A0^T and tau E0 = A0 diag(q)
-    Q^T: on a surface the transgression integrand B(theta_dot R^0) reads
-    none, so the second derivatives are skipped and curvature is the zero
-    form.
+    This is the first variation with A0^T d_a g A0 = H + H^T substituted
+    (d_a g_jk = G_aj,k + G_ak,j on the jet), so it is skew by construction.
+    The pairs move to the g0 orthonormal frame E0 through Lambda^2 Q0 of the
+    orthogonal Q0 = E0^{-1} A0 after the last node, and theta_dot is the
+    (1,2) double form the transgression reads.  The curvature is computed
+    exactly when d > 2, from g_s^{-1} = A0 diag(1/D) A0^T and tau E0 = A0
+    diag(q) Q0^T: on a surface the transgression integrand B(theta_dot R^0)
+    reads none, so the second derivatives are skipped and curvature is the
+    zero form.
     """
     x = np.asarray(x, dtype=float)
     if (g0.chart is not g1.chart and g0.chart.bounds != g1.chart.bounds) or \
@@ -602,36 +612,35 @@ def metric_path_gauge(g0: MetricField, g1: MetricField, x) -> GaugePath:
     A0, lam, E0, Q0 = _path_eigenbasis(g0c, g1c)
     A0t, Q0t, E0t = (np.swapaxes(m, -1, -2) for m in (A0, Q0, E0))
 
-    # [..., a, i, j]: H = A0^T G[a]^T A0 and M = A0^T d_a g A0, for g0 and for the rate
-    dg_dot = dg1 - dg0
-    G = np.swapaxes(_christoffel_first(np.stack((dg0, dg_dot))), -1, -2)
-    H0, H_dot, M0, M_dot = (A0t[..., None, :, :] @ np.concatenate((G, (dg0, dg_dot)))
-                            @ A0[..., None, :, :])
-    HM_dot = H_dot - 0.5 * M_dot
+    # H = A0^T G[a]^T A0 [..., a, i, j] for g0 and for the rate, read on the pairs i < j
+    G = np.swapaxes(_christoffel_first(np.stack((dg0, dg1 - dg0))), -1, -2)
+    H = A0t[..., None, :, :] @ G @ A0[..., None, :, :]
+    P, (i, j) = _pair_basis(Q0t)
+    H_ij, H_ji = H[..., i, j], H[..., j, i]               # [2, ..., a, i<j]
+    half_skew = 0.5 * (H_ij[1] - H_ji[1])
 
     pts = x.shape[:-1]
     S = s_nodes.size
-    eig = np.empty(pts + (d, S, d, d))       # theta_dot in the basis A0: [..., a, s, i, j]
-    curv = np.empty((S,) + pts + (math.comb(d, 2),) * 2) if curved else None
+    eig = np.empty(pts + (d, S, i.size))     # theta_dot in the basis A0: [..., a, s, i<j]
+    curv = np.empty((S,) + pts + (i.size,) * 2) if curved else None
     for n, s in enumerate(s_nodes):
         D, q, p = _path_scalings(lam, s)
-        p_i, p_j = p[..., None, :, None], p[..., None, None, :]
-        np.multiply(q[..., None, :, None] * q[..., None, None, :],
-                    (p_i + p_j) * (H0 + s * H_dot) - p_j * (M0 + s * M_dot) + HM_dot,
-                    out=eig[..., n, :, :])
+        np.multiply((q[..., i] * q[..., j])[..., None, :],
+                    p[..., None, i] * (H_ij[0] + s * H_ij[1])
+                    - p[..., None, j] * (H_ji[0] + s * H_ji[1]) + half_skew,
+                    out=eig[..., n, :])
         if curved:
             # the curvature of g_s pulled back by tau(s), in the g0 orthonormal frame
             F = _curvature_coord((A0 / D[..., None, :]) @ A0t, (1.0 - s) * dg0 + s * dg1,
                                  (1.0 - s) * d2g0 + s * d2g1)
             curv[n] = _pair_coeffs(F, E0, (A0 * q[..., None, :]) @ Q0t)
-    # to the g0 frame: Q X Q^T on (i, j) as one (Q kron Q) product, then E0^T on a
-    QQ = (Q0[..., :, None, :, None] * Q0[..., None, :, None, :]).reshape(pts + (d * d,) * 2)
-    eig = eig.reshape(pts + (d * S, d * d)) @ np.swapaxes(QQ, -1, -2)
-    eig = E0t @ eig.reshape(pts + (d, S * d * d))
-    theta_dot = np.ascontiguousarray(np.moveaxis(eig.reshape(pts + (d, S, d, d)), -3, 0))
+    # to the g0 frame: Q0 X Q0^T on the pairs as Lambda^2 Q0, then E0^T on a
+    eig = eig.reshape(pts + (d * S, i.size)) @ (P[..., i * d + j, :] - P[..., j * d + i, :])
+    eig = E0t @ eig.reshape(pts + (d, S * i.size))
+    theta_dot = np.ascontiguousarray(np.moveaxis(eig.reshape(pts + (d, S, i.size)), -2, 0))
 
-    return GaugePath(s_nodes=s_nodes, s_weights=s_weights, theta_dot=theta_dot, frame=E0,
-                     curvature=DoubleForm(d, 2, 2, curv) if curved else DoubleForm.zero(d, 2, 2))
+    curvature = DoubleForm(d, 2, 2, curv) if curved else DoubleForm.zero(d, 2, 2)
+    return GaugePath(s_nodes, s_weights, DoubleForm(d, 1, 2, theta_dot), curvature, E0)
 
 
 def phi_conjugated_connection(c: CollarMetric, r, y) -> np.ndarray:

@@ -28,7 +28,6 @@ from .doubleform import (
     DoubleForm,
     ShapeError,
     berezin,
-    multi_indices,
     power,
     wedge,
 )
@@ -170,27 +169,14 @@ def path_transgression_form(gauge) -> DoubleForm:
     form per point of its block).  One wedge serves every node on the
     gauge's leading s axis, and the weighted nodes are summed in order.
     """
-    d = gauge.theta_dot.shape[-1]
+    d = gauge.theta_dot.n
     if d % 2:
         raise ShapeError("path transgression needs even dimension")
     k = d // 2
-    terms = berezin(wedge(_skew_matrix_to_double_form(gauge.theta_dot),
-                          power(gauge.curvature, k - 1))).coeffs
+    terms = berezin(wedge(gauge.theta_dot, power(gauge.curvature, k - 1))).coeffs
     w = gauge.s_weights.reshape((-1,) + (1,) * (terms.ndim - 1))
     total = np.add.reduce(w * terms, axis=0)   # row by row, in node order
     return (1.0 / math.factorial(k - 1)) * DoubleForm(d, d - 1, 0, total)
-
-
-def _skew_matrix_to_double_form(theta: np.ndarray) -> DoubleForm:
-    """(1,2) double form of a skew-endomorphism-valued 1-form.
-
-    theta[..., a, i, j] = <e_i, theta(e_a) e_j>; the second slot pairs
-    (i < j) with the skew part of theta[..., a, i, j].  Leading axes are
-    batch axes.
-    """
-    n = theta.shape[-1]
-    i, j = np.array(multi_indices(n, 2), dtype=np.intp).reshape(-1, 2).T
-    return DoubleForm(n, 1, 2, 0.5 * (theta[..., i, j] - theta[..., j, i]))
 
 
 # -- integrated closed forms -------------------------------------------------

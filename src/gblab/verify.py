@@ -27,8 +27,6 @@ from .geometry import (
     Slice,
     _along_axes,
     _collar_points,
-    _frame_of,
-    _h_phi_matrix,
     _jet_plan,
     christoffel,
     metric_path_gauge,
@@ -596,7 +594,7 @@ def check_first_order_conic(spec, level, tol):
 
     def gterm_density(y):
         lim = _phi_limit(spec.collar, rs, y)
-        E0 = _frame_of(_h_phi_matrix(spec.collar, 0.0, y))
+        E0 = phi_frame(spec.collar, 0.0, y)[0]
         II = np.swapaxes(E0[..., :, 1:1 + f], -1, -2) @ lim[..., :, 0, 1:1 + f]
         II = DoubleForm(f, 1, 1, 0.5 * (II + np.swapaxes(II, -1, -2)))
         # k = 1 on the S^1 link (f = 1): the integrand reads only R^0

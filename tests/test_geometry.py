@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gblab import catalog, geometry
 from gblab.doubleform import DoubleForm, berezin, multi_indices, power, wedge
@@ -28,6 +28,7 @@ from gblab.geometry import (
     _h_phi_matrix,
     _jet_plan,
     _metric_jet,
+    _pair_basis,
     _pair_coeffs,
     _path_eigenbasis,
     _path_scalings,
@@ -39,7 +40,7 @@ from gblab.geometry import (
     phi_frame,
     riemann_double_form,
 )
-from gblab.invariants import _skew_matrix_to_double_form, path_transgression_form
+from gblab.invariants import path_transgression_form
 
 POLAR = Chart("polar", ((0.1, 2.0), (0.0, 2 * math.pi)), (False, True))
 TORUS2 = Chart("t2", ((0.0, 2 * math.pi), (0.0, 2 * math.pi)), (True, True))
@@ -729,7 +730,7 @@ def test_slice_radius_near_ends_rejected():
 def test_gauge_constant_path_is_trivial():
     m = MetricField(TORUS2, lambda x: np.diag([1.0, 4.0]))
     gauge = metric_path_gauge(m, m, np.array([1.0, 2.0]))
-    for td in gauge.theta_dot:
+    for td in gauge.theta_dot.coeffs:
         assert np.max(np.abs(td)) < 1e-12
     # the curvature is computed only for d > 2: a curved metric on a 4-box,
     # where every s node must give the metric's own curvature
@@ -741,7 +742,7 @@ def test_gauge_constant_path_is_trivial():
     want = riemann_double_form(m4, x)[0]
     assert want.norm_inf() > 1e-2
     assert gauge.curvature.coeffs.shape == (geometry.PATH_STEPS + 1,) + want.coeffs.shape
-    assert np.max(np.abs(gauge.theta_dot)) < 1e-12
+    assert np.max(np.abs(gauge.theta_dot.coeffs)) < 1e-12
     assert _amax(gauge.curvature.coeffs - want.coeffs) < 1e-12 * want.norm_inf()
 
 
@@ -782,7 +783,7 @@ def test_gauge_linear_map_pair_flat():
     g0 = MetricField(TORUS2, lambda x: np.eye(2))
     g1 = MetricField(TORUS2, lambda x: g1m)
     gauge = metric_path_gauge(g0, g1, np.array([0.3, 0.4]))
-    for td in gauge.theta_dot:
+    for td in gauge.theta_dot.coeffs:
         assert np.max(np.abs(td)) < 1e-12
 
 
@@ -793,10 +794,17 @@ def test_gauge_theta_skew_in_frame():
         return np.exp(0.4 * np.sin(x[..., 0]) * np.cos(x[..., 1]))[..., None, None] * np.eye(2)
 
     g1 = MetricField(TORUS2, g1_ev)
-    gauge = metric_path_gauge(g0, g1, np.array([0.9, 1.7]))
-    for td in gauge.theta_dot:
-        skew_defect = np.max(np.abs(td + np.swapaxes(td, 1, 2)))
-        assert skew_defect < 1e-8
+    x = np.array([0.9, 1.7])
+    gauge = metric_path_gauge(g0, g1, x)
+    # theta_dot is the (1,2) form of its pairs i < j, one per s node, and
+    # the coordinate route's theta_dot is skew to round-off there
+    td = gauge.theta_dot
+    assert (td.n, td.p, td.q) == (2, 1, 2)
+    assert td.coeffs.shape == (geometry.PATH_STEPS + 1, 2, 1)
+    want = _first_variation_gauge(g0, g1, x)[0]
+    assert _amax(want + np.swapaxes(want, -1, -2)) < 1e-8
+    _assert_per_node([(td.coeffs, _skew_pairs(want))])
+    assert _amax(td.coeffs) > 1e-2
 
 
 def test_gauge_rejects_bad_paths():
@@ -827,7 +835,7 @@ def test_gauge_samples_each_stencil_point_once(d):
     gauge = metric_path_gauge(MetricField(torus, ev0), MetricField(torus, ev1), block)
     assert (ev0.calls, ev1.calls) == (1, 1)
     S = geometry.PATH_STEPS + 1
-    assert gauge.theta_dot.shape == (S, 3, d, d, d)
+    assert gauge.theta_dot.coeffs.shape == (S, 3, d, math.comb(d, 2))
     assert gauge.curvature.coeffs.shape[:-2] == ((S, 3) if d == 4 else ())
 
 
@@ -941,7 +949,7 @@ def test_gauge_on_a_block_equals_per_point_calls(pts, c, a, d):
         one = metric_path_gauge(g0, g1, x)
         want = path_transgression_form(one).coeffs
         assert _amax(form.coeffs[i] - want) <= 1e-12 * max(1.0, _amax(want))
-        pairs = [(block.theta_dot[:, i], one.theta_dot)]
+        pairs = [(block.theta_dot.coeffs[:, i], one.theta_dot.coeffs)]
         if d == 4:
             pairs.append((block.curvature.coeffs[:, i], one.curvature.coeffs))
         for gk, rk in pairs:
@@ -1061,6 +1069,28 @@ def _skew(theta):
     return 0.5 * (theta - np.swapaxes(theta, -1, -2))
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_pair_basis_carries_skew_pairs_through_an_orthogonal_map(d):
+    # the pairs run in the (1,2) forms' order, and the gauge's Lambda^2 Q,
+    # rows (i,j) minus rows (j,i) of the pair basis of Q^T, maps the pairs
+    # of a skew X to those of Q X Q^T and is itself orthogonal
+    rng = np.random.default_rng(d)
+    Q = np.linalg.qr(rng.normal(size=(d, d)))[0]
+    X = rng.normal(size=(d, d))
+    X -= X.T
+    P, (i, j) = _pair_basis(Q.T)
+    assert list(zip(i.tolist(), j.tolist())) == list(multi_indices(d, 2))
+    rot = P[i * d + j] - P[j * d + i]
+    assert _amax(X[i, j] @ rot - (Q @ X @ Q.T)[i, j]) <= 1e-14 * _amax(X)
+    assert _amax(rot.T @ rot - np.eye(i.size)) <= 1e-14
+
+
+def _skew_pairs(theta):
+    """The pairs i < j of theta's skew part [..., a, i, j], as (1,2) coefficients [..., a, i<j]."""
+    i, j = np.array(multi_indices(theta.shape[-1], 2), dtype=np.intp).reshape(-1, 2).T
+    return 0.5 * (theta[..., i, j] - theta[..., j, i])
+
+
 def _assert_per_node(pairs):
     for gk, rk in pairs:
         assert gk.shape == rk.shape
@@ -1069,16 +1099,16 @@ def _assert_per_node(pairs):
 
 
 def _assert_gauge_matches_the_references(g0, g1, x):
-    """theta_dot and curvature against _first_variation_gauge; at stencil order 4, the
-    skew part of theta_dot against _inverting_gauge too."""
+    """theta_dot's pairs and curvature against _first_variation_gauge; at stencil
+    order 4, theta_dot's pairs against _inverting_gauge too."""
     got = metric_path_gauge(g0, g1, x)
     theta_dot, curvature = _first_variation_gauge(g0, g1, x)
-    pairs = [(got.theta_dot, theta_dot)]
+    pairs = [(got.theta_dot.coeffs, _skew_pairs(theta_dot))]
     if curvature is not None:
         pairs.append((got.curvature.coeffs, curvature))
     _assert_per_node(pairs)
     if g0.fd_order == 4:
-        _assert_per_node([(_skew(got.theta_dot), _skew(_inverting_gauge(g0, g1, x)))])
+        _assert_per_node([(got.theta_dot.coeffs, _skew_pairs(_inverting_gauge(g0, g1, x)))])
     return got
 
 
@@ -1095,7 +1125,7 @@ def test_gauge_matches_the_inverting_route():
     # on the skew part, at order 4 only, where its truncation is below 1e-12
     for d, order in itertools.product((2, 4), (2, 4)):
         got = _assert_gauge_matches_the_references(*_box_block(d, order))
-        assert _amax(got.theta_dot) > 1e-2
+        assert _amax(got.theta_dot.coeffs) > 1e-2
         if d == 4:
             assert _amax(got.curvature.coeffs[-1]) > 1e-2
 
@@ -1146,7 +1176,7 @@ def test_gauge_with_degenerate_eigenvalues_matches_the_inverting_route(block, in
     lam = np.sort(_path_eigenbasis(g0.g(x), g1.g(x))[1], axis=-1)
     assert np.all(np.min(np.diff(lam, axis=-1), axis=-1) <= 1e-9 * lam[..., -1])
     got = _assert_gauge_matches_the_references(g0, g1, x)
-    assert _amax(got.theta_dot) > 1e-2
+    assert _amax(got.theta_dot.coeffs) > 1e-2
     if inverting:
         # the block's path at stencil order 4, so its skew part meets the inverting route
         _assert_gauge_matches_the_references(*(replace(g, fd_order=4) for g in (g0, g1)), x)
@@ -1160,9 +1190,11 @@ GAUGE_BLOCKS = {**{f"box_d{d}_o{order}": (lambda d=d, order=order: _box_block(d,
 
 @pytest.mark.parametrize("block", GAUGE_BLOCKS.values(), ids=GAUGE_BLOCKS.keys())
 def test_gauge_theta_dot_is_skew_in_the_g0_frame(block):
-    # theta_dot is g0-skew; a route that differences tau on the stencil
-    # leaves its truncation in the symmetric part (3.5e-8 on box_d2_o2)
-    for td in metric_path_gauge(*block()).theta_dot:
+    # the gauge keeps only the pairs i < j of theta_dot; the coordinate
+    # route's full theta_dot is g0-skew to round-off, so that drops nothing
+    # (a route that differences tau on the stencil leaves its truncation in
+    # the symmetric part: 3.5e-8 on box_d2_o2)
+    for td in _first_variation_gauge(*block())[0]:
         assert _amax(td - _skew(td)) <= 1e-14 * max(1.0, _amax(td))
 
 
@@ -1189,12 +1221,13 @@ def _disk4_block(count):
 
 def _transgression_per_node(gauge):
     """The per-node accumulation the stacked sum replaced: one wedge per s node, summed in order."""
-    d = gauge.theta_dot.shape[-1]
+    d = gauge.theta_dot.n
     k = d // 2
     acc = None
     for n, w in enumerate(gauge.s_weights):
         R = gauge.curvature if d == 2 else DoubleForm(d, 2, 2, gauge.curvature.coeffs[n])
-        term = w * berezin(wedge(_skew_matrix_to_double_form(gauge.theta_dot[n]), power(R, k - 1)))
+        theta_dot = DoubleForm(d, 1, 2, gauge.theta_dot.coeffs[n])
+        term = w * berezin(wedge(theta_dot, power(R, k - 1)))
         acc = term if acc is None else acc + term
     return (1.0 / math.factorial(k - 1)) * acc
 
@@ -1224,8 +1257,9 @@ def _traced_peak_mib(fn):
                                               (lambda: _disk4_block(64), 5.0)],
                          ids=["stokes_d2", "disk_d4_64"])
 def test_gauge_peak_memory_stays_bounded(block, bound_mib):
-    # the first-variation gauge measures 0.80 and 2.80 MiB here (the
-    # projector route it replaced: 1.15 and 3.12); a prototype of the older
+    # the gauge that builds theta_dot on the pairs i < j measures 0.34 and
+    # 2.45 MiB here (with the full d x d theta_dot: 0.80 and 2.80; the
+    # projector route before it: 1.15 and 3.12); a prototype of the older
     # per-row route that stacked all 17 s nodes at once measured about 4.5
     # and 14 MiB
     args = block()
@@ -1241,6 +1275,7 @@ _sample = st.floats(-1e6, 1e6).filter(lambda v: v == 0.0 or abs(v) > 1e-280)
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.tuples(_sample, _sample), min_size=1, max_size=4),
        st.floats(1e-8, 1.0))
+@example(pairs=[(0.0, -0.0)], h=1.0)
 def test_central_diff_order_two_is_the_plain_quotient(pairs, h):
     minus, plus = (np.array(v) for v in zip(*pairs))
     got = _central_diff(np.stack([minus, plus]), h, 2)

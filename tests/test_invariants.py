@@ -181,12 +181,14 @@ def test_lk_needs_a_symmetric_1_1_form():
 def test_path_transgression_needs_an_even_dimensional_gauge():
     # k = d/2 comes from the gauge's theta_dot; an odd d has no k
     s, w = np.linspace(0.0, 1.0, 3), np.array([1.0, 4.0, 1.0]) / 6.0
-    odd = GaugePath(s_nodes=s, s_weights=w, theta_dot=np.zeros((3, 3, 3, 3)),
+    odd = GaugePath(s_nodes=s, s_weights=w,
+                    theta_dot=DoubleForm(3, 1, 2, np.zeros((3, 3, 3))),
                     curvature=DoubleForm(3, 2, 2, np.zeros((3, 3, 3))), frame=np.eye(3))
     with pytest.raises(ShapeError):
         inv.path_transgression_form(odd)
     # the s axis leads every node field and is summed away
-    even = GaugePath(s_nodes=s, s_weights=w, theta_dot=np.zeros((3, 5, 4, 4, 4)),
+    even = GaugePath(s_nodes=s, s_weights=w,
+                     theta_dot=DoubleForm(4, 1, 2, np.zeros((3, 5, 4, 6))),
                      curvature=DoubleForm(4, 2, 2, np.zeros((3, 5, 6, 6))),
                      frame=np.broadcast_to(np.eye(4), (5, 4, 4)))
     assert inv.path_transgression_form(even).coeffs.shape == (5, 4, 1)
@@ -247,18 +249,3 @@ def test_horizontal_edge_reduction_to_product():
     # -(Pf integral of the base) x (cone closed form of the fiber at one)
     got = inv.horizontal_edge_value({1: 4 * math.pi}, {0: TWO_PI}, 2, 2)
     assert got == pytest.approx(-8 * math.pi**2)
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.integers(0, 10_000), st.integers(2, 5), st.sampled_from([(), (3,), (2, 2)]))
-def test_skew_matrix_form_matches_the_pair_loop(seed, n, batch):
-    from gblab.doubleform import multi_indices
-
-    theta = np.random.default_rng(seed).normal(size=batch + (n, n, n))
-    form = inv._skew_matrix_to_double_form(theta)
-    assert form.coeffs.shape == batch + (n, n * (n - 1) // 2)
-    for idx in np.ndindex(batch):
-        for a in range(n):
-            for c, (i, j) in enumerate(multi_indices(n, 2)):
-                want = 0.5 * (theta[idx][a, i, j] - theta[idx][a, j, i])
-                assert form.coeffs[idx][a, c] == want

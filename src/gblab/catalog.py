@@ -19,6 +19,11 @@ nondegenerate on the closed quadrature box:
 * the catenoid uses the conformal coordinate r = sinh v, where the metric
   becomes cosh^2 v (dv^2 + dtheta^2).
 
+Block-diagonal metrics (a diagonal, a product g_F + g_B, a collar's
+dr^2 + g(r)) are assembled by geometry._block_diag, and a product chart
+(the cone and edge interiors (0, 1) x N, the cross-section N = F x B) by
+_chart_product, which keeps the factors' axes in order.
+
 Quotient geometries are weighted covers: integrals run over the cover and
 are multiplied by 1/|G|, valid because every integrand in this laboratory
 is isometry invariant.
@@ -48,7 +53,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .geometry import Chart, CollarMetric, FibrationData, MetricField
+from .geometry import Chart, CollarMetric, FibrationData, MetricField, _block_diag
 from .quadrature import AxisRule
 
 __all__ = [
@@ -104,18 +109,24 @@ class GeometrySpec:
 # -- metric building blocks ---------------------------------------------------
 
 
-def _diag(*entries) -> np.ndarray:
-    """Diagonal matrices (..., n, n) from n broadcastable diagonal entries."""
-    entries = np.broadcast_arrays(*entries)
-    out = np.zeros(entries[0].shape + (len(entries),) * 2)
-    for i, e in enumerate(entries):
-        out[..., i, i] = e
-    return out
-
-
 def _scalar_factor(s) -> np.ndarray:
     """A number or a batch of numbers, shaped to scale (..., n, n) matrices."""
     return np.asarray(s, dtype=float)[..., None, None]
+
+
+def _diag(*entries) -> np.ndarray:
+    """Diagonal matrices (..., n, n) from n broadcastable diagonal entries."""
+    return _block_diag(*map(_scalar_factor, entries))
+
+
+def _chart_product(name: str, *charts: Chart) -> Chart:
+    """The product box of charts, their axes (bounds, periodic flags, quadrature hints) in order."""
+    return Chart(name, sum((c.bounds for c in charts), ()), sum((c.periodic for c in charts), ()),
+                 quad_hints=sum((c.quad_hints for c in charts), ()))
+
+
+# the radial axis (0, 1) of the cone and edge interiors
+_UNIT_AXIS = Chart("unit", ((0.0, 1.0),), (False,), quad_hints=(AxisRule("gauss", 8),))
 
 
 def _sphere2_chart(tag: str) -> Chart:
@@ -310,11 +321,7 @@ def _build_cone(params):
     link_chart, link_metric, _, chi = _factor(link, link)
     h = MetricField(link_chart, link_metric, fd_order=4)
     collar = _cone_collar(h, chi, f)
-    chart = Chart(
-        f"cone-{link}", ((0.0, 1.0),) + link_chart.bounds,
-        (False,) + link_chart.periodic,
-        quad_hints=(AxisRule("gauss", 8),) + link_chart.quad_hints,
-    )
+    chart = _chart_product(f"cone-{link}", _UNIT_AXIS, link_chart)
     mf = MetricField(chart, collar.full_metric().evaluator)
     return GeometrySpec(
         name="cone", params={"link": link, "profile": profile, "theta": theta, "a": a},
@@ -387,23 +394,13 @@ def _product_collar(base: str, fiber: str, fiber_scale: Callable, base_scale: Ca
                     r_interval: tuple, singular_end: str) -> CollarMetric:
     """Collar over N = F x B, fiber coordinates first, with metric
     g(r) = fiber_scale(r) g_F + base_scale(r) g_B."""
-    bch, bmet, bdim, _ = _factor(base, f"base-{base}")
+    bch, bmet, _, _ = _factor(base, f"base-{base}")
     fch, fmet, fdim, chi_fiber = _factor(fiber, f"fiber-{fiber}")
-    n_chart = Chart(
-        f"N-{fiber}x{base}", fch.bounds + bch.bounds, fch.periodic + bch.periodic,
-        quad_hints=fch.quad_hints + bch.quad_hints,
-    )
-    n = fdim + bdim
+    n_chart = _chart_product(f"N-{fiber}x{base}", fch, bch)
 
     def radial(r):
         sf, sb = _scalar_factor(fiber_scale(r)), _scalar_factor(base_scale(r))
-
-        def ev(y):
-            out = np.zeros(np.broadcast_shapes(y.shape[:-1], np.shape(r)) + (n, n))
-            out[..., :fdim, :fdim] = sf * fmet(y[..., :fdim])
-            out[..., fdim:, fdim:] = sb * bmet(y[..., fdim:])
-            return out
-        return ev
+        return lambda y: _block_diag(sf * fmet(y[..., :fdim]), sb * bmet(y[..., fdim:]))
 
     fib = FibrationData(
         base=MetricField(bch, bmet, fd_order=4), fiber=MetricField(fch, fmet, fd_order=4),
@@ -420,12 +417,7 @@ def _build_edge_product(params):
     fiber = str(params.get("fiber", "s1"))
     collar = _product_collar(base, fiber, lambda r: r**2, lambda r: 1.0,
                              (0.0, 1.0), "lower")
-    n_chart = collar.boundary_chart
-    full_chart = Chart(
-        f"edge-{fiber}x{base}", ((0.0, 1.0),) + n_chart.bounds,
-        (False,) + n_chart.periodic,
-        quad_hints=(AxisRule("gauss", 8),) + n_chart.quad_hints,
-    )
+    full_chart = _chart_product(f"edge-{fiber}x{base}", _UNIT_AXIS, collar.boundary_chart)
     mf = MetricField(full_chart, collar.full_metric().evaluator)
     return GeometrySpec(
         name="edge_product", params={"base": base, "fiber": fiber},

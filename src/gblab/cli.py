@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import catalog, verify
-from .quadrature import LEVELS, mesh_for_chart
+from .quadrature import LEVELS
 
 OUTPUT_DIR_ENV = "GBLAB_OUT"
 
@@ -220,18 +220,17 @@ def cmd_converge(args) -> int:
         print("error: --levels must be in 1..7", file=sys.stderr)
         return 2
     params = _parse_params(args.params)
-    lines = ["level,nodes,value,diff,order"]
+    lines = ["level,value,diff,order"]
     prev = prev_diff = None
     spec = verify.resolve_spec(args.check, args.geometry, params or None)
     for level in range(1, args.levels + 1):
         last = verify.run_check(args.check, geometry=spec, level=level)
-        nodes = sum(mesh_for_chart(mf.chart, level).total_nodes for mf in spec.fields)
         value = _primary_value(last)
         diff = None if prev is None else abs(value - prev)
         # prev_diff is set from level 3 on, where diff is too
         order = math.log2(prev_diff / diff) if prev_diff not in (None, 0.0) and diff > 0.0 else None
         cells = ("" if v is None else repr(v) for v in (diff, order))
-        lines.append(f"{level},{nodes},{value!r}," + ",".join(cells))
+        lines.append(f"{level},{value!r}," + ",".join(cells))
         print(f"level {level}: value={value:.12g}" + ("" if diff is None else f" diff={diff:.3e}"))
         prev, prev_diff = value, diff
     if args.csv_path:

@@ -28,8 +28,11 @@ factorisation in hand: E E^T from the Cholesky frame E, or A diag(1/D) A^T
 from the gauge's eigenbasis A of the pair (g0, g1).
 The frame change is P^T F P2 in the pair basis P[(i,j), (a<b)] = E_ia E_jb
 of _pair_basis, which also rotates the gauge's pairs; every contraction is
-a batched matmul.  Slices and the gauged path return only what the
-transgression integrands read.  A slice, the h^phi frame and
+a batched matmul.  _frame_of owns the one Cholesky, and the gauge's
+eigenbasis starts from its frame.  Every block-diagonal metric (a
+collar's dr^2 + g(r), h^phi and the catalog's diagonal and product
+metrics) is one _block_diag.  Slices and the gauged path return only what
+the transgression integrands read.  A slice, the h^phi frame and
 the phi connection take a radius or a 1-D radius schedule through one path,
 the schedule's axis ahead of the block.  Orientation signs are
 verify.EPSILONS.
@@ -127,6 +130,18 @@ def _spd_check(g: np.ndarray) -> np.ndarray:
     np.add(g, gt, out=buf)
     buf *= 0.5
     return buf
+
+
+def _block_diag(*blocks) -> np.ndarray:
+    """Square blocks (..., m, m) on the diagonal of one matrix; their batch axes broadcast."""
+    d = sum(b.shape[-1] for b in blocks)
+    out = np.zeros(np.broadcast_shapes(*(b.shape[:-2] for b in blocks)) + (d, d))
+    lo = 0
+    for b in blocks:
+        hi = lo + b.shape[-1]
+        out[..., lo:hi, lo:hi] = b
+        lo = hi
+    return out
 
 
 def _sample(ev: Callable, x: np.ndarray) -> np.ndarray:
@@ -413,14 +428,10 @@ class CollarMetric:
 
     def full_metric(self) -> MetricField:
         """The collar metric dr^2 + g(r) as one metric field."""
-        n = self.boundary_chart.dim
 
         def ev(x):
-            r, y = x[..., 0], x[..., 1:]
-            out = np.zeros(x.shape[:-1] + (n + 1, n + 1))
-            out[..., 0, 0] = 1.0
-            out[..., 1:, 1:] = self.radial_metric(r)(y)
-            return out
+            return _block_diag(np.ones(x.shape[:-1] + (1, 1)),
+                               self.radial_metric(x[..., 0])(x[..., 1:]))
 
         return MetricField(self.full_chart(), ev,
                            fd_rel_step=self.fd_rel_step, fd_order=self.fd_order)
@@ -531,21 +542,20 @@ class GaugePath:
 def _path_eigenbasis(g0: np.ndarray, g1: np.ndarray):
     """A, lam, E and Q with g1 A = g0 A diag(lam), for stacks of SPD pairs.
 
-    With g0 = L L^T and L^{-1} g1 L^{-T} = Q diag(lam) Q^T, A = E Q for the
-    Cholesky frame E = L^{-T} of g0 (_frame_of): one Cholesky and one eigh
-    per pair, Q = E^{-1} A is orthogonal and A^T g0 A = Id.  Every g_s on
-    the affine path is SPD exactly when g0 is and every lam > 0.  The gauge
-    takes it once per call, on the centre samples of its two jets.
+    With the Cholesky frame E = L^{-T} of g0 = L L^T (_frame_of, which
+    rejects a g0 that is not SPD) and E^T g1 E = Q diag(lam) Q^T, A = E Q:
+    one Cholesky and one eigh per pair, Q = E^{-1} A is orthogonal and
+    A^T g0 A = Id.  Every g_s on the affine path is SPD exactly when g0 is
+    and every lam > 0.  The gauge takes it once per call, on the centre
+    samples of its two jets.
     """
+    E = _frame_of(g0)
     try:
-        L = np.linalg.cholesky(g0)
-        Linv = np.linalg.inv(L)
-        lam, Q = np.linalg.eigh(Linv @ g1 @ np.swapaxes(Linv, -1, -2))
+        lam, Q = np.linalg.eigh(np.swapaxes(E, -1, -2) @ g1 @ E)
     except np.linalg.LinAlgError as exc:
         raise MetricError("metric loses positive definiteness along the path") from exc
     if not np.all(lam > 0.0):
         raise MetricError("metric loses positive definiteness along the path")
-    E = np.swapaxes(Linv, -1, -2)
     return E @ Q, lam, E, Q
 
 
@@ -693,13 +703,10 @@ def phi_frame(c: CollarMetric, r, y):
 
 def _h_phi_matrix(c: CollarMetric, r, y) -> np.ndarray:
     """Block-diagonal h^phi = dr^2 + g^V(r) + g^B at (r, y), fiber first; r as in fiber_metric."""
-    fib = c.fibration
-    f, b = fib.fiber_dim, fib.base_dim
-    d = 1 + f + b
-    out = np.zeros(np.shape(y)[:-1] + (d, d))
-    out[..., 0, 0] = 1.0
+    fib, f = c.fibration, c.fibration.fiber_dim
+    blocks = [np.ones(np.shape(y)[:-1] + (1, 1))]
     if f:
-        out[..., 1 : 1 + f, 1 : 1 + f] = fib.fiber_metric(r, y[..., :f])
-    if b:
-        out[..., 1 + f :, 1 + f :] = fib.base.evaluator(y[..., f:])
-    return _spd_check(out)
+        blocks.append(fib.fiber_metric(r, y[..., :f]))
+    if fib.base_dim:
+        blocks.append(fib.base.evaluator(y[..., f:]))
+    return _spd_check(_block_diag(*blocks))

@@ -823,10 +823,8 @@ def run_check(check_id: str, geometry=None, params=None, level=None, tol=None) -
 
 
 def _run_row(row, level, tol) -> CheckResult:
-    check_id, geom, params, default_level, default_tol = row
-    return run_check(check_id, geometry=geom, params=dict(params),
-                     level=level if level is not None else default_level,
-                     tol=tol if tol is not None else default_tol)
+    # run_check resolves a None level or tol from this row
+    return run_check(row[0], row[1], dict(row[2]), level, tol)
 
 
 def run_suite(filter_text: str = "", level=None, tol=None, workers: int = 1) -> SuiteResult:

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from gblab import catalog
-from gblab.quadrature import integrate_chart, mesh_for_chart
+from gblab.geometry import Chart
+from gblab.quadrature import AxisRule, integrate_chart, mesh_for_chart
 
 
 def _volume(spec, level=2):
@@ -278,3 +279,19 @@ def test_each_reference_field_carries_its_stencil(name, params, roles):
     assert {role for role, mf in fields.items() if mf is not None} == roles
     for role in roles:
         assert (fields[role].fd_order, fields[role].fd_rel_step) == (4, 1e-4), role
+
+
+def test_product_charts_keep_their_axes_in_order():
+    # the cone, edge and N = F x B charts, as the catalog spelled them out axis by axis
+    gauss, orbit, tau = (lambda n: AxisRule("gauss", n)), AxisRule("orbit"), 2.0 * math.pi
+    cone = catalog.get("geometric_cone", link="s3")
+    assert cone.fields[0].chart == Chart(
+        "cone-s3", ((0.0, 1.0), (0.0, 0.5 * math.pi), (0.0, tau), (0.0, tau)),
+        (False, False, True, True), quad_hints=(gauss(8), gauss(16), orbit, orbit))
+    edge = catalog.get("edge_product")
+    n_axes = ((0.0, tau), (-catalog.MERCATOR_CUTOFF, catalog.MERCATOR_CUTOFF), (0.0, tau))
+    assert edge.collar.boundary_chart == Chart(
+        "N-s1xs2", n_axes, (True, False, True), quad_hints=(orbit, gauss(24), orbit))
+    assert edge.fields[0].chart == Chart(
+        "edge-s1xs2", ((0.0, 1.0),) + n_axes, (False, True, False, True),
+        quad_hints=(gauss(8), orbit, gauss(24), orbit))

@@ -131,14 +131,12 @@ def test_converge_writes_csv(tmp_path):
                  "n=2", "--levels", "3", "--csv", str(out)])
     assert code == 0
     lines = out.read_text().strip().splitlines()
-    assert lines[0] == "level,nodes,value,diff,order"
+    assert lines[0] == "level,value,diff,order"
     assert len(lines) == 4  # header + one row per level
-    # the cylinder chart of the 2-sphere has 24 x 1 nodes at level 1 (its
-    # angle is an orbit axis), and each level doubles the Gauss count
-    assert [int(row.split(",")[1]) for row in lines[1:]] == [24, 48, 96]
+    assert [int(row.split(",")[0]) for row in lines[1:]] == [1, 2, 3]
     # the value column is the check's chi at that level; level 1 has no diff or order
     chi = verify.run_check("ClosedGB", "sphere", {"n": 2}, level=1).computed["chi"]
-    assert lines[1] == f"1,24,{chi!r},,"
+    assert lines[1] == f"1,{chi!r},,"
 
 
 def test_converge_diffs_shrink(tmp_path):
@@ -146,7 +144,7 @@ def test_converge_diffs_shrink(tmp_path):
     main(["converge", "--check", "ClosedGB", "--geometry", "sphere", "n=2",
           "--levels", "4", "--csv", str(out)])
     rows = out.read_text().strip().splitlines()[1:]
-    diffs = [float(r.split(",")[3]) for r in rows if r.split(",")[3]]
+    diffs = [float(r.split(",")[2]) for r in rows if r.split(",")[2]]
     assert all(d2 <= d1 * 1.05 for d1, d2 in zip(diffs, diffs[1:]))
 
 

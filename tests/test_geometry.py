@@ -19,6 +19,7 @@ from gblab.geometry import (
     MetricField,
     Slice,
     _along_axes,
+    _block_diag,
     _central_diff,
     _christoffel_first,
     _collar_points,
@@ -139,6 +140,22 @@ def test_spd_check_scale_is_per_sample():
     _spd_check(np.stack([big + off, unit]))
     with pytest.raises(MetricError, match="not symmetric"):
         _spd_check(np.stack([big, unit + off]))
+
+
+def test_block_diag_matches_a_hand_assembly():
+    # a batched block beside a constant one and two 1x1 blocks, batch axes broadcast
+    rng = np.random.default_rng(5)
+    batched = rng.standard_normal((4, 1, 2, 2))
+    const = rng.standard_normal((3, 3))
+    col = rng.standard_normal((5, 1, 1))
+    want = np.zeros((4, 5, 7, 7))
+    want[..., 0, 0] = 1.0
+    want[..., 1:3, 1:3] = batched
+    want[..., 3:6, 3:6] = const
+    want[..., 6:, 6:] = col
+    got = _block_diag(np.ones((1, 1)), batched, const, col)
+    assert got.shape == want.shape and np.array_equal(got, want)
+    assert np.array_equal(_block_diag(np.full((1, 1), 2.0), np.ones((1, 1))), np.diag([2.0, 1.0]))
 
 
 # -- metric jet --------------------------------------------------------------------
@@ -812,8 +829,8 @@ def test_gauge_rejects_bad_paths():
     g1 = MetricField(TORUS2, lambda x: -3.0 * np.eye(2))
     with pytest.raises(MetricError):
         metric_path_gauge(g0, g1, np.array([0.1, 0.1]))
-    # a g0 that is not positive definite fails the Cholesky of _path_eigenbasis
-    with pytest.raises(MetricError, match="positive definiteness"):
+    # a g0 that is not positive definite fails its Cholesky frame (_frame_of)
+    with pytest.raises(MetricError, match="positive definite"):
         metric_path_gauge(g1, g0, np.array([0.1, 0.1]))
     with pytest.raises(MetricError):
         metric_path_gauge(g0, replace(g0, fd_order=4), np.array([0.1, 0.1]))
@@ -823,6 +840,15 @@ def test_gauge_rejects_bad_paths():
     with pytest.raises(MetricError):
         metric_path_gauge(g0, bent, pts)
     metric_path_gauge(g0, bent, pts[:2])
+
+
+def test_path_eigenbasis_turns_an_eigh_failure_into_a_metric_error(monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(MetricError, match="positive definiteness along the path"):
+        _path_eigenbasis(np.eye(2), np.eye(2))
 
 
 @pytest.mark.parametrize("d", [2, 4])

@@ -248,6 +248,17 @@ def test_every_default_row_replays_from_its_recorded_params():
         assert catalog.get(spec.name, **spec.params).params == spec.params, (check_id, geometry)
 
 
+def test_every_default_row_runs_at_its_own_level_and_tol(monkeypatch):
+    # the suite passes no level or tol, so run_check must resolve each row's own
+    seen = []
+    for check_id in verify.CHECKS:
+        monkeypatch.setitem(verify.CHECKS, check_id,
+                            lambda spec, level, tol: seen.append((level, tol)))
+    for row in verify.DEFAULT_SUITE:
+        verify._run_row(row, None, None)
+    assert seen == [(row[3], row[4]) for row in verify.DEFAULT_SUITE]
+
+
 def test_resolve_spec_defaults_to_the_checks_first_row():
     spec = verify.resolve_spec("ConeGB")
     assert (spec.name, spec.params) == ("geometric_cone", {"link": "s1", "theta": 0.5})

@@ -19,10 +19,8 @@ nondegenerate on the closed quadrature box:
 * the catenoid uses the conformal coordinate r = sinh v, where the metric
   becomes cosh^2 v (dv^2 + dtheta^2).
 
-Block-diagonal metrics (a diagonal, a product g_F + g_B, a collar's
-dr^2 + g(r)) are assembled by geometry._block_diag, and a product chart
-(the cone and edge interiors (0, 1) x N, the cross-section N = F x B) by
-_chart_product, which keeps the factors' axes in order.
+Block-diagonal metrics (diagonals, products, collars) are one
+geometry._block_diag, and product charts one _chart_product, axes in order.
 
 Quotient geometries are weighted covers: integrals run over the cover and
 are multiplied by 1/|G|, valid because every integrand in this laboratory

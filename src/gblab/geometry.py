@@ -10,10 +10,10 @@ block.  The gauge's parallel transport along g_s = (1-s) g0 + s g1 is in
 closed form from one Cholesky and one eigh of the centre pair, with no ODE
 steps, and its theta_dot comes from the first variation of the connection
 on the two endpoint jets, with no difference of its own.  In the centre's
-eigenbasis every s-dependent factor is diagonal, so one pass over the
-Simpson nodes in s does a few elementwise products per node, and gives
-each node's curvature and theta_dot, built on the pairs i < j as the (1,2)
-form the transgression reads, on a leading s axis.  Stencil
+eigenbasis every s-dependent factor is diagonal, so theta_dot at all the
+Simpson nodes in s is one broadcast expression over a leading s axis,
+built on the pairs i < j as the (1,2) form the transgression reads; the
+curvature (d > 2) takes one node at a time, to bound the memory.  Stencil
 offsets, weights and reach have one owner, the cached plan _jet_plan;
 every derivative is one evaluation on a sample stacked over the plan's
 points, differenced along that axis by _central_diff or, all axes at
@@ -559,17 +559,19 @@ def _path_eigenbasis(g0: np.ndarray, g1: np.ndarray):
     return E @ Q, lam, E, Q
 
 
-def _path_scalings(lam, s: float):
-    """The path's diagonal factors at one node s: D, q = D^(-1/2) and p = -(lam-1)/(2D).
+def _path_scalings(lam, s):
+    """The path's diagonal factors at the nodes s: D, q = D^(-1/2) and p = -(lam-1)/(2D).
 
-    A^T g_s A = diag(D), D = 1 + s(lam-1), for g_s = (1-s) g0 + s g1 in the
-    eigenbasis A of _path_eigenbasis, whose inverse is A^T g0.  The matrices
-    g_s^{-1} gdot commute for all s, so tau(0) = Id and dtau/ds = X tau with
-    X = -1/2 g_s^{-1} gdot = A diag(p) A^{-1} give tau(s) = A diag(q) A^{-1}
-    = (g0^{-1} g_s)^(-1/2); tau^{-1} = A diag(1/q) A^{-1}, g_s^{-1} = A
-    diag(1/D) A^T and d/ds g_s^{-1} = A diag(2p/D) A^T.
+    s is one node or a 1-D vector of nodes, whose axis leads: D, q and p
+    have shape s.shape + lam.shape.  A^T g_s A = diag(D), D = 1 + s(lam-1),
+    for g_s = (1-s) g0 + s g1 in the eigenbasis A of _path_eigenbasis, whose
+    inverse is A^T g0.  The matrices g_s^{-1} gdot commute for all s, so
+    tau(0) = Id and dtau/ds = X tau with X = -1/2 g_s^{-1} gdot = A diag(p)
+    A^{-1} give tau(s) = A diag(q) A^{-1} = (g0^{-1} g_s)^(-1/2); tau^{-1} =
+    A diag(1/q) A^{-1}, g_s^{-1} = A diag(1/D) A^T and d/ds g_s^{-1} = A
+    diag(2p/D) A^T.
     """
-    D = 1.0 + s * (lam - 1.0)
+    D = 1.0 + np.multiply.outer(s, lam - 1.0)
     return D, D ** -0.5, -0.5 * (lam - 1.0) / D
 
 
@@ -591,24 +593,26 @@ def metric_path_gauge(g0: MetricField, g1: MetricField, x) -> GaugePath:
     k / PATH_STEPS in the centre's eigenbasis A0 (_path_eigenbasis), where
     every s-dependent factor is diagonal (q = D^(-1/2), p = -(lam-1)/(2D)).
     With H = A0^T G^T A0 for the first-kind symbols G of the affine jet,
-    affine in s and taken once per call, each node is one elementwise
-    expression per frame direction on the pairs i < j:
+    affine in s and taken once per call, theta_dot at every node and frame
+    direction is one broadcast expression over a leading s axis, on the
+    pairs i < j:
 
         theta_dot_ij = q_i q_j (p_i (H_s)_ij - p_j (H_s)_ji + (Hdot - Hdot^T)_ij / 2).
 
     This is the first variation with A0^T d_a g A0 = H + H^T substituted
     (d_a g_jk = G_aj,k + G_ak,j on the jet), so it is skew by construction.
-    The pairs move to the g0 orthonormal frame E0 through Lambda^2 Q0 of the
-    orthogonal Q0 = E0^{-1} A0 after the last node, and theta_dot is the
+    The pairs of all the nodes move to the g0 orthonormal frame E0 through
+    Lambda^2 Q0 of the orthogonal Q0 = E0^{-1} A0, and theta_dot is the
     (1,2) double form the transgression reads.  The curvature is computed
-    exactly when d > 2, from g_s^{-1} = A0 diag(1/D) A0^T and tau E0 = A0
-    diag(q) Q0^T: on a surface the transgression integrand B(theta_dot R^0)
+    exactly when d > 2, one node at a time (a stack of every node's
+    curvature arrays would cost several times the memory), from g_s^{-1} =
+    A0 diag(1/D) A0^T, tau E0 = A0 diag(q) Q0^T and the pair basis of E0,
+    taken once: on a surface the transgression integrand B(theta_dot R^0)
     reads none, so the second derivatives are skipped and curvature is the
     zero form.
     """
     x = np.asarray(x, dtype=float)
-    if (g0.chart is not g1.chart and g0.chart.bounds != g1.chart.bounds) or \
-            (g0.fd_rel_step, g0.fd_order) != (g1.fd_rel_step, g1.fd_order):
+    if g0.chart != g1.chart or (g0.fd_rel_step, g0.fd_order) != (g1.fd_rel_step, g1.fd_order):
         raise MetricError("path endpoints must live on the same chart and stencil")
     d = g0.chart.dim
     s_nodes = np.linspace(0.0, 1.0, PATH_STEPS + 1)
@@ -631,19 +635,20 @@ def metric_path_gauge(g0: MetricField, g1: MetricField, x) -> GaugePath:
 
     pts = x.shape[:-1]
     S = s_nodes.size
+    D, q, p = _path_scalings(lam, s_nodes)                # [s, ..., d]
     eig = np.empty(pts + (d, S, i.size))     # theta_dot in the basis A0: [..., a, s, i<j]
+    np.multiply((q[..., i] * q[..., j])[..., None, :],
+                p[..., None, i] * (H_ij[0] + np.multiply.outer(s_nodes, H_ij[1]))
+                - p[..., None, j] * (H_ji[0] + np.multiply.outer(s_nodes, H_ji[1])) + half_skew,
+                out=np.moveaxis(eig, -2, 0))
     curv = np.empty((S,) + pts + (i.size,) * 2) if curved else None
-    for n, s in enumerate(s_nodes):
-        D, q, p = _path_scalings(lam, s)
-        np.multiply((q[..., i] * q[..., j])[..., None, :],
-                    p[..., None, i] * (H_ij[0] + s * H_ij[1])
-                    - p[..., None, j] * (H_ji[0] + s * H_ji[1]) + half_skew,
-                    out=eig[..., n, :])
-        if curved:
-            # the curvature of g_s pulled back by tau(s), in the g0 orthonormal frame
-            F = _curvature_coord((A0 / D[..., None, :]) @ A0t, (1.0 - s) * dg0 + s * dg1,
-                                 (1.0 - s) * d2g0 + s * d2g1)
-            curv[n] = _pair_coeffs(F, E0, (A0 * q[..., None, :]) @ Q0t)
+    if curved:
+        # the curvature of g_s pulled back by tau(s), in the g0 orthonormal frame
+        P0t = np.swapaxes(_pair_basis(E0)[0], -1, -2)
+        for n, s in enumerate(s_nodes):
+            F = _curvature_coord((A0 / D[n, ..., None, :]) @ A0t, (1.0 - s) * dg0 + s * dg1,
+                                 (1.0 - s) * d2g0 + s * d2g1).reshape(pts + (d * d,) * 2)
+            curv[n] = P0t @ F @ _pair_basis((A0 * q[n, ..., None, :]) @ Q0t)[0]
     # to the g0 frame: Q0 X Q0^T on the pairs as Lambda^2 Q0, then E0^T on a
     eig = eig.reshape(pts + (d * S, i.size)) @ (P[..., i * d + j, :] - P[..., j * d + i, :])
     eig = E0t @ eig.reshape(pts + (d, S * i.size))

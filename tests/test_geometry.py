@@ -41,7 +41,7 @@ from gblab.geometry import (
     phi_frame,
     riemann_double_form,
 )
-from gblab.invariants import path_transgression_form
+from gblab.invariants import path_transgression_form, pfaffian_form
 
 POLAR = Chart("polar", ((0.1, 2.0), (0.0, 2 * math.pi)), (False, True))
 TORUS2 = Chart("t2", ((0.0, 2 * math.pi), (0.0, 2 * math.pi)), (True, True))
@@ -834,6 +834,12 @@ def test_gauge_rejects_bad_paths():
         metric_path_gauge(g1, g0, np.array([0.1, 0.1]))
     with pytest.raises(MetricError):
         metric_path_gauge(g0, replace(g0, fd_order=4), np.array([0.1, 0.1]))
+    # endpoints on charts with the same bounds but other periodic flags
+    square = Chart("square", ((0.0, 1.0),) * 2, (True, True))
+    flat = MetricField(square, lambda x: np.eye(2))
+    open_square = replace(flat, chart=replace(square, periodic=(False, False)))
+    with pytest.raises(MetricError, match="same chart"):
+        metric_path_gauge(flat, open_square, np.array([0.5, 0.5]))
     # one non-SPD endpoint sample inside a block fails the whole block
     pts = np.array([[1.0, 0.5], [1.5, 2.0], [3.0, 1.0]])
     bent = MetricField(TORUS2, lambda x: _diag2(np.ones(x.shape[:-1]), 2.5 - x[..., 0]))
@@ -1268,6 +1274,91 @@ def test_path_transgression_equals_the_per_node_sum(block):
     assert _amax(got.coeffs) > 1e-3
 
 
+def _gauge_per_node(g0, g1, x):
+    """theta_dot and curvature coefficients by the per-node loop the s-axis pass replaced.
+
+    At each Simpson node s: D, q and p from the scalar s, theta_dot's pairs
+    in the basis A0 by one elementwise expression, and (d > 2) the
+    curvature through _pair_coeffs, which rebuilds the pair basis of E0.
+    """
+    d = g0.chart.dim
+    curved = d > 2
+    g0c, dg0, d2g0 = _metric_jet(g0, x, want_second=curved)
+    g1c, dg1, d2g1 = _metric_jet(g1, x, want_second=curved)
+    A0, lam, E0, Q0 = _path_eigenbasis(g0c, g1c)
+    A0t, Q0t, E0t = (np.swapaxes(m, -1, -2) for m in (A0, Q0, E0))
+    G = np.swapaxes(_christoffel_first(np.stack((dg0, dg1 - dg0))), -1, -2)
+    H = A0t[..., None, :, :] @ G @ A0[..., None, :, :]
+    P, (i, j) = _pair_basis(Q0t)
+    H_ij, H_ji = H[..., i, j], H[..., j, i]
+    half_skew = 0.5 * (H_ij[1] - H_ji[1])
+    pts, s_nodes = x.shape[:-1], np.linspace(0.0, 1.0, geometry.PATH_STEPS + 1)
+    S = s_nodes.size
+    eig = np.empty(pts + (d, S, i.size))
+    curv = np.empty((S,) + pts + (i.size,) * 2) if curved else DoubleForm.zero(d, 2, 2).coeffs
+    for n, s in enumerate(s_nodes):
+        D = 1.0 + s * (lam - 1.0)
+        q, p = D ** -0.5, -0.5 * (lam - 1.0) / D
+        np.multiply((q[..., i] * q[..., j])[..., None, :],
+                    p[..., None, i] * (H_ij[0] + s * H_ij[1])
+                    - p[..., None, j] * (H_ji[0] + s * H_ji[1]) + half_skew,
+                    out=eig[..., n, :])
+        if curved:
+            F = _curvature_coord((A0 / D[..., None, :]) @ A0t, (1.0 - s) * dg0 + s * dg1,
+                                 (1.0 - s) * d2g0 + s * d2g1)
+            curv[n] = _pair_coeffs(F, E0, (A0 * q[..., None, :]) @ Q0t)
+    eig = eig.reshape(pts + (d * S, i.size)) @ (P[..., i * d + j, :] - P[..., j * d + i, :])
+    eig = E0t @ eig.reshape(pts + (d, S * i.size))
+    return np.moveaxis(eig.reshape(pts + (d, S, i.size)), -2, 0), curv
+
+
+@pytest.mark.parametrize("block", [_stokes_block, lambda: _disk4_block(16)],
+                         ids=["stokes_d2", "disk_d4"])
+def test_gauge_s_axis_pass_equals_the_per_node_loop(block):
+    args = block()
+    got = metric_path_gauge(*args)
+    theta_dot, curvature = _gauge_per_node(*args)
+    assert np.array_equal(got.theta_dot.coeffs, theta_dot)
+    assert np.array_equal(got.curvature.coeffs, curvature)
+    assert _amax(got.theta_dot.coeffs) > 1e-2
+
+
+def _stokes_gap(g0, g1, p, h=1e-3):
+    """TransgressionStokes's pointwise identity on the block p: d(Tpf) - Delta Pf, and Delta Pf.
+
+    d of the transgression's (1,0) form by the order-2 stencil at step h,
+    against Pf(R^1) sqrt(det g1) (the flat g0's term vanishes).
+    """
+    hs = np.full(2, h)
+    gauge = metric_path_gauge(g0, g1, p + hs * _jet_plan(2, 2, False)[1][1:, None, :])
+    d = _along_axes(path_transgression_form(gauge).coeffs, hs, 2)
+    R1, E1 = riemann_double_form(g1, p)
+    dpf = pfaffian_form(R1).coeffs[..., 0, 0] / np.linalg.det(E1)
+    return d[:, 0, 1, 0] - d[:, 1, 0, 0] - dpf, dpf
+
+
+def test_transgression_stokes_holds_on_a_non_conformal_path():
+    # g1 = [[e^{2u}, 0.1 sin x2], [0.1 sin x2, e^{2u+v}]] with TransgressionStokes's
+    # u and v = 0.2 cos(x1 + x2): the generalized eigenvalues differ, so the
+    # gauge's p_i and p_j do too.  On this 8 x 8 block the gap is 5.4e-7 of
+    # max |Delta Pf| clean and 8.1e-2 with p_i in place of p_j in the gauge's
+    # pair expression (on the full 32 x 32 grid, 5.5e-7 and 4.3e-2 of 0.535)
+    (g0,) = catalog.get("flat_torus").fields
+
+    def g1_ev(x):
+        u = 0.25 * np.sin(x[..., 0]) * np.cos(x[..., 1])
+        off = 0.1 * np.sin(x[..., 1])
+        return np.stack([np.stack([np.exp(2.0 * u), off], axis=-1),
+                         np.stack([off, np.exp(2.0 * u + 0.2 * np.cos(x[..., 0] + x[..., 1]))],
+                                  axis=-1)], axis=-2)
+
+    xs = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
+    p = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1).reshape(-1, 2)
+    gap, dpf = _stokes_gap(g0, replace(g0, evaluator=g1_ev), p)
+    assert _amax(dpf) > 0.1
+    assert _amax(gap) <= 1e-3 * _amax(dpf)
+
+
 def _traced_peak_mib(fn):
     """tracemalloc peak of the second of two calls (the first fills the caches), in MiB."""
     fn()
@@ -1283,11 +1374,12 @@ def _traced_peak_mib(fn):
                                               (lambda: _disk4_block(64), 5.0)],
                          ids=["stokes_d2", "disk_d4_64"])
 def test_gauge_peak_memory_stays_bounded(block, bound_mib):
-    # the gauge that builds theta_dot on the pairs i < j measures 0.34 and
-    # 2.45 MiB here (with the full d x d theta_dot: 0.80 and 2.80; the
-    # projector route before it: 1.15 and 3.12); a prototype of the older
-    # per-row route that stacked all 17 s nodes at once measured about 4.5
-    # and 14 MiB
+    # the gauge that takes theta_dot in one pass over the s axis measures
+    # 0.79 and 2.59 MiB here, as that pass's temporaries for all 17 nodes
+    # coexist (one node at a time: 0.34 and 2.45; with the full d x d
+    # theta_dot: 0.80 and 2.80; the projector route before it: 1.15 and
+    # 3.12); a prototype of the older per-row route that stacked all 17 s
+    # nodes at once, curvature included, measured about 4.5 and 14 MiB
     args = block()
     assert _traced_peak_mib(lambda: metric_path_gauge(*args)) <= bound_mib
 

@@ -1323,20 +1323,6 @@ def test_gauge_s_axis_pass_equals_the_per_node_loop(block):
     assert _amax(got.theta_dot.coeffs) > 1e-2
 
 
-def _stokes_gap(g0, g1, p, h=1e-3):
-    """TransgressionStokes's pointwise identity on the block p: d(Tpf) - Delta Pf, and Delta Pf.
-
-    d of the transgression's (1,0) form by the order-2 stencil at step h,
-    against Pf(R^1) sqrt(det g1) (the flat g0's term vanishes).
-    """
-    hs = np.full(2, h)
-    gauge = metric_path_gauge(g0, g1, p + hs * _jet_plan(2, 2, False)[1][1:, None, :])
-    d = _along_axes(path_transgression_form(gauge).coeffs, hs, 2)
-    R1, E1 = riemann_double_form(g1, p)
-    dpf = pfaffian_form(R1).coeffs[..., 0, 0] / np.linalg.det(E1)
-    return d[:, 0, 1, 0] - d[:, 1, 0, 0] - dpf, dpf
-
-
 def test_transgression_stokes_holds_on_a_non_conformal_path():
     # g1 = [[e^{2u}, 0.1 sin x2], [0.1 sin x2, e^{2u+v}]] with TransgressionStokes's
     # u and v = 0.2 cos(x1 + x2): the generalized eigenvalues differ, so the
@@ -1352,9 +1338,17 @@ def test_transgression_stokes_holds_on_a_non_conformal_path():
                          np.stack([off, np.exp(2.0 * u + 0.2 * np.cos(x[..., 0] + x[..., 1]))],
                                   axis=-1)], axis=-2)
 
+    g1 = replace(g0, evaluator=g1_ev)
+    # TransgressionStokes's identity on one block: the curl of the transgression's
+    # (1,0) form by the order-2 stencil at step 1e-3 is Pf(R^1) sqrt(det g1)
+    hs = np.full(2, 1e-3)
     xs = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
     p = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1).reshape(-1, 2)
-    gap, dpf = _stokes_gap(g0, replace(g0, evaluator=g1_ev), p)
+    gauge = metric_path_gauge(g0, g1, p + hs * _jet_plan(2, 2, False)[1][1:, None, :])
+    d = _along_axes(path_transgression_form(gauge).coeffs, hs, 2)
+    R1, E1 = riemann_double_form(g1, p)
+    dpf = pfaffian_form(R1).coeffs[..., 0, 0] / np.linalg.det(E1)
+    gap = d[:, 0, 1, 0] - d[:, 1, 0, 0] - dpf
     assert _amax(dpf) > 0.1
     assert _amax(gap) <= 1e-3 * _amax(dpf)
 

@@ -12,18 +12,23 @@ in every checkout in turn (default: this repository), so that a slow spell
 of the machine hits all checkouts alike.  The file records the machine (CPU
 count, Python and numpy versions), and for each checkout its git SHA (and
 whether tracked files differ from it), the output of
-`wc -l src/gblab/*.py` and the final JSON line of every run.  Standard
-library only.
+`wc -l src/gblab/*.py`, the code lines of each module and in total (lines
+that hold a token other than a comment or a docstring, so blank lines and
+docstrings do not move the count) and the final JSON line of every run.
+Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
+import io
 import json
 import os
 import platform
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -31,6 +36,9 @@ COMMAND = [sys.executable, "perfbench/run.py"]
 WORKLOADS = tuple(w["name"] for w in json.loads(
     (ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"])
 SEED = 0
+# tokens that make no line a code line; a docstring's STRING token is skipped by position
+NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+            tokenize.ENDMARKER}
 
 
 def _output(cmd, cwd) -> str:
@@ -58,10 +66,30 @@ def _line_counts(path: Path) -> list:
     return _output(["wc", "-l", *files], path).splitlines()
 
 
+def _code_lines(path: Path) -> dict:
+    """Code lines of each src/gblab module, by path, and their "total"."""
+    counts = {}
+    for file in sorted((path / "src" / "gblab").glob("*.py")):
+        text = file.read_text(encoding="utf-8")
+        docs = [(n.body[0].lineno, n.body[0].end_lineno) for n in ast.walk(ast.parse(text))
+                if isinstance(n, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+                and ast.get_docstring(n, clean=False) is not None]
+        lines = set()
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if tok.type in NOT_CODE or (tok.type == tokenize.STRING and any(
+                    lo <= tok.start[0] and tok.end[0] <= hi for lo, hi in docs)):
+                continue
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+        counts[file.relative_to(path).as_posix()] = len(lines)
+    counts["total"] = sum(counts.values())
+    return counts
+
+
 def bench(out, checkouts) -> dict:
     """Run every workload in every checkout and write the record to out."""
     paths = [Path(c).resolve() for c in checkouts]
-    records = [{**_revision(p), "wc_l": _line_counts(p), "runs": []} for p in paths]
+    records = [{**_revision(p), "wc_l": _line_counts(p), "code_lines": _code_lines(p),
+                "runs": []} for p in paths]
     for workload in WORKLOADS:
         for trace in (0, 1):
             args = ["--workload", workload, "--seed", str(SEED), "--trace", str(trace)]

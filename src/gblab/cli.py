@@ -170,22 +170,15 @@ def cmd_describe(args) -> int:
 
 def cmd_run(args) -> int:
     if args.workers < 1:
-        print("error: --workers must be >= 1", file=sys.stderr)
-        return 2
+        raise ValueError("--workers must be >= 1")
     if args.level is not None and args.level not in LEVELS:
-        print("error: --level must be in 1..7", file=sys.stderr)
-        return 2
+        raise ValueError("--level must be in 1..7")
     if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0):
-        print("error: --tol must be finite and >= 0", file=sys.stderr)
-        return 2
+        raise ValueError("--tol must be finite and >= 0")
     if args.check and (args.workers > 1 or args.filter):
-        print("error: --workers and --filter apply to suite runs, not to --check",
-              file=sys.stderr)
-        return 2
+        raise ValueError("--workers and --filter apply to suite runs, not to --check")
     if not args.check and (args.geometry or args.params):
-        print("error: --geometry and key=value parameters apply to --check runs",
-              file=sys.stderr)
-        return 2
+        raise ValueError("--geometry and key=value parameters apply to --check runs")
     aliases = catalog.read_config(args.config) if args.config else {}
     geometry, params = args.geometry, _parse_params(args.params)
     if geometry in aliases:
@@ -217,8 +210,7 @@ def cmd_run(args) -> int:
 
 def cmd_converge(args) -> int:
     if args.levels not in LEVELS:
-        print("error: --levels must be in 1..7", file=sys.stderr)
-        return 2
+        raise ValueError("--levels must be in 1..7")
     params = _parse_params(args.params)
     lines = ["level,value,diff,order"]
     prev = prev_diff = None
@@ -240,8 +232,7 @@ def cmd_converge(args) -> int:
 
 def cmd_calibrate(args) -> int:
     if args.level not in LEVELS:
-        print("error: --level must be in 1..7", file=sys.stderr)
-        return 2
+        raise ValueError("--level must be in 1..7")
     report = verify.calibrate(level=args.level)
     print("orientation flags (frozen):", report["frozen"])
     print("orientation flags (derived):", report["derived"])

@@ -23,9 +23,10 @@ d2g by the three- or five-point formula), the slice metric in r
 sample) and the Stokes curl in verify.  The lowered curvature comes
 straight from the first-kind symbols G_ij,k:
 F_ijkl = d_i G_jl,k - d_j G_il,k - G_ik,m g^mn G_jl,n + G_jk,m g^mn G_il,n,
-with no derivative of g^{-1} and no lowering by g.  Its g^{-1} comes from a
-factorisation in hand: E E^T from the Cholesky frame E, or A diag(1/D) A^T
-from the gauge's eigenbasis A of the pair (g0, g1).
+with no derivative of g^{-1} and no lowering by g.  Its g^{-1}, and that of
+christoffel for the phi connection, comes from a factorisation in hand:
+E E^T from the Cholesky frame E, or A diag(1/D) A^T from the gauge's
+eigenbasis A of the pair (g0, g1).
 The frame change is P^T F P2 in the pair basis P[(i,j), (a<b)] = E_ia E_jb
 of _pair_basis, which also rotates the gauge's pairs; every contraction is
 a batched matmul.  _frame_of owns the one Cholesky, and the gauge's
@@ -113,7 +114,7 @@ def _spd_check(g: np.ndarray) -> np.ndarray:
     """Symmetrize a stack of metric samples, each checked on its own scale (one buffer).
 
     An exactly symmetric stack comes back as it is: (a + a)/2 = a, so only
-    the sign of an exact zero can differ, and a NaN fails the comparison.
+    the sign of an exact zero can differ; a NaN fails the comparison and raises.
     _sample hands the evaluator's own array out only as a read-only view.
     """
     g = np.asarray(g, dtype=float)
@@ -123,6 +124,8 @@ def _spd_check(g: np.ndarray) -> np.ndarray:
     if np.array_equal(g, gt):
         return g
     buf = np.abs(g)
+    if np.isnan(buf).any():
+        raise MetricError("metric sample holds a NaN")
     scale = np.maximum(1.0, np.max(buf, axis=(-2, -1)))
     np.abs(np.subtract(g, gt, out=buf), out=buf)
     if np.any(np.max(buf, axis=(-2, -1)) > 1e-10 * scale):
@@ -281,13 +284,14 @@ def _metric_jet(m: MetricField, x, want_second: bool):
 
 
 def christoffel(m: MetricField, x) -> np.ndarray:
-    """Second-kind Levi-Civita coefficients Gamma[k, i, j] at x, from g^{-1} by inv."""
+    """Levi-Civita connection omega[..., mu, i, j] = Gamma^i_{mu j} at x.
+
+    g^{-1} = E E^T from the Cholesky frame E of _frame_of, as the curvature
+    takes it, so a sample that is not SPD raises _frame_of's MetricError.
+    """
     g, dg, _ = _metric_jet(m, x, want_second=False)
-    try:
-        ginv = np.linalg.inv(g)
-    except np.linalg.LinAlgError as exc:
-        raise MetricError("metric sample is singular") from exc
-    return np.moveaxis(_second_kind(ginv, _christoffel_first(dg)), -1, -3)
+    E = _frame_of(g)
+    return np.swapaxes(_second_kind(E @ np.swapaxes(E, -1, -2), _christoffel_first(dg)), -1, -2)
 
 
 def _christoffel_first(dg: np.ndarray) -> np.ndarray:
@@ -677,7 +681,7 @@ def phi_conjugated_connection(c: CollarMetric, r, y) -> np.ndarray:
     d = x.shape[-1]
     f = fib.fiber_dim
 
-    omega_coord = np.swapaxes(christoffel(c.full_metric(), x), -3, -2)  # [..., mu, i, j]
+    omega_coord = christoffel(c.full_metric(), x)
     phi = np.ones(rs.shape + (d,))
     phi[..., 1:1 + f] = rs[..., None]
     conj = phi[..., None, :, None] * omega_coord * (1.0 / phi)[..., None, None, :]

@@ -194,21 +194,18 @@ def cone_transgression_value(theta: float, lk_integrals) -> float:
     return total
 
 
-def edge_boundary_value(pf_base_integral: float, odd_pf_fiber_integral: float,
-                        base_dim: int) -> float:
+def edge_boundary_value(pf_base_integral: float, odd_pf_fiber_integral: float) -> float:
     """Collapsing-fiber boundary term: Pf integral of the base times the
-    odd-Pfaffian integral of the fiber.  Zero when the base is odd."""
-    if base_dim % 2:
-        return 0.0
+    odd-Pfaffian integral of the fiber.  verify.edge_value_for owns the
+    parity rule: the term is zero when the base is odd."""
     return pf_base_integral * odd_pf_fiber_integral
 
 
 def fibered_boundary_value(odd_pf_base_integral: float, chi_fiber: int,
-                           base_dim: int, fiber_dim: int) -> float:
+                           fiber_dim: int) -> float:
     """Expanding-base boundary term (2pi)^(f/2) chi(F) * odd-Pf integral of
-    the base.  Zero when the base is even."""
-    if base_dim % 2 == 0:
-        return 0.0
+    the base.  verify.fibered_value_for owns the parity rule: the term is
+    zero when the base is even."""
     if fiber_dim % 2:
         raise ShapeError("fiber dimension must be even when the base is odd")
     return (2.0 * math.pi) ** (fiber_dim // 2) * chi_fiber * odd_pf_base_integral

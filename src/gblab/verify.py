@@ -243,7 +243,7 @@ def edge_value_for(fib, level: int) -> float:
         return 0.0
     pf_base = 1.0 if fib.base is None else curvature_integral(fib.base, level, _pf_top)
     odd_fiber = curvature_integral(fib.fiber, level, _odd_pf_top)
-    return inv.edge_boundary_value(pf_base, odd_fiber, fib.base_dim)
+    return inv.edge_boundary_value(pf_base, odd_fiber)
 
 
 def fibered_value_for(fib, level: int) -> float:
@@ -251,7 +251,7 @@ def fibered_value_for(fib, level: int) -> float:
     if fib.base_dim % 2 == 0:
         return 0.0
     odd_base = curvature_integral(fib.base, level, _odd_pf_top)
-    return inv.fibered_boundary_value(odd_base, fib.chi_fiber, fib.base_dim, fib.fiber_dim)
+    return inv.fibered_boundary_value(odd_base, fib.chi_fiber, fib.fiber_dim)
 
 
 def horizontal_closed_value(collar: CollarMetric, level: int) -> float:
@@ -306,14 +306,12 @@ def _phi_reference(collar: CollarMetric, y) -> np.ndarray:
     omega_coord = np.zeros(y.shape[:-1] + (d, d, d))
     if f:
         vert = slice(1, 1 + f)
-        gam_f = christoffel(at_collar(fib.fiber), y[..., :f])   # [..., k, a, j]
-        omega_coord[..., vert, vert, vert] = np.swapaxes(gam_f, -3, -2)
+        omega_coord[..., vert, vert, vert] = christoffel(at_collar(fib.fiber), y[..., :f])
         omega_coord[..., vert, 0, vert] = -fib.fiber_metric(0.0, y[..., :f])
         omega_coord[..., vert, vert, 0] = np.eye(f)
     if b:
         hor = slice(1 + f, d)
-        gam_b = christoffel(at_collar(fib.base), y[..., f:])
-        omega_coord[..., hor, hor, hor] = np.swapaxes(gam_b, -3, -2)
+        omega_coord[..., hor, hor, hor] = christoffel(at_collar(fib.base), y[..., f:])
 
     E0, dE = phi_frame(collar, 0.0, y)
     E0 = E0[..., None, :, :]

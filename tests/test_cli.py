@@ -107,7 +107,8 @@ def test_cone_parameter_its_profile_ignores_exits_two(capsys):
 
 def test_workers_below_one_exit_two(capsys):
     assert main(["run", "--workers", "0"]) == 2
-    assert "--workers must be >= 1" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.err == "error: --workers must be >= 1\n" and captured.out == ""
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -117,12 +118,15 @@ def test_workers_below_one_exit_two(capsys):
 ])
 def test_converge_usage_errors_exit_two(argv, message, capsys):
     assert main(["converge", *argv]) == 2
-    assert message in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
 
 
 def test_workers_with_single_check_exit_two(capsys):
     assert main(["run", "--check", "ClosedGB", "--workers", "2"]) == 2
-    assert "--workers" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.err == ("error: --workers and --filter apply to suite runs, "
+                            "not to --check\n") and captured.out == ""
 
 
 def test_converge_writes_csv(tmp_path):
@@ -201,6 +205,12 @@ def test_missing_config_file_exits_two(tmp_path, capsys):
     assert err.startswith("error: ") and "none.json" in err
 
 
+# the whole message of a usage error that a row names by a fragment
+_WHOLE = {"--geometry and key=value": "--geometry and key=value parameters apply to --check runs",
+          "--filter apply to suite runs": "--workers and --filter apply to suite runs, "
+                                          "not to --check"}
+
+
 @pytest.mark.parametrize("argv,message", [
     (["--geometry", "sphere", "n=4", "--filter", "Orbifold"], "--geometry and key=value"),
     (["n=4"], "--geometry and key=value"),
@@ -216,7 +226,8 @@ def test_missing_config_file_exits_two(tmp_path, capsys):
 ])
 def test_options_of_the_other_run_kind_exit_two(argv, message, capsys):
     assert main(["run", *argv]) == 2
-    assert message in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {_WHOLE.get(message, message)}\n" and captured.out == ""
 
 
 def test_run_csv_dir(tmp_path):

@@ -71,18 +71,18 @@ def test_christoffel_euclidean_zero():
 def test_christoffel_polar_plane():
     m = MetricField(POLAR, polar_metric)
     x = np.array([1.3, 0.4])
-    g = christoffel(m, x)
-    assert g[0, 1, 1] == pytest.approx(-1.3, abs=1e-8)
-    assert g[1, 0, 1] == pytest.approx(1 / 1.3, abs=1e-8)
-    assert np.allclose(g, np.swapaxes(g, 1, 2))
+    w = christoffel(m, x)                # w[mu, i, j] = Gamma^i_{mu j}
+    assert w[1, 0, 1] == pytest.approx(-1.3, abs=1e-8)
+    assert w[0, 1, 1] == pytest.approx(1 / 1.3, abs=1e-8)
+    assert np.allclose(w, np.swapaxes(w, 0, 2))
 
 
 def test_christoffel_round_sphere_cotangent():
     chart = Chart("s2", ((0.2, math.pi - 0.2), (0.0, 2 * math.pi)), (False, True))
     m = MetricField(chart, s2_classic, fd_order=4)
     x = np.array([1.1, 0.3])
-    g = christoffel(m, x)
-    assert g[1, 0, 1] == pytest.approx(1 / math.tan(1.1), abs=1e-9)
+    w = christoffel(m, x)
+    assert w[0, 1, 1] == pytest.approx(1 / math.tan(1.1), abs=1e-9)
 
 
 def test_stencil_domain_error():
@@ -98,9 +98,11 @@ def test_non_spd_metric_error():
 
 
 def test_singular_metric_error():
-    m = MetricField(TORUS2, lambda x: np.ones((2, 2)))
-    with pytest.raises(MetricError, match="metric sample is singular"):
-        christoffel(m, np.array([0.5, 0.5]))
+    # singular or indefinite: christoffel's g^{-1} comes from _frame_of's Cholesky
+    for sample in (np.ones((2, 2)), np.diag([1.0, -1.0])):
+        m = MetricField(TORUS2, lambda x, sample=sample: sample)
+        with pytest.raises(MetricError, match="metric sample is not positive definite"):
+            christoffel(m, np.array([0.5, 0.5]))
 
 
 # -- the metric sample check -------------------------------------------------------
@@ -731,7 +733,7 @@ def test_slice_ii_matches_full_metric_christoffels():
     gam = christoffel(full, x)
     gfull = full.g(x)
     # II(X, Y) = -<nabla_X d_r, Y> in the slice orthonormal frame
-    ii_coord = -np.einsum("mi,mj->ij", gam[:, 1:, 0], gfull[:, 1:])
+    ii_coord = -np.einsum("im,mj->ij", gam[1:, :, 0], gfull[:, 1:])
     E = sd.frame
     assert np.max(np.abs(E.T @ ii_coord @ E - sd.second_fundamental.coeffs)) < 1e-6
 
@@ -1427,7 +1429,7 @@ def test_connection_difference_conformal_closed_form():
     g1 = MetricField(TORUS2, lambda x: np.exp(2 * u(x))[..., None, None] * np.eye(2))
     x = np.array([0.8, 1.9])
     # omega[mu, i, j] = (nabla^g1_mu d_j - nabla^g0_mu d_j)^i
-    omega = np.swapaxes(christoffel(g1, x) - christoffel(g0, x), 0, 1)
+    omega = christoffel(g1, x) - christoffel(g0, x)
     d = du(x)
     want = np.zeros((2, 2, 2))
     for a in range(2):

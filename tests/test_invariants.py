@@ -230,17 +230,15 @@ def test_cone_value_three_sphere():
 
 
 def test_edge_boundary_value_cases():
-    assert inv.edge_boundary_value(4 * math.pi, -TWO_PI, 2) == pytest.approx(-8 * math.pi**2)
-    assert inv.edge_boundary_value(4 * math.pi, -TWO_PI, 1) == 0.0
+    assert inv.edge_boundary_value(4 * math.pi, -TWO_PI) == pytest.approx(-8 * math.pi**2)
     # flat 3-torus fiber: odd Pfaffian integrates to its volume
-    assert inv.edge_boundary_value(4 * math.pi, (2 * math.pi) ** 3, 2) == pytest.approx(
+    assert inv.edge_boundary_value(4 * math.pi, (2 * math.pi) ** 3) == pytest.approx(
         4 * math.pi * TWO_PI**3)
 
 
 def test_fibered_boundary_value_cases():
-    assert inv.fibered_boundary_value(-TWO_PI, 1, 1, 0) == pytest.approx(-TWO_PI)
-    assert inv.fibered_boundary_value(-TWO_PI, 2, 2, 1) == 0.0
-    got = inv.fibered_boundary_value(-TWO_PI**2, 2, 3, 2)
+    assert inv.fibered_boundary_value(-TWO_PI, 1, 0) == pytest.approx(-TWO_PI)
+    got = inv.fibered_boundary_value(-TWO_PI**2, 2, 2)
     assert got == pytest.approx(TWO_PI * 2 * (-TWO_PI**2))
 
 

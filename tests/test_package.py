@@ -48,6 +48,29 @@ def test_src_calls_no_einsum():
     assert uses == []
 
 
+def _factorisations(node, owner, found):
+    """(file's function, name) for each cholesky or inv reference under node, innermost def first."""
+    for child in ast.iter_child_nodes(node):
+        names = ({child.attr} if isinstance(child, ast.Attribute)
+                 else {a.name for a in child.names} if isinstance(child, ast.ImportFrom)
+                 else set())
+        found |= {(owner, name) for name in names & {"cholesky", "inv"}}
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
+        _factorisations(child, inner, found)
+    return found
+
+
+def test_no_metric_inverse_comes_from_inv():
+    # g^{-1} is E E^T from the one Cholesky; inv inverts only its factor L and two frames
+    found = set()
+    for path in sorted(Path(gblab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found |= {(f"{path.stem}.{fn}", name) for fn, name in _factorisations(tree, "", set())}
+    assert found == {("geometry._frame_of", "cholesky"), ("geometry._frame_of", "inv"),
+                     ("geometry.phi_conjugated_connection", "inv"),
+                     ("verify._phi_reference", "inv")}
+
+
 def test_verify_builds_no_metric_field():
     # every field a check integrates, with its stencil, is catalog data
     tree = ast.parse((Path(gblab.__file__).parent / "verify.py").read_text(encoding="utf-8"))

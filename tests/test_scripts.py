@@ -39,6 +39,9 @@ def test_bench_records_every_run_of_a_stub_command(tmp_path, monkeypatch, capsys
     assert record["sha"] is None or (len(record["sha"]) == 40 and record["dirty"] in (True, False))
     assert record["wc_l"][-1].split()[-1] == "total"
     assert any(line.endswith("src/gblab/geometry.py") for line in record["wc_l"])
+    code = dict(record["code_lines"])
+    total = code.pop("total")
+    assert "src/gblab/geometry.py" in code and total == sum(code.values())
     # every workload the benchmark declares, in its order
     declared = json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
     names = [w["name"] for w in declared["workloads"]]
@@ -49,6 +52,16 @@ def test_bench_records_every_run_of_a_stub_command(tmp_path, monkeypatch, capsys
         assert r["result"] == {"argv": ["--workload", r["workload"], "--seed", "0",
                                         "--trace", str(r["trace"])]}
     assert len(capsys.readouterr().out.splitlines()) == 2 * len(names)
+
+
+def test_code_lines_skip_comments_blank_lines_and_docstrings(tmp_path):
+    script = _load("bench")
+    pkg = tmp_path / "src" / "gblab"
+    pkg.mkdir(parents=True)
+    (pkg / "m.py").write_text('"""Module\n\ndoc."""\n\n# comment\nX = """not\na docstring"""\n'
+                              '\n\ndef f():\n    """Doc."""\n    return X  # trailing\n',
+                              encoding="utf-8")
+    assert script._code_lines(tmp_path) == {"src/gblab/m.py": 4, "total": 4}
 
 
 def _report(rows, passed=None):

@@ -126,6 +126,23 @@ def test_an_infinite_tolerance_does_not_pass_a_check_that_failed():
     assert any("check failed" in n for n in r.notes)
 
 
+def test_a_nan_metric_sample_fails_the_check_at_its_node():
+    # a NaN fails the exact symmetry test, so the sample check's slow branch must reject it
+    spec = catalog.get("sphere", n=2)
+    (mf,) = spec.fields
+
+    def holed(x):
+        g = np.array(mf.evaluator(x), dtype=float)
+        g[x[..., 0] > 1.0] = np.nan
+        return g
+
+    r = verify.run_check("ClosedGB", replace(spec, fields=(replace(mf, evaluator=holed),)),
+                         level=1)
+    assert r.residual_abs == float("inf") and not r.passed
+    (note,) = r.notes
+    assert note.startswith("check failed: MetricError: metric sample holds a NaN (at node (")
+
+
 def test_run_suite_filter_and_order():
     suite = verify.run_suite(filter_text="cone", level=2)
     assert suite.results
@@ -153,6 +170,18 @@ def test_edge_value_for_torus_fiber():
     spec = catalog.get("edge_product", base="s2", fiber="t3")
     val = verify.edge_value_for(spec.collar.fibration, level=2)
     assert val == pytest.approx(4 * math.pi * (2 * math.pi) ** 3, rel=1e-5)
+
+
+def test_edge_value_for_an_odd_base_is_exactly_zero():
+    # the base Pfaffian of an odd base vanishes, so no odd Pfaffian is integrated
+    spec = catalog.get("edge_product", base="s1", fiber="s2")
+    assert verify.edge_value_for(spec.collar.fibration, level=2) == 0.0
+
+
+def test_fibered_value_for_an_even_base_is_exactly_zero():
+    # an even base has no odd Pfaffian
+    spec = catalog.get("fibered_product", base="s2", fiber="s1")
+    assert verify.fibered_value_for(spec.collar.fibration, level=1) == 0.0
 
 
 def test_calibration_recovers_frozen_flags():

@@ -7,9 +7,11 @@ Byte-equal files print `identical` and exit 0.  Otherwise rows are paired
 by (check_id, geometry, params) and the script prints the largest
 |a - b| / max(|a|, 1) over the numeric leaves of each row's computed and
 reference values, residuals and convergence samples, with the row and key
-where it occurs.  It exits 1 if a row is missing on one side or any other
-field differs (pass flags, tolerances, notes, strings, the summary or the
-shape of a value), and 0 if only numbers moved.  Standard library only.
+where it occurs.  After that summary line comes one indented line per
+numeric leaf that moved, `<row> <key>: a -> b (rel d)`, largest first.
+It exits 1 if a row is missing on one side or any other field differs
+(pass flags, tolerances, notes, strings, the summary or the shape of a
+value), and 0 if only numbers moved.  Standard library only.
 """
 
 import json
@@ -78,7 +80,7 @@ def compare(doc_a, doc_b, out=print) -> int:
         problems.append(f"row only in A: {_name(key)}")
     for key in rows_b.keys() - rows_a.keys():
         problems.append(f"row only in B: {_name(key)}")
-    worst = (0.0, None, None, None, None)
+    moved = []
     for key in sorted(rows_a.keys() & rows_b.keys()):
         la, lb = dict(_leaves(rows_a[key])), dict(_leaves(rows_b[key]))
         for path in sorted(set(la) | set(lb), key=repr):
@@ -89,16 +91,19 @@ def compare(doc_a, doc_b, out=print) -> int:
             a, b = la[path], lb[path]
             if path[0] in MEASURED and _is_number(a) and _is_number(b):
                 d = _rel_diff(a, b)
-                if d > worst[0]:
-                    worst = (d, key, where, a, b)
+                if d > 0.0:
+                    moved.append((d, key, where, a, b))
             elif not _same(a, b):
                 problems.append(f"{_name(key)}: {where}: {a!r} != {b!r}")
-    d, key, where, a, b = worst
-    if key is None:
+    moved.sort(key=lambda m: -m[0])  # stable: the first of equal moves stays first
+    if not moved:
         out(f"paired {len(rows_a.keys() & rows_b.keys())} rows; every numeric leaf is equal")
     else:
+        d, key, where, a, b = moved[0]
         out(f"paired {len(rows_a.keys() & rows_b.keys())} rows; max rel diff {d:.3g} "
             f"at {_name(key)} {where}: {a!r} -> {b!r}")
+    for d, key, where, a, b in moved:
+        out(f"  {_name(key)} {where}: {a!r} -> {b!r} (rel {d:.3g})")
     for line in problems:
         out(line)
     return 1 if problems else 0

@@ -19,8 +19,14 @@ nondegenerate on the closed quadrature box:
 * the catenoid uses the conformal coordinate r = sinh v, where the metric
   becomes cosh^2 v (dv^2 + dtheta^2).
 
+Every chart is _chart of its axes or _chart_product of charts, axes in
+order.  An axis is (lo, hi, n): n is the Gauss node count at level 1, or
+None for an angle, which is periodic and takes the orbit rule.  A factor
+(a sphere, a cone's link, a product's base or fiber) is a MetricField at the
+order-4 reference stencil.  A cone dr^2 + f(r)^2 h is given by its profile
+u(r) = f(r)/r, so its vertical block u(r)^2 h needs no limit at r = 0.
 Block-diagonal metrics (diagonals, products, collars) are one
-geometry._block_diag, and product charts one _chart_product, axes in order.
+geometry._block_diag.
 
 Quotient geometries are weighted covers: integrals run over the cover and
 are multiplied by 1/|G|, valid because every integrand in this laboratory
@@ -117,23 +123,29 @@ def _diag(*entries) -> np.ndarray:
     return _block_diag(*map(_scalar_factor, entries))
 
 
+def _chart(name: str, *axes) -> Chart:
+    """The chart of axes (lo, hi, n): n is the level-1 Gauss node count, or None for an angle.
+
+    An angle is periodic and takes the orbit rule, one node per axis: it is
+    exact because every density integrated on a catalog chart is invariant
+    under rotation along its angles, and integrate_chart raises on one that
+    is not.
+    """
+    counts = [n for *_, n in axes]
+    return Chart(name, tuple((lo, hi) for lo, hi, _ in axes), tuple(n is None for n in counts),
+                 quad_hints=tuple(AxisRule("orbit") if n is None else AxisRule("gauss", n)
+                                  for n in counts))
+
+
 def _chart_product(name: str, *charts: Chart) -> Chart:
     """The product box of charts, their axes (bounds, periodic flags, quadrature hints) in order."""
     return Chart(name, sum((c.bounds for c in charts), ()), sum((c.periodic for c in charts), ()),
                  quad_hints=sum((c.quad_hints for c in charts), ()))
 
 
-# the radial axis (0, 1) of the cone and edge interiors
-_UNIT_AXIS = Chart("unit", ((0.0, 1.0),), (False,), quad_hints=(AxisRule("gauss", 8),))
-
-
-def _sphere2_chart(tag: str) -> Chart:
-    return Chart(
-        f"{tag}-cylinder",
-        ((-MERCATOR_CUTOFF, MERCATOR_CUTOFF), (0.0, 2.0 * math.pi)),
-        (False, True),
-        quad_hints=(AxisRule("gauss", 24), AxisRule("orbit")),
-    )
+# the axis of an angle, and the radial axis (0, 1) of the cone and edge interiors
+_ANGLE = (0.0, 2.0 * math.pi, None)
+_UNIT_AXIS = _chart("unit", (0.0, 1.0, 8))
 
 
 def _sphere2_metric(rho: float) -> Callable:
@@ -144,30 +156,12 @@ def _sphere2_metric(rho: float) -> Callable:
     return ev
 
 
-def _sphere3_chart(tag: str) -> Chart:
-    return Chart(
-        f"{tag}-torus-angles",
-        ((0.0, 0.5 * math.pi), (0.0, 2.0 * math.pi), (0.0, 2.0 * math.pi)),
-        (False, True, True),
-        quad_hints=(AxisRule("gauss", 16), AxisRule("orbit"), AxisRule("orbit")),
-    )
-
-
 def _sphere3_metric(rho: float) -> Callable:
     def ev(x):
         a = x[..., 0]
         return rho**2 * _diag(1.0, np.cos(a) ** 2, np.sin(a) ** 2)
 
     return ev
-
-
-def _sphere4_chart(tag: str) -> Chart:
-    return Chart(
-        f"{tag}-polar-angles",
-        ((0.0, math.pi), (0.0, math.pi), (0.0, math.pi), (0.0, 2.0 * math.pi)),
-        (False, False, False, True),
-        quad_hints=(AxisRule("gauss", 8),) * 3 + (AxisRule("orbit"),),
-    )
 
 
 def _sphere4_metric(rho: float) -> Callable:
@@ -178,44 +172,30 @@ def _sphere4_metric(rho: float) -> Callable:
     return ev
 
 
-def _circle_chart(tag: str) -> Chart:
-    # periodic axes take the orbit rule, one node per axis: it is exact because
-    # every density integrated on a catalog chart is invariant under rotation
-    # along its angles, and integrate_chart raises on one that is not
-    return Chart(f"{tag}-angle", ((0.0, 2.0 * math.pi),), (True,),
-                 quad_hints=(AxisRule("orbit"),))
-
-
 def _circle_metric(rho: float) -> Callable:
     return lambda x: np.array([[rho**2]])
 
 
-def _torus_chart(n: int, periods) -> Chart:
-    return Chart(
-        f"torus{n}",
-        tuple((0.0, p) for p in periods),
-        (True,) * n,
-        quad_hints=(AxisRule("orbit"),) * n,
-    )
-
-
 # Factor manifolds of spheres, cone links and product collars:
 # name -> (chart builder taking a name tag, metric builder taking a radius,
-# dimension, Euler characteristic).
+# Euler characteristic).
 _FACTORS = {
-    "s1": (_circle_chart, _circle_metric, 1, 0),
-    "s2": (_sphere2_chart, _sphere2_metric, 2, 2),
-    "s3": (_sphere3_chart, _sphere3_metric, 3, 0),
-    "s4": (_sphere4_chart, _sphere4_metric, 4, 2),
-    "t3": (lambda tag: _torus_chart(3, (2.0 * math.pi,) * 3),
-           lambda rho: (lambda x: np.eye(3)), 3, 0),
+    "s1": (lambda tag: _chart(f"{tag}-angle", _ANGLE), _circle_metric, 0),
+    "s2": (lambda tag: _chart(f"{tag}-cylinder", (-MERCATOR_CUTOFF, MERCATOR_CUTOFF, 24), _ANGLE),
+           _sphere2_metric, 2),
+    "s3": (lambda tag: _chart(f"{tag}-torus-angles", (0.0, 0.5 * math.pi, 16), _ANGLE, _ANGLE),
+           _sphere3_metric, 0),
+    "s4": (lambda tag: _chart(f"{tag}-polar-angles", *[(0.0, math.pi, 8)] * 3, _ANGLE),
+           _sphere4_metric, 2),
+    "t3": (lambda tag: _chart("torus3", _ANGLE, _ANGLE, _ANGLE),
+           lambda rho: (lambda x: np.eye(3)), 0),
 }
 
 
 def _factor(name: str, tag: str, rho: float = 1.0):
-    """Chart, metric evaluator, dimension and Euler characteristic of a factor."""
-    chart_fn, metric_fn, dim, chi = _FACTORS[name]
-    return chart_fn(tag), metric_fn(rho), dim, chi
+    """A factor's metric field, at the order-4 reference stencil, and its Euler characteristic."""
+    chart_fn, metric_fn, chi = _FACTORS[name]
+    return MetricField(chart_fn(tag), metric_fn(rho), fd_order=4), chi
 
 
 # -- builders ------------------------------------------------------------------
@@ -224,10 +204,10 @@ def _factor(name: str, tag: str, rho: float = 1.0):
 def _build_sphere(params):
     n = int(params.get("n", 2))
     rho = float(params.get("rho", 1.0))
-    chart, metric, _, chi = _factor(f"s{n}", f"sphere{n}", rho)
+    mf, chi = _factor(f"s{n}", f"sphere{n}", rho)
     return GeometrySpec(
         name="sphere", params={"n": n, "rho": rho},
-        fields=(MetricField(chart, metric, fd_order=4 if n < 4 else 2),), chi_ref=chi,
+        fields=(dataclasses.replace(mf, fd_order=2) if n == 4 else mf,), chi_ref=chi,
         family="closed",
     )
 
@@ -237,22 +217,10 @@ def _build_flat_torus(params):
     periods = params.get("periods", (2.0 * math.pi,) * n)
     if len(periods) != n or any(p <= 0 for p in periods):
         raise RegistryError("need one positive period per axis")
-    mf = MetricField(_torus_chart(n, periods), lambda x: np.eye(n))
+    mf = MetricField(_chart(f"torus{n}", *((0.0, p, None) for p in periods)), lambda x: np.eye(n))
     return GeometrySpec(
         name="flat_torus", params={"n": n, "periods": tuple(float(p) for p in periods)},
         fields=(mf,), chi_ref=0, family="closed",
-    )
-
-
-def _polar_disk_chart(k: int, rho: float) -> Chart:
-    if k == 1:
-        return Chart("disk2-polar", ((0.0, rho), (0.0, 2.0 * math.pi)), (False, True),
-                     quad_hints=(AxisRule("gauss", 8), AxisRule("orbit")))
-    return Chart(
-        "disk4-polar",
-        ((0.0, rho), (0.0, 0.5 * math.pi), (0.0, 2.0 * math.pi), (0.0, 2.0 * math.pi)),
-        (False, False, True, True),
-        quad_hints=(AxisRule("gauss", 8),) * 2 + (AxisRule("orbit"),) * 2,
     )
 
 
@@ -260,12 +228,13 @@ def _build_disk(params):
     dim = int(params.get("dim", 2))
     rho = float(params.get("rho", 1.0))
     link = "s1" if dim == 2 else "s3"
-    link_chart, link_metric, _, _ = _factor(link, link)
-    chart = _polar_disk_chart(dim // 2, rho)
+    h, _ = _factor(link, link)
+    chart = (_chart("disk2-polar", (0.0, rho, 8), _ANGLE) if dim == 2 else
+             _chart("disk4-polar", (0.0, rho, 8), (0.0, 0.5 * math.pi, 8), _ANGLE, _ANGLE))
     collar = CollarMetric(
-        boundary_chart=link_chart,
+        boundary_chart=h.chart,
         r_interval=(0.0, 1.25 * rho),
-        radial_metric=lambda r: (lambda y: _scalar_factor(r) ** 2 * link_metric(y)),
+        radial_metric=lambda r: (lambda y: _scalar_factor(r) ** 2 * h.evaluator(y)),
         singular_end="upper",
     )
     mf = MetricField(chart, collar.full_metric().evaluator)
@@ -275,17 +244,20 @@ def _build_disk(params):
     )
 
 
-def _cone_collar(link: MetricField, chi: int, f_of_r: Callable) -> CollarMetric:
-    """The collar dr^2 + f(r)^2 h over the chart of the link h."""
+def _cone_collar(link: MetricField, chi: int, u: Callable) -> CollarMetric:
+    """The collar dr^2 + (r u(r))^2 h over the chart of the link h.
+
+    u(r) = f(r)/r is the cone's profile f divided by r, so the fibration's
+    vertical block (f(r)/r)^2 h is u(r)^2 h at every r, the vertex r = 0
+    included, with no division and no limit taken.
+    """
 
     def radial(r):
-        s = _scalar_factor(f_of_r(r) ** 2)
+        s = _scalar_factor((r * u(r)) ** 2)
         return lambda y: s * link.evaluator(y)
 
     def fiber_metric(r, y):
-        # (f(r)/r)^2 h, with f(r)/r continued through r = 0 by its limit f'(0)
-        r = np.where(r == 0.0, 1e-8, r)
-        return _scalar_factor((f_of_r(r) / r) ** 2) * link.evaluator(y)
+        return _scalar_factor(u(r) ** 2) * link.evaluator(y)
 
     fib = FibrationData(fiber=dataclasses.replace(link, evaluator=partial(fiber_metric, 0.0)),
                         fiber_metric=fiber_metric, chi_fiber=chi)
@@ -308,18 +280,17 @@ def _build_cone(params):
     if a != 0.0 and profile != "first_order":
         raise RegistryError(f"cone a must be 0 unless profile=first_order, got a={a!r}")
     if profile == "linear":
-        f = lambda r: theta * r
+        u = lambda r: np.full(np.shape(r), theta)
     elif profile == "second_order":
-        f = lambda r: r * np.sqrt(1.0 + r**2)
+        u = lambda r: np.sqrt(1.0 + r**2)
     elif profile == "first_order":
         # the profile r (1 + a r) must stay positive on the collar (0, 1.25]
         if not 1.0 + 1.25 * a > 0:
             raise RegistryError(f"first-order cone needs 1 + 1.25 a > 0, got a={a!r}")
-        f = lambda r: r * (1.0 + a * r)
-    link_chart, link_metric, _, chi = _factor(link, link)
-    h = MetricField(link_chart, link_metric, fd_order=4)
-    collar = _cone_collar(h, chi, f)
-    chart = _chart_product(f"cone-{link}", _UNIT_AXIS, link_chart)
+        u = lambda r: 1.0 + a * r
+    h, chi = _factor(link, link)
+    collar = _cone_collar(h, chi, u)
+    chart = _chart_product(f"cone-{link}", _UNIT_AXIS, h.chart)
     mf = MetricField(chart, collar.full_metric().evaluator)
     return GeometrySpec(
         name="cone", params={"link": link, "profile": profile, "theta": theta, "a": a},
@@ -359,26 +330,19 @@ def _build_lens_cone(params):
 
 def _build_catenoid(params):
     cutoff = float(params.get("cutoff", CATENOID_CUTOFF))
-    chart = Chart(
-        "catenoid-conformal", ((-cutoff, cutoff), (0.0, 2.0 * math.pi)), (False, True),
-        quad_hints=(AxisRule("gauss", 16), AxisRule("orbit")),
-    )
 
     def ev(x):
         c = np.cosh(x[..., 0])
         return _scalar_factor(c**2) * np.eye(2)
 
-    mf = MetricField(chart, ev, fd_order=4)
-    circle_chart = _circle_chart("s1")
+    mf = MetricField(_chart("catenoid-conformal", (-cutoff, cutoff, 16), _ANGLE), ev, fd_order=4)
+    circle, _ = _factor("s1", "s1")
     r_hi = math.sinh(cutoff)
     collar = CollarMetric(
-        boundary_chart=circle_chart, r_interval=(1.0, 4.0 * r_hi),
+        boundary_chart=circle.chart, r_interval=(1.0, 4.0 * r_hi),
         radial_metric=lambda r: (lambda y: _scalar_factor(1.0 + r**2)),
         singular_end="infinity",
-        fibration=FibrationData(
-            base=MetricField(circle_chart, lambda y: np.array([[1.0]]), fd_order=4),
-            chi_fiber=1,
-        ),
+        fibration=FibrationData(base=circle, chi_fiber=1),
     )
     return GeometrySpec(
         name="catenoid", params={"cutoff": cutoff},
@@ -388,70 +352,56 @@ def _build_catenoid(params):
     )
 
 
-def _product_collar(base: str, fiber: str, fiber_scale: Callable, base_scale: Callable,
-                    r_interval: tuple, singular_end: str) -> CollarMetric:
-    """Collar over N = F x B, fiber coordinates first, with metric
-    g(r) = fiber_scale(r) g_F + base_scale(r) g_B."""
-    bch, bmet, _, _ = _factor(base, f"base-{base}")
-    fch, fmet, fdim, chi_fiber = _factor(fiber, f"fiber-{fiber}")
-    n_chart = _chart_product(f"N-{fiber}x{base}", fch, bch)
+def _product_spec(name: str, family: str, params, fiber_scale: Callable, base_scale: Callable,
+                  r_interval: tuple, singular_end: str, **extra_params) -> GeometrySpec:
+    """A spec with no fields over the collar N = F x B of params' base and
+    fiber, fiber coordinates first, with metric g(r) = fiber_scale(r) g_F +
+    base_scale(r) g_B."""
+    base = str(params.get("base", "s2"))
+    fiber = str(params.get("fiber", "s1"))
+    (b, chi_base), (f, chi_fiber) = _factor(base, f"base-{base}"), _factor(fiber, f"fiber-{fiber}")
+    fdim = f.chart.dim
 
     def radial(r):
         sf, sb = _scalar_factor(fiber_scale(r)), _scalar_factor(base_scale(r))
-        return lambda y: _block_diag(sf * fmet(y[..., :fdim]), sb * bmet(y[..., fdim:]))
+        return lambda y: _block_diag(sf * f.evaluator(y[..., :fdim]),
+                                     sb * b.evaluator(y[..., fdim:]))
 
-    fib = FibrationData(
-        base=MetricField(bch, bmet, fd_order=4), fiber=MetricField(fch, fmet, fd_order=4),
-        fiber_metric=lambda r, y: fmet(y), chi_fiber=chi_fiber,
+    collar = CollarMetric(
+        boundary_chart=_chart_product(f"N-{fiber}x{base}", f.chart, b.chart),
+        r_interval=r_interval, radial_metric=radial, singular_end=singular_end,
+        fibration=FibrationData(base=b, fiber=f, fiber_metric=lambda r, y: f.evaluator(y),
+                                chi_fiber=chi_fiber),
     )
-    return CollarMetric(
-        boundary_chart=n_chart, r_interval=r_interval, radial_metric=radial,
-        singular_end=singular_end, fibration=fib,
+    return GeometrySpec(
+        name=name, params={"base": base, "fiber": fiber, **extra_params}, fields=(), collar=collar,
+        chi_pieces={"base": chi_base, "fiber": chi_fiber}, family=family,
     )
 
 
 def _build_edge_product(params):
-    base = str(params.get("base", "s2"))
-    fiber = str(params.get("fiber", "s1"))
-    collar = _product_collar(base, fiber, lambda r: r**2, lambda r: 1.0,
-                             (0.0, 1.0), "lower")
-    full_chart = _chart_product(f"edge-{fiber}x{base}", _UNIT_AXIS, collar.boundary_chart)
-    mf = MetricField(full_chart, collar.full_metric().evaluator)
-    return GeometrySpec(
-        name="edge_product", params={"base": base, "fiber": fiber},
-        fields=(mf,), collar=collar,
+    spec = _product_spec("edge_product", "edge", params, lambda r: r**2, lambda r: 1.0,
+                         (0.0, 1.0), "lower")
+    base, fiber = spec.params["base"], spec.params["fiber"]
+    chart = _chart_product(f"edge-{fiber}x{base}", _UNIT_AXIS, spec.collar.boundary_chart)
+    return dataclasses.replace(
+        spec, fields=(MetricField(chart, spec.collar.full_metric().evaluator),),
         # chi(B) x chi(cone over F), and the cone closes to a ball only over a sphere
-        chi_ref=_FACTORS[base][3] if fiber.startswith("s") else None,
-        chi_pieces={"base": _FACTORS[base][3], "fiber": _FACTORS[fiber][3]}, family="edge",
-    )
+        chi_ref=spec.chi_pieces["base"] if fiber.startswith("s") else None)
 
 
 def _build_edge_horizontal(params):
-    base = str(params.get("base", "s2"))
-    fiber = str(params.get("fiber", "s1"))
     beta = float(params.get("beta", 0.3))
     # the base block (1 + beta r)^2 g_B must not vanish on the collar (0, 1)
     if not 1.0 + beta > 0:
         raise RegistryError(f"edge_horizontal needs 1 + beta > 0, got beta={beta!r}")
-    collar = _product_collar(base, fiber, lambda r: r**2, lambda r: (1.0 + beta * r) ** 2,
-                             (0.0, 1.0), "lower")
-    return GeometrySpec(
-        name="edge_horizontal", params={"base": base, "fiber": fiber, "beta": beta},
-        fields=(), collar=collar,
-        chi_pieces={"base": _FACTORS[base][3], "fiber": _FACTORS[fiber][3]}, family="edge",
-    )
+    return _product_spec("edge_horizontal", "edge", params, lambda r: r**2,
+                         lambda r: (1.0 + beta * r) ** 2, (0.0, 1.0), "lower", beta=beta)
 
 
 def _build_fibered_product(params):
-    base = str(params.get("base", "s2"))
-    fiber = str(params.get("fiber", "s1"))
-    collar = _product_collar(base, fiber, lambda r: 1.0, lambda r: r**2,
-                             (2.0, 800.0), "infinity")
-    return GeometrySpec(
-        name="fibered_product", params={"base": base, "fiber": fiber},
-        fields=(), collar=collar,
-        chi_pieces={"base": _FACTORS[base][3], "fiber": _FACTORS[fiber][3]}, family="fibered",
-    )
+    return _product_spec("fibered_product", "fibered", params, lambda r: 1.0, lambda r: r**2,
+                         (2.0, 800.0), "infinity")
 
 
 def _build_cone_perturbed_second_order(params):

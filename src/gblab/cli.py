@@ -90,6 +90,10 @@ def _print_result(r) -> None:
     print(f"[{mark}] {r.check_id:<22s} {r.geometry}{_param_str(r.params)}  "
           f"value={primary:.9g}  residual={r.residual_abs:.3e} "
           f"({r.tolerance_kind} tol {r.tolerance:g})")
+    _print_failure_notes(r)
+
+
+def _print_failure_notes(r) -> None:
     for note in r.notes:
         if note.startswith("check failed"):
             print(f"        {note}")
@@ -179,6 +183,8 @@ def cmd_run(args) -> int:
         raise ValueError("--workers and --filter apply to suite runs, not to --check")
     if not args.check and (args.geometry or args.params):
         raise ValueError("--geometry and key=value parameters apply to --check runs")
+    if not args.check and args.config:
+        raise ValueError("--config applies to --check runs")
     aliases = catalog.read_config(args.config) if args.config else {}
     geometry, params = args.geometry, _parse_params(args.params)
     if geometry in aliases:
@@ -219,11 +225,13 @@ def cmd_converge(args) -> int:
         last = verify.run_check(args.check, geometry=spec, level=level)
         value = _primary_value(last)
         diff = None if prev is None else abs(value - prev)
-        # prev_diff is set from level 3 on, where diff is too
-        order = math.log2(prev_diff / diff) if prev_diff not in (None, 0.0) and diff > 0.0 else None
+        # an order needs two finite, nonzero diffs; a failed level's value is inf
+        pair = [d for d in (prev_diff, diff) if d is not None and 0.0 < d < math.inf]
+        order = math.log2(pair[0] / pair[1]) if len(pair) == 2 else None
         cells = ("" if v is None else repr(v) for v in (diff, order))
         lines.append(f"{level},{value!r}," + ",".join(cells))
         print(f"level {level}: value={value:.12g}" + ("" if diff is None else f" diff={diff:.3e}"))
+        _print_failure_notes(last)
         prev, prev_diff = value, diff
     if args.csv_path:
         _out_path(args.csv_path).write_text("\n".join(lines) + "\n", encoding="utf-8")

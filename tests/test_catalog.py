@@ -295,3 +295,35 @@ def test_product_charts_keep_their_axes_in_order():
     assert edge.fields[0].chart == Chart(
         "edge-s1xs2", ((0.0, 1.0),) + n_axes, (False, True, False, True),
         quad_hints=(gauss(8), orbit, gauss(24), orbit))
+    # and the charts of the disks, the catenoid, the 4-sphere and the 3-torus
+    assert catalog.get("disk").fields[0].chart == Chart(
+        "disk2-polar", ((0.0, 1.0), (0.0, tau)), (False, True), quad_hints=(gauss(8), orbit))
+    assert catalog.get("disk", dim=4, rho=0.5).fields[0].chart == Chart(
+        "disk4-polar", ((0.0, 0.5), (0.0, 0.5 * math.pi), (0.0, tau), (0.0, tau)),
+        (False, False, True, True), quad_hints=(gauss(8), gauss(8), orbit, orbit))
+    assert catalog.get("catenoid").fields[0].chart == Chart(
+        "catenoid-conformal", ((-catalog.CATENOID_CUTOFF, catalog.CATENOID_CUTOFF), (0.0, tau)),
+        (False, True), quad_hints=(gauss(16), orbit))
+    assert catalog.get("sphere", n=4).fields[0].chart == Chart(
+        "sphere4-polar-angles", ((0.0, math.pi),) * 3 + ((0.0, tau),),
+        (False, False, False, True), quad_hints=(gauss(8),) * 3 + (orbit,))
+    torus3 = Chart("torus3", ((0.0, tau),) * 3, (True,) * 3, quad_hints=(orbit,) * 3)
+    assert catalog.get("cone", link="t3").link.chart == torus3
+    assert catalog.get("flat_torus", n=3).fields[0].chart == torus3
+
+
+@pytest.mark.parametrize("params,u0", [
+    ({"profile": "linear", "theta": 0.7}, 0.7),
+    ({"profile": "second_order"}, 1.0),
+    ({"profile": "first_order", "a": 0.3}, 1.0),
+])
+def test_cone_vertical_block_at_the_vertex_is_the_profile_u_squared_times_h(params, u0):
+    # the fibration's vertical block is u(r)^2 h with u(r) = f(r)/r, so at r = 0
+    # it is u(0)^2 h exactly, with no limit taken
+    spec = catalog.get("cone", link="s3", **params)
+    fib = spec.collar.fibration
+    y = spec.link.chart.random_interior(np.random.default_rng(4), 4)
+    h = spec.link.evaluator(y)
+    assert np.array_equal(fib.fiber_metric(0.0, y), u0**2 * h)
+    assert np.array_equal(fib.fiber_metric(np.zeros(len(y)), y), u0**2 * h)
+    assert np.array_equal(fib.fiber.evaluator(y), u0**2 * h)

@@ -143,6 +143,20 @@ def test_converge_writes_csv(tmp_path):
     assert lines[1] == f"1,{chi!r},,"
 
 
+def test_converge_writes_a_failed_levels_row_and_exits_one(tmp_path, capsys):
+    # at level 7 the outermost Gauss node's order-4 stencil leaves the sphere's chart
+    out = tmp_path / "c.csv"
+    assert main(["converge", "--check", "ClosedGB", "--geometry", "sphere", "n=2",
+                 "--levels", "7", "--csv", str(out)]) == 1
+    rows = out.read_text().splitlines()
+    assert len(rows) == 8 and rows[-1] == "7,inf,inf,"
+    assert all(row.split(",")[3] for row in rows[3:-1])  # levels 3..6 have an order
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[-2] == "level 7: value=inf diff=inf"
+    assert printed[-1].startswith("        check failed: DomainError: finite-difference stencil "
+                                  "leaves chart 'sphere2-cylinder'")
+
+
 def test_converge_diffs_shrink(tmp_path):
     out = tmp_path / "conv.csv"
     main(["converge", "--check", "ClosedGB", "--geometry", "sphere", "n=2",
@@ -223,6 +237,7 @@ _WHOLE = {"--geometry and key=value": "--geometry and key=value parameters apply
     (["--check", "PhiLimit", "--geometry", "catenoid"], "PhiLimit needs a collapsing collar"),
     (["--filter", "Orbifold", "--tol", "nan"], "--tol must be finite and >= 0"),
     (["--check", "OrbifoldGB", "--tol=-1e-3"], "--tol must be finite and >= 0"),
+    (["--config", "x.json"], "--config applies to --check runs"),
 ])
 def test_options_of_the_other_run_kind_exit_two(argv, message, capsys):
     assert main(["run", *argv]) == 2

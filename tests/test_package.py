@@ -79,6 +79,24 @@ def test_verify_builds_no_metric_field():
     assert calls == []
 
 
+def _chart_builders(node, owner, found):
+    """The function (innermost def, "" at module level) of each Chart(...) call under node."""
+    for child in ast.iter_child_nodes(node):
+        if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                and child.func.id == "Chart"):
+            found.add(owner)
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
+        _chart_builders(child, inner, found)
+    return found
+
+
+def test_catalog_builds_charts_only_from_axes_and_products():
+    # a catalog chart is _chart of its axes or _chart_product of charts, so an
+    # axis's periodicity and quadrature rule are stated once
+    tree = ast.parse((Path(gblab.__file__).parent / "catalog.py").read_text(encoding="utf-8"))
+    assert _chart_builders(tree, "", set()) == {"_chart", "_chart_product"}
+
+
 _MUTATORS = {"update", "append", "extend", "clear", "pop", "setdefault", "add", "insert",
              "remove"}
 

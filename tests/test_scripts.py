@@ -93,9 +93,16 @@ def test_suite_diff_reports_identity_round_off_and_changed_fields(tmp_path, caps
     # round-off: only numbers move, so the exit code stays 0
     moved = [rows[0], rows[1][:3] + ({"lk": [6.25, 3.0 + 3e-12]}, 2e-5 * (1 + 1e-9), True)]
     assert script.main([a, _write(tmp_path / "c.json", _report(moved))]) == 0
-    (line,) = capsys.readouterr().out.splitlines()
+    line, *leaves = capsys.readouterr().out.splitlines()
     assert line.startswith("paired 2 rows; max rel diff 1e-12 at ConeGB cone")
     assert line.endswith("computed.lk.1: 3.0 -> 3.000000000003")
+    # then every moved leaf, largest first, the residuals' round-off included
+    cone = 'ConeGB cone {"theta": 0.5}'
+    assert leaves == [
+        f"  {cone} computed.lk.1: 3.0 -> 3.000000000003 (rel 1e-12)",
+        f"  {cone} residual_abs: 2e-05 -> 2.0000000020000005e-05 (rel 2e-14)",
+        f"  {cone} residual_rel: 1e-05 -> 1.0000000010000002e-05 (rel 1e-14)",
+    ]
 
     # a flipped pass flag, a changed string and a missing row all exit 1
     flipped = [rows[0][:3] + ({"chi": 2.0000001, "label": "bad"}, 1e-7, False)]

@@ -75,7 +75,7 @@ def test_unit_link_divides_out_the_cone_profile(name, params):
     # ConeGB integrates spec.link: the link metric h itself, with no profile f in it
     spec = catalog.get(name, **params)
     link = spec.params.get("link", "s3" if name == "lens_cone" else "s1")
-    link_metric = catalog._factor(link, link)[1]
+    link_metric = catalog._factor(link, link)[0].evaluator
     y = spec.link.chart.random_interior(np.random.default_rng(3), 4)
     assert np.array_equal(spec.link.evaluator(y), link_metric(y))
 

@@ -30,6 +30,11 @@ def _out_path(raw: str) -> Path:
     return p
 
 
+def _check_level(value: int, option: str) -> None:
+    if value not in LEVELS:
+        raise ValueError(f"{option} must be in {LEVELS.start}..{LEVELS.stop - 1}")
+
+
 def _parse_params(pairs):
     out = {}
     for pair in pairs or ():
@@ -175,8 +180,8 @@ def cmd_describe(args) -> int:
 def cmd_run(args) -> int:
     if args.workers < 1:
         raise ValueError("--workers must be >= 1")
-    if args.level is not None and args.level not in LEVELS:
-        raise ValueError("--level must be in 1..7")
+    if args.level is not None:
+        _check_level(args.level, "--level")
     if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0):
         raise ValueError("--tol must be finite and >= 0")
     if args.check and (args.workers > 1 or args.filter):
@@ -215,8 +220,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_converge(args) -> int:
-    if args.levels not in LEVELS:
-        raise ValueError("--levels must be in 1..7")
+    _check_level(args.levels, "--levels")
     params = _parse_params(args.params)
     lines = ["level,value,diff,order"]
     prev = prev_diff = None
@@ -239,8 +243,7 @@ def cmd_converge(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    if args.level not in LEVELS:
-        raise ValueError("--level must be in 1..7")
+    _check_level(args.level, "--level")
     report = verify.calibrate(level=args.level)
     print("orientation flags (frozen):", report["frozen"])
     print("orientation flags (derived):", report["derived"])

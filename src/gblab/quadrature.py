@@ -202,9 +202,9 @@ def integrate_chart(fn, chart, mesh: MeshSpec):
     return np.array([pairwise_sum(row) for row in vals * w])
 
 
-def geometric_schedule(r0: float, count: int = 6, ratio: float = 0.5):
-    """r_i = r0 * ratio^i, the default sample schedule for radial limits."""
-    return [r0 * ratio**i for i in range(count)]
+def geometric_schedule(r0: float, count: int = 6):
+    """r_i = r0 * 2^-i, i = 0..count-1, the sample schedule for radial limits."""
+    return [r0 * 0.5**i for i in range(count)]
 
 
 def r_limit_extrapolate(samples, degree: int = 4):

@@ -11,7 +11,7 @@ rows named in _ANCHORS) and frozen here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from functools import partial
 
@@ -91,26 +91,15 @@ class CheckResult:
     notes: list = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "geometry": self.geometry,
-            "params": {k: _jsonable(v) for k, v in sorted(self.params.items())},
-            "computed": {k: _jsonable(v) for k, v in sorted(self.computed.items())},
-            "reference": {k: _jsonable(v) for k, v in sorted(self.reference.items())},
-            "residual_abs": self.residual_abs,
-            "residual_rel": self.residual_rel,
-            "tolerance": self.tolerance,
-            "tolerance_kind": self.tolerance_kind,
-            "pass": self.passed,
-            "convergence": self.convergence,
-            "epsilon_notes": {k: _jsonable(v) for k, v in sorted(self.epsilon_notes.items())},
-            "notes": list(self.notes),
-        }
+        """The report row: every field, with passed written as "pass"."""
+        doc = asdict(self)
+        doc["pass"] = doc.pop("passed")
+        for key in ("params", "computed", "reference", "epsilon_notes"):
+            doc[key] = {k: _jsonable(v) for k, v in sorted(doc[key].items())}
+        return doc
 
 
 def _jsonable(v):
-    if isinstance(v, Fraction):
-        return str(v)
     if isinstance(v, (np.floating, np.integer)):
         return v.item()
     if isinstance(v, tuple):
@@ -235,6 +224,12 @@ def slice_limit(collar: CollarMetric, level: int):
         rs = lo + np.array(xs)
     samples = list(zip(xs, slice_transgression_plus(collar, rs, level).tolist()))
     return quad.r_limit_extrapolate(samples), samples
+
+
+def _vanishing_gap(limit, samples, collar: CollarMetric):
+    """(gap, scale) of an end term that vanishes: |limit| against the first
+    sample's magnitude, with the absolute floor 1e-6 (2 pi)^k."""
+    return abs(limit), max(abs(samples[0][1]), 1e-6 * TWO_PI**_slice_k(collar))
 
 
 def edge_value_for(fib, level: int) -> float:
@@ -429,23 +424,27 @@ def check_cone_gb(spec, level, tol):
                    samples=samples, notes=notes, eps={"cone": eps})
 
 
-def check_edge_limit(spec, level, tol):
+def _product_end(spec, check_id, family, needs):
+    """The fibration of a product end of this family with odd-dimensional slices
+    N = F x B, which the odd Pfaffian needs; any other geometry raises
+    f"{check_id} {needs}"."""
     fib = spec.collar.fibration if spec.collar else None
-    if fib is None or spec.family != "edge":
-        raise ConfigurationError("EdgeLimit needs an edge geometry")
+    if fib is None or spec.family != family:
+        raise ConfigurationError(f"{check_id} {needs}")
     if spec.collar.boundary_chart.dim % 2 == 0:
-        raise ConfigurationError("EdgeLimit needs an odd-dimensional slice N = F x B")
+        raise ConfigurationError(f"{check_id} needs an odd-dimensional slice N = F x B")
+    return fib
+
+
+def check_edge_limit(spec, level, tol):
+    fib = _product_end(spec, "EdgeLimit", "edge", "needs an edge geometry")
     limit, samples = slice_limit(spec.collar, level)
     closed = edge_value_for(fib, level)
     notes = []
     if fib.base_dim % 2 == 0:
-        scale = max(abs(closed), 1e-12)
-        gap = abs(limit - closed)
+        gap, scale = abs(limit - closed), max(abs(closed), 1e-12)
     else:
-        # odd base: the boundary term vanishes; compare against the first
-        # sample magnitude with an absolute floor
-        scale = max(abs(samples[0][1]), 1e-6 * TWO_PI**_slice_k(spec.collar))
-        gap = abs(limit)
+        gap, scale = _vanishing_gap(limit, samples, spec.collar)
         notes.append("odd-dimensional base: boundary term vanishes identically "
                      "for product data; residual measured against an absolute floor")
     computed = {"slice_limit_plus": limit, "closed_value": closed,
@@ -456,11 +455,9 @@ def check_edge_limit(spec, level, tol):
 
 
 def check_edge_gb(spec, level, tol):
-    fib = spec.collar.fibration if spec.collar else None
-    if not spec.fields or fib is None or spec.family != "edge":
-        raise ConfigurationError("EdgeGB needs a charted edge geometry")
-    if spec.collar.boundary_chart.dim % 2 == 0:
-        raise ConfigurationError("EdgeGB needs an odd-dimensional slice N = F x B")
+    # the identity integrates the interior too, so a field-less end is no EdgeGB geometry
+    fib = _product_end(spec, "EdgeGB", "edge" if spec.fields else None,
+                       "needs a charted edge geometry")
     if spec.chi_ref is None:
         raise ConfigurationError("EdgeGB needs a fiber whose cone closes smoothly (a sphere)")
     k = spec.fields[0].chart.dim // 2
@@ -479,8 +476,9 @@ def check_edge_gb(spec, level, tol):
 
 
 def check_edge_horizontal(spec, level, tol):
-    if spec.collar is None or spec.name != "edge_horizontal":
+    if spec.name != "edge_horizontal":
         raise ConfigurationError("EdgeHorizontal runs on edge_horizontal")
+    _product_end(spec, "EdgeHorizontal", "edge", "runs on edge_horizontal")
     closed = horizontal_closed_value(spec.collar, level)
     limit, samples = slice_limit(spec.collar, level)
     gap = abs(limit - closed)
@@ -499,11 +497,7 @@ def check_edge_horizontal(spec, level, tol):
 
 
 def check_fibered_gb(spec, level, tol):
-    fib = spec.collar.fibration if spec.collar else None
-    if fib is None or spec.family != "fibered":
-        raise ConfigurationError("FiberedGB needs a fibered-boundary geometry")
-    if spec.collar.boundary_chart.dim % 2 == 0:
-        raise ConfigurationError("FiberedGB needs an odd-dimensional slice N = F x B")
+    fib = _product_end(spec, "FiberedGB", "fibered", "needs a fibered-boundary geometry")
     k = _slice_k(spec.collar)
     eps = EPSILONS["fibered"]
     interior = pf_integral(spec, level)
@@ -512,9 +506,9 @@ def check_fibered_gb(spec, level, tol):
     computed = {"pf_integral": interior, "end_value": end_value,
                 "slice_limit_plus": limit, "end_count": spec.end_count}
     if fib.base_dim % 2 == 0:
-        scale = max(abs(samples[0][1]), 1e-6 * TWO_PI**k)
-        return _result("FiberedGB", spec, computed, {"end_value": 0.0}, abs(limit), scale,
-                       tol, "rel", notes=["even-dimensional base: boundary term vanishes"],
+        gap, scale = _vanishing_gap(limit, samples, spec.collar)
+        return _result("FiberedGB", spec, computed, {"end_value": 0.0}, gap, scale, tol, "rel",
+                       notes=["even-dimensional base: boundary term vanishes"],
                        eps={"fibered": eps})
     # odd base: the slice limit and the closed form must agree; with fields
     # (catenoid family) the full identity must hold as well
@@ -581,7 +575,7 @@ def check_phi_limit(spec, level, tol):
 def check_first_order_conic(spec, level, tol):
     if spec.name != "cone_perturbed_first_order":
         raise ConfigurationError("FirstOrderConic runs on the first-order cone")
-    k = 1
+    k = _slice_k(spec.collar)
     interior = pf_integral(spec, level)
     outer = slice_transgression_plus(spec.collar, 1.0, level)
     # asymptotic second fundamental form from the extrapolated conjugated
@@ -703,7 +697,7 @@ def check_lens_obstruction(spec, level, tol):
     if spec.name != "lens_cone":
         raise ConfigurationError("LensObstruction runs on lens_cone")
     order = spec.params["order"]
-    k = 2
+    k = _slice_k(spec.collar)
     limit, samples = slice_limit(spec.collar, level)
     eps = EPSILONS["cone"]
     value = float(spec.symmetry_weight) * eps * limit
@@ -775,6 +769,11 @@ DEFAULT_SUITE = (
 )
 
 
+def _suite_rows(check_id: str) -> list:
+    """The check's DEFAULT_SUITE rows (check id, geometry, params, level, tolerance)."""
+    return [row for row in DEFAULT_SUITE if row[0] == check_id]
+
+
 def resolve_spec(check_id: str, geometry=None, params=None):
     """The geometry a check runs on.
 
@@ -785,10 +784,8 @@ def resolve_spec(check_id: str, geometry=None, params=None):
     if check_id not in CHECKS:
         raise ConfigurationError(f"unknown check {check_id!r}")
     if geometry is None:
-        defaults = [row for row in DEFAULT_SUITE if row[0] == check_id]
-        geometry, dparams = defaults[0][1], dict(defaults[0][2])
-        dparams.update(params or {})
-        params = dparams
+        _, geometry, defaults, _, _ = _suite_rows(check_id)[0]
+        params = {**defaults, **(params or {})}
     if isinstance(geometry, str):
         return catalog.get(geometry, **(params or {}))
     return geometry
@@ -802,15 +799,13 @@ def run_check(check_id: str, geometry=None, params=None, level=None, tol=None) -
     failed CheckResult rather than raised.
     """
     spec = resolve_spec(check_id, geometry, params)
-    defaults = [row for row in DEFAULT_SUITE if row[0] == check_id]
-    match = [row for row in defaults if row[1] == spec.name
-             and all(spec.params.get(k) == v for k, v in row[2].items())]
-    if not match:
-        match = [row for row in defaults if row[1] == spec.name]
-    if level is None:
-        level = match[0][3] if match else 2
-    if tol is None:
-        tol = match[0][4] if match else 1e-3
+    # the row of this geometry and params, else its first row of this geometry
+    # (a lens of order 5 runs as the lens rows do), else level 2 and tol 1e-3
+    named = [row for row in _suite_rows(check_id) if row[1] == spec.name]
+    row = next((r for r in named if all(spec.params.get(k) == v for k, v in r[2].items())),
+               named[0] if named else (check_id, spec.name, {}, 2, 1e-3))
+    level = row[3] if level is None else level
+    tol = row[4] if tol is None else tol
     try:
         return CHECKS[check_id](spec, level, tol)
     except ConfigurationError:

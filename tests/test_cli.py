@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from gblab import catalog, verify
+from gblab import catalog, cli, verify
 from gblab.cli import main
 
 
@@ -103,6 +103,13 @@ def test_cone_parameter_its_profile_ignores_exits_two(capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err == (
         "error: cone theta must be 1 unless profile=linear, got theta=0.5\n")
+
+
+def test_level_range_is_read_from_quadrature_levels(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "LEVELS", range(1, 4))
+    assert main(["run", "--check", "ClosedGB", "--level", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --level must be in 1..3\n" and captured.out == ""
 
 
 def test_workers_below_one_exit_two(capsys):
@@ -238,6 +245,8 @@ _WHOLE = {"--geometry and key=value": "--geometry and key=value parameters apply
     (["--filter", "Orbifold", "--tol", "nan"], "--tol must be finite and >= 0"),
     (["--check", "OrbifoldGB", "--tol=-1e-3"], "--tol must be finite and >= 0"),
     (["--config", "x.json"], "--config applies to --check runs"),
+    (["--check", "EdgeHorizontal", "--geometry", "edge_horizontal", "base=s1", "fiber=s1"],
+     "EdgeHorizontal needs an odd-dimensional slice N = F x B"),
 ])
 def test_options_of_the_other_run_kind_exit_two(argv, message, capsys):
     assert main(["run", *argv]) == 2

@@ -79,22 +79,49 @@ def test_verify_builds_no_metric_field():
     assert calls == []
 
 
-def _chart_builders(node, owner, found):
-    """The function (innermost def, "" at module level) of each Chart(...) call under node."""
+def _owners(node, hit, owner="", found=None):
+    """The innermost def ("" at module level) of each node under node that hit accepts."""
+    found = set() if found is None else found
     for child in ast.iter_child_nodes(node):
-        if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
-                and child.func.id == "Chart"):
+        if hit(child):
             found.add(owner)
         inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
-        _chart_builders(child, inner, found)
+        _owners(child, hit, inner, found)
     return found
+
+
+def _module_tree(name):
+    return ast.parse((Path(gblab.__file__).parent / f"{name}.py").read_text(encoding="utf-8"))
 
 
 def test_catalog_builds_charts_only_from_axes_and_products():
     # a catalog chart is _chart of its axes or _chart_product of charts, so an
     # axis's periodicity and quadrature rule are stated once
-    tree = ast.parse((Path(gblab.__file__).parent / "catalog.py").read_text(encoding="utf-8"))
-    assert _chart_builders(tree, "", set()) == {"_chart", "_chart_product"}
+    def builds_chart(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "Chart")
+
+    assert _owners(_module_tree("catalog"), builds_chart) == {"_chart", "_chart_product"}
+
+
+def test_only_the_product_end_guard_refuses_an_even_slice():
+    # the odd Pfaffian needs odd slices N = F x B; _product_end states it for every check
+    def raises_even_slice(node):
+        return isinstance(node, ast.Raise) and any(
+            isinstance(c, ast.Constant) and "odd-dimensional slice" in str(c.value)
+            for c in ast.walk(node))
+
+    assert _owners(_module_tree("verify"), raises_even_slice) == {"_product_end"}
+
+
+def test_only_suite_rows_and_run_suite_read_the_default_suite():
+    # a check's default level, tol and geometry come from its rows by _suite_rows
+    found = set()
+    for path in sorted(Path(gblab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found |= {f"{path.stem}.{fn}" for fn in _owners(
+            tree, lambda node: isinstance(node, ast.Name) and node.id == "DEFAULT_SUITE")}
+    assert found == {"verify.", "verify._suite_rows", "verify.run_suite"}
 
 
 _MUTATORS = {"update", "append", "extend", "clear", "pop", "setdefault", "add", "insert",

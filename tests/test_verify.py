@@ -2,7 +2,7 @@
 
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -42,6 +42,36 @@ def test_closed_gb_sphere_and_result_fields():
     assert r.tolerance_kind == "abs"
     doc = r.to_json_dict()
     assert doc["check_id"] == "ClosedGB" and doc["pass"] is True
+
+
+def test_report_row_is_every_field_with_passed_written_as_pass():
+    r = verify.CheckResult(
+        check_id="ConeGB", geometry="geometric_cone", params={"theta": 0.5, "link": "s1"},
+        computed={"slice_limit_plus": np.float64(-3.25), "lk_integrals": (6.5, 0.0)},
+        reference={"closed_form": 3.25}, residual_abs=1e-9, residual_rel=3e-10,
+        tolerance=1e-3, tolerance_kind="rel", passed=True,
+        convergence={"slice_samples": [{"r": 0.4, "value": -3.0}, {"r": 0.2, "value": -3.125}]},
+        epsilon_notes={"cone": np.int64(-1)}, notes=["a note"])
+    doc = r.to_json_dict()
+    assert doc == {
+        "check_id": "ConeGB", "geometry": "geometric_cone",
+        "params": {"link": "s1", "theta": 0.5},
+        "computed": {"lk_integrals": [6.5, 0.0], "slice_limit_plus": -3.25},
+        "reference": {"closed_form": 3.25},
+        "residual_abs": 1e-9, "residual_rel": 3e-10, "tolerance": 1e-3,
+        "tolerance_kind": "rel", "pass": True,
+        "convergence": {"slice_samples": [{"r": 0.4, "value": -3.0},
+                                          {"r": 0.2, "value": -3.125}]},
+        "epsilon_notes": {"cone": -1}, "notes": ["a note"],
+    }
+    names = [f.name for f in fields(verify.CheckResult)]
+    assert sorted(doc) == sorted("pass" if n == "passed" else n for n in names)
+    # numpy scalars become Python numbers, and the four dicts are sorted by key
+    assert type(doc["computed"]["slice_limit_plus"]) is float
+    assert type(doc["epsilon_notes"]["cone"]) is int
+    assert list(doc["params"]) == ["link", "theta"]
+    assert list(doc["computed"]) == ["lk_integrals", "slice_limit_plus"]
+    json.dumps(doc)
 
 
 def test_closed_gb_torus_exact_zero():
@@ -259,6 +289,8 @@ def test_workers_do_not_change_results():
        "PhiLimit needs a collapsing collar") for base, fiber in (("s1", "s2"), ("s2", "s1"))],
     ("EdgeGB", "edge_product", {"base": "s2", "fiber": "t3"},
      "EdgeGB needs a fiber whose cone closes smoothly"),
+    ("EdgeHorizontal", "edge_horizontal", {"base": "s1", "fiber": "s1"},
+     "EdgeHorizontal needs an odd-dimensional slice N = F x B"),
 ])
 def test_each_check_rejects_a_geometry_it_cannot_run(check_id, geometry, params, message):
     with pytest.raises(verify.ConfigurationError, match=f"^{message}"):

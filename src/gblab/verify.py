@@ -589,7 +589,7 @@ def check_first_order_conic(spec, level, tol):
         E0 = phi_frame(spec.collar, 0.0, y)[0]
         II = np.swapaxes(E0[..., :, 1:1 + f], -1, -2) @ lim[..., :, 0, 1:1 + f]
         II = DoubleForm(f, 1, 1, 0.5 * (II + np.swapaxes(II, -1, -2)))
-        # k = 1 on the S^1 link (f = 1): the integrand reads only R^0
+        # the S^1 link (f = 1) has k of 1, so the integrand reads only R^0
         c = inv.boundary_correction_form(II, DoubleForm.zero(f, 2, 2)).coeffs[..., 0, 0]
         return c / np.linalg.det(E0)
 

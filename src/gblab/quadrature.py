@@ -5,14 +5,18 @@ so chart-edge coordinate degeneracies are never sampled.  Periodic axes use
 the composite trapezoid rule, or the orbit rule (one node weighted by the
 period) where every density on the chart is invariant along the axis; each
 pass checks that invariance and raises ResolutionError where it fails.  A
-density is called on consecutive blocks of BLOCK nodes in the flattened
-node ordering (points of shape (B, d), values of shape (B,), or (K, B) for
-K densities integrated in one pass); the weighted values of each density
-are summed by a fixed pairwise binary tree over that ordering, so a result
-depends only on its inputs.  The block size is fixed, not an option: it
-bounds the memory of the per-block curvature arrays.  A slice limit stacks
-its radius schedule onto the block, so there a block's arrays hold BLOCK
-times the number of radii (six) samples.
+density is called on consecutive blocks of the flattened node ordering
+(points of shape (B, d), values of shape (B,), or (K, B) for K densities
+integrated in one pass): the mesh nodes, then each orbit axis's check
+sample, so the orbit check rides in the same pass.  The weighted values of
+each density over the mesh nodes are summed by a fixed pairwise binary tree
+over that ordering, so a result depends only on its inputs.  A block holds
+BLOCK * max(1, 4 // d) ** 2 nodes on a chart of dimension d (1,024 on a
+circle, 256 on a surface, BLOCK from d = 3 up), not an option: the per-node
+curvature arrays grow like d^4, so the rule bounds a block's memory while
+the fixed cost of a call is spread over as many nodes as that allows.  A
+slice limit stacks its radius schedule onto the block, so there a block's
+arrays hold its node count times the number of radii (six) samples.
 """
 
 from __future__ import annotations
@@ -134,9 +138,9 @@ def default_axis_rules(chart) -> tuple:
 
 
 def mesh_for_chart(chart, level: int) -> MeshSpec:
-    """Build the MeshSpec for a chart at a refinement level (1..7)."""
+    """Build the MeshSpec for a chart at a refinement level (one of LEVELS)."""
     if level not in LEVELS:
-        raise ResolutionError("refinement level must be in 1..7")
+        raise ResolutionError(f"refinement level must be in {LEVELS.start}..{LEVELS.stop - 1}")
     rules = default_axis_rules(chart)
     return MeshSpec(
         nodes=tuple(r.nodes_at(level) for r in rules),
@@ -172,31 +176,37 @@ def integrate_chart(fn, chart, mesh: MeshSpec):
     back as an array (K,), each row summed by the same pairwise tree, so it
     rounds exactly as its own (B,) density would.  When a block fails it is
     re-run node by node, so the error names the offending node.  Each orbit
-    axis costs one more block: an evenly spaced sample of the nodes, moved
-    along the axis, must give the same values.
+    axis appends to the node array an evenly spaced sample of min(n, BLOCK)
+    mesh nodes moved along the axis, evaluated in the same block pass; its
+    values must match the sample's own.  Only the mesh nodes are summed.
     """
     pts, w = _mesh_points(chart, mesh)
+    n, d = pts.shape
+    idx = np.linspace(0, n - 1, min(n, BLOCK)).astype(int)
+    orbit = [a for a, rule in enumerate(mesh.rules) if rule == "orbit"]
+    # after the mesh nodes, each orbit axis appends the sample idx moved along it
+    pts = np.concatenate([pts] + [pts[idx] + ORBIT_SHIFT * np.diff(chart.bounds[a])
+                                  * (np.arange(d) == a) for a in orbit])
+    size = BLOCK * max(1, 4 // d) ** 2
     vals = None
-    for lo in range(0, pts.shape[0], BLOCK):
-        block = pts[lo : lo + BLOCK]
+    for lo in range(0, pts.shape[0], size):
+        block = pts[lo : lo + size]
         try:
             out = fn(block)
             if vals is None:
                 vals = np.empty(np.shape(out)[:-1] + pts.shape[:1])
-            vals[..., lo : lo + BLOCK] = out
+            vals[..., lo : lo + size] = out
         except Exception:
             for pt in block:
                 _call_node(fn, pt)
             raise
-    idx = np.linspace(0, pts.shape[0] - 1, min(pts.shape[0], BLOCK)).astype(int)
-    sample, ref = pts[idx], vals[..., idx]
-    for axis in (a for a, rule in enumerate(mesh.rules) if rule == "orbit"):
-        lo, hi = chart.bounds[axis]
-        moved = sample + ORBIT_SHIFT * (hi - lo) * (np.arange(pts.shape[1]) == axis)
-        gap = np.max(np.abs(fn(moved) - ref), axis=-1)
+    ref = vals[..., idx]
+    for k, axis in enumerate(orbit):
+        gap = np.max(np.abs(vals[..., n + k * idx.size : n + (k + 1) * idx.size] - ref), axis=-1)
         if np.any(gap > ORBIT_RTOL * np.max(np.abs(ref), axis=-1)):
             raise ResolutionError(f"the density on chart {chart.name!r} varies along "
                                   f"orbit axis {axis} (gap {np.max(gap):.3e})")
+    vals = vals[..., :n]
     if vals.ndim == 1:
         return pairwise_sum(vals * w)
     return np.array([pairwise_sum(row) for row in vals * w])

@@ -1397,9 +1397,11 @@ def test_central_diff_order_two_is_the_plain_quotient(pairs, h):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.floats(-10.0, 10.0), min_size=5, max_size=5),
+@given(st.lists(st.floats(-10.0, 10.0).filter(lambda v: v == 0.0 or abs(v) > 1e-280),
+                min_size=5, max_size=5),
        st.floats(-2.0, 2.0), st.floats(1e-3, 0.5))
 def test_central_diff_order_four_is_exact_on_quartics(c, x, h):
+    # subnormal coefficients are left out: the bound 1e-13 * scale / h underflows to 0 there
     def f(k):
         t = x + k * h
         return c[0] + c[1] * t + c[2] * t**2 + c[3] * t**3 + c[4] * t**4

@@ -1,14 +1,19 @@
 """Quadrature rules, deterministic reduction, refinement, extrapolation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gblab.geometry import Chart
+from gblab import catalog, verify
+from gblab import quadrature as quad
+from gblab.geometry import Chart, Slice, riemann_double_form
+from gblab.invariants import boundary_correction_form
 from gblab.quadrature import (
     BLOCK,
+    ORBIT_SHIFT,
     AxisRule,
     MeshSpec,
     ResolutionError,
@@ -20,6 +25,11 @@ from gblab.quadrature import (
 )
 
 CIRCLE = Chart("circle", ((0.0, 2 * math.pi),), (True,))
+
+
+def _block_size(d):
+    """Nodes per density call on a chart of dimension d."""
+    return BLOCK * max(1, 4 // d) ** 2
 
 
 def test_trapezoid_constant_exact():
@@ -47,6 +57,14 @@ def test_mesh_invariants():
         MeshSpec(nodes=(3,), rules=("gauss",))
     with pytest.raises(ResolutionError):
         mesh_for_chart(CIRCLE, 9)
+
+
+def test_level_range_message_is_read_from_levels(monkeypatch):
+    with pytest.raises(ResolutionError, match=r"refinement level must be in 1\.\.7$"):
+        mesh_for_chart(CIRCLE, 8)
+    monkeypatch.setattr(quad, "LEVELS", range(1, 4))
+    with pytest.raises(ResolutionError, match=r"refinement level must be in 1\.\.3$"):
+        mesh_for_chart(CIRCLE, 5)
 
 
 @pytest.mark.parametrize("count", [9, 12, 20])
@@ -88,9 +106,11 @@ def test_an_orbit_axis_is_one_node_weighted_by_the_period():
     mesh = mesh_for_chart(ORBIT_STRIP, 2)
     assert mesh.nodes == (16, 1)
     assert integrate_chart(dens, ORBIT_STRIP, mesh) == pytest.approx(2 * math.pi, rel=1e-14)
-    # the pass, then the check: the same nodes moved along the orbit
-    assert len(calls) == 2 and np.all(calls[0][:, 1] == 0.0)
-    assert np.array_equal(calls[1][:, 0], calls[0][:, 0]) and np.all(calls[1][:, 1] > 0.0)
+    # one call: the 16 mesh nodes, then the same 16 moved along the orbit
+    (x,) = calls
+    assert len(x) == 32 and np.all(x[:16, 1] == 0.0)
+    assert np.array_equal(x[16:, 0], x[:16, 0])
+    assert np.all(x[16:, 1] == ORBIT_SHIFT * 2 * math.pi)
 
 
 def test_a_density_that_varies_along_an_orbit_axis_raises():
@@ -117,18 +137,26 @@ def test_evaluator_failure_carries_node_coordinates():
         integrate_chart(bad, CIRCLE, mesh_for_chart(CIRCLE, 1))
 
 
-def test_density_sees_consecutive_blocks():
+@pytest.mark.parametrize("nodes, blocks", [((2 * 1024 + 8,), [1024, 1024, 8]),
+                                           ((8, 65), [256, 256, 8]),
+                                           ((5, 5, 4, 4), [64] * 6 + [16])],
+                         ids=["d1", "d2", "d4"])
+def test_density_sees_consecutive_blocks(nodes, blocks):
     seen = []
 
     def dens(x):
         seen.append(x.copy())
         return x[:, 0]
 
-    chart = Chart("seg", ((0.0, 1.0),), (False,))
-    mesh = MeshSpec(nodes=(2 * BLOCK + 8,), rules=("gauss",))
+    d = len(nodes)
+    chart = Chart("box", ((0.0, 1.0),) * d, (False,) * d)
+    mesh = MeshSpec(nodes=nodes, rules=("gauss",) + ("trapezoid",) * (d - 1))
     got = integrate_chart(dens, chart, mesh)
-    assert [len(b) for b in seen] == [BLOCK, BLOCK, 8]
-    assert np.all(np.diff(np.concatenate(seen)[:, 0]) > 0)
+    assert [len(b) for b in seen] == blocks
+    assert all(len(b) == _block_size(d) for b in seen[:-1])
+    # the flattened ordering is lexicographic, so sorting the distinct nodes changes nothing
+    every = np.concatenate(seen)
+    assert np.array_equal(np.unique(every, axis=0), every)
     assert got == pytest.approx(0.5, abs=1e-14)
 
 
@@ -225,7 +253,7 @@ def test_a_stack_of_densities_equals_each_density_integrated_alone():
         return np.stack([f(x) for f in dens])
 
     got = integrate_chart(stacked, chart, mesh)
-    assert got.shape == (4,) and len(calls) == math.ceil(24 * 8 / BLOCK)
+    assert got.shape == (4,) and len(calls) == math.ceil(24 * 8 / _block_size(2))
     assert got.tolist() == [integrate_chart(f, chart, mesh) for f in dens]
 
 
@@ -237,3 +265,139 @@ def test_a_failing_stack_is_rerun_node_by_node_and_names_the_node():
 
     with pytest.raises(ValueError, match=r"boom \(at node \(3\."):
         integrate_chart(bad, CIRCLE, mesh_for_chart(CIRCLE, 1))
+
+
+# -- the block layout ----------------------------------------------------------
+
+
+def _one_node_at_a_time(density):
+    return lambda x: np.concatenate([density(p[None]) for p in x], axis=-1)
+
+
+S3_CONE = catalog.get("geometric_cone", link="s3", theta=0.5)
+LAYOUT_CASES = {
+    "football_p3_level5": lambda: verify.pf_integral(catalog.get("football", p=3), 5),
+    "sphere_n4": lambda: verify.pf_integral(catalog.get("sphere", n=4), 1),
+    "s3_cone_slices": lambda: verify.slice_limit(S3_CONE.collar, 2),
+}
+
+
+@pytest.mark.parametrize("run", LAYOUT_CASES.values(), ids=LAYOUT_CASES.keys())
+def test_the_block_layout_changes_no_value(run, monkeypatch):
+    # a node's value does not depend on the block it rides in, orbit samples included
+    whole = run()
+    charts = []
+
+    def node_by_node(chart, density, level):
+        charts.append(chart.name)
+        return integrate_chart(_one_node_at_a_time(density), chart,
+                               mesh_for_chart(chart, level))
+
+    monkeypatch.setattr(verify, "chart_integral", node_by_node)
+    assert run() == whole and charts
+
+
+def test_football_and_s3_slice_blocks_carry_their_orbit_samples(monkeypatch):
+    calls = []
+    original = quad.integrate_chart
+
+    def spy(fn, chart, mesh):
+        def dens(x):
+            calls.append(len(x))
+            return fn(x)
+        return original(dens, chart, mesh)
+
+    monkeypatch.setattr(quad, "integrate_chart", spy)
+    verify.pf_integral(catalog.get("football", p=3), 5)
+    # 384 mesh nodes and 64 orbit samples in 256-node blocks
+    assert calls == [256, 192]
+    calls.clear()
+    verify.slice_limit(S3_CONE.collar, 2)
+    # 32 mesh nodes, then 32 samples for each of two orbit axes, in 64-node blocks
+    assert calls == [64, 32]
+
+
+# a mesh of 240 nodes whose 64 orbit samples straddle the first block's end
+STRADDLE = MeshSpec(nodes=(240, 1), rules=("gauss", "orbit"))
+
+
+def test_orbit_samples_share_a_block_with_mesh_nodes():
+    calls = []
+
+    def dens(x):
+        calls.append(x.copy())
+        return 3.0 * x[:, 0] ** 2
+
+    assert integrate_chart(dens, ORBIT_STRIP, STRADDLE) == pytest.approx(2 * math.pi, rel=1e-13)
+    assert [len(x) for x in calls] == [256, 48]
+    every = np.concatenate(calls)
+    assert np.all(every[:240, 1] == 0.0) and np.all(every[240:, 1] > 0.0)
+
+
+def test_a_raising_orbit_sample_is_named_by_its_coordinates():
+    def bad(x):
+        if np.any(x[:, 1] > 0.0):
+            raise ValueError("boom")
+        return np.ones(len(x))
+
+    shift = ORBIT_SHIFT * 2 * math.pi
+    with pytest.raises(ValueError, match=rf"boom \(at node \([0-9.e-]+, {shift:.6f}"):
+        integrate_chart(bad, ORBIT_STRIP, STRADDLE)
+
+
+def test_a_varying_density_on_a_shared_block_still_raises():
+    with pytest.raises(ResolutionError, match="chart 'orbit-strip' varies along orbit axis 1"):
+        integrate_chart(lambda x: 1.0 + 1e-6 * np.cos(x[:, 1]), ORBIT_STRIP, STRADDLE)
+    # each orbit axis is held to its own sample: here only the second one varies
+    box = Chart("orbit-box", ((0.0, 1.0), (0.0, 2 * math.pi), (0.0, math.pi)),
+                (False, True, True), quad_hints=(AxisRule("gauss"), AxisRule("orbit"),
+                                                 AxisRule("orbit")))
+    mesh = mesh_for_chart(box, 5)
+    got = integrate_chart(lambda x: 3.0 * x[:, 0] ** 2, box, mesh)
+    assert got == pytest.approx(2 * math.pi**2, rel=1e-14)
+    with pytest.raises(ResolutionError, match="chart 'orbit-box' varies along orbit axis 2"):
+        integrate_chart(lambda x: 1.0 + 1e-6 * np.cos(x[:, 2]), box, mesh)
+
+
+def _traced_peak_mib(fn):
+    """tracemalloc peak of the second of two calls (the first fills the caches), in MiB."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def _pf_block(spec, count):
+    """The Pfaffian density of spec's one field on `count` nodes inside its chart."""
+    (mf,) = spec.fields
+    x = np.stack([np.linspace(lo + 0.01, hi - 0.01, count) for lo, hi in mf.chart.bounds], -1)
+
+    def block():
+        R, E = riemann_double_form(mf, x)
+        return verify._pf_top(R, E, x) / np.linalg.det(E)
+
+    return block
+
+
+def _s1_slice_block(count):
+    """The s1 cone's slice density at its six radii on `count` nodes of the circle."""
+    collar = catalog.get("geometric_cone", link="s1", theta=0.5).collar
+    sl = Slice(collar, collar.r_interval[0] + np.array(verify._collapse_schedule(collar)))
+    y = np.linspace(0.0, 2 * math.pi, count, endpoint=False)[:, None]
+
+    def block():
+        sd = sl.at(y)
+        return boundary_correction_form(sd.second_fundamental, sd.curvature)
+
+    return block
+
+
+def test_a_full_block_holds_less_than_a_four_dimensional_one():
+    # a block's curvature arrays grow like d^4 per node, so the rule's larger
+    # blocks on low-dimensional charts stay under a 64-node d = 4 block
+    d4 = _traced_peak_mib(_pf_block(catalog.get("sphere", n=4), BLOCK))
+    assert _traced_peak_mib(_pf_block(catalog.get("football", p=3), _block_size(2))) < d4
+    assert _traced_peak_mib(_s1_slice_block(_block_size(1))) < d4

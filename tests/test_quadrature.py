@@ -137,27 +137,26 @@ def test_evaluator_failure_carries_node_coordinates():
         integrate_chart(bad, CIRCLE, mesh_for_chart(CIRCLE, 1))
 
 
-@pytest.mark.parametrize("nodes, blocks", [((2 * 1024 + 8,), [1024, 1024, 8]),
-                                           ((8, 65), [256, 256, 8]),
-                                           ((5, 5, 4, 4), [64] * 6 + [16])],
-                         ids=["d1", "d2", "d4"])
-def test_density_sees_consecutive_blocks(nodes, blocks):
-    seen = []
+def test_density_sees_consecutive_blocks():
+    for nodes, blocks in [((2 * 1024 + 8,), [1024, 1024, 8]),
+                          ((8, 65), [256, 256, 8]),
+                          ((5, 5, 4, 4), [64] * 6 + [16])]:
+        seen = []
 
-    def dens(x):
-        seen.append(x.copy())
-        return x[:, 0]
+        def dens(x):
+            seen.append(x.copy())
+            return x[:, 0]
 
-    d = len(nodes)
-    chart = Chart("box", ((0.0, 1.0),) * d, (False,) * d)
-    mesh = MeshSpec(nodes=nodes, rules=("gauss",) + ("trapezoid",) * (d - 1))
-    got = integrate_chart(dens, chart, mesh)
-    assert [len(b) for b in seen] == blocks
-    assert all(len(b) == _block_size(d) for b in seen[:-1])
-    # the flattened ordering is lexicographic, so sorting the distinct nodes changes nothing
-    every = np.concatenate(seen)
-    assert np.array_equal(np.unique(every, axis=0), every)
-    assert got == pytest.approx(0.5, abs=1e-14)
+        d = len(nodes)
+        chart = Chart("box", ((0.0, 1.0),) * d, (False,) * d)
+        mesh = MeshSpec(nodes=nodes, rules=("gauss",) + ("trapezoid",) * (d - 1))
+        got = integrate_chart(dens, chart, mesh)
+        assert [len(b) for b in seen] == blocks
+        assert all(len(b) == _block_size(d) for b in seen[:-1])
+        # the flattened ordering is lexicographic, so sorting the distinct nodes changes nothing
+        every = np.concatenate(seen)
+        assert np.array_equal(np.unique(every, axis=0), every)
+        assert got == pytest.approx(0.5, abs=1e-14)
 
 
 def test_pairwise_sum_fixed_tree():

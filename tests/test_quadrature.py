@@ -1,7 +1,6 @@
 """Quadrature rules, deterministic reduction, refinement, extrapolation."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,6 +95,10 @@ ORBIT_STRIP = Chart("orbit-strip", ((0.0, 1.0), (0.0, 2 * math.pi)), (False, Tru
                     quad_hints=(AxisRule("gauss", 8), AxisRule("orbit")))
 
 
+# a mesh of 240 nodes whose 64 orbit samples straddle the first block's end
+STRADDLE = MeshSpec(nodes=(240, 1), rules=("gauss", "orbit"))
+
+
 def test_an_orbit_axis_is_one_node_weighted_by_the_period():
     calls = []
 
@@ -115,8 +118,9 @@ def test_an_orbit_axis_is_one_node_weighted_by_the_period():
 
 def test_a_density_that_varies_along_an_orbit_axis_raises():
     mesh = mesh_for_chart(ORBIT_STRIP, 1)
-    with pytest.raises(ResolutionError, match="chart 'orbit-strip' varies along orbit axis 1"):
-        integrate_chart(lambda x: 1.0 + 1e-6 * np.cos(x[:, 1]), ORBIT_STRIP, mesh)
+    for m in (mesh, STRADDLE):
+        with pytest.raises(ResolutionError, match="chart 'orbit-strip' varies along orbit axis 1"):
+            integrate_chart(lambda x: 1.0 + 1e-6 * np.cos(x[:, 1]), ORBIT_STRIP, m)
     # each density of a stack is held to its own scale, not to the stack's largest
     with pytest.raises(ResolutionError, match="orbit axis 1"):
         integrate_chart(lambda x: np.stack([np.ones(len(x)), 1e-9 * (2.0 + np.sin(x[:, 1]))]),
@@ -296,30 +300,6 @@ def test_the_block_layout_changes_no_value(run, monkeypatch):
     assert run() == whole and charts
 
 
-def test_football_and_s3_slice_blocks_carry_their_orbit_samples(monkeypatch):
-    calls = []
-    original = quad.integrate_chart
-
-    def spy(fn, chart, mesh):
-        def dens(x):
-            calls.append(len(x))
-            return fn(x)
-        return original(dens, chart, mesh)
-
-    monkeypatch.setattr(quad, "integrate_chart", spy)
-    verify.pf_integral(catalog.get("football", p=3), 5)
-    # 384 mesh nodes and 64 orbit samples in 256-node blocks
-    assert calls == [256, 192]
-    calls.clear()
-    verify.slice_limit(S3_CONE.collar, 2)
-    # 32 mesh nodes, then 32 samples for each of two orbit axes, in 64-node blocks
-    assert calls == [64, 32]
-
-
-# a mesh of 240 nodes whose 64 orbit samples straddle the first block's end
-STRADDLE = MeshSpec(nodes=(240, 1), rules=("gauss", "orbit"))
-
-
 def test_orbit_samples_share_a_block_with_mesh_nodes():
     calls = []
 
@@ -344,10 +324,8 @@ def test_a_raising_orbit_sample_is_named_by_its_coordinates():
         integrate_chart(bad, ORBIT_STRIP, STRADDLE)
 
 
-def test_a_varying_density_on_a_shared_block_still_raises():
-    with pytest.raises(ResolutionError, match="chart 'orbit-strip' varies along orbit axis 1"):
-        integrate_chart(lambda x: 1.0 + 1e-6 * np.cos(x[:, 1]), ORBIT_STRIP, STRADDLE)
-    # each orbit axis is held to its own sample: here only the second one varies
+def test_each_orbit_axis_is_held_to_its_own_sample():
+    # only the second of two orbit axes varies
     box = Chart("orbit-box", ((0.0, 1.0), (0.0, 2 * math.pi), (0.0, math.pi)),
                 (False, True, True), quad_hints=(AxisRule("gauss"), AxisRule("orbit"),
                                                  AxisRule("orbit")))
@@ -356,17 +334,6 @@ def test_a_varying_density_on_a_shared_block_still_raises():
     assert got == pytest.approx(2 * math.pi**2, rel=1e-14)
     with pytest.raises(ResolutionError, match="chart 'orbit-box' varies along orbit axis 2"):
         integrate_chart(lambda x: 1.0 + 1e-6 * np.cos(x[:, 2]), box, mesh)
-
-
-def _traced_peak_mib(fn):
-    """tracemalloc peak of the second of two calls (the first fills the caches), in MiB."""
-    fn()
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1] / 2**20
-    finally:
-        tracemalloc.stop()
 
 
 def _pf_block(spec, count):
@@ -394,9 +361,9 @@ def _s1_slice_block(count):
     return block
 
 
-def test_a_full_block_holds_less_than_a_four_dimensional_one():
+def test_a_full_block_holds_less_than_a_four_dimensional_one(traced_peak_mib):
     # a block's curvature arrays grow like d^4 per node, so the rule's larger
     # blocks on low-dimensional charts stay under a 64-node d = 4 block
-    d4 = _traced_peak_mib(_pf_block(catalog.get("sphere", n=4), BLOCK))
-    assert _traced_peak_mib(_pf_block(catalog.get("football", p=3), _block_size(2))) < d4
-    assert _traced_peak_mib(_s1_slice_block(_block_size(1))) < d4
+    d4 = traced_peak_mib(_pf_block(catalog.get("sphere", n=4), BLOCK))
+    assert traced_peak_mib(_pf_block(catalog.get("football", p=3), _block_size(2))) < d4
+    assert traced_peak_mib(_s1_slice_block(_block_size(1))) < d4

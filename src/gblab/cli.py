@@ -81,11 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("params", nargs="*")
     p_conv.add_argument("--csv", dest="csv_path", default=None)
     p_conv.set_defaults(func=cmd_converge)
-
-    p_cal = sub.add_parser("calibrate", help="re-derive the orientation flags")
-    p_cal.add_argument("--level", type=int, default=2)
-    p_cal.add_argument("--json", dest="json_path", default=None)
-    p_cal.set_defaults(func=cmd_calibrate)
     return ap
 
 
@@ -240,20 +235,6 @@ def cmd_converge(args) -> int:
     if args.csv_path:
         _out_path(args.csv_path).write_text("\n".join(lines) + "\n", encoding="utf-8")
     return 0 if last.passed else 1
-
-
-def cmd_calibrate(args) -> int:
-    _check_level(args.level, "--level")
-    report = verify.calibrate(level=args.level)
-    print("orientation flags (frozen):", report["frozen"])
-    print("orientation flags (derived):", report["derived"])
-    for name, value in sorted(report["anchors"].items()):
-        print(f"  anchor {name}: {value:.6g}")
-    print("consistent:", report["consistent"])
-    if args.json_path:
-        payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
-        _out_path(args.json_path).write_text(payload, encoding="utf-8")
-    return 0 if report["consistent"] else 1
 
 
 def main(argv=None) -> int:

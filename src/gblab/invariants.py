@@ -1,6 +1,8 @@
 """Curvature polynomials and transgression integrands on double forms.
 
-Conventions, fixed once and validated end to end by the disk calibration:
+Conventions, fixed once and validated end to end by the BoundaryGB disk
+rows of the default suite (test_a_negated_flag_fails_its_anchor_row in
+tests/test_verify.py flips the boundary flag and sees the 2-disk row fail):
 
 * Pfaffian of an even-dimensional metric: Pf = B((R)^k) / k!, integrating
   to (2pi)^k chi on closed oriented 2k-manifolds.

@@ -3,9 +3,10 @@
 Each registered check composes the geometry engine, the curvature
 polynomials, and the quadrature layer into one named verification and
 returns a CheckResult.  Orientation bookkeeping is concentrated in the
-per-family epsilon flags below; they are derived once by the calibrate()
-pass from four anchor checks (the BoundaryGB, ConeGB, EdgeGB and FiberedGB
-rows named in _ANCHORS) and frozen here.
+per-family epsilon flags below, frozen here.  The default suite pins each
+one: negating a flag fails rows of its family (the BoundaryGB disk rows,
+ConeGB and LensObstruction, EdgeGB on s2 x s1, FiberedGB on the catenoid),
+as tests/test_verify.py's test_a_negated_flag_fails_its_anchor_row shows.
 """
 
 from __future__ import annotations
@@ -44,8 +45,6 @@ __all__ = [
     "resolve_spec",
     "run_check",
     "run_suite",
-    "calibrate",
-    "CalibrationError",
     "suite_to_json_dict",
 ]
 
@@ -66,10 +65,6 @@ SIGN_NOTE = (
 
 class ConfigurationError(ValueError):
     """Check and geometry are incompatible."""
-
-
-class CalibrationError(ValueError):
-    """An anchor check of calibrate() failed, so it has no values to fit a flag to."""
 
 
 @dataclass
@@ -840,44 +835,6 @@ def run_suite(filter_text: str = "", level=None, tol=None, workers: int = 1) -> 
         results = [_run_row(row, level, tol) for row in rows]
     results.sort(key=lambda r: (r.check_id, r.geometry, sorted(r.params.items()).__repr__()))
     return SuiteResult(results)
-
-
-# (family, anchor, check row, target, value(computed, reference, e)): the flag e
-# is the sign whose value lies closest to target; the anchor is |value| there
-_ANCHORS = (
-    ("boundary", "disk_chi", ("BoundaryGB", "disk", {"dim": 2}), 1.0,
-     lambda c, ref, e: (c["pf_integral"] - e * c["boundary_integral"]) / TWO_PI),
-    ("cone", "cone_gap", ("ConeGB", "geometric_cone", {"link": "s1", "theta": 0.5}), 0.0,
-     lambda c, ref, e: e * c["slice_limit_plus"] - c["closed_form"]),
-    ("edge", "edge_residual", ("EdgeGB", "edge_product", {"base": "s2", "fiber": "s1"}), 0.0,
-     lambda c, ref, e: ref["identity_lhs"] - (c["pf_integral"] - e * c["edge_term"])),
-    ("fibered", "catenoid_residual", ("FiberedGB", "catenoid", {}), 0.0,
-     lambda c, ref, e: ref["identity_lhs"]
-     - (c["pf_integral"] - e * c["end_count"] * c["end_value"])),
-)
-
-
-def calibrate(level: int = 2) -> dict:
-    """Re-derive the per-family orientation flags from the four anchor checks.
-
-    Each anchor is a check row run at this level, and its flag is fitted to
-    the row's own computed values: BoundaryGB on the 2-disk (chi(D^2) = 1),
-    ConeGB on the cone of angle 1/2 over the circle (slice limit against the
-    closed form), EdgeGB on the collapsing circle over the 2-sphere and
-    FiberedGB on the catenoid (their Gauss-Bonnet identities).  Returns the
-    derived flags plus anchor residuals; raises CalibrationError when an
-    anchor check fails before computing its values.
-    """
-    derived, anchors = {}, {}
-    for family, anchor, row, target, value in _ANCHORS:
-        r = run_check(*row, level=level)
-        if not r.computed:
-            raise CalibrationError(f"anchor {anchor} ({row[0]} on {row[1]}) failed: "
-                                   + "; ".join(r.notes))
-        derived[family] = min((+1, -1), key=lambda e: abs(value(r.computed, r.reference, e) - target))
-        anchors[anchor] = abs(value(r.computed, r.reference, derived[family]))
-    return {"frozen": dict(EPSILONS), "derived": derived, "anchors": anchors,
-            "consistent": derived == EPSILONS}
 
 
 def suite_to_json_dict(suite: SuiteResult, meta=None) -> dict:

@@ -1,6 +1,8 @@
 """Command-line interface: subcommands, exit codes, report determinism."""
 
+import argparse
 import json
+from pathlib import Path
 
 import pytest
 
@@ -287,40 +289,10 @@ def test_describe_prints_each_fields_stencil(capsys):
             for prefix, mf in zip(prefixes, refs) if mf is not None]
 
 
-@pytest.mark.parametrize("consistent,code", [(True, 0), (False, 1)])
-def test_calibrate_writes_json_and_exits_on_consistency(tmp_path, monkeypatch, capsys,
-                                                         consistent, code):
-    derived = dict(verify.EPSILONS)
-    if not consistent:
-        derived["cone"] = -derived["cone"]
-    report = {"frozen": dict(verify.EPSILONS), "derived": derived,
-              "anchors": {"disk_chi": 1.0}, "consistent": consistent}
-    levels = []
-    monkeypatch.setattr(verify, "calibrate", lambda level: levels.append(level) or report)
-    out = tmp_path / "cal.json"
-    assert main(["calibrate", "--level", "1", "--json", str(out)]) == code
-    assert levels == [1]
-    assert json.loads(out.read_text(encoding="utf-8")) == report
-    text = capsys.readouterr().out
-    assert "  anchor disk_chi: 1\n" in text
-    assert text.endswith(f"consistent: {consistent}\n")
-
-
-def _no_quadrature(*args):
-    raise RuntimeError("no quadrature")
-
-
-@pytest.mark.parametrize("argv,patch,message", [
-    (["--level", "0"], None, "error: --level must be in 1..7\n"),
-    (["--level", "8"], None, "error: --level must be in 1..7\n"),
-    # an anchor check that fails records no values for a flag to be fitted to
-    (["--level", "1"], ("chart_integral", _no_quadrature),
-     "error: anchor disk_chi (BoundaryGB on disk) failed: "
-     "check failed: RuntimeError: no quadrature\n"),
-])
-def test_calibrate_usage_errors_exit_two(argv, patch, message, monkeypatch, capsys):
-    if patch:
-        monkeypatch.setattr(verify, *patch)
-    assert main(["calibrate", *argv]) == 2
-    captured = capsys.readouterr()
-    assert captured.err == message and captured.out == ""
+def test_readme_command_block_names_exactly_the_registered_subcommands():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    named = {line.split()[1] for line in block.splitlines() if line.startswith("gblab ")}
+    (sub,) = [a for a in cli._build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    assert named == set(sub.choices) == {"list", "describe", "run", "converge"}

@@ -1,4 +1,5 @@
-"""Verification harness: registry, dispatch, result contracts, calibration."""
+"""Verification harness: registry, dispatch, result contracts, and the anchor rows
+(BoundaryGB on the 2-disk among them) that fail when an orientation flag is negated."""
 
 import json
 import math
@@ -214,31 +215,21 @@ def test_fibered_value_for_an_even_base_is_exactly_zero():
     assert verify.fibered_value_for(spec.collar.fibration, level=1) == 0.0
 
 
-def test_calibration_recovers_frozen_flags():
-    report = verify.calibrate(level=1)
-    assert report["consistent"]
-    assert report["derived"] == verify.EPSILONS
-    assert abs(report["anchors"]["disk_chi"] - 1.0) < 1e-6
-
-
-def test_calibration_anchors_are_the_anchor_rows_own_values():
-    report = verify.calibrate(level=1)
-
-    def row(check_id, geometry, params):
-        return verify.run_check(check_id, geometry, params, level=1)
-
-    disk = row("BoundaryGB", "disk", {"dim": 2})
-    cone = row("ConeGB", "geometric_cone", {"link": "s1", "theta": 0.5})
-    edge = row("EdgeGB", "edge_product", {"base": "s2", "fiber": "s1"})
-    cat = row("FiberedGB", "catenoid", {})
-    assert report["anchors"] == {
-        "disk_chi": disk.computed["chi"],
-        "cone_gap": abs(cone.computed["slice_limit"] - cone.computed["closed_form"]),
-        "edge_residual": abs(edge.reference["identity_lhs"] - edge.computed["identity_rhs"]),
-        "catenoid_residual": abs(cat.reference["identity_lhs"] - cat.computed["identity_rhs"]),
-    }
-    # the edge anchor reads EdgeGB's computed interior, which is not exactly 0
-    assert edge.computed["pf_integral"] != 0.0
+# one default-suite row per orientation flag: BoundaryGB on the 2-disk (chi = 1),
+# ConeGB at angle 1/2 over the circle, EdgeGB on s2 x s1, FiberedGB on the catenoid
+@pytest.mark.parametrize("family,row", [
+    ("boundary", ("BoundaryGB", "disk", {"dim": 2})),
+    ("cone", ("ConeGB", "geometric_cone", {"link": "s1", "theta": 0.5})),
+    ("edge", ("EdgeGB", "edge_product", {"base": "s2", "fiber": "s1"})),
+    ("fibered", ("FiberedGB", "catenoid", {})),
+])
+def test_a_negated_flag_fails_its_anchor_row(family, row, monkeypatch):
+    assert row in [r[:3] for r in verify.DEFAULT_SUITE]
+    assert verify.run_check(*row).passed
+    monkeypatch.setitem(verify.EPSILONS, family, -verify.EPSILONS[family])
+    flipped = verify.run_check(*row)
+    # the identity fails on computed values; the check does not crash
+    assert flipped.computed and not flipped.passed
 
 
 def test_fibered_gb_on_a_chartless_odd_base_compares_the_two_routes():
@@ -460,9 +451,3 @@ def test_an_orbit_claim_on_a_metric_that_varies_along_it_raises():
     g1 = replace(g0, evaluator=lambda x: np.exp(2.0 * u(x))[..., None, None] * np.eye(2))
     with pytest.raises(quad.ResolutionError, match="chart 'torus2' varies along orbit axis 0"):
         verify.curvature_integral(g1, 1, verify._pf_top)
-
-
-def test_calibrate_names_an_anchor_that_fails():
-    with pytest.raises(verify.CalibrationError, match=r"anchor disk_chi \(BoundaryGB on disk\) "
-                                                      r"failed: check failed: ResolutionError"):
-        verify.calibrate(level=0)

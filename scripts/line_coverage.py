@@ -11,8 +11,7 @@ each module of gblab, the executable lines that never ran, as ranges:
 
 The executable lines are those of the module's compiled code objects; a line
 ran when a 'call' or 'line' event of the trace reached it.  Only the calling
-thread is traced, so suite worker processes (--workers) are not.  The exit
-code is the module's own.
+thread is traced.  The exit code is the module's own.
 """
 
 import importlib.util

@@ -2,7 +2,7 @@
 
 Exit codes: 0 when every executed check passes, 1 on check failure, 2 on
 usage or configuration errors.  JSON output is byte-stable for a fixed run
-configuration, independent of the number of suite processes (--workers).
+configuration: the suite runs in one process, and no process state enters a value.
 """
 
 from __future__ import annotations
@@ -67,8 +67,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--tol", type=float, default=None)
     p_run.add_argument("--json", dest="json_path", default=None)
     p_run.add_argument("--csv", dest="csv_dir", default=None)
-    p_run.add_argument("--workers", type=int, default=1,
-                       help="processes for the suite run (not with --check)")
     p_run.add_argument("--config", default=None,
                        help="geometry aliases (JSON) for the --check run")
     p_run.add_argument("--filter", default="", help="substring filter on check ids")
@@ -173,14 +171,12 @@ def cmd_describe(args) -> int:
 
 
 def cmd_run(args) -> int:
-    if args.workers < 1:
-        raise ValueError("--workers must be >= 1")
     if args.level is not None:
         _check_level(args.level, "--level")
     if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0):
         raise ValueError("--tol must be finite and >= 0")
-    if args.check and (args.workers > 1 or args.filter):
-        raise ValueError("--workers and --filter apply to suite runs, not to --check")
+    if args.check and args.filter:
+        raise ValueError("--filter applies to suite runs, not to --check")
     if not args.check and (args.geometry or args.params):
         raise ValueError("--geometry and key=value parameters apply to --check runs")
     if not args.check and args.config:
@@ -195,8 +191,7 @@ def cmd_run(args) -> int:
             verify.run_check(cid, geometry=geometry, params=params or None,
                              level=args.level, tol=args.tol) for cid in args.check])
     else:
-        suite = verify.run_suite(filter_text=args.filter, level=args.level,
-                                 tol=args.tol, workers=args.workers)
+        suite = verify.run_suite(filter_text=args.filter, level=args.level, tol=args.tol)
     for r in suite.results:
         _print_result(r)
     print(f"orientation flags: {verify.EPSILONS}")

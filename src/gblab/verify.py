@@ -79,7 +79,7 @@ class CheckResult:
     residual_abs: float
     residual_rel: float
     tolerance: float
-    tolerance_kind: str           # "abs" or "rel"
+    tolerance_kind: str           # "abs" or "rel", fixed per check by _RELATIVE_GATES
     passed: bool
     convergence: dict = field(default_factory=dict)
     epsilon_notes: dict = field(default_factory=dict)
@@ -311,8 +311,14 @@ def _phi_reference(collar: CollarMetric, y) -> np.ndarray:
 # -- individual checks --------------------------------------------------------
 
 
-def _result(check_id, spec, computed, reference, residual_abs, scale, tol, kind,
+# checks gated on residual_abs <= tol * scale; every other check on residual_abs <= tol
+_RELATIVE_GATES = frozenset({"ConeGB", "EdgeGB", "EdgeHorizontal", "EdgeLimit", "FiberedGB",
+                             "FirstOrderConic", "LensObstruction", "TransgressionStokes"})
+
+
+def _result(check_id, spec, computed, reference, residual_abs, scale, tol,
             samples=(), notes=(), eps=None):
+    kind = "rel" if check_id in _RELATIVE_GATES else "abs"
     rel = residual_abs / scale if scale else float("inf") if residual_abs else 0.0
     bound = tol if kind == "abs" else tol * scale
     convergence = {"slice_samples": [{"r": r, "value": v} for r, v in samples]} if samples else {}
@@ -341,7 +347,7 @@ def check_closed_gb(spec, level, tol):
         # flat metrics must integrate to exactly zero at machine precision
         resid = abs(total)
     return _result("ClosedGB", spec, computed, {"chi": spec.chi_ref},
-                   resid, max(1.0, abs(spec.chi_ref)), tol, "abs")
+                   resid, max(1.0, abs(spec.chi_ref)), tol)
 
 
 def check_boundary_gb(spec, level, tol):
@@ -362,7 +368,7 @@ def check_boundary_gb(spec, level, tol):
         "two_route_rel_gap": two_route,
     }
     reference = {"chi": spec.chi_ref, "boundary_integral": -(TWO_PI**k)}
-    return _result("BoundaryGB", spec, computed, reference, resid, 1.0, tol, "abs",
+    return _result("BoundaryGB", spec, computed, reference, resid, 1.0, tol,
                    notes=[SIGN_NOTE], eps={"boundary": eps})
 
 
@@ -415,7 +421,7 @@ def check_cone_gb(spec, level, tol):
         computed["singular_contribution"] = contribution
         reference["singular_contribution"] = 1.0 - theta
         gap = max(gap, 10.0 * scale * abs(contribution - (1.0 - theta)))
-    return _result("ConeGB", spec, computed, reference, gap, scale, tol, "rel",
+    return _result("ConeGB", spec, computed, reference, gap, scale, tol,
                    samples=samples, notes=notes, eps={"cone": eps})
 
 
@@ -445,7 +451,7 @@ def check_edge_limit(spec, level, tol):
     computed = {"slice_limit_plus": limit, "closed_value": closed,
                 "first_sample": samples[0][1]}
     return _result("EdgeLimit", spec, computed, {"closed_value": closed},
-                   gap, scale, tol, "rel", samples=samples, notes=notes,
+                   gap, scale, tol, samples=samples, notes=notes,
                    eps={"edge": EPSILONS["edge"]})
 
 
@@ -467,7 +473,7 @@ def check_edge_gb(spec, level, tol):
     scale = max(abs(lhs), 1.0)
     computed = {"pf_integral": interior, "edge_term": edge_term, "identity_rhs": rhs}
     return _result("EdgeGB", spec, computed, {"identity_lhs": lhs}, gap, scale,
-                   tol, "rel", notes=[SIGN_NOTE], eps={"edge": eps})
+                   tol, notes=[SIGN_NOTE], eps={"edge": eps})
 
 
 def check_edge_horizontal(spec, level, tol):
@@ -488,7 +494,7 @@ def check_edge_horizontal(spec, level, tol):
                 "reduction_value": reduction, "reduction_rel_gap": red_gap}
     gap = max(gap, red_gap * scale)
     return _result("EdgeHorizontal", spec, computed, {"closed_value": closed},
-                   gap, scale, tol, "rel", samples=samples, eps={"edge": EPSILONS["edge"]})
+                   gap, scale, tol, samples=samples, eps={"edge": EPSILONS["edge"]})
 
 
 def check_fibered_gb(spec, level, tol):
@@ -502,7 +508,7 @@ def check_fibered_gb(spec, level, tol):
                 "slice_limit_plus": limit, "end_count": spec.end_count}
     if fib.base_dim % 2 == 0:
         gap, scale = _vanishing_gap(limit, samples, spec.collar)
-        return _result("FiberedGB", spec, computed, {"end_value": 0.0}, gap, scale, tol, "rel",
+        return _result("FiberedGB", spec, computed, {"end_value": 0.0}, gap, scale, tol,
                        notes=["even-dimensional base: boundary term vanishes"],
                        eps={"fibered": eps})
     # odd base: the slice limit and the closed form must agree; with fields
@@ -517,7 +523,7 @@ def check_fibered_gb(spec, level, tol):
         scale = max(abs(interior), TWO_PI**k)
         computed["identity_rhs"] = rhs
         reference["identity_lhs"] = lhs
-    return _result("FiberedGB", spec, computed, reference, gap, scale, tol, "rel",
+    return _result("FiberedGB", spec, computed, reference, gap, scale, tol,
                    samples=samples, eps={"fibered": eps})
 
 
@@ -532,7 +538,7 @@ def check_orbifold_gb(spec, level, tol):
     gap = max(abs(chi_int - 2.0 / p), abs(t7 - spec.chi_ref))
     computed = {"pf_chi_part": chi_int, "stratum_defect": defect, "t7_total": t7}
     reference = {"pf_chi_part": 2.0 / p, "t7_total": spec.chi_ref}
-    return _result("OrbifoldGB", spec, computed, reference, gap, 1.0, tol, "abs",
+    return _result("OrbifoldGB", spec, computed, reference, gap, 1.0, tol,
                    notes=[f"weighted cover: 1/{p} of the round cover integral"])
 
 
@@ -546,7 +552,7 @@ def check_perturbation_stability(spec, level, tol):
     computed = {"model_limit": lim_model, "perturbed_limit": lim_pert}
     notes = ["second-order radial perturbation leaves the slice-transgression limit fixed"]
     return _result("PerturbationStability", spec, computed,
-                   {"model_limit": lim_model}, gap, 1.0, tol, "abs",
+                   {"model_limit": lim_model}, gap, 1.0, tol,
                    samples=samples, notes=notes, eps={"cone": EPSILONS["cone"]})
 
 
@@ -562,7 +568,7 @@ def check_phi_limit(spec, level, tol):
     worst = float(np.max(np.abs(gap)))
     computed = {"max_entry_gap": worst, "points": len(points)}
     return _result("PhiLimit", spec, computed, {"max_entry_gap": 0.0}, worst,
-                   1.0, tol, "abs",
+                   1.0, tol,
                    notes=["limit compared entrywise to the block connection "
                           "(component connections plus radial-vertical pairing)"])
 
@@ -597,7 +603,7 @@ def check_first_order_conic(spec, level, tol):
                 "phi_boundary_term": gterm, "singular_contribution": singular,
                 "identity_rhs": rhs}
     return _result("FirstOrderConic", spec, computed, {"identity_lhs": lhs},
-                   gap, TWO_PI**k, tol, "rel", notes=[SIGN_NOTE],
+                   gap, TWO_PI**k, tol, notes=[SIGN_NOTE],
                    eps={"cone": EPSILONS["cone"]})
 
 
@@ -634,7 +640,7 @@ def check_transgression_stokes(spec, level, tol):
     computed = {"max_pointwise_gap": worst, "max_delta_pf": max_dpf,
                 "grid": n_grid, "conformal_amplitude": amp}
     return _result("TransgressionStokes", spec, computed,
-                   {"max_pointwise_gap": 0.0}, worst, max_dpf, tol, "rel")
+                   {"max_pointwise_gap": 0.0}, worst, max_dpf, tol)
 
 
 def check_algebra_identities(spec, level, tol):
@@ -665,7 +671,7 @@ def check_algebra_identities(spec, level, tol):
                 "form_vs_matrix_pfaffian": worst_cross,
                 "exact_identities": "ok" if not failures else "; ".join(failures)}
     return _result("AlgebraIdentities", spec, computed,
-                   {"pf_squared_minus_det": 0.0}, gap, 1.0, tol, "abs")
+                   {"pf_squared_minus_det": 0.0}, gap, 1.0, tol)
 
 
 def _pfaffian_cross_check(rng) -> float:
@@ -704,7 +710,7 @@ def check_lens_obstruction(spec, level, tol):
         + ("" if order == 1 else ", which is not an integer: obstruction"),
     ]
     return _result("LensObstruction", spec, computed,
-                   {"cone_transgression": ref}, gap, abs(ref), tol, "rel",
+                   {"cone_transgression": ref}, gap, abs(ref), tol,
                    samples=samples, notes=notes, eps={"cone": eps})
 
 
@@ -806,33 +812,19 @@ def run_check(check_id: str, geometry=None, params=None, level=None, tol=None) -
     except ConfigurationError:
         raise
     except Exception as exc:  # noqa: BLE001 - diagnostics, never a crash
-        return _result(check_id, spec, {}, {}, float("inf"), 1.0, tol, "abs",
+        return _result(check_id, spec, {}, {}, float("inf"), 1.0, tol,
                        notes=[f"check failed: {type(exc).__name__}: {exc}"])
 
 
-def _run_row(row, level, tol) -> CheckResult:
-    # run_check resolves a None level or tol from this row
-    return run_check(row[0], row[1], dict(row[2]), level, tol)
+def run_suite(filter_text: str = "", level=None, tol=None) -> SuiteResult:
+    """Run every matching default instance in this process, in stable order.
 
-
-def run_suite(filter_text: str = "", level=None, tol=None, workers: int = 1) -> SuiteResult:
-    """Run every matching default instance, in stable order.
-
-    With workers > 1 the instances are spread over that many processes.  A
-    check is a pure function of its row, so the report does not depend on
-    the process count.
+    A check is a pure function of its row (run_check resolves a None level
+    or tol from it), so the report is the same in any process.
     """
     needle = filter_text.casefold()
-    rows = [row for row in DEFAULT_SUITE if needle in row[0].casefold()]
-    if workers > 1:
-        import multiprocessing  # noqa: PLC0415 - keeps the serial import lean
-        from concurrent.futures import ProcessPoolExecutor  # noqa: PLC0415
-
-        ctx = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(workers, mp_context=ctx) as pool:
-            results = list(pool.map(partial(_run_row, level=level, tol=tol), rows))
-    else:
-        results = [_run_row(row, level, tol) for row in rows]
+    results = [run_check(cid, geometry, dict(params), level, tol)
+               for cid, geometry, params, _, _ in DEFAULT_SUITE if needle in cid.casefold()]
     results.sort(key=lambda r: (r.check_id, r.geometry, sorted(r.params.items()).__repr__()))
     return SuiteResult(results)
 

@@ -174,6 +174,21 @@ def test_a_nan_metric_sample_fails_the_check_at_its_node():
     assert note.startswith("check failed: MetricError: metric sample holds a NaN (at node (")
 
 
+def _crash(spec, level, tol):
+    raise RuntimeError("stub")
+
+
+def test_a_crashed_row_states_its_checks_own_gate(monkeypatch):
+    # the crash row reads the gate kind from the same statement as the check's result
+    for check_id, geometry, params, _, _ in verify.DEFAULT_SUITE:
+        kind = verify.run_check(check_id, geometry, dict(params)).tolerance_kind
+        with monkeypatch.context() as m:
+            m.setitem(verify.CHECKS, check_id, _crash)
+            crashed = verify.run_check(check_id, geometry, dict(params))
+        assert crashed.notes == ["check failed: RuntimeError: stub"] and not crashed.passed
+        assert crashed.tolerance_kind == kind, (check_id, geometry, params)
+
+
 def test_run_suite_filter_and_order():
     suite = verify.run_suite(filter_text="cone", level=2)
     assert suite.results
@@ -249,13 +264,6 @@ def test_fibered_gb_on_a_chartless_odd_base_compares_the_two_routes():
     assert not any("check failed" in n for n in coarse.notes)
 
 
-def test_workers_do_not_change_results():
-    docs = [json.dumps(verify.suite_to_json_dict(
-        verify.run_suite(filter_text="orbifold", workers=w)), sort_keys=True)
-        for w in (1, 2)]
-    assert docs[0] == docs[1]
-
-
 @pytest.mark.parametrize("check_id,geometry,params,message", [
     ("ClosedGB", "edge_horizontal", {}, "ClosedGB needs a reference Euler characteristic"),
     ("ClosedGB", "sphere", {"n": 3}, "ClosedGB needs an even-dimensional geometry"),
@@ -306,8 +314,8 @@ def test_every_default_row_runs_at_its_own_level_and_tol(monkeypatch):
     for check_id in verify.CHECKS:
         monkeypatch.setitem(verify.CHECKS, check_id,
                             lambda spec, level, tol: seen.append((level, tol)))
-    for row in verify.DEFAULT_SUITE:
-        verify._run_row(row, None, None)
+    for check_id, geometry, params, _, _ in verify.DEFAULT_SUITE:
+        verify.run_check(check_id, geometry, dict(params))
     assert seen == [(row[3], row[4]) for row in verify.DEFAULT_SUITE]
 
 

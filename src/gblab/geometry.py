@@ -20,23 +20,25 @@ points, differenced along that axis by _central_diff or, all axes at
 once, _along_axes: the metric jet (one evaluator call; the diagonal of
 d2g by the three- or five-point formula), the slice metric in r
 (CollarMetric.radial_rate), the h^phi frame (one Cholesky of one stacked
-sample) and the Stokes curl in verify.  The lowered curvature comes
-straight from the first-kind symbols G_ij,k:
-F_ijkl = d_i G_jl,k - d_j G_il,k - G_ik,m g^mn G_jl,n + G_jk,m g^mn G_il,n,
-with no derivative of g^{-1} and no lowering by g.  Its g^{-1}, and that of
-christoffel for the phi connection, comes from a factorisation in hand:
-E E^T from the Cholesky frame E, or A diag(1/D) A^T from the gauge's
-eigenbasis A of the pair (g0, g1).
-The frame change is P^T F P2 in the pair basis P[(i,j), (a<b)] = E_ia E_jb
-of _pair_basis, which also rotates the gauge's pairs; every contraction is
-a batched matmul.  _frame_of owns the one Cholesky, and the gauge's
-eigenbasis starts from its frame.  Every block-diagonal metric (a
-collar's dr^2 + g(r), h^phi and the catalog's diagonal and product
-metrics) is one _block_diag.  Slices and the gauged path return only what
-the transgression integrands read.  A slice, the h^phi frame and
-the phi connection take a radius or a 1-D radius schedule through one path,
-the schedule's axis ahead of the block.  Orientation signs are
-verify.EPSILONS.
+sample) and the Stokes curl in verify.  The curvature is built on the
+pairs i < j, k < l alone, the C(d,2)^2 entries the (2,2) double form keeps
+(_curvature_pairs): half an alternating sum of four d2g entries, gathered,
+minus G_ik,m g^mn G_jl,n plus G_jk,m g^mn G_il,n from the first-kind
+symbols G_ij,k, with no derivative of g^{-1} and no lowering by g.  Its
+g^{-1}, and that of christoffel for the phi connection, comes from a
+factorisation in hand: E E^T from the Cholesky frame E, or A diag(1/D) A^T
+from the gauge's eigenbasis A of the pair (g0, g1).  The frame change is
+M^T F M2 with the 2x2 minors M[(i<j), (a<b)] = E_ia E_jb - E_ib E_ja of
+_pair_minors, which also rotate the gauge's pairs; every contraction is a
+batched matmul or a gather from a plan cached per d (_pair_plan).
+_frame_of owns the one Cholesky and solves for its triangular frame, whose
+diagonal gives sqrt(det g) (_sqrt_det); the gauge's eigenbasis starts
+from its frame.  Every block-diagonal metric (a collar's dr^2 + g(r),
+h^phi and the catalog's diagonal and product metrics) is one _block_diag.
+Slices and the gauged path return only what the transgression integrands
+read.  A slice, the h^phi frame and the phi connection take a radius or a
+1-D radius schedule through one path, the schedule's axis ahead of the
+block.  Orientation signs are verify.EPSILONS.
 """
 
 from __future__ import annotations
@@ -110,19 +112,45 @@ class Chart:
         return lo + (shrink + (1 - 2 * shrink) * rng.random((count, self.dim))) * (hi - lo)
 
 
+def _flat(arr: np.ndarray, axes: int) -> np.ndarray:
+    """arr with its last axes axes flattened into one."""
+    return arr.reshape(arr.shape[:-axes] + (math.prod(arr.shape[-axes:]),))
+
+
+def _transposed(arr: np.ndarray) -> np.ndarray:
+    """arr with its last two axes swapped, as a C-contiguous copy.
+
+    On stacks of small matrices a single-threaded matmul with a transposed
+    view as an operand runs several times slower than with this copy.
+    """
+    return np.ascontiguousarray(np.swapaxes(arr, -1, -2))
+
+
+@lru_cache(maxsize=None)
+def _triangles(d: int) -> np.ndarray:
+    """Flat (d, d) indices [2, T]: the upper triangle with the diagonal, then its mirror."""
+    i, j = np.triu_indices(d)
+    out = np.stack((i * d + j, j * d + i))
+    out.flags.writeable = False
+    return out
+
+
 def _spd_check(g: np.ndarray) -> np.ndarray:
     """Symmetrize a stack of metric samples, each checked on its own scale (one buffer).
 
-    An exactly symmetric stack comes back as it is: (a + a)/2 = a, so only
-    the sign of an exact zero can differ; a NaN fails the comparison and raises.
-    _sample hands the evaluator's own array out only as a read-only view.
+    An exactly symmetric stack comes back as it is, after one comparison of
+    the upper triangle with the lower, diagonals included, in one gather:
+    (a + a)/2 = a, so only the sign of an exact zero can differ; a NaN
+    anywhere fails the comparison and raises.  _sample hands the
+    evaluator's own array out only as a read-only view.
     """
     g = np.asarray(g, dtype=float)
     if g.ndim < 2 or g.shape[-1] != g.shape[-2]:
         raise MetricError("metric sample is not a square matrix")
-    gt = np.swapaxes(g, -1, -2)
-    if np.array_equal(g, gt):
+    tri = _flat(g, 2)[..., _triangles(g.shape[-1])]
+    if (tri[..., 0, :] == tri[..., 1, :]).all():
         return g
+    gt = np.swapaxes(g, -1, -2)
     buf = np.abs(g)
     if np.isnan(buf).any():
         raise MetricError("metric sample holds a NaN")
@@ -291,7 +319,7 @@ def christoffel(m: MetricField, x) -> np.ndarray:
     """
     g, dg, _ = _metric_jet(m, x, want_second=False)
     E = _frame_of(g)
-    return np.swapaxes(_second_kind(E @ np.swapaxes(E, -1, -2), _christoffel_first(dg)), -1, -2)
+    return np.swapaxes(_second_kind(E @ _transposed(E), _christoffel_first(dg)), -1, -2)
 
 
 def _christoffel_first(dg: np.ndarray) -> np.ndarray:
@@ -302,59 +330,93 @@ def _christoffel_first(dg: np.ndarray) -> np.ndarray:
 def _second_kind(ginv: np.ndarray, g1: np.ndarray) -> np.ndarray:
     """Gamma^k_ij at [..., i, j, k] as G1 @ g^{-T}: one matmul over the flattened (i, j)."""
     d = g1.shape[-1]
-    out = g1.reshape(g1.shape[:-3] + (d * d, d)) @ np.swapaxes(ginv, -1, -2)
+    out = g1.reshape(g1.shape[:-3] + (d * d, d)) @ _transposed(ginv)
     return out.reshape(out.shape[:-2] + (d, d, d))
 
 
 def _frame_of(g: np.ndarray) -> np.ndarray:
-    """Cholesky-based frame E with E^T g E = Id and det E = 1 / sqrt(det g) > 0."""
+    """Cholesky-based frame E = L^{-T}, upper triangular, with E^T g E = Id and E_ii > 0.
+
+    np.linalg.cholesky is the positive-definiteness check; L^T E = Id is
+    then solved by substitution over the d columns of E, each a few array
+    operations over the whole stack.
+    """
     try:
         L = np.linalg.cholesky(g)
     except np.linalg.LinAlgError as exc:
         raise MetricError("metric sample is not positive definite") from exc
-    return np.swapaxes(np.linalg.inv(L), -1, -2)
+    d = L.shape[-1]
+    E = np.zeros_like(L)
+    E[..., range(d), range(d)] = 1.0
+    for k in range(d):
+        # column k is final once divided by L_kk; every later column m then
+        # drops its share L_mk E[:, k]
+        E[..., :k + 1, k] /= L[..., k, k, None]
+        E[..., :k + 1, k + 1:] -= E[..., :k + 1, k, None] * L[..., None, k + 1:, k]
+    return E
 
 
-def _curvature_coord(ginv, dg, d2g) -> np.ndarray:
-    """Lowered curvature F[..., i,j,k,l] = < d_k, R(d_i, d_j) d_l > from first-kind symbols.
+def _sqrt_det(frame: np.ndarray) -> np.ndarray:
+    """sqrt(det g) = 1 / det E for the triangular frame E of _frame_of: 1 / prod(E_ii)."""
+    return 1.0 / np.prod(np.diagonal(frame, axis1=-2, axis2=-1), axis=-1)
 
-    With G_ij,k the first-kind symbols, F_ijkl = d_i G_jl,k - d_j G_il,k
-    - G_ik,m g^mn G_jl,n + G_jk,m g^mn G_il,n: no derivative of g^{-1} or of
-    the second-kind symbols, and no lowering by g.  X = d_i G_jl,k -
-    G_ik,m Gamma^m_jl takes one matmul over the flattened pairs (i,k) and
-    (j,l), and F = X - X^(i<->j) is exactly antisymmetric in (i, j).  ginv
-    comes from a factorisation the caller holds (E E^T, or A diag(1/D) A^T).
+
+@lru_cache(maxsize=None)
+def _pair_plan(d: int):
+    """Gathers onto the pairs P = (i<j), Q = (k<l) of d axes, built once per d.
+
+    The pairs run in the double forms' colex order.  Returns (i, j) and three
+    read-only flat index arrays of shape (n, C, C), C = d(d-1)/2: minors, into
+    a flat (d, d) frame, the entries E_ik, E_jl, E_il, E_jk; second, into a
+    flat d2g[a, b, m, n], d2g at (i,l,j,k), (i,k,j,l), (j,l,i,k), (j,k,i,l);
+    quad, into a flat (d^2, d^2) matrix over ((m,n), (p,q)), its entries
+    ((i,k), (j,l)) and ((j,k), (i,l)).
+    """
+    i, j = np.array(multi_indices(d, 2), dtype=np.intp).reshape(-1, 2).T
+    I, J, K, L = i[:, None], j[:, None], i, j                # P = (I, J) down, Q = (K, L) across
+    minors = np.stack([I * d + K, J * d + L, I * d + L, J * d + K])
+    second = np.stack([((I * d + L) * d + J) * d + K, ((I * d + K) * d + J) * d + L,
+                       ((J * d + L) * d + I) * d + K, ((J * d + K) * d + I) * d + L])
+    quad = np.stack([(I * d + K) * d * d + J * d + L, (J * d + K) * d * d + I * d + L])
+    for arr in (i, j, minors, second, quad):
+        arr.flags.writeable = False
+    return (i, j), minors, second, quad
+
+
+def _curvature_pairs(ginv, dg, d2g) -> np.ndarray:
+    """Lowered curvature F[..., (i<j), (k<l)] = < d_k, R(d_i, d_j) d_l > on the pairs alone.
+
+    With G_ik,m the first-kind symbols and Gamma^m_jl = G_jl,n g^nm,
+
+        F_ijkl = (d_i d_l g_jk - d_i d_k g_jl - d_j d_l g_ik + d_j d_k g_il) / 2
+                 - G_ik,m Gamma^m_jl + G_jk,m Gamma^m_il,
+
+    no derivative of g^{-1} or of the second-kind symbols, and no lowering
+    by g: the second derivatives are one gather from the flat d2g, and the
+    quadratic part one matmul quad = G1 Gamma^T over the flattened (i,k)
+    and (j,l), read at two gathers.  Only the C^2 entries the (2,2) double
+    form keeps are built.  ginv comes from a factorisation the caller holds
+    (E E^T, or A diag(1/D) A^T).
     """
     d = ginv.shape[-1]
-    g1 = _christoffel_first(dg)                             # [..., i, k, m] = G_ik,m
-    gamma = _second_kind(ginv, g1)                          # [..., j, l, m] = Gamma^m_jl
+    _, _, second, quads = _pair_plan(d)
+    g1 = _christoffel_first(dg)                               # [..., i, k, m] = G_ik,m
     pairs = g1.shape[:-3] + (d * d, d)
-    quad = g1.reshape(pairs) @ np.swapaxes(gamma.reshape(pairs), -1, -2)   # [(i,k), (j,l)]
-    X = (np.swapaxes(_christoffel_first(d2g), -1, -2)       # d_i G_jl,k
-         - np.swapaxes(quad.reshape(quad.shape[:-2] + (d,) * 4), -3, -2))
-    return X - np.swapaxes(X, -4, -3)
+    quad = g1.reshape(pairs) @ _transposed(_second_kind(ginv, g1).reshape(pairs))
+    t = _flat(d2g, 4)[..., second]                            # [..., 4, P, Q]
+    u = _flat(quad, 2)[..., quads]                            # [..., 2, P, Q]
+    return (0.5 * (t[..., 0, :, :] - t[..., 1, :, :] - t[..., 2, :, :] + t[..., 3, :, :])
+            - u[..., 0, :, :] + u[..., 1, :, :])
 
 
-def _pair_basis(frame: np.ndarray):
-    """P[..., (i,j), (a<b)] = frame_ia frame_jb, (i,j) flat, and the pairs a < b
-    as index arrays, in the double forms' colex order."""
-    d = frame.shape[-1]
-    a, b = np.array(multi_indices(d, 2), dtype=np.intp).reshape(-1, 2).T
-    P = frame[..., :, None, a] * frame[..., None, :, b]
-    return P.reshape(P.shape[:-3] + (d * d, a.size)), (a, b)
+def _pair_minors(frame: np.ndarray) -> np.ndarray:
+    """M[..., (i<j), (a<b)] = frame_ia frame_jb - frame_ib frame_ja: the 2x2 minors of frame.
 
-
-def _pair_coeffs(F: np.ndarray, E: np.ndarray, E2: Optional[np.ndarray] = None) -> np.ndarray:
-    """(2,2) coefficients <e2_c, R(e_a, e_b) e2_d>, a<b and c<d, of F in the frames E, E2.
-
-    E2 (default E) frames the second pair.  The frame change is two matmuls
-    in the pair basis P of _pair_basis: P^T F P2, with F flattened to a
-    (d^2, d^2) matrix.
+    M is the matrix of Lambda^2 frame on the pairs, so the (2,2) coefficients
+    of a pair form F in frames E, E2 are M(E)^T F M(E2).
     """
-    d = E.shape[-1]
-    P = _pair_basis(E)[0]
-    P2 = P if E2 is None else _pair_basis(E2)[0]
-    return np.swapaxes(P, -1, -2) @ F.reshape(F.shape[:-4] + (d * d, d * d)) @ P2
+    t = _flat(frame, 2)[..., _pair_plan(frame.shape[-1])[1]]
+    return t[..., 0, :, :] * t[..., 1, :, :] - t[..., 2, :, :] * t[..., 3, :, :]
 
 
 def riemann_double_form(m: MetricField, x):
@@ -366,7 +428,8 @@ def riemann_double_form(m: MetricField, x):
     """
     g, dg, d2g = _metric_jet(m, x, want_second=True)
     frame = _frame_of(g)                 # E = L^{-T}, so E E^T = g^{-1}
-    coeffs = _pair_coeffs(_curvature_coord(frame @ np.swapaxes(frame, -1, -2), dg, d2g), frame)
+    M = _pair_minors(frame)
+    coeffs = _transposed(M) @ _curvature_pairs(frame @ _transposed(frame), dg, d2g) @ M
     return DoubleForm(m.chart.dim, 2, 2, coeffs), frame
 
 
@@ -513,10 +576,10 @@ class Slice:
         r, y, _ = _collar_points(self.r, y)
         curv, E = riemann_double_form(self.collar.slice_field(r), y)
         dh = self.collar.radial_rate(r, y)
-        ii_on = np.swapaxes(E, -1, -2) @ (-0.5 * dh) @ E
+        ii_on = _transposed(E) @ (-0.5 * dh) @ E
         ii = DoubleForm(E.shape[-1], 1, 1, 0.5 * (ii_on + np.swapaxes(ii_on, -1, -2)))
         return SliceData(second_fundamental=ii, curvature=curv, frame=E,
-                         sqrt_det=1.0 / np.linalg.det(E))
+                         sqrt_det=_sqrt_det(E))
 
 
 # Even number of steps of the composite Simpson rule in s on the affine
@@ -530,7 +593,7 @@ class GaugePath:
 
     theta_dot and curvature are at the Simpson nodes s_nodes, whose weights
     are s_weights, in the g0 orthonormal frame E0 = frame (..., d, d), so
-    1 / det(frame) = sqrt(det g0).  Both are double forms of batch shape
+    _sqrt_det(frame) = sqrt(det g0).  Both are double forms of batch shape
     (S, ...), one entry per node: theta_dot = d/ds theta^s is the (1,2) form
     with <e_i, theta_dot(e_a) e_j> at (a; i<j), and curvature the (2,2) form
     (the unbatched zero form when d = 2).
@@ -610,7 +673,7 @@ def metric_path_gauge(g0: MetricField, g1: MetricField, x) -> GaugePath:
     (1,2) double form the transgression reads.  The curvature is computed
     exactly when d > 2, one node at a time (a stack of every node's
     curvature arrays would cost several times the memory), from g_s^{-1} =
-    A0 diag(1/D) A0^T, tau E0 = A0 diag(q) Q0^T and the pair basis of E0,
+    A0 diag(1/D) A0^T, tau E0 = A0 diag(q) Q0^T and the pair minors of E0,
     taken once: on a surface the transgression integrand B(theta_dot R^0)
     reads none, so the second derivatives are skipped and curvature is the
     zero form.
@@ -628,12 +691,12 @@ def metric_path_gauge(g0: MetricField, g1: MetricField, x) -> GaugePath:
     g0c, dg0, d2g0 = _metric_jet(g0, x, want_second=curved)
     g1c, dg1, d2g1 = _metric_jet(g1, x, want_second=curved)
     A0, lam, E0, Q0 = _path_eigenbasis(g0c, g1c)
-    A0t, Q0t, E0t = (np.swapaxes(m, -1, -2) for m in (A0, Q0, E0))
+    A0t, Q0t, E0t = (_transposed(m) for m in (A0, Q0, E0))
 
     # H = A0^T G[a]^T A0 [..., a, i, j] for g0 and for the rate, read on the pairs i < j
     G = np.swapaxes(_christoffel_first(np.stack((dg0, dg1 - dg0))), -1, -2)
     H = A0t[..., None, :, :] @ G @ A0[..., None, :, :]
-    P, (i, j) = _pair_basis(Q0t)
+    i, j = _pair_plan(d)[0]
     H_ij, H_ji = H[..., i, j], H[..., j, i]               # [2, ..., a, i<j]
     half_skew = 0.5 * (H_ij[1] - H_ji[1])
 
@@ -648,13 +711,13 @@ def metric_path_gauge(g0: MetricField, g1: MetricField, x) -> GaugePath:
     curv = np.empty((S,) + pts + (i.size,) * 2) if curved else None
     if curved:
         # the curvature of g_s pulled back by tau(s), in the g0 orthonormal frame
-        P0t = np.swapaxes(_pair_basis(E0)[0], -1, -2)
+        M0t = _transposed(_pair_minors(E0))
         for n, s in enumerate(s_nodes):
-            F = _curvature_coord((A0 / D[n, ..., None, :]) @ A0t, (1.0 - s) * dg0 + s * dg1,
-                                 (1.0 - s) * d2g0 + s * d2g1).reshape(pts + (d * d,) * 2)
-            curv[n] = P0t @ F @ _pair_basis((A0 * q[n, ..., None, :]) @ Q0t)[0]
+            F = _curvature_pairs((A0 / D[n, ..., None, :]) @ A0t, (1.0 - s) * dg0 + s * dg1,
+                                 (1.0 - s) * d2g0 + s * d2g1)
+            curv[n] = M0t @ F @ _pair_minors((A0 * q[n, ..., None, :]) @ Q0t)
     # to the g0 frame: Q0 X Q0^T on the pairs as Lambda^2 Q0, then E0^T on a
-    eig = eig.reshape(pts + (d * S, i.size)) @ (P[..., i * d + j, :] - P[..., j * d + i, :])
+    eig = eig.reshape(pts + (d * S, i.size)) @ _pair_minors(Q0t)
     eig = E0t @ eig.reshape(pts + (d, S * i.size))
     theta_dot = np.ascontiguousarray(np.moveaxis(eig.reshape(pts + (d, S, i.size)), -2, 0))
 

@@ -84,15 +84,10 @@ def _axis_nodes(lo: float, hi: float, rule: str, nodes: int):
         return x, w
     if rule == "gauss":
         per = min(nodes, GL_PANEL)
-        panels = nodes // per
-        xs, ws = [], []
-        edges = np.linspace(lo, hi, panels + 1)
+        edges = np.linspace(lo, hi, nodes // per + 1)
         gx, gw = _gauss_nodes(per)
-        for a, b in zip(edges[:-1], edges[1:]):
-            mid, rad = 0.5 * (a + b), 0.5 * (b - a)
-            xs.append(mid + rad * gx)
-            ws.append(rad * gw)
-        return np.concatenate(xs), np.concatenate(ws)
+        mid, rad = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+        return (mid[:, None] + rad[:, None] * gx).ravel(), (rad[:, None] * gw).ravel()
     raise ResolutionError(f"unknown axis rule {rule!r}")
 
 

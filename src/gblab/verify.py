@@ -29,6 +29,7 @@ from .geometry import (
     _along_axes,
     _collar_points,
     _jet_plan,
+    _sqrt_det,
     christoffel,
     metric_path_gauge,
     phi_conjugated_connection,
@@ -130,13 +131,14 @@ def curvature_integral(mf: MetricField, level: int, top):
     R is the curvature double form of mf, at mf's own stencil, in its
     orthonormal frame E at a block of nodes x; top returns one value per
     node, or a stack (K, B) of K tops, whose K integrals come back as an
-    array from one curvature pass.  sqrt(det g) is 1 / det E, so the metric
-    is evaluated once per stencil point.
+    array from one curvature pass.  sqrt(det g) is _sqrt_det(E), the reciprocal
+    product of the triangular frame's diagonal, so the metric is evaluated
+    once per stencil point.
     """
 
     def dens(x):
         R, E = riemann_double_form(mf, x)
-        return top(R, E, x) / np.linalg.det(E)
+        return top(R, E, x) * _sqrt_det(E)
 
     return chart_integral(mf.chart, dens, level)
 
@@ -391,7 +393,7 @@ def _boundary_two_route(spec, level):
     def dens(y):
         gauge = metric_path_gauge(g0, full, _collar_points(r_b, y)[2])
         c = inv.path_transgression_form(gauge).coeffs[..., slice_rank, 0]
-        return c / np.linalg.det(gauge.frame)
+        return c * _sqrt_det(gauge.frame)
 
     lvl = max(1, level - 1)
     path_route = chart_integral(collar.boundary_chart, dens, lvl)
@@ -592,7 +594,7 @@ def check_first_order_conic(spec, level, tol):
         II = DoubleForm(f, 1, 1, 0.5 * (II + np.swapaxes(II, -1, -2)))
         # the S^1 link (f = 1) has k of 1, so the integrand reads only R^0
         c = inv.boundary_correction_form(II, DoubleForm.zero(f, 2, 2)).coeffs[..., 0, 0]
-        return c / np.linalg.det(E0)
+        return c * _sqrt_det(E0)
 
     gterm = chart_integral(chartN, gterm_density, level)
     singular = 1.0 + gterm / TWO_PI**k
@@ -631,8 +633,8 @@ def check_transgression_stokes(spec, level, tol):
         # flat frame = coordinate frame; d[point, a, i, 0] = d_a of the (1,0) form's e_i part
         d = _along_axes(inv.path_transgression_form(gauge).coeffs, hs, 2)
         R1, E1 = riemann_double_form(g1, p)
-        # the flat reference term vanishes identically; sqrt(det g1) = 1 / det E1
-        dpf = inv.pfaffian_form(R1).coeffs[..., 0, 0] / np.linalg.det(E1)
+        # the flat reference term vanishes identically
+        dpf = inv.pfaffian_form(R1).coeffs[..., 0, 0] * _sqrt_det(E1)
         gaps.append(d[:, 0, 1, 0] - d[:, 1, 0, 0] - dpf)
         dpfs.append(dpf)
     worst = float(np.max(np.abs(np.concatenate(gaps))))

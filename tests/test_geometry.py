@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gblab import catalog, geometry
-from gblab.doubleform import DoubleForm, berezin, multi_indices, power, wedge
+from gblab.doubleform import MAX_DIM, DoubleForm, berezin, multi_indices, power, wedge
 from gblab.geometry import (
     Chart,
     CollarMetric,
@@ -22,18 +22,19 @@ from gblab.geometry import (
     _central_diff,
     _christoffel_first,
     _collar_points,
-    _curvature_coord,
+    _curvature_pairs,
     _diff_weights,
     _frame_of,
     _h_phi_matrix,
     _jet_plan,
     _metric_jet,
-    _pair_basis,
-    _pair_coeffs,
+    _pair_minors,
+    _pair_plan,
     _path_eigenbasis,
     _path_scalings,
     _second_kind,
     _spd_check,
+    _sqrt_det,
     christoffel,
     metric_path_gauge,
     phi_conjugated_connection,
@@ -401,6 +402,22 @@ def _einsum_pair_coeffs(F, E):
     return F[..., a[:, None], b[:, None], a, b]
 
 
+def _on_pairs(F):
+    """F[..., i, j, k, l] read on the pairs i < j, k < l, in the double forms' order."""
+    i, j = np.array(multi_indices(F.shape[-1], 2), dtype=np.intp).reshape(-1, 2).T
+    return F[..., i[:, None], j[:, None], i, j]
+
+
+def _from_pairs(F, d):
+    """The full F[..., i, j, k, l], skew in (i, j) and in (k, l), of its pair form."""
+    i, j = np.array(multi_indices(d, 2), dtype=np.intp).reshape(-1, 2).T
+    out = np.zeros(F.shape[:-2] + (d,) * 4)
+    for s1, (a, b) in ((1.0, (i, j)), (-1.0, (j, i))):
+        for s2, (c, e) in ((1.0, (i, j)), (-1.0, (j, i))):
+            out[..., a[:, None], b[:, None], c, e] = s1 * s2 * F
+    return out
+
+
 def _random_jet(seed, d, batch, log_cond):
     """SPD g with condition up to 10**log_cond, and dg, d2g with the symmetries of a jet."""
     rng = np.random.default_rng(seed)
@@ -421,16 +438,18 @@ _kernel_case = (st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 4]),
 @given(*_kernel_case)
 def test_curvature_kernel_matches_the_einsum_reference(seed, d, batch, log_cond):
     g, dg, d2g = _random_jet(seed, d, batch, log_cond)
-    F = _curvature_coord(np.linalg.inv(g), dg, d2g)
-    want = _einsum_curvature_coord(g, dg, d2g)
-    assert F.shape == want.shape == batch + (d,) * 4
+    F = _curvature_pairs(np.linalg.inv(g), dg, d2g)
+    full = _einsum_curvature_coord(g, dg, d2g)
+    want = _on_pairs(full)
+    assert F.shape == want.shape == batch + (len(multi_indices(d, 2)),) * 2
     # F sums terms of size |d2g| and |dg|^2 |g^-1|; at d = 2 its one component
     # can cancel far below them, so round-off is measured on their scale
     terms = max(np.max(np.abs(d2g)), np.max(np.abs(dg)) ** 2 * np.max(np.abs(np.linalg.inv(g))))
-    assert np.max(np.abs(F - want)) <= 1e-12 * max(np.max(np.abs(want)), terms)
+    assert np.max(np.abs(F - want)) <= 1e-12 * max(np.max(np.abs(full)), terms)
     E = _frame_of(g)
-    got, ref = _pair_coeffs(want, E), _einsum_pair_coeffs(want, E)
-    assert got.shape == ref.shape == batch + (len(multi_indices(d, 2)),) * 2
+    M = _pair_minors(E)
+    got, ref = np.swapaxes(M, -1, -2) @ want @ M, _einsum_pair_coeffs(_from_pairs(want, d), E)
+    assert got.shape == ref.shape == want.shape
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -439,9 +458,10 @@ def test_curvature_kernel_matches_the_einsum_reference(seed, d, batch, log_cond)
 def test_second_frame_equals_the_transported_einsum(seed, d, batch, log_cond):
     g, dg, d2g = _random_jet(seed, d, batch, log_cond)
     tau = np.eye(d) + 0.3 * np.random.default_rng(seed + 1).normal(size=batch + (d, d))
-    F, E = _curvature_coord(np.linalg.inv(g), dg, d2g), _frame_of(g)
-    want = _einsum_pair_coeffs(np.einsum("...ijkl,...kc,...ld->...ijcd", F, tau, tau), E)
-    got = _pair_coeffs(F, E, tau @ E)
+    F, E = _curvature_pairs(np.linalg.inv(g), dg, d2g), _frame_of(g)
+    want = _einsum_pair_coeffs(np.einsum("...ijkl,...kc,...ld->...ijcd", _from_pairs(F, d),
+                                         tau, tau), E)
+    got = np.swapaxes(_pair_minors(E), -1, -2) @ F @ _pair_minors(tau @ E)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -541,15 +561,30 @@ def test_curvature_symmetries_on_a_block(geometry):
     else:
         chart, mf = CUBE3, MetricField(CUBE3, _rational_metric(1.5))
     g, dg, d2g = _metric_jet(mf, chart.random_interior(rng, 64, shrink=0.1), want_second=True)
-    F = _curvature_coord(np.linalg.inv(g), dg, d2g)
-    assert F.shape == (64,) + (chart.dim,) * 4
-    scale = np.max(np.abs(F), axis=(-4, -3, -2, -1), keepdims=True)   # per node
-    assert np.array_equal(F, -np.swapaxes(F, -4, -3))
-    assert np.all(np.abs(F + np.swapaxes(F, -2, -1)) <= 1e-12 * scale)
-    assert np.all(np.abs(F - np.einsum("...klij->...ijkl", F)) <= 1e-10 * scale)
-    # R(d_i, d_j) d_l + R(d_j, d_l) d_i + R(d_l, d_i) d_j = 0
+    pairs = _curvature_pairs(np.linalg.inv(g), dg, d2g)
+    assert pairs.shape == (64,) + (len(multi_indices(chart.dim, 2)),) * 2
+    scale = np.max(np.abs(pairs), axis=(-2, -1), keepdims=True)        # per node
+    assert np.all(np.abs(pairs - np.swapaxes(pairs, -1, -2)) <= 1e-10 * scale)
+    # R(d_i, d_j) d_l + R(d_j, d_l) d_i + R(d_l, d_i) d_j = 0, on the full F of
+    # the pair form; at d = 4 its one component beyond pair symmetry is
+    # F_(01)(23) - F_(02)(13) + F_(03)(12)
+    F, scale = _from_pairs(pairs, chart.dim), scale[..., None, None]
     bianchi = F + np.einsum("...jlki->...ijkl", F) + np.einsum("...likj->...ijkl", F)
     assert np.all(np.abs(bianchi) <= 1e-10 * scale)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_riemann_double_form_equals_the_einsum_route_on_a_non_diagonal_metric(d):
+    # the whole chain, pair kernel and minors of the returned triangular frame,
+    # against the einsum kernel and frame change on the same jet
+    chart = Chart("box", ((-1.0, 1.0),) * d, (False,) * d)
+    mf = MetricField(chart, _rational_metric(1.5))
+    x = chart.random_interior(np.random.default_rng(d), 64, shrink=0.1)
+    R, E = riemann_double_form(mf, x)
+    g, dg, d2g = _metric_jet(mf, x, want_second=True)
+    ref = _einsum_pair_coeffs(_einsum_curvature_coord(g, dg, d2g), E)
+    assert _amax(E - np.triu(E)) == 0.0 and _amax(E - np.diag(np.diagonal(E))) > 0.1
+    assert _amax(R.coeffs - ref) <= 1e-12 * _amax(ref)
 
 
 @settings(max_examples=30, deadline=None)
@@ -622,6 +657,31 @@ def test_frame_identity_and_diagonal():
     m = MetricField(TORUS2, lambda x: np.diag([4.0, 9.0]))
     E = _frame_of(m.g(np.zeros(2)))
     assert np.allclose(E, np.diag([0.5, 1.0 / 3.0]))
+
+
+@pytest.mark.parametrize("d", range(1, MAX_DIM + 1))
+def test_frame_solves_the_cholesky_factor_and_its_diagonal_gives_sqrt_det(d):
+    # stacks of SPD g up to condition 1e6: E against the LAPACK inverse of
+    # the same Cholesky factor, within 2 cond(g) eps of max |E| (at most
+    # 0.14 cond eps measured), and E's diagonal against sqrt(det g) to 1e-13,
+    # or to 4 cond eps where det g itself is that ill-conditioned (at most
+    # 1.5 cond eps measured, 2.0e-11 at condition 1e6)
+    rng = np.random.default_rng(100 + d)
+    q, _ = np.linalg.qr(rng.normal(size=(50, d, d)))
+    eig = 10.0 ** rng.uniform(-3.0, 3.0, size=(50, 1, d))
+    eig[:6, 0, 0], eig[:6, 0, -1] = 1e-3, 1e3
+    g = q * eig @ np.swapaxes(q, -1, -2)
+    g = 0.5 * (g + np.swapaxes(g, -1, -2))
+    cond = np.linalg.cond(g)
+    assert np.max(cond) <= 1.01e6 and (d == 1 or np.max(cond) > 1e5)
+    E = _frame_of(g)
+    want = np.swapaxes(np.linalg.inv(np.linalg.cholesky(g)), -1, -2)
+    assert np.array_equal(E, np.triu(E)) and np.all(np.diagonal(E, axis1=-2, axis2=-1) > 0)
+    err = np.max(np.abs(E - want), axis=(-2, -1)) / np.max(np.abs(want), axis=(-2, -1))
+    eps = np.finfo(float).eps
+    assert np.all(err <= 2.0 * cond * eps)
+    rel = np.abs(_sqrt_det(E) / np.sqrt(np.linalg.det(g)) - 1.0)
+    assert np.all(rel <= np.maximum(1e-13, 4.0 * cond * eps))
 
 
 def test_frame_random_spd_residual():
@@ -1045,8 +1105,8 @@ def _first_variation_gauge(g0, g1, x):
         on = np.swapaxes(E0, -1, -2) @ framed.reshape(framed.shape[:-3] + (d, d * d))
         thetas.append(on.reshape(framed.shape))
         if curved:
-            F = _curvature_coord(gs_inv, dg_s, (1.0 - s) * d2g0 + s * d2g1)
-            curvs.append(_pair_coeffs(F, E0, tau @ E0))
+            F = _curvature_pairs(gs_inv, dg_s, (1.0 - s) * d2g0 + s * d2g1)
+            curvs.append(np.swapaxes(_pair_minors(E0), -1, -2) @ F @ _pair_minors(tau @ E0))
     return np.stack(thetas), (np.stack(curvs) if curved else None)
 
 
@@ -1105,15 +1165,15 @@ def _skew(theta):
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_pair_basis_carries_skew_pairs_through_an_orthogonal_map(d):
     # the pairs run in the (1,2) forms' order, and the gauge's Lambda^2 Q,
-    # rows (i,j) minus rows (j,i) of the pair basis of Q^T, maps the pairs
-    # of a skew X to those of Q X Q^T and is itself orthogonal
+    # the 2x2 minors of Q^T, maps the pairs of a skew X to those of Q X Q^T
+    # and is itself orthogonal
     rng = np.random.default_rng(d)
     Q = np.linalg.qr(rng.normal(size=(d, d)))[0]
     X = rng.normal(size=(d, d))
     X -= X.T
-    P, (i, j) = _pair_basis(Q.T)
+    i, j = _pair_plan(d)[0]
     assert list(zip(i.tolist(), j.tolist())) == list(multi_indices(d, 2))
-    rot = P[i * d + j] - P[j * d + i]
+    rot = _pair_minors(Q.T)
     assert _amax(X[i, j] @ rot - (Q @ X @ Q.T)[i, j]) <= 1e-14 * _amax(X)
     assert _amax(rot.T @ rot - np.eye(i.size)) <= 1e-14
 
@@ -1280,7 +1340,8 @@ def _gauge_per_node(g0, g1, x):
 
     At each Simpson node s: D, q and p from the scalar s, theta_dot's pairs
     in the basis A0 by one elementwise expression, and (d > 2) the
-    curvature through _pair_coeffs, which rebuilds the pair basis of E0.
+    curvature as M(E0)^T F M(tau E0), which rebuilds the minors of E0.
+    theta_dot's pairs move by Lambda^2 Q0 written out as T_ia T_jb - T_ja T_ib, T = Q0^T.
     """
     d = g0.chart.dim
     curved = d > 2
@@ -1290,7 +1351,9 @@ def _gauge_per_node(g0, g1, x):
     A0t, Q0t, E0t = (np.swapaxes(m, -1, -2) for m in (A0, Q0, E0))
     G = np.swapaxes(_christoffel_first(np.stack((dg0, dg1 - dg0))), -1, -2)
     H = A0t[..., None, :, :] @ G @ A0[..., None, :, :]
-    P, (i, j) = _pair_basis(Q0t)
+    i, j = np.array(multi_indices(d, 2), dtype=np.intp).reshape(-1, 2).T
+    Qi, Qj = Q0t[..., i, :], Q0t[..., j, :]                   # [..., i<j, :]
+    rot = Qi[..., :, i] * Qj[..., :, j] - Qj[..., :, i] * Qi[..., :, j]
     H_ij, H_ji = H[..., i, j], H[..., j, i]
     half_skew = 0.5 * (H_ij[1] - H_ji[1])
     pts, s_nodes = x.shape[:-1], np.linspace(0.0, 1.0, geometry.PATH_STEPS + 1)
@@ -1305,10 +1368,11 @@ def _gauge_per_node(g0, g1, x):
                     - p[..., None, j] * (H_ji[0] + s * H_ji[1]) + half_skew,
                     out=eig[..., n, :])
         if curved:
-            F = _curvature_coord((A0 / D[..., None, :]) @ A0t, (1.0 - s) * dg0 + s * dg1,
+            F = _curvature_pairs((A0 / D[..., None, :]) @ A0t, (1.0 - s) * dg0 + s * dg1,
                                  (1.0 - s) * d2g0 + s * d2g1)
-            curv[n] = _pair_coeffs(F, E0, (A0 * q[..., None, :]) @ Q0t)
-    eig = eig.reshape(pts + (d * S, i.size)) @ (P[..., i * d + j, :] - P[..., j * d + i, :])
+            curv[n] = (np.swapaxes(_pair_minors(E0), -1, -2) @ F
+                       @ _pair_minors((A0 * q[..., None, :]) @ Q0t))
+    eig = eig.reshape(pts + (d * S, i.size)) @ rot
     eig = E0t @ eig.reshape(pts + (d, S * i.size))
     return np.moveaxis(eig.reshape(pts + (d, S, i.size)), -2, 0), curv
 

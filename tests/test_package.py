@@ -61,12 +61,13 @@ def _factorisations(node, owner, found):
 
 
 def test_no_metric_inverse_comes_from_inv():
-    # g^{-1} is E E^T from the one Cholesky; inv inverts only its factor L and two frames
+    # g^{-1} is E E^T from the one Cholesky, whose frame E = L^{-T} is solved
+    # for by substitution; inv inverts only two phi frames
     found = set()
     for path in sorted(Path(gblab.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         found |= {(f"{path.stem}.{fn}", name) for fn, name in _factorisations(tree, "", set())}
-    assert found == {("geometry._frame_of", "cholesky"), ("geometry._frame_of", "inv"),
+    assert found == {("geometry._frame_of", "cholesky"),
                      ("geometry.phi_conjugated_connection", "inv"),
                      ("verify._phi_reference", "inv")}
 
@@ -92,6 +93,20 @@ def _owners(node, hit, owner="", found=None):
 
 def _module_tree(name):
     return ast.parse((Path(gblab.__file__).parent / f"{name}.py").read_text(encoding="utf-8"))
+
+
+def test_only_the_algebra_identities_take_a_determinant():
+    # sqrt(det g) is geometry._sqrt_det of the triangular frame's diagonal;
+    # linalg.det is read only by the Pf(A)^2 = det A identity
+    def takes_det(node):
+        return ((isinstance(node, ast.Attribute) and node.attr == "det")
+                or (isinstance(node, ast.ImportFrom) and any(a.name == "det" for a in node.names)))
+
+    found = set()
+    for path in sorted(Path(gblab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found |= {f"{path.stem}.{fn}" for fn in _owners(tree, takes_det)}
+    assert found == {"verify.check_algebra_identities"}
 
 
 def test_catalog_builds_charts_only_from_axes_and_products():

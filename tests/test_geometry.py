@@ -394,18 +394,17 @@ def _einsum_curvature_coord(g, dg, d2g):
     return np.einsum("...km,...mijl->...ijkl", g, rup)
 
 
-def _einsum_pair_coeffs(F, E):
-    """The frame change as four one-index einsum contractions and a gather, as a reference."""
-    for _ in range(4):
-        F = np.einsum("...ijkl,...ia->...jkla", F, E)
-    a, b = np.array(multi_indices(E.shape[-1], 2), dtype=np.intp).reshape(-1, 2).T
-    return F[..., a[:, None], b[:, None], a, b]
-
-
 def _on_pairs(F):
     """F[..., i, j, k, l] read on the pairs i < j, k < l, in the double forms' order."""
     i, j = np.array(multi_indices(F.shape[-1], 2), dtype=np.intp).reshape(-1, 2).T
     return F[..., i[:, None], j[:, None], i, j]
+
+
+def _einsum_pair_coeffs(F, E):
+    """The frame change as four one-index einsum contractions and a gather, as a reference."""
+    for _ in range(4):
+        F = np.einsum("...ijkl,...ia->...jkla", F, E)
+    return _on_pairs(F)
 
 
 def _from_pairs(F, d):

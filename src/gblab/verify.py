@@ -131,9 +131,8 @@ def curvature_integral(mf: MetricField, level: int, top):
     R is the curvature double form of mf, at mf's own stencil, in its
     orthonormal frame E at a block of nodes x; top returns one value per
     node, or a stack (K, B) of K tops, whose K integrals come back as an
-    array from one curvature pass.  sqrt(det g) is _sqrt_det(E), the reciprocal
-    product of the triangular frame's diagonal, so the metric is evaluated
-    once per stencil point.
+    array from one curvature pass.  sqrt(det g) is _sqrt_det(E), read off
+    the frame, so the metric is evaluated once per stencil point.
     """
 
     def dens(x):

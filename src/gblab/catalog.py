@@ -7,8 +7,10 @@ carries its own chart and finite-difference stencil, set here per geometry;
 the checks read them, and only the PhiLimit reference re-stencils them.
 Every metric evaluator maps points of shape (..., d) to matrices of shape
 (..., d, d) (a constant metric returns one (d, d) matrix, which broadcasts),
-and every collar's radial_metric(r) and fibration's fiber_metric(r, y) take
-r as a number or as an array of the points' batch shape.  Chart
+every collar's radial_metric(r) takes r as a number or as an array that
+broadcasts against the points' batch shape (a slice's radius schedule
+rides on size-1 axes of the points), and every fibration's
+fiber_metric(r, y) takes r as a number or an array of y's batch shape.  Chart
 parametrizations are chosen so metric evaluators stay smooth and
 nondegenerate on the closed quadrature box:
 

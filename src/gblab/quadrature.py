@@ -16,7 +16,9 @@ circle, 256 on a surface, BLOCK from d = 3 up), not an option: the per-node
 curvature arrays grow like d^4, so the rule bounds a block's memory while
 the fixed cost of a call is spread over as many nodes as that allows.  A
 slice limit stacks its radius schedule onto the block, so there a block's
-arrays hold its node count times the number of radii (six) samples.
+curvature arrays hold its node count times the number of radii (six)
+samples; its points, and their metric evaluations, are not repeated per
+radius.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ __all__ = [
     "AxisRule",
     "MeshSpec",
     "mesh_for_chart",
+    "mesh_corners",
     "integrate_chart",
     "r_limit_extrapolate",
     "pairwise_sum",
@@ -143,10 +146,20 @@ def mesh_for_chart(chart, level: int) -> MeshSpec:
     )
 
 
+def _mesh_axes(chart, mesh: MeshSpec) -> list:
+    """Each axis's (nodes, weights) of a mesh on a chart."""
+    return [_axis_nodes(lo, hi, rule, n)
+            for (lo, hi), rule, n in zip(chart.bounds, mesh.rules, mesh.nodes)]
+
+
+def mesh_corners(chart, level: int) -> np.ndarray:
+    """(2, d): the smallest and the largest node of each axis of the chart's mesh at a level."""
+    nodes = [x for x, _ in _mesh_axes(chart, mesh_for_chart(chart, level))]
+    return np.array([[x.min() for x in nodes], [x.max() for x in nodes]])
+
+
 def _mesh_points(chart, mesh: MeshSpec):
-    axes = []
-    for (lo, hi), rule, n in zip(chart.bounds, mesh.rules, mesh.nodes):
-        axes.append(_axis_nodes(lo, hi, rule, n))
+    axes = _mesh_axes(chart, mesh)
     grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=-1)
     wgrids = np.meshgrid(*[a[1] for a in axes], indexing="ij")

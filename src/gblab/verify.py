@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -24,12 +24,14 @@ from . import quadrature as quad
 from .doubleform import DoubleForm, berezin, index_rank, multi_indices, pfaffian_skew, power
 from .geometry import (
     CollarMetric,
+    DomainError,
     MetricField,
     Slice,
     _along_axes,
     _collar_points,
     _jet_plan,
     _sqrt_det,
+    _transposed,
     christoffel,
     metric_path_gauge,
     phi_conjugated_connection,
@@ -125,6 +127,37 @@ def chart_integral(chart, density, level: int) -> float:
     return quad.integrate_chart(density, chart, mesh)
 
 
+@lru_cache(maxsize=None)
+def _largest_clean_level(stencil: MetricField) -> int:
+    """The largest of quad.LEVELS (0 if none) at which no mesh node of stencil's
+    chart sits within its finite-difference reach of a non-periodic edge.
+
+    The outermost Gauss nodes near the edges as the level grows, so every
+    level up to this one is clean.
+    """
+    clean = 0
+    for level in quad.LEVELS:
+        try:
+            stencil.check_stencil(quad.mesh_corners(stencil.chart, level))
+        except DomainError:
+            break
+        clean = level
+    return clean
+
+
+def _refuse_unclean_level(field: MetricField, level: int) -> None:
+    """ConfigurationError if level exceeds the largest clean level of field's chart and stencil.
+
+    Decided once per chart and stencil (the cache key drops the evaluator),
+    before the chart pass, not per block.
+    """
+    top = _largest_clean_level(replace(field, evaluator=None))
+    if level > top:
+        raise ConfigurationError(
+            f"level {level} puts mesh nodes of chart {field.chart.name!r} within the "
+            f"finite-difference stencil's reach of its edge; its largest clean level is {top}")
+
+
 def curvature_integral(mf: MetricField, level: int, top):
     """Integral of top(R, E, x) * sqrt(det g) over mf.chart.
 
@@ -134,6 +167,7 @@ def curvature_integral(mf: MetricField, level: int, top):
     array from one curvature pass.  sqrt(det g) is _sqrt_det(E), read off
     the frame, so the metric is evaluated once per stencil point.
     """
+    _refuse_unclean_level(mf, level)
 
     def dens(x):
         R, E = riemann_double_form(mf, x)
@@ -187,6 +221,7 @@ def slice_transgression_plus(collar: CollarMetric, r, level: int):
     the integrals come back as an array, each equal to its own scalar call.
     """
     sl = Slice(collar, r)
+    _refuse_unclean_level(collar.slice_field(r), level)
 
     def dens(y):
         sd = sl.at(y)
@@ -258,7 +293,7 @@ def horizontal_closed_value(collar: CollarMetric, level: int) -> float:
     def tops(R, E, y):
         # d/dr of the base block of the slice metric at r = 0, fiber coordinates 0
         yn = np.concatenate((np.zeros(y.shape[:-1] + (f,)), y), axis=-1)
-        gdot = np.swapaxes(E, -1, -2) @ collar.radial_rate(0.0, yn)[..., f:, f:] @ E
+        gdot = _transposed(E) @ collar.radial_rate(0.0, yn)[..., f:, f:] @ E
         gdot_form = DoubleForm(b, 1, 1, 0.5 * (gdot + np.swapaxes(gdot, -1, -2)))
         return _stacked_tops(y, [inv.lipschitz_killing_form(i, R, gdot_form).coeffs[..., 0, 0]
                                  for i in range(b // 2 + 1)])
@@ -589,7 +624,7 @@ def check_first_order_conic(spec, level, tol):
     def gterm_density(y):
         lim = _phi_limit(spec.collar, rs, y)
         E0 = phi_frame(spec.collar, 0.0, y)[0]
-        II = np.swapaxes(E0[..., :, 1:1 + f], -1, -2) @ lim[..., :, 0, 1:1 + f]
+        II = _transposed(E0[..., :, 1:1 + f]) @ lim[..., :, 0, 1:1 + f]
         II = DoubleForm(f, 1, 1, 0.5 * (II + np.swapaxes(II, -1, -2)))
         # the S^1 link (f = 1) has k of 1, so the integrand reads only R^0
         c = inv.boundary_correction_form(II, DoubleForm.zero(f, 2, 2)).coeffs[..., 0, 0]

@@ -99,6 +99,15 @@ def test_cone_parameter_its_profile_ignores_exits_two(capsys):
         "error: cone theta must be 1 unless profile=linear, got theta=0.5\n")
 
 
+def test_a_level_whose_nodes_crowd_the_stencil_exits_two(capsys):
+    argv = ["run", "--check", "ClosedGB", "--geometry", "sphere", "n=2", "--level", "7"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        "error: level 7 puts mesh nodes of chart 'sphere2-cylinder' within the "
+        "finite-difference stencil's reach of its edge; its largest clean level is 6\n")
+
+
 def test_level_range_is_read_from_quadrature_levels(monkeypatch, capsys):
     monkeypatch.setattr(cli, "LEVELS", range(1, 4))
     assert main(["run", "--check", "ClosedGB", "--level", "5"]) == 2
@@ -131,18 +140,38 @@ def test_converge_writes_csv(tmp_path):
     assert lines[1] == f"1,{chi!r},,"
 
 
-def test_converge_writes_a_failed_levels_row_and_exits_one(tmp_path, capsys):
-    # at level 7 the outermost Gauss node's order-4 stencil leaves the sphere's chart
+def test_converge_writes_a_failed_levels_row_and_exits_one(tmp_path, capsys, monkeypatch):
+    # a level whose check crashes is a failed row of value inf
+    closed_gb = verify.CHECKS["ClosedGB"]
+
+    def crash_at_four(spec, level, tol):
+        if level == 4:
+            raise FloatingPointError("no value at level 4")
+        return closed_gb(spec, level, tol)
+
+    monkeypatch.setitem(verify.CHECKS, "ClosedGB", crash_at_four)
     out = tmp_path / "c.csv"
     assert main(["converge", "--check", "ClosedGB", "--geometry", "sphere", "n=2",
-                 "--levels", "7", "--csv", str(out)]) == 1
+                 "--levels", "4", "--csv", str(out)]) == 1
     rows = out.read_text().splitlines()
-    assert len(rows) == 8 and rows[-1] == "7,inf,inf,"
-    assert all(row.split(",")[3] for row in rows[3:-1])  # levels 3..6 have an order
+    assert len(rows) == 5 and rows[-1] == "4,inf,inf,"
+    assert all(row.split(",")[3] for row in rows[3:-1])  # level 3 has an order
     printed = capsys.readouterr().out.splitlines()
-    assert printed[-2] == "level 7: value=inf diff=inf"
-    assert printed[-1].startswith("        check failed: DomainError: finite-difference stencil "
-                                  "leaves chart 'sphere2-cylinder'")
+    assert printed[-2] == "level 4: value=inf diff=inf"
+    assert printed[-1] == "        check failed: FloatingPointError: no value at level 4"
+
+
+def test_converge_refuses_a_level_past_the_charts_largest_clean_level(tmp_path, capsys):
+    # at level 7 the outermost Gauss node sits within the sphere chart's order-4 stencil reach
+    out = tmp_path / "c.csv"
+    assert main(["converge", "--check", "ClosedGB", "--geometry", "sphere", "n=2",
+                 "--levels", "7", "--csv", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[-1].startswith("level 6: value=")
+    assert captured.err == (
+        "error: level 7 puts mesh nodes of chart 'sphere2-cylinder' within the "
+        "finite-difference stencil's reach of its edge; its largest clean level is 6\n")
+    assert not out.exists()
 
 
 def test_converge_diffs_shrink(tmp_path):

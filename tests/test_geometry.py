@@ -1616,6 +1616,67 @@ def test_a_stack_of_radii_equals_one_slice_per_radius(name, params, radii):
                 assert np.array_equal(got, want), (name, r)
 
 
+@pytest.mark.parametrize("order", [2, 4])
+def test_a_slice_evaluates_each_stencil_point_once_for_the_whole_schedule(order, monkeypatch):
+    # the s3 link's trig runs on each node's stencil points alone, with a
+    # size-1 axis where the schedule's goes: the radii ride in the sample,
+    # s(r) h(y), and every (stencil, radius, node) sample is still SPD-checked
+    base = replace(catalog.get("geometric_cone", link="s3", theta=1.0).collar, fd_order=order)
+    points, checked = [], []
+
+    def recorded(r):
+        ev = base.radial_metric(r)
+
+        def on_points(y):
+            points.append(np.array(y))
+            return ev(y)
+
+        return on_points
+
+    spd_check = geometry._spd_check
+
+    def recorded_check(g):
+        checked.append(np.shape(g))
+        return spd_check(g)
+
+    monkeypatch.setattr(geometry, "_spd_check", recorded_check)
+    collar = replace(base, radial_metric=recorded)
+    radii = np.array([0.4, 0.2, 0.1, 0.05, 0.025, 0.0125])
+    Y = collar.boundary_chart.random_interior(np.random.default_rng(12), 5, shrink=0.1)
+    S, K, R = len(_jet_plan(3, order, True)[1]), len(_diff_weights(order)), len(radii)
+    for y in (Y, Y[0]):
+        batch = y.shape[:-1]
+        nodes, stencil = (1,) + batch + (3,), (S, 1) + batch + (3,)
+        jet, rate = (S, R) + batch + (3, 3), (K, R) + batch + (3, 3)
+        stacked_r = radii.reshape((-1,) + (1,) * len(batch))
+        for call, want_points, want_checked in (
+                (lambda: Slice(collar, radii).at(y), [stencil, nodes], [jet, rate]),
+                (lambda: collar.radial_rate(stacked_r, y[None]), [nodes], [rate])):
+            points.clear()
+            checked.clear()
+            call()
+            assert [p.shape for p in points] == want_points
+            assert all(len(np.unique(p.reshape(-1, 3), axis=0)) == p.size // 3 for p in points)
+            assert np.array_equal(points[-1].reshape(y.shape), y)
+            assert checked == want_checked
+
+
+def test_a_sample_batch_that_does_not_broadcast_is_named():
+    # an evaluator may add leading axes of its own, which broadcast against the points'
+    m = MetricField(TORUS2, lambda x: np.broadcast_to(np.eye(2), (7, 2, 2)))
+    assert m.g(np.zeros((1, 2))).shape == (7, 2, 2)
+    with pytest.raises(MetricError, match=r"breaks the \(\.\.\., d\) -> \(\.\.\., d, d\) contract: "
+                                          r"points of shape \(5, 2\) gave a sample of shape \(7, 2, 2\)"):
+        m.g(np.zeros((5, 2)))
+    # a radial metric that flattens its radii loses the size-1 axis of the points
+    circle = Chart("s1", ((0.0, 2 * math.pi),), (True,))
+    collar = CollarMetric(circle, (0.0, 1.0),
+                          lambda r: (lambda y: np.ravel(r)[:, None, None] * np.eye(1)))
+    with pytest.raises(MetricError, match=r"points of shape \(3, 1, 2, 1\) gave a sample of "
+                                          r"shape \(3, 1, 1\)"):
+        Slice(collar, np.array([0.5, 0.25, 0.125])).at(np.array([[1.0], [2.0]]))
+
+
 def test_each_radius_of_a_stack_keeps_its_own_radial_step():
     collar = catalog.get("edge_product").collar
     rs = np.array([0.4, 0.0, 0.05])

@@ -48,6 +48,24 @@ def test_src_calls_no_einsum():
     assert uses == []
 
 
+def test_no_matmul_takes_a_transposed_view():
+    # a transposed operand is geometry._transposed's contiguous copy: on
+    # stacks of small matrices a strided view makes the matmul several times slower
+    def transposed_view(node):
+        return (isinstance(node, ast.Call)
+                and (getattr(node.func, "attr", None) or getattr(node.func, "id", None))
+                in {"swapaxes", "transpose", "moveaxis"}
+                or isinstance(node, ast.Attribute) and node.attr in {"T", "mT"})
+
+    uses = []
+    for path in sorted(Path(gblab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+                    and any(map(transposed_view, (node.left, node.right)))):
+                uses.append(f"{path.name}:{node.lineno}")
+    assert uses == []
+
+
 def _factorisations(node, owner, found):
     """(file's function, name) for each cholesky or inv reference under node, innermost def first."""
     for child in ast.iter_child_nodes(node):

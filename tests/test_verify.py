@@ -296,6 +296,42 @@ def test_each_check_rejects_a_geometry_it_cannot_run(check_id, geometry, params,
         verify.run_check(check_id, geometry, params)
 
 
+@pytest.mark.parametrize("check_id, geometry, params, chart", [
+    ("ClosedGB", "sphere", {"n": 2}, "sphere2-cylinder"),
+    ("ConeGB", "geometric_cone", {"link": "s3", "theta": 1.0}, "s3-torus-angles"),
+    ("FiberedGB", "catenoid", {}, "catenoid-conformal"),
+    ("EdgeLimit", "edge_product", {"base": "s2", "fiber": "s1"}, "base-s2-cylinder"),
+])
+def test_a_level_whose_nodes_crowd_the_stencil_is_refused(check_id, geometry, params, chart):
+    # at level 7 the outermost Gauss node of the order-4 s2, s3 and catenoid
+    # charts sits within the stencil's reach of the chart's edge
+    with pytest.raises(verify.ConfigurationError,
+                       match=f"^level 7 puts mesh nodes of chart '{chart}' within the "
+                             f"finite-difference stencil's reach of its edge; its largest "
+                             f"clean level is 6$"):
+        verify.run_check(check_id, geometry, params, level=7)
+
+
+def test_the_largest_clean_level_is_decided_once_per_chart_and_stencil(monkeypatch):
+    calls = []
+    corners = quad.mesh_corners
+
+    def recorded(chart, level):
+        calls.append((chart.name, level))
+        return corners(chart, level)
+
+    monkeypatch.setattr(quad, "mesh_corners", recorded)
+    verify._largest_clean_level.cache_clear()
+    sphere, football = catalog.get("sphere", n=2), catalog.get("football", p=3)
+    for _ in range(2):
+        verify.pf_integral(sphere, 1)
+        verify.pf_integral(football, 1)
+    # each stencil tries the levels once, in the first pass: the sphere's up
+    # to its first unclean level (7), the football's halved step all seven
+    assert calls == ([("sphere2-cylinder", level) for level in range(1, 8)] * 2)
+    assert verify._largest_clean_level.cache_info().currsize == 2
+
+
 def test_every_check_has_a_default_row():
     # resolve_spec(check_id) with no geometry takes the check's first row
     assert set(verify.CHECKS) <= {row[0] for row in verify.DEFAULT_SUITE}

@@ -135,14 +135,12 @@ def _largest_clean_level(stencil: MetricField) -> int:
     The outermost Gauss nodes near the edges as the level grows, so every
     level up to this one is clean.
     """
-    clean = 0
     for level in quad.LEVELS:
         try:
             stencil.check_stencil(quad.mesh_corners(stencil.chart, level))
         except DomainError:
-            break
-        clean = level
-    return clean
+            return level - 1
+    return quad.LEVELS[-1]
 
 
 def _refuse_unclean_level(field: MetricField, level: int) -> None:

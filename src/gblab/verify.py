@@ -163,7 +163,8 @@ def curvature_integral(mf: MetricField, level: int, top):
     orthonormal frame E at a block of nodes x; top returns one value per
     node, or a stack (K, B) of K tops, whose K integrals come back as an
     array from one curvature pass.  sqrt(det g) is _sqrt_det(E), read off
-    the frame, so the metric is evaluated once per stencil point.
+    the frame, so the metric is evaluated once per stencil point.  A level
+    past the chart's largest clean level raises ConfigurationError.
     """
     _refuse_unclean_level(mf, level)
 
@@ -217,6 +218,8 @@ def slice_transgression_plus(collar: CollarMetric, r, level: int):
     r is a number (the integral is a float) or a 1-D array of radii: then
     one chart pass evaluates every node block at all of them (Slice) and
     the integrals come back as an array, each equal to its own scalar call.
+    A level past the slice chart's largest clean level raises
+    ConfigurationError.
     """
     sl = Slice(collar, r)
     _refuse_unclean_level(collar.slice_field(r), level)

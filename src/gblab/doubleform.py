@@ -185,7 +185,10 @@ def wedge(a: DoubleForm, b: DoubleForm) -> DoubleForm:
     """Slotwise wedge (a1^b1) (x) (a2^b2), no interchange sign.
 
     Batch axes of the two factors broadcast.  Overflow of either slot degree
-    past n yields the (unbatched) zero form of the clipped bidegree.
+    past n yields the (unbatched) zero form of the clipped bidegree.  A
+    (0,0) factor scales the other entrywise: each output entry has one
+    term, and adding 0.0 to it turns -0.0 into +0.0 as the scatter onto
+    zeros does, so the result is bit for bit the table route's.
     """
     if a.n != b.n:
         raise ShapeError("wedge of forms over different dimensions")
@@ -193,6 +196,10 @@ def wedge(a: DoubleForm, b: DoubleForm) -> DoubleForm:
     p, q = a.p + b.p, a.q + b.q
     if p > n or q > n:
         return DoubleForm.zero(n, min(p, n), min(q, n))
+    if a.p == a.q == 0 or b.p == b.q == 0:
+        of = np.multiply(a.coeffs, b.coeffs, dtype=float)
+        of += 0.0
+        return DoubleForm(n, p, q, of)
     ia, ib, io, sg = _wedge_table(n, a.p, a.q, b.p, b.q)
     shape = _table_shape(n, p, q)
     batch_a, batch_b = a.coeffs.shape[:-2], b.coeffs.shape[:-2]

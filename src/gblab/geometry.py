@@ -742,10 +742,16 @@ def metric_path_gauge(g0: MetricField, g1: MetricField, x) -> GaugePath:
     S = s_nodes.size
     D, q, p = _path_scalings(lam, s_nodes)                # [s, ..., d]
     eig = np.empty(pts + (d, S, i.size))     # theta_dot in the basis A0: [..., a, s, i<j]
-    np.multiply((q[..., i] * q[..., j])[..., None, :],
-                p[..., None, i] * (H_ij[0] + np.multiply.outer(s_nodes, H_ij[1]))
-                - p[..., None, j] * (H_ji[0] + np.multiply.outer(s_nodes, H_ji[1])) + half_skew,
-                out=np.moveaxis(eig, -2, 0))
+    # built in place in eig, [s, ..., a, i<j], with one temporary of its size
+    td, tmp = np.moveaxis(eig, -2, 0), np.empty((S,) + pts + (d, i.size))
+    for out, k, Hk in ((td, i, H_ij), (tmp, j, H_ji)):
+        np.multiply.outer(s_nodes, Hk[1], out=out)
+        out += Hk[0]
+        out *= p[..., None, k]
+    td -= tmp
+    td += half_skew
+    td *= (q[..., i] * q[..., j])[..., None, :]
+    del td, tmp, out                         # free them before the frame change below
     curv = np.empty((S,) + pts + (i.size,) * 2) if curved else None
     if curved:
         # the curvature of g_s pulled back by tau(s), in the g0 orthonormal frame

@@ -11,11 +11,12 @@ integrated in one pass): the mesh nodes, then each orbit axis's check
 sample, so the orbit check rides in the same pass.  The weighted values of
 each density over the mesh nodes are summed by a fixed pairwise binary tree
 over that ordering, so a result depends only on its inputs.  A block holds
-BLOCK * max(1, 4 // d) ** 2 nodes on a chart of dimension d (1,024 on a
-circle, 256 on a surface, BLOCK from d = 3 up), not an option: the per-node
-curvature arrays grow like d^4, so the rule bounds a block's memory while
-the fixed cost of a call is spread over as many nodes as that allows.  A
-slice limit stacks its radius schedule onto the block, so there a block's
+block_size(d) = BLOCK * max(1, 4 // d) ** 2 nodes on a chart of dimension d
+(1,024 on a circle, 256 on a surface, BLOCK from d = 3 up), not an option:
+the per-node curvature arrays grow like d^4, so the rule bounds a block's
+memory while the fixed cost of a call is spread over as many nodes as that
+allows.  block_size is the rule's one owner: integrate_chart and the
+TransgressionStokes grid pass in verify both read it.  A slice limit stacks its radius schedule onto the block, so there a block's
 curvature arrays hold its node count times the number of radii (six)
 samples; its points, and their metric evaluations, are not repeated per
 radius.
@@ -35,6 +36,7 @@ __all__ = [
     "mesh_for_chart",
     "mesh_corners",
     "integrate_chart",
+    "block_size",
     "r_limit_extrapolate",
     "pairwise_sum",
     "geometric_schedule",
@@ -169,6 +171,11 @@ def _mesh_points(chart, mesh: MeshSpec):
     return pts, w
 
 
+def block_size(d: int) -> int:
+    """Nodes per density call on a chart of dimension d."""
+    return BLOCK * max(1, 4 // d) ** 2
+
+
 def _call_node(fn, pt):
     try:
         return fn(pt[None])
@@ -195,7 +202,7 @@ def integrate_chart(fn, chart, mesh: MeshSpec):
     # after the mesh nodes, each orbit axis appends the sample idx moved along it
     pts = np.concatenate([pts] + [pts[idx] + ORBIT_SHIFT * np.diff(chart.bounds[a])
                                   * (np.arange(d) == a) for a in orbit])
-    size = BLOCK * max(1, 4 // d) ** 2
+    size = block_size(d)
     vals = None
     for lo in range(0, pts.shape[0], size):
         block = pts[lo : lo + size]

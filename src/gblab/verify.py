@@ -52,6 +52,11 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+# the most mesh nodes one chart integral takes: integrate_chart builds every
+# node's point and weight before its first block, so a larger mesh is refused
+# (sphere4-polar-angles at level 6 has 16,777,216 nodes, every other chart
+# of the default suite at most 786,432 at level 7)
+MESH_NODE_BUDGET = 2**22
 
 # Frozen slice-orientation flags, one per theorem family.  epsilon relates
 # the "plus convention" slice transgression (normal +d_r, slice oriented by
@@ -122,8 +127,12 @@ class SuiteResult:
 
 
 def chart_integral(chart, density, level: int) -> float:
-    """Integral of a block density (see quadrature.integrate_chart) over chart."""
+    """Integral of a block density (see quadrature.integrate_chart) over chart.
+
+    A mesh of more than MESH_NODE_BUDGET nodes raises ConfigurationError.
+    """
     mesh = quad.mesh_for_chart(chart, level)
+    _refuse_oversized_mesh(chart, mesh, level)
     return quad.integrate_chart(density, chart, mesh)
 
 
@@ -154,6 +163,20 @@ def _refuse_unclean_level(field: MetricField, level: int) -> None:
         raise ConfigurationError(
             f"level {level} puts mesh nodes of chart {field.chart.name!r} within the "
             f"finite-difference stencil's reach of its edge; its largest clean level is {top}")
+
+
+def _refuse_oversized_mesh(chart, mesh: quad.MeshSpec, level: int) -> None:
+    """ConfigurationError if mesh has more than MESH_NODE_BUDGET nodes.
+
+    Read off the node counts alone, before any node is built.
+    """
+    if mesh.total_nodes > MESH_NODE_BUDGET:
+        top = max((lv for lv in quad.LEVELS
+                   if quad.mesh_for_chart(chart, lv).total_nodes <= MESH_NODE_BUDGET), default=0)
+        raise ConfigurationError(
+            f"level {level} meshes chart {chart.name!r} with {mesh.total_nodes:,} nodes, "
+            f"over the budget of {MESH_NODE_BUDGET:,}; its largest level within the "
+            f"budget is {top}")
 
 
 def curvature_integral(mf: MetricField, level: int, top):
@@ -662,8 +685,11 @@ def check_transgression_stokes(spec, level, tol):
     # the Stokes stencil: the order-2 plan's axis rows, in units of hs
     shifts = _jet_plan(2, 2, False)[1][1:, None, :]
     gaps, dpfs = [], []
-    for lo in range(0, len(pts), quad.BLOCK):
-        p = pts[lo : lo + quad.BLOCK]
+    # blocks of the chart block rule (4 of 256 grid nodes); a node's values
+    # do not depend on the block it rides in
+    size = quad.block_size(2)
+    for lo in range(0, len(pts), size):
+        p = pts[lo : lo + size]
         gauge = metric_path_gauge(g0, g1, p + hs * shifts)
         # flat frame = coordinate frame; d[point, a, i, 0] = d_a of the (1,0) form's e_i part
         d = _along_axes(inv.path_transgression_form(gauge).coeffs, hs, 2)

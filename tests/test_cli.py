@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from gblab import catalog, cli, verify
+from gblab import catalog, cli, quadrature, verify
 from gblab.cli import main
 
 
@@ -106,6 +106,20 @@ def test_a_level_whose_nodes_crowd_the_stencil_exits_two(capsys):
     assert captured.out == "" and captured.err == (
         "error: level 7 puts mesh nodes of chart 'sphere2-cylinder' within the "
         "finite-difference stencil's reach of its edge; its largest clean level is 6\n")
+
+
+def test_a_mesh_over_the_node_budget_exits_two_before_it_is_built(monkeypatch, capsys):
+    # sphere n=4 at level 7 would take 512^3 = 134,217,728 nodes
+    def unbuilt(chart, mesh):
+        raise AssertionError("a refused mesh was built")
+
+    monkeypatch.setattr(quadrature, "_mesh_points", unbuilt)
+    argv = ["run", "--check", "ClosedGB", "--geometry", "sphere", "n=4", "--level", "7"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        "error: level 7 meshes chart 'sphere4-polar-angles' with 134,217,728 nodes, over "
+        "the budget of 4,194,304; its largest level within the budget is 5\n")
 
 
 def test_level_range_is_read_from_quadrature_levels(monkeypatch, capsys):

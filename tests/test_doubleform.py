@@ -6,8 +6,10 @@ from itertools import permutations
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import mutually_broadcastable_shapes
 
 from gblab.doubleform import (
+    _wedge_table,
     DoubleForm,
     ShapeError,
     berezin,
@@ -176,6 +178,41 @@ def test_batched_wedge_power_berezin_match_each_form(n, batch, seed):
         want = berezin(wedge(power(Ri, k), power(h, n - 2 * k)))
         # the scatter adds in the same order per form: bit for bit
         assert top.coeffs[i].tobytes() == want.coeffs.tobytes()
+
+
+def _table_wedge(a, b):
+    """The general wedge route: scatter the signed products of _wedge_table onto zeros."""
+    n, p, q = a.n, a.p + b.p, a.q + b.q
+    ia, ib, io, sg = _wedge_table(n, a.p, a.q, b.p, b.q)
+    shape = (len(multi_indices(n, p)), len(multi_indices(n, q)))
+    af = a.coeffs.reshape(a.coeffs.shape[:-2] + (-1,))
+    bf = b.coeffs.reshape(b.coeffs.shape[:-2] + (-1,))
+    of = np.zeros(np.broadcast_shapes(af.shape[:-1], bf.shape[:-1]) + (shape[0] * shape[1],))
+    np.add.at(of, (..., io), sg * af[..., ia] * bf[..., ib])
+    return of.reshape(of.shape[:-1] + shape)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(1, 5), st.booleans(), st.integers(0, 1000),
+       mutually_broadcastable_shapes(num_shapes=2, max_dims=2, max_side=3))
+def test_a_scalar_factor_wedges_as_the_table_route(data, n, scalar_left, seed, batches):
+    # a (0,0) factor on either side, signed zeros in both factors
+    p = data.draw(st.integers(0, n), label="p")
+    q = data.draw(st.integers(0, n), label="q")
+    rng = np.random.default_rng(seed)
+
+    def form(batch, p, q):
+        c = rng.normal(size=tuple(batch) + (len(multi_indices(n, p)), len(multi_indices(n, q))))
+        c[rng.random(c.shape) < 0.3] = 0.0
+        c[rng.random(c.shape) < 0.3] = -0.0
+        return DoubleForm(n, p, q, c)
+
+    scalar, other = form(batches.input_shapes[0], 0, 0), form(batches.input_shapes[1], p, q)
+    a, b = (scalar, other) if scalar_left else (other, scalar)
+    got = wedge(a, b)
+    want = _table_wedge(a, b)
+    assert (got.p, got.q) == (p, q)
+    assert got.coeffs.shape == want.shape and got.coeffs.tobytes() == want.tobytes()
 
 
 def test_batched_coefficients_check_the_last_two_axes():

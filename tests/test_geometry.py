@@ -1290,12 +1290,12 @@ def test_gauge_theta_dot_is_skew_in_the_g0_frame(block):
         assert _amax(td - _skew(td)) <= 1e-14 * max(1.0, _amax(td))
 
 
-def _stokes_block():
-    """TransgressionStokes's path on one 64-point block of the 2-torus, with its 4 shifts."""
+def _stokes_block(side=8):
+    """TransgressionStokes's path on one side^2-point block of the 2-torus, with its 4 shifts."""
     (g0,) = catalog.get("flat_torus").fields
     g1 = replace(g0, evaluator=lambda x: np.exp(0.5 * np.sin(x[..., 0]) * np.cos(x[..., 1]))
                  [..., None, None] * np.eye(2))
-    xs = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
+    xs = np.linspace(0.0, 2.0 * math.pi, side, endpoint=False)
     p = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1).reshape(-1, 2)
     return g0, g1, p + 1e-3 * _jet_plan(2, 2, False)[1][1:, None, :]
 
@@ -1418,15 +1418,18 @@ def test_transgression_stokes_holds_on_a_non_conformal_path():
 
 
 @pytest.mark.parametrize("block, bound_mib", [(_stokes_block, 2.0),
+                                              (lambda: _stokes_block(16), 2.8),
                                               (lambda: _disk4_block(64), 5.0)],
-                         ids=["stokes_d2", "disk_d4_64"])
+                         ids=["stokes_d2", "stokes_d2_256", "disk_d4_64"])
 def test_gauge_peak_memory_stays_bounded(block, bound_mib, traced_peak_mib):
     # the gauge that takes theta_dot in one pass over the s axis measures
     # 0.79 and 2.59 MiB here, as that pass's temporaries for all 17 nodes
     # coexist (one node at a time: 0.34 and 2.45; with the full d x d
     # theta_dot: 0.80 and 2.80; the projector route before it: 1.15 and
     # 3.12); a prototype of the older per-row route that stacked all 17 s
-    # nodes at once, curvature included, measured about 4.5 and 14 MiB
+    # nodes at once, curvature included, measured about 4.5 and 14 MiB.
+    # TransgressionStokes's 256-node block measures 2.54 MiB with theta_dot
+    # built in place (3.01 when its expression made a temporary per operation)
     args = block()
     assert traced_peak_mib(lambda: metric_path_gauge(*args)) <= bound_mib
 

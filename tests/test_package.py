@@ -19,19 +19,33 @@ def test_every_all_name_resolves(name):
     assert missing == []
 
 
+def _names(node):
+    """The names node reads: a Name's id, an Attribute's attr or an ImportFrom's names."""
+    return ({node.id} if isinstance(node, ast.Name)
+            else {node.attr} if isinstance(node, ast.Attribute)
+            else {a.name for a in node.names} if isinstance(node, ast.ImportFrom)
+            else set())
+
+
 def test_only_geometry_references_the_stencil_weights():
     # the stencil's offsets, weights and reach belong to geometry._jet_plan
     owned = {"_diff_weights", "_central_diff"}
     users = set()
     for path in Path(gblab.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            names = ({node.id} if isinstance(node, ast.Name)
-                     else {node.attr} if isinstance(node, ast.Attribute)
-                     else {a.name for a in node.names} if isinstance(node, ast.ImportFrom)
-                     else set())
-            if names & owned:
+            if _names(node) & owned:
                 users.add(path.name)
     assert users == {"geometry.py"}
+
+
+def test_only_quadrature_reads_the_block_constant():
+    # a block's node count is quadrature.block_size(d), the rule's one owner
+    users = []
+    for path in sorted(Path(gblab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if "BLOCK" in _names(node) and path.name != "quadrature.py":
+                users.append(f"{path.name}:{node.lineno}")
+    assert users == []
 
 
 def test_src_calls_no_einsum():
@@ -39,11 +53,7 @@ def test_src_calls_no_einsum():
     uses = []
     for path in sorted(Path(gblab.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            names = ({node.id} if isinstance(node, ast.Name)
-                     else {node.attr} if isinstance(node, ast.Attribute)
-                     else {a.name for a in node.names} if isinstance(node, ast.ImportFrom)
-                     else set())
-            if "einsum" in names or "einsum_path" in names:
+            if _names(node) & {"einsum", "einsum_path"}:
                 uses.append(f"{path.name}:{node.lineno}")
     assert uses == []
 

@@ -11,11 +11,11 @@ from gblab import quadrature as quad
 from gblab.geometry import Chart, Slice, riemann_double_form
 from gblab.invariants import boundary_correction_form
 from gblab.quadrature import (
-    BLOCK,
     ORBIT_SHIFT,
     AxisRule,
     MeshSpec,
     ResolutionError,
+    block_size,
     geometric_schedule,
     integrate_chart,
     mesh_for_chart,
@@ -24,11 +24,6 @@ from gblab.quadrature import (
 )
 
 CIRCLE = Chart("circle", ((0.0, 2 * math.pi),), (True,))
-
-
-def _block_size(d):
-    """Nodes per density call on a chart of dimension d."""
-    return BLOCK * max(1, 4 // d) ** 2
 
 
 def test_trapezoid_constant_exact():
@@ -156,7 +151,7 @@ def test_density_sees_consecutive_blocks():
         mesh = MeshSpec(nodes=nodes, rules=("gauss",) + ("trapezoid",) * (d - 1))
         got = integrate_chart(dens, chart, mesh)
         assert [len(b) for b in seen] == blocks
-        assert all(len(b) == _block_size(d) for b in seen[:-1])
+        assert all(len(b) == block_size(d) for b in seen[:-1])
         # the flattened ordering is lexicographic, so sorting the distinct nodes changes nothing
         every = np.concatenate(seen)
         assert np.array_equal(np.unique(every, axis=0), every)
@@ -256,7 +251,7 @@ def test_a_stack_of_densities_equals_each_density_integrated_alone():
         return np.stack([f(x) for f in dens])
 
     got = integrate_chart(stacked, chart, mesh)
-    assert got.shape == (4,) and len(calls) == math.ceil(24 * 8 / _block_size(2))
+    assert got.shape == (4,) and len(calls) == math.ceil(24 * 8 / block_size(2))
     assert got.tolist() == [integrate_chart(f, chart, mesh) for f in dens]
 
 
@@ -364,6 +359,6 @@ def _s1_slice_block(count):
 def test_a_full_block_holds_less_than_a_four_dimensional_one(traced_peak_mib):
     # a block's curvature arrays grow like d^4 per node, so the rule's larger
     # blocks on low-dimensional charts stay under a 64-node d = 4 block
-    d4 = traced_peak_mib(_pf_block(catalog.get("sphere", n=4), BLOCK))
-    assert traced_peak_mib(_pf_block(catalog.get("football", p=3), _block_size(2))) < d4
-    assert traced_peak_mib(_s1_slice_block(_block_size(1))) < d4
+    d4 = traced_peak_mib(_pf_block(catalog.get("sphere", n=4), block_size(4)))
+    assert traced_peak_mib(_pf_block(catalog.get("football", p=3), block_size(2))) < d4
+    assert traced_peak_mib(_s1_slice_block(block_size(1))) < d4

@@ -332,6 +332,54 @@ def test_the_largest_clean_level_is_decided_once_per_chart_and_stencil(monkeypat
     assert verify._largest_clean_level.cache_info().currsize == 2
 
 
+def test_only_the_four_dimensional_sphere_outgrows_the_node_budget(monkeypatch):
+    # the node counts of every chart the default suite integrates, at each level,
+    # read off its MeshSpec; no mesh past level 1 is built
+    integrate, charts = verify.chart_integral, {}
+
+    def record(chart, density, level):
+        charts[chart.name] = chart
+        return integrate(chart, density, level)
+
+    monkeypatch.setattr(verify, "chart_integral", record)
+    verify.run_suite(level=1)
+    over = {(name, level) for name, chart in charts.items() for level in quad.LEVELS
+            if quad.mesh_for_chart(chart, level).total_nodes > verify.MESH_NODE_BUDGET}
+    assert over == {("sphere4-polar-angles", 6), ("sphere4-polar-angles", 7)}
+    assert max(quad.mesh_for_chart(chart, 7).total_nodes for name, chart in charts.items()
+               if name != "sphere4-polar-angles") == 786_432
+
+
+@pytest.mark.parametrize("level, nodes", [(6, "16,777,216"), (7, "134,217,728")])
+def test_a_mesh_over_the_node_budget_is_refused_before_it_is_built(level, nodes, monkeypatch):
+    def unbuilt(chart, mesh):
+        raise AssertionError("a refused mesh was built")
+
+    monkeypatch.setattr(quad, "_mesh_points", unbuilt)
+    chart = catalog.get("sphere", n=4).fields[0].chart
+    with pytest.raises(verify.ConfigurationError,
+                       match=f"^level {level} meshes chart 'sphere4-polar-angles' with {nodes} "
+                             f"nodes, over the budget of 4,194,304; its largest level within "
+                             f"the budget is 5$"):
+        verify.chart_integral(chart, None, level)
+
+
+def test_the_stokes_grid_values_do_not_depend_on_the_block_size(monkeypatch):
+    # the 32 x 32 grid in blocks of the chart rule (256 nodes) or of 64
+    gauge, blocks = verify.metric_path_gauge, []
+
+    def record(g0, g1, x):
+        blocks.append(x.shape)
+        return gauge(g0, g1, x)
+
+    monkeypatch.setattr(verify, "metric_path_gauge", record)
+    ruled = verify.run_check("TransgressionStokes").computed
+    monkeypatch.setattr(quad, "block_size", lambda d: 64)
+    small = verify.run_check("TransgressionStokes").computed
+    assert blocks == [(4, 256, 2)] * 4 + [(4, 64, 2)] * 16
+    assert repr(ruled) == repr(small) and ruled == small
+
+
 def test_every_check_has_a_default_row():
     # resolve_spec(check_id) with no geometry takes the check's first row
     assert set(verify.CHECKS) <= {row[0] for row in verify.DEFAULT_SUITE}

@@ -14,9 +14,10 @@ steps, and its theta_dot comes from the first variation of the connection
 on the two endpoint jets, with no difference of its own.  In the centre's
 eigenbasis every s-dependent factor is diagonal, so theta_dot at all the
 Simpson nodes in s is one broadcast expression over a leading s axis,
-built on the pairs i < j as the (1,2) form the transgression reads; the
-curvature (d > 2) takes one node at a time, to bound the memory.  Stencil
-offsets, weights and reach have one owner, the cached plan _jet_plan;
+evaluated in place in one buffer (with one temporary of its size) on the
+pairs i < j as the (1,2) form the transgression reads; the curvature
+(d > 2) takes one node at a time, to bound the memory.  Stencil offsets,
+weights and reach have one owner, the cached plan _jet_plan;
 every derivative is one evaluation on a sample stacked over the plan's
 points, differenced along that axis by _central_diff or, all axes at
 once, _along_axes: the metric jet (one evaluator call; the diagonal of
@@ -704,8 +705,10 @@ def metric_path_gauge(g0: MetricField, g1: MetricField, x) -> GaugePath:
 
         theta_dot_ij = q_i q_j (p_i (H_s)_ij - p_j (H_s)_ji + (Hdot - Hdot^T)_ij / 2).
 
-    This is the first variation with A0^T d_a g A0 = H + H^T substituted
-    (d_a g_jk = G_aj,k + G_ak,j on the jet), so it is skew by construction.
+    It is built in place in its output buffer, in that operation order,
+    with one temporary of the same size for the p_j term.  This is the
+    first variation with A0^T d_a g A0 = H + H^T substituted (d_a g_jk =
+    G_aj,k + G_ak,j on the jet), so it is skew by construction.
     The pairs of all the nodes move to the g0 orthonormal frame E0 through
     Lambda^2 Q0 of the orthogonal Q0 = E0^{-1} A0, and theta_dot is the
     (1,2) double form the transgression reads.  The curvature is computed
@@ -742,7 +745,7 @@ def metric_path_gauge(g0: MetricField, g1: MetricField, x) -> GaugePath:
     S = s_nodes.size
     D, q, p = _path_scalings(lam, s_nodes)                # [s, ..., d]
     eig = np.empty(pts + (d, S, i.size))     # theta_dot in the basis A0: [..., a, s, i<j]
-    # built in place in eig, [s, ..., a, i<j], with one temporary of its size
+    # td is eig as [s, ..., a, i<j]
     td, tmp = np.moveaxis(eig, -2, 0), np.empty((S,) + pts + (d, i.size))
     for out, k, Hk in ((td, i, H_ij), (tmp, j, H_ji)):
         np.multiply.outer(s_nodes, Hk[1], out=out)

@@ -16,10 +16,10 @@ block_size(d) = BLOCK * max(1, 4 // d) ** 2 nodes on a chart of dimension d
 the per-node curvature arrays grow like d^4, so the rule bounds a block's
 memory while the fixed cost of a call is spread over as many nodes as that
 allows.  block_size is the rule's one owner: integrate_chart and the
-TransgressionStokes grid pass in verify both read it.  A slice limit stacks its radius schedule onto the block, so there a block's
-curvature arrays hold its node count times the number of radii (six)
-samples; its points, and their metric evaluations, are not repeated per
-radius.
+TransgressionStokes grid pass in verify both read it.  A slice limit
+stacks its radius schedule onto the block, so there a block's curvature
+arrays hold its node count times the number of radii (six) samples; its
+points, and their metric evaluations, are not repeated per radius.
 """
 
 from __future__ import annotations
@@ -128,7 +128,7 @@ class MeshSpec:
 
     @property
     def total_nodes(self) -> int:
-        return int(np.prod(self.nodes))
+        return math.prod(self.nodes)
 
 
 def default_axis_rules(chart) -> tuple:

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import catalog, verify
-from .quadrature import LEVELS
+from .quadrature import check_level
 
 OUTPUT_DIR_ENV = "GBLAB_OUT"
 
@@ -28,11 +28,6 @@ def _out_path(raw: str) -> Path:
             p = Path(base) / p
     p.parent.mkdir(parents=True, exist_ok=True)
     return p
-
-
-def _check_level(value: int, option: str) -> None:
-    if value not in LEVELS:
-        raise ValueError(f"{option} must be in {LEVELS.start}..{LEVELS.stop - 1}")
 
 
 def _parse_params(pairs):
@@ -172,7 +167,7 @@ def cmd_describe(args) -> int:
 
 def cmd_run(args) -> int:
     if args.level is not None:
-        _check_level(args.level, "--level")
+        check_level(args.level, "--level")
     if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0):
         raise ValueError("--tol must be finite and >= 0")
     if args.check and args.filter:
@@ -210,7 +205,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_converge(args) -> int:
-    _check_level(args.levels, "--levels")
+    check_level(args.levels, "--levels")
     params = _parse_params(args.params)
     lines = ["level,value,diff,order"]
     prev = prev_diff = None

@@ -10,16 +10,21 @@ density is called on consecutive blocks of the flattened node ordering
 integrated in one pass): the mesh nodes, then each orbit axis's check
 sample, so the orbit check rides in the same pass.  The weighted values of
 each density over the mesh nodes are summed by a fixed pairwise binary tree
-over that ordering, so a result depends only on its inputs.  A block holds
-block_size(d) = BLOCK * max(1, 4 // d) ** 2 nodes on a chart of dimension d
-(1,024 on a circle, 256 on a surface, BLOCK from d = 3 up), not an option:
-the per-node curvature arrays grow like d^4, so the rule bounds a block's
-memory while the fixed cost of a call is spread over as many nodes as that
-allows.  block_size is the rule's one owner: integrate_chart and the
-TransgressionStokes grid pass in verify both read it.  A slice limit
-stacks its radius schedule onto the block, so there a block's curvature
-arrays hold its node count times the number of radii (six) samples; its
-points, and their metric evaluations, are not repeated per radius.
+over that ordering (pairwise_sum, along the last axis, so a stack of K
+densities is one sum), so a result depends only on its inputs.  A mesh is
+built at a refinement level of LEVELS, whose range check_level alone
+states; which of them a chart integral may take (its node budget and its
+stencil's reach of the chart's edge) is decided in verify.chart_integral.
+A block holds block_size(d) = BLOCK * max(1, 4 // d) ** 2 nodes on a chart
+of dimension d (1,024 on a circle, 256 on a surface, BLOCK from d = 3 up),
+not an option: the per-node curvature arrays grow like d^4, so the rule
+bounds a block's memory while the fixed cost of a call is spread over as
+many nodes as that allows.  block_size is the rule's one owner:
+integrate_chart and the TransgressionStokes grid pass in verify both read
+it.  A slice limit stacks its radius schedule onto the block, so there a
+block's curvature arrays hold its node count times the number of radii
+(six) samples; its points, and their metric evaluations, are not repeated
+per radius.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ import numpy as np
 __all__ = [
     "AxisRule",
     "MeshSpec",
+    "check_level",
     "mesh_for_chart",
     "mesh_corners",
     "integrate_chart",
@@ -55,21 +61,23 @@ class ResolutionError(ValueError):
     """Too few nodes or levels for the requested operation."""
 
 
-def pairwise_sum(values: np.ndarray) -> float:
-    """Sum by a fixed binary tree over the flattened ordering."""
-    a = np.asarray(values, dtype=float).ravel().copy()
-    n = a.size
-    if n == 0:
-        return 0.0
+def pairwise_sum(values: np.ndarray):
+    """Sum along the last axis by a fixed binary tree over its ordering.
+
+    A 1-D array sums to a float; a stack (..., N) to an array (...,), each
+    row summed by the same tree, so it rounds exactly as the row alone.
+    """
+    a = np.array(values, dtype=float)
+    n = a.shape[-1]
     while n > 1:
         half = n // 2
-        a[:half] += a[half : 2 * half]
+        a[..., :half] += a[..., half : 2 * half]
         if n % 2:
-            a[half] = a[2 * half]
+            a[..., half] = a[..., 2 * half]
             n = half + 1
         else:
             n = half
-    return float(a[0])
+    return float(a[0]) if a.ndim == 1 else a[..., 0].copy()
 
 
 @lru_cache(maxsize=None)
@@ -137,10 +145,15 @@ def default_axis_rules(chart) -> tuple:
     return tuple(AxisRule("trapezoid" if per else "gauss") for per in chart.periodic)
 
 
+def check_level(level: int, what: str = "refinement level") -> None:
+    """ResolutionError, naming the level as what, unless level is one of LEVELS."""
+    if level not in LEVELS:
+        raise ResolutionError(f"{what} must be in {LEVELS.start}..{LEVELS.stop - 1}")
+
+
 def mesh_for_chart(chart, level: int) -> MeshSpec:
     """Build the MeshSpec for a chart at a refinement level (one of LEVELS)."""
-    if level not in LEVELS:
-        raise ResolutionError(f"refinement level must be in {LEVELS.start}..{LEVELS.stop - 1}")
+    check_level(level)
     rules = default_axis_rules(chart)
     return MeshSpec(
         nodes=tuple(r.nodes_at(level) for r in rules),
@@ -188,8 +201,8 @@ def integrate_chart(fn, chart, mesh: MeshSpec):
 
     fn maps a block of nodes (B, d) to its values (B,), and the integral is
     a float; or to a stack (K, B) of K densities, and the K integrals come
-    back as an array (K,), each row summed by the same pairwise tree, so it
-    rounds exactly as its own (B,) density would.  When a block fails it is
+    back as an array (K,) from one pairwise_sum, each row summed by the same
+    tree, so it rounds exactly as its own (B,) density would.  When a block fails it is
     re-run node by node, so the error names the offending node.  Each orbit
     axis appends to the node array an evenly spaced sample of min(n, BLOCK)
     mesh nodes moved along the axis, evaluated in the same block pass; its
@@ -221,10 +234,7 @@ def integrate_chart(fn, chart, mesh: MeshSpec):
         if np.any(gap > ORBIT_RTOL * np.max(np.abs(ref), axis=-1)):
             raise ResolutionError(f"the density on chart {chart.name!r} varies along "
                                   f"orbit axis {axis} (gap {np.max(gap):.3e})")
-    vals = vals[..., :n]
-    if vals.ndim == 1:
-        return pairwise_sum(vals * w)
-    return np.array([pairwise_sum(row) for row in vals * w])
+    return pairwise_sum(vals[..., :n] * w)
 
 
 def geometric_schedule(r0: float, count: int = 6):

@@ -126,57 +126,47 @@ class SuiteResult:
 # -- shared numerics ----------------------------------------------------------
 
 
-def chart_integral(chart, density, level: int) -> float:
-    """Integral of a block density (see quadrature.integrate_chart) over chart.
+def chart_integral(field: MetricField, density, level: int) -> float:
+    """Integral of a block density (see quadrature.integrate_chart) over field.chart.
 
-    A mesh of more than MESH_NODE_BUDGET nodes raises ConfigurationError.
+    field is the metric whose finite-difference stencil the density takes.
+    The one admission rule of a level, decided before any node is built: a
+    level past _admissible_top(field) raises ConfigurationError, naming the
+    budget when its mesh has more than MESH_NODE_BUDGET nodes and the
+    stencil's reach of a non-periodic edge otherwise.
     """
-    mesh = quad.mesh_for_chart(chart, level)
-    _refuse_oversized_mesh(chart, mesh, level)
-    return quad.integrate_chart(density, chart, mesh)
+    mesh = quad.mesh_for_chart(field.chart, level)
+    top = _admissible_top(replace(field, evaluator=None))
+    if level > top:
+        if mesh.total_nodes > MESH_NODE_BUDGET:
+            raise ConfigurationError(
+                f"level {level} meshes chart {field.chart.name!r} with {mesh.total_nodes:,} "
+                f"nodes, over the budget of {MESH_NODE_BUDGET:,}; its largest level within "
+                f"the budget is {top}")
+        raise ConfigurationError(
+            f"level {level} puts mesh nodes of chart {field.chart.name!r} within the "
+            f"finite-difference stencil's reach of its edge; its largest clean level is {top}")
+    return quad.integrate_chart(density, field.chart, mesh)
 
 
 @lru_cache(maxsize=None)
-def _largest_clean_level(stencil: MetricField) -> int:
-    """The largest of quad.LEVELS (0 if none) at which no mesh node of stencil's
-    chart sits within its finite-difference reach of a non-periodic edge.
+def _admissible_top(stencil: MetricField) -> int:
+    """The largest of quad.LEVELS (0 if none) whose mesh on stencil's chart has at
+    most MESH_NODE_BUDGET nodes, none within its finite-difference reach of a
+    non-periodic edge.
 
-    The outermost Gauss nodes near the edges as the level grows, so every
-    level up to this one is clean.
+    Both grow with the level (the outermost Gauss nodes near the edges), so
+    every level up to this one is admitted.  Cached per chart and stencil:
+    chart_integral drops the evaluator from the key.
     """
     for level in quad.LEVELS:
+        if quad.mesh_for_chart(stencil.chart, level).total_nodes > MESH_NODE_BUDGET:
+            return level - 1
         try:
             stencil.check_stencil(quad.mesh_corners(stencil.chart, level))
         except DomainError:
             return level - 1
     return quad.LEVELS[-1]
-
-
-def _refuse_unclean_level(field: MetricField, level: int) -> None:
-    """ConfigurationError if level exceeds the largest clean level of field's chart and stencil.
-
-    Decided once per chart and stencil (the cache key drops the evaluator),
-    before the chart pass, not per block.
-    """
-    top = _largest_clean_level(replace(field, evaluator=None))
-    if level > top:
-        raise ConfigurationError(
-            f"level {level} puts mesh nodes of chart {field.chart.name!r} within the "
-            f"finite-difference stencil's reach of its edge; its largest clean level is {top}")
-
-
-def _refuse_oversized_mesh(chart, mesh: quad.MeshSpec, level: int) -> None:
-    """ConfigurationError if mesh has more than MESH_NODE_BUDGET nodes.
-
-    Read off the node counts alone, before any node is built.
-    """
-    if mesh.total_nodes > MESH_NODE_BUDGET:
-        top = max((lv for lv in quad.LEVELS
-                   if quad.mesh_for_chart(chart, lv).total_nodes <= MESH_NODE_BUDGET), default=0)
-        raise ConfigurationError(
-            f"level {level} meshes chart {chart.name!r} with {mesh.total_nodes:,} nodes, "
-            f"over the budget of {MESH_NODE_BUDGET:,}; its largest level within the "
-            f"budget is {top}")
 
 
 def curvature_integral(mf: MetricField, level: int, top):
@@ -186,16 +176,15 @@ def curvature_integral(mf: MetricField, level: int, top):
     orthonormal frame E at a block of nodes x; top returns one value per
     node, or a stack (K, B) of K tops, whose K integrals come back as an
     array from one curvature pass.  sqrt(det g) is _sqrt_det(E), read off
-    the frame, so the metric is evaluated once per stencil point.  A level
-    past the chart's largest clean level raises ConfigurationError.
+    the frame, so the metric is evaluated once per stencil point.  The level
+    is admitted by chart_integral at mf's stencil.
     """
-    _refuse_unclean_level(mf, level)
 
     def dens(x):
         R, E = riemann_double_form(mf, x)
         return top(R, E, x) * _sqrt_det(E)
 
-    return chart_integral(mf.chart, dens, level)
+    return chart_integral(mf, dens, level)
 
 
 def _pf_top(R, E, x):
@@ -241,18 +230,17 @@ def slice_transgression_plus(collar: CollarMetric, r, level: int):
     r is a number (the integral is a float) or a 1-D array of radii: then
     one chart pass evaluates every node block at all of them (Slice) and
     the integrals come back as an array, each equal to its own scalar call.
-    A level past the slice chart's largest clean level raises
-    ConfigurationError.
+    The level is admitted by chart_integral at the collar's stencil on the
+    slice chart.
     """
     sl = Slice(collar, r)
-    _refuse_unclean_level(collar.slice_field(r), level)
 
     def dens(y):
         sd = sl.at(y)
         form = inv.boundary_correction_form(sd.second_fundamental, sd.curvature)
         return form.coeffs[..., 0, 0] * sd.sqrt_det
 
-    return chart_integral(collar.boundary_chart, dens, level)
+    return chart_integral(collar.slice_field(r), dens, level)
 
 
 def _collapse_schedule(collar: CollarMetric) -> list:
@@ -454,7 +442,7 @@ def _boundary_two_route(spec, level):
         return c * _sqrt_det(gauge.frame)
 
     lvl = max(1, level - 1)
-    path_route = chart_integral(collar.boundary_chart, dens, lvl)
+    path_route = chart_integral(collar.slice_field(r_b), dens, lvl)
     direct = slice_transgression_plus(collar, r_b, lvl)
     return abs(path_route - direct) / max(abs(direct), 1e-12)
 
@@ -642,7 +630,6 @@ def check_first_order_conic(spec, level, tol):
     # asymptotic second fundamental form from the extrapolated conjugated
     # connection; its boundary integral is the singular contribution
     f = spec.collar.fibration.fiber_dim
-    chartN = spec.collar.boundary_chart
     rs = quad.geometric_schedule(0.32, 6)
 
     def gterm_density(y):
@@ -654,7 +641,7 @@ def check_first_order_conic(spec, level, tol):
         c = inv.boundary_correction_form(II, DoubleForm.zero(f, 2, 2)).coeffs[..., 0, 0]
         return c * _sqrt_det(E0)
 
-    gterm = chart_integral(chartN, gterm_density, level)
+    gterm = chart_integral(spec.collar.slice_field(rs[0]), gterm_density, level)
     singular = 1.0 + gterm / TWO_PI**k
     lhs = TWO_PI**k * spec.chi_ref
     rhs = interior - outer + TWO_PI**k * singular
@@ -859,8 +846,9 @@ def run_check(check_id: str, geometry=None, params=None, level=None, tol=None) -
     """Run one registered check; failures surface as failed results.
 
     geometry and params select the geometry as in resolve_spec.
-    Non-convergence or numeric trouble inside a check is captured into a
-    failed CheckResult rather than raised.
+    A level outside quadrature.LEVELS raises ResolutionError before the
+    check runs.  Non-convergence or numeric trouble inside a check is
+    captured into a failed CheckResult rather than raised.
     """
     spec = resolve_spec(check_id, geometry, params)
     # the row of this geometry and params, else its first row of this geometry
@@ -870,6 +858,7 @@ def run_check(check_id: str, geometry=None, params=None, level=None, tol=None) -
                named[0] if named else (check_id, spec.name, {}, 2, 1e-3))
     level = row[3] if level is None else level
     tol = row[4] if tol is None else tol
+    quad.check_level(level)
     try:
         return CHECKS[check_id](spec, level, tol)
     except ConfigurationError:

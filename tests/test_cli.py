@@ -123,7 +123,7 @@ def test_a_mesh_over_the_node_budget_exits_two_before_it_is_built(monkeypatch, c
 
 
 def test_level_range_is_read_from_quadrature_levels(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "LEVELS", range(1, 4))
+    monkeypatch.setattr(quadrature, "LEVELS", range(1, 4))
     assert main(["run", "--check", "ClosedGB", "--level", "5"]) == 2
     captured = capsys.readouterr()
     assert captured.err == "error: --level must be in 1..3\n" and captured.out == ""

@@ -123,6 +123,15 @@ def _module_tree(name):
     return ast.parse((Path(gblab.__file__).parent / f"{name}.py").read_text(encoding="utf-8"))
 
 
+def _package_owners(hit) -> set:
+    """module.function of each def ("module." at module level) holding a node hit accepts."""
+    found = set()
+    for path in sorted(Path(gblab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found |= {f"{path.stem}.{fn}" for fn in _owners(tree, hit)}
+    return found
+
+
 def test_only_the_algebra_identities_take_a_determinant():
     # sqrt(det g) is geometry._sqrt_det of the triangular frame's diagonal;
     # linalg.det is read only by the Pf(A)^2 = det A identity
@@ -130,11 +139,7 @@ def test_only_the_algebra_identities_take_a_determinant():
         return ((isinstance(node, ast.Attribute) and node.attr == "det")
                 or (isinstance(node, ast.ImportFrom) and any(a.name == "det" for a in node.names)))
 
-    found = set()
-    for path in sorted(Path(gblab.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        found |= {f"{path.stem}.{fn}" for fn in _owners(tree, takes_det)}
-    assert found == {"verify.check_algebra_identities"}
+    assert _package_owners(takes_det) == {"verify.check_algebra_identities"}
 
 
 def test_catalog_builds_charts_only_from_axes_and_products():
@@ -147,23 +152,35 @@ def test_catalog_builds_charts_only_from_axes_and_products():
     assert _owners(_module_tree("catalog"), builds_chart) == {"_chart", "_chart_product"}
 
 
+def _raises(*phrases):
+    """A predicate: the node raises a message holding one of phrases."""
+    def hit(node):
+        return isinstance(node, ast.Raise) and any(
+            isinstance(c, ast.Constant) and any(p in str(c.value) for p in phrases)
+            for c in ast.walk(node))
+    return hit
+
+
 def test_only_the_product_end_guard_refuses_an_even_slice():
     # the odd Pfaffian needs odd slices N = F x B; _product_end states it for every check
-    def raises_even_slice(node):
-        return isinstance(node, ast.Raise) and any(
-            isinstance(c, ast.Constant) and "odd-dimensional slice" in str(c.value)
-            for c in ast.walk(node))
+    assert _owners(_module_tree("verify"), _raises("odd-dimensional slice")) == {"_product_end"}
 
-    assert _owners(_module_tree("verify"), raises_even_slice) == {"_product_end"}
+
+def test_only_chart_integral_refuses_a_level():
+    # a level past the chart's node budget or clean levels is refused in one place
+    assert _package_owners(_raises("largest clean level", "over the budget")) == {
+        "verify.chart_integral"}
+
+
+def test_only_the_quadrature_range_helper_states_the_level_range():
+    # the CLI's --level and --levels, mesh_for_chart and run_check all read it
+    assert _package_owners(_raises("must be in")) == {"quadrature.check_level"}
 
 
 def test_only_suite_rows_and_run_suite_read_the_default_suite():
     # a check's default level, tol and geometry come from its rows by _suite_rows
-    found = set()
-    for path in sorted(Path(gblab.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        found |= {f"{path.stem}.{fn}" for fn in _owners(
-            tree, lambda node: isinstance(node, ast.Name) and node.id == "DEFAULT_SUITE")}
+    found = _package_owners(lambda node: isinstance(node, ast.Name)
+                            and node.id == "DEFAULT_SUITE")
     assert found == {"verify.", "verify._suite_rows", "verify.run_suite"}
 
 

@@ -163,6 +163,10 @@ def test_pairwise_sum_fixed_tree():
     a = rng.normal(size=1037)
     assert pairwise_sum(a) == pairwise_sum(a.copy())
     assert pairwise_sum(a) == pytest.approx(float(np.sum(a)), abs=1e-10)
+    # a stack (K, N) sums each row by the same tree as the row alone
+    stack = rng.normal(size=(3, 1037)) * 10.0 ** rng.integers(-8, 8, size=(3, 1037))
+    rows = pairwise_sum(stack)
+    assert rows.shape == (3,) and all(rows == [pairwise_sum(row) for row in stack])
 
 
 def test_product_volume_s2_x_s1():
@@ -286,10 +290,10 @@ def test_the_block_layout_changes_no_value(run, monkeypatch):
     whole = run()
     charts = []
 
-    def node_by_node(chart, density, level):
-        charts.append(chart.name)
-        return integrate_chart(_one_node_at_a_time(density), chart,
-                               mesh_for_chart(chart, level))
+    def node_by_node(field, density, level):
+        charts.append(field.chart.name)
+        return integrate_chart(_one_node_at_a_time(density), field.chart,
+                               mesh_for_chart(field.chart, level))
 
     monkeypatch.setattr(verify, "chart_integral", node_by_node)
     assert run() == whole and charts

@@ -321,28 +321,41 @@ def test_the_largest_clean_level_is_decided_once_per_chart_and_stencil(monkeypat
         return corners(chart, level)
 
     monkeypatch.setattr(quad, "mesh_corners", recorded)
-    verify._largest_clean_level.cache_clear()
+    verify._admissible_top.cache_clear()
     sphere, football = catalog.get("sphere", n=2), catalog.get("football", p=3)
     for _ in range(2):
         verify.pf_integral(sphere, 1)
         verify.pf_integral(football, 1)
+        verify.pf_integral(catalog.get("sphere", n=4), 1)
     # each stencil tries the levels once, in the first pass: the sphere's up
-    # to its first unclean level (7), the football's halved step all seven
-    assert calls == ([("sphere2-cylinder", level) for level in range(1, 8)] * 2)
-    assert verify._largest_clean_level.cache_info().currsize == 2
+    # to its first unclean level (7), the football's halved step all seven,
+    # and the 4-sphere's up to its first level over the node budget (6),
+    # whose corners are never taken
+    assert calls == ([("sphere2-cylinder", level) for level in range(1, 8)] * 2
+                     + [("sphere4-polar-angles", level) for level in range(1, 6)])
+    assert verify._admissible_top.cache_info().currsize == 3
 
 
 def test_only_the_four_dimensional_sphere_outgrows_the_node_budget(monkeypatch):
     # the node counts of every chart the default suite integrates, at each level,
     # read off its MeshSpec; no mesh past level 1 is built
-    integrate, charts = verify.chart_integral, {}
+    integrate, mesh_integrate, fields, meshed = verify.chart_integral, quad.integrate_chart, [], []
 
-    def record(chart, density, level):
-        charts[chart.name] = chart
-        return integrate(chart, density, level)
+    def record(field, density, level):
+        fields.append(field)
+        return integrate(field, density, level)
+
+    def record_mesh(density, chart, mesh):
+        meshed.append(chart)
+        return mesh_integrate(density, chart, mesh)
 
     monkeypatch.setattr(verify, "chart_integral", record)
+    monkeypatch.setattr(quad, "integrate_chart", record_mesh)
     verify.run_suite(level=1)
+    # no pass skips the level rule: each chart integral names a field on the chart it meshes
+    assert all(isinstance(f, verify.MetricField) for f in fields)
+    assert meshed == [f.chart for f in fields]
+    charts = {f.chart.name: f.chart for f in fields}
     over = {(name, level) for name, chart in charts.items() for level in quad.LEVELS
             if quad.mesh_for_chart(chart, level).total_nodes > verify.MESH_NODE_BUDGET}
     assert over == {("sphere4-polar-angles", 6), ("sphere4-polar-angles", 7)}
@@ -356,12 +369,28 @@ def test_a_mesh_over_the_node_budget_is_refused_before_it_is_built(monkeypatch):
         raise AssertionError("a refused mesh was built")
 
     monkeypatch.setattr(quad, "_mesh_points", unbuilt)
-    chart = catalog.get("sphere", n=4).fields[0].chart
+    (field,) = catalog.get("sphere", n=4).fields
     with pytest.raises(verify.ConfigurationError,
                        match="^level 6 meshes chart 'sphere4-polar-angles' with 16,777,216 "
                              "nodes, over the budget of 4,194,304; its largest level within "
                              "the budget is 5$"):
-        verify.chart_integral(chart, None, 6)
+        verify.chart_integral(field, None, 6)
+
+
+@pytest.mark.parametrize("check_id, geometry, params, level", [
+    ("ClosedGB", "flat_torus", {"n": 2}, 9),
+    ("ClosedGB", "sphere", {"n": 2}, 0),
+    ("AlgebraIdentities", None, None, 99),
+])
+def test_a_level_outside_levels_is_refused_before_any_check_runs(check_id, geometry, params,
+                                                                 level, monkeypatch):
+    # refused for its range, not for a chart's stencil or as a failed row
+    def unrun(spec, level, tol):
+        raise AssertionError("the check ran")
+
+    monkeypatch.setitem(verify.CHECKS, check_id, unrun)
+    with pytest.raises(quad.ResolutionError, match=r"^refinement level must be in 1\.\.7$"):
+        verify.run_check(check_id, geometry, params, level=level)
 
 
 def test_the_stokes_grid_values_do_not_depend_on_the_block_size(monkeypatch):

@@ -202,11 +202,12 @@ def integrate_chart(fn, chart, mesh: MeshSpec):
     fn maps a block of nodes (B, d) to its values (B,), and the integral is
     a float; or to a stack (K, B) of K densities, and the K integrals come
     back as an array (K,) from one pairwise_sum, each row summed by the same
-    tree, so it rounds exactly as its own (B,) density would.  When a block fails it is
-    re-run node by node, so the error names the offending node.  Each orbit
-    axis appends to the node array an evenly spaced sample of min(n, BLOCK)
-    mesh nodes moved along the axis, evaluated in the same block pass; its
-    values must match the sample's own.  Only the mesh nodes are summed.
+    tree, so it rounds exactly as its own (B,) density would.  When a block
+    fails it is re-run node by node, so the error names the offending node.
+    Each orbit axis appends to the node array an evenly spaced sample of
+    min(n, BLOCK) mesh nodes moved along the axis, evaluated in the same
+    block pass; its values must match the sample's own.  Only the mesh
+    nodes are summed.
     """
     pts, w = _mesh_points(chart, mesh)
     n, d = pts.shape

@@ -49,7 +49,6 @@ statement of a parameter's type and domain, and ``get`` enforces it:
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -68,11 +67,7 @@ __all__ = [
     "RegistryError",
     "get",
     "list_geometries",
-    "read_config",
-    "CONFIG_SCHEMA_VERSION",
 ]
-
-CONFIG_SCHEMA_VERSION = 1
 
 MERCATOR_CUTOFF = 14.0
 CATENOID_CUTOFF = 7.0
@@ -483,35 +478,3 @@ def list_geometries() -> list:
     """Deterministic catalog listing with parameter schemas."""
     return [{"name": name, "params": dict(schema)}
             for name, (_, schema) in sorted(_BUILDERS.items())]
-
-
-def read_config(path) -> dict:
-    """Geometry aliases from a JSON config file, as {name: (builtin, params)}.
-
-    Format: {"schema_version": 1, "geometries": [{"name": ..., "builtin":
-    <catalog geometry>, "params": {...}}, ...]}.  Entries reference catalog
-    geometries only; no user code is executed, and the catalog is unchanged.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise RegistryError(f"config {str(path)!r} is not a JSON object")
-    version = doc.get("schema_version")
-    if version != CONFIG_SCHEMA_VERSION:
-        raise RegistryError(f"unsupported config schema_version {version!r}")
-    entries = doc.get("geometries", [])
-    if not isinstance(entries, list):
-        raise RegistryError("config 'geometries' must be a list of entries")
-    aliases = {}
-    for i, entry in enumerate(entries):
-        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
-                and isinstance(entry.get("params", {}), dict)):
-            raise RegistryError(f"config entry {i} ({entry!r}) needs a string name "
-                                f"and an object of params")
-        name, builder = entry["name"], entry.get("builtin")
-        if builder not in _BUILDERS:
-            raise RegistryError(f"config entry {name!r} references unknown builtin {builder!r}")
-        if name in _BUILDERS:
-            raise RegistryError(f"config entry {name!r} shadows a builtin")
-        aliases[name] = (builder, dict(entry.get("params", {})))
-    return aliases

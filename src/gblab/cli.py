@@ -1,5 +1,9 @@
 """Batch interface: list geometries, run checks, convergence studies, reports.
 
+A geometry is named one way, as a catalog name with key=value parameters,
+and a run writes one report: its text lines and, with --json, the same rows
+as JSON, each with its convergence samples.
+
 Exit codes: 0 when every executed check passes, 1 on check failure, 2 on
 usage or configuration errors.  JSON output is byte-stable for a fixed run
 configuration: the suite runs in one process, and no process state enters a value.
@@ -61,9 +65,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--level", type=int, default=None)
     p_run.add_argument("--tol", type=float, default=None)
     p_run.add_argument("--json", dest="json_path", default=None)
-    p_run.add_argument("--csv", dest="csv_dir", default=None)
-    p_run.add_argument("--config", default=None,
-                       help="geometry aliases (JSON) for the --check run")
     p_run.add_argument("--filter", default="", help="substring filter on check ids")
     p_run.set_defaults(func=cmd_run)
 
@@ -107,22 +108,6 @@ def _primary_value(r) -> float:
         if isinstance(v, (int, float)):
             return float(v)
     return r.residual_abs
-
-
-def _write_csvs(results, csv_dir: str) -> None:
-    base = _out_path(csv_dir)
-    base.mkdir(parents=True, exist_ok=True)
-    for r in results:
-        for name, rows in r.convergence.items():
-            if not rows:
-                continue
-            fname = f"{r.check_id}_{r.geometry}{_param_str(r.params)}_{name}.csv"
-            fname = fname.replace("/", "-").replace(" ", "")
-            keys = sorted(rows[0])
-            lines = [",".join(keys)]
-            for row in rows:
-                lines.append(",".join(repr(row[k]) for k in keys))
-            (base / fname).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def cmd_list(args) -> int:
@@ -174,16 +159,10 @@ def cmd_run(args) -> int:
         raise ValueError("--filter applies to suite runs, not to --check")
     if not args.check and (args.geometry or args.params):
         raise ValueError("--geometry and key=value parameters apply to --check runs")
-    if not args.check and args.config:
-        raise ValueError("--config applies to --check runs")
-    aliases = catalog.read_config(args.config) if args.config else {}
-    geometry, params = args.geometry, _parse_params(args.params)
-    if geometry in aliases:
-        geometry, stored = aliases[geometry]
-        params = {**stored, **params}
+    params = _parse_params(args.params)
     if args.check:
         suite = verify.SuiteResult([
-            verify.run_check(cid, geometry=geometry, params=params or None,
+            verify.run_check(cid, geometry=args.geometry, params=params or None,
                              level=args.level, tol=args.tol) for cid in args.check])
     else:
         suite = verify.run_suite(filter_text=args.filter, level=args.level, tol=args.tol)
@@ -199,8 +178,6 @@ def cmd_run(args) -> int:
         })
         payload = json.dumps(doc, indent=2, sort_keys=True) + "\n"
         _out_path(args.json_path).write_text(payload, encoding="utf-8")
-    if args.csv_dir:
-        _write_csvs(suite.results, args.csv_dir)
     return 0 if suite.failed == 0 else 1
 
 

@@ -1,6 +1,5 @@
-"""Geometry registry: construction, invariants, weighting, config loading."""
+"""Geometry registry: construction, invariants, weighting, parameter schemas."""
 
-import json
 import math
 
 import numpy as np
@@ -197,41 +196,6 @@ def test_horizontal_edge_without_variation_is_the_product_edge(base, fiber):
     for y in plain.boundary_chart.random_interior(rng, 4):
         for r in (0.0, 1e-3, 0.37, 1.0):
             assert flat.radial_metric(r)(y).tobytes() == plain.radial_metric(r)(y).tobytes()
-
-
-def test_config_registration(tmp_path):
-    cfg = {
-        "schema_version": catalog.CONFIG_SCHEMA_VERSION,
-        "geometries": [
-            {"name": "small_football", "builtin": "football", "params": {"p": 7}},
-            {"name": "plain_disk", "builtin": "disk"},
-        ],
-    }
-    path = tmp_path / "geoms.json"
-    path.write_text(json.dumps(cfg), encoding="utf-8")
-    aliases = catalog.read_config(path)
-    assert aliases == {"small_football": ("football", {"p": 7}), "plain_disk": ("disk", {})}
-    # reading a config leaves the catalog as it was
-    with pytest.raises(catalog.RegistryError, match="unknown geometry 'small_football'"):
-        catalog.get("small_football")
-    assert "small_football" not in [e["name"] for e in catalog.list_geometries()]
-
-
-def test_config_rejects_bad_schema(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"schema_version": 99, "geometries": []}),
-                    encoding="utf-8")
-    with pytest.raises(catalog.RegistryError):
-        catalog.read_config(path)
-
-
-def test_config_rejects_shadowing(tmp_path):
-    cfg = {"schema_version": 1,
-           "geometries": [{"name": "sphere", "builtin": "sphere", "params": {}}]}
-    path = tmp_path / "shadow.json"
-    path.write_text(json.dumps(cfg), encoding="utf-8")
-    with pytest.raises(catalog.RegistryError):
-        catalog.read_config(path)
 
 
 @pytest.mark.parametrize("name,key,value", [

@@ -41,6 +41,10 @@ def test_describe_prints_the_frozen_orientation_flag(capsys):
 def test_unknown_flags_exit_two(capsys):
     assert main(["run", "--frobnicate"]) == 2
     assert main(["no-such-command"]) == 2
+    # a geometry is a catalog name with key=value parameters, and --json is run's one file
+    for argv in (["run", "--check", "ClosedGB", "--config", "x.json"], ["run", "--csv", "d"]):
+        assert main(argv) == 2
+        assert "unrecognized arguments: " in capsys.readouterr().err
 
 
 def test_unknown_check_exit_two(capsys):
@@ -204,52 +208,6 @@ def test_output_dir_env(tmp_path, monkeypatch):
     assert (tmp_path / "sub" / "report.json").exists()
 
 
-def test_config_file_geometry(tmp_path, capsys):
-    cfg = tmp_path / "geoms.json"
-    cfg.write_text(json.dumps({
-        "schema_version": 1,
-        "geometries": [{"name": "wide_cone", "builtin": "geometric_cone",
-                        "params": {"link": "s1", "theta": 0.25}}],
-    }), encoding="utf-8")
-    code = main(["run", "--check", "ConeGB", "--geometry", "wide_cone",
-                 "--level", "2", "--config", str(cfg)])
-    assert code == 0
-    # key=value parameters go on top of the alias's stored ones
-    out = tmp_path / "r.json"
-    assert main(["run", "--check", "ConeGB", "--geometry", "wide_cone", "theta=0.5",
-                 "--level", "1", "--config", str(cfg), "--json", str(out)]) == 0
-    (result,) = json.loads(out.read_text())["results"]
-    assert (result["geometry"], result["params"]) == (
-        "geometric_cone", {"link": "s1", "theta": 0.5})
-    # the aliases hold for that one call: the next call in the process has none
-    capsys.readouterr()
-    assert main(["run", "--check", "ConeGB", "--geometry", "wide_cone", "--level", "1"]) == 2
-    assert capsys.readouterr().err == "error: unknown geometry 'wide_cone'\n"
-
-
-@pytest.mark.parametrize("doc,message", [
-    ({"schema_version": 1, "geometries": [{"builtin": "sphere"}]}, "config entry 0 ("),
-    ([{"name": "x", "builtin": "sphere"}], "is not a JSON object"),
-    ({"schema_version": 1, "geometries": [{"name": "x", "builtin": "sphere", "params": [1]}]},
-     "config entry 0 ("),
-    ({"schema_version": 1, "geometries": {"name": "x"}}, "must be a list"),
-    ({"schema_version": 1, "geometries": [{"name": "x", "builtin": "sphere"}, "y"]},
-     "config entry 1 ('y')"),
-])
-def test_malformed_config_exits_two(tmp_path, capsys, doc, message):
-    cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps(doc), encoding="utf-8")
-    assert main(["run", "--check", "ClosedGB", "--config", str(cfg)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err
-
-
-def test_missing_config_file_exits_two(tmp_path, capsys):
-    assert main(["run", "--check", "ClosedGB", "--config", str(tmp_path / "none.json")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "none.json" in err
-
-
 # the whole message of a usage error that a row names by a fragment
 _WHOLE = {"--geometry and key=value": "--geometry and key=value parameters apply to --check runs",
           "--filter apply to suite runs": "--filter applies to suite runs, not to --check"}
@@ -267,7 +225,7 @@ _WHOLE = {"--geometry and key=value": "--geometry and key=value parameters apply
     (["--check", "PhiLimit", "--geometry", "catenoid"], "PhiLimit needs a collapsing collar"),
     (["--filter", "Orbifold", "--tol", "nan"], "--tol must be finite and >= 0"),
     (["--check", "OrbifoldGB", "--tol=-1e-3"], "--tol must be finite and >= 0"),
-    (["--config", "x.json"], "--config applies to --check runs"),
+    (["--check", "ConeGB", "--geometry", "wide_cone"], "unknown geometry 'wide_cone'"),
     (["--check", "EdgeHorizontal", "--geometry", "edge_horizontal", "base=s1", "fiber=s1"],
      "EdgeHorizontal needs an odd-dimensional slice N = F x B"),
 ])
@@ -275,17 +233,6 @@ def test_options_of_the_other_run_kind_exit_two(argv, message, capsys):
     assert main(["run", *argv]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: {_WHOLE.get(message, message)}\n" and captured.out == ""
-
-
-def test_run_csv_dir(tmp_path):
-    csvdir = tmp_path / "tables"
-    code = main(["run", "--check", "ConeGB", "--geometry", "geometric_cone",
-                 "link=s1", "theta=1.0", "--level", "2", "--csv", str(csvdir)])
-    assert code == 0
-    files = list(csvdir.glob("*.csv"))
-    assert files
-    header = files[0].read_text().splitlines()[0]
-    assert "r" in header and "value" in header
 
 
 def test_describe_prints_each_fields_stencil(capsys):

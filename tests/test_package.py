@@ -2,7 +2,10 @@
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -229,3 +232,27 @@ def test_no_function_changes_module_state():
                       and isinstance(node.value, ast.Name) and node.value.id in shared - local):
                     offences.add(f"{path.name}:{node.lineno} {node.value.id}[...] store")
     assert sorted(offences) == []
+
+
+_WARM_FAULTS = """
+import resource
+from gblab import catalog, verify
+spec = catalog.get("sphere", n=4)
+verify.run_check("ClosedGB", spec, level=1)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(5):
+    verify.run_check("ClosedGB", spec, level=1)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="glibc's heap thresholds")
+def test_a_warm_check_faults_in_no_heap_pages():
+    # MALLOC_TRIM_THRESHOLD_=0 trims the heap at every free, as a layout that
+    # leaves a call's temporaries on top does; the thresholds gblab sets at
+    # import keep them for the next call (without them: ~1,350 faults a call)
+    env = {**os.environ, "MALLOC_TRIM_THRESHOLD_": "0",
+           "PYTHONPATH": str(Path(gblab.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", _WARM_FAULTS], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert int(out) < 5 * 50

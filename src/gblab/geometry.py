@@ -744,6 +744,8 @@ def metric_path_gauge(g0: MetricField, g1: MetricField, x) -> GaugePath:
     pts = x.shape[:-1]
     S = s_nodes.size
     D, q, p = _path_scalings(lam, s_nodes)                # [s, ..., d]
+    if not curved:
+        del D                                # only the curvature reads it
     eig = np.empty(pts + (d, S, i.size))     # theta_dot in the basis A0: [..., a, s, i<j]
     # td is eig as [s, ..., a, i<j]
     td, tmp = np.moveaxis(eig, -2, 0), np.empty((S,) + pts + (d, i.size))

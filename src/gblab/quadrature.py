@@ -15,11 +15,12 @@ densities is one sum), so a result depends only on its inputs.  A mesh is
 built at a refinement level of LEVELS, whose range check_level alone
 states; which of them a chart integral may take (its node budget and its
 stencil's reach of the chart's edge) is decided in verify.chart_integral.
-A block holds block_size(d) = BLOCK * max(1, 4 // d) ** 2 nodes on a chart
-of dimension d (1,024 on a circle, 256 on a surface, BLOCK from d = 3 up),
-not an option: the per-node curvature arrays grow like d^4, so the rule
-bounds a block's memory while the fixed cost of a call is spread over as
-many nodes as that allows.  block_size is the rule's one owner:
+A block holds block_size(d) = max(2 * BLOCK, BLOCK * (4 // d) ** 2) nodes
+on a chart of dimension d (1,024 on a circle, 256 on a surface, 2 * BLOCK =
+128 from d = 3 up), not an option: the per-node curvature arrays grow like
+d^4, so the rule bounds a block's memory while the fixed cost of a call
+(of each stage of the jet, frame, curvature and wedge pipeline) is spread
+over as many nodes as that allows.  block_size is the rule's one owner:
 integrate_chart and the TransgressionStokes grid pass in verify both read
 it.  A slice limit stacks its radius schedule onto the block, so there a
 block's curvature arrays hold its node count times the number of radii
@@ -185,8 +186,15 @@ def _mesh_points(chart, mesh: MeshSpec):
 
 
 def block_size(d: int) -> int:
-    """Nodes per density call on a chart of dimension d."""
-    return BLOCK * max(1, 4 // d) ** 2
+    """Nodes per density call on a chart of dimension d.
+
+    1,024 on a circle, 256 on a surface and 128 from d = 3 up.  On a
+    4-chart the time per node falls by about a fifth from 64 to 128 nodes
+    and by about a tenth more at 256 (riemann_double_form on sphere n=4),
+    while a block's memory keeps doubling; the s3 link's 32 mesh nodes with
+    its two orbit samples (96 nodes) are one pass.
+    """
+    return max(2 * BLOCK, BLOCK * (4 // d) ** 2)
 
 
 def _call_node(fn, pt):

@@ -42,6 +42,7 @@ from gblab.geometry import (
     riemann_double_form,
 )
 from gblab.invariants import path_transgression_form, pfaffian_form
+from gblab.quadrature import block_size
 
 POLAR = Chart("polar", ((0.1, 2.0), (0.0, 2 * math.pi)), (False, True))
 TORUS2 = Chart("t2", ((0.0, 2 * math.pi), (0.0, 2 * math.pi)), (True, True))
@@ -1419,8 +1420,9 @@ def test_transgression_stokes_holds_on_a_non_conformal_path():
 
 @pytest.mark.parametrize("block, bound_mib", [(_stokes_block, 2.0),
                                               (lambda: _stokes_block(16), 2.8),
-                                              (lambda: _disk4_block(64), 5.0)],
-                         ids=["stokes_d2", "stokes_d2_256", "disk_d4_64"])
+                                              (lambda: _disk4_block(64), 5.0),
+                                              (lambda: _disk4_block(block_size(3)), 5.0)],
+                         ids=["stokes_d2", "stokes_d2_256", "disk_d4_64", "disk_d4_128"])
 def test_gauge_peak_memory_stays_bounded(block, bound_mib, traced_peak_mib):
     # the gauge that takes theta_dot in one pass over the s axis measures
     # 0.79 and 2.59 MiB here, as that pass's temporaries for all 17 nodes
@@ -1428,8 +1430,11 @@ def test_gauge_peak_memory_stays_bounded(block, bound_mib, traced_peak_mib):
     # theta_dot: 0.80 and 2.80; the projector route before it: 1.15 and
     # 3.12); a prototype of the older per-row route that stacked all 17 s
     # nodes at once, curvature included, measured about 4.5 and 14 MiB.
-    # TransgressionStokes's 256-node block measures 2.54 MiB with theta_dot
-    # built in place (3.01 when its expression made a temporary per operation)
+    # TransgressionStokes's 256-node block measures 2.28 MiB with theta_dot
+    # built in place and D dropped on a surface (2.54 with D kept, 3.01 when
+    # its expression made a temporary per operation).  BoundaryGB's disk
+    # dim=4 gauge rides on blocks of its 3-dimensional slice chart: 4.32 MiB
+    # at block_size(3) = 128 nodes, 2.16 at 64
     args = block()
     assert traced_peak_mib(lambda: metric_path_gauge(*args)) <= bound_mib
 

@@ -409,6 +409,24 @@ def test_the_stokes_grid_values_do_not_depend_on_the_block_size(monkeypatch):
     assert repr(ruled) == repr(small) and ruled == small
 
 
+def test_a_slice_limit_does_not_depend_on_the_block_size(monkeypatch):
+    # the s3 link's 96 nodes (32 mesh nodes and two orbit samples) in one
+    # block of the chart rule (128 nodes) or in blocks of 64
+    collar = catalog.get("geometric_cone", link="s3", theta=0.5).collar
+    at, blocks = verify.Slice.at, []
+
+    def record(sl, y):
+        blocks.append(np.shape(y))
+        return at(sl, y)
+
+    monkeypatch.setattr(verify.Slice, "at", record)
+    ruled = verify.slice_limit(collar, 2)
+    monkeypatch.setattr(quad, "block_size", lambda d: 64)
+    small = verify.slice_limit(collar, 2)
+    assert blocks == [(96, 3), (64, 3), (32, 3)]
+    assert repr(ruled) == repr(small) and ruled == small
+
+
 def test_every_check_has_a_default_row():
     # resolve_spec(check_id) with no geometry takes the check's first row
     assert set(verify.CHECKS) <= {row[0] for row in verify.DEFAULT_SUITE}

@@ -1,4 +1,4 @@
-"""Batch interface: list geometries, run checks, convergence studies, reports.
+"""Batch interface: list geometries, describe one, run checks and write reports.
 
 A geometry is named one way, as a catalog name with key=value parameters,
 and a run writes one report: its text lines and, with --json, the same rows
@@ -67,14 +67,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--json", dest="json_path", default=None)
     p_run.add_argument("--filter", default="", help="substring filter on check ids")
     p_run.set_defaults(func=cmd_run)
-
-    p_conv = sub.add_parser("converge", help="refinement study for one check")
-    p_conv.add_argument("--check", required=True)
-    p_conv.add_argument("--levels", type=int, required=True)
-    p_conv.add_argument("--geometry", default=None)
-    p_conv.add_argument("params", nargs="*")
-    p_conv.add_argument("--csv", dest="csv_path", default=None)
-    p_conv.set_defaults(func=cmd_converge)
     return ap
 
 
@@ -84,10 +76,6 @@ def _print_result(r) -> None:
     print(f"[{mark}] {r.check_id:<22s} {r.geometry}{_param_str(r.params)}  "
           f"value={primary:.9g}  residual={r.residual_abs:.3e} "
           f"({r.tolerance_kind} tol {r.tolerance:g})")
-    _print_failure_notes(r)
-
-
-def _print_failure_notes(r) -> None:
     for note in r.notes:
         if note.startswith("check failed"):
             print(f"        {note}")
@@ -179,29 +167,6 @@ def cmd_run(args) -> int:
         payload = json.dumps(doc, indent=2, sort_keys=True) + "\n"
         _out_path(args.json_path).write_text(payload, encoding="utf-8")
     return 0 if suite.failed == 0 else 1
-
-
-def cmd_converge(args) -> int:
-    check_level(args.levels, "--levels")
-    params = _parse_params(args.params)
-    lines = ["level,value,diff,order"]
-    prev = prev_diff = None
-    spec = verify.resolve_spec(args.check, args.geometry, params or None)
-    for level in range(1, args.levels + 1):
-        last = verify.run_check(args.check, geometry=spec, level=level)
-        value = _primary_value(last)
-        diff = None if prev is None else abs(value - prev)
-        # an order needs two finite, nonzero diffs; a failed level's value is inf
-        pair = [d for d in (prev_diff, diff) if d is not None and 0.0 < d < math.inf]
-        order = math.log2(pair[0] / pair[1]) if len(pair) == 2 else None
-        cells = ("" if v is None else repr(v) for v in (diff, order))
-        lines.append(f"{level},{value!r}," + ",".join(cells))
-        print(f"level {level}: value={value:.12g}" + ("" if diff is None else f" diff={diff:.3e}"))
-        _print_failure_notes(last)
-        prev, prev_diff = value, diff
-    if args.csv_path:
-        _out_path(args.csv_path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return 0 if last.passed else 1
 
 
 def main(argv=None) -> int:

@@ -872,9 +872,12 @@ def run_suite(filter_text: str = "", level=None, tol=None) -> SuiteResult:
     """Run every matching default instance in this process, in stable order.
 
     A check is a pure function of its row (run_check resolves a None level
-    or tol from it), so the report is the same in any process.
+    or tol from it), so the report is the same in any process.  A filter
+    that no check id contains is a ConfigurationError, not an empty pass.
     """
     needle = filter_text.casefold()
+    if not any(needle in cid.casefold() for cid in CHECK_IDS):
+        raise ConfigurationError(f"filter {filter_text!r} matches no check id")
     results = [run_check(cid, geometry, dict(params), level, tol)
                for cid, geometry, params, _, _ in DEFAULT_SUITE if needle in cid.casefold()]
     results.sort(key=lambda r: (r.check_id, r.geometry, sorted(r.params.items()).__repr__()))

@@ -41,6 +41,9 @@ def test_describe_prints_the_frozen_orientation_flag(capsys):
 def test_unknown_flags_exit_two(capsys):
     assert main(["run", "--frobnicate"]) == 2
     assert main(["no-such-command"]) == 2
+    # a level study is one `run --level L --json` per level; converge is no command
+    assert main(["converge", "--check", "ClosedGB", "--levels", "2"]) == 2
+    assert "invalid choice: 'converge'" in capsys.readouterr().err
     # a geometry is a catalog name with key=value parameters, and --json is run's one file
     for argv in (["run", "--check", "ClosedGB", "--config", "x.json"], ["run", "--csv", "d"]):
         assert main(argv) == 2
@@ -76,6 +79,18 @@ def test_run_failure_exit_code(tmp_path):
     code = main(["run", "--check", "ClosedGB", "--geometry", "sphere", "n=2",
                  "--level", "1", "--tol", "1e-18"])
     assert code == 1
+
+
+def test_a_crashed_check_prints_its_note_and_exits_one(capsys, monkeypatch):
+    # a check that raises is a failed row of value inf, with its note indented below
+    def crash(spec, level, tol):
+        raise FloatingPointError("no value at this level")
+
+    monkeypatch.setitem(verify.CHECKS, "ClosedGB", crash)
+    assert main(["run", "--check", "ClosedGB", "--geometry", "sphere", "n=2"]) == 1
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0].startswith("[FAIL] ClosedGB") and "value=inf " in printed[0]
+    assert printed[1] == "        check failed: FloatingPointError: no value at this level"
 
 
 def test_tol_override_recorded(tmp_path):
@@ -133,74 +148,6 @@ def test_level_range_is_read_from_quadrature_levels(monkeypatch, capsys):
     assert captured.err == "error: --level must be in 1..3\n" and captured.out == ""
 
 
-@pytest.mark.parametrize("argv,message", [
-    (["--check", "NoSuchCheck", "--levels", "2"], "unknown check 'NoSuchCheck'"),
-    (["--check", "ClosedGB", "--levels", "0"], "--levels must be in 1..7"),
-    (["--check", "ClosedGB", "--levels", "8"], "--levels must be in 1..7"),
-])
-def test_converge_usage_errors_exit_two(argv, message, capsys):
-    assert main(["converge", *argv]) == 2
-    captured = capsys.readouterr()
-    assert captured.err == f"error: {message}\n" and captured.out == ""
-
-
-def test_converge_writes_csv(tmp_path):
-    out = tmp_path / "conv.csv"
-    code = main(["converge", "--check", "ClosedGB", "--geometry", "sphere",
-                 "n=2", "--levels", "3", "--csv", str(out)])
-    assert code == 0
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "level,value,diff,order"
-    assert len(lines) == 4  # header + one row per level
-    assert [int(row.split(",")[0]) for row in lines[1:]] == [1, 2, 3]
-    # the value column is the check's chi at that level; level 1 has no diff or order
-    chi = verify.run_check("ClosedGB", "sphere", {"n": 2}, level=1).computed["chi"]
-    assert lines[1] == f"1,{chi!r},,"
-
-
-def test_converge_writes_a_failed_levels_row_and_exits_one(tmp_path, capsys, monkeypatch):
-    # a level whose check crashes is a failed row of value inf
-    closed_gb = verify.CHECKS["ClosedGB"]
-
-    def crash_at_four(spec, level, tol):
-        if level == 4:
-            raise FloatingPointError("no value at level 4")
-        return closed_gb(spec, level, tol)
-
-    monkeypatch.setitem(verify.CHECKS, "ClosedGB", crash_at_four)
-    out = tmp_path / "c.csv"
-    assert main(["converge", "--check", "ClosedGB", "--geometry", "sphere", "n=2",
-                 "--levels", "4", "--csv", str(out)]) == 1
-    rows = out.read_text().splitlines()
-    assert len(rows) == 5 and rows[-1] == "4,inf,inf,"
-    assert all(row.split(",")[3] for row in rows[3:-1])  # level 3 has an order
-    printed = capsys.readouterr().out.splitlines()
-    assert printed[-2] == "level 4: value=inf diff=inf"
-    assert printed[-1] == "        check failed: FloatingPointError: no value at level 4"
-
-
-def test_converge_refuses_a_level_past_the_charts_largest_clean_level(tmp_path, capsys):
-    # at level 7 the outermost Gauss node sits within the sphere chart's order-4 stencil reach
-    out = tmp_path / "c.csv"
-    assert main(["converge", "--check", "ClosedGB", "--geometry", "sphere", "n=2",
-                 "--levels", "7", "--csv", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out.splitlines()[-1].startswith("level 6: value=")
-    assert captured.err == (
-        "error: level 7 puts mesh nodes of chart 'sphere2-cylinder' within the "
-        "finite-difference stencil's reach of its edge; its largest clean level is 6\n")
-    assert not out.exists()
-
-
-def test_converge_diffs_shrink(tmp_path):
-    out = tmp_path / "conv.csv"
-    main(["converge", "--check", "ClosedGB", "--geometry", "sphere", "n=2",
-          "--levels", "4", "--csv", str(out)])
-    rows = out.read_text().strip().splitlines()[1:]
-    diffs = [float(r.split(",")[2]) for r in rows if r.split(",")[2]]
-    assert all(d2 <= d1 * 1.05 for d1, d2 in zip(diffs, diffs[1:]))
-
-
 def test_output_dir_env(tmp_path, monkeypatch):
     monkeypatch.setenv("GBLAB_OUT", str(tmp_path))
     main(["run", "--check", "ClosedGB", "--geometry", "flat_torus", "n=2",
@@ -228,6 +175,7 @@ _WHOLE = {"--geometry and key=value": "--geometry and key=value parameters apply
     (["--check", "ConeGB", "--geometry", "wide_cone"], "unknown geometry 'wide_cone'"),
     (["--check", "EdgeHorizontal", "--geometry", "edge_horizontal", "base=s1", "fiber=s1"],
      "EdgeHorizontal needs an odd-dimensional slice N = F x B"),
+    (["--filter", "Cones"], "filter 'Cones' matches no check id"),
 ])
 def test_options_of_the_other_run_kind_exit_two(argv, message, capsys):
     assert main(["run", *argv]) == 2
@@ -265,7 +213,7 @@ def test_readme_command_block_names_exactly_the_registered_subcommands():
     parser = cli._build_parser()
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     assert {argv[0] for argv in commands} == set(sub.choices) == {
-        "list", "describe", "run", "converge"}
+        "list", "describe", "run"}
     # every line parses as shown (an option the parser lacks exits 2); none is run
     for argv in commands:
         assert parser.parse_args(argv).command == argv[0]

@@ -176,7 +176,7 @@ def test_only_chart_integral_refuses_a_level():
 
 
 def test_only_the_quadrature_range_helper_states_the_level_range():
-    # the CLI's --level and --levels, mesh_for_chart and run_check all read it
+    # the CLI's --level, mesh_for_chart and run_check all read it
     assert _package_owners(_raises("must be in")) == {"quadrature.check_level"}
 
 

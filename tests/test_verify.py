@@ -81,6 +81,14 @@ def test_closed_gb_torus_exact_zero():
     assert abs(r.computed["pf_integral"]) <= 1e-12
 
 
+def test_closed_gb_sphere_converges_in_level():
+    # a level study is one run per level; each refinement moves chi no more than the last
+    chis = [verify.run_check("ClosedGB", "sphere", {"n": 2}, level=level).computed["chi"]
+            for level in range(1, 5)]
+    diffs = [abs(b - a) for a, b in zip(chis, chis[1:])]
+    assert all(d2 <= d1 * 1.05 for d1, d2 in zip(diffs, diffs[1:]))
+
+
 def test_cone_check_reports_two_routes():
     r = verify.run_check("ConeGB", "geometric_cone",
                          {"link": "s1", "theta": 0.5}, level=2)

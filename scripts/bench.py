@@ -10,10 +10,11 @@ For each workload that BENCHMARK.json names, plain (--trace 0) and traced
 
 in every checkout in turn (default: this repository), so that a slow spell
 of the machine hits all checkouts alike.  The file records the machine (CPU
-count, Python and numpy versions), and for each checkout its git SHA (and
-whether tracked files differ from it), the output of
-`wc -l src/gblab/*.py`, the code lines of each module and in total (lines
-that hold a token other than a comment or a docstring, so blank lines and
+count, Python and numpy versions, and numpy's BLAS with its version and the
+core it runs, on which the report's bits depend), and for each checkout its
+git SHA (and whether tracked files differ from it), the output of `wc -l
+src/gblab/*.py`, the code lines of each module and in total (lines that
+hold a token other than a comment or a docstring, so blank lines and
 docstrings do not move the count) and the final JSON line of every run.
 Standard library only.
 """
@@ -45,10 +46,28 @@ def _output(cmd, cwd) -> str:
     return subprocess.run(cmd, cwd=cwd, capture_output=True, text=True, check=True).stdout
 
 
+# numpy's version, its BLAS and the core that BLAS runs: OPENBLAS_CORETYPE when set,
+# else the get_corename of the OpenBLAS bundled with numpy (null if there is none)
+_NUMPY_PROBE = """
+import ctypes, glob, json, os, numpy
+blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+root = os.path.dirname(numpy.__file__)
+libs = sorted(glob.glob(root + ".libs/*openblas*") + glob.glob(root + "/.libs/*openblas*"))
+names = ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+         "openblas_get_corename64_", "openblas_get_corename")
+found = [fn for fn in (getattr(ctypes.CDLL(p), n, None) for p in libs for n in names) if fn]
+for fn in found:
+    fn.argtypes, fn.restype = [], ctypes.c_char_p
+core = os.environ.get("OPENBLAS_CORETYPE") or (found[0]().decode() if found else None)
+print(json.dumps({"numpy": numpy.__version__, "blas": blas.get("name"),
+                  "blas_version": blas.get("version"), "blas_core": core}))
+"""
+
+
 def machine() -> dict:
-    numpy = _output([sys.executable, "-c", "import numpy; print(numpy.__version__)"], ROOT)
+    numpy = json.loads(_output([sys.executable, "-c", _NUMPY_PROBE], ROOT))
     return {"cpu_count": os.cpu_count(), "python": platform.python_version(),
-            "numpy": numpy.strip(), "platform": platform.platform()}
+            "platform": platform.platform(), **numpy}
 
 
 def _revision(path: Path) -> dict:

@@ -73,8 +73,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _print_result(r) -> None:
     mark = "PASS" if r.passed else "FAIL"
     primary = _primary_value(r)
+    # the residual its gate compares with tol
+    residual = r.residual_rel if r.tolerance_kind == "rel" else r.residual_abs
     print(f"[{mark}] {r.check_id:<22s} {r.geometry}{_param_str(r.params)}  "
-          f"value={primary:.9g}  residual={r.residual_abs:.3e} "
+          f"value={primary:.9g}  residual={residual:.3e} "
           f"({r.tolerance_kind} tol {r.tolerance:g})")
     for note in r.notes:
         if note.startswith("check failed"):

@@ -13,11 +13,15 @@ closed form from one Cholesky and one eigh of the centre pair, with no ODE
 steps, and its theta_dot comes from the first variation of the connection
 on the two endpoint jets, with no difference of its own.  In the centre's
 eigenbasis every s-dependent factor is diagonal, so theta_dot at all the
-Simpson nodes in s is one broadcast expression over a leading s axis,
-evaluated in place in one buffer (with one temporary of its size) on the
-pairs i < j as the (1,2) form the transgression reads; the curvature
-(d > 2) takes one node at a time, to bound the memory.  Stencil offsets,
-weights and reach have one owner, the cached plan _jet_plan;
+Simpson nodes in s is one broadcast expression, evaluated in place in one
+buffer (with one temporary of its size) whose frame direction and s axes
+lead, so each pass covers every direction, node and point of the block,
+on the pairs i < j as the (1,2) form the transgression reads.  The
+first-kind symbols it reads reach the eigenbasis by two matmuls per
+point, over every (endpoint or rate, direction) pair at once.  The
+curvature (d > 2) takes as many nodes per pass as a block of
+quadrature.block_size(d) samples holds, to bound the memory.  Stencil
+offsets, weights and reach have one owner, the cached plan _jet_plan;
 every derivative is one evaluation on a sample stacked over the plan's
 points, differenced along that axis by _central_diff or, all axes at
 once, _along_axes: the metric jet (one evaluator call; the diagonal of
@@ -58,6 +62,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .doubleform import DoubleForm, multi_indices
+from .quadrature import block_size
 
 __all__ = [
     "Chart",
@@ -700,24 +705,29 @@ def metric_path_gauge(g0: MetricField, g1: MetricField, x) -> GaugePath:
     every s-dependent factor is diagonal (q = D^(-1/2), p = -(lam-1)/(2D)).
     With H = A0^T G^T A0 for the first-kind symbols G of the affine jet,
     affine in s and taken once per call, theta_dot at every node and frame
-    direction is one broadcast expression over a leading s axis, on the
-    pairs i < j:
+    direction is one broadcast expression on the pairs i < j:
 
         theta_dot_ij = q_i q_j (p_i (H_s)_ij - p_j (H_s)_ji + (Hdot - Hdot^T)_ij / 2).
 
-    It is built in place in its output buffer, in that operation order,
-    with one temporary of the same size for the p_j term.  This is the
-    first variation with A0^T d_a g A0 = H + H^T substituted (d_a g_jk =
-    G_aj,k + G_ak,j on the jet), so it is skew by construction.
-    The pairs of all the nodes move to the g0 orthonormal frame E0 through
-    Lambda^2 Q0 of the orthogonal Q0 = E0^{-1} A0, and theta_dot is the
-    (1,2) double form the transgression reads.  The curvature is computed
-    exactly when d > 2, one node at a time (a stack of every node's
-    curvature arrays would cost several times the memory), from g_s^{-1} =
-    A0 diag(1/D) A0^T, tau E0 = A0 diag(q) Q0^T and the pair minors of E0,
-    taken once: on a surface the transgression integrand B(theta_dot R^0)
-    reads none, so the second derivatives are skipped and curvature is the
-    zero form.
+    H is two matmuls per point, (d x d) @ (d x 2d^2) and (2d^2 x d) @ (d x
+    d), each over every (endpoint or rate, direction) pair at once; each
+    entry is the same sum of products as one d x d product per pair.
+    theta_dot is built in place in a buffer laid out [a, s, ..., i<j], in
+    that operation order, with one temporary of the same size for the p_j
+    term, so each pass covers every direction, node and point at once.
+    This is the first variation with A0^T d_a g A0 = H + H^T substituted
+    (d_a g_jk = G_aj,k + G_ak,j on the jet), so it is skew by construction.
+    One transposed copy to [..., a, s, i<j] then moves the pairs of all the
+    nodes to the g0 orthonormal frame E0 through Lambda^2 Q0 of the
+    orthogonal Q0 = E0^{-1} A0, and theta_dot is the (1,2) double form the
+    transgression reads.  The curvature is computed exactly when d > 2 on
+    as many nodes per pass as a block of quadrature.block_size(d) samples
+    holds (two on a 48-point block, one from 65 points up; a stack of every
+    node's curvature arrays would cost several times the memory), from
+    g_s^{-1} = A0 diag(1/D) A0^T, tau E0 = A0 diag(q) Q0^T and the pair
+    minors of E0, taken once: on a surface the transgression integrand
+    B(theta_dot R^0) reads none, so the second derivatives are skipped and
+    curvature is the zero form.
     """
     x = np.asarray(x, dtype=float)
     if g0.chart != g1.chart or (g0.fd_rel_step, g0.fd_order) != (g1.fd_rel_step, g1.fd_order):
@@ -734,43 +744,55 @@ def metric_path_gauge(g0: MetricField, g1: MetricField, x) -> GaugePath:
     A0, lam, E0, Q0 = _path_eigenbasis(g0c, g1c)
     A0t, Q0t, E0t = (_transposed(m) for m in (A0, Q0, E0))
 
-    # H = A0^T G[a]^T A0 [..., a, i, j] for g0 and for the rate, read on the pairs i < j
-    G = np.swapaxes(_christoffel_first(np.stack((dg0, dg1 - dg0))), -1, -2)
-    H = A0t[..., None, :, :] @ G @ A0[..., None, :, :]
+    pts = x.shape[:-1]
+    # H = A0^T G^T A0 [..., b, a, i, j] for g0 (b = 0) and the rate (b = 1): per point,
+    # A0^T times G^T's rows k over every (b, a, j), then those rows (b, a, i) times A0
+    H = _christoffel_first(np.stack((dg0, dg1 - dg0), axis=-4))      # [..., b, a, j, k]
+    H = A0t @ np.ascontiguousarray(np.moveaxis(H, -1, -4)).reshape(pts + (d, 2 * d * d))
+    H = np.ascontiguousarray(np.moveaxis(H.reshape(pts + (d, 2 * d, d)), -3, -2))
+    H = (H.reshape(pts + (2 * d * d, d)) @ A0).reshape(pts + (2, d, d, d))
     i, j = _pair_plan(d)[0]
-    H_ij, H_ji = H[..., i, j], H[..., j, i]               # [2, ..., a, i<j]
+    # [b, a, 1 (s), ..., i<j], to broadcast over the theta_dot buffer's s axis
+    H_ij, H_ji = (np.moveaxis(H[..., k, l], (-3, -2), (0, 1))[:, :, None]
+                  for k, l in ((i, j), (j, i)))
     half_skew = 0.5 * (H_ij[1] - H_ji[1])
 
-    pts = x.shape[:-1]
     S = s_nodes.size
     D, q, p = _path_scalings(lam, s_nodes)                # [s, ..., d]
     if not curved:
         del D                                # only the curvature reads it
-    eig = np.empty(pts + (d, S, i.size))     # theta_dot in the basis A0: [..., a, s, i<j]
-    # td is eig as [s, ..., a, i<j]
-    td, tmp = np.moveaxis(eig, -2, 0), np.empty((S,) + pts + (d, i.size))
-    for out, k, Hk in ((td, i, H_ij), (tmp, j, H_ji)):
-        np.multiply.outer(s_nodes, Hk[1], out=out)
+    s_col = s_nodes.reshape((S,) + (1,) * (len(pts) + 1))
+    # theta_dot in the basis A0 on a buffer [a, s, ..., i<j], so each pass covers
+    # every direction, node and point at once
+    eig, tmp = (np.empty((d, S) + pts + (i.size,)) for _ in range(2))
+    for out, k, Hk in ((eig, i, H_ij), (tmp, j, H_ji)):
+        np.multiply(s_col, Hk[1], out=out)
         out += Hk[0]
-        out *= p[..., None, k]
-    td -= tmp
-    td += half_skew
-    td *= (q[..., i] * q[..., j])[..., None, :]
-    del td, tmp, out                         # free them before the frame change below
-    curv = np.empty((S,) + pts + (i.size,) * 2) if curved else None
-    if curved:
-        # the curvature of g_s pulled back by tau(s), in the g0 orthonormal frame
-        M0t = _transposed(_pair_minors(E0))
-        for n, s in enumerate(s_nodes):
-            F = _curvature_pairs((A0 / D[n, ..., None, :]) @ A0t, (1.0 - s) * dg0 + s * dg1,
-                                 (1.0 - s) * d2g0 + s * d2g1)
-            curv[n] = M0t @ F @ _pair_minors((A0 * q[n, ..., None, :]) @ Q0t)
+        out *= p[..., k]
+    eig -= tmp
+    eig += half_skew
+    eig *= q[..., i] * q[..., j]
+    del H, H_ij, H_ji, half_skew, p, tmp, out      # free them before the frame change below
     # to the g0 frame: Q0 X Q0^T on the pairs as Lambda^2 Q0, then E0^T on a
+    eig = np.ascontiguousarray(np.moveaxis(eig, (0, 1), (-3, -2)))        # [..., a, s, i<j]
     eig = eig.reshape(pts + (d * S, i.size)) @ _pair_minors(Q0t)
     eig = E0t @ eig.reshape(pts + (d, S * i.size))
     theta_dot = np.ascontiguousarray(np.moveaxis(eig.reshape(pts + (d, S, i.size)), -2, 0))
-
-    curvature = DoubleForm(d, 2, 2, curv) if curved else DoubleForm.zero(d, 2, 2)
+    del eig
+    curvature = DoubleForm.zero(d, 2, 2)
+    if curved:
+        # the curvature of g_s pulled back by tau(s), in the g0 orthonormal frame, on
+        # as many nodes per pass as a block of block_size(d) samples holds
+        curv = np.empty((S,) + pts + (i.size,) * 2)
+        M0t = _transposed(_pair_minors(E0))
+        step = max(1, block_size(d) // math.prod(pts))
+        for lo in range(0, S, step):
+            n = slice(lo, lo + step)
+            s = s_nodes[n].reshape((-1,) + (1,) * dg0.ndim)
+            F = _curvature_pairs((A0 / D[n, ..., None, :]) @ A0t, (1.0 - s) * dg0 + s * dg1,
+                                 (1.0 - s[..., None]) * d2g0 + s[..., None] * d2g1)
+            curv[n] = M0t @ F @ _pair_minors((A0 * q[n, ..., None, :]) @ Q0t)
+        curvature = DoubleForm(d, 2, 2, curv)
     return GaugePath(s_nodes, s_weights, DoubleForm(d, 1, 2, theta_dot), curvature, E0)
 
 

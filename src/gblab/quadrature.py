@@ -21,8 +21,9 @@ on a chart of dimension d (1,024 on a circle, 256 on a surface, 2 * BLOCK =
 d^4, so the rule bounds a block's memory while the fixed cost of a call
 (of each stage of the jet, frame, curvature and wedge pipeline) is spread
 over as many nodes as that allows.  block_size is the rule's one owner:
-integrate_chart and the TransgressionStokes grid pass in verify both read
-it.  A slice limit stacks its radius schedule onto the block, so there a
+integrate_chart, the TransgressionStokes grid pass in verify and the
+curvature pass of geometry.metric_path_gauge, which takes as many s nodes
+at once as a block's samples allow, all read it.  A slice limit stacks its radius schedule onto the block, so there a
 block's curvature arrays hold its node count times the number of radii
 (six) samples; its points, and their metric evaluations, are not repeated
 per radius.

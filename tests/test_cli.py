@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -66,6 +67,23 @@ def test_run_single_check_json(tmp_path, capsys):
     assert result["pass"] is True
     text = capsys.readouterr().out
     assert "PASS" in text and "summary" in text
+
+
+def test_the_text_report_prints_the_residual_its_gate_reads(tmp_path, capsys):
+    # a relative gate compares residual_rel with tol: EdgeLimit s2 x s1 prints
+    # 1.908e-04 next to "(rel tol 0.001)", not its residual_abs 1.506e-02
+    out = tmp_path / "report.json"
+    assert main(["run", "--filter", "Edge", "--json", str(out)]) == 0
+    rows = json.loads(out.read_text())["results"]
+    printed = re.findall(r"residual=(\S+) \((rel|abs) tol", capsys.readouterr().out)
+    assert len(printed) == len(rows) > 2
+    assert {row["tolerance_kind"] for row in rows} == {"rel"}
+    for row, (residual, kind) in zip(rows, printed):
+        assert (residual, kind) == (f"{row['residual_rel']:.3e}", "rel")
+    edge_limit = [i for i, row in enumerate(rows)
+                  if row["check_id"] == "EdgeLimit" and row["params"]["base"] == "s2"]
+    assert [printed[i][0] for i in edge_limit] == ["1.908e-04"]
+    assert f"{rows[edge_limit[0]]['residual_abs']:.3e}" == "1.506e-02"
 
 
 def test_a_report_rows_params_replay_on_the_command_line(capsys):

@@ -1377,11 +1377,29 @@ def _gauge_per_node(g0, g1, x):
     return np.moveaxis(eig.reshape(pts + (d, S, i.size)), -2, 0), curv
 
 
-@pytest.mark.parametrize("block", [_stokes_block, lambda: _disk4_block(16)],
-                         ids=["stokes_d2", "disk_d4"])
-def test_gauge_s_axis_pass_equals_the_per_node_loop(block):
+# the s nodes each curvature pass takes: a disk dim=4 block of 16, 48 or
+# block_size(3) = 128 points holds 8, 2 or 1 of the 17 in block_size(4)
+# samples, and 16 points end on a partial pass (17 = 8 + 8 + 1)
+S_AXIS_BLOCKS = {"stokes_d2": (_stokes_block, []),
+                 "disk_d4": (lambda: _disk4_block(16), [8, 8, 1]),
+                 "disk_d4_48": (lambda: _disk4_block(48), [2] * 8 + [1]),
+                 "disk_d4_128": (lambda: _disk4_block(block_size(3)), [1] * 17),
+                 "stokes_d2_256": (lambda: _stokes_block(16), [])}
+
+
+@pytest.mark.parametrize("block, passes", S_AXIS_BLOCKS.values(), ids=S_AXIS_BLOCKS.keys())
+def test_gauge_s_axis_pass_equals_the_per_node_loop(block, passes, monkeypatch):
     args = block()
-    got = metric_path_gauge(*args)
+    seen = []
+
+    def counted(ginv, dg, d2g):
+        seen.append(len(ginv))
+        return _curvature_pairs(ginv, dg, d2g)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(geometry, "_curvature_pairs", counted)
+        got = metric_path_gauge(*args)
+    assert seen == passes
     theta_dot, curvature = _gauge_per_node(*args)
     assert np.array_equal(got.theta_dot.coeffs, theta_dot)
     assert np.array_equal(got.curvature.coeffs, curvature)
@@ -1421,20 +1439,23 @@ def test_transgression_stokes_holds_on_a_non_conformal_path():
 @pytest.mark.parametrize("block, bound_mib", [(_stokes_block, 2.0),
                                               (lambda: _stokes_block(16), 2.8),
                                               (lambda: _disk4_block(64), 5.0),
-                                              (lambda: _disk4_block(block_size(3)), 5.0)],
-                         ids=["stokes_d2", "stokes_d2_256", "disk_d4_64", "disk_d4_128"])
+                                              (lambda: _disk4_block(block_size(3)), 5.0),
+                                              (lambda: _disk4_block(48), 5.0)],
+                         ids=["stokes_d2", "stokes_d2_256", "disk_d4_64", "disk_d4_128",
+                              "disk_d4_48"])
 def test_gauge_peak_memory_stays_bounded(block, bound_mib, traced_peak_mib):
-    # the gauge that takes theta_dot in one pass over the s axis measures
-    # 0.79 and 2.59 MiB here, as that pass's temporaries for all 17 nodes
-    # coexist (one node at a time: 0.34 and 2.45; with the full d x d
-    # theta_dot: 0.80 and 2.80; the projector route before it: 1.15 and
-    # 3.12); a prototype of the older per-row route that stacked all 17 s
-    # nodes at once, curvature included, measured about 4.5 and 14 MiB.
-    # TransgressionStokes's 256-node block measures 2.28 MiB with theta_dot
-    # built in place and D dropped on a surface (2.54 with D kept, 3.01 when
-    # its expression made a temporary per operation).  BoundaryGB's disk
-    # dim=4 gauge rides on blocks of its 3-dimensional slice chart: 4.32 MiB
-    # at block_size(3) = 128 nodes, 2.16 at 64
+    # the gauge measures 0.54 / 2.15 / 2.45 / 3.93 / 1.84 MiB on these rows,
+    # in order, with theta_dot built in place on an [a, s, ..., i<j] buffer,
+    # its H, p and temporary freed before the frame change, and the curvature
+    # on as many s nodes per pass as block_size(4) samples hold: 2 on
+    # BoundaryGB's level-1 two-route block of 48 collar points, 1 on 64 or
+    # 128 (0.70 / 2.28 / 2.16 / 4.32 / 1.62 with theta_dot on an [s, ..., a,
+    # i<j] view and one node per curvature pass).  The disk dim=4 gauge rides
+    # on blocks of its 3-dimensional slice chart, of block_size(3) = 128
+    # points at most.  Earlier routes on the first row: 0.79 with a
+    # temporary per operation, 0.80 with the full d x d theta_dot, 1.15 by
+    # projectors, and about 4.5 for a per-row route that stacked all 17 s
+    # nodes at once, curvature included (about 14 on a 64-point disk block)
     args = block()
     assert traced_peak_mib(lambda: metric_path_gauge(*args)) <= bound_mib
 

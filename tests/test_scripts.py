@@ -34,7 +34,8 @@ def test_bench_records_every_run_of_a_stub_command(tmp_path, monkeypatch, capsys
     out = tmp_path / "BENCH.json"
     assert script.main([str(out), str(SCRIPTS.parent)]) == 0
     doc = json.loads(out.read_text(encoding="utf-8"))
-    assert set(doc["machine"]) == {"cpu_count", "python", "numpy", "platform"}
+    assert set(doc["machine"]) == {"cpu_count", "python", "numpy", "platform", "blas",
+                                   "blas_version", "blas_core"}
     (record,) = doc["checkouts"]
     assert record["sha"] is None or (len(record["sha"]) == 40 and record["dirty"] in (True, False))
     assert record["wc_l"][-1].split()[-1] == "total"

@@ -23,10 +23,10 @@ d^4, so the rule bounds a block's memory while the fixed cost of a call
 over as many nodes as that allows.  block_size is the rule's one owner:
 integrate_chart, the TransgressionStokes grid pass in verify and the
 curvature pass of geometry.metric_path_gauge, which takes as many s nodes
-at once as a block's samples allow, all read it.  A slice limit stacks its radius schedule onto the block, so there a
-block's curvature arrays hold its node count times the number of radii
-(six) samples; its points, and their metric evaluations, are not repeated
-per radius.
+at once as a block's samples allow, all read it.  A slice limit stacks its
+radius schedule onto the block, so there a block's curvature arrays hold
+its node count times the number of radii (six) samples; its points, and
+their metric evaluations, are not repeated per radius.
 """
 
 from __future__ import annotations

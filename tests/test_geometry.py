@@ -1377,9 +1377,10 @@ def _gauge_per_node(g0, g1, x):
     return np.moveaxis(eig.reshape(pts + (d, S, i.size)), -2, 0), curv
 
 
-# the s nodes each curvature pass takes: a disk dim=4 block of 16, 48 or
-# block_size(3) = 128 points holds 8, 2 or 1 of the 17 in block_size(4)
-# samples, and 16 points end on a partial pass (17 = 8 + 8 + 1)
+# the s nodes each curvature pass takes: a pass holds block_size(4) = 128
+# samples, so disk dim=4 blocks of 16, 48 and block_size(3) = 128 points take
+# 8, 2 and 1 of the 17 nodes a pass, and 16 points end on a partial pass
+# (17 = 8 + 8 + 1); a surface's gauge has no curvature pass
 S_AXIS_BLOCKS = {"stokes_d2": (_stokes_block, []),
                  "disk_d4": (lambda: _disk4_block(16), [8, 8, 1]),
                  "disk_d4_48": (lambda: _disk4_block(48), [2] * 8 + [1]),

@@ -147,16 +147,16 @@ _UNIT_AXIS = _chart("unit", (0.0, 1.0, 8))
 
 def _sphere2_metric(rho: float) -> Callable:
     def ev(x):
-        s = 1.0 / np.cosh(x[..., 0])
-        return _scalar_factor((rho * s) ** 2) * np.eye(2)
+        c = (rho * (1.0 / np.cosh(x[..., 0]))) ** 2
+        return _diag(c, c)
 
     return ev
 
 
 def _sphere3_metric(rho: float) -> Callable:
     def ev(x):
-        a = x[..., 0]
-        return rho**2 * _diag(1.0, np.cos(a) ** 2, np.sin(a) ** 2)
+        a, r2 = x[..., 0], rho**2
+        return _diag(r2, r2 * np.cos(a) ** 2, r2 * np.sin(a) ** 2)
 
     return ev
 
@@ -164,7 +164,8 @@ def _sphere3_metric(rho: float) -> Callable:
 def _sphere4_metric(rho: float) -> Callable:
     def ev(x):
         s1, s2, s3 = np.sin(x[..., 0]), np.sin(x[..., 1]), np.sin(x[..., 2])
-        return rho**2 * _diag(1.0, s1**2, (s1 * s2) ** 2, (s1 * s2 * s3) ** 2)
+        r2 = rho**2
+        return _diag(r2, r2 * s1**2, r2 * (s1 * s2) ** 2, r2 * (s1 * s2 * s3) ** 2)
 
     return ev
 
@@ -329,8 +330,8 @@ def _build_catenoid(params):
     cutoff = float(params.get("cutoff", CATENOID_CUTOFF))
 
     def ev(x):
-        c = np.cosh(x[..., 0])
-        return _scalar_factor(c**2) * np.eye(2)
+        c = np.cosh(x[..., 0]) ** 2
+        return _diag(c, c)
 
     mf = MetricField(_chart("catenoid-conformal", (-cutoff, cutoff, 16), _ANGLE), ev, fd_order=4)
     circle, _ = _factor("s1", "s1")

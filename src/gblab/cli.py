@@ -90,7 +90,7 @@ def _param_str(params) -> str:
 
 
 def _primary_value(r) -> float:
-    for key in ("chi", "closed_form", "t7_total", "cone_transgression",
+    for key in ("chi", "slice_limit", "closed_form", "t7_total", "cone_transgression",
                 "identity_rhs", "max_pointwise_gap", "max_entry_gap",
                 "perturbed_limit", "slice_limit_plus", "pf_squared_minus_det",
                 "pf_integral"):

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
@@ -85,24 +86,27 @@ def _slot_table(n: int, pa: int, pb: int):
 
 @lru_cache(maxsize=None)
 def _wedge_table(n: int, pa: int, qa: int, pb: int, qb: int):
-    """Flattened index/sign arrays for the full double-form wedge; each slot's degree <= n."""
+    """Read-only index and sign tables (m, C_out) of the wedge; each slot's degree <= n.
+
+    Column o holds the m = C(pa+pb, pa) C(qa+qb, qa) terms of output entry o
+    (flat over its two slots), as flat indices into a and b and their signs,
+    in the order of the two slot tables' product: the order in which a
+    scatter over that product adds them.
+    """
     t1, t2 = _slot_table(n, pa, pb), _slot_table(n, qa, qb)
-    na_q = len(multi_indices(n, qa))
-    nb_q = len(multi_indices(n, qb))
-    no_q = len(multi_indices(n, qa + qb))
-    ia, ib, io, sg = [], [], [], []
+    na_q, nb_q, no_q = (len(multi_indices(n, k)) for k in (qa, qb, qa + qb))
+    terms = [[] for _ in range(len(multi_indices(n, pa + pb)) * no_q)]
     for ra, rb, ro, s1 in t1:
         for ca, cb, co, s2 in t2:
-            ia.append(ra * na_q + ca)
-            ib.append(rb * nb_q + cb)
-            io.append(ro * no_q + co)
-            sg.append(s1 * s2)
-    return (
-        np.asarray(ia, dtype=np.intp),
-        np.asarray(ib, dtype=np.intp),
-        np.asarray(io, dtype=np.intp),
-        np.asarray(sg, dtype=np.float64),
-    )
+            terms[ro * no_q + co].append((ra * na_q + ca, rb * nb_q + cb, s1 * s2))
+    m = comb(pa + pb, pa) * comb(qa + qb, qa)
+    assert all(len(t) == m for t in terms), "every wedge output has the same term count"
+    table = np.array(terms).T                       # [index into a | into b | sign, term, out]
+    ia, ib, sg = (np.ascontiguousarray(t, dtype=dt)
+                  for t, dt in zip(table, (np.intp, np.intp, float)))
+    for arr in (ia, ib, sg):
+        arr.flags.writeable = False
+    return ia, ib, sg
 
 
 def _table_shape(n: int, p: int, q: int) -> tuple[int, int]:
@@ -185,10 +189,14 @@ def wedge(a: DoubleForm, b: DoubleForm) -> DoubleForm:
     """Slotwise wedge (a1^b1) (x) (a2^b2), no interchange sign.
 
     Batch axes of the two factors broadcast.  Overflow of either slot degree
-    past n yields the (unbatched) zero form of the clipped bidegree.  A
-    (0,0) factor scales the other entrywise: each output entry has one
-    term, and adding 0.0 to it turns -0.0 into +0.0 as the scatter onto
-    zeros does, so the result is bit for bit the table route's.
+    past n yields the (unbatched) zero form of the clipped bidegree.  Every
+    output entry is a sum of the same number of signed products
+    (_wedge_table), laid out term-major and summed down the term axis by
+    one in-place np.add.accumulate, which adds sequentially on every
+    layout: the same left-to-right sum as a scatter of the terms onto
+    zeros, and adding 0.0 to the last row turns a -0.0 into the +0.0 that
+    scatter gives.  A (0,0) factor scales the other entrywise, each output
+    entry having one term, with the same + 0.0.
     """
     if a.n != b.n:
         raise ShapeError("wedge of forms over different dimensions")
@@ -200,14 +208,13 @@ def wedge(a: DoubleForm, b: DoubleForm) -> DoubleForm:
         of = np.multiply(a.coeffs, b.coeffs, dtype=float)
         of += 0.0
         return DoubleForm(n, p, q, of)
-    ia, ib, io, sg = _wedge_table(n, a.p, a.q, b.p, b.q)
-    shape = _table_shape(n, p, q)
-    batch_a, batch_b = a.coeffs.shape[:-2], b.coeffs.shape[:-2]
-    af = a.coeffs.reshape(batch_a + (-1,))
-    bf = b.coeffs.reshape(batch_b + (-1,))
-    of = np.zeros(np.broadcast_shapes(batch_a, batch_b) + (shape[0] * shape[1],))
-    np.add.at(of, (..., io), sg * af[..., ia] * bf[..., ib])
-    return DoubleForm(n, p, q, of.reshape(of.shape[:-1] + shape))
+    ia, ib, sg = _wedge_table(n, a.p, a.q, b.p, b.q)
+    af = a.coeffs.reshape(a.coeffs.shape[:-2] + (-1,))
+    bf = b.coeffs.reshape(b.coeffs.shape[:-2] + (-1,))
+    terms = sg * af[..., ia] * bf[..., ib]                          # [..., term, out]
+    np.add.accumulate(terms, axis=-2, out=terms)
+    of = terms[..., -1, :] + 0.0
+    return DoubleForm(n, p, q, of.reshape(of.shape[:-1] + _table_shape(n, p, q)))
 
 
 def power(a: DoubleForm, m: int) -> DoubleForm:

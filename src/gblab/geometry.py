@@ -27,11 +27,14 @@ points, differenced along that axis by _central_diff or, all axes at
 once, _along_axes: the metric jet (one evaluator call; the diagonal of
 d2g by the three- or five-point formula), the slice metric in r
 (CollarMetric.radial_rate), the h^phi frame (one Cholesky of one stacked
-sample) and the Stokes curl in verify.  The curvature is built on the
-pairs i < j, k < l alone, the C(d,2)^2 entries the (2,2) double form keeps
-(_curvature_pairs): half an alternating sum of four d2g entries, gathered,
-minus G_ik,m g^mn G_jl,n plus G_jk,m g^mn G_il,n from the first-kind
-symbols G_ij,k, with no derivative of g^{-1} and no lowering by g.  Its
+sample) and the Stokes curl in verify.  The jet builds its stencil points
+coordinate-first, so each coordinate an evaluator reads is one contiguous
+slab, and an order-2 difference is one subtraction over 2h.  The
+curvature is built on the pairs i < j, k < l alone, the C(d,2)^2 entries
+the (2,2) double form keeps (_curvature_pairs): half an alternating sum
+of four d2g entries, gathered, minus G_ik,m g^mn G_jl,n plus G_jk,m g^mn
+G_il,n from the first-kind symbols G_ij,k, with no derivative of g^{-1}
+and no lowering by g.  Its
 g^{-1}, and that of christoffel for the phi connection, comes from a
 factorisation in hand: E E^T from the Cholesky frame E, or A diag(1/D) A^T
 from the gauge's eigenbasis A of the pair (g0, g1).  The frame change is
@@ -250,10 +253,14 @@ def _central_diff(stack, h, order: int):
 
     Axis 0 of stack (an array, or a list of samples) runs over the stencil in
     _diff_weights order; h is a number or an array that broadcasts over the
-    other axes.  Samples are summed in stencil order starting from the first
-    weighted sample, so at order 2 the result rounds exactly as (stack[1] -
-    stack[0]) / (2 h), signed zeros included.
+    other axes.  At order 2 it is (stack[1] - stack[0]) / (2 h), one pass
+    that rounds exactly as the weighted sum -stack[0]/2 + stack[1]/2 over h,
+    signed zeros included.  At order 4 the weighted samples are summed in
+    stencil order starting from the first, an order that carries weight
+    (_metric_jet).
     """
+    if order == 2:
+        return (stack[1] - stack[0]) / (2.0 * h)
     terms = (wt * f for (_, wt), f in zip(_diff_weights(order), stack, strict=True))
     out = next(terms)
     for term in terms:
@@ -296,6 +303,9 @@ def _metric_jet(m: MetricField, x, want_second: bool):
     x has shape (..., d).  The _jet_plan offsets are stacked into one (S, ...,
     d) sample: one evaluator call and one SPD check serve a block's stencil,
     and each derivative is a few array sums over the stencil axis.  The
+    points x_a + h_a k are built by one addition into a coordinate-first
+    buffer (d, S, ...), and the evaluator gets its (S, ..., d) view, so
+    each coordinate x[..., a] it reads is one contiguous slab.  The
     batch is the checked sample's (_sample), so a slice's radius schedule,
     which its evaluator broadcasts over size-1 axes of x, rides in the jet
     while each stencil point is evaluated and checked once.  Returns (g,
@@ -315,7 +325,11 @@ def _metric_jet(m: MetricField, x, want_second: bool):
     x = np.asarray(x, dtype=float)
     h, order = m.steps(), m.fd_order
     weights, offsets, (ia, ib) = _jet_plan(d, order, want_second)
-    samples = m.g(x + h * offsets.reshape((len(offsets),) + (1,) * (x.ndim - 1) + (d,)))
+    # [a, k, ...] = x_a + h_a k, the same sum as at [k, ..., a]
+    pts = np.empty((d, len(offsets)) + x.shape[:-1])
+    np.add(np.moveaxis(x, -1, 0)[:, None],
+           (h * offsets).T.reshape(pts.shape[:2] + (1,) * (x.ndim - 1)), out=pts)
+    samples = m.g(np.moveaxis(pts, 0, -1))
     K, batch = len(weights), samples.shape[1:-2]
     dg = _along_axes(samples[1:1 + d * K], h, order)
     d2g = None
@@ -714,7 +728,8 @@ def metric_path_gauge(g0: MetricField, g1: MetricField, x) -> GaugePath:
     entry is the same sum of products as one d x d product per pair.
     theta_dot is built in place in a buffer laid out [a, s, ..., i<j], in
     that operation order, with one temporary of the same size for the p_j
-    term, so each pass covers every direction, node and point at once.
+    term and then the gathered q_i q_j, so each pass covers every
+    direction, node and point at once.
     This is the first variation with A0^T d_a g A0 = H + H^T substituted
     (d_a g_jk = G_aj,k + G_ak,j on the jet), so it is skew by construction.
     One transposed copy to [..., a, s, i<j] then moves the pairs of all the
@@ -771,8 +786,10 @@ def metric_path_gauge(g0: MetricField, g1: MetricField, x) -> GaugePath:
         out *= p[..., k]
     eig -= tmp
     eig += half_skew
-    eig *= q[..., i] * q[..., j]
-    del H, H_ij, H_ji, half_skew, p, tmp, out      # free them before the frame change below
+    # q_i q_j, gathered and multiplied in the freed p_j term
+    qi, qj = np.take(q, i, axis=-1, out=tmp[0]), np.take(q, j, axis=-1, out=tmp[1])
+    eig *= np.multiply(qi, qj, out=qi)
+    del H, H_ij, H_ji, half_skew, p, tmp, out, qi, qj    # free them before the frame change
     # to the g0 frame: Q0 X Q0^T on the pairs as Lambda^2 Q0, then E0^T on a
     eig = np.ascontiguousarray(np.moveaxis(eig, (0, 1), (-3, -2)))        # [..., a, s, i<j]
     eig = eig.reshape(pts + (d * S, i.size)) @ _pair_minors(Q0t)

@@ -8,10 +8,13 @@ pass checks that invariance and raises ResolutionError where it fails.  A
 density is called on consecutive blocks of the flattened node ordering
 (points of shape (B, d), values of shape (B,), or (K, B) for K densities
 integrated in one pass): the mesh nodes, then each orbit axis's check
-sample, so the orbit check rides in the same pass.  The weighted values of
-each density over the mesh nodes are summed by a fixed pairwise binary tree
-over that ordering (pairwise_sum, along the last axis, so a stack of K
-densities is one sum), so a result depends only on its inputs.  A mesh is
+sample, so the orbit check rides in the same pass.  A mesh's nodes are
+each axis's nodes broadcast into one (n_1, ..., n_d, d) buffer, and its
+weights the product of the axes' weights taken in axis order.  The
+weighted values of each density over the mesh nodes are summed by a fixed
+pairwise binary tree over that ordering (pairwise_sum, along the last
+axis, so a stack of K densities is one sum), so a result depends only on
+its inputs.  A mesh is
 built at a refinement level of LEVELS, whose range check_level alone
 states; which of them a chart integral may take (its node budget and its
 stencil's reach of the chart's edge) is decided in verify.chart_integral.
@@ -176,14 +179,19 @@ def mesh_corners(chart, level: int) -> np.ndarray:
 
 
 def _mesh_points(chart, mesh: MeshSpec):
-    axes = _mesh_axes(chart, mesh)
-    grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    wgrids = np.meshgrid(*[a[1] for a in axes], indexing="ij")
-    w = np.ones(pts.shape[0])
-    for g in wgrids:
-        w *= g.ravel()
-    return pts, w
+    """The mesh's nodes (N, d) in C order over the axes, and their weights (N,).
+
+    Each axis's nodes are broadcast into one (n_1, ..., n_d, d) buffer, and
+    the weights are multiplied into ones in axis order.
+    """
+    shape = tuple(mesh.nodes)
+    d = len(shape)
+    pts, w = np.empty(shape + (d,)), np.ones(shape)
+    for a, (x, wa) in enumerate(_mesh_axes(chart, mesh)):
+        along = (1,) * a + (-1,) + (1,) * (d - a - 1)
+        pts[..., a] = x.reshape(along)
+        w *= wa.reshape(along)
+    return pts.reshape(-1, d), w.ravel()
 
 
 def block_size(d: int) -> int:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gblab import catalog
+from gblab import catalog, verify
 from gblab.geometry import Chart
 from gblab.quadrature import AxisRule, integrate_chart, mesh_for_chart
 
@@ -291,3 +291,45 @@ def test_cone_vertical_block_at_the_vertex_is_the_profile_u_squared_times_h(para
     assert np.array_equal(fib.fiber_metric(0.0, y), u0**2 * h)
     assert np.array_equal(fib.fiber_metric(np.zeros(len(y)), y), u0**2 * h)
     assert np.array_equal(fib.fiber.evaluator(y), u0**2 * h)
+
+
+def _stokes_endpoint(monkeypatch):
+    """TransgressionStokes's g1 evaluator, caught where the check hands it to the gauge."""
+
+    class Caught(Exception):
+        pass
+
+    def catch(g0, g1, x):
+        raise Caught(g1.evaluator)
+
+    monkeypatch.setattr(verify, "metric_path_gauge", catch)
+    with pytest.raises(Caught) as caught:
+        verify.check_transgression_stokes(catalog.get("flat_torus", n=2), 2, 1e-3)
+    return caught.value.args[0]
+
+
+def test_diagonal_evaluators_keep_the_bits_of_their_scaled_identity_forms(monkeypatch):
+    # each is one _diag of its diagonal entries, every entry the product that a
+    # scalar times eye(2), or rho^2 times the diagonal stack, gives; +0.0 off it
+    rho = 1.7
+
+    def s(x, k):
+        return np.sin(x[..., k])
+
+    pairs = [
+        (catalog._sphere2_metric(rho), lambda x: catalog._scalar_factor(
+            (rho * (1.0 / np.cosh(x[..., 0]))) ** 2) * np.eye(2)),
+        (catalog._sphere3_metric(rho), lambda x: rho**2 * catalog._diag(
+            1.0, np.cos(x[..., 0]) ** 2, s(x, 0) ** 2)),
+        (catalog._sphere4_metric(rho), lambda x: rho**2 * catalog._diag(
+            1.0, s(x, 0) ** 2, (s(x, 0) * s(x, 1)) ** 2, (s(x, 0) * s(x, 1) * s(x, 2)) ** 2)),
+        (catalog.get("catenoid").fields[0].evaluator,
+         lambda x: catalog._scalar_factor(np.cosh(x[..., 0]) ** 2) * np.eye(2)),
+        (_stokes_endpoint(monkeypatch), lambda x: np.exp(
+            2.0 * (0.25 * s(x, 0) * np.cos(x[..., 1])))[..., None, None] * np.eye(2)),
+    ]
+    # coordinate-first points, as the jet hands them over
+    x = np.moveaxis(np.random.default_rng(11).uniform(-3.0, 3.0, size=(4, 5, 6)), 0, -1)
+    for ev, old in pairs:
+        got, want = ev(x), old(x)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()

@@ -86,6 +86,19 @@ def test_the_text_report_prints_the_residual_its_gate_reads(tmp_path, capsys):
     assert f"{rows[edge_limit[0]]['residual_abs']:.3e}" == "1.506e-02"
 
 
+def test_a_cone_row_prints_its_gated_slice_limit_as_its_value(tmp_path, capsys):
+    # ConeGB gates its slice limit against the closed form, so value= is the
+    # slice limit: 27.1414059 on link=s3 theta=0.5, not the closed form 27.1414121
+    out = tmp_path / "report.json"
+    assert main(["run", "--filter", "ConeGB", "--json", str(out)]) == 0
+    rows = json.loads(out.read_text())["results"]
+    printed = re.findall(r"value=(\S+)", capsys.readouterr().out)
+    assert {row["check_id"] for row in rows} == {"ConeGB"}
+    assert len(printed) == len(rows) == 5
+    assert printed == [f"{row['computed']['slice_limit']:.9g}" for row in rows]
+    assert "27.1414059" in printed
+
+
 def test_a_report_rows_params_replay_on_the_command_line(capsys):
     # the PhiLimit row on cone_perturbed_second_order records link=s1
     argv = ["run", "--check", "PhiLimit", "--geometry", "cone_perturbed_second_order", "link=s1"]

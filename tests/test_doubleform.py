@@ -5,11 +5,11 @@ from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import mutually_broadcastable_shapes
 
 from gblab.doubleform import (
-    _wedge_table,
+    _slot_table,
     DoubleForm,
     ShapeError,
     berezin,
@@ -181,10 +181,14 @@ def test_batched_wedge_power_berezin_match_each_form(n, batch, seed):
 
 
 def _table_wedge(a, b):
-    """The general wedge route: scatter the signed products of _wedge_table onto zeros."""
+    """The scatter route: every signed product of the two slot tables added onto zeros in turn."""
     n, p, q = a.n, a.p + b.p, a.q + b.q
-    ia, ib, io, sg = _wedge_table(n, a.p, a.q, b.p, b.q)
     shape = (len(multi_indices(n, p)), len(multi_indices(n, q)))
+    nq = [len(multi_indices(n, k)) for k in (a.q, b.q)]
+    ia, ib, io, sg = np.array([(ra * nq[0] + ca, rb * nq[1] + cb, ro * shape[1] + co, s1 * s2)
+                               for ra, rb, ro, s1 in _slot_table(n, a.p, b.p)
+                               for ca, cb, co, s2 in _slot_table(n, a.q, b.q)]).T
+    ia, ib, io = (t.astype(np.intp) for t in (ia, ib, io))
     af = a.coeffs.reshape(a.coeffs.shape[:-2] + (-1,))
     bf = b.coeffs.reshape(b.coeffs.shape[:-2] + (-1,))
     of = np.zeros(np.broadcast_shapes(af.shape[:-1], bf.shape[:-1]) + (shape[0] * shape[1],))
@@ -212,6 +216,30 @@ def test_a_scalar_factor_wedges_as_the_table_route(data, n, scalar_left, seed, b
     got = wedge(a, b)
     want = _table_wedge(a, b)
     assert (got.p, got.q) == (p, q)
+    assert got.coeffs.shape == want.shape and got.coeffs.tobytes() == want.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.integers(1, 6), st.integers(0, 1000),
+       mutually_broadcastable_shapes(num_shapes=2, max_dims=3, max_side=3))
+def test_the_general_wedge_adds_as_the_scatter_route(data, n, seed, batches):
+    # two factors of positive degree, signed zeros in both; the sequential
+    # accumulate down the term axis gives the scatter's bytes
+    pa, qa = data.draw(st.integers(0, n), label="pa"), data.draw(st.integers(0, n), label="qa")
+    pb = data.draw(st.integers(0, n - pa), label="pb")
+    qb = data.draw(st.integers(0, n - qa), label="qb")
+    assume(pa + qa > 0 and pb + qb > 0)
+    rng = np.random.default_rng(seed)
+
+    def form(batch, p, q):
+        c = rng.normal(size=tuple(batch) + (len(multi_indices(n, p)), len(multi_indices(n, q))))
+        c[rng.random(c.shape) < 0.3] = 0.0
+        c[rng.random(c.shape) < 0.3] = -0.0
+        return DoubleForm(n, p, q, c)
+
+    a, b = form(batches.input_shapes[0], pa, qa), form(batches.input_shapes[1], pb, qb)
+    got, want = wedge(a, b), _table_wedge(a, b)
+    assert (got.p, got.q) == (pa + pb, qa + qb)
     assert got.coeffs.shape == want.shape and got.coeffs.tobytes() == want.tobytes()
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gblab import catalog, geometry
+from gblab import catalog, geometry, quadrature
 from gblab.doubleform import MAX_DIM, DoubleForm, berezin, multi_indices, power, wedge
 from gblab.geometry import (
     Chart,
@@ -1445,13 +1445,15 @@ def test_transgression_stokes_holds_on_a_non_conformal_path():
                          ids=["stokes_d2", "stokes_d2_256", "disk_d4_64", "disk_d4_128",
                               "disk_d4_48"])
 def test_gauge_peak_memory_stays_bounded(block, bound_mib, traced_peak_mib):
-    # the gauge measures 0.54 / 2.15 / 2.45 / 3.93 / 1.84 MiB on these rows,
+    # the gauge measures 0.51 / 1.89 / 2.45 / 3.93 / 1.84 MiB on these rows,
     # in order, with theta_dot built in place on an [a, s, ..., i<j] buffer,
-    # its H, p and temporary freed before the frame change, and the curvature
-    # on as many s nodes per pass as block_size(4) samples hold: 2 on
-    # BoundaryGB's level-1 two-route block of 48 collar points, 1 on 64 or
-    # 128 (0.70 / 2.28 / 2.16 / 4.32 / 1.62 with theta_dot on an [s, ..., a,
-    # i<j] view and one node per curvature pass).  The disk dim=4 gauge rides
+    # q_i q_j gathered and multiplied in the freed p_j temporary (0.54 / 2.15
+    # on the Stokes rows with three temporaries for it), its H, p and
+    # temporary freed before the frame change, and the curvature on as many
+    # s nodes per pass as block_size(4) samples hold: 2 on BoundaryGB's
+    # level-1 two-route block of 48 collar points, 1 on 64 or 128 (0.70 /
+    # 2.28 / 2.16 / 4.32 / 1.62 with theta_dot on an [s, ..., a, i<j] view
+    # and one node per curvature pass).  The disk dim=4 gauge rides
     # on blocks of its 3-dimensional slice chart, of block_size(3) = 128
     # points at most.  Earlier routes on the first row: 0.79 with a
     # temporary per operation, 0.80 with the full d x d theta_dot, 1.15 by
@@ -1463,6 +1465,15 @@ def test_gauge_peak_memory_stays_bounded(block, bound_mib, traced_peak_mib):
 
 # -- the central stencil ----------------------------------------------------------------
 
+def _weighted_diff(stack, h, order):
+    """The weighted-sum route of a central difference: sum_k w_k stack[k] in stencil order, / h."""
+    terms = [wt * f for (_, wt), f in zip(_diff_weights(order), stack, strict=True)]
+    out = terms[0]
+    for term in terms[1:]:
+        out = out + term
+    return out / h
+
+
 # away from underflow, where halving a sample or a difference is exact
 _sample = st.floats(-1e6, 1e6).filter(lambda v: v == 0.0 or abs(v) > 1e-280)
 
@@ -1471,10 +1482,13 @@ _sample = st.floats(-1e6, 1e6).filter(lambda v: v == 0.0 or abs(v) > 1e-280)
 @given(st.lists(st.tuples(_sample, _sample), min_size=1, max_size=4),
        st.floats(1e-8, 1.0))
 @example(pairs=[(0.0, -0.0)], h=1.0)
+@example(pairs=[(0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0), (0.0, 0.0), (1.5, 1.5)], h=1e-3)
 def test_central_diff_order_two_is_the_plain_quotient(pairs, h):
+    # and it rounds as the weighted sum -minus/2 + plus/2 over h, signed zeros included
     minus, plus = (np.array(v) for v in zip(*pairs))
     got = _central_diff(np.stack([minus, plus]), h, 2)
     assert got.tobytes() == ((plus - minus) / (2 * h)).tobytes()
+    assert got.tobytes() == _weighted_diff([minus, plus], h, 2).tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -1496,6 +1510,40 @@ def test_central_diff_order_four_is_exact_on_quartics(c, x, h):
 def test_central_diff_rejects_other_orders():
     with pytest.raises(MetricError):
         _central_diff(np.zeros(3), 0.1, 3)
+
+
+def _jet_case(case):
+    """(field, points) for the jet's layout checks: a block, a slice schedule, one point."""
+    rng = np.random.default_rng(7)
+    if case == "sphere_n4_block":
+        (mf,) = catalog.get("sphere", n=4).fields
+        return mf, mf.chart.random_interior(rng, 128)
+    if case == "cone_s3_slice":
+        collar = catalog.get("geometric_cone", link="s3", theta=0.5).collar
+        y = collar.boundary_chart.random_interior(rng, 32)
+        r, y, _ = _collar_points(np.array(quadrature.geometric_schedule(0.5)), y)
+        return collar.slice_field(r), y                       # y is (1, 32, 3)
+    (mf,) = catalog.get("football", p=2).fields
+    return mf, mf.chart.random_interior(rng, 1)[0]
+
+
+@pytest.mark.parametrize("case", ["sphere_n4_block", "cone_s3_slice", "football_point"])
+def test_the_jet_is_the_point_first_weighted_sum_route_bit_for_bit(case, monkeypatch):
+    # the coordinate-first stencil buffer hands the evaluator the same points,
+    # each coordinate one contiguous slab, and the jet keeps every bit of the
+    # route over a contiguous (S, ..., d) stack differenced by weighted sums
+    m, x = _jet_case(case)
+    seen = []
+    got = _metric_jet(replace(m, evaluator=lambda y: seen.append(y) or m.evaluator(y)), x, True)
+    d, offsets = m.chart.dim, _jet_plan(m.chart.dim, m.fd_order, True)[1]
+    pts = x + m.steps() * offsets.reshape((len(offsets),) + (1,) * (x.ndim - 1) + (d,))
+    (y,) = seen
+    assert y.shape == pts.shape and np.ascontiguousarray(y).tobytes() == pts.tobytes()
+    assert all(y[..., a].flags.c_contiguous for a in range(d))
+    monkeypatch.setattr(geometry, "_central_diff", _weighted_diff)
+    want = _metric_jet(replace(m, evaluator=lambda _: m.evaluator(pts)), x, True)
+    for a, b in zip(got, want, strict=True):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 # -- connection difference ----------------------------------------------------------------

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gblab
@@ -57,6 +58,19 @@ def test_src_calls_no_einsum():
     for path in sorted(Path(gblab.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if _names(node) & {"einsum", "einsum_path"}:
+                uses.append(f"{path.name}:{node.lineno}")
+    assert uses == []
+
+
+def test_src_scatters_with_no_ufunc_at():
+    # ufunc.at adds one element at a time; doubleform.wedge sums each output's
+    # terms by one sequential np.add.accumulate down a term axis instead
+    uses = []
+    for path in sorted(Path(gblab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr == "at"
+                    and any(isinstance(getattr(np, name, None), np.ufunc)
+                            for name in _names(node.value))):
                 uses.append(f"{path.name}:{node.lineno}")
     assert uses == []
 

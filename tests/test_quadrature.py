@@ -370,3 +370,39 @@ def test_a_full_block_holds_less_than_a_four_dimensional_one(traced_peak_mib):
     d4 = traced_peak_mib(_pf_block(catalog.get("sphere", n=4), quad.BLOCK))
     assert traced_peak_mib(_pf_block(catalog.get("football", p=3), block_size(2))) < d4
     assert traced_peak_mib(_s1_slice_block(block_size(1))) < d4
+
+
+def _meshgrid_points(chart, mesh):
+    """The mesh by np.meshgrid: each axis's grid raveled, the weights multiplied into ones in turn."""
+    axes = quad._mesh_axes(chart, mesh)
+    pts = np.stack([g.ravel() for g in np.meshgrid(*[x for x, _ in axes], indexing="ij")], axis=-1)
+    w = np.ones(pts.shape[0])
+    for g in np.meshgrid(*[wa for _, wa in axes], indexing="ij"):
+        w *= g.ravel()
+    return pts, w
+
+
+def _suite_charts() -> list:
+    """Every chart a default-suite geometry integrates on: its fields', its slices' and its factors'."""
+    charts = {}
+    for _, geometry, params, *_ in verify.DEFAULT_SUITE:
+        spec = catalog.get(geometry, **params)
+        fib = spec.collar.fibration if spec.collar else None
+        for mf in spec.fields + (spec.link,) + ((fib.base, fib.fiber) if fib else ()):
+            if mf is not None:
+                charts[mf.chart] = None
+        if spec.collar:
+            charts[spec.collar.boundary_chart] = None
+    return list(charts)
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_mesh_points_are_the_meshgrid_route_bit_for_bit(level):
+    charts = _suite_charts()
+    assert len(charts) > 10
+    for chart in charts:
+        mesh = mesh_for_chart(chart, level)
+        pts, w = quad._mesh_points(chart, mesh)
+        want_pts, want_w = _meshgrid_points(chart, mesh)
+        assert pts.shape == want_pts.shape == (mesh.total_nodes, chart.dim)
+        assert pts.tobytes() == want_pts.tobytes() and w.tobytes() == want_w.tobytes()

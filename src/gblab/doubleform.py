@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
+from types import MappingProxyType
 
 import numpy as np
 
@@ -46,8 +47,9 @@ def multi_indices(n: int, p: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _rank_table(n: int, p: int) -> dict:
-    return {I: r for r, I in enumerate(multi_indices(n, p))}
+def _rank_table(n: int, p: int) -> MappingProxyType:
+    """Read-only map from each strictly increasing p-tuple of range(n) to its colex rank."""
+    return MappingProxyType({I: r for r, I in enumerate(multi_indices(n, p))})
 
 
 def index_rank(n: int, I) -> int:
@@ -71,7 +73,7 @@ def _merge_sign(I: tuple, J: tuple):
 
 @lru_cache(maxsize=None)
 def _slot_table(n: int, pa: int, pb: int):
-    """All (rank_a, rank_b, rank_out, sign) with nonzero wedge in one slot; pa + pb <= n."""
+    """Every (rank_a, rank_b, rank_out, sign) with nonzero wedge in one slot; pa + pb <= n."""
     out = []
     A = multi_indices(n, pa)
     B = multi_indices(n, pb)
@@ -81,7 +83,7 @@ def _slot_table(n: int, pa: int, pb: int):
             s, K = _merge_sign(I, J)
             if s:
                 out.append((ra, rb, rk[K], s))
-    return out
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)

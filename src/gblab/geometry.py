@@ -21,13 +21,16 @@ first-kind symbols it reads reach the eigenbasis by two matmuls per
 point, over every (endpoint or rate, direction) pair at once.  The
 curvature (d > 2) takes as many nodes per pass as a block of
 quadrature.block_size(d) samples holds, to bound the memory.  Stencil
-offsets, weights and reach have one owner, the cached plan _jet_plan;
-every derivative is one evaluation on a sample stacked over the plan's
-points, differenced along that axis by _central_diff or, all axes at
-once, _along_axes: the metric jet (one evaluator call; the diagonal of
-d2g by the three- or five-point formula), the slice metric in r
-(CollarMetric.radial_rate), the h^phi frame (one Cholesky of one stacked
-sample) and the Stokes curl in verify.  The jet builds its stencil points
+offsets and weights have one owner, the cached plan _jet_plan, and a
+field's steps, reach and chart bounds another, the stencil plan of its
+(chart, fd_order, fd_rel_step) (_stencil_plan, read-only arrays cached on
+at most quadrature.PLANS keys), which MetricField.steps, check_stencil
+and the jet read; every derivative is one evaluation on a sample stacked
+over the plan's points, differenced along that axis by _central_diff or,
+all axes at once, _along_axes: the metric jet (one evaluator call; the
+diagonal of d2g by the three- or five-point formula), the slice metric in
+r (CollarMetric.radial_rate), the h^phi frame (one Cholesky of one
+stacked sample) and the Stokes curl in verify.  The jet builds its stencil points
 coordinate-first, so each coordinate an evaluator reads is one contiguous
 slab, and an order-2 difference is one subtraction over 2h.  The
 curvature is built on the pairs i < j, k < l alone, the C(d,2)^2 entries
@@ -65,7 +68,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .doubleform import DoubleForm, multi_indices
-from .quadrature import block_size
+from .quadrature import PLANS, block_size
 
 __all__ = [
     "Chart",
@@ -222,22 +225,44 @@ class MetricField:
     fd_order: int = 2
 
     def steps(self) -> np.ndarray:
-        return self.fd_rel_step * self.chart.extents
+        """The read-only finite-difference steps (d,), fd_rel_step times the chart's extents."""
+        return _stencil_plan(self.chart, self.fd_order, self.fd_rel_step)[0]
 
     def g(self, x) -> np.ndarray:
         return _sample(self.evaluator, np.asarray(x, dtype=float))
 
     def check_stencil(self, x):
         """Raise DomainError if the stencil at points x (..., d) leaves a non-periodic axis."""
-        x = np.asarray(x, dtype=float).reshape(-1, self.chart.dim)
-        reach = _jet_plan(self.chart.dim, self.fd_order, False)[1].max() * self.steps()
-        lo, hi = np.array(self.chart.bounds, dtype=float).T
-        out = ((x.min(axis=0, initial=np.inf) - reach < lo)
-               | (x.max(axis=0, initial=-np.inf) + reach > hi))
-        out &= ~np.array(self.chart.periodic, dtype=bool)
-        if out.any():
-            raise DomainError(f"finite-difference stencil leaves chart {self.chart.name!r} "
-                              f"at axis {int(np.argmax(out))}")
+        _check_reach(self.chart, _stencil_plan(self.chart, self.fd_order, self.fd_rel_step), x)
+
+
+@lru_cache(maxsize=PLANS)
+def _stencil_plan(chart: Chart, fd_order: int, fd_rel_step: float):
+    """A field's stencil on its chart, built once per key as read-only arrays (d,).
+
+    Returns the steps h = fd_rel_step * extents, the reach of the _jet_plan
+    offsets (their largest step count times h), the chart's lower and upper
+    bounds and its non-periodic axes.
+    """
+    h = fd_rel_step * chart.extents
+    reach = _jet_plan(chart.dim, fd_order, False)[1].max() * h
+    lo, hi = np.array(chart.bounds, dtype=float).T
+    bounded = ~np.array(chart.periodic, dtype=bool)
+    for arr in (h, reach, lo, hi, bounded):
+        arr.flags.writeable = False
+    return h, reach, lo, hi, bounded
+
+
+def _check_reach(chart: Chart, plan, x):
+    """Raise DomainError if the stencil of plan (_stencil_plan) at points x leaves chart."""
+    _, reach, lo, hi, bounded = plan
+    x = np.asarray(x, dtype=float).reshape(-1, chart.dim)
+    out = ((x.min(axis=0, initial=np.inf) - reach < lo)
+           | (x.max(axis=0, initial=-np.inf) + reach > hi))
+    out &= bounded
+    if out.any():
+        raise DomainError(f"finite-difference stencil leaves chart {chart.name!r} "
+                          f"at axis {int(np.argmax(out))}")
 
 
 def _diff_weights(order: int):
@@ -320,10 +345,10 @@ def _metric_jet(m: MetricField, x, want_second: bool):
     are exactly 0.  Two byte-identical relayouts, a packed-triangle jet and
     compact d2g rows, measured no gain.
     """
-    d = m.chart.dim
-    m.check_stencil(x)
-    x = np.asarray(x, dtype=float)
-    h, order = m.steps(), m.fd_order
+    d, order = m.chart.dim, m.fd_order
+    plan = _stencil_plan(m.chart, order, m.fd_rel_step)
+    _check_reach(m.chart, plan, x)
+    x, h = np.asarray(x, dtype=float), plan[0]
     weights, offsets, (ia, ib) = _jet_plan(d, order, want_second)
     # [a, k, ...] = x_a + h_a k, the same sum as at [k, ..., a]
     pts = np.empty((d, len(offsets)) + x.shape[:-1])
@@ -589,20 +614,24 @@ class SliceData:
     sqrt_det: np.ndarray             # batch shape of the points
 
 
-def _collar_points(r, y=()):
+def _collar_radii(r, y=()):
     """Radii r (a number or a 1-D schedule, else DomainError) at points y of the slice chart.
 
-    A schedule's axis goes ahead of y's batch axes.  Returns r shaped to
-    broadcast against the batch, y with a size-1 axis in the schedule's
-    place (not repeated per radius), and the collar points x = (r, y) over
-    the whole batch.
+    The one check of r.  A schedule's axis goes ahead of y's batch axes.
+    Returns r shaped to broadcast against the batch, and y with a size-1
+    axis in the schedule's place (not repeated per radius).
     """
     r = np.asarray(r, dtype=float)
     if r.ndim > 1:
         raise DomainError("collar radii must be a number or a 1-D array")
     y = np.asarray(y, dtype=float)
     r = r.reshape(r.shape + (1,) * (y.ndim - 1))
-    y = y.reshape((1,) * (r.ndim + 1 - y.ndim) + y.shape)
+    return r, y.reshape((1,) * (r.ndim + 1 - y.ndim) + y.shape)
+
+
+def _collar_points(r, y=()):
+    """_collar_radii's r and y, and the collar points x = (r, y) over the whole batch."""
+    r, y = _collar_radii(r, y)
     batch = np.broadcast_shapes(r.shape, y.shape[:-1])
     return r, y, np.concatenate((np.broadcast_to(r[..., None], batch + (1,)),
                                  np.broadcast_to(y, batch + y.shape[-1:])), axis=-1)
@@ -623,7 +652,7 @@ class Slice:
 
     def __init__(self, collar: CollarMetric, r):
         lo, hi = collar.r_interval
-        r = _collar_points(r)[0]
+        r = _collar_radii(r)[0]
         reach = _jet_plan(1, collar.fd_order, False)[1].max() * collar.radial_step(r)
         if not (np.all(lo < r - reach) and np.all(r + reach < hi)):
             raise DomainError("slice radius too close to the collar interval ends")
@@ -631,7 +660,7 @@ class Slice:
         self.r = r
 
     def at(self, y) -> SliceData:
-        r, y, _ = _collar_points(self.r, y)
+        r, y = _collar_radii(self.r, y)
         curv, E = riemann_double_form(self.collar.slice_field(r), y)
         dh = self.collar.radial_rate(r, y)
         ii_on = _transposed(E) @ (-0.5 * dh) @ E
@@ -641,8 +670,14 @@ class Slice:
 
 
 # Even number of steps of the composite Simpson rule in s on the affine
-# metric path: nodes k / PATH_STEPS, weights (1, 4, 2, ..., 2, 4, 1) h / 3
+# metric path: nodes k / PATH_STEPS, weights (1, 4, 2, ..., 2, 4, 1) h / 3,
+# read-only constants that every GaugePath shares
 PATH_STEPS = 16
+S_NODES = np.linspace(0.0, 1.0, PATH_STEPS + 1)
+S_WEIGHTS = np.where(np.arange(PATH_STEPS + 1) % 2, 4.0, 2.0)
+S_WEIGHTS[[0, -1]] = 1.0
+S_WEIGHTS = S_WEIGHTS * (S_NODES[1] - S_NODES[0]) / 3.0
+S_NODES.flags.writeable = S_WEIGHTS.flags.writeable = False
 
 
 @dataclass
@@ -650,7 +685,8 @@ class GaugePath:
     """Gauge of the affine metric path at a point or a block of points.
 
     theta_dot and curvature are at the Simpson nodes s_nodes, whose weights
-    are s_weights, in the g0 orthonormal frame E0 = frame (..., d, d), so
+    are s_weights (metric_path_gauge's read-only S_NODES and S_WEIGHTS), in
+    the g0 orthonormal frame E0 = frame (..., d, d), so
     _sqrt_det(frame) = sqrt(det g0).  Both are double forms of batch shape
     (S, ...), one entry per node: theta_dot = d/ds theta^s is the (1,2) form
     with <e_i, theta_dot(e_a) e_j> at (a; i<j), and curvature the (2,2) form
@@ -748,10 +784,6 @@ def metric_path_gauge(g0: MetricField, g1: MetricField, x) -> GaugePath:
     if g0.chart != g1.chart or (g0.fd_rel_step, g0.fd_order) != (g1.fd_rel_step, g1.fd_order):
         raise MetricError("path endpoints must live on the same chart and stencil")
     d = g0.chart.dim
-    s_nodes = np.linspace(0.0, 1.0, PATH_STEPS + 1)
-    s_weights = np.where(np.arange(PATH_STEPS + 1) % 2, 4.0, 2.0)
-    s_weights[[0, -1]] = 1.0
-    s_weights = s_weights * (s_nodes[1] - s_nodes[0]) / 3.0
     curved = d > 2
 
     g0c, dg0, d2g0 = _metric_jet(g0, x, want_second=curved)
@@ -772,11 +804,11 @@ def metric_path_gauge(g0: MetricField, g1: MetricField, x) -> GaugePath:
                   for k, l in ((i, j), (j, i)))
     half_skew = 0.5 * (H_ij[1] - H_ji[1])
 
-    S = s_nodes.size
-    D, q, p = _path_scalings(lam, s_nodes)                # [s, ..., d]
+    S = S_NODES.size
+    D, q, p = _path_scalings(lam, S_NODES)                # [s, ..., d]
     if not curved:
         del D                                # only the curvature reads it
-    s_col = s_nodes.reshape((S,) + (1,) * (len(pts) + 1))
+    s_col = S_NODES.reshape((S,) + (1,) * (len(pts) + 1))
     # theta_dot in the basis A0 on a buffer [a, s, ..., i<j], so each pass covers
     # every direction, node and point at once
     eig, tmp = (np.empty((d, S) + pts + (i.size,)) for _ in range(2))
@@ -805,12 +837,12 @@ def metric_path_gauge(g0: MetricField, g1: MetricField, x) -> GaugePath:
         step = max(1, block_size(d) // math.prod(pts))
         for lo in range(0, S, step):
             n = slice(lo, lo + step)
-            s = s_nodes[n].reshape((-1,) + (1,) * dg0.ndim)
+            s = S_NODES[n].reshape((-1,) + (1,) * dg0.ndim)
             F = _curvature_pairs((A0 / D[n, ..., None, :]) @ A0t, (1.0 - s) * dg0 + s * dg1,
                                  (1.0 - s[..., None]) * d2g0 + s[..., None] * d2g1)
             curv[n] = M0t @ F @ _pair_minors((A0 * q[n, ..., None, :]) @ Q0t)
         curvature = DoubleForm(d, 2, 2, curv)
-    return GaugePath(s_nodes, s_weights, DoubleForm(d, 1, 2, theta_dot), curvature, E0)
+    return GaugePath(S_NODES, S_WEIGHTS, DoubleForm(d, 1, 2, theta_dot), curvature, E0)
 
 
 def phi_conjugated_connection(c: CollarMetric, r, y) -> np.ndarray:

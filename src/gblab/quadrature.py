@@ -14,10 +14,17 @@ weights the product of the axes' weights taken in axis order.  The
 weighted values of each density over the mesh nodes are summed by a fixed
 pairwise binary tree over that ordering (pairwise_sum, along the last
 axis, so a stack of K densities is one sum), so a result depends only on
-its inputs.  A mesh is
-built at a refinement level of LEVELS, whose range check_level alone
-states; which of them a chart integral may take (its node budget and its
-stencil's reach of the chart's edge) is decided in verify.chart_integral.
+its inputs.  A pass reads its nodes (orbit samples included), weights and
+sample indices from the plan of its (chart, mesh) (_mesh_plan), built on
+the key's first pass and handed out as read-only arrays, so a density that
+writes into its block raises; the plan depends on no metric.  The plans
+are cached on at most PLANS keys, the least recently used dropped first,
+so a large mesh is let go once PLANS other meshes have been planned after
+it; mesh_for_chart caches the MeshSpec of each (chart, level) alike.  A
+mesh is built at a refinement level of LEVELS, whose range check_level
+alone states; which of them a chart integral may take (its node budget
+and its stencil's reach of the chart's edge) is decided in
+verify.chart_integral.
 A block holds block_size(d) = max(2 * BLOCK, BLOCK * (4 // d) ** 2) nodes
 on a chart of dimension d (1,024 on a circle, 256 on a surface, 2 * BLOCK =
 128 from d = 3 up), not an option: the per-node curvature arrays grow like
@@ -60,6 +67,10 @@ LEVELS = range(1, 8)   # the refinement levels a mesh is built at
 # allows each density a change of ORBIT_RTOL of its largest sampled value
 ORBIT_SHIFT = (math.sqrt(5.0) - 1.0) / 2.0
 ORBIT_RTOL = 1e-10
+# the most keys a plan cache holds (_mesh_plan, geometry's stencil plan and
+# verify's admission scan): a cold default suite plans 19 meshes, and one
+# mesh of sphere n=4 at level 5 (2,097,152 nodes) alone holds about 80 MiB
+PLANS = 32
 
 
 class ResolutionError(ValueError):
@@ -87,7 +98,9 @@ def pairwise_sum(values: np.ndarray):
 
 @lru_cache(maxsize=None)
 def _gauss_nodes(npts: int):
+    """The read-only Gauss-Legendre nodes and weights of npts points on (-1, 1)."""
     x, w = np.polynomial.legendre.leggauss(npts)
+    x.flags.writeable = w.flags.writeable = False
     return x, w
 
 
@@ -156,8 +169,13 @@ def check_level(level: int, what: str = "refinement level") -> None:
         raise ResolutionError(f"{what} must be in {LEVELS.start}..{LEVELS.stop - 1}")
 
 
+@lru_cache(maxsize=PLANS * len(LEVELS))
 def mesh_for_chart(chart, level: int) -> MeshSpec:
-    """Build the MeshSpec for a chart at a refinement level (one of LEVELS)."""
+    """The MeshSpec for a chart at a refinement level (one of LEVELS), built once per key.
+
+    The cache holds every level of PLANS charts: verify's admission scan of
+    a chart reads its mesh at each level up to its largest admissible one.
+    """
     check_level(level)
     rules = default_axis_rules(chart)
     return MeshSpec(
@@ -213,6 +231,26 @@ def _call_node(fn, pt):
         raise type(exc)(f"{exc} (at node {tuple(float(v) for v in pt)})") from exc
 
 
+@lru_cache(maxsize=PLANS)
+def _mesh_plan(chart, mesh: MeshSpec):
+    """A chart pass's read-only arrays, built once per (chart, mesh).
+
+    Returns the nodes (N + k s, d): the mesh's N nodes of _mesh_points,
+    then for each of the k orbit axes the sample idx of s = min(N, BLOCK)
+    evenly spaced mesh nodes moved along it; the mesh's weights (N,); idx;
+    and the orbit axes.
+    """
+    pts, w = _mesh_points(chart, mesh)
+    n, d = pts.shape
+    idx = np.linspace(0, n - 1, min(n, BLOCK)).astype(int)
+    orbit = tuple(a for a, rule in enumerate(mesh.rules) if rule == "orbit")
+    pts = np.concatenate([pts] + [pts[idx] + ORBIT_SHIFT * np.diff(chart.bounds[a])
+                                  * (np.arange(d) == a) for a in orbit])
+    for arr in (pts, w, idx):
+        arr.flags.writeable = False
+    return pts, w, idx, orbit
+
+
 def integrate_chart(fn, chart, mesh: MeshSpec):
     """Integrate a scalar density (volume factor included) over a chart box.
 
@@ -224,16 +262,14 @@ def integrate_chart(fn, chart, mesh: MeshSpec):
     Each orbit axis appends to the node array an evenly spaced sample of
     min(n, BLOCK) mesh nodes moved along the axis, evaluated in the same
     block pass; its values must match the sample's own.  Only the mesh
-    nodes are summed.
+    nodes are summed.  The nodes, weights and sample come from the plan of
+    (chart, mesh), built on its first pass and kept, up to PLANS keys in
+    least-recently-used order (_mesh_plan); its arrays are read-only, so a
+    density that writes into its block raises.
     """
-    pts, w = _mesh_points(chart, mesh)
-    n, d = pts.shape
-    idx = np.linspace(0, n - 1, min(n, BLOCK)).astype(int)
-    orbit = [a for a, rule in enumerate(mesh.rules) if rule == "orbit"]
-    # after the mesh nodes, each orbit axis appends the sample idx moved along it
-    pts = np.concatenate([pts] + [pts[idx] + ORBIT_SHIFT * np.diff(chart.bounds[a])
-                                  * (np.arange(d) == a) for a in orbit])
-    size = block_size(d)
+    pts, w, idx, orbit = _mesh_plan(chart, mesh)
+    n = w.size
+    size = block_size(pts.shape[1])
     vals = None
     for lo in range(0, pts.shape[0], size):
         block = pts[lo : lo + size]

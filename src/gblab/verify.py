@@ -28,9 +28,11 @@ from .geometry import (
     MetricField,
     Slice,
     _along_axes,
+    _check_reach,
     _collar_points,
     _jet_plan,
     _sqrt_det,
+    _stencil_plan,
     _transposed,
     christoffel,
     metric_path_gauge,
@@ -131,12 +133,13 @@ def chart_integral(field: MetricField, density, level: int) -> float:
 
     field is the metric whose finite-difference stencil the density takes.
     The one admission rule of a level, decided before any node is built: a
-    level past _admissible_top(field) raises ConfigurationError, naming the
-    budget when its mesh has more than MESH_NODE_BUDGET nodes and the
-    stencil's reach of a non-periodic edge otherwise.
+    level past the _admissible_top of field's chart and stencil raises
+    ConfigurationError, naming the budget when its mesh has more than
+    MESH_NODE_BUDGET nodes and the stencil's reach of a non-periodic edge
+    otherwise.  Both lookups, the mesh and the top level, are cached.
     """
     mesh = quad.mesh_for_chart(field.chart, level)
-    top = _admissible_top(replace(field, evaluator=None))
+    top = _admissible_top(field.chart, field.fd_order, field.fd_rel_step)
     if level > top:
         if mesh.total_nodes > MESH_NODE_BUDGET:
             raise ConfigurationError(
@@ -149,21 +152,21 @@ def chart_integral(field: MetricField, density, level: int) -> float:
     return quad.integrate_chart(density, field.chart, mesh)
 
 
-@lru_cache(maxsize=None)
-def _admissible_top(stencil: MetricField) -> int:
-    """The largest of quad.LEVELS (0 if none) whose mesh on stencil's chart has at
-    most MESH_NODE_BUDGET nodes, none within its finite-difference reach of a
-    non-periodic edge.
+@lru_cache(maxsize=quad.PLANS)
+def _admissible_top(chart, fd_order: int, fd_rel_step: float) -> int:
+    """The largest of quad.LEVELS (0 if none) whose mesh on chart has at most
+    MESH_NODE_BUDGET nodes, none within the finite-difference reach of a
+    non-periodic edge of a field of that stencil (order and relative step).
 
     Both grow with the level (the outermost Gauss nodes near the edges), so
-    every level up to this one is admitted.  Cached per chart and stencil:
-    chart_integral drops the evaluator from the key.
+    every level up to this one is admitted.  Cached per chart and stencil.
     """
+    stencil = _stencil_plan(chart, fd_order, fd_rel_step)
     for level in quad.LEVELS:
-        if quad.mesh_for_chart(stencil.chart, level).total_nodes > MESH_NODE_BUDGET:
+        if quad.mesh_for_chart(chart, level).total_nodes > MESH_NODE_BUDGET:
             return level - 1
         try:
-            stencil.check_stencil(quad.mesh_corners(stencil.chart, level))
+            _check_reach(chart, stencil, quad.mesh_corners(chart, level))
         except DomainError:
             return level - 1
     return quad.LEVELS[-1]

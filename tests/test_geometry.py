@@ -22,6 +22,7 @@ from gblab.geometry import (
     _central_diff,
     _christoffel_first,
     _collar_points,
+    _collar_radii,
     _curvature_pairs,
     _diff_weights,
     _frame_of,
@@ -1062,6 +1063,19 @@ def test_gauge_carries_its_composite_simpson_rule():
     assert gauge.s_weights.tolist() == want
     # exact on cubics, up to the rounding of the sum
     assert np.sum(gauge.s_weights * s**3) == pytest.approx(0.25, rel=1e-15)
+    # one read-only rule, shared by every gauge
+    assert s is geometry.S_NODES and gauge.s_weights is geometry.S_WEIGHTS
+    assert not (s.flags.writeable or gauge.s_weights.flags.writeable)
+
+
+def test_a_slice_takes_the_collar_radii_without_the_points():
+    y = np.array([[0.3, 1.0, 2.0], [0.5, 2.0, 4.0]])
+    for r in (0.4, np.array(quadrature.geometric_schedule(0.5))):
+        got, want = _collar_radii(r, y), _collar_points(r, y)[:2]
+        for a, b in zip(got, want, strict=True):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    with pytest.raises(DomainError, match="number or a 1-D array"):
+        _collar_radii(np.ones((2, 2)), y)
 
 
 # three points of a 4-box; a 2-box takes their first two coordinates

@@ -1,17 +1,21 @@
 """Package surface: every exported name exists, and who may use the stencil weights."""
 
 import ast
+import dataclasses
 import importlib
 import os
 import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 import pytest
 
 import gblab
+from gblab import catalog
+from gblab import quadrature as quad
 
 MODULES = ["gblab"] + [f"gblab.{m.name}" for m in pkgutil.iter_modules(gblab.__path__)]
 
@@ -270,3 +274,62 @@ def test_a_warm_check_faults_in_no_heap_pages():
     out = subprocess.run([sys.executable, "-c", _WARM_FAULTS], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert int(out) < 5 * 50
+
+
+def _cached_functions() -> dict:
+    """module.name of every lru_cache function defined at module level in the package."""
+    found = {}
+    for name in MODULES:
+        mod = importlib.import_module(name)
+        for attr, fn in vars(mod).items():
+            if hasattr(fn, "cache_info") and getattr(fn, "__module__", None) == name:
+                found[f"{name.removeprefix('gblab.')}.{attr}"] = fn
+    return found
+
+
+def _sample_keys() -> dict:
+    """A few argument tuples for each cached function."""
+    sphere = catalog.get("sphere", n=2).fields[0]
+    link = catalog.get("geometric_cone", link="s3").link            # two orbit axes
+    keys = [(f.chart, f.fd_order, f.fd_rel_step) for f in (sphere, link)]
+    meshes = [(f.chart, quad.mesh_for_chart(f.chart, 2)) for f in (sphere, link)]
+    return {
+        "doubleform.multi_indices": [(4, 2), (3, 0)],
+        "doubleform._rank_table": [(4, 2)],
+        "doubleform._slot_table": [(4, 1, 2), (3, 0, 1)],
+        "doubleform._wedge_table": [(4, 1, 1, 1, 1), (3, 0, 1, 2, 0)],
+        "geometry._triangles": [(3,)],
+        "geometry._jet_plan": [(3, 2, True), (2, 4, False)],
+        "geometry._pair_plan": [(4,)],
+        "geometry._stencil_plan": keys,
+        "quadrature._gauss_nodes": [(8,), (4,)],
+        "quadrature.mesh_for_chart": [(f.chart, 3) for f in (sphere, link)],
+        "quadrature._mesh_plan": meshes,
+        "verify._admissible_top": keys,
+    }
+
+
+def _changeable(value, path="result") -> list:
+    """Paths of the writable arrays, lists, dicts and sets held in value."""
+    if isinstance(value, np.ndarray):
+        return [path] if value.flags.writeable else []
+    if isinstance(value, (list, dict, set, bytearray)):
+        return [path]
+    if isinstance(value, MappingProxyType):
+        return [p for k, v in value.items() for p in _changeable(v, f"{path}[{k!r}]")]
+    if isinstance(value, tuple):
+        return [p for k, v in enumerate(value) for p in _changeable(v, f"{path}[{k}]")]
+    if dataclasses.is_dataclass(value):
+        return [p for f in dataclasses.fields(value)
+                for p in _changeable(getattr(value, f.name), f"{path}.{f.name}")]
+    return []
+
+
+def test_every_cached_function_returns_data_no_caller_can_change():
+    # a cached result is handed to every caller of its key, so one caller's write
+    # would reach all the others; a new cached function must join the table
+    cached, keys = _cached_functions(), _sample_keys()
+    assert sorted(cached) == sorted(keys)
+    found = [f"{name} key {k}: {path}" for name, fn in sorted(cached.items())
+             for k, args in enumerate(keys[name]) for path in _changeable(fn(*args))]
+    assert found == []

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gblab import catalog, verify
+from gblab import catalog, geometry, verify
 from gblab import quadrature as quad
 from gblab.geometry import Chart, Slice, riemann_double_form
 from gblab.invariants import boundary_correction_form
@@ -406,3 +406,49 @@ def test_mesh_points_are_the_meshgrid_route_bit_for_bit(level):
         want_pts, want_w = _meshgrid_points(chart, mesh)
         assert pts.shape == want_pts.shape == (mesh.total_nodes, chart.dim)
         assert pts.tobytes() == want_pts.tobytes() and w.tobytes() == want_w.tobytes()
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_the_mesh_plan_is_the_unplanned_route_bit_for_bit(level):
+    # the plan's nodes, orbit rows, weights and sample are the arrays each pass
+    # built before plans: _mesh_points, then np.linspace and np.concatenate
+    charts = _suite_charts()
+    assert sum("orbit" in mesh_for_chart(chart, level).rules for chart in charts) > 3
+    for chart in charts:
+        mesh = mesh_for_chart(chart, level)
+        pts, w, idx, orbit = quad._mesh_plan(chart, mesh)
+        want_pts, want_w = quad._mesh_points(chart, mesh)
+        n, d = want_pts.shape
+        want_idx = np.linspace(0, n - 1, min(n, quad.BLOCK)).astype(int)
+        want_orbit = [a for a, rule in enumerate(mesh.rules) if rule == "orbit"]
+        want_pts = np.concatenate([want_pts] + [
+            want_pts[want_idx] + ORBIT_SHIFT * np.diff(chart.bounds[a]) * (np.arange(d) == a)
+            for a in want_orbit])
+        assert list(orbit) == want_orbit
+        for got, want in ((pts, want_pts), (w, want_w), (idx, want_idx)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes() and not got.flags.writeable
+
+
+def test_a_density_that_writes_into_its_block_raises():
+    # every pass of a mesh reads the same planned nodes
+    def writes(x):
+        x[:, 0] += 1.0
+        return np.ones(len(x))
+
+    mesh = mesh_for_chart(CIRCLE, 1)
+    with pytest.raises(ValueError, match="read-only"):
+        integrate_chart(writes, CIRCLE, mesh)
+    planned, built = quad._mesh_plan(CIRCLE, mesh)[0], quad._mesh_points(CIRCLE, mesh)[0]
+    assert planned.tobytes() == built.tobytes()
+
+
+def test_planning_more_than_plans_keys_keeps_each_cache_at_its_bound():
+    # a chart per key: each plan cache drops its least recently used key
+    for k in range(quad.PLANS + 5):
+        chart = Chart(f"segment-{k}", ((0.0, 1.0 + k),), (False,))
+        geometry._stencil_plan(chart, 2, 1e-4)
+        quad._mesh_plan(chart, mesh_for_chart(chart, 1))
+    for cache in (quad._mesh_plan, geometry._stencil_plan):
+        assert cache.cache_info().currsize == cache.cache_info().maxsize == quad.PLANS
+    assert mesh_for_chart.cache_info().maxsize == quad.PLANS * len(quad.LEVELS)

@@ -55,6 +55,55 @@ def test_bench_records_every_run_of_a_stub_command(tmp_path, monkeypatch, capsys
     assert len(capsys.readouterr().out.splitlines()) == 2 * len(names)
 
 
+_PAIRS_STUB = """
+import json, os, sys
+from pathlib import Path
+log = Path(__file__).with_name("log.txt")
+with log.open("a", encoding="utf-8") as f:
+    f.write(os.path.basename(os.getcwd()) + " " + " ".join(sys.argv[1:]) + "\\n")
+run = len(log.read_text(encoding="utf-8").splitlines())
+change = os.path.basename(os.getcwd()) == "change"
+values = {"setup_s": 0.1 + 0.01 * change, "wall_ref_s": 2.0 - change + 0.001 * run,
+          "cpu_ref_s": 1.0, "peak_rss_mb": 40.0 + run, "accuracy_digits": 5.0}
+print("# noise")
+print(json.dumps({"correct": True, "failed": 0,
+                  "metrics": {k: {"value": v, "unit": "u"} for k, v in values.items()}}))
+"""
+
+
+def test_pairs_alternate_the_sides_and_state_the_rule_on_a_stub_command(tmp_path, monkeypatch,
+                                                                        capsys):
+    script = _load("pairs")
+    stub = tmp_path / "stub.py"
+    stub.write_text(_PAIRS_STUB, encoding="utf-8")
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    monkeypatch.setattr(script, "COMMAND", [sys.executable, str(stub)])
+    assert script.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                        "--workload", "interior", "--pairs", "4", "--seed", "3"]) == 0
+    runs = (tmp_path / "log.txt").read_text(encoding="utf-8").splitlines()
+    args = "--workload interior --seed 3 --seconds 10 --trace 0"
+    assert runs == [f"{side} {args}" for side in ("parent", "change", "change", "parent") * 2]
+    out = capsys.readouterr().out
+    # every BENCHMARK.json metric gets a verdict; only the stub's faster wall time wins
+    assert out.count("the rule holds") == 1 and out.count("the rule does not hold") == 4
+    assert "the change won 4 of 4 pairs" in out.split("wall_ref_s (s")[1].split("\n", 4)[3]
+    # the second run of each pair reads the higher peak_rss_mb: each side wins twice
+    assert "the change won 2 of 4 pairs" in out.split("peak_rss_mb (MiB")[1]
+
+
+def test_the_pairs_rule_needs_nine_tenths_of_the_pairs_and_a_gap_over_the_iqr():
+    verdict = _load("pairs").verdict
+    parent = [1.0 + 0.01 * k for k in range(10)]
+    nine = [p - 0.5 for p in parent[:9]] + [parent[9] + 1.0]
+    assert verdict(parent, nine, "lower")["holds"]
+    assert not verdict(parent, nine[:8] + [9.0, 9.0], "lower")["holds"]    # 8 of 10
+    assert not verdict(parent, [p - 0.01 for p in parent], "lower")["holds"]  # gap < IQR
+    higher = verdict(parent, [p + 0.5 for p in parent], "higher")
+    assert higher["wins"] == 10 and higher["holds"]
+    assert verdict(parent, parent, "lower")["wins"] == 0                  # ties count for none
+
+
 def test_code_lines_skip_comments_blank_lines_and_docstrings(tmp_path):
     script = _load("bench")
     pkg = tmp_path / "src" / "gblab"

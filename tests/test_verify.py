@@ -344,6 +344,19 @@ def test_the_largest_clean_level_is_decided_once_per_chart_and_stencil(monkeypat
     assert verify._admissible_top.cache_info().currsize == 3
 
 
+def test_a_cold_suite_reuses_its_mesh_and_stencil_plans():
+    # the plans serve distinct checks within one run: 51 chart passes over 19
+    # meshes, 106 stencil lookups over 25 stencils, and no key is dropped
+    caches = (quad._mesh_plan, verify._stencil_plan, quad.mesh_for_chart,
+              verify._admissible_top)
+    for cache in caches:
+        cache.cache_clear()
+    verify.run_suite()
+    meshes, stencils, *_ = info = [cache.cache_info() for cache in caches]
+    assert (meshes.misses, meshes.hits, stencils.misses, stencils.hits) == (19, 32, 25, 81)
+    assert all(i.currsize == i.misses < i.maxsize for i in info)
+
+
 def test_only_the_four_dimensional_sphere_outgrows_the_node_budget(monkeypatch):
     # the node counts of every chart the default suite integrates, at each level,
     # read off its MeshSpec; no mesh past level 1 is built

@@ -26,9 +26,11 @@ order.  An axis is (lo, hi, n): n is the Gauss node count at level 1, or
 None for an angle, which is periodic and takes the orbit rule.  A factor
 (a sphere, a cone's link, a product's base or fiber) is a MetricField at the
 order-4 reference stencil.  A cone dr^2 + f(r)^2 h is given by its profile
-u(r) = f(r)/r, so its vertical block u(r)^2 h needs no limit at r = 0.
-Block-diagonal metrics (diagonals, products, collars) are one
-geometry._block_diag.
+u(r) = f(r)/r.  Every collar but the catenoid's is one _warped, the one
+collar builder, over blocks (field, u, conic): (r u(r))^2 g when conic,
+else u(r)^2 g.  A fibration's vertical block is its fiber block's
+u_F(r)^2 g_F, so a cone's needs no limit at r = 0.  Block-diagonal metrics
+(diagonals, products, collars) are one geometry._block_diag.
 
 Quotient geometries are weighted covers: integrals run over the cover and
 are multiplied by 1/|G|, valid because every integrand in this laboratory
@@ -196,6 +198,45 @@ def _factor(name: str, tag: str, rho: float = 1.0):
     return MetricField(chart_fn(tag), metric_fn(rho), fd_order=4), chi
 
 
+def _one(r) -> float:
+    """The profile u = 1."""
+    return 1.0
+
+
+def _warped(chart: Chart, r_interval: tuple, singular_end: str, blocks: list,
+            chi_fiber: Optional[int] = None) -> CollarMetric:
+    """The collar dr^2 + g(r) over chart, g(r) block-diagonal in blocks (field, u, conic).
+
+    A block is (r u(r))^2 g when conic, else u(r)^2 g, with g the field's
+    metric on its own axes of chart, in order; r u(r) is squared as an
+    array, as the disk squared r, so a radius rounds alike as a number and
+    in a schedule.  With chi_fiber the first block is the fiber of a
+    fibration: its vertical block is u(r)^2 g at every r (a cone's vertex
+    r = 0 included, with no division and no limit taken), its fiber field
+    that block at r = 0, and a second block is the base.
+    """
+    ends = np.cumsum([0] + [mf.chart.dim for mf, _, _ in blocks])
+    cuts = [(mf.evaluator, slice(lo, hi)) for (mf, _, _), lo, hi in zip(blocks, ends, ends[1:])]
+    (fiber, u_f, _), *rest = blocks
+
+    def radial(r):
+        s = [_scalar_factor(r * u(r)) ** 2 if conic else _scalar_factor(u(r) ** 2)
+             for _, u, conic in blocks]
+        if len(blocks) == 1:
+            (s0,), ev = s, fiber.evaluator
+            return lambda y: s0 * ev(y)
+        return lambda y: _block_diag(*(si * ev(y[..., cut]) for si, (ev, cut) in zip(s, cuts)))
+
+    def vertical(r, y):
+        return _scalar_factor(u_f(r) ** 2) * fiber.evaluator(y)
+
+    fib = None if chi_fiber is None else FibrationData(
+        base=rest[0][0] if rest else None, chi_fiber=chi_fiber, fiber_metric=vertical,
+        fiber=dataclasses.replace(fiber, evaluator=partial(vertical, 0.0)))
+    return CollarMetric(boundary_chart=chart, r_interval=r_interval, radial_metric=radial,
+                        singular_end=singular_end, fibration=fib)
+
+
 # -- builders ------------------------------------------------------------------
 
 
@@ -229,39 +270,11 @@ def _build_disk(params):
     h, _ = _factor(link, link)
     chart = (_chart("disk2-polar", (0.0, rho, 8), _ANGLE) if dim == 2 else
              _chart("disk4-polar", (0.0, rho, 8), (0.0, 0.5 * math.pi, 8), _ANGLE, _ANGLE))
-    collar = CollarMetric(
-        boundary_chart=h.chart,
-        r_interval=(0.0, 1.25 * rho),
-        radial_metric=lambda r: (lambda y: _scalar_factor(r) ** 2 * h.evaluator(y)),
-        singular_end="upper",
-    )
+    collar = _warped(h.chart, (0.0, 1.25 * rho), "upper", [(h, _one, True)])
     mf = MetricField(chart, collar.full_metric().evaluator)
     return GeometrySpec(
         name="disk", params={"dim": dim, "rho": rho},
         fields=(mf,), collar=collar, chi_ref=1, family="boundary",
-    )
-
-
-def _cone_collar(link: MetricField, chi: int, u: Callable) -> CollarMetric:
-    """The collar dr^2 + (r u(r))^2 h over the chart of the link h.
-
-    u(r) = f(r)/r is the cone's profile f divided by r, so the fibration's
-    vertical block (f(r)/r)^2 h is u(r)^2 h at every r, the vertex r = 0
-    included, with no division and no limit taken.
-    """
-
-    def radial(r):
-        s = _scalar_factor((r * u(r)) ** 2)
-        return lambda y: s * link.evaluator(y)
-
-    def fiber_metric(r, y):
-        return _scalar_factor(u(r) ** 2) * link.evaluator(y)
-
-    fib = FibrationData(fiber=dataclasses.replace(link, evaluator=partial(fiber_metric, 0.0)),
-                        fiber_metric=fiber_metric, chi_fiber=chi)
-    return CollarMetric(
-        boundary_chart=link.chart, r_interval=(0.0, 1.25), radial_metric=radial,
-        singular_end="lower", fibration=fib,
     )
 
 
@@ -287,7 +300,7 @@ def _build_cone(params):
             raise RegistryError(f"first-order cone needs 1 + 1.25 a > 0, got a={a!r}")
         u = lambda r: 1.0 + a * r
     h, chi = _factor(link, link)
-    collar = _cone_collar(h, chi, u)
+    collar = _warped(h.chart, (0.0, 1.25), "lower", [(h, u, True)], chi)
     chart = _chart_product(f"cone-{link}", _UNIT_AXIS, h.chart)
     mf = MetricField(chart, collar.full_metric().evaluator)
     return GeometrySpec(
@@ -335,9 +348,10 @@ def _build_catenoid(params):
 
     mf = MetricField(_chart("catenoid-conformal", (-cutoff, cutoff, 16), _ANGLE), ev, fd_order=4)
     circle, _ = _factor("s1", "s1")
-    r_hi = math.sinh(cutoff)
+    # the collar is the end past the interior, whatever its cutoff: its r -> infinity
+    # slices sample r up to 80
     collar = CollarMetric(
-        boundary_chart=circle.chart, r_interval=(1.0, 4.0 * r_hi),
+        boundary_chart=circle.chart, r_interval=(1.0, 4.0 * math.sinh(CATENOID_CUTOFF)),
         radial_metric=lambda r: (lambda y: _scalar_factor(1.0 + r**2)),
         singular_end="infinity",
         fibration=FibrationData(base=circle, chi_fiber=1),
@@ -350,27 +364,16 @@ def _build_catenoid(params):
     )
 
 
-def _product_spec(name: str, family: str, params, fiber_scale: Callable, base_scale: Callable,
+def _product_spec(name: str, family: str, params, fiber_block: tuple, base_block: tuple,
                   r_interval: tuple, singular_end: str, **extra_params) -> GeometrySpec:
-    """A spec with no fields over the collar N = F x B of params' base and
-    fiber, fiber coordinates first, with metric g(r) = fiber_scale(r) g_F +
-    base_scale(r) g_B."""
+    """A spec with no fields over the collar N = F x B of params' fiber and
+    base, fiber axes first: the _warped blocks (g_F, *fiber_block) and
+    (g_B, *base_block), each block's rest a profile and a conic flag."""
     base = str(params.get("base", "s2"))
     fiber = str(params.get("fiber", "s1"))
     (b, chi_base), (f, chi_fiber) = _factor(base, f"base-{base}"), _factor(fiber, f"fiber-{fiber}")
-    fdim = f.chart.dim
-
-    def radial(r):
-        sf, sb = _scalar_factor(fiber_scale(r)), _scalar_factor(base_scale(r))
-        return lambda y: _block_diag(sf * f.evaluator(y[..., :fdim]),
-                                     sb * b.evaluator(y[..., fdim:]))
-
-    collar = CollarMetric(
-        boundary_chart=_chart_product(f"N-{fiber}x{base}", f.chart, b.chart),
-        r_interval=r_interval, radial_metric=radial, singular_end=singular_end,
-        fibration=FibrationData(base=b, fiber=f, fiber_metric=lambda r, y: f.evaluator(y),
-                                chi_fiber=chi_fiber),
-    )
+    collar = _warped(_chart_product(f"N-{fiber}x{base}", f.chart, b.chart), r_interval,
+                     singular_end, [(f, *fiber_block), (b, *base_block)], chi_fiber)
     return GeometrySpec(
         name=name, params={"base": base, "fiber": fiber, **extra_params}, fields=(), collar=collar,
         chi_pieces={"base": chi_base, "fiber": chi_fiber}, family=family,
@@ -378,7 +381,7 @@ def _product_spec(name: str, family: str, params, fiber_scale: Callable, base_sc
 
 
 def _build_edge_product(params):
-    spec = _product_spec("edge_product", "edge", params, lambda r: r**2, lambda r: 1.0,
+    spec = _product_spec("edge_product", "edge", params, (_one, True), (_one, False),
                          (0.0, 1.0), "lower")
     base, fiber = spec.params["base"], spec.params["fiber"]
     chart = _chart_product(f"edge-{fiber}x{base}", _UNIT_AXIS, spec.collar.boundary_chart)
@@ -393,12 +396,12 @@ def _build_edge_horizontal(params):
     # the base block (1 + beta r)^2 g_B must not vanish on the collar (0, 1)
     if not 1.0 + beta > 0:
         raise RegistryError(f"edge_horizontal needs 1 + beta > 0, got beta={beta!r}")
-    return _product_spec("edge_horizontal", "edge", params, lambda r: r**2,
-                         lambda r: (1.0 + beta * r) ** 2, (0.0, 1.0), "lower", beta=beta)
+    return _product_spec("edge_horizontal", "edge", params, (_one, True),
+                         (lambda r: 1.0 + beta * r, False), (0.0, 1.0), "lower", beta=beta)
 
 
 def _build_fibered_product(params):
-    return _product_spec("fibered_product", "fibered", params, lambda r: 1.0, lambda r: r**2,
+    return _product_spec("fibered_product", "fibered", params, (_one, False), (_one, True),
                          (2.0, 800.0), "infinity")
 
 

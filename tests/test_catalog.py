@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gblab import catalog, verify
-from gblab.geometry import Chart
+from gblab.geometry import Chart, _collar_radii
 from gblab.quadrature import AxisRule, integrate_chart, mesh_for_chart
 
 
@@ -291,6 +291,74 @@ def test_cone_vertical_block_at_the_vertex_is_the_profile_u_squared_times_h(para
     assert np.array_equal(fib.fiber_metric(0.0, y), u0**2 * h)
     assert np.array_equal(fib.fiber_metric(np.zeros(len(y)), y), u0**2 * h)
     assert np.array_equal(fib.fiber.evaluator(y), u0**2 * h)
+
+
+# every collar built from factors, with the profiles the catalog spelled out
+# when the disk, the cone and the product ends built their own collars:
+# (geometry, params, fiber or link, its form, base and s_B or None); the form
+# is the disk's s(r) in s(r)^2 h, the cone's profile u in (r u(r))^2 h and
+# u(r)^2 h, or the product's s_F in s_F(r) g_F + s_B(r) g_B
+_HAND_BUILT = [
+    ("disk", {"dim": 2}, "s1", ("disk", lambda r: r), None),
+    ("disk", {"dim": 4}, "s3", ("disk", lambda r: r), None),
+    *(("cone", {"link": link, **params}, link, ("cone", u), None) for link in ("s1", "s3", "t3")
+      for params, u in (({"profile": "linear", "theta": 0.7}, lambda r: np.full(np.shape(r), 0.7)),
+                        ({"profile": "second_order"}, lambda r: np.sqrt(1.0 + r**2)),
+                        ({"profile": "first_order", "a": 0.3}, lambda r: 1.0 + 0.3 * r))),
+    ("edge_product", {}, "s1", ("product", lambda r: r**2), ("s2", lambda r: 1.0)),
+    ("edge_horizontal", {"beta": 0.3}, "s1", ("product", lambda r: r**2),
+     ("s2", lambda r: (1.0 + 0.3 * r) ** 2)),
+    ("fibered_product", {}, "s1", ("product", lambda r: 1.0), ("s2", lambda r: r**2)),
+]
+
+
+@pytest.mark.parametrize("name,params,fiber,form,base", _HAND_BUILT)
+def test_collars_keep_the_bits_of_their_hand_built_forms(name, params, fiber, form, base):
+    # the radial metric at a number and on a schedule, the full metric, the
+    # vertical block and the fibration's fields, each against its hand-built form
+    # (a conic block now squares r u(r) as an array; the cone and product forms
+    # squared a number r with **, which rounds unlike x * x for about 1 radius
+    # in 1,000, none of these)
+    spec = catalog.get(name, **params)
+    collar, fib = spec.collar, spec.collar.fibration
+    sf, (kind, s) = catalog._scalar_factor, form
+    fiber_field = catalog._factor(fiber, "f")[0]
+    g_f, f = fiber_field.evaluator, fiber_field.chart.dim
+    g_b = base and catalog._factor(base[0], "b")[0].evaluator
+
+    def radial(r, y):
+        if kind == "disk":
+            return sf(s(r)) ** 2 * g_f(y)
+        if kind == "cone":
+            return sf((r * s(r)) ** 2) * g_f(y)
+        return catalog._block_diag(sf(s(r)) * g_f(y[..., :f]), sf(base[1](r)) * g_b(y[..., f:]))
+
+    def vertical(r, y):
+        return sf(s(r) ** 2) * g_f(y) if kind == "cone" else g_f(y)
+
+    def same(got, want):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    lo, hi = collar.r_interval
+    rs = lo + (hi - lo) * np.array([0.13, 0.41, 0.77])
+    y = collar.boundary_chart.random_interior(np.random.default_rng(9), 5)
+    r_axis, y_axis = _collar_radii(rs, y)
+    same(collar.radial_metric(float(rs[1]))(y), radial(float(rs[1]), y))
+    same(collar.radial_metric(r_axis)(y_axis), radial(r_axis, y_axis))
+    x = np.concatenate((rs[[0, 1, 2, 1, 0]][:, None], y), axis=-1)
+    same(collar.full_metric().evaluator(x),
+         catalog._block_diag(np.ones((5, 1, 1)), radial(x[:, 0], y)))
+    if kind == "disk":
+        assert fib is None
+        return
+    yf = y[:, :f]
+    same(fib.fiber_metric(float(rs[1]), yf), vertical(float(rs[1]), yf))
+    same(fib.fiber_metric(rs[[0, 1, 2, 1, 0]], yf), vertical(rs[[0, 1, 2, 1, 0]], yf))
+    same(fib.fiber.evaluator(yf), vertical(0.0, yf))
+    if base:
+        same(fib.base.evaluator(y[:, f:]), g_b(y[:, f:]))
+    else:
+        assert fib.base is None
 
 
 def _stokes_endpoint(monkeypatch):

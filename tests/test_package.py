@@ -173,6 +173,17 @@ def test_catalog_builds_charts_only_from_axes_and_products():
     assert _owners(_module_tree("catalog"), builds_chart) == {"_chart", "_chart_product"}
 
 
+@pytest.mark.parametrize("cls", ["CollarMetric", "FibrationData"])
+def test_catalog_builds_collars_only_in_the_warped_product_builder(cls):
+    # how a block scales with r and what a fibration reads are stated once, in
+    # _warped; the catenoid's block 1 + r^2 is not the square of a profile
+    def builds(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == cls)
+
+    assert _owners(_module_tree("catalog"), builds) == {"_warped", "_build_catenoid"}
+
+
 def _raises(*phrases):
     """A predicate: the node raises a message holding one of phrases."""
     def hit(node):

@@ -272,6 +272,18 @@ def test_fibered_gb_on_a_chartless_odd_base_compares_the_two_routes():
     assert not any("check failed" in n for n in coarse.notes)
 
 
+@pytest.mark.parametrize("cutoff,residual", [(0.1, 1.80), (2.0, 3.73e-2)])
+def test_a_short_catenoid_fails_on_its_truncation_not_on_its_collar(cutoff, residual):
+    # the collar is the end past the interior whatever its cutoff, so the r -> infinity
+    # slices (r up to 80) fit in it, and a short interior misses the identity by what
+    # it leaves out
+    spec = catalog.get("catenoid", cutoff=cutoff)
+    assert spec.collar.r_interval == catalog.get("catenoid").collar.r_interval
+    r = verify.run_check("FiberedGB", "catenoid", {"cutoff": cutoff})
+    assert not r.passed and r.notes == []
+    assert r.residual_rel == pytest.approx(residual, rel=0.01)
+
+
 @pytest.mark.parametrize("check_id,geometry,params,message", [
     ("ClosedGB", "edge_horizontal", {}, "ClosedGB needs a reference Euler characteristic"),
     ("ClosedGB", "sphere", {"n": 3}, "ClosedGB needs an even-dimensional geometry"),

@@ -15,8 +15,10 @@ core it runs, on which the report's bits depend), and for each checkout its
 git SHA (and whether tracked files differ from it), the output of `wc -l
 src/gblab/*.py`, the code lines of each module and in total (lines that
 hold a token other than a comment or a docstring, so blank lines and
-docstrings do not move the count) and the final JSON line of every run.
-Standard library only.
+docstrings do not move the count), `import_rss_mb` (the peak resident MiB,
+ru_maxrss, of a fresh interpreter once it has imported gblab from the
+checkout's src/: the floor under every workload's `peak_rss_mb`) and the
+final JSON line of every run.  Standard library only.
 """
 
 from __future__ import annotations
@@ -37,6 +39,9 @@ COMMAND = [sys.executable, "perfbench/run.py"]
 WORKLOADS = tuple(w["name"] for w in json.loads(
     (ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"])
 SEED = 0
+# prints the peak resident MiB of its interpreter after importing gblab from ./src
+IMPORT_COMMAND = [sys.executable, "-c", "import resource, sys; sys.path.insert(0, 'src'); "
+                  "import gblab; print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)"]
 # tokens that make no line a code line; a docstring's STRING token is skipped by position
 NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
             tokenize.ENDMARKER}
@@ -104,11 +109,16 @@ def _code_lines(path: Path) -> dict:
     return counts
 
 
+def _import_rss_mb(path: Path) -> float:
+    """The peak resident MiB of a fresh interpreter after `import gblab` in the checkout."""
+    return float(_output(IMPORT_COMMAND, path).split()[-1])
+
+
 def bench(out, checkouts) -> dict:
     """Run every workload in every checkout and write the record to out."""
     paths = [Path(c).resolve() for c in checkouts]
     records = [{**_revision(p), "wc_l": _line_counts(p), "code_lines": _code_lines(p),
-                "runs": []} for p in paths]
+                "import_rss_mb": _import_rss_mb(p), "runs": []} for p in paths]
     for workload in WORKLOADS:
         for trace in (0, 1):
             args = ["--workload", workload, "--seed", str(SEED), "--trace", str(trace)]

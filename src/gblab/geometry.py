@@ -124,10 +124,15 @@ class Chart:
     def extents(self) -> np.ndarray:
         return np.array([hi - lo for lo, hi in self.bounds])
 
-    def random_interior(self, rng, count: int, shrink: float = 0.05) -> np.ndarray:
-        """count points (count, d) drawn uniformly from the box shrunk by shrink per side."""
+    def interior(self, u, shrink: float = 0.05) -> np.ndarray:
+        """The points (..., d) of the box shrunk by shrink per side at unit coordinates u.
+
+        u (..., d) in [0, 1) maps affinely onto each axis; a check passes
+        fixed data (verify.PHI_PROBE) rather than a generator, so its points
+        are the same on every run and no check path loads numpy.random.
+        """
         lo, hi = np.array(self.bounds, dtype=float).T
-        return lo + (shrink + (1 - 2 * shrink) * rng.random((count, self.dim))) * (hi - lo)
+        return lo + (shrink + (1 - 2 * shrink) * u) * (hi - lo)
 
 
 def _flat(arr: np.ndarray, axes: int) -> np.ndarray:

@@ -114,11 +114,32 @@ def _axis_nodes(lo: float, hi: float, rule: str, nodes: int):
         w = np.full(nodes, h)
         return x, w
     if rule == "gauss":
-        per = min(nodes, GL_PANEL)
-        edges = np.linspace(lo, hi, nodes // per + 1)
-        gx, gw = _gauss_nodes(per)
-        mid, rad = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+        mid, rad, gx, gw = _gauss_panels(lo, hi, nodes)
         return (mid[:, None] + rad[:, None] * gx).ravel(), (rad[:, None] * gw).ravel()
+    raise ResolutionError(f"unknown axis rule {rule!r}")
+
+
+def _gauss_panels(lo: float, hi: float, nodes: int):
+    """The midpoints and half-widths of a Gauss axis's panels, and one panel's rule."""
+    per = min(nodes, GL_PANEL)
+    edges = np.linspace(lo, hi, nodes // per + 1)
+    return (0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])) + _gauss_nodes(per)
+
+
+def _axis_corners(lo: float, hi: float, rule: str, nodes: int) -> tuple:
+    """The smallest and the largest of _axis_nodes's nodes, by its expressions.
+
+    A Gauss axis's come from its first and its last panel alone, so the
+    admission scan builds no axis's full node array.
+    """
+    if rule == "orbit":
+        return lo, lo
+    if rule == "trapezoid":
+        h = (hi - lo) / nodes
+        return lo + h * 0, lo + h * (nodes - 1)
+    if rule == "gauss":
+        mid, rad, gx, _ = _gauss_panels(lo, hi, nodes)
+        return (mid[0] + rad[0] * gx).min(), (mid[-1] + rad[-1] * gx).max()
     raise ResolutionError(f"unknown axis rule {rule!r}")
 
 
@@ -192,8 +213,9 @@ def _mesh_axes(chart, mesh: MeshSpec) -> list:
 
 def mesh_corners(chart, level: int) -> np.ndarray:
     """(2, d): the smallest and the largest node of each axis of the chart's mesh at a level."""
-    nodes = [x for x, _ in _mesh_axes(chart, mesh_for_chart(chart, level))]
-    return np.array([[x.min() for x in nodes], [x.max() for x in nodes]])
+    mesh = mesh_for_chart(chart, level)
+    return np.array([_axis_corners(lo, hi, rule, n)
+                     for (lo, hi), rule, n in zip(chart.bounds, mesh.rules, mesh.nodes)]).T
 
 
 def _mesh_points(chart, mesh: MeshSpec):

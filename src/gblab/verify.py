@@ -607,14 +607,32 @@ def check_perturbation_stability(spec, level, tol):
                    samples=samples, notes=notes, eps={"cone": EPSILONS["cone"]})
 
 
+# PhiLimit's probe: the first 3 * MAX_DIM (doubleform's) doubles of the random()
+# stream of np.random.default_rng(20240801), whose random((3, d)) is their first 3 d
+PHI_PROBE = (0.9781700079193695, 0.47622273716253627, 0.22036155197314777, 0.9852252721179169,
+             0.13700373287537104, 0.9785292805876026, 0.16953882574660184, 0.2791294158007017,
+             0.2106462593070214, 0.12834708672813577, 0.9270059596649924, 0.7129419575793265,
+             0.05859837181378991, 0.6272870405675243, 0.6140388151664237, 0.40116459111773195,
+             0.0939059496357928, 0.6771000343502376, 0.06910909869573512, 0.9909578156944765,
+             0.7845577857981069, 0.3220882233001505, 0.4758686060030891, 0.14024820264459925)
+
+
 def check_phi_limit(spec, level, tol):
+    """The phi-conjugated connection's limit against the block connection at three points.
+
+    The points are Chart.interior of the first 3 d values of PHI_PROBE on
+    the d-dimensional boundary chart: data, not a generator call, so the
+    points are the same as ever and the check never loads numpy.random
+    (5.8 MiB resident and about 10 ms on its first call).
+    """
     if spec.collar is None or spec.collar.fibration is None:
         raise ConfigurationError("PhiLimit needs a collar with fibration data")
     collar = spec.collar
     if collar.singular_end != "lower":
         raise ConfigurationError("PhiLimit needs a collapsing collar")
     rs = _collapse_schedule(collar)
-    points = collar.boundary_chart.random_interior(np.random.default_rng(20240801), 3, shrink=0.2)
+    d = collar.boundary_chart.dim
+    points = collar.boundary_chart.interior(np.reshape(PHI_PROBE[:3 * d], (3, d)), shrink=0.2)
     gap = _phi_limit(collar, rs, points) - _phi_reference(collar, points)
     worst = float(np.max(np.abs(gap)))
     computed = {"max_entry_gap": worst, "points": len(points)}
@@ -698,6 +716,12 @@ def check_transgression_stokes(spec, level, tol):
 
 
 def check_algebra_identities(spec, level, tol):
+    """Exact identities, and Pf(A)^2 = det A and the form-vs-matrix Pfaffian on random A.
+
+    The random matrices come from np.random.default_rng(42), which this
+    check alone in src/ calls: its computed leaves are that generator's
+    draws, so it is the one check that loads numpy.random.
+    """
     failures = []
     for p in range(11):
         if inv.double_factorial_identity_lhs(p) != Fraction((-1) ** p, 2 * p + 1):

@@ -89,7 +89,7 @@ def test_metrics_spd_on_random_interior_points():
     for entry in catalog.list_geometries():
         spec = catalog.get(entry["name"])
         for mf in spec.fields:
-            for x in mf.chart.random_interior(rng, 1000, shrink=0.02):
+            for x in mf.chart.interior(rng.random((1000, mf.chart.dim)), shrink=0.02):
                 g = mf.g(x)
                 assert np.all(np.linalg.eigvalsh(g) > 0), entry["name"]
 
@@ -193,7 +193,7 @@ def test_horizontal_edge_without_variation_is_the_product_edge(base, fiber):
     plain = catalog.get("edge_product", base=base, fiber=fiber).collar
     assert flat.r_interval == plain.r_interval
     rng = np.random.default_rng(5)
-    for y in plain.boundary_chart.random_interior(rng, 4):
+    for y in plain.boundary_chart.interior(rng.random((4, plain.boundary_chart.dim))):
         for r in (0.0, 1e-3, 0.37, 1.0):
             assert flat.radial_metric(r)(y).tobytes() == plain.radial_metric(r)(y).tobytes()
 
@@ -286,7 +286,7 @@ def test_cone_vertical_block_at_the_vertex_is_the_profile_u_squared_times_h(para
     # it is u(0)^2 h exactly, with no limit taken
     spec = catalog.get("cone", link="s3", **params)
     fib = spec.collar.fibration
-    y = spec.link.chart.random_interior(np.random.default_rng(4), 4)
+    y = spec.link.chart.interior(np.random.default_rng(4).random((4, spec.link.chart.dim)))
     h = spec.link.evaluator(y)
     assert np.array_equal(fib.fiber_metric(0.0, y), u0**2 * h)
     assert np.array_equal(fib.fiber_metric(np.zeros(len(y)), y), u0**2 * h)
@@ -341,7 +341,8 @@ def test_collars_keep_the_bits_of_their_hand_built_forms(name, params, fiber, fo
 
     lo, hi = collar.r_interval
     rs = lo + (hi - lo) * np.array([0.13, 0.41, 0.77])
-    y = collar.boundary_chart.random_interior(np.random.default_rng(9), 5)
+    chart = collar.boundary_chart
+    y = chart.interior(np.random.default_rng(9).random((5, chart.dim)))
     r_axis, y_axis = _collar_radii(rs, y)
     same(collar.radial_metric(float(rs[1]))(y), radial(float(rs[1]), y))
     same(collar.radial_metric(r_axis)(y_axis), radial(r_axis, y_axis))

@@ -213,6 +213,20 @@ BOX3 = Chart("box3", ((0.2, 1.4), (0.1, 2.9), (-1.0, 1.0)), (False, False, True)
 SPD3 = np.array([[2.0, 0.3, 0.1], [0.3, 1.5, 0.2], [0.1, 0.2, 1.0]])
 
 
+@pytest.mark.parametrize("shrink", [0.05, 0.2])
+def test_interior_maps_unit_draws_as_the_generator_route_did(shrink):
+    # the retired Chart.random_interior(rng, n, shrink) put rng.random((n, d))
+    # through this expression; interior takes the draws, so no check needs a generator
+    edge = catalog.get("edge_product", base="s2", fiber="s1").collar.boundary_chart
+    for chart in (BOX3, edge):
+        lo, hi = np.array(chart.bounds, dtype=float).T
+        draws = np.random.default_rng(3).random((6, chart.dim))
+        want = lo + (shrink + (1 - 2 * shrink) * draws) * (hi - lo)
+        got = chart.interior(np.random.default_rng(3).random((6, chart.dim)), shrink)
+        assert got.shape == (6, chart.dim) and got.tobytes() == want.tobytes()
+        assert np.all((lo < got) & (got < hi))
+
+
 def _wavy3(x):
     u, v, w = x[..., 0], x[..., 1], x[..., 2]
     out = np.zeros(x.shape[:-1] + (3, 3))
@@ -229,7 +243,7 @@ def _wavy3(x):
 @pytest.mark.parametrize("batch", [(), (5,), (2, 3)])
 @pytest.mark.parametrize("ev", [_wavy3, lambda x: SPD3], ids=["wavy", "constant"])
 def test_jet_is_one_call_and_equals_the_per_offset_reference(order, want_second, batch, ev):
-    pts = BOX3.random_interior(np.random.default_rng(3), 6, shrink=0.1)[:int(np.prod(batch))]
+    pts = BOX3.interior(np.random.default_rng(3).random((6, 3)), shrink=0.1)[:int(np.prod(batch))]
     x = pts.reshape(batch + (3,))
     counted = _counting(ev)
     got = _metric_jet(MetricField(BOX3, counted, fd_order=order), x, want_second)
@@ -244,7 +258,7 @@ def test_jet_diagonal_rounds_as_the_scalar_square(order):
     # a step at which pow(h, 2), as the scalar h[a] ** 2 rounds, and the
     # array square h * h can round apart (axis 1 here)
     m = MetricField(BOX3, _wavy3, fd_rel_step=1.00058e-4, fd_order=order)
-    x = BOX3.random_interior(np.random.default_rng(4), 5, shrink=0.1)
+    x = BOX3.interior(np.random.default_rng(4).random((5, BOX3.dim)), shrink=0.1)
     assert np.array_equal(_metric_jet(m, x, True)[2], _per_offset_jet(m, x, True)[2])
 
 
@@ -270,7 +284,7 @@ def test_jet_plan_lists_offsets_in_the_documented_order(d, order):
 def test_jet_plan_is_built_once_per_key():
     _jet_plan.cache_clear()
     m = MetricField(BOX3, _wavy3, fd_order=4)
-    x = BOX3.random_interior(np.random.default_rng(5), 4, shrink=0.1)
+    x = BOX3.interior(np.random.default_rng(5).random((4, BOX3.dim)), shrink=0.1)
     for block in (x, x[:2], x[0]):
         _metric_jet(m, block, want_second=True)
         _metric_jet(m, block, want_second=False)
@@ -475,7 +489,7 @@ def test_constant_curvature_oracle(n, rho):
     target = (1.0 / (2.0 * rho**2)) * wedge(h, h)
     # sample away from the conformal tails, where the metric is
     # exponentially small and the relative finite-difference floor rises
-    for x in mf.chart.random_interior(rng, 3, shrink=0.33):
+    for x in mf.chart.interior(rng.random((3, mf.chart.dim)), shrink=0.33):
         R, _ = riemann_double_form(mf, x)
         assert (R - target).norm_inf() < 1e-5
 
@@ -487,7 +501,7 @@ def test_curvature_symmetries_across_catalog():
                          ("disk", {"dim": 4}), ("catenoid", {}),
                          ("flat_torus", {"n": 3}), ("cone", {"link": "s1", "theta": 0.7})]:
         (mf,) = catalog.get(name, **params).fields
-        for x in mf.chart.random_interior(rng, 100, shrink=0.1):
+        for x in mf.chart.interior(rng.random((100, mf.chart.dim)), shrink=0.1):
             R, _ = riemann_double_form(mf, x)
             gap = (R - DoubleForm(R.n, 2, 2, R.coeffs.T.copy())).norm_inf()
             assert gap < 1e-6, (name, params)
@@ -499,7 +513,8 @@ def test_first_bianchi_on_slices():
     spec = catalog.get("disk", dim=4)
     sl = Slice(spec.collar, 1.0)
     rng = np.random.default_rng(4)
-    for y in spec.collar.boundary_chart.random_interior(rng, 10, shrink=0.1):
+    chart = spec.collar.boundary_chart
+    for y in chart.interior(rng.random((10, chart.dim)), shrink=0.1):
         R = sl.at(y).curvature
         n = R.n
 
@@ -561,7 +576,8 @@ def test_curvature_symmetries_on_a_block(geometry):
         chart = mf.chart
     else:
         chart, mf = CUBE3, MetricField(CUBE3, _rational_metric(1.5))
-    g, dg, d2g = _metric_jet(mf, chart.random_interior(rng, 64, shrink=0.1), want_second=True)
+    x = chart.interior(rng.random((64, chart.dim)), shrink=0.1)
+    g, dg, d2g = _metric_jet(mf, x, want_second=True)
     pairs = _curvature_pairs(np.linalg.inv(g), dg, d2g)
     assert pairs.shape == (64,) + (len(multi_indices(chart.dim, 2)),) * 2
     scale = np.max(np.abs(pairs), axis=(-2, -1), keepdims=True)        # per node
@@ -580,7 +596,7 @@ def test_riemann_double_form_equals_the_einsum_route_on_a_non_diagonal_metric(d)
     # against the einsum kernel and frame change on the same jet
     chart = Chart("box", ((-1.0, 1.0),) * d, (False,) * d)
     mf = MetricField(chart, _rational_metric(1.5))
-    x = chart.random_interior(np.random.default_rng(d), 64, shrink=0.1)
+    x = chart.interior(np.random.default_rng(d).random((64, chart.dim)), shrink=0.1)
     R, E = riemann_double_form(mf, x)
     g, dg, d2g = _metric_jet(mf, x, want_second=True)
     ref = _einsum_pair_coeffs(_einsum_curvature_coord(g, dg, d2g), E)
@@ -610,7 +626,7 @@ def test_slice_takes_its_frame_from_the_curvature_jet(order):
     collar = CollarMetric(CUBE3, (0.0, 1.5),
                           lambda r: (lambda y: (1.0 + np.asarray(r) ** 2)[..., None, None] * ev(y)),
                           fd_order=order)
-    Y = CUBE3.random_interior(np.random.default_rng(2), 6, shrink=0.1)
+    Y = CUBE3.interior(np.random.default_rng(2).random((6, CUBE3.dim)), shrink=0.1)
     sd = Slice(collar, 0.6).at(Y)
     # one evaluator call for the curvature jet (its center gives E), and one
     # for dh on the radial stencil's points stacked
@@ -726,8 +742,9 @@ def test_radial_rate_names_a_broken_r_contract():
 @pytest.mark.parametrize("batch", [(), (4,), (2, 2)])
 def test_radial_rate_equals_the_per_offset_reference(order, batch):
     collar = replace(catalog.get("edge_horizontal").collar, fd_order=order)
-    y = collar.boundary_chart.random_interior(np.random.default_rng(6), 4, shrink=0.1)
-    y = y[:int(np.prod(batch))].reshape(batch + (collar.boundary_chart.dim,))
+    d = collar.boundary_chart.dim
+    y = collar.boundary_chart.interior(np.random.default_rng(6).random((4, d)), shrink=0.1)
+    y = y[:int(np.prod(batch))].reshape(batch + (d,))
     for r in (0.0, 0.3):
         h = collar.radial_step(r)
         want = _central_diff([collar.radial_metric(r + k * h)(y) for k, _ in _diff_weights(order)],
@@ -1319,7 +1336,7 @@ def _disk4_block(count):
     r_b = spec.params["rho"] * 0.98
     frozen = collar.radial_metric(r_b)
     g0 = replace(collar, radial_metric=lambda r: frozen).full_metric()
-    y = collar.boundary_chart.random_interior(np.random.default_rng(0), count)
+    y = collar.boundary_chart.interior(np.random.default_rng(0).random((count, 3)))
     return g0, collar.full_metric(), _collar_points(r_b, y)[2]
 
 
@@ -1528,14 +1545,14 @@ def _jet_case(case):
     rng = np.random.default_rng(7)
     if case == "sphere_n4_block":
         (mf,) = catalog.get("sphere", n=4).fields
-        return mf, mf.chart.random_interior(rng, 128)
+        return mf, mf.chart.interior(rng.random((128, mf.chart.dim)))
     if case == "cone_s3_slice":
         collar = catalog.get("geometric_cone", link="s3", theta=0.5).collar
-        y = collar.boundary_chart.random_interior(rng, 32)
+        y = collar.boundary_chart.interior(rng.random((32, collar.boundary_chart.dim)))
         r, y, _ = _collar_points(np.array(quadrature.geometric_schedule(0.5)), y)
         return collar.slice_field(r), y                       # y is (1, 32, 3)
     (mf,) = catalog.get("football", p=2).fields
-    return mf, mf.chart.random_interior(rng, 1)[0]
+    return mf, mf.chart.interior(rng.random((1, mf.chart.dim)))[0]
 
 
 @pytest.mark.parametrize("case", ["sphere_n4_block", "cone_s3_slice", "football_point"])
@@ -1611,7 +1628,8 @@ def test_phi_connection_model_cone_angular_block():
 ])
 def test_phi_connection_on_a_block_equals_per_point_calls(name, params):
     collar = catalog.get(name, **params).collar
-    ys = np.array(collar.boundary_chart.random_interior(np.random.default_rng(2), 4, shrink=0.2))
+    chart = collar.boundary_chart
+    ys = chart.interior(np.random.default_rng(2).random((4, chart.dim)), shrink=0.2)
     block = phi_conjugated_connection(collar, 0.05, ys)
     assert block.shape == (4,) + (collar.boundary_chart.dim + 1,) * 3
     for omega, y in zip(block, ys):
@@ -1638,7 +1656,8 @@ def _per_axis_phi_frame(c, r, y):
 ])
 def test_phi_frame_is_one_sample_and_equals_the_per_axis_route(name, params, monkeypatch):
     collar = catalog.get(name, **params).collar
-    ys = collar.boundary_chart.random_interior(np.random.default_rng(7), 4, shrink=0.2)
+    chart = collar.boundary_chart
+    ys = chart.interior(np.random.default_rng(7).random((4, chart.dim)), shrink=0.2)
     # the frame differences at the collar's own order
     for c in (collar, replace(collar, fd_order=4)):
         for r in (0.0, 0.05):
@@ -1664,7 +1683,8 @@ def test_phi_frame_is_one_sample_and_equals_the_per_axis_route(name, params, mon
 def test_cone_fiber_metric_takes_an_array_r(params):
     fib = catalog.get("cone", **params).collar.fibration
     rs = np.array([[0.0, 0.05], [-1e-4, 1.2]])
-    ys = fib.fiber.chart.random_interior(np.random.default_rng(8), 4).reshape(2, 2, -1)
+    chart = fib.fiber.chart
+    ys = chart.interior(np.random.default_rng(8).random((4, chart.dim))).reshape(2, 2, -1)
     got = fib.fiber_metric(rs, ys)
     assert got.shape == (2, 2) + (fib.fiber_dim,) * 2
     for idx in np.ndindex(rs.shape):
@@ -1692,7 +1712,8 @@ def test_phi_connection_product_metric_identity():
 ])
 def test_a_stack_of_radii_equals_one_slice_per_radius(name, params, radii):
     collar = catalog.get(name, **params).collar
-    Y = collar.boundary_chart.random_interior(np.random.default_rng(9), 5, shrink=0.1)
+    chart = collar.boundary_chart
+    Y = chart.interior(np.random.default_rng(9).random((5, chart.dim)), shrink=0.1)
     stacked = Slice(collar, np.array(radii))
     for y in (Y, Y[0]):
         sd = stacked.at(y)
@@ -1731,7 +1752,8 @@ def test_a_slice_evaluates_each_stencil_point_once_for_the_whole_schedule(order,
     monkeypatch.setattr(geometry, "_spd_check", recorded_check)
     collar = replace(base, radial_metric=recorded)
     radii = np.array([0.4, 0.2, 0.1, 0.05, 0.025, 0.0125])
-    Y = collar.boundary_chart.random_interior(np.random.default_rng(12), 5, shrink=0.1)
+    chart = collar.boundary_chart
+    Y = chart.interior(np.random.default_rng(12).random((5, chart.dim)), shrink=0.1)
     S, K, R = len(_jet_plan(3, order, True)[1]), len(_diff_weights(order)), len(radii)
     for y in (Y, Y[0]):
         batch = y.shape[:-1]
@@ -1794,7 +1816,8 @@ def test_slice_radii_must_be_a_number_or_a_1d_array():
 def test_a_schedule_of_radii_equals_one_phi_call_per_radius(name, params):
     collar = catalog.get(name, **params).collar
     rs = np.array([0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625])
-    Y = collar.boundary_chart.random_interior(np.random.default_rng(5), 3, shrink=0.2)
+    chart = collar.boundary_chart
+    Y = chart.interior(np.random.default_rng(5).random((3, chart.dim)), shrink=0.2)
     for y in (Y, Y[0]):
         omega, (E, dE) = phi_conjugated_connection(collar, rs, y), phi_frame(collar, rs, y)
         assert omega.shape == (len(rs),) + y.shape[:-1] + (collar.boundary_chart.dim + 1,) * 3

@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import importlib
+import json
 import os
 import pkgutil
 import subprocess
@@ -163,6 +164,22 @@ def test_only_the_algebra_identities_take_a_determinant():
     assert _package_owners(takes_det) == {"verify.check_algebra_identities"}
 
 
+def test_only_the_algebra_identities_reach_numpy_random():
+    # importing numpy.random costs 5.8 MiB resident; PhiLimit's probe is data
+    # (verify.PHI_PROBE), and AlgebraIdentities' leaves are its generator's draws
+    def reaches_random(node):
+        if isinstance(node, ast.Attribute):
+            return (node.attr == "random" and isinstance(node.value, ast.Name)
+                    and node.value.id in ("np", "numpy"))
+        if isinstance(node, ast.ImportFrom):
+            return (node.module or "").startswith("numpy.random") or (
+                node.module == "numpy" and any(a.name == "random" for a in node.names))
+        return isinstance(node, ast.Import) and any(
+            a.name.startswith("numpy.random") for a in node.names)
+
+    assert _package_owners(reaches_random) == {"verify.check_algebra_identities"}
+
+
 def test_catalog_builds_charts_only_from_axes_and_products():
     # a catalog chart is _chart of its axes or _chart_product of charts, so an
     # axis's periodicity and quadrature rule are stated once
@@ -285,6 +302,27 @@ def test_a_warm_check_faults_in_no_heap_pages():
     out = subprocess.run([sys.executable, "-c", _WARM_FAULTS], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert int(out) < 5 * 50
+
+
+_NO_RANDOM = """
+import json, sys
+from gblab import verify
+rows = [row for row in verify.DEFAULT_SUITE if row[0] != "AlgebraIdentities"]
+passed = [verify.run_check(c, g, p, level=level, tol=tol).passed for c, g, p, level, tol in rows]
+print(json.dumps({"rows": len(rows), "passed": sum(passed),
+                  "numpy.random": "numpy.random" in sys.modules}))
+"""
+
+
+def test_no_check_but_the_algebra_identities_loads_numpy_random():
+    # a fresh interpreter runs every other default-suite row; PhiLimit's points
+    # come from verify.PHI_PROBE, not from a generator
+    env = {**os.environ, "PYTHONPATH": str(Path(gblab.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", _NO_RANDOM], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    from gblab import verify
+    rows = sum(row[0] != "AlgebraIdentities" for row in verify.DEFAULT_SUITE)
+    assert json.loads(out) == {"rows": rows, "passed": rows, "numpy.random": False}
 
 
 def _cached_functions() -> dict:

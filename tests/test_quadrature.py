@@ -382,11 +382,12 @@ def _meshgrid_points(chart, mesh):
     return pts, w
 
 
-def _suite_charts() -> list:
-    """Every chart a default-suite geometry integrates on: its fields', its slices' and its factors'."""
+def _suite_charts(specs=()) -> list:
+    """Every chart a default-suite geometry, or one of specs, integrates on: its fields', its
+    slices' and its factors'."""
     charts = {}
-    for _, geometry, params, *_ in verify.DEFAULT_SUITE:
-        spec = catalog.get(geometry, **params)
+    suite = [catalog.get(geometry, **params) for _, geometry, params, *_ in verify.DEFAULT_SUITE]
+    for spec in suite + list(specs):
         fib = spec.collar.fibration if spec.collar else None
         for mf in spec.fields + (spec.link,) + ((fib.base, fib.fiber) if fib else ()):
             if mf is not None:
@@ -406,6 +407,22 @@ def test_mesh_points_are_the_meshgrid_route_bit_for_bit(level):
         want_pts, want_w = _meshgrid_points(chart, mesh)
         assert pts.shape == want_pts.shape == (mesh.total_nodes, chart.dim)
         assert pts.tobytes() == want_pts.tobytes() and w.tobytes() == want_w.tobytes()
+
+
+def test_mesh_corners_are_the_extremes_of_the_axes_nodes_bit_for_bit():
+    # the admission scan reads each axis's corners off its first and last
+    # Gauss panel, never its full node array; they must be that array's extremes
+    charts = _suite_charts(catalog.get(e["name"]) for e in catalog.list_geometries())
+    # no catalog chart has a trapezoid axis: a periodic axis without hints takes one
+    charts.append(Chart("cylinder", ((-1.0, 2.0), (0.3, 0.3 + 2 * math.pi)), (False, True)))
+    rules = {rule for chart in charts for rule in mesh_for_chart(chart, 1).rules}
+    assert len(charts) > 10 and rules == {"gauss", "trapezoid", "orbit"}
+    for chart in charts:
+        for level in quad.LEVELS:
+            nodes = [x for x, _ in quad._mesh_axes(chart, mesh_for_chart(chart, level))]
+            want = np.array([[x.min() for x in nodes], [x.max() for x in nodes]])
+            got = quad.mesh_corners(chart, level)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (chart, level)
 
 
 @pytest.mark.parametrize("level", [1, 2, 3])

@@ -31,6 +31,9 @@ def test_bench_records_every_run_of_a_stub_command(tmp_path, monkeypatch, capsys
     # the stub prints some noise and then its arguments as the final JSON line
     stub = "import json, sys; print('# noise'); print(json.dumps({'argv': sys.argv[1:]}))"
     monkeypatch.setattr(script, "COMMAND", [sys.executable, "-c", stub])
+    # the import probe runs in the checkout: the stub's figure is its directory name's length
+    probe = "import os; print('# noise'); print(len(os.path.basename(os.getcwd())) + 0.5)"
+    monkeypatch.setattr(script, "IMPORT_COMMAND", [sys.executable, "-c", probe])
     out = tmp_path / "BENCH.json"
     assert script.main([str(out), str(SCRIPTS.parent)]) == 0
     doc = json.loads(out.read_text(encoding="utf-8"))
@@ -40,6 +43,7 @@ def test_bench_records_every_run_of_a_stub_command(tmp_path, monkeypatch, capsys
     assert record["sha"] is None or (len(record["sha"]) == 40 and record["dirty"] in (True, False))
     assert record["wc_l"][-1].split()[-1] == "total"
     assert any(line.endswith("src/gblab/geometry.py") for line in record["wc_l"])
+    assert record["import_rss_mb"] == len(SCRIPTS.parent.name) + 0.5
     code = dict(record["code_lines"])
     total = code.pop("total")
     assert "src/gblab/geometry.py" in code and total == sum(code.values())
@@ -53,6 +57,12 @@ def test_bench_records_every_run_of_a_stub_command(tmp_path, monkeypatch, capsys
         assert r["result"] == {"argv": ["--workload", r["workload"], "--seed", "0",
                                         "--trace", str(r["trace"])]}
     assert len(capsys.readouterr().out.splitlines()) == 2 * len(names)
+
+
+def test_the_import_probe_reads_a_fresh_interpreter_that_imported_gblab():
+    floor = _load("bench")._import_rss_mb(SCRIPTS.parent)
+    # numpy alone takes about 27 MiB resident
+    assert 10.0 < floor < 200.0
 
 
 _PAIRS_STUB = """

@@ -10,6 +10,7 @@ import pytest
 
 from gblab import catalog, verify
 from gblab import quadrature as quad
+from gblab.doubleform import MAX_DIM
 from gblab.geometry import phi_conjugated_connection
 
 
@@ -115,7 +116,7 @@ def test_unit_link_divides_out_the_cone_profile(name, params):
     spec = catalog.get(name, **params)
     link = spec.params.get("link", "s3" if name == "lens_cone" else "s1")
     link_metric = catalog._factor(link, link)[0].evaluator
-    y = spec.link.chart.random_interior(np.random.default_rng(3), 4)
+    y = spec.link.chart.interior(np.random.default_rng(3).random((4, spec.link.chart.dim)))
     assert np.array_equal(spec.link.evaluator(y), link_metric(y))
 
 
@@ -502,6 +503,16 @@ def test_pf_integral_reads_each_fields_own_stencil(stencil):
     assert moved_value == pytest.approx(value, rel=1e-3)
 
 
+def test_the_phi_probe_is_its_generator_stream_bit_for_bit():
+    # PhiLimit once drew its points by default_rng(20240801).random((3, d)): the
+    # stream's first 3 d values in row order, which PHI_PROBE holds for every d
+    want = np.random.default_rng(20240801).random(3 * MAX_DIM)
+    assert np.array(verify.PHI_PROBE).tobytes() == want.tobytes()
+    for d in range(1, MAX_DIM + 1):
+        draws = np.random.default_rng(20240801).random((3, d))
+        assert draws.tobytes() == np.reshape(verify.PHI_PROBE[:3 * d], (3, d)).tobytes()
+
+
 @pytest.mark.parametrize("name,params,schedule", [
     ("geometric_cone", {"link": "s1", "theta": 1.0}, "collapse"),
     ("cone_perturbed_second_order", {}, "collapse"),
@@ -512,7 +523,9 @@ def test_phi_limit_equals_the_per_radius_extrapolation(name, params, schedule):
     collar = catalog.get(name, **params).collar
     rs = (verify._collapse_schedule(collar) if schedule == "collapse"
           else quad.geometric_schedule(0.32, 6))
-    ys = collar.boundary_chart.random_interior(np.random.default_rng(20240801), 3, shrink=0.2)
+    # PhiLimit's own points
+    d = collar.boundary_chart.dim
+    ys = collar.boundary_chart.interior(np.reshape(verify.PHI_PROBE[:3 * d], (3, d)), shrink=0.2)
     for y in (ys, ys[0]):
         # the reference samples the connection one radius at a time
         want = quad.r_limit_extrapolate([(r, phi_conjugated_connection(collar, r, y))

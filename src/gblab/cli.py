@@ -72,14 +72,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _print_result(r) -> None:
     mark = "PASS" if r.passed else "FAIL"
-    primary = _primary_value(r)
+    # the headline gate's computed value; a crashed row has no gates and prints its inf
+    value = r.computed[next(iter(r.gates))] if r.gates else r.residual_abs
     # the residual its gate compares with tol
     residual = r.residual_rel if r.tolerance_kind == "rel" else r.residual_abs
     print(f"[{mark}] {r.check_id:<22s} {r.geometry}{_param_str(r.params)}  "
-          f"value={primary:.9g}  residual={residual:.3e} "
+          f"value={value:.9g}  residual={residual:.3e} "
           f"({r.tolerance_kind} tol {r.tolerance:g})")
     for note in r.notes:
-        if note.startswith("check failed"):
+        if note.startswith(("check failed", "gate ")):
             print(f"        {note}")
 
 
@@ -87,17 +88,6 @@ def _param_str(params) -> str:
     if not params:
         return ""
     return "(" + ",".join(f"{k}={params[k]}" for k in sorted(params)) + ")"
-
-
-def _primary_value(r) -> float:
-    for key in ("chi", "slice_limit", "closed_form", "t7_total", "cone_transgression",
-                "identity_rhs", "max_pointwise_gap", "max_entry_gap",
-                "perturbed_limit", "slice_limit_plus", "pf_squared_minus_det",
-                "pf_integral"):
-        v = r.computed.get(key)
-        if isinstance(v, (int, float)):
-            return float(v)
-    return r.residual_abs
 
 
 def cmd_list(args) -> int:

@@ -94,11 +94,13 @@ class CheckResult:
     convergence: dict = field(default_factory=dict)
     epsilon_notes: dict = field(default_factory=dict)
     notes: list = field(default_factory=list)
+    gates: dict = field(default_factory=dict)   # computed key -> residual, the headline first
 
     def to_json_dict(self) -> dict:
-        """The report row: every field, with passed written as "pass"."""
+        """The report row: every field but gates, with passed written as "pass"."""
         doc = asdict(self)
         doc["pass"] = doc.pop("passed")
+        del doc["gates"]
         for key in ("params", "computed", "reference", "epsilon_notes"):
             doc[key] = {k: _jsonable(v) for k, v in sorted(doc[key].items())}
         return doc
@@ -367,19 +369,32 @@ _RELATIVE_GATES = frozenset({"ConeGB", "EdgeGB", "EdgeHorizontal", "EdgeLimit", 
                              "FirstOrderConic", "LensObstruction", "TransgressionStokes"})
 
 
-def _result(check_id, spec, computed, reference, residual_abs, scale, tol,
+def _result(check_id, spec, computed, reference, gates, scale, tol, bounds=None,
             samples=(), notes=(), eps=None):
+    """The row of a check's gates: the one place that folds them into a verdict.
+
+    gates maps keys of computed, the headline (the text report's value=)
+    first, to each comparison's residual in the row's units.  residual_abs
+    is their max, inf when one of them is not finite or there is none.
+    bounds gives a gate a bound of its own, read as tol is (times scale on a
+    relative row); a gate over it fails the row with a note, whatever tol.
+    """
     kind = "rel" if check_id in _RELATIVE_GATES else "abs"
+    unit = scale if kind == "rel" else 1.0
+    finite = bool(gates) and all(math.isfinite(v) for v in gates.values())
+    residual_abs = max(gates.values()) if finite else math.inf
     rel = residual_abs / scale if scale else float("inf") if residual_abs else 0.0
-    bound = tol if kind == "abs" else tol * scale
+    over = [f"gate {key}: {gates[key] / unit:.3e} > {bound:g}"
+            for key, bound in (bounds or {}).items() if not gates[key] <= bound * unit]
     convergence = {"slice_samples": [{"r": r, "value": v} for r, v in samples]} if samples else {}
     return CheckResult(
         check_id=check_id, geometry=spec.name, params=dict(spec.params),
         computed=computed, reference=reference,
         residual_abs=residual_abs, residual_rel=rel,
         tolerance=tol, tolerance_kind=kind,
-        passed=bool(math.isfinite(residual_abs) and residual_abs <= bound),
-        convergence=convergence, epsilon_notes=dict(eps or {}), notes=list(notes),
+        passed=bool(finite and residual_abs <= tol * unit and not over),
+        convergence=convergence, epsilon_notes=dict(eps or {}), notes=[*notes, *over],
+        gates=gates,
     )
 
 
@@ -392,18 +407,17 @@ def check_closed_gb(spec, level, tol):
     k = dim // 2
     total = pf_integral(spec, level)
     chi = total / TWO_PI**k
-    resid = abs(chi - spec.chi_ref)
     computed = {"pf_integral": total, "chi": chi}
-    if spec.name == "flat_torus":
-        # flat metrics must integrate to exactly zero at machine precision
-        resid = abs(total)
+    # flat metrics must integrate to exactly zero at machine precision
+    gates = ({"pf_integral": abs(total)} if spec.name == "flat_torus"
+             else {"chi": abs(chi - spec.chi_ref)})
     return _result("ClosedGB", spec, computed, {"chi": spec.chi_ref},
-                   resid, max(1.0, abs(spec.chi_ref)), tol)
+                   gates, max(1.0, abs(spec.chi_ref)), tol)
 
 
 def check_boundary_gb(spec, level, tol):
-    if spec.collar is None or spec.name != "disk":
-        raise ConfigurationError("BoundaryGB runs on disks")
+    if spec.collar is None or spec.family != "boundary":
+        raise ConfigurationError("BoundaryGB needs a boundary geometry")
     dim = spec.params["dim"]
     rho = spec.params["rho"]
     k = dim // 2
@@ -412,15 +426,24 @@ def check_boundary_gb(spec, level, tol):
     eps = EPSILONS["boundary"]
     chi = (interior - eps * boundary) / TWO_PI**k
     two_route = _boundary_two_route(spec, level)
-    resid = max(abs(chi - spec.chi_ref), abs(boundary - (-(TWO_PI**k))) / TWO_PI**k,
-                two_route)
     computed = {
         "pf_integral": interior, "boundary_integral": boundary, "chi": chi,
         "two_route_rel_gap": two_route,
     }
     reference = {"chi": spec.chi_ref, "boundary_integral": -(TWO_PI**k)}
-    return _result("BoundaryGB", spec, computed, reference, resid, 1.0, tol,
+    gates = {"chi": abs(chi - spec.chi_ref),
+             "boundary_integral": abs(boundary - (-(TWO_PI**k))) / TWO_PI**k,
+             "two_route_rel_gap": two_route}
+    return _result("BoundaryGB", spec, computed, reference, gates, 1.0, tol,
+                   bounds={"two_route_rel_gap": TWO_ROUTE_BUDGET},
                    notes=[SIGN_NOTE], eps={"boundary": eps})
+
+
+# BoundaryGB's own bound on two_route_rel_gap, which tol tightens but never
+# loosens: clean, the gap is at most 4.33e-13 on disk 2 and 5.4e-16 on disk 4
+# at levels 1-4; with the trapezoid rule in s (S_WEIGHTS = h (1/2, 1, ..., 1, 1/2))
+# disk 4 reads 9.77e-4 at every level
+TWO_ROUTE_BUDGET = 1e-10
 
 
 def _boundary_two_route(spec, level):
@@ -459,10 +482,10 @@ def check_cone_gb(spec, level, tol):
     closed = inv.cone_transgression_value(theta, lk)
     limit, samples = slice_limit(spec.collar, level)
     eps = EPSILONS["cone"]
-    gap = abs(eps * limit - closed)
     scale = max(abs(closed), 1e-12)
     computed = {"closed_form": closed, "slice_limit": eps * limit,
                 "slice_limit_plus": limit, "lk_integrals": tuple(lk)}
+    gates = {"slice_limit": abs(eps * limit - closed)}
     reference = {"closed_form": closed}
     notes = [SIGN_NOTE]
     if n == 1:
@@ -471,8 +494,8 @@ def check_cone_gb(spec, level, tol):
         contribution = 1.0 + limit / TWO_PI
         computed["singular_contribution"] = contribution
         reference["singular_contribution"] = 1.0 - theta
-        gap = max(gap, 10.0 * scale * abs(contribution - (1.0 - theta)))
-    return _result("ConeGB", spec, computed, reference, gap, scale, tol,
+        gates["singular_contribution"] = 10.0 * scale * abs(contribution - (1.0 - theta))
+    return _result("ConeGB", spec, computed, reference, gates, scale, tol,
                    samples=samples, notes=notes, eps={"cone": eps})
 
 
@@ -502,7 +525,7 @@ def check_edge_limit(spec, level, tol):
     computed = {"slice_limit_plus": limit, "closed_value": closed,
                 "first_sample": samples[0][1]}
     return _result("EdgeLimit", spec, computed, {"closed_value": closed},
-                   gap, scale, tol, samples=samples, notes=notes,
+                   {"slice_limit_plus": gap}, scale, tol, samples=samples, notes=notes,
                    eps={"edge": EPSILONS["edge"]})
 
 
@@ -520,20 +543,16 @@ def check_edge_gb(spec, level, tol):
     eps = EPSILONS["edge"]
     lhs = TWO_PI**k * spec.chi_ref
     rhs = interior - eps * edge_term
-    gap = abs(lhs - rhs)
-    scale = max(abs(lhs), 1.0)
     computed = {"pf_integral": interior, "edge_term": edge_term, "identity_rhs": rhs}
-    return _result("EdgeGB", spec, computed, {"identity_lhs": lhs}, gap, scale,
-                   tol, notes=[SIGN_NOTE], eps={"edge": eps})
+    return _result("EdgeGB", spec, computed, {"identity_lhs": lhs},
+                   {"identity_rhs": abs(lhs - rhs)}, max(abs(lhs), 1.0), tol,
+                   notes=[SIGN_NOTE], eps={"edge": eps})
 
 
 def check_edge_horizontal(spec, level, tol):
-    if spec.name != "edge_horizontal":
-        raise ConfigurationError("EdgeHorizontal runs on edge_horizontal")
-    _product_end(spec, "EdgeHorizontal", "edge", "runs on edge_horizontal")
+    _product_end(spec, "EdgeHorizontal", "edge", "needs an edge geometry")
     closed = horizontal_closed_value(spec.collar, level)
     limit, samples = slice_limit(spec.collar, level)
-    gap = abs(limit - closed)
     scale = max(abs(closed), 1e-12)
     # reduction anchor: with the radial variation switched off the closed
     # form must reproduce the collapsing-fiber value
@@ -543,9 +562,9 @@ def check_edge_horizontal(spec, level, tol):
     red_gap = abs(reduction - reduction_ref) / max(abs(reduction_ref), 1e-12)
     computed = {"closed_value": closed, "slice_limit_plus": limit,
                 "reduction_value": reduction, "reduction_rel_gap": red_gap}
-    gap = max(gap, red_gap * scale)
+    gates = {"slice_limit_plus": abs(limit - closed), "reduction_rel_gap": red_gap * scale}
     return _result("EdgeHorizontal", spec, computed, {"closed_value": closed},
-                   gap, scale, tol, samples=samples, eps={"edge": EPSILONS["edge"]})
+                   gates, scale, tol, samples=samples, eps={"edge": EPSILONS["edge"]})
 
 
 def check_fibered_gb(spec, level, tol):
@@ -559,22 +578,23 @@ def check_fibered_gb(spec, level, tol):
                 "slice_limit_plus": limit, "end_count": spec.end_count}
     if fib.base_dim % 2 == 0:
         gap, scale = _vanishing_gap(limit, samples, spec.collar)
-        return _result("FiberedGB", spec, computed, {"end_value": 0.0}, gap, scale, tol,
+        return _result("FiberedGB", spec, computed, {"end_value": 0.0},
+                       {"slice_limit_plus": gap}, scale, tol,
                        notes=["even-dimensional base: boundary term vanishes"],
                        eps={"fibered": eps})
     # odd base: the slice limit and the closed form must agree; with fields
     # (catenoid family) the full identity must hold as well
-    gap = abs(limit - end_value)
+    gates = {"slice_limit_plus": abs(limit - end_value)}
     scale = max(abs(end_value), 1e-12)
     reference = {"end_value": end_value}
     if spec.fields:
         lhs = TWO_PI**k * spec.chi_ref
         rhs = interior - eps * spec.end_count * end_value
-        gap = max(abs(lhs - rhs), gap)
+        gates = {"identity_rhs": abs(lhs - rhs), **gates}
         scale = max(abs(interior), TWO_PI**k)
         computed["identity_rhs"] = rhs
         reference["identity_lhs"] = lhs
-    return _result("FiberedGB", spec, computed, reference, gap, scale, tol,
+    return _result("FiberedGB", spec, computed, reference, gates, scale, tol,
                    samples=samples, eps={"fibered": eps})
 
 
@@ -586,10 +606,10 @@ def check_orbifold_gb(spec, level, tol):
     chi_int = total / TWO_PI
     defect = sum(s.chi * (s.group_order - 1) / s.group_order for s in spec.strata)
     t7 = chi_int + defect
-    gap = max(abs(chi_int - 2.0 / p), abs(t7 - spec.chi_ref))
     computed = {"pf_chi_part": chi_int, "stratum_defect": defect, "t7_total": t7}
     reference = {"pf_chi_part": 2.0 / p, "t7_total": spec.chi_ref}
-    return _result("OrbifoldGB", spec, computed, reference, gap, 1.0, tol,
+    gates = {"t7_total": abs(t7 - spec.chi_ref), "pf_chi_part": abs(chi_int - 2.0 / p)}
+    return _result("OrbifoldGB", spec, computed, reference, gates, 1.0, tol,
                    notes=[f"weighted cover: 1/{p} of the round cover integral"])
 
 
@@ -599,11 +619,10 @@ def check_perturbation_stability(spec, level, tol):
     model = catalog.get("geometric_cone", link="s1", theta=1.0)
     lim_model, _ = slice_limit(model.collar, level)
     lim_pert, samples = slice_limit(spec.collar, level)
-    gap = abs(lim_model - lim_pert)
     computed = {"model_limit": lim_model, "perturbed_limit": lim_pert}
     notes = ["second-order radial perturbation leaves the slice-transgression limit fixed"]
-    return _result("PerturbationStability", spec, computed,
-                   {"model_limit": lim_model}, gap, 1.0, tol,
+    return _result("PerturbationStability", spec, computed, {"model_limit": lim_model},
+                   {"perturbed_limit": abs(lim_model - lim_pert)}, 1.0, tol,
                    samples=samples, notes=notes, eps={"cone": EPSILONS["cone"]})
 
 
@@ -636,8 +655,8 @@ def check_phi_limit(spec, level, tol):
     gap = _phi_limit(collar, rs, points) - _phi_reference(collar, points)
     worst = float(np.max(np.abs(gap)))
     computed = {"max_entry_gap": worst, "points": len(points)}
-    return _result("PhiLimit", spec, computed, {"max_entry_gap": 0.0}, worst,
-                   1.0, tol,
+    return _result("PhiLimit", spec, computed, {"max_entry_gap": 0.0},
+                   {"max_entry_gap": worst}, 1.0, tol,
                    notes=["limit compared entrywise to the block connection "
                           "(component connections plus radial-vertical pairing)"])
 
@@ -666,12 +685,11 @@ def check_first_order_conic(spec, level, tol):
     singular = 1.0 + gterm / TWO_PI**k
     lhs = TWO_PI**k * spec.chi_ref
     rhs = interior - outer + TWO_PI**k * singular
-    gap = abs(lhs - rhs)
     computed = {"pf_integral": interior, "outer_boundary": outer,
                 "phi_boundary_term": gterm, "singular_contribution": singular,
                 "identity_rhs": rhs}
     return _result("FirstOrderConic", spec, computed, {"identity_lhs": lhs},
-                   gap, TWO_PI**k, tol, notes=[SIGN_NOTE],
+                   {"identity_rhs": abs(lhs - rhs)}, TWO_PI**k, tol, notes=[SIGN_NOTE],
                    eps={"cone": EPSILONS["cone"]})
 
 
@@ -712,7 +730,7 @@ def check_transgression_stokes(spec, level, tol):
     computed = {"max_pointwise_gap": worst, "max_delta_pf": max_dpf,
                 "grid": n_grid, "conformal_amplitude": amp}
     return _result("TransgressionStokes", spec, computed,
-                   {"max_pointwise_gap": 0.0}, worst, max_dpf, tol)
+                   {"max_pointwise_gap": 0.0}, {"max_pointwise_gap": worst}, max_dpf, tol)
 
 
 def check_algebra_identities(spec, level, tol):
@@ -736,25 +754,27 @@ def check_algebra_identities(spec, level, tol):
         if val != math.factorial(n):
             failures.append(f"B(h^{n}) = {val} != {n}!")
     rng = np.random.default_rng(42)
-    worst_pf = 0.0
+    pf_gaps = []
     for n in (2, 4, 6, 8):
         for _ in range(4):
             A = rng.normal(size=(n, n))
             A = A - A.T
-            worst_pf = max(worst_pf, abs(pfaffian_skew(A) ** 2 - np.linalg.det(A)))
+            pf_gaps.append(abs(pfaffian_skew(A) ** 2 - np.linalg.det(A)))
+    # np.max keeps a NaN draw, which a running max(worst, gap) would drop
+    worst_pf = float(np.max(pf_gaps))
     worst_cross = _pfaffian_cross_check(rng)
-    gap = worst_pf if not failures else float("inf")
-    gap = max(gap, worst_cross)
     computed = {"pf_squared_minus_det": worst_pf,
                 "form_vs_matrix_pfaffian": worst_cross,
                 "exact_identities": "ok" if not failures else "; ".join(failures)}
+    gates = {"pf_squared_minus_det": worst_pf, "form_vs_matrix_pfaffian": worst_cross,
+             "exact_identities": math.inf if failures else 0.0}
     return _result("AlgebraIdentities", spec, computed,
-                   {"pf_squared_minus_det": 0.0}, gap, 1.0, tol)
+                   {"pf_squared_minus_det": 0.0}, gates, 1.0, tol)
 
 
 def _pfaffian_cross_check(rng) -> float:
     """B(R^k)/k! against the matching-expansion Pfaffian of the 2-form matrix."""
-    worst = 0.0
+    gaps = []
     for n in (2, 4, 6):
         pairs = multi_indices(n, 2)
         R = DoubleForm(n, 2, 2, rng.normal(size=(len(pairs), len(pairs))))
@@ -768,8 +788,8 @@ def _pfaffian_cross_check(rng) -> float:
             mat[j][i] = -1.0 * col
         via_matrix = pfaffian_skew(mat)
         scale = max(1.0, abs(via_berezin))
-        worst = max(worst, abs(via_matrix.coeffs[0, 0] - via_berezin) / scale)
-    return worst
+        gaps.append(abs(via_matrix.coeffs[0, 0] - via_berezin) / scale)
+    return float(np.max(gaps))
 
 
 def check_lens_obstruction(spec, level, tol):
@@ -781,15 +801,14 @@ def check_lens_obstruction(spec, level, tol):
     eps = EPSILONS["cone"]
     value = float(spec.symmetry_weight) * eps * limit
     ref = TWO_PI**k / order
-    gap = abs(value - ref)
     computed = {"cone_transgression": value, "chi_would_be": value / TWO_PI**k}
     notes = [
         f"a flat metric with this cone end would force chi = 1/{order}"
         + ("" if order == 1 else ", which is not an integer: obstruction"),
     ]
     return _result("LensObstruction", spec, computed,
-                   {"cone_transgression": ref}, gap, abs(ref), tol,
-                   samples=samples, notes=notes, eps={"cone": eps})
+                   {"cone_transgression": ref}, {"cone_transgression": abs(value - ref)},
+                   abs(ref), tol, samples=samples, notes=notes, eps={"cone": eps})
 
 
 # -- registry and suite -------------------------------------------------------
@@ -892,7 +911,7 @@ def run_check(check_id: str, geometry=None, params=None, level=None, tol=None) -
     except ConfigurationError:
         raise
     except Exception as exc:  # noqa: BLE001 - diagnostics, never a crash
-        return _result(check_id, spec, {}, {}, float("inf"), 1.0, tol,
+        return _result(check_id, spec, {}, {}, {}, 1.0, tol,
                        notes=[f"check failed: {type(exc).__name__}: {exc}"])
 
 

@@ -5,9 +5,10 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from gblab import catalog, cli, quadrature, verify
+from gblab import catalog, cli, geometry, quadrature, verify
 from gblab.cli import main
 
 
@@ -97,6 +98,50 @@ def test_a_cone_row_prints_its_gated_slice_limit_as_its_value(tmp_path, capsys):
     assert len(printed) == len(rows) == 5
     assert printed == [f"{row['computed']['slice_limit']:.9g}" for row in rows]
     assert "27.1414059" in printed
+
+
+# each DEFAULT_SUITE row's gate keys in order, the headline (the text report's value=) first
+GATE_TABLE = (
+    ("AlgebraIdentities", ("pf_squared_minus_det", "form_vs_matrix_pfaffian", "exact_identities")),
+    *[("BoundaryGB", ("chi", "boundary_integral", "two_route_rel_gap"))] * 2,
+    *[("ClosedGB", ("pf_integral",))] * 2,
+    *[("ClosedGB", ("chi",))] * 2,
+    *[("ConeGB", ("slice_limit", "singular_contribution"))] * 2,
+    *[("ConeGB", ("slice_limit",))] * 3,
+    ("EdgeGB", ("identity_rhs",)),
+    ("EdgeHorizontal", ("slice_limit_plus", "reduction_rel_gap")),
+    *[("EdgeLimit", ("slice_limit_plus",))] * 2,
+    ("FiberedGB", ("identity_rhs", "slice_limit_plus")),
+    ("FiberedGB", ("slice_limit_plus",)),
+    ("FirstOrderConic", ("identity_rhs",)),
+    *[("LensObstruction", ("cone_transgression",))] * 3,
+    *[("OrbifoldGB", ("t7_total", "pf_chi_part"))] * 3,
+    ("PerturbationStability", ("perturbed_limit",)),
+    *[("PhiLimit", ("max_entry_gap",))] * 3,
+    ("TransgressionStokes", ("max_pointwise_gap",)),
+)
+
+
+def test_each_default_row_prints_its_first_gate_as_its_value(capsys):
+    assert [cid for cid, _ in GATE_TABLE] == [row[0] for row in verify.DEFAULT_SUITE]
+    for (check_id, geometry, params, _, _), (_, keys) in zip(verify.DEFAULT_SUITE, GATE_TABLE):
+        r = verify.run_check(check_id, geometry, dict(params))
+        assert r.passed and tuple(r.gates) == keys, (check_id, params)
+        assert set(keys) <= set(r.computed)
+        cli._print_result(r)
+        assert re.findall(r"value=(\S+)", capsys.readouterr().out) == [
+            f"{r.computed[keys[0]]:.9g}"]
+
+
+def test_a_gate_over_its_own_bound_prints_its_note_and_exits_one(capsys, monkeypatch):
+    # the trapezoid rule in s: disk 4's two routes part by 9.77e-4, inside the row's 1e-3
+    h = geometry.S_NODES[1] - geometry.S_NODES[0]
+    monkeypatch.setattr(geometry, "S_WEIGHTS", np.array([h / 2, *[h] * (geometry.S_NODES.size - 2),
+                                                         h / 2]))
+    assert main(["run", "--check", "BoundaryGB", "--geometry", "disk", "dim=4"]) == 1
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0].startswith("[FAIL] BoundaryGB") and "residual=9.766e-04 (abs tol" in printed[0]
+    assert printed[1] == "        gate two_route_rel_gap: 9.766e-04 > 1e-10"
 
 
 def test_a_report_rows_params_replay_on_the_command_line(capsys):

@@ -154,6 +154,15 @@ def _package_owners(hit) -> set:
     return found
 
 
+def test_only_result_folds_gates_into_a_row():
+    # a check states its gates; _result alone turns them into residual_abs, residual_rel
+    # and passed
+    def builds_row(node):
+        return isinstance(node, ast.Call) and "CheckResult" in _names(node.func)
+
+    assert _package_owners(builds_row) == {"verify._result"}
+
+
 def test_only_the_algebra_identities_take_a_determinant():
     # sqrt(det g) is geometry._sqrt_det of the triangular frame's diagonal;
     # linalg.det is read only by the Pf(A)^2 = det A identity

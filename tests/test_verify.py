@@ -8,7 +8,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from gblab import catalog, verify
+from gblab import catalog, geometry, verify
 from gblab import quadrature as quad
 from gblab.doubleform import MAX_DIM
 from gblab.geometry import phi_conjugated_connection
@@ -53,7 +53,8 @@ def test_report_row_is_every_field_with_passed_written_as_pass():
         reference={"closed_form": 3.25}, residual_abs=1e-9, residual_rel=3e-10,
         tolerance=1e-3, tolerance_kind="rel", passed=True,
         convergence={"slice_samples": [{"r": 0.4, "value": -3.0}, {"r": 0.2, "value": -3.125}]},
-        epsilon_notes={"cone": np.int64(-1)}, notes=["a note"])
+        epsilon_notes={"cone": np.int64(-1)}, notes=["a note"],
+        gates={"slice_limit_plus": 1e-9})
     doc = r.to_json_dict()
     assert doc == {
         "check_id": "ConeGB", "geometry": "geometric_cone",
@@ -66,8 +67,10 @@ def test_report_row_is_every_field_with_passed_written_as_pass():
                                           {"r": 0.2, "value": -3.125}]},
         "epsilon_notes": {"cone": -1}, "notes": ["a note"],
     }
+    # every field but gates, which stay out of the JSON until the report states them
     names = [f.name for f in fields(verify.CheckResult)]
-    assert sorted(doc) == sorted("pass" if n == "passed" else n for n in names)
+    assert "gates" in names
+    assert sorted(doc) == sorted("pass" if n == "passed" else n for n in names if n != "gates")
     # numpy scalars become Python numbers, and the four dicts are sorted by key
     assert type(doc["computed"]["slice_limit_plus"]) is float
     assert type(doc["epsilon_notes"]["cone"]) is int
@@ -134,6 +137,65 @@ def test_boundary_check_fails_when_path_route_is_off(monkeypatch):
     r = verify.run_check("BoundaryGB", "disk", {"dim": 2}, level=2)
     assert r.computed["two_route_rel_gap"] == pytest.approx(0.01, rel=1e-3)
     assert not r.passed
+
+
+# a NaN in a gate after the headline, which Python's max would drop, makes the row's
+# residual inf: BoundaryGB's two routes, EdgeHorizontal's reduction anchor, the
+# catenoid's slice limit
+@pytest.mark.parametrize("check_id, geometry, params, target, nan_route, gate", [
+    ("BoundaryGB", "disk", {"dim": 2}, "_boundary_two_route",
+     lambda spec, level: math.nan, "two_route_rel_gap"),
+    ("EdgeHorizontal", "edge_horizontal", {}, "edge_value_for",
+     lambda fib, level: math.nan, "reduction_rel_gap"),
+    ("FiberedGB", "catenoid", {}, "slice_limit",
+     lambda collar, level, real=verify.slice_limit: (math.nan, real(collar, level)[1]),
+     "slice_limit_plus"),
+], ids=["BoundaryGB", "EdgeHorizontal", "FiberedGB"])
+def test_a_nan_gate_fails_its_row(monkeypatch, check_id, geometry, params, target, nan_route,
+                                  gate):
+    monkeypatch.setattr(verify, target, nan_route)
+    r = verify.run_check(check_id, geometry, params)
+    assert list(r.gates)[0] != gate and math.isfinite(next(iter(r.gates.values())))
+    assert math.isnan(r.gates[gate])
+    assert r.residual_abs == r.residual_rel == float("inf") and not r.passed
+    assert not any("check failed" in n for n in r.notes)
+
+
+# one NaN among AlgebraIdentities' random draws, after the first: the n = 4 Pf(A)^2 = det A
+# matrices, or the n = 4 form-vs-matrix Pfaffian
+@pytest.mark.parametrize("draw, gate", [(np.ndarray, "pf_squared_minus_det"),
+                                        (list, "form_vs_matrix_pfaffian")])
+def test_a_nan_draw_fails_the_algebra_identities(monkeypatch, draw, gate):
+    real = verify.pfaffian_skew
+    monkeypatch.setattr(verify, "pfaffian_skew", lambda A: math.nan * real(A)
+                        if isinstance(A, draw) and len(A) == 4 else real(A))
+    r = verify.run_check("AlgebraIdentities", "flat_torus", {"n": 2})
+    assert math.isnan(r.gates[gate]) and math.isnan(r.computed[gate])
+    assert r.residual_abs == float("inf") and not r.passed
+
+
+def test_the_trapezoid_rule_in_s_fails_the_4_disk_at_its_two_route_bound(monkeypatch):
+    # clean, disk 4's two routes meet to 3.6e-16; the trapezoid weights h (1/2, 1, ..., 1, 1/2)
+    # leave 9.77e-4, under the row's 1e-3 but over TWO_ROUTE_BUDGET, which tol cannot loosen
+    h = geometry.S_NODES[1] - geometry.S_NODES[0]
+    trapezoid = np.full(geometry.S_NODES.size, h)
+    trapezoid[[0, -1]] = h / 2
+    monkeypatch.setattr(geometry, "S_WEIGHTS", trapezoid)
+    for tol in (None, 1.0):
+        r = verify.run_check("BoundaryGB", "disk", {"dim": 4}, level=2, tol=tol)
+        assert r.residual_abs == r.gates["two_route_rel_gap"] == pytest.approx(9.77e-4, rel=1e-3)
+        assert not r.passed
+        assert r.notes[-1] == "gate two_route_rel_gap: 9.766e-04 > 1e-10"
+    assert verify.TWO_ROUTE_BUDGET == 1e-10
+
+
+def test_edge_horizontal_runs_on_the_product_edge():
+    # any odd-slice edge: with no radial variation the closed form is the reduction itself
+    r = verify.run_check("EdgeHorizontal", "edge_product", {"base": "s2", "fiber": "s1"},
+                         level=2)
+    assert r.passed and r.tolerance == 1e-3
+    assert r.residual_rel == pytest.approx(1.908e-4, rel=1e-3)
+    assert r.computed["reduction_rel_gap"] == 0.0
 
 
 def test_failures_are_captured_not_raised():
@@ -291,7 +353,7 @@ def test_a_short_catenoid_fails_on_its_truncation_not_on_its_collar(cutoff, resi
     ("ConeGB", "sphere", {"n": 2}, "ConeGB needs a conical geometry"),
     ("EdgeLimit", "disk", {"dim": 2}, "EdgeLimit needs an edge geometry"),
     ("EdgeGB", "edge_horizontal", {}, "EdgeGB needs a charted edge geometry"),
-    ("EdgeHorizontal", "edge_product", {}, "EdgeHorizontal runs on edge_horizontal"),
+    ("EdgeHorizontal", "fibered_product", {}, "EdgeHorizontal needs an edge geometry"),
     ("FiberedGB", "edge_product", {}, "FiberedGB needs a fibered-boundary geometry"),
     ("PerturbationStability", "geometric_cone", {}, "PerturbationStability runs on"),
     ("PhiLimit", "disk", {"dim": 2}, "PhiLimit needs a collar with fibration data"),

@@ -11,20 +11,21 @@ integrated in one pass): the mesh nodes, then each orbit axis's check
 sample, so the orbit check rides in the same pass.  A mesh's nodes are
 each axis's nodes broadcast into one (n_1, ..., n_d, d) buffer, and its
 weights the product of the axes' weights taken in axis order.  The
-weighted values of each density over the mesh nodes are summed by a fixed
-pairwise binary tree over that ordering (pairwise_sum, along the last
-axis, so a stack of K densities is one sum), so a result depends only on
-its inputs.  A pass reads its nodes (orbit samples included), weights and
-sample indices from the plan of its (chart, mesh) (_mesh_plan), built on
-the key's first pass and handed out as read-only arrays, so a density that
-writes into its block raises; the plan depends on no metric.  The plans
-are cached on at most PLANS keys, the least recently used dropped first,
-so a large mesh is let go once PLANS other meshes have been planned after
-it; mesh_for_chart caches the MeshSpec of each (chart, level) alike.  A
-mesh is built at a refinement level of LEVELS, whose range check_level
-alone states; which of them a chart integral may take (its node budget
-and its stencil's reach of the chart's edge) is decided in
-verify.chart_integral.
+weighted values of each density over the mesh nodes are summed in that
+ordering by numpy's own pairwise reduction (np.add.reduce along the
+contiguous last axis, so a stack of K densities is one sum and each row
+rounds exactly as that row alone), so a result depends only on its inputs
+and numpy's summation order.  A pass reads its nodes (orbit samples
+included), weights and sample indices from the plan of its (chart, mesh)
+(_mesh_plan), built on the key's first pass and handed out as read-only
+arrays, so a density that writes into its block raises; the plan depends
+on no metric.  The plans are cached on at most PLANS keys, the least
+recently used dropped first, so a large mesh is let go once PLANS other
+meshes have been planned after it; mesh_for_chart caches the MeshSpec of
+each (chart, level) alike.  A mesh is built at a refinement level of
+LEVELS, whose range check_level alone states; which of them a chart
+integral may take (its node budget and its stencil's reach of the chart's
+edge) is decided in verify.chart_integral.
 A block holds block_size(d) = max(2 * BLOCK, BLOCK * (4 // d) ** 2) nodes
 on a chart of dimension d (1,024 on a circle, 256 on a surface, 2 * BLOCK =
 128 from d = 3 up), not an option: the per-node curvature arrays grow like
@@ -56,7 +57,6 @@ __all__ = [
     "integrate_chart",
     "block_size",
     "r_limit_extrapolate",
-    "pairwise_sum",
     "geometric_schedule",
 ]
 
@@ -77,25 +77,6 @@ class ResolutionError(ValueError):
     """Too few nodes or levels for the requested operation."""
 
 
-def pairwise_sum(values: np.ndarray):
-    """Sum along the last axis by a fixed binary tree over its ordering.
-
-    A 1-D array sums to a float; a stack (..., N) to an array (...,), each
-    row summed by the same tree, so it rounds exactly as the row alone.
-    """
-    a = np.array(values, dtype=float)
-    n = a.shape[-1]
-    while n > 1:
-        half = n // 2
-        a[..., :half] += a[..., half : 2 * half]
-        if n % 2:
-            a[..., half] = a[..., 2 * half]
-            n = half + 1
-        else:
-            n = half
-    return float(a[0]) if a.ndim == 1 else a[..., 0].copy()
-
-
 @lru_cache(maxsize=None)
 def _gauss_nodes(npts: int):
     """The read-only Gauss-Legendre nodes and weights of npts points on (-1, 1)."""
@@ -114,32 +95,11 @@ def _axis_nodes(lo: float, hi: float, rule: str, nodes: int):
         w = np.full(nodes, h)
         return x, w
     if rule == "gauss":
-        mid, rad, gx, gw = _gauss_panels(lo, hi, nodes)
+        per = min(nodes, GL_PANEL)
+        edges = np.linspace(lo, hi, nodes // per + 1)
+        gx, gw = _gauss_nodes(per)
+        mid, rad = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
         return (mid[:, None] + rad[:, None] * gx).ravel(), (rad[:, None] * gw).ravel()
-    raise ResolutionError(f"unknown axis rule {rule!r}")
-
-
-def _gauss_panels(lo: float, hi: float, nodes: int):
-    """The midpoints and half-widths of a Gauss axis's panels, and one panel's rule."""
-    per = min(nodes, GL_PANEL)
-    edges = np.linspace(lo, hi, nodes // per + 1)
-    return (0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])) + _gauss_nodes(per)
-
-
-def _axis_corners(lo: float, hi: float, rule: str, nodes: int) -> tuple:
-    """The smallest and the largest of _axis_nodes's nodes, by its expressions.
-
-    A Gauss axis's come from its first and its last panel alone, so the
-    admission scan builds no axis's full node array.
-    """
-    if rule == "orbit":
-        return lo, lo
-    if rule == "trapezoid":
-        h = (hi - lo) / nodes
-        return lo + h * 0, lo + h * (nodes - 1)
-    if rule == "gauss":
-        mid, rad, gx, _ = _gauss_panels(lo, hi, nodes)
-        return (mid[0] + rad[0] * gx).min(), (mid[-1] + rad[-1] * gx).max()
     raise ResolutionError(f"unknown axis rule {rule!r}")
 
 
@@ -213,9 +173,8 @@ def _mesh_axes(chart, mesh: MeshSpec) -> list:
 
 def mesh_corners(chart, level: int) -> np.ndarray:
     """(2, d): the smallest and the largest node of each axis of the chart's mesh at a level."""
-    mesh = mesh_for_chart(chart, level)
-    return np.array([_axis_corners(lo, hi, rule, n)
-                     for (lo, hi), rule, n in zip(chart.bounds, mesh.rules, mesh.nodes)]).T
+    nodes = [x for x, _ in _mesh_axes(chart, mesh_for_chart(chart, level))]
+    return np.array([[x.min() for x in nodes], [x.max() for x in nodes]])
 
 
 def _mesh_points(chart, mesh: MeshSpec):
@@ -278,9 +237,10 @@ def integrate_chart(fn, chart, mesh: MeshSpec):
 
     fn maps a block of nodes (B, d) to its values (B,), and the integral is
     a float; or to a stack (K, B) of K densities, and the K integrals come
-    back as an array (K,) from one pairwise_sum, each row summed by the same
-    tree, so it rounds exactly as its own (B,) density would.  When a block
-    fails it is re-run node by node, so the error names the offending node.
+    back as an array (K,) from one np.add.reduce along the last axis, which
+    sums each row pairwise as it sums a row alone, so it rounds exactly as
+    its own (B,) density would.  When a block fails it is re-run node by
+    node, so the error names the offending node.
     Each orbit axis appends to the node array an evenly spaced sample of
     min(n, BLOCK) mesh nodes moved along the axis, evaluated in the same
     block pass; its values must match the sample's own.  Only the mesh
@@ -310,7 +270,8 @@ def integrate_chart(fn, chart, mesh: MeshSpec):
         if np.any(gap > ORBIT_RTOL * np.max(np.abs(ref), axis=-1)):
             raise ResolutionError(f"the density on chart {chart.name!r} varies along "
                                   f"orbit axis {axis} (gap {np.max(gap):.3e})")
-    return pairwise_sum(vals[..., :n] * w)
+    total = np.add.reduce(vals[..., :n] * w, axis=-1)
+    return float(total) if total.ndim == 0 else total
 
 
 def geometric_schedule(r0: float, count: int = 6):

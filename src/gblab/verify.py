@@ -479,8 +479,10 @@ def check_cone_gb(spec, level, tol):
     n = spec.collar.boundary_chart.dim
     theta = spec.params.get("theta", 1.0)
     lk = lk_integrals(spec.link, level)
-    closed = inv.cone_transgression_value(theta, lk)
     limit, samples = slice_limit(spec.collar, level)
+    # a quotient's integrals are its cover's weighted by 1/|G|, as in LensObstruction
+    weight = float(spec.symmetry_weight)
+    closed, limit = weight * inv.cone_transgression_value(theta, lk), weight * limit
     eps = EPSILONS["cone"]
     scale = max(abs(closed), 1e-12)
     computed = {"closed_form": closed, "slice_limit": eps * limit,

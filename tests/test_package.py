@@ -163,6 +163,12 @@ def test_only_result_folds_gates_into_a_row():
     assert _package_owners(builds_row) == {"verify._result"}
 
 
+def test_only_axis_nodes_reads_the_gauss_rule():
+    # an axis's nodes are put in one place; mesh_corners and every pass read them there
+    assert _package_owners(lambda node: "_gauss_nodes" in _names(node)) == {
+        "quadrature._axis_nodes"}
+
+
 def test_only_the_algebra_identities_take_a_determinant():
     # sqrt(det g) is geometry._sqrt_det of the triangular frame's diagonal;
     # linalg.det is read only by the Pf(A)^2 = det A identity

@@ -19,7 +19,6 @@ from gblab.quadrature import (
     geometric_schedule,
     integrate_chart,
     mesh_for_chart,
-    pairwise_sum,
     r_limit_extrapolate,
 )
 
@@ -159,17 +158,6 @@ def test_density_sees_consecutive_blocks():
         assert got == pytest.approx(0.5, abs=1e-14)
 
 
-def test_pairwise_sum_fixed_tree():
-    rng = np.random.default_rng(11)
-    a = rng.normal(size=1037)
-    assert pairwise_sum(a) == pairwise_sum(a.copy())
-    assert pairwise_sum(a) == pytest.approx(float(np.sum(a)), abs=1e-10)
-    # a stack (K, N) sums each row by the same tree as the row alone
-    stack = rng.normal(size=(3, 1037)) * 10.0 ** rng.integers(-8, 8, size=(3, 1037))
-    rows = pairwise_sum(stack)
-    assert rows.shape == (3,) and all(rows == [pairwise_sum(row) for row in stack])
-
-
 def test_product_volume_s2_x_s1():
     prod = Chart("s2xs1", ((0.0, math.pi), (0.0, 2 * math.pi), (0.0, 2 * math.pi)),
                  (False, True, True))
@@ -244,10 +232,12 @@ def test_gauss_exact_for_polynomials(deg, seed):
 
 
 def test_a_stack_of_densities_equals_each_density_integrated_alone():
-    # K densities in one pass, each row reduced by the same tree as its own call
-    chart = Chart("strip", ((0.0, 1.0), (0.0, 2 * math.pi)), (False, True))
-    mesh = MeshSpec(nodes=(24, 8), rules=("gauss", "trapezoid"))
-    dens = [lambda x, m=m: np.cos(m * x[:, 1]) * x[:, 0] ** m + 1.0 / (1.0 + m * x[:, 0])
+    # K densities in one pass: np.add.reduce sums each row pairwise as it sums the
+    # row alone, on both sides of numpy's 8-wide unroll and 128-element block and
+    # past 8,192 nodes
+    interval = Chart("interval", ((0.0, 1.0),), (False,))
+    strip = Chart("strip", ((0.0, 1.0), (0.0, 2 * math.pi)), (False, True))
+    dens = [lambda x, m=m: np.cos(m * x[:, -1]) * x[:, 0] ** m + 1.0 / (1.0 + m * x[:, 0])
             for m in range(4)]
     calls = []
 
@@ -255,9 +245,17 @@ def test_a_stack_of_densities_equals_each_density_integrated_alone():
         calls.append(len(x))
         return np.stack([f(x) for f in dens])
 
-    got = integrate_chart(stacked, chart, mesh)
-    assert got.shape == (4,) and len(calls) == math.ceil(24 * 8 / block_size(2))
-    assert got.tolist() == [integrate_chart(f, chart, mesh) for f in dens]
+    # 7, 8, 120, 136, 192, 1,032 and 8,200 nodes
+    for chart, nodes in [(interval, (7,)), (interval, (8,)), (strip, (8, 15)), (strip, (8, 17)),
+                         (strip, (24, 8)), (strip, (8, 129)), (strip, (8, 1025))]:
+        mesh = MeshSpec(nodes=nodes, rules=("gauss", "trapezoid")[:len(nodes)])
+        calls.clear()
+        got = integrate_chart(stacked, chart, mesh)
+        assert got.shape == (4,)
+        assert len(calls) == math.ceil(mesh.total_nodes / block_size(chart.dim)), nodes
+        alone = np.array([integrate_chart(f, chart, mesh) for f in dens])
+        assert got.tobytes() == alone.tobytes(), nodes
+        assert integrate_chart(stacked, chart, mesh).tobytes() == got.tobytes(), nodes
 
 
 def test_a_failing_stack_is_rerun_node_by_node_and_names_the_node():
@@ -410,8 +408,8 @@ def test_mesh_points_are_the_meshgrid_route_bit_for_bit(level):
 
 
 def test_mesh_corners_are_the_extremes_of_the_axes_nodes_bit_for_bit():
-    # the admission scan reads each axis's corners off its first and last
-    # Gauss panel, never its full node array; they must be that array's extremes
+    # the admission scan reads each axis's corners as the extremes of the nodes
+    # _axis_nodes puts on it, the arrays every pass of the chart's mesh sums over
     charts = _suite_charts(catalog.get(e["name"]) for e in catalog.list_geometries())
     # no catalog chart has a trapezoid axis: a periodic axis without hints takes one
     charts.append(Chart("cylinder", ((-1.0, 2.0), (0.3, 0.3 + 2 * math.pi)), (False, True)))

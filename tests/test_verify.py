@@ -105,6 +105,17 @@ def test_cone_check_reports_two_routes():
     assert r.convergence["slice_samples"]
 
 
+@pytest.mark.parametrize("order", [2, 3])
+def test_cone_check_weights_a_lens_quotient_by_its_order(order):
+    # a quotient's integrals are its cover's over |G|: ConeGB on lens_cone reads
+    # 4 pi^2 / order, LensObstruction's value bit for bit, not the cover's 4 pi^2
+    cone = verify.run_check("ConeGB", "lens_cone", {"order": order}, level=2)
+    lens = verify.run_check("LensObstruction", "lens_cone", {"order": order}, level=2)
+    assert cone.passed
+    assert cone.computed["closed_form"] == pytest.approx(4 * math.pi**2 / order, rel=1e-9)
+    assert cone.computed["slice_limit"] == lens.computed["cone_transgression"]
+
+
 @pytest.mark.parametrize("name,params", [
     ("cone_perturbed_first_order", {"a": 0.3}),
     ("cone_perturbed_second_order", {}),

@@ -14,7 +14,9 @@ prints each side's median and quartiles (inclusive method) over the pairs,
 the number of pairs the change won (ties count for neither side), and
 whether the rule for claiming a gain holds: the change wins at least nine
 tenths of the pairs, and its median beats the parent's by more than the
-parent's interquartile range.  A run that reports failed instances or
+parent's interquartile range.  A metric that reads one value on each side
+(accuracy digits, say) is reported as deterministic with its move, and the
+rule never holds for it.  A run that reports failed instances or
 `"correct": false` is named.  Standard library only.
 """
 
@@ -56,8 +58,12 @@ def verdict(parent: list, change: list, better: str) -> dict:
     qp, qc = _quartiles(parent), _quartiles(change)
     gap = sign * (qp[1] - qc[1])                     # > 0 when the change's median is better
     iqr = qp[2] - qp[0]
+    # a metric that reads one value on each side is not timed noise: its move
+    # (round-off, say) beats a zero IQR in every pair, and is no gain
+    deterministic = len(set(parent)) == 1 == len(set(change))
     return {"parent": qp, "change": qc, "wins": wins, "pairs": len(parent), "gap": gap,
-            "iqr": iqr, "holds": 10 * wins >= 9 * len(parent) and gap > iqr}
+            "iqr": iqr, "deterministic": deterministic,
+            "holds": not deterministic and 10 * wins >= 9 * len(parent) and gap > iqr}
 
 
 def pairs(parent, change, workload: str, count: int, seed: int) -> dict:
@@ -87,6 +93,11 @@ def pairs(parent, change, workload: str, count: int, seed: int) -> dict:
             lo, mid, hi = v[side]
             print(f"  {side:6s} median {mid:.6g}, quartiles {lo:.6g} .. {hi:.6g}")
         moved = v["change"][1] - v["parent"][1]
+        if v["deterministic"]:
+            print(f"  deterministic: every run reads {v['parent'][1]!r} on the parent and "
+                  f"{v['change'][1]!r} on the change, a move of {moved:+.6g}, no gain: the "
+                  f"rule does not hold")
+            continue
         rel = f" (median {moved / abs(v['parent'][1]):+.1%})" if v["parent"][1] else ""
         print(f"  the change won {v['wins']} of {v['pairs']} pairs; its median is better by "
               f"{v['gap']:.6g}{rel} against a parent IQR of {v['iqr']:.6g}: the rule "

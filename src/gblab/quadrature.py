@@ -5,12 +5,14 @@ so chart-edge coordinate degeneracies are never sampled.  Periodic axes use
 the composite trapezoid rule, or the orbit rule (one node weighted by the
 period) where every density on the chart is invariant along the axis; each
 pass checks that invariance and raises ResolutionError where it fails.  A
-density is called on consecutive blocks of the flattened node ordering
-(points of shape (B, d), values of shape (B,), or (K, B) for K densities
-integrated in one pass): the mesh nodes, then each orbit axis's check
-sample, so the orbit check rides in the same pass.  A mesh's nodes are
-each axis's nodes broadcast into one (n_1, ..., n_d, d) buffer, and its
-weights the product of the axes' weights taken in axis order.  The
+pass (mesh_values) calls a density on consecutive blocks of the flattened
+node ordering (points of shape (B, d), values of shape (B,), or (K, B) for
+K densities evaluated in one pass): the mesh nodes, then each orbit axis's
+check sample, so the orbit check rides in the same pass, and hands back
+the values at the mesh nodes; integrate_chart sums them, and the
+TransgressionStokes check reads their largest magnitude.  A mesh's nodes
+are each axis's nodes broadcast into one (n_1, ..., n_d, d) buffer, and
+its weights the product of the axes' weights taken in axis order.  The
 weighted values of each density over the mesh nodes are summed in that
 ordering by numpy's own pairwise reduction (np.add.reduce along the
 contiguous last axis, so a stack of K densities is one sum and each row
@@ -31,13 +33,14 @@ on a chart of dimension d (1,024 on a circle, 256 on a surface, 2 * BLOCK =
 128 from d = 3 up), not an option: the per-node curvature arrays grow like
 d^4, so the rule bounds a block's memory while the fixed cost of a call
 (of each stage of the jet, frame, curvature and wedge pipeline) is spread
-over as many nodes as that allows.  block_size is the rule's one owner:
-integrate_chart, the TransgressionStokes grid pass in verify and the
-curvature pass of geometry.metric_path_gauge, which takes as many s nodes
-at once as a block's samples allow, all read it.  A slice limit stacks its
-radius schedule onto the block, so there a block's curvature arrays hold
-its node count times the number of radii (six) samples; its points, and
-their metric evaluations, are not repeated per radius.
+over as many nodes as that allows.  block_size is the rule's one owner,
+and only two passes call it: mesh_values's, which every chart integral and
+the TransgressionStokes grid run, and the curvature pass of
+geometry.metric_path_gauge, which takes as many s nodes at once as a
+block's samples allow.  A slice limit stacks its radius schedule onto the
+block, so there a block's curvature arrays hold its node count times the
+number of radii (six) samples; its points, and their metric evaluations,
+are not repeated per radius.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ __all__ = [
     "check_level",
     "mesh_for_chart",
     "mesh_corners",
+    "mesh_values",
     "integrate_chart",
     "block_size",
     "r_limit_extrapolate",
@@ -232,24 +236,26 @@ def _mesh_plan(chart, mesh: MeshSpec):
     return pts, w, idx, orbit
 
 
-def integrate_chart(fn, chart, mesh: MeshSpec):
-    """Integrate a scalar density (volume factor included) over a chart box.
+def mesh_values(fn, chart, mesh: MeshSpec):
+    """A density's values (..., N) at the N nodes of a mesh on a chart, in one block pass.
 
-    fn maps a block of nodes (B, d) to its values (B,), and the integral is
-    a float; or to a stack (K, B) of K densities, and the K integrals come
-    back as an array (K,) from one np.add.reduce along the last axis, which
-    sums each row pairwise as it sums a row alone, so it rounds exactly as
-    its own (B,) density would.  When a block fails it is re-run node by
-    node, so the error names the offending node.
-    Each orbit axis appends to the node array an evenly spaced sample of
-    min(n, BLOCK) mesh nodes moved along the axis, evaluated in the same
-    block pass; its values must match the sample's own.  Only the mesh
-    nodes are summed.  The nodes, weights and sample come from the plan of
-    (chart, mesh), built on its first pass and kept, up to PLANS keys in
-    least-recently-used order (_mesh_plan); its arrays are read-only, so a
-    density that writes into its block raises.
+    fn maps a block of nodes (B, d) to its values (B,), or to a stack (K,
+    B) of K densities.  When a block fails it is re-run node by node, so
+    the error names the offending node.  Each orbit axis appends to the
+    node array an evenly spaced sample of min(N, BLOCK) mesh nodes moved
+    along the axis, evaluated in the same block pass; its values must match
+    the sample's own.  Only the mesh nodes' values are returned.  The
+    nodes and sample come from the plan of (chart, mesh), built on its
+    first pass and kept, up to PLANS keys in least-recently-used order
+    (_mesh_plan); its arrays are read-only, so a density that writes into
+    its block raises.
     """
-    pts, w, idx, orbit = _mesh_plan(chart, mesh)
+    return _block_pass(fn, chart, _mesh_plan(chart, mesh))
+
+
+def _block_pass(fn, chart, plan):
+    """mesh_values on a plan of _mesh_plan, looked up once by the caller."""
+    pts, w, idx, orbit = plan
     n = w.size
     size = block_size(pts.shape[1])
     vals = None
@@ -270,7 +276,22 @@ def integrate_chart(fn, chart, mesh: MeshSpec):
         if np.any(gap > ORBIT_RTOL * np.max(np.abs(ref), axis=-1)):
             raise ResolutionError(f"the density on chart {chart.name!r} varies along "
                                   f"orbit axis {axis} (gap {np.max(gap):.3e})")
-    total = np.add.reduce(vals[..., :n] * w, axis=-1)
+    return vals[..., :n]
+
+
+def integrate_chart(fn, chart, mesh: MeshSpec):
+    """Integrate a scalar density (volume factor included) over a chart box.
+
+    fn maps a block of nodes (B, d) to its values (B,), and the integral is
+    a float; or to a stack (K, B) of K densities, and the K integrals come
+    back as an array (K,).  The values at the mesh nodes are mesh_values's
+    (its block pass, orbit check and plan), and the weighted values are
+    summed by one np.add.reduce along the last axis, which sums each row
+    pairwise as it sums a row alone, so it rounds exactly as its own (B,)
+    density would.
+    """
+    plan = _mesh_plan(chart, mesh)
+    total = np.add.reduce(_block_pass(fn, chart, plan) * plan[1], axis=-1)
     return float(total) if total.ndim == 0 else total
 
 

@@ -57,6 +57,19 @@ def test_only_quadrature_reads_the_block_constant():
     assert users == []
 
 
+def test_only_quadrature_and_the_path_gauge_call_block_size():
+    # the block rule's callers: quadrature's own pass and the curvature pass of
+    # geometry.metric_path_gauge; every other block rides in mesh_values
+    callers = set()
+    for path in sorted(Path(gblab.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "block_size" in _names(node.func):
+                    callers.add(path.name if path.name == "quadrature.py"
+                                else f"{path.stem}.{getattr(top, 'name', top.lineno)}")
+    assert callers == {"quadrature.py", "geometry.metric_path_gauge"}
+
+
 def test_src_calls_no_einsum():
     # every contraction in src/ is a batched matmul or a broadcast product
     uses = []

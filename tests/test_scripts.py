@@ -97,6 +97,9 @@ def test_pairs_alternate_the_sides_and_state_the_rule_on_a_stub_command(tmp_path
     out = capsys.readouterr().out
     # every BENCHMARK.json metric gets a verdict; only the stub's faster wall time wins
     assert out.count("the rule holds") == 1 and out.count("the rule does not hold") == 4
+    # setup_s, cpu_ref_s and accuracy_digits read one value on each side
+    assert out.count("  deterministic: every run reads") == 3
+    assert "reads 0.1 on the parent and 0.11 on the change, a move of +0.01" in out
     assert "the change won 4 of 4 pairs" in out.split("wall_ref_s (s")[1].split("\n", 4)[3]
     # the second run of each pair reads the higher peak_rss_mb: each side wins twice
     assert "the change won 2 of 4 pairs" in out.split("peak_rss_mb (MiB")[1]
@@ -112,6 +115,11 @@ def test_the_pairs_rule_needs_nine_tenths_of_the_pairs_and_a_gap_over_the_iqr():
     higher = verdict(parent, [p + 0.5 for p in parent], "higher")
     assert higher["wins"] == 10 and higher["holds"]
     assert verdict(parent, parent, "lower")["wins"] == 0                  # ties count for none
+    # one value on each side: a round-off move wins every pair over a zero IQR,
+    # and is reported as deterministic, never as a gain
+    still = verdict([5.365166896332478] * 10, [5.3651668963505985] * 10, "higher")
+    assert still["wins"] == 10 and still["deterministic"] and not still["holds"]
+    assert not verdict(parent, nine, "lower")["deterministic"]
 
 
 def test_code_lines_skip_comments_blank_lines_and_docstrings(tmp_path):

@@ -431,15 +431,16 @@ def test_the_largest_clean_level_is_decided_once_per_chart_and_stencil(monkeypat
 
 
 def test_a_cold_suite_reuses_its_mesh_and_stencil_plans():
-    # the plans serve distinct checks within one run: 51 chart passes over 19
-    # meshes, 106 stencil lookups over 25 stencils, and no key is dropped
+    # the plans serve distinct checks within one run: 52 chart passes over 20
+    # meshes (the Stokes grid among them), 106 stencil lookups over 25
+    # stencils, and no key is dropped
     caches = (quad._mesh_plan, verify._stencil_plan, quad.mesh_for_chart,
               verify._admissible_top)
     for cache in caches:
         cache.cache_clear()
     verify.run_suite()
     meshes, stencils, *_ = info = [cache.cache_info() for cache in caches]
-    assert (meshes.misses, meshes.hits, stencils.misses, stencils.hits) == (19, 32, 25, 81)
+    assert (meshes.misses, meshes.hits, stencils.misses, stencils.hits) == (20, 32, 25, 81)
     assert all(i.currsize == i.misses < i.maxsize for i in info)
 
 
@@ -514,6 +515,46 @@ def test_the_stokes_grid_values_do_not_depend_on_the_block_size(monkeypatch):
     small = verify.run_check("TransgressionStokes").computed
     assert blocks == [(4, 256, 2)] * 4 + [(4, 64, 2)] * 16
     assert repr(ruled) == repr(small) and ruled == small
+
+
+@pytest.mark.parametrize("level, grid", [(1, 16), (3, 64)])
+def test_the_stokes_grid_follows_the_level(level, grid):
+    r = verify.run_check("TransgressionStokes", level=level)
+    assert r.passed and r.computed["grid"] == grid
+
+
+def test_the_stokes_grid_lies_on_the_torus_chart(monkeypatch):
+    # periods 3: each stencil centre is a node of the chart's box [0, 3)^2, so
+    # the gauge's points lie within the stencil's reach of it
+    gauge, points = verify.metric_path_gauge, []
+
+    def record(g0, g1, x):
+        points.append(x)
+        return gauge(g0, g1, x)
+
+    monkeypatch.setattr(verify, "metric_path_gauge", record)
+    r = verify.run_check("TransgressionStokes", "flat_torus", {"n": 2, "periods": (3.0, 3.0)})
+    reach = 1e-3 * np.max(np.abs(geometry._jet_plan(2, 2, False)[1]))
+    x = np.concatenate([p.reshape(-1, 2) for p in points])
+    assert r.passed and x.shape == (4 * 32 * 32, 2)
+    assert x.min() >= -reach and x.max() < 3.0 + reach
+    centres = np.concatenate([p.mean(axis=0) for p in points])
+    assert centres.min() >= 0.0 and centres.max() < 3.0
+
+
+def test_a_raising_gauge_names_its_node(monkeypatch):
+    # one block raises; its node-by-node re-run names the node that raises
+    gauge = verify.metric_path_gauge
+
+    def boom(g0, g1, x):
+        if np.any(np.all(np.abs(x - [math.pi, 0.0]) < 0.01, axis=-1)):
+            raise geometry.MetricError("boom")
+        return gauge(g0, g1, x)
+
+    monkeypatch.setattr(verify, "metric_path_gauge", boom)
+    r = verify.run_check("TransgressionStokes")
+    assert not r.passed
+    assert r.notes == [f"check failed: MetricError: boom (at node ({math.pi!r}, 0.0))"]
 
 
 def test_a_slice_limit_does_not_depend_on_the_block_size(monkeypatch):
